@@ -39,7 +39,7 @@ const K: usize = 10;
 const BUDGET: usize = 16 * K; // CoresetConfig::recommended(K)
 
 /// Deterministic workload: 2-D integer points, L1-on-attr-0 distance,
-/// random integer relevances — the `engine_scaling` family, at sizes
+/// random integer relevances — the `engine_hotpath` family, at sizes
 /// the matrix path cannot reach.
 fn workload(n: usize) -> (Vec<Tuple>, TableRelevance) {
     let mut r = StdRng::seed_from_u64(0xC05E5E7 ^ ((n as u64) << 8));
@@ -86,7 +86,7 @@ fn coreset_scaling(c: &mut Criterion) {
             BenchmarkId::new(format!("serve_{kind}"), N_LARGE),
             &kind,
             |b, &kind| {
-                b.iter(|| engine.serve(EngineRequest { kind, k: K }).unwrap().1.len())
+                b.iter(|| engine.try_serve(EngineRequest { kind, k: K }).unwrap().1.len())
             },
         );
     }

@@ -29,7 +29,7 @@ fn quick() -> bool {
     std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// The shared workload family of `engine_scaling` / `BENCH_coreset`:
+/// The shared workload family of `engine_hotpath` / `BENCH_coreset`:
 /// 2-D integer points, L1 distance on attribute 0, random integer
 /// relevances — deterministic per `n`.
 fn workload(n: usize) -> (Vec<Tuple>, TableRelevance) {
@@ -74,7 +74,7 @@ fn main() {
         let arc = Arc::new(p);
         let engine = Engine::from_prepared(arc.clone(), 1);
         for kind in ObjectiveKind::ALL {
-            engine.serve(EngineRequest { kind, k }).expect("k ≤ n");
+            engine.try_serve(EngineRequest { kind, k }).expect("k ≤ n");
         }
         drop(engine);
         Arc::try_unwrap(arc).expect("sole owner")

@@ -61,7 +61,7 @@ fn quick() -> bool {
     std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// The shared workload of `engine_scaling` / `BENCH_coreset`: 2-D
+/// The shared workload of `BENCH_coreset`: 2-D
 /// integer points, L1 distance on attribute 0, random integer
 /// relevances — deterministic per `n`.
 fn workload(n: usize) -> (Vec<divr_relquery::Tuple>, TableRelevance) {
@@ -84,9 +84,8 @@ fn fmt_ns(ns: u128) -> String {
 }
 
 /// Cold `F_MS`: a fresh `PreparedUniverse` per sample (matrix built
-/// outside the timed window; the heap seed rides the build itself —
-/// `engine_scaling`'s `engine/prepare` row pins that the fused scan
-/// left prepare at its PR 1 cost). The timed solve is the
+/// outside the timed window; the heap seed rides the build itself).
+/// The timed solve is the
 /// first-request latency a cache miss sees after `prepare`: heapify
 /// plus the lazy greedy rounds, nothing memoized from prior requests.
 fn cold_greedy(sizes: &[usize], ks: &[usize]) {
@@ -164,8 +163,8 @@ fn warm_and_eager(c: &mut Criterion, sizes: &[usize], ks: &[usize]) {
 
 /// Steady-state allocation counts: a warm engine + scratch serving
 /// through `serve_into` (reused output buffer) must allocate **zero**
-/// times per request; `serve_batch` allocates only the returned answer
-/// vectors. The eager path's per-round churn is printed for contrast.
+/// times per request. The eager path's per-round churn is printed for
+/// contrast.
 fn allocation_counts(n: usize, k: usize) {
     let (universe, rel) = workload(n);
     let dis = w::l1_distance();
@@ -178,13 +177,13 @@ fn allocation_counts(n: usize, k: usize) {
     let mut out = Vec::new();
     // Warm everything: preambles, scratch buffers, output capacity.
     for req in &batch {
-        e.serve_into(*req, &mut scratch, &mut out);
+        e.serve_into(*req, &mut scratch, &mut out).expect("feasible");
     }
     let rounds = 200u64;
     for req in &batch {
         let before = alloc_count();
         for _ in 0..rounds {
-            e.serve_into(*req, &mut scratch, &mut out);
+            e.serve_into(*req, &mut scratch, &mut out).expect("feasible");
         }
         let per_request = (alloc_count() - before) as f64 / rounds as f64;
         println!(
@@ -193,18 +192,6 @@ fn allocation_counts(n: usize, k: usize) {
             per_request,
         );
     }
-    let before = alloc_count();
-    for _ in 0..rounds {
-        let answers = e.serve_batch_with(&batch, &mut scratch);
-        assert_eq!(answers.len(), batch.len());
-    }
-    let per_batch = (alloc_count() - before) as f64 / rounds as f64;
-    println!(
-        "{:<40} {:>14.2} allocs/batch   (serve_batch_with of {} requests; only the returned answer vecs)",
-        format!("allocs/serve_batch/{n}/k{k}"),
-        per_batch,
-        batch.len(),
-    );
     let eager_rounds = if quick() { 2 } else { 20 };
     let before = alloc_count();
     for _ in 0..eager_rounds {

@@ -120,7 +120,7 @@ fn main() {
         let front = QueryFrontDoor::new(Arc::clone(&registry));
         registry.attach_durability(Arc::clone(&d));
         for spec in &set {
-            registry.prepare(spec);
+            registry.try_prepare(spec).expect("finite scores");
         }
         let report = d.checkpoint(&registry, &front).expect("checkpoint");
         assert_eq!(report.records, UNIVERSES);

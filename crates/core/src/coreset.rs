@@ -67,7 +67,7 @@
 //!     &CoresetConfig::with_budget(64),
 //! );
 //! let (value, set) = engine
-//!     .serve(EngineRequest { kind: ObjectiveKind::MaxMin, k: 8 })
+//!     .try_serve(EngineRequest { kind: ObjectiveKind::MaxMin, k: 8 })
 //!     .unwrap();
 //! assert_eq!(set.len(), 8);
 //! assert!(value > Ratio::ZERO);
@@ -78,8 +78,8 @@ use crate::avail::GenMarks;
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::{
-    argmax_with_ties, default_threads, resolve_ties_exact, Engine, EngineRequest,
-    PreparedUniverse, ServeError, SolveScratch,
+    argmax_with_ties, default_threads, resolve_ties_exact, score_relevance, DistOracle, Engine,
+    EngineRequest, PreparedUniverse, ServeError, SolveScratch,
 };
 use crate::problem::ObjectiveKind;
 use crate::ratio::Ratio;
@@ -98,8 +98,9 @@ pub const CORESET_AUTO_THRESHOLD: usize = 4096;
 pub struct CoresetConfig {
     /// Number of representatives `m` to select (clamped to `n`). Also
     /// the largest servable `k`: requests with `k > m` (but `k ≤ n`)
-    /// return `None` — size the budget for the largest `k` you serve,
-    /// e.g. via [`CoresetConfig::recommended`].
+    /// fail with [`ServeError::ExceedsCoresetBudget`] — size the budget
+    /// for the largest `k` you serve, e.g. via
+    /// [`CoresetConfig::recommended`].
     pub budget: usize,
     /// Full-universe single-swap refinement rounds applied to each
     /// `F_MS` / `F_MM` answer (0 = pure coreset answer, re-scored
@@ -219,7 +220,9 @@ impl Coreset {
     ///    re-scored through the exact `Ratio` oracle and broken toward
     ///    the lowest index, exactly like [`crate::engine`]'s argmax.
     ///
-    /// `rel_exact[i]` must equal `δ_rel(universe[i])`.
+    /// `rel_exact[i]` must equal `δ_rel(universe[i])`. Panics if the
+    /// oracle emits non-comparable (non-finite) distances; untrusted
+    /// oracles go through [`Coreset::try_select_deadline`].
     pub fn select(
         universe: &[Tuple],
         rel_exact: &[Ratio],
@@ -228,7 +231,7 @@ impl Coreset {
         threads: usize,
     ) -> Coreset {
         Self::try_select_deadline(universe, rel_exact, dis, budget, threads, Deadline::none())
-            .expect("unbounded deadline cannot be exceeded")
+            .expect("unbounded deadline, finite distances")
     }
 
     /// [`Coreset::select`] under a cooperative [`Deadline`], checked
@@ -236,7 +239,8 @@ impl Coreset {
     /// farthest-point iterations — each an `O(n)` scan, so an
     /// abandoned selection overshoots its deadline by at most one
     /// pass. Returns `Err(ServeError::DeadlineExceeded)` on
-    /// abandonment; partial state is dropped.
+    /// abandonment, and `Err(ServeError::NonFiniteScore)` when the
+    /// coverage distances stop ordering; partial state is dropped.
     pub fn try_select_deadline(
         universe: &[Tuple],
         rel_exact: &[Ratio],
@@ -300,8 +304,20 @@ impl Coreset {
                     Some(nearest[i])
                 }
             };
-            let ties = argmax_with_ties(n, threads, 1, &eval)
-                .expect("m < n leaves at least one unselected candidate");
+            let Some(ties) = argmax_with_ties(n, threads, 1, &eval) else {
+                // m < n leaves unselected candidates, so an empty argmax
+                // means their coverage distances do not order: the
+                // oracle emitted a non-finite float (full-universe
+                // indices of one offending item and its representative).
+                let i = (0..n)
+                    .find(|&i| !selected.is_marked(i) && !nearest[i].is_finite())
+                    .unwrap_or(0);
+                return Err(ServeError::NonFiniteScore {
+                    source: crate::engine::ScoreSource::Distance,
+                    i,
+                    j: reps[assignment[i]],
+                });
+            };
             let exact_nearest = |i: usize| -> Ratio {
                 reps.iter()
                     .map(|&r| dis.dist(&universe[i], &universe[r]))
@@ -387,13 +403,9 @@ pub struct PreparedCoreset {
 pub type SharedCoreset = Arc<PreparedCoreset>;
 
 impl PreparedCoreset {
-    /// Prepares the coreset path over a materialized universe:
-    /// evaluates relevance once (`O(n)`), selects the coreset
-    /// (`O(n·m)` distances), and builds the `m × m` matrix over the
-    /// representatives. Never allocates `n × n`.
-    ///
-    /// Panics if `λ ∉ [0, 1]` (same contract as
-    /// [`PreparedUniverse::build`]).
+    /// [`PreparedCoreset::try_build_shared_deadline`] with
+    /// [`Deadline::none`]: the infallible form for callers that prepare
+    /// outside any request, with oracles they trust to be finite.
     pub fn build_shared(
         universe: Vec<Tuple>,
         rel: &dyn Relevance,
@@ -402,16 +414,22 @@ impl PreparedCoreset {
         config: &CoresetConfig,
     ) -> PreparedCoreset {
         Self::try_build_shared_deadline(universe, rel, dis, lambda, config, Deadline::none())
-            .expect("unbounded deadline cannot be exceeded")
+            .expect("unbounded deadline, finite distances")
     }
 
-    /// [`PreparedCoreset::build_shared`] under a cooperative
-    /// [`Deadline`]: the `O(n)` relevance pass, the `O(n·m)` selection
-    /// (checked per Gonzalez iteration), and the `m × m` sub-universe
-    /// matrix build (checked per row) all poll it, so an expensive
-    /// prepare is abandoned with [`ServeError::DeadlineExceeded`]
-    /// within one `O(n)` slice instead of running to completion. A
-    /// refused prepare leaves nothing behind.
+    /// Prepares the coreset path over a materialized universe:
+    /// evaluates relevance once (`O(n)`), selects the coreset
+    /// (`O(n·m)` distances), and builds the `m × m` matrix over the
+    /// representatives. Never allocates `n × n`.
+    ///
+    /// The relevance pass, the selection (checked per Gonzalez
+    /// iteration), and the `m × m` sub-universe matrix build (checked
+    /// per row) all poll `deadline`, so an expensive prepare is
+    /// abandoned with [`ServeError::DeadlineExceeded`] within one
+    /// `O(n)` slice instead of running to completion. A refused prepare
+    /// leaves nothing behind.
+    ///
+    /// Panics if `λ ∉ [0, 1]`.
     pub fn try_build_shared_deadline(
         universe: Vec<Tuple>,
         rel: &dyn Relevance,
@@ -425,13 +443,7 @@ impl PreparedCoreset {
             "λ must lie in [0, 1]"
         );
         let threads = config.threads.max(1);
-        let mut rel_exact: Vec<Ratio> = Vec::with_capacity(universe.len());
-        for (i, t) in universe.iter().enumerate() {
-            if i.is_multiple_of(64) {
-                deadline.check()?;
-            }
-            rel_exact.push(rel.rel(t));
-        }
+        let rel_exact = score_relevance(&universe, rel, deadline)?;
         let rel_f: Vec<f64> = rel_exact.iter().map(Ratio::to_f64).collect();
         let coreset = Coreset::try_select_deadline(
             &universe,
@@ -441,20 +453,7 @@ impl PreparedCoreset {
             threads,
             deadline,
         )?;
-        let sub_universe: Vec<Tuple> = coreset
-            .indices()
-            .iter()
-            .map(|&i| universe[i].clone())
-            .collect();
-        let sub_rels: Vec<Ratio> = coreset.indices().iter().map(|&i| rel_exact[i]).collect();
-        let sub = Arc::new(PreparedUniverse::try_build_shared_with_scores_deadline(
-            sub_universe,
-            sub_rels,
-            dis.clone(),
-            lambda,
-            threads,
-            deadline,
-        )?);
+        let sub = Self::try_build_sub(&universe, &rel_exact, &coreset, &dis, lambda, threads, deadline)?;
         Ok(PreparedCoreset {
             universe,
             dis,
@@ -467,11 +466,36 @@ impl PreparedCoreset {
         })
     }
 
+    /// The `m × m` prepared universe over `coreset`'s representatives,
+    /// reusing the relevance scores already evaluated for the full
+    /// universe (identical values, and no second pass over a possibly
+    /// expensive oracle).
+    fn try_build_sub(
+        universe: &[Tuple],
+        rel_exact: &[Ratio],
+        coreset: &Coreset,
+        dis: &Arc<dyn Distance + Send + Sync>,
+        lambda: Ratio,
+        threads: usize,
+        deadline: Deadline,
+    ) -> Result<Arc<PreparedUniverse<'static>>, ServeError> {
+        let indices = coreset.indices();
+        Ok(Arc::new(PreparedUniverse::try_from_scores(
+            indices.iter().map(|&i| universe[i].clone()).collect(),
+            indices.iter().map(|&i| rel_exact[i]).collect(),
+            DistOracle::Shared(dis.clone()),
+            lambda,
+            threads,
+            deadline,
+        )?))
+    }
+
     /// Prepares the coreset path from a **tuple stream** without ever
     /// materializing `Q(D)` as a separate vector: the first `budget`
-    /// tuples seed an identity coreset via [`build_shared`]
-    /// (`m == n`, so selection over the seed is trivially exact), and
-    /// every further tuple flows through the [`insert_tuple`]
+    /// tuples seed an identity coreset via
+    /// [`PreparedCoreset::try_build_shared_deadline`] (`m == n`, so
+    /// selection over the seed is trivially exact), and every further
+    /// tuple flows through the [`PreparedCoreset::insert_tuple`]
     /// incremental path. The only `O(n)` storage is the prepared
     /// state's own universe — the copy serving needs anyway for exact
     /// re-scoring.
@@ -481,23 +505,9 @@ impl PreparedCoreset {
     /// query front door that streams evaluator output be differential-
     /// tested against by-hand materialization of the same sequence.
     ///
-    /// [`build_shared`]: PreparedCoreset::build_shared
-    /// [`insert_tuple`]: PreparedCoreset::insert_tuple
-    pub fn build_streaming(
-        tuples: impl IntoIterator<Item = Tuple>,
-        rel: &dyn Relevance,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        config: &CoresetConfig,
-    ) -> PreparedCoreset {
-        Self::try_build_streaming_deadline(tuples, rel, dis, lambda, config, Deadline::none())
-            .expect("unbounded deadline cannot be exceeded")
-    }
-
-    /// [`PreparedCoreset::build_streaming`] under a cooperative
-    /// [`Deadline`], checked per streamed insert (each insert is at
-    /// most `O(n)` work). Returns [`ServeError::DeadlineExceeded`] on
-    /// abandonment; the partially built state is dropped.
+    /// `deadline` is checked per streamed insert (each insert is at
+    /// most `O(n)` work); abandonment returns
+    /// [`ServeError::DeadlineExceeded`] and drops the partial state.
     pub fn try_build_streaming_deadline(
         tuples: impl IntoIterator<Item = Tuple>,
         rel: &dyn Relevance,
@@ -682,25 +692,16 @@ impl PreparedCoreset {
             self.config.budget,
             threads,
         );
-        let sub_universe: Vec<Tuple> = self
-            .coreset
-            .indices()
-            .iter()
-            .map(|&i| self.universe[i].clone())
-            .collect();
-        let sub_rels: Vec<Ratio> = self
-            .coreset
-            .indices()
-            .iter()
-            .map(|&i| self.rel_exact[i])
-            .collect();
-        self.sub = Arc::new(PreparedUniverse::build_shared_with_scores(
-            sub_universe,
-            sub_rels,
-            self.dis.clone(),
+        self.sub = Self::try_build_sub(
+            &self.universe,
+            &self.rel_exact,
+            &self.coreset,
+            &self.dis,
             self.lambda,
             threads,
-        ));
+            Deadline::none(),
+        )
+        .expect("unbounded deadline cannot be exceeded");
         Ok(removed)
     }
 
@@ -753,6 +754,24 @@ impl PreparedCoreset {
             });
         }
         self.sub.check_finite()
+    }
+
+    /// [`PreparedCoreset::check_finite`] restricted to what
+    /// [`PreparedCoreset::insert_tuple`] cached for full-universe item
+    /// `i`: its relevance score and, if it holds a representative slot,
+    /// its row of the `m × m` matrix. `O(m)`.
+    pub fn check_finite_item(&self, i: usize) -> Result<(), ServeError> {
+        if !self.rel_f[i].is_finite() {
+            return Err(ServeError::NonFiniteScore {
+                source: crate::engine::ScoreSource::Relevance,
+                i,
+                j: i,
+            });
+        }
+        match self.coreset.indices.iter().position(|&r| r == i) {
+            Some(pos) => self.sub.check_finite_item(pos),
+            None => Ok(()),
+        }
     }
 }
 
@@ -807,9 +826,8 @@ impl CoresetEngine {
 
     /// Attaches a cooperative [`Deadline`], checked between the
     /// coreset-local solver rounds and between refinement rounds (same
-    /// contract as [`Engine::with_deadline`]): a tripped deadline makes
-    /// the `Option` entry points return `None`, and
-    /// [`CoresetEngine::try_serve`] disambiguates that to
+    /// contract as [`Engine::with_deadline`]): a tripped deadline fails
+    /// [`CoresetEngine::serve_into`] with
     /// [`ServeError::DeadlineExceeded`].
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
@@ -883,73 +901,50 @@ impl CoresetEngine {
         rel_part + p.lambda * dsum / Ratio::int(n as i64 - 1)
     }
 
-    /// Serves one request: solve on the coreset matrix, map back to
-    /// full-universe indices, optionally refine, and return the exact
-    /// full-universe objective value with the set.
-    ///
-    /// Returns `None` when `k > n` (infeasible) **or** `k > m` (the
-    /// coreset budget cannot produce a set that large — size the budget
-    /// via [`CoresetConfig::recommended`]).
-    pub fn serve(&self, request: EngineRequest) -> Option<(Ratio, Vec<usize>)> {
-        self.serve_with(request, &mut SolveScratch::new())
-    }
-
-    /// [`CoresetEngine::serve`] with a typed error instead of `None`,
-    /// distinguishing the two failure modes the `Option` form folds
-    /// together: `k` beyond the universe (infeasible anywhere) vs. `k`
-    /// beyond the coreset budget (servable after re-preparing with a
-    /// larger budget).
+    /// [`CoresetEngine::serve_into`] with freshly allocated scratch and
+    /// output buffers: the exact full-universe objective value with the
+    /// chosen full-universe indices.
     pub fn try_serve(&self, request: EngineRequest) -> Result<(Ratio, Vec<usize>), ServeError> {
-        let (n, m) = (self.n(), self.m());
-        if request.k > n {
-            return Err(ServeError::InfeasibleK { k: request.k, n });
-        }
-        if request.k > m {
-            return Err(ServeError::ExceedsCoresetBudget { k: request.k, m, n });
-        }
-        self.serve(request).ok_or_else(|| {
-            if self.deadline.exceeded() {
-                ServeError::DeadlineExceeded
-            } else {
-                ServeError::InfeasibleK { k: request.k, n }
-            }
-        })
-    }
-
-    /// [`CoresetEngine::serve`] against a reusable [`SolveScratch`]
-    /// (shared with the full engine's solvers, which run on the `m × m`
-    /// sub-universe here).
-    pub fn serve_with(
-        &self,
-        request: EngineRequest,
-        scratch: &mut SolveScratch,
-    ) -> Option<(Ratio, Vec<usize>)> {
         let mut out = Vec::new();
-        let value = self.serve_into(request, scratch, &mut out)?;
-        Some((value, out))
+        let value = self.serve_into(request, &mut SolveScratch::new(), &mut out)?;
+        Ok((value, out))
     }
 
-    /// The allocation-free serving form: the coreset-local solve runs
-    /// in the scratch, representatives are mapped back to full-universe
-    /// indices **in place** in `out`, and only then is the exact
-    /// full-universe value computed. Refinement rounds (if configured)
-    /// still allocate their own float caches — they are an explicitly
-    /// opted-in `O(n·k)`-per-round polish, not the steady-state path.
+    /// Serves one request: solve on the coreset matrix (in the
+    /// scratch, shared with the full engine's solvers), map the
+    /// representatives back to full-universe indices **in place** in
+    /// `out`, optionally refine, and return the exact full-universe
+    /// objective value.
+    ///
+    /// This is the single place a coreset request is classified, from
+    /// the prepared dimensions before any clock is read: `k > n` is
+    /// [`ServeError::InfeasibleK`] (infeasible anywhere), `n ≥ k > m`
+    /// is [`ServeError::ExceedsCoresetBudget`] (servable after
+    /// re-preparing with a larger budget — size it via
+    /// [`CoresetConfig::recommended`]); only a feasible solve abandoned
+    /// at a [`Deadline`] checkpoint is [`ServeError::DeadlineExceeded`].
+    ///
+    /// Allocation-free in steady state. Refinement rounds (if
+    /// configured) still allocate their own float caches — they are an
+    /// explicitly opted-in `O(n·k)`-per-round polish, not the
+    /// steady-state path.
     pub fn serve_into(
         &self,
         request: EngineRequest,
         scratch: &mut SolveScratch,
         out: &mut Vec<usize>,
-    ) -> Option<Ratio> {
+    ) -> Result<Ratio, ServeError> {
         let p = &*self.prepared;
-        if request.k > p.m() {
-            return None;
+        let (k, n, m) = (request.k, p.n(), p.m());
+        if k > n {
+            return Err(ServeError::InfeasibleK { k, n });
         }
-        let sub_engine =
-            Engine::from_prepared(p.sub.clone(), self.threads).with_deadline(self.deadline);
-        if !sub_engine.solve_into(request.kind, request.k, scratch, out) {
-            return None;
+        if k > m {
+            return Err(ServeError::ExceedsCoresetBudget { k, m, n });
         }
+        Engine::from_prepared(p.sub.clone(), self.threads)
+            .with_deadline(self.deadline)
+            .solve_into(request, scratch, out)?;
         for local in out.iter_mut() {
             *local = p.coreset.indices[*local];
         }
@@ -960,30 +955,13 @@ impl CoresetEngine {
                 // set, but serving semantics are all-or-nothing — a
                 // request that missed its deadline gets the typed
                 // error, not a silently less-refined answer.
-                if self.deadline.exceeded() {
-                    return None;
-                }
+                self.deadline.check()?;
                 if !self.refine_round(request.kind, out) {
                     break;
                 }
             }
         }
-        Some(self.objective_exact_full(request.kind, out))
-    }
-
-    /// Serves a whole batch against the shared coreset state, reusing
-    /// one scratch across all requests.
-    pub fn serve_batch(&self, requests: &[EngineRequest]) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        self.serve_batch_with(requests, &mut SolveScratch::new())
-    }
-
-    /// [`CoresetEngine::serve_batch`] against a caller-owned scratch.
-    pub fn serve_batch_with(
-        &self,
-        requests: &[EngineRequest],
-        scratch: &mut SolveScratch,
-    ) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        requests.iter().map(|&r| self.serve_with(r, scratch)).collect()
+        Ok(self.objective_exact_full(request.kind, out))
     }
 
     /// One full-universe refinement round for `F_MS`/`F_MM`: scan every
@@ -1152,12 +1130,24 @@ mod tests {
         u.iter().map(|t| REL.rel(t)).collect()
     }
 
+    fn stream(u: Vec<Tuple>, cfg: &CoresetConfig) -> PreparedCoreset {
+        PreparedCoreset::try_build_streaming_deadline(
+            u,
+            &REL,
+            dis(),
+            Ratio::new(1, 2),
+            cfg,
+            Deadline::none(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn build_streaming_matches_build_shared_within_budget() {
         let u = line_universe(30);
         let cfg = CoresetConfig::with_budget(64);
         let a = PreparedCoreset::build_shared(u.clone(), &REL, dis(), Ratio::new(1, 2), &cfg);
-        let b = PreparedCoreset::build_streaming(u, &REL, dis(), Ratio::new(1, 2), &cfg);
+        let b = stream(u, &cfg);
         assert_eq!(a.universe(), b.universe());
         assert_eq!(a.coreset().indices(), b.coreset().indices());
         assert_eq!(a.m(), b.m());
@@ -1167,8 +1157,8 @@ mod tests {
     fn build_streaming_is_deterministic_beyond_budget() {
         let u = line_universe(200);
         let cfg = CoresetConfig::with_budget(16);
-        let a = PreparedCoreset::build_streaming(u.clone(), &REL, dis(), Ratio::new(1, 2), &cfg);
-        let b = PreparedCoreset::build_streaming(u.clone(), &REL, dis(), Ratio::new(1, 2), &cfg);
+        let a = stream(u.clone(), &cfg);
+        let b = stream(u.clone(), &cfg);
         assert_eq!(a.universe(), u.as_slice());
         assert_eq!(a.universe(), b.universe());
         assert_eq!(a.coreset().indices(), b.coreset().indices());
@@ -1269,8 +1259,8 @@ mod tests {
         for kind in ObjectiveKind::ALL {
             for k in [1, 3, 5] {
                 let req = EngineRequest { kind, k };
-                let (fv, fset) = full.serve(req).unwrap();
-                let (cv, cset) = cs.serve(req).unwrap();
+                let (fv, fset) = full.try_serve(req).unwrap();
+                let (cv, cset) = cs.try_serve(req).unwrap();
                 assert_eq!(fset, cset, "{kind} k={k}");
                 assert_eq!(fv, cv, "{kind} k={k}");
             }
@@ -1287,24 +1277,10 @@ mod tests {
             &CoresetConfig::with_budget(16).with_threads(2),
         );
         for kind in ObjectiveKind::ALL {
-            let (v, set) = cs.serve(EngineRequest { kind, k: 4 }).unwrap();
+            let (v, set) = cs.try_serve(EngineRequest { kind, k: 4 }).unwrap();
             assert_eq!(v, cs.objective_exact_full(kind, &set), "{kind}");
             assert_eq!(set.len(), 4);
         }
-    }
-
-    #[test]
-    fn requests_beyond_budget_or_universe_return_none() {
-        let cs = CoresetEngine::new(
-            line_universe(30),
-            &REL,
-            dis(),
-            Ratio::ONE,
-            &CoresetConfig::with_budget(8),
-        );
-        assert!(cs.serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 9 }).is_none());
-        assert!(cs.serve(EngineRequest { kind: ObjectiveKind::MaxMin, k: 31 }).is_none());
-        assert!(cs.serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 8 }).is_some());
     }
 
     #[test]
@@ -1327,8 +1303,8 @@ mod tests {
         );
         for kind in [ObjectiveKind::MaxSum, ObjectiveKind::MaxMin] {
             let req = EngineRequest { kind, k: 5 };
-            let (pv, _) = plain.serve(req).unwrap();
-            let (rv, rset) = refined.serve(req).unwrap();
+            let (pv, _) = plain.try_serve(req).unwrap();
+            let (rv, rset) = refined.try_serve(req).unwrap();
             assert!(rv >= pv, "{kind}: refinement regressed {rv} < {pv}");
             assert_eq!(rv, refined.objective_exact_full(kind, &rset));
         }
@@ -1371,7 +1347,7 @@ mod tests {
         // The streamed engine still serves well-formed answers.
         let e = CoresetEngine::from_prepared(Arc::new(pc), 1);
         for kind in ObjectiveKind::ALL {
-            let (v, set) = e.serve(EngineRequest { kind, k: 5 }).unwrap();
+            let (v, set) = e.try_serve(EngineRequest { kind, k: 5 }).unwrap();
             assert_eq!(set.len(), 5);
             assert_eq!(v, e.objective_exact_full(kind, &set), "{kind}");
             assert!(set.iter().all(|&i| i < u.len()));
@@ -1409,7 +1385,7 @@ mod tests {
         let b = CoresetEngine::from_prepared(Arc::new(fresh), 1);
         for kind in ObjectiveKind::ALL {
             let req = EngineRequest { kind, k: 4 };
-            assert_eq!(a.serve(req), b.serve(req), "{kind}");
+            assert_eq!(a.try_serve(req), b.try_serve(req), "{kind}");
         }
     }
 

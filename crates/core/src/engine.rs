@@ -23,7 +23,8 @@
 //!   per-round argmax over candidates chunked across threads,
 //! * the `F_mono` PTIME selection ([`Engine::mono_top_k`]), so all three
 //!   objectives of the paper can be served from one prepared instance,
-//! * a batch entry point ([`Engine::serve`]) used by
+//! * one fallible entry point ([`Engine::serve_into`], with
+//!   [`Engine::try_serve`] as its allocating wrapper) used by
 //!   [`QueryDiversification::prepare_engine`](crate::pipeline::QueryDiversification::prepare_engine)
 //!   to answer many `(objective, k)` requests against one matrix.
 //!
@@ -664,11 +665,9 @@ impl PartialOrd for HeapEntry {
 /// membership marks, lazy-heap storage, tie/pair buffers, the
 /// nearest-selected cache, and the mono sort buffers.
 ///
-/// Thread one instance through [`Engine::serve_with`] /
-/// [`Engine::serve_into`] (or let [`Engine::serve_batch`] do it) and
-/// steady-state serving performs **zero heap allocation per request**
-/// beyond the returned answer set itself — and none at all through
-/// [`Engine::serve_into`] once the caller reuses the output vector.
+/// Thread one instance through [`Engine::serve_into`] and steady-state
+/// serving performs **zero heap allocation per request** once the
+/// caller also reuses the output vector.
 /// The buffers grow to the largest universe served and are then reused;
 /// a scratch is cheap to create (all buffers start empty) and is not
 /// tied to any particular engine or universe.
@@ -702,11 +701,11 @@ pub struct EngineRequest {
     pub k: usize,
 }
 
-/// Typed serving failure: why a request has no answer. The
-/// `Option`-returning solvers map every variant to `None`
-/// (infeasibility is not an application error for them); callers that
-/// need to distinguish — a registry returning an HTTP status, a test
-/// asserting the non-panic contract — use the `try_serve` forms.
+/// Typed serving failure: why a request has no answer. Every serving
+/// entry point returns it, and every layer classifies in the same order:
+/// infeasibility from the prepared dimensions first (no clock read), so
+/// a request never flips between [`ServeError::InfeasibleK`] and
+/// [`ServeError::DeadlineExceeded`] across retries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// `k` exceeds the universe size: no candidate set of size `k`
@@ -879,7 +878,7 @@ impl DeltaOp {
 /// // …serve many (objective, k) requests against the same matrix.
 /// for kind in ObjectiveKind::ALL {
 ///     for k in [5, 10] {
-///         let (value, set) = engine.serve(EngineRequest { kind, k }).unwrap();
+///         let (value, set) = engine.try_serve(EngineRequest { kind, k }).unwrap();
 ///         assert_eq!(set.len(), k);
 ///         assert!(value > Ratio::ZERO);
 ///     }
@@ -1004,43 +1003,39 @@ fn mono_score_from_dsum(one_minus: f64, lam: f64, rel: f64, dsum: f64, n: usize)
 /// — the cacheable unit of the serving layer.
 pub type SharedPrepared = Arc<PreparedUniverse<'static>>;
 
+/// Evaluates `δ_rel` once per universe item — the one relevance pass
+/// behind every prepared-state constructor (full matrix and coreset).
+/// `O(n)` total; polls `deadline` every 64 items so even an expensive
+/// relevance oracle cannot overshoot by more than 64 evaluations.
+pub(crate) fn score_relevance(
+    universe: &[Tuple],
+    rel: &dyn Relevance,
+    deadline: Deadline,
+) -> Result<Vec<Ratio>, ServeError> {
+    let mut rel_exact = Vec::with_capacity(universe.len());
+    for (i, t) in universe.iter().enumerate() {
+        if i.is_multiple_of(64) {
+            deadline.check()?;
+        }
+        rel_exact.push(rel.rel(t));
+    }
+    Ok(rel_exact)
+}
+
 impl<'a> PreparedUniverse<'a> {
-    /// Prepares a universe: caches every relevance value and builds the
-    /// distance matrix over `threads` workers (1 = sequential).
+    /// The single construction site: every constructor funnels here, so
+    /// the field set (including the memoized preambles) is initialized
+    /// in exactly one place. `rel_exact[i]` must equal
+    /// `δ_rel(universe[i])` — the coreset layer passes the scores it
+    /// already evaluated so a sub-universe reuses exactly those values.
+    /// The `O(n²)` matrix build checks `deadline` at row boundaries and
+    /// the whole prepare is abandoned (nothing observable) with
+    /// [`ServeError::DeadlineExceeded`] once it trips.
     ///
     /// Panics if `λ ∉ [0, 1]` (same contract as
-    /// [`DiversityProblem::new`](crate::problem::DiversityProblem::new)).
-    pub fn build(
-        universe: Vec<Tuple>,
-        rel: &dyn Relevance,
-        dis: DistOracle<'a>,
-        lambda: Ratio,
-        threads: usize,
-    ) -> Self {
-        let rel_exact: Vec<Ratio> = universe.iter().map(|t| rel.rel(t)).collect();
-        Self::from_scores(universe, rel_exact, dis, lambda, threads)
-    }
-
-    /// The single construction site: every `build*` entry point funnels
-    /// here, so the field set (including the memoized preambles) is
-    /// initialized in exactly one place.
-    fn from_scores(
-        universe: Vec<Tuple>,
-        rel_exact: Vec<Ratio>,
-        dis: DistOracle<'a>,
-        lambda: Ratio,
-        threads: usize,
-    ) -> Self {
-        Self::try_from_scores(universe, rel_exact, dis, lambda, threads, Deadline::none())
-            .expect("unbounded deadline cannot be exceeded")
-    }
-
-    /// [`PreparedUniverse::from_scores`] under a cooperative
-    /// [`Deadline`]: the `O(n²)` matrix build checks it at row
-    /// boundaries and the whole prepare is abandoned (nothing cached,
-    /// nothing observable) with [`ServeError::DeadlineExceeded`] once
-    /// it trips.
-    fn try_from_scores(
+    /// [`DiversityProblem::new`](crate::problem::DiversityProblem::new))
+    /// or if the score vector length does not match the universe.
+    pub(crate) fn try_from_scores(
         universe: Vec<Tuple>,
         rel_exact: Vec<Ratio>,
         dis: DistOracle<'a>,
@@ -1095,9 +1090,9 @@ impl<'a> PreparedUniverse<'a> {
         })
     }
 
-    /// [`PreparedUniverse::build`] over an owned, shareable oracle: the
-    /// result borrows nothing, so it can be cached, sent across threads,
-    /// and outlive the caller (the serving-registry construction path).
+    /// [`PreparedUniverse::try_build_shared_deadline`] with
+    /// [`Deadline::none`]: the infallible form for callers that prepare
+    /// outside any request (tests, benches, the conformance oracles).
     pub fn build_shared(
         universe: Vec<Tuple>,
         rel: &dyn Relevance,
@@ -1105,37 +1100,24 @@ impl<'a> PreparedUniverse<'a> {
         lambda: Ratio,
         threads: usize,
     ) -> PreparedUniverse<'static> {
-        PreparedUniverse::build(universe, rel, DistOracle::Shared(dis), lambda, threads)
+        Self::try_build_shared_deadline(universe, rel, dis, lambda, threads, Deadline::none())
+            .expect("unbounded deadline cannot be exceeded")
     }
 
-    /// [`PreparedUniverse::build_shared`] with the relevance values
-    /// already evaluated: `rel_exact[i]` must equal `δ_rel(universe[i])`.
+    /// Prepares a universe over an owned, shareable oracle: caches every
+    /// relevance value and builds the distance matrix over `threads`
+    /// workers (1 = sequential). The result borrows nothing, so it can
+    /// be cached, sent across threads, and outlive the caller (the
+    /// serving-registry construction path).
     ///
-    /// This is the constructor the coreset layer uses — it has already
-    /// scored every universe item once, and a coreset sub-universe must
-    /// reuse exactly those scores rather than re-dispatching through the
-    /// relevance oracle (identical values, but also no second pass over
-    /// a possibly expensive function).
-    ///
-    /// Panics if `λ ∉ [0, 1]` or if the score vector length does not
-    /// match the universe.
-    pub fn build_shared_with_scores(
-        universe: Vec<Tuple>,
-        rel_exact: Vec<Ratio>,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        threads: usize,
-    ) -> PreparedUniverse<'static> {
-        PreparedUniverse::from_scores(universe, rel_exact, DistOracle::Shared(dis), lambda, threads)
-    }
-
-    /// [`PreparedUniverse::build_shared`] under a cooperative
-    /// [`Deadline`]: the relevance pass checks it every item and the
-    /// `O(n²)` matrix build checks it every row, so an expensive
-    /// prepare is abandoned within one `O(n)` slice of the deadline
-    /// with [`ServeError::DeadlineExceeded`] instead of running to
+    /// The relevance pass polls `deadline` every 64 items and the
+    /// `O(n²)` matrix build every row, so an expensive prepare is
+    /// abandoned within one `O(n)` slice of the deadline with
+    /// [`ServeError::DeadlineExceeded`] instead of running to
     /// completion. A refused prepare leaves nothing behind — callers
     /// (the serving cache) must not cache the error.
+    ///
+    /// Panics if `λ ∉ [0, 1]`.
     pub fn try_build_shared_deadline(
         universe: Vec<Tuple>,
         rel: &dyn Relevance,
@@ -1144,36 +1126,7 @@ impl<'a> PreparedUniverse<'a> {
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedUniverse<'static>, ServeError> {
-        let mut rel_exact = Vec::with_capacity(universe.len());
-        for (i, t) in universe.iter().enumerate() {
-            // O(n) total; poll every 64 items so even an expensive
-            // relevance oracle cannot overshoot by more than 64 evals.
-            if i.is_multiple_of(64) {
-                deadline.check()?;
-            }
-            rel_exact.push(rel.rel(t));
-        }
-        PreparedUniverse::try_from_scores(
-            universe,
-            rel_exact,
-            DistOracle::Shared(dis),
-            lambda,
-            threads,
-            deadline,
-        )
-    }
-
-    /// [`PreparedUniverse::build_shared_with_scores`] under a
-    /// cooperative [`Deadline`] (see
-    /// [`PreparedUniverse::try_build_shared_deadline`]).
-    pub fn try_build_shared_with_scores_deadline(
-        universe: Vec<Tuple>,
-        rel_exact: Vec<Ratio>,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<PreparedUniverse<'static>, ServeError> {
+        let rel_exact = score_relevance(&universe, rel, deadline)?;
         PreparedUniverse::try_from_scores(
             universe,
             rel_exact,
@@ -1280,6 +1233,29 @@ impl<'a> PreparedUniverse<'a> {
         Ok(())
     }
 
+    /// [`PreparedUniverse::check_finite`] restricted to item `i`: its
+    /// relevance score and its matrix row (by symmetry also its
+    /// column). `O(n)` — what a delta migration validates after
+    /// [`PreparedUniverse::insert_tuple`] appended item `n − 1` to an
+    /// already validated universe, instead of an `O(n²)` rescan.
+    pub fn check_finite_item(&self, i: usize) -> Result<(), ServeError> {
+        if !self.rel[i].is_finite() {
+            return Err(ServeError::NonFiniteScore {
+                source: ScoreSource::Relevance,
+                i,
+                j: i,
+            });
+        }
+        match self.matrix.row(i).iter().position(|d| !d.is_finite()) {
+            Some(j) => Err(ServeError::NonFiniteScore {
+                source: ScoreSource::Distance,
+                i,
+                j,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// How many times the max-sum heap preamble has been computed for
     /// this prepared universe: `1` from construction on (the seed scan
     /// is fused into the matrix build, riding its cache-hot rows), and
@@ -1319,9 +1295,17 @@ impl<'a> PreparedUniverse<'a> {
         let mut col = Vec::new();
         self.dis.dist_col_f64(&self.universe, &tuple, &mut col);
         self.matrix.push_item(&col);
-        self.repair_ms_seed_insert(&col, rel_new);
-        self.repair_mono_insert(&col, rel_new);
-        self.repair_gmm_seed_insert(&col, &tuple, rel, rel_new);
+        if rel_new.is_finite() && col.iter().all(|d| d.is_finite()) {
+            self.repair_ms_seed_insert(&col, rel_new);
+            self.repair_mono_insert(&col, rel_new);
+            self.repair_gmm_seed_insert(&col, &tuple, rel, rel_new);
+        } else {
+            // Non-finite scores do not order, so no repair can match a
+            // from-scratch build. Serving layers refuse this state
+            // ([`PreparedUniverse::check_finite_item`]); dropping the
+            // preambles keeps it consistent until they do.
+            self.invalidate_preambles();
+        }
         self.universe.push(tuple);
         self.rel_exact.push(rel);
         self.rel.push(rel_new);
@@ -1344,11 +1328,17 @@ impl<'a> PreparedUniverse<'a> {
         let removed = self.universe.swap_remove(index);
         self.rel_exact.swap_remove(index);
         self.rel.swap_remove(index);
+        self.invalidate_preambles();
+        Ok(removed)
+    }
+
+    /// Drops every memoized solver preamble; the next request that
+    /// needs one rebuilds it lazily from the current matrix.
+    fn invalidate_preambles(&mut self) {
         self.mono_scores = OnceLock::new();
         self.mono_dsums = OnceLock::new();
         self.gmm_seed = OnceLock::new();
         self.ms_seed = OnceLock::new();
-        Ok(removed)
     }
 
     /// Insert repair of the max-sum seed (when populated): index `n`
@@ -1554,8 +1544,18 @@ impl<'a> Engine<'a> {
         threads: usize,
     ) -> Self {
         let threads = threads.max(1);
-        let prepared =
-            PreparedUniverse::build(universe, rel, DistOracle::Borrowed(dis), lambda, threads);
+        let prepared = score_relevance(&universe, rel, Deadline::none())
+            .and_then(|rel_exact| {
+                PreparedUniverse::try_from_scores(
+                    universe,
+                    rel_exact,
+                    DistOracle::Borrowed(dis),
+                    lambda,
+                    threads,
+                    Deadline::none(),
+                )
+            })
+            .expect("unbounded deadline cannot be exceeded");
         Self::from_prepared(Arc::new(prepared), threads)
     }
 
@@ -1576,9 +1576,8 @@ impl<'a> Engine<'a> {
 
     /// Attaches a cooperative [`Deadline`], checked between solver
     /// rounds: once it trips, the in-flight solve is abandoned at the
-    /// next round boundary and the `Option` entry points return `None`
-    /// ([`Engine::try_serve`] disambiguates to
-    /// [`ServeError::DeadlineExceeded`]). With the default
+    /// next round boundary and [`Engine::serve_into`] fails with
+    /// [`ServeError::DeadlineExceeded`]. With the default
     /// [`Deadline::none`] (or any deadline that never trips) results
     /// are bit-identical to an engine without one.
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
@@ -2526,98 +2525,66 @@ impl<'a> Engine<'a> {
         (value_exact, current)
     }
 
-    /// Serves one request: routes to the objective's solver
-    /// (`F_MS` → greedy, `F_MM` → GMM, `F_mono` → exact top-k) and
-    /// returns the **exact** objective value with the chosen indices.
-    pub fn serve(&self, request: EngineRequest) -> Option<(Ratio, Vec<usize>)> {
-        self.serve_with(request, &mut SolveScratch::new())
-    }
-
-    /// [`Engine::serve`] with a typed error instead of `None`: a
-    /// request over a full matrix fails by asking for more items than
-    /// the universe holds — a live concern once
-    /// [`PreparedUniverse::remove_tuple`] can shrink a warm universe
-    /// below a tenant's `k` — or by its [`Deadline`] tripping
-    /// mid-solve. The two are disambiguated by re-checking the
-    /// deadline: it is monotone, so once a solver round saw it
-    /// exceeded, it stays exceeded here.
+    /// [`Engine::serve_into`] with freshly allocated scratch and output
+    /// buffers: the exact objective value with the chosen indices.
     pub fn try_serve(&self, request: EngineRequest) -> Result<(Ratio, Vec<usize>), ServeError> {
-        let n = self.n();
-        if request.k > n {
-            return Err(ServeError::InfeasibleK { k: request.k, n });
-        }
-        self.serve(request).ok_or_else(|| {
-            if self.deadline.exceeded() {
-                ServeError::DeadlineExceeded
-            } else {
-                ServeError::InfeasibleK { k: request.k, n }
-            }
-        })
-    }
-
-    /// [`Engine::serve`] against a reusable [`SolveScratch`]: after the
-    /// scratch's buffers have warmed up, the only allocation left per
-    /// request is the returned answer vector.
-    pub fn serve_with(
-        &self,
-        request: EngineRequest,
-        scratch: &mut SolveScratch,
-    ) -> Option<(Ratio, Vec<usize>)> {
         let mut out = Vec::new();
-        let value = self.serve_into(request, scratch, &mut out)?;
-        Some((value, out))
+        let value = self.serve_into(request, &mut SolveScratch::new(), &mut out)?;
+        Ok((value, out))
     }
 
-    /// The fully allocation-free serving form: solves into the caller's
-    /// output buffer and returns the exact objective value. In steady
-    /// state (warm scratch, reused `out`, memoized preambles, and a
-    /// thread budget that keeps the argmax scans inline) a request
-    /// performs **zero** heap allocations — the property
-    /// `BENCH_hotpath.json` pins with a counting allocator.
+    /// Serves one request: routes to the objective's solver
+    /// (`F_MS` → greedy, `F_MM` → GMM, `F_mono` → exact top-k), writes
+    /// the chosen indices into `out`, and returns the **exact**
+    /// objective value.
+    ///
+    /// This is the single place a full-matrix request is classified:
+    /// `k > n` is [`ServeError::InfeasibleK`] — a live concern once
+    /// [`PreparedUniverse::remove_tuple`] can shrink a warm universe
+    /// below a tenant's `k` — decided from the prepared dimensions
+    /// before any clock is read; a feasible solve abandoned at a
+    /// [`Deadline`] checkpoint is [`ServeError::DeadlineExceeded`].
+    ///
+    /// Fully allocation-free in steady state (warm scratch, reused
+    /// `out`, memoized preambles, and a thread budget that keeps the
+    /// argmax scans inline): a request performs **zero** heap
+    /// allocations — the property `BENCH_hotpath.json` pins with a
+    /// counting allocator.
     pub fn serve_into(
         &self,
         request: EngineRequest,
         scratch: &mut SolveScratch,
         out: &mut Vec<usize>,
-    ) -> Option<Ratio> {
-        self.solve_into(request.kind, request.k, scratch, out)
-            .then(|| self.objective_exact(request.kind, out))
+    ) -> Result<Ratio, ServeError> {
+        self.solve_into(request, scratch, out)?;
+        Ok(self.objective_exact(request.kind, out))
     }
 
-    /// Routes an objective to its solver, writing the answer set into
-    /// `out` — the single dispatch site shared by [`Engine::serve_into`]
-    /// and the coreset engine (which solves on its `m × m` sub-universe
-    /// and re-scores under full-universe semantics itself). Returns
-    /// `false` when `k > n`.
+    /// [`Engine::serve_into`] without the exact re-score — the coreset
+    /// engine solves on its `m × m` sub-universe through this and
+    /// re-scores under full-universe semantics itself.
     pub(crate) fn solve_into(
         &self,
-        kind: ObjectiveKind,
-        k: usize,
+        request: EngineRequest,
         scratch: &mut SolveScratch,
         out: &mut Vec<usize>,
-    ) -> bool {
-        match kind {
+    ) -> Result<(), ServeError> {
+        let (k, n) = (request.k, self.n());
+        if k > n {
+            return Err(ServeError::InfeasibleK { k, n });
+        }
+        let solved = match request.kind {
             ObjectiveKind::MaxSum => self.greedy_max_sum_into(k, scratch, out),
             ObjectiveKind::MaxMin => self.gmm_max_min_into(k, scratch, out),
             ObjectiveKind::Mono => self.mono_top_k_into(k, scratch, out),
+        };
+        // k ≤ n, so a solver can only have stopped at a deadline
+        // checkpoint.
+        if solved {
+            Ok(())
+        } else {
+            Err(ServeError::DeadlineExceeded)
         }
-    }
-
-    /// Serves a whole batch against the shared matrix, reusing one
-    /// scratch across all requests.
-    pub fn serve_batch(&self, requests: &[EngineRequest]) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        self.serve_batch_with(requests, &mut SolveScratch::new())
-    }
-
-    /// [`Engine::serve_batch`] against a caller-owned scratch: in
-    /// steady state the only allocations left are the returned answer
-    /// vectors themselves.
-    pub fn serve_batch_with(
-        &self,
-        requests: &[EngineRequest],
-        scratch: &mut SolveScratch,
-    ) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        requests.iter().map(|&r| self.serve_with(r, scratch)).collect()
     }
 }
 
@@ -2793,29 +2760,36 @@ mod tests {
     }
 
     #[test]
-    fn serve_batch_shares_one_matrix() {
+    fn one_scratch_serves_a_batch_against_one_matrix() {
         let e = engine(12, Ratio::new(1, 2));
-        let reqs: Vec<EngineRequest> = ObjectiveKind::ALL
-            .into_iter()
-            .flat_map(|kind| (1..=4).map(move |k| EngineRequest { kind, k }))
-            .collect();
-        let answers = e.serve_batch(&reqs);
-        assert_eq!(answers.len(), 12);
-        for (req, ans) in reqs.iter().zip(&answers) {
-            let (v, set) = ans.as_ref().expect("feasible");
-            assert_eq!(set.len(), req.k);
-            assert_eq!(e.objective_exact(req.kind, set), *v);
+        let (mut scratch, mut set) = (SolveScratch::new(), Vec::new());
+        for kind in ObjectiveKind::ALL {
+            for k in 1..=4 {
+                let v = e
+                    .serve_into(EngineRequest { kind, k }, &mut scratch, &mut set)
+                    .expect("feasible");
+                assert_eq!(set.len(), k);
+                assert_eq!(e.objective_exact(kind, &set), v);
+            }
         }
     }
 
     #[test]
-    fn infeasible_requests_return_none() {
+    fn infeasible_requests_are_typed() {
         let e = engine(3, Ratio::ONE);
         assert!(e.greedy_max_sum(4).is_none());
         assert!(e.gmm_max_min(4).is_none());
         assert!(e.mmr(4).is_none());
         assert!(e.mono_top_k(4).is_none());
-        assert!(e.serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 4 }).is_none());
+        let req = EngineRequest { kind: ObjectiveKind::MaxSum, k: 4 };
+        assert_eq!(e.try_serve(req), Err(ServeError::InfeasibleK { k: 4, n: 3 }));
+        // Classified from the dimensions before any clock is read: an
+        // expired deadline does not turn infeasibility into a timeout.
+        let expired = Deadline::at(std::time::Instant::now());
+        assert_eq!(
+            e.with_deadline(expired).try_serve(req),
+            Err(ServeError::InfeasibleK { k: 4, n: 3 })
+        );
     }
 
     #[test]
@@ -2893,7 +2867,7 @@ mod tests {
         let e = Engine::from_prepared(Arc::clone(p), 1);
         let k = 2.min(p.n());
         for kind in ObjectiveKind::ALL {
-            let _ = e.serve(EngineRequest { kind, k });
+            let _ = e.try_serve(EngineRequest { kind, k });
         }
     }
 
@@ -2962,7 +2936,7 @@ mod tests {
         for kind in ObjectiveKind::ALL {
             for k in [1usize, 3, 6] {
                 let req = EngineRequest { kind, k };
-                assert_eq!(delta.serve(req), fresh.serve(req), "{kind} k={k}");
+                assert_eq!(delta.try_serve(req), fresh.try_serve(req), "{kind} k={k}");
             }
         }
         assert_eq!(delta.prepared().ms_preamble_builds(), 2);
@@ -3002,7 +2976,7 @@ mod tests {
         let b = Engine::from_prepared(fork, 1);
         for kind in ObjectiveKind::ALL {
             let req = EngineRequest { kind, k: 4 };
-            assert_eq!(a.serve(req), b.serve(req), "{kind}");
+            assert_eq!(a.try_serve(req), b.try_serve(req), "{kind}");
         }
     }
 }

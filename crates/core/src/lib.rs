@@ -89,7 +89,7 @@ pub use engine::{
     ServeError, SharedPrepared, SolveScratch,
 };
 pub use pipeline::{
-    PipelineError, PipelineResult, QueryDiversification, ServedAnswer, ServingEngine,
+    PipelineError, PipelineResult, PreparedVariant, QueryDiversification, ServedAnswer,
     SharedDistance, SharedRelevance,
 };
 pub use problem::{DiversityProblem, ObjectiveKind};

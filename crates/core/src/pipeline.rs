@@ -9,7 +9,10 @@
 //! Section 9 searches).
 
 use crate::constraints::Constraint;
-use crate::coreset::{CoresetConfig, CoresetEngine, PreparedCoreset, CORESET_AUTO_THRESHOLD};
+use crate::coreset::{
+    CoresetConfig, CoresetEngine, PreparedCoreset, SharedCoreset, CORESET_AUTO_THRESHOLD,
+};
+use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::{
     default_threads, Engine, EngineRequest, PreparedUniverse, ServeError, SharedPrepared,
@@ -64,92 +67,134 @@ impl From<divr_relquery::Error> for PipelineError {
 pub type PipelineResult<T> = Result<T, PipelineError>;
 
 /// One served answer: the exact objective value with the chosen tuples,
-/// or `None` when the request was infeasible (`|Q(D)| < k`).
-pub type ServedAnswer = Option<(Ratio, Vec<Tuple>)>;
+/// or the typed reason the request has none (e.g.
+/// [`ServeError::InfeasibleK`] when `|Q(D)| < k`).
+pub type ServedAnswer = Result<(Ratio, Vec<Tuple>), ServeError>;
 
-/// The serving engine a pipeline prepares: either the full-matrix
-/// [`Engine`] (small universes, answers match the `Ratio`-path
-/// heuristics exactly) or the sub-quadratic [`CoresetEngine`] (large
-/// universes, answers re-scored exactly against the full universe; see
-/// [`crate::coreset`] for the quality contract).
-/// [`QueryDiversification::prepare_adaptive`] picks the variant by
-/// universe size ([`CORESET_AUTO_THRESHOLD`]).
-pub enum ServingEngine {
-    /// The exact-tie-fallback engine over the full `n × n` matrix.
-    Full(Engine<'static>),
-    /// The coreset path: `O(n·m)` preparation, `m × m` matrix.
-    Coreset(CoresetEngine),
+/// Prepared serving state for one universe: the full `n × n`
+/// [`PreparedUniverse`] (small universes, answers match the
+/// `Ratio`-path heuristics exactly) or the sub-quadratic
+/// [`PreparedCoreset`] (large universes, answers re-scored exactly
+/// against the full universe; see [`crate::coreset`] for the quality
+/// contract). This is the one fork in the serving path that earns its
+/// place, and it is always selected from something observable: the
+/// universe size against [`CORESET_AUTO_THRESHOLD`]
+/// ([`QueryDiversification::prepare_adaptive`]) or a spec's explicit
+/// mode (the registry in `divr-server`, which caches this type).
+/// Cloning is `O(1)` (both arms are `Arc`s).
+#[derive(Clone)]
+pub enum PreparedVariant {
+    /// Full-matrix prepared state (exact-tie-fallback engine).
+    Full(SharedPrepared),
+    /// Coreset prepared state (`m × m` matrix, `O(n)` bookkeeping).
+    Coreset(SharedCoreset),
 }
 
-impl ServingEngine {
+impl PreparedVariant {
     /// Universe size `n`.
     pub fn n(&self) -> usize {
+        self.universe().len()
+    }
+
+    /// The materialized universe `Q(D)` answers index into.
+    pub fn universe(&self) -> &[Tuple] {
         match self {
-            ServingEngine::Full(e) => e.n(),
-            ServingEngine::Coreset(e) => e.n(),
+            PreparedVariant::Full(p) => p.universe(),
+            PreparedVariant::Coreset(p) => p.universe(),
         }
     }
 
-    /// Whether the coreset path was chosen.
+    /// Whether this is the coreset variant.
     pub fn is_coreset(&self) -> bool {
-        matches!(self, ServingEngine::Coreset(_))
+        matches!(self, PreparedVariant::Coreset(_))
     }
 
-    /// Serves one request (exact value + full-universe indices).
-    pub fn serve(&self, request: EngineRequest) -> Option<(Ratio, Vec<usize>)> {
-        self.serve_with(request, &mut SolveScratch::new())
-    }
-
-    /// [`ServingEngine::serve`] with a typed error instead of `None` —
-    /// both variants report *why* a request is unservable
-    /// ([`ServeError::InfeasibleK`] everywhere; the coreset path adds
-    /// [`ServeError::ExceedsCoresetBudget`] when `k` fits the universe
-    /// but not the representative budget).
-    pub fn try_serve(&self, request: EngineRequest) -> Result<(Ratio, Vec<usize>), ServeError> {
+    /// The full-matrix prepared state, if that is what was built.
+    pub fn as_full(&self) -> Option<&SharedPrepared> {
         match self {
-            ServingEngine::Full(e) => e.try_serve(request),
-            ServingEngine::Coreset(e) => e.try_serve(request),
+            PreparedVariant::Full(p) => Some(p),
+            PreparedVariant::Coreset(_) => None,
         }
     }
 
-    /// [`ServingEngine::serve`] against a reusable [`SolveScratch`] —
-    /// the same scratch works for both variants (the coreset engine
-    /// runs the identical solvers on its `m × m` sub-universe).
-    pub fn serve_with(
+    /// The coreset prepared state, if that is what was built.
+    pub fn as_coreset(&self) -> Option<&SharedCoreset> {
+        match self {
+            PreparedVariant::Full(_) => None,
+            PreparedVariant::Coreset(p) => Some(p),
+        }
+    }
+
+    /// Approximate heap bytes this state pins — `n²`-dominated for the
+    /// full variant, `m² + O(n)` for the coreset variant. The quantity
+    /// a byte-budgeted cache meters.
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            PreparedVariant::Full(p) => p.approx_bytes(),
+            PreparedVariant::Coreset(p) => p.approx_bytes(),
+        }
+    }
+
+    /// Validates every cached float in this prepared state (relevance
+    /// caches and the distance matrix — full `n × n` or coreset
+    /// `m × m`): `Ok` iff none is `NaN`/`±∞`. Checked prepare paths run
+    /// this once per build so non-finite oracle output is a typed
+    /// refusal ([`ServeError::NonFiniteScore`]) instead of a silently
+    /// mis-selected answer set.
+    pub fn check_finite(&self) -> Result<(), ServeError> {
+        match self {
+            PreparedVariant::Full(p) => p.check_finite(),
+            PreparedVariant::Coreset(p) => p.check_finite(),
+        }
+    }
+
+    /// [`PreparedVariant::try_serve_deadline`] with a fresh scratch and
+    /// [`Deadline::none`].
+    pub fn try_serve(
         &self,
+        threads: usize,
+        request: EngineRequest,
+    ) -> Result<(Ratio, Vec<usize>), ServeError> {
+        self.try_serve_deadline(threads, request, &mut SolveScratch::new(), Deadline::none())
+    }
+
+    /// Serves one request against this prepared state with `threads`
+    /// solver workers: the exact objective value and the chosen
+    /// full-universe indices, or the engine's typed diagnosis
+    /// ([`Engine::serve_into`] / [`CoresetEngine::serve_into`] classify;
+    /// this only dispatches). A single caller-owned [`SolveScratch`]
+    /// serves full and coreset variants (and any mix of universes)
+    /// interchangeably, so a worker that keeps one allocates nothing
+    /// per request beyond the answer set. The solve checks `deadline`
+    /// between rounds; with [`Deadline::none`] (or any deadline that
+    /// never trips) answers are bit-identical to the undeadlined form.
+    pub fn try_serve_deadline(
+        &self,
+        threads: usize,
         request: EngineRequest,
         scratch: &mut SolveScratch,
-    ) -> Option<(Ratio, Vec<usize>)> {
-        match self {
-            ServingEngine::Full(e) => e.serve_with(request, scratch),
-            ServingEngine::Coreset(e) => e.serve_with(request, scratch),
-        }
-    }
-
-    /// Serves a whole batch against the shared prepared state, reusing
-    /// one scratch across all requests.
-    pub fn serve_batch(&self, requests: &[EngineRequest]) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        let mut scratch = SolveScratch::new();
-        requests
-            .iter()
-            .map(|&r| self.serve_with(r, &mut scratch))
-            .collect()
-    }
-
-    /// Materializes a candidate set's tuples.
-    pub fn tuples_of(&self, subset: &[usize]) -> Vec<Tuple> {
-        match self {
-            ServingEngine::Full(e) => e.tuples_of(subset),
-            ServingEngine::Coreset(e) => e.tuples_of(subset),
-        }
+        deadline: Deadline,
+    ) -> Result<(Ratio, Vec<usize>), ServeError> {
+        let mut set = Vec::new();
+        let value = match self {
+            PreparedVariant::Full(p) => Engine::from_prepared(p.clone(), threads)
+                .with_deadline(deadline)
+                .serve_into(request, scratch, &mut set),
+            PreparedVariant::Coreset(p) => CoresetEngine::from_prepared(p.clone(), threads)
+                .with_deadline(deadline)
+                .serve_into(request, scratch, &mut set),
+        }?;
+        Ok((value, set))
     }
 }
 
-impl fmt::Debug for ServingEngine {
+impl fmt::Debug for PreparedVariant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServingEngine::Full(e) => f.debug_tuple("ServingEngine::Full").field(e).finish(),
-            ServingEngine::Coreset(e) => f.debug_tuple("ServingEngine::Coreset").field(e).finish(),
+            PreparedVariant::Full(p) => f.debug_tuple("PreparedVariant::Full").field(p).finish(),
+            PreparedVariant::Coreset(p) => {
+                f.debug_tuple("PreparedVariant::Coreset").field(p).finish()
+            }
         }
     }
 }
@@ -213,21 +258,18 @@ impl QueryDiversification {
         ))
     }
 
-    /// Evaluates `Q(D)` once and builds the owned, shareable
-    /// [`PreparedUniverse`] over it: relevance values cached, the
-    /// `O(n²)` distance matrix built (in parallel), and the exact
-    /// distance oracle captured by `Arc` — so the result borrows
-    /// nothing from this task and can be handed to the serving
-    /// registry, cached, or sent across threads.
-    pub fn prepare_universe(&self) -> PipelineResult<SharedPrepared> {
-        let result = self.query.eval(&self.db)?;
-        Ok(Arc::new(PreparedUniverse::build_shared(
-            result.tuples().to_vec(),
+    /// Full-matrix preparation over an already evaluated universe:
+    /// relevance values cached, the `O(n²)` distance matrix built (in
+    /// parallel), and the exact distance oracle captured by `Arc` — so
+    /// the result borrows nothing from this task.
+    fn prepare_full(&self, universe: Vec<Tuple>) -> SharedPrepared {
+        Arc::new(PreparedUniverse::build_shared(
+            universe,
             &*self.rel,
             self.dis.clone(),
             self.lambda,
             default_threads(),
-        )))
+        ))
     }
 
     /// Evaluates `Q(D)` once and prepares the batch [`Engine`] over the
@@ -239,75 +281,45 @@ impl QueryDiversification {
     /// This is the serving path; [`QueryDiversification::prepare`] is
     /// the exact analysis path. The engine's heuristic answers match the
     /// `Ratio`-path heuristics of [`crate::approx`] up to equal-score
-    /// ties (see [`crate::engine`] for the exactness contract). This is
-    /// now a thin wrapper: [`QueryDiversification::prepare_universe`]
-    /// does the heavy lifting and [`Engine::from_prepared`] is free.
+    /// ties (see [`crate::engine`] for the exactness contract).
     pub fn prepare_engine(&self) -> PipelineResult<Engine<'static>> {
+        let result = self.query.eval(&self.db)?;
         Ok(Engine::from_prepared(
-            self.prepare_universe()?,
+            self.prepare_full(result.tuples().to_vec()),
             default_threads(),
         ))
     }
 
-    /// Evaluates `Q(D)` once and prepares the **coreset** serving path
-    /// over it: `m = config.budget` representatives selected in
-    /// `O(n·m)` distance evaluations, an `m × m` matrix — and no
-    /// `n × n` allocation anywhere. This is the only preparation route
-    /// that works for universes whose full matrix cannot be allocated
-    /// (`n ≈ 50 000` needs ~20 GB); see [`crate::coreset`] for the
-    /// quality contract.
-    pub fn prepare_coreset(&self, config: &CoresetConfig) -> PipelineResult<CoresetEngine> {
-        let result = self.query.eval(&self.db)?;
-        let threads = config.threads.max(1);
-        Ok(CoresetEngine::from_prepared(
-            Arc::new(PreparedCoreset::build_shared(
-                result.tuples().to_vec(),
-                &*self.rel,
-                self.dis.clone(),
-                self.lambda,
-                config,
-            )),
-            threads,
-        ))
-    }
-
-    /// Prepares the right engine for the universe's size: the
-    /// full-matrix [`Engine`] when `|Q(D)| ≤` [`CORESET_AUTO_THRESHOLD`],
-    /// otherwise the coreset path sized for result sizes up to `max_k`
-    /// ([`CoresetConfig::recommended`]). This is the auto-escalation
-    /// rule behind [`QueryDiversification::serve_batch`].
-    pub fn prepare_adaptive(&self, max_k: usize) -> PipelineResult<ServingEngine> {
+    /// Prepares the right serving state for the universe's size:
+    /// full-matrix when `|Q(D)| ≤` [`CORESET_AUTO_THRESHOLD`], otherwise
+    /// the coreset path sized for result sizes up to `max_k`
+    /// ([`CoresetConfig::recommended`]) — `O(n·m)` distance
+    /// evaluations, an `m × m` matrix, and no `n × n` allocation
+    /// anywhere (`n ≈ 50 000` would need ~20 GB). This is the
+    /// auto-escalation rule behind
+    /// [`QueryDiversification::serve_batch`].
+    pub fn prepare_adaptive(&self, max_k: usize) -> PipelineResult<PreparedVariant> {
         let result = self.query.eval(&self.db)?;
         let universe: Vec<Tuple> = result.tuples().to_vec();
         if universe.len() <= CORESET_AUTO_THRESHOLD {
-            let prepared = Arc::new(PreparedUniverse::build_shared(
-                universe,
-                &*self.rel,
-                self.dis.clone(),
-                self.lambda,
-                default_threads(),
-            ));
-            return Ok(ServingEngine::Full(Engine::from_prepared(
-                prepared,
-                default_threads(),
-            )));
+            return Ok(PreparedVariant::Full(self.prepare_full(universe)));
         }
         let config = CoresetConfig::recommended(max_k.max(self.k));
-        Ok(ServingEngine::Coreset(CoresetEngine::from_prepared(
-            Arc::new(PreparedCoreset::build_shared(
+        Ok(PreparedVariant::Coreset(Arc::new(
+            PreparedCoreset::build_shared(
                 universe,
                 &*self.rel,
                 self.dis.clone(),
                 self.lambda,
                 &config,
-            )),
-            config.threads,
+            ),
         )))
     }
 
     /// Serves a whole batch of `(objective, k)` requests: prepare once,
     /// answer many. Each answer is the **exact** objective value with
-    /// the chosen tuples, or `None` when `|Q(D)| < k` for that request.
+    /// the chosen tuples, or [`ServeError::InfeasibleK`] when
+    /// `|Q(D)| < k` for that request.
     ///
     /// Preparation auto-escalates by universe size
     /// ([`QueryDiversification::prepare_adaptive`]): up to
@@ -317,10 +329,9 @@ impl QueryDiversification {
     /// answers re-scored exactly against the full universe.
     ///
     /// For a long-lived engine (e.g. a query front-end serving traffic),
-    /// call [`QueryDiversification::prepare_engine`],
-    /// [`QueryDiversification::prepare_coreset`], or
+    /// call [`QueryDiversification::prepare_engine`] or
     /// [`QueryDiversification::prepare_adaptive`] once and keep the
-    /// engine instead.
+    /// prepared state instead.
     ///
     /// # Example
     ///
@@ -339,7 +350,7 @@ impl QueryDiversification {
     ///     db,
     ///     q,
     ///     Box::new(AttributeRelevance { attr: 1, default: Ratio::ZERO }),
-    ///     Box::new(NumericDistance { attr: 0, fallback: Ratio::ONE }),
+    ///     Box::new(NumericDistance { attr: 0, fallback: Ratio::ZERO }),
     ///     Ratio::new(1, 2),
     ///     2,
     /// );
@@ -355,11 +366,20 @@ impl QueryDiversification {
         requests: &[EngineRequest],
     ) -> PipelineResult<Vec<ServedAnswer>> {
         let max_k = requests.iter().map(|r| r.k).max().unwrap_or(self.k);
-        let engine = self.prepare_adaptive(max_k)?;
-        Ok(engine
-            .serve_batch(requests)
-            .into_iter()
-            .map(|ans| ans.map(|(v, set)| (v, engine.tuples_of(&set))))
+        let prepared = self.prepare_adaptive(max_k)?;
+        let universe = prepared.universe();
+        let mut scratch = SolveScratch::new();
+        Ok(requests
+            .iter()
+            .map(|&request| {
+                let (value, set) = prepared.try_serve_deadline(
+                    default_threads(),
+                    request,
+                    &mut scratch,
+                    Deadline::none(),
+                )?;
+                Ok((value, set.iter().map(|&i| universe[i].clone()).collect()))
+            })
             .collect())
     }
 
@@ -599,8 +619,8 @@ mod tests {
         use crate::distance::NumericDistance;
         // Small universe: full-matrix engine.
         let small = setup();
-        let engine = small.prepare_adaptive(3).unwrap();
-        assert!(!engine.is_coreset());
+        let prepared = small.prepare_adaptive(3).unwrap();
+        assert!(!prepared.is_coreset());
         // Above the threshold: coreset path, same serving surface.
         let n = (super::CORESET_AUTO_THRESHOLD + 100) as i64;
         let mut db = Database::new();
@@ -623,9 +643,9 @@ mod tests {
             Ratio::new(1, 2),
             5,
         );
-        let engine = big.prepare_adaptive(5).unwrap();
-        assert!(engine.is_coreset());
-        assert_eq!(engine.n(), n as usize);
+        let prepared = big.prepare_adaptive(5).unwrap();
+        assert!(prepared.is_coreset());
+        assert_eq!(prepared.n(), n as usize);
         let answers = big
             .serve_batch(&[EngineRequest {
                 kind: ObjectiveKind::MaxMin,

@@ -33,9 +33,8 @@
 //! serve stale or torn matrices.
 
 use crate::fingerprint::UniverseKey;
-use crate::spec::{PreparedVariant, UniverseSpec};
-use divr_core::engine::{DeltaOp, ServeError};
-use divr_core::Deadline;
+use crate::spec::PreparedVariant;
+use divr_core::engine::DeltaOp;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -45,7 +44,8 @@ struct Entry {
     bytes: usize,
     stamp: u64,
     /// How many delta operations separate this entry from a cold
-    /// prepare: `0` for entries built by [`PreparedCache::get_or_prepare`],
+    /// prepare: `0` for entries built by
+    /// [`PreparedCache::get_or_try_prepare_with`],
     /// incremented each time the registry migrates the entry through
     /// [`PreparedCache::insert_versioned`].
     version: u64,
@@ -140,95 +140,18 @@ impl PreparedCache {
         self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// The prepared state for `key` — full-matrix or coreset, by the
-    /// spec's serving mode — building from `spec` (with `threads`
-    /// preparation workers) on a miss.
-    pub fn get_or_prepare(
-        &self,
-        key: &UniverseKey,
-        spec: &UniverseSpec,
-        threads: usize,
-    ) -> PreparedVariant {
-        let shard = self.shard_of(key);
-        {
-            let mut guard = self.lock_shard(shard);
-            if let Some(entry) = guard.entries.get_mut(key) {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.prepared.clone();
-            }
-        }
-        // Miss: build outside the lock.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let prepared = spec.prepare_variant(threads);
-        self.adopt_or_insert(shard, key, prepared)
-    }
-
-    /// [`PreparedCache::get_or_prepare`] with validation on the miss
-    /// path: a freshly built universe whose oracles produced non-finite
-    /// floats is refused with [`ServeError::NonFiniteScore`] and **never
-    /// cached** — a bad tenant cannot park a poisoned entry for later
-    /// hits to trip over. Entries already resident are returned as-is
-    /// (everything inserted through this path was validated at build).
-    pub fn get_or_try_prepare(
-        &self,
-        key: &UniverseKey,
-        spec: &UniverseSpec,
-        threads: usize,
-    ) -> Result<PreparedVariant, ServeError> {
-        let shard = self.shard_of(key);
-        {
-            let mut guard = self.lock_shard(shard);
-            if let Some(entry) = guard.entries.get_mut(key) {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(entry.prepared.clone());
-            }
-        }
-        // Miss: build and validate outside the lock.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let prepared = spec.try_prepare_variant(threads)?;
-        Ok(self.adopt_or_insert(shard, key, prepared))
-    }
-
-    /// [`PreparedCache::get_or_try_prepare`] under a cooperative
-    /// [`Deadline`]: a **hit** is returned immediately regardless of
-    /// the deadline (it is `O(1)` work); a **miss** builds under the
-    /// deadline and, once it trips, fails with
-    /// [`ServeError::DeadlineExceeded`] — and like every failing build,
-    /// the abandoned prepare is **never cached**, so a retry with a
-    /// looser deadline starts from a clean miss rather than a poisoned
-    /// entry.
-    pub fn get_or_try_prepare_deadline(
-        &self,
-        key: &UniverseKey,
-        spec: &UniverseSpec,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<PreparedVariant, ServeError> {
-        let shard = self.shard_of(key);
-        {
-            let mut guard = self.lock_shard(shard);
-            if let Some(entry) = guard.entries.get_mut(key) {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(entry.prepared.clone());
-            }
-        }
-        // Miss: build and validate outside the lock, under the deadline.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let prepared = spec.try_prepare_variant_deadline(threads, deadline)?;
-        Ok(self.adopt_or_insert(shard, key, prepared))
-    }
-
-    /// [`PreparedCache::get_or_try_prepare`] with a caller-supplied
-    /// build step — the hook the query front door uses to prepare from
-    /// a **streaming evaluator** instead of a materialized
-    /// [`UniverseSpec`]. Semantics are identical: hits bump LRU and
-    /// never run `build`; a failing build caches nothing (so a
-    /// malformed or empty query result cannot park a poisoned entry);
-    /// racing builders adopt the first insert. `build` runs outside any
-    /// shard lock and must already validate what it returns.
+    /// The prepared state for `key`, running `build` on a miss — the
+    /// cache's one lookup. Callers pass the build step that fits their
+    /// source: the registry prepares from a materialized
+    /// [`UniverseSpec`](crate::UniverseSpec), the query front door from
+    /// a **streaming evaluator**. Hits bump LRU, never run `build`, and
+    /// are returned as-is (everything inserted was validated at build);
+    /// a failing build caches **nothing** — a non-finite universe, an
+    /// empty query result or an abandoned (deadline-exceeded) prepare
+    /// cannot park a poisoned entry for later hits to trip over, so a
+    /// retry starts from a clean miss. Racing builders adopt the first
+    /// insert. `build` runs outside any shard lock and must already
+    /// validate what it returns.
     pub fn get_or_try_prepare_with<E>(
         &self,
         key: &UniverseKey,
@@ -396,6 +319,8 @@ impl PreparedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::UniverseSpec;
+    use divr_core::engine::ServeError;
     use divr_core::relevance::ConstantRelevance;
     use divr_core::distance::NumericDistance;
     use divr_core::Ratio;
@@ -414,13 +339,17 @@ mod tests {
         )
     }
 
+    /// The registry's lookup: checked prepare from the spec on a miss.
+    fn fetch(cache: &PreparedCache, s: &UniverseSpec) -> Result<PreparedVariant, ServeError> {
+        cache.get_or_try_prepare_with(&s.key(), || s.try_prepare_variant(1))
+    }
+
     #[test]
     fn hit_after_miss_shares_the_arc() {
         let cache = PreparedCache::new(usize::MAX, 4);
         let s = spec(10, Ratio::new(1, 2));
-        let k = s.key();
-        let a = cache.get_or_prepare(&k, &s, 1);
-        let b = cache.get_or_prepare(&k, &s, 1);
+        let a = fetch(&cache, &s).unwrap();
+        let b = fetch(&cache, &s).unwrap();
         assert!(Arc::ptr_eq(a.as_full().unwrap(), b.as_full().unwrap()));
         let st = cache.stats();
         assert_eq!((st.hits, st.misses, st.entries), (1, 1, 1));
@@ -432,8 +361,8 @@ mod tests {
         let cache = PreparedCache::new(usize::MAX, 2);
         let full = spec(64, Ratio::new(1, 2));
         let core = full.clone().with_coreset(CoresetSpec::with_budget(8));
-        let a = cache.get_or_prepare(&full.key(), &full, 1);
-        let b = cache.get_or_prepare(&core.key(), &core, 1);
+        let a = fetch(&cache, &full).unwrap();
+        let b = fetch(&cache, &core).unwrap();
         assert!(!a.is_coreset());
         assert!(b.is_coreset());
         assert_eq!(b.as_coreset().unwrap().m(), 8);
@@ -454,14 +383,14 @@ mod tests {
             spec(16, Ratio::new(1, 4)),
         );
         let (k1, k2, k3) = (s1.key(), s2.key(), s3.key());
-        cache.get_or_prepare(&k1, &s1, 1);
-        cache.get_or_prepare(&k2, &s2, 1); // evicts k1
+        fetch(&cache, &s1).unwrap();
+        fetch(&cache, &s2).unwrap(); // evicts k1
         assert!(!cache.contains(&k1));
         assert!(cache.contains(&k2));
         // Touch k2, insert k3: k2 is the most recent, so it survives
         // only if budget allows one — it doesn't, so k2 (older than the
         // fresh k3) goes.
-        cache.get_or_prepare(&k3, &s3, 1);
+        fetch(&cache, &s3).unwrap();
         assert!(cache.contains(&k3));
         assert!(!cache.contains(&k2));
         assert!(cache.stats().evictions >= 2);
@@ -472,12 +401,12 @@ mod tests {
         let cache = PreparedCache::new(1, 1); // nothing fits
         let s = spec(12, Ratio::ONE);
         let k = s.key();
-        let a = cache.get_or_prepare(&k, &s, 1);
+        let a = fetch(&cache, &s).unwrap();
         assert_eq!(a.n(), 12);
         // It stays resident until the next insert displaces it.
         assert!(cache.contains(&k));
         let s2 = spec(13, Ratio::ONE);
-        cache.get_or_prepare(&s2.key(), &s2, 1);
+        fetch(&cache, &s2).unwrap();
         assert!(!cache.contains(&k));
     }
 
@@ -487,12 +416,12 @@ mod tests {
         use divr_core::problem::ObjectiveKind;
         let cache = PreparedCache::new(usize::MAX, 1);
         let s = spec(32, Ratio::new(1, 2));
-        let v = cache.get_or_prepare(&s.key(), &s, 1);
+        let v = fetch(&cache, &s).unwrap();
         let before = cache.stats().bytes;
         // Solving populates the lazily memoized preambles (max-sum heap
         // seed, mono scores, GMM seed pair)…
         for kind in ObjectiveKind::ALL {
-            assert!(v.serve(1, EngineRequest { kind, k: 4 }).is_some());
+            assert!(v.try_serve(1, EngineRequest { kind, k: 4 }).is_ok());
         }
         assert_eq!(v.as_full().unwrap().ms_preamble_builds(), 1);
         // …but the metered bytes were reserved at insert: warming an
@@ -507,7 +436,7 @@ mod tests {
     fn clear_resets_everything() {
         let cache = PreparedCache::new(usize::MAX, 2);
         let s = spec(8, Ratio::ZERO);
-        cache.get_or_prepare(&s.key(), &s, 1);
+        fetch(&cache, &s).unwrap();
         cache.clear();
         let st = cache.stats();
         assert_eq!(st, CacheStats::default());
@@ -518,7 +447,7 @@ mod tests {
         let cache = Arc::new(PreparedCache::new(usize::MAX, 1));
         let s = spec(8, Ratio::new(1, 2));
         let k = s.key();
-        cache.get_or_prepare(&k, &s, 1);
+        fetch(&cache, &s).unwrap();
         // Poison the only shard: a thread panics while holding its lock
         // (the shape of a panicking oracle unwinding through a locked
         // region).
@@ -532,13 +461,13 @@ mod tests {
         // Every access used to panic here forever ("cache shard
         // poisoned") — a permanent denial of service from one bad
         // request. Recovery evicts the possibly-torn shard and serves.
-        let again = cache.get_or_prepare(&k, &s, 1);
+        let again = fetch(&cache, &s).unwrap();
         assert_eq!(again.n(), 8);
         assert!(!cache.shards[0].is_poisoned());
         assert!(cache.stats().evictions >= 1);
         // The re-prepared entry is resident and hittable again.
         assert!(cache.contains(&k));
-        let hit = cache.get_or_prepare(&k, &s, 1);
+        let hit = fetch(&cache, &s).unwrap();
         assert!(Arc::ptr_eq(again.as_full().unwrap(), hit.as_full().unwrap()));
     }
 
@@ -546,7 +475,7 @@ mod tests {
     fn non_finite_universe_is_refused_and_never_cached() {
         use crate::fingerprint::{FingerprintEncoder, Fingerprintable};
         use divr_core::distance::Distance;
-        use divr_core::engine::{ScoreSource, ServeError};
+        use divr_core::engine::ScoreSource;
 
         /// Exact oracle is fine; the float fast path emits NaN for one
         /// pair — exactly the silent-misselection shape the validator
@@ -584,7 +513,7 @@ mod tests {
             Ratio::new(1, 2),
         );
         let k = s.key();
-        let err = cache.get_or_try_prepare(&k, &s, 1).unwrap_err();
+        let err = fetch(&cache, &s).unwrap_err();
         assert!(matches!(
             err,
             ServeError::NonFiniteScore {
@@ -596,10 +525,10 @@ mod tests {
         // retry re-validates (and re-fails) instead of hitting.
         assert!(!cache.contains(&k));
         assert_eq!(cache.stats().entries, 0);
-        assert!(cache.get_or_try_prepare(&k, &s, 1).is_err());
+        assert!(fetch(&cache, &s).is_err());
         // A healthy universe passes through the checked path and caches.
         let ok = spec(5, Ratio::new(1, 2));
-        assert!(cache.get_or_try_prepare(&ok.key(), &ok, 1).is_ok());
+        assert!(fetch(&cache, &ok).is_ok());
         assert!(cache.contains(&ok.key()));
     }
 }

@@ -20,9 +20,9 @@
 //!   byte-budgeted LRU ([`cache`]): a hit skips relevance evaluation
 //!   and matrix construction entirely and goes straight to the
 //!   parallel solve rounds;
-//! * [`Registry::serve_mixed`] schedules interleaved batches from many
-//!   tenants over work-stealing worker threads, preparing each
-//!   distinct universe exactly once per batch;
+//! * [`Registry::serve_mixed_checked`] schedules interleaved batches
+//!   from many tenants over work-stealing worker threads, preparing
+//!   each distinct universe exactly once per batch;
 //! * universes too large for any `n × n` matrix opt into **coreset
 //!   mode** ([`UniverseSpec::with_coreset`]): preparation selects
 //!   `m ≪ n` representatives in `O(n·m)` ([`divr_core::coreset`]),
@@ -62,7 +62,7 @@
 //!     Arc::new(NumericDistance { attr: 0, fallback: Ratio::ZERO }),
 //!     Ratio::new(1, 2),
 //! );
-//! let answers = registry.serve_mixed(&[
+//! let answers = registry.serve_mixed_checked(&[
 //!     TenantBatch {
 //!         spec: catalog.clone(),
 //!         requests: vec![
@@ -94,7 +94,7 @@ pub use persist::{
     CheckpointReport, Durability, DurabilityStats, RecoverMode, RecoverReport,
 };
 pub use query::{QueryError, QueryFrontDoor, QuerySpec};
-pub use registry::{Answer, CheckedAnswer, Registry, RegistryConfig, RegistryStats, TenantBatch};
+pub use registry::{CheckedAnswer, Registry, RegistryConfig, RegistryStats, TenantBatch};
 pub use spec::{
     CoresetSpec, PreparedVariant, ServableDistance, ServableRelevance, UniverseSpec,
 };

@@ -24,7 +24,7 @@
 //! Evaluation streams: the CQ evaluator's pull iterator feeds
 //! preparation directly. Universes at or under the auto-escalation
 //! threshold build the exact full matrix; larger ones flow into
-//! [`PreparedCoreset::build_streaming`] without `Q(D)` ever being
+//! [`PreparedCoreset::try_build_streaming_deadline`] without `Q(D)` ever being
 //! materialized as a separate vector.
 //!
 //! Base-table inserts route through the delta machinery:
@@ -37,7 +37,7 @@
 
 use crate::cache::PreparedCache;
 use crate::fingerprint::{FingerprintEncoder, UniverseKey};
-use crate::registry::{CheckedAnswer, Registry};
+use crate::registry::{solve_checked, CheckedAnswer, Registry};
 use crate::spec::{CoresetSpec, OracleAdapter, PreparedVariant, ServableDistance, ServableRelevance};
 use divr_core::coreset::{CoresetConfig, PreparedCoreset, CORESET_AUTO_THRESHOLD};
 use divr_core::engine::{DeltaOp, EngineRequest, PreparedUniverse, ServeError, SolveScratch};
@@ -382,11 +382,7 @@ impl QueryFrontDoor {
                 if universe.is_empty() {
                     return Err(QueryError::EmptyResult);
                 }
-                let config = CoresetConfig {
-                    budget: mode.budget,
-                    refine_rounds: mode.refine_rounds,
-                    threads,
-                };
+                let config = mode.config(threads);
                 PreparedVariant::Coreset(Arc::new(
                     PreparedCoreset::try_build_shared_deadline(
                         universe,
@@ -453,10 +449,7 @@ impl QueryFrontDoor {
         Ok(prepared)
     }
 
-    /// Serves a batch of requests for one query — evaluate + prepare on
-    /// a semantic-key miss, straight to the solve on a hit — with the
-    /// registry's fault isolation: per-request `catch_unwind`, typed
-    /// infeasibility diagnoses, one reused scratch.
+    /// [`QueryFrontDoor::serve_query_deadline`] with [`Deadline::none`].
     pub fn serve_query(
         &self,
         db: &str,
@@ -466,12 +459,18 @@ impl QueryFrontDoor {
         self.serve_query_deadline(db, spec, requests, Deadline::none())
     }
 
-    /// [`QueryFrontDoor::serve_query`] under a cooperative [`Deadline`]
-    /// spanning evaluation, preparation, and the solves: a miss that
-    /// cannot finish in time fails with
+    /// Serves a batch of requests for one query — evaluate + prepare on
+    /// a semantic-key miss, straight to the solve on a hit — with the
+    /// registry's fault isolation: per-request `catch_unwind`, typed
+    /// infeasibility diagnoses, one reused scratch.
+    ///
+    /// The cooperative `deadline` spans evaluation, preparation, and
+    /// the solves: a miss that cannot finish in time fails with
     /// [`ServeError::DeadlineExceeded`] and caches **nothing** (clean
-    /// retry), a warm hit still serves, and each solve checks the
-    /// deadline between rounds.
+    /// retry), a warm hit is still fetched, and each solve checks the
+    /// deadline between rounds. Infeasibility is decided from the
+    /// prepared dimensions first, so an infeasible `k` is never
+    /// reported as a timeout.
     pub fn serve_query_deadline(
         &self,
         db: &str,
@@ -520,27 +519,10 @@ impl QueryFrontDoor {
             }
         }
         let mut scratch = SolveScratch::new();
-        let mut answers = Vec::with_capacity(requests.len());
-        for &request in requests {
-            let attempt = {
-                let s = &mut scratch;
-                catch_unwind(AssertUnwindSafe(|| {
-                    prepared.serve_with_deadline(threads, request, s, deadline)
-                }))
-            };
-            answers.push(match attempt {
-                Ok(Some(answer)) => Ok(answer),
-                // Deadline aborts surface as `None` too; the deadline
-                // is monotone, so re-checking disambiguates race-free.
-                Ok(None) if deadline.exceeded() => Err(ServeError::DeadlineExceeded),
-                Ok(None) => Err(prepared.classify_infeasible(request.k)),
-                Err(_) => {
-                    scratch = SolveScratch::new();
-                    Err(ServeError::WorkerPanicked)
-                }
-            });
-        }
-        Ok(answers)
+        Ok(requests
+            .iter()
+            .map(|&request| solve_checked(&prepared, threads, request, &mut scratch, deadline))
+            .collect())
     }
 
     /// The universe sequence the front door is serving for `spec` right
@@ -561,10 +543,7 @@ impl QueryFrontDoor {
             .get_or_try_prepare_with(&key, || {
                 Self::build_prepared(&dbst.db, spec, threads, Deadline::none())
             })?;
-        Ok(match &prepared {
-            PreparedVariant::Full(p) => p.universe().to_vec(),
-            PreparedVariant::Coreset(p) => p.universe().to_vec(),
-        })
+        Ok(prepared.universe().to_vec())
     }
 
     /// Inserts one tuple into a base relation and **delta-repairs every
@@ -635,10 +614,7 @@ impl QueryFrontDoor {
             };
             let fresh = match delta_results(&dbst.db, &w.spec.query, relation, &tuple) {
                 Ok(Some(candidates)) => {
-                    let existing: HashSet<&Tuple> = match &prepared {
-                        PreparedVariant::Full(p) => p.universe().iter().collect(),
-                        PreparedVariant::Coreset(p) => p.universe().iter().collect(),
-                    };
+                    let existing: HashSet<&Tuple> = prepared.universe().iter().collect();
                     let mut fresh: Vec<Tuple> = Vec::new();
                     for c in candidates {
                         if !existing.contains(&c) && !fresh.contains(&c) {
@@ -652,38 +628,46 @@ impl QueryFrontDoor {
                 Ok(None) | Err(_) => continue,
             };
             let count = fresh.len() as u64;
-            let migrated = if fresh.is_empty() {
+            // The resident state was validated when it was built, so
+            // only the appended rows can be bad: each is checked as it
+            // lands (O(n), not a full rescan), and a non-finite one
+            // drops the entry to cold — the next serve gets the typed
+            // refusal from the checked prepare.
+            let mut valid = true;
+            let migrated = match prepared {
                 // Result unchanged — carry the state to the new key
                 // untouched (no version bump: no delta was applied).
-                prepared
-            } else {
-                match prepared {
-                    PreparedVariant::Full(arc) => {
-                        let mut p = Arc::try_unwrap(arc).unwrap_or_else(|a| a.fork());
-                        for t in &fresh {
-                            let rel = w.spec.rel.rel(t);
-                            p.insert_tuple(t.clone(), rel);
-                            log.push(DeltaOp::Insert(t.clone()));
-                        }
-                        PreparedVariant::Full(Arc::new(p))
+                unchanged if fresh.is_empty() => unchanged,
+                PreparedVariant::Full(arc) => {
+                    let mut p = Arc::try_unwrap(arc).unwrap_or_else(|a| a.fork());
+                    for t in &fresh {
+                        let rel = w.spec.rel.rel(t);
+                        p.insert_tuple(t.clone(), rel);
+                        valid &= p.check_finite_item(p.n() - 1).is_ok();
+                        log.push(DeltaOp::Insert(t.clone()));
                     }
-                    PreparedVariant::Coreset(arc) => {
-                        // The streamed-coreset contract is determinism
-                        // in the insertion sequence, so extending the
-                        // stream *is* the repair. A widely shared Arc
-                        // cannot be mutated — drop it and go cold.
-                        let Ok(mut p) = Arc::try_unwrap(arc) else {
-                            continue;
-                        };
-                        for t in &fresh {
-                            let rel = w.spec.rel.rel(t);
-                            p.insert_tuple(t.clone(), rel);
-                            log.push(DeltaOp::Insert(t.clone()));
-                        }
-                        PreparedVariant::Coreset(Arc::new(p))
+                    PreparedVariant::Full(Arc::new(p))
+                }
+                PreparedVariant::Coreset(arc) => {
+                    // The streamed-coreset contract is determinism
+                    // in the insertion sequence, so extending the
+                    // stream *is* the repair. A widely shared Arc
+                    // cannot be mutated — drop it and go cold.
+                    let Ok(mut p) = Arc::try_unwrap(arc) else {
+                        continue;
+                    };
+                    for t in &fresh {
+                        let rel = w.spec.rel.rel(t);
+                        p.insert_tuple(t.clone(), rel);
+                        valid &= p.check_finite_item(p.n() - 1).is_ok();
+                        log.push(DeltaOp::Insert(t.clone()));
                     }
+                    PreparedVariant::Coreset(Arc::new(p))
                 }
             };
+            if !valid {
+                continue;
+            }
             self.cache()
                 .insert_versioned(&new_key, migrated, version + count, log);
             dbst.warm.insert(new_key, w);
@@ -788,10 +772,7 @@ impl QueryFrontDoor {
             let mut doomed: Vec<Tuple> = Vec::new();
             let mut broken = false;
             {
-                let universe: &[Tuple] = match &prepared {
-                    PreparedVariant::Full(p) => p.universe(),
-                    PreparedVariant::Coreset(p) => p.universe(),
-                };
+                let universe = prepared.universe();
                 for c in candidates {
                     if doomed.contains(&c) || !universe.contains(&c) {
                         continue;
@@ -886,11 +867,7 @@ impl QueryFrontDoor {
         }
         let prepared = match spec.coreset {
             Some(mode) => {
-                let config = CoresetConfig {
-                    budget: mode.budget,
-                    refine_rounds: mode.refine_rounds,
-                    threads,
-                };
+                let config = mode.config(threads);
                 let base_len = base_len.min(universe.len());
                 let mut universe = universe;
                 let tail = universe.split_off(base_len);

@@ -9,7 +9,7 @@ use divr_core::{Deadline, Ratio};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Registry sizing knobs.
@@ -39,16 +39,39 @@ impl Default for RegistryConfig {
 }
 
 /// One served answer: the exact objective value and the chosen universe
-/// indices, or `None` when the request was infeasible (`k > n`).
-pub type Answer = Option<(Ratio, Vec<usize>)>;
-
-/// One served answer with a typed diagnosis instead of `None`: why the
-/// request has no answer ([`ServeError::InfeasibleK`],
-/// [`ServeError::ExceedsCoresetBudget`]), why the universe was refused
-/// ([`ServeError::NonFiniteScore`]), or that its worker died mid-solve
-/// ([`ServeError::WorkerPanicked`]) — the form a network front-end maps
-/// to wire status codes.
+/// indices, or the typed diagnosis — why the request has no answer
+/// ([`ServeError::InfeasibleK`], [`ServeError::ExceedsCoresetBudget`]),
+/// why the universe was refused ([`ServeError::NonFiniteScore`]), that
+/// its deadline passed ([`ServeError::DeadlineExceeded`]), or that its
+/// worker died mid-solve ([`ServeError::WorkerPanicked`]) — the form a
+/// network front-end maps to wire status codes.
 pub type CheckedAnswer = Result<(Ratio, Vec<usize>), ServeError>;
+
+/// Solves one request against resident state inside the registry's
+/// fault boundary — the one solve step behind
+/// [`Registry::serve_mixed_checked_deadline`] and the query front door.
+/// A panic mid-solve is caught here, per request: the caller's scratch
+/// (possibly torn mid-unwind) is replaced with a fresh one so every
+/// later unit on that worker stays exact, and the request gets
+/// [`ServeError::WorkerPanicked`].
+pub(crate) fn solve_checked(
+    prepared: &PreparedVariant,
+    threads: usize,
+    request: EngineRequest,
+    scratch: &mut SolveScratch,
+    deadline: Deadline,
+) -> CheckedAnswer {
+    let attempt = {
+        let s = &mut *scratch;
+        catch_unwind(AssertUnwindSafe(|| {
+            prepared.try_serve_deadline(threads, request, s, deadline)
+        }))
+    };
+    attempt.unwrap_or_else(|_| {
+        *scratch = SolveScratch::new();
+        Err(ServeError::WorkerPanicked)
+    })
+}
 
 /// One tenant's slice of a mixed batch: a universe plus the requests to
 /// run against it.
@@ -154,72 +177,17 @@ impl Registry {
         self.solve_threads
     }
 
-    /// The prepared state for `spec` — cached, or built and cached.
-    /// Full-matrix for plain specs; coreset state (no `n × n`
-    /// allocation) for specs in [`UniverseSpec::with_coreset`] mode.
-    pub fn prepare(&self, spec: &UniverseSpec) -> PreparedVariant {
-        let key = spec.key();
-        let resident = self.cache.contains(&key);
-        let prepared = self.cache.get_or_prepare(&key, spec, self.solve_threads);
-        if !resident {
-            self.note_warm(spec);
-        }
-        prepared
-    }
-
-    /// Serves one request against one universe.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use divr_core::engine::EngineRequest;
-    /// use divr_core::prelude::*;
-    /// use divr_relquery::Tuple;
-    /// use divr_server::{Registry, UniverseSpec};
-    /// use std::sync::Arc;
-    ///
-    /// let registry = Registry::default();
-    /// let spec = UniverseSpec::new(
-    ///     (0..50).map(|i| Tuple::ints([i, i % 7])).collect(),
-    ///     Arc::new(AttributeRelevance { attr: 1, default: Ratio::ZERO }),
-    ///     Arc::new(NumericDistance { attr: 0, fallback: Ratio::ZERO }),
-    ///     Ratio::new(1, 2),
-    /// );
-    ///
-    /// // First call prepares (O(n²)) and caches; repeats are hits that
-    /// // skip matrix construction entirely.
-    /// for _ in 0..3 {
-    ///     let (value, set) = registry
-    ///         .serve(&spec, EngineRequest { kind: ObjectiveKind::MaxMin, k: 5 })
-    ///         .unwrap();
-    ///     assert_eq!(set.len(), 5);
-    ///     assert!(value > Ratio::ZERO);
-    /// }
-    /// let stats = registry.stats();
-    /// assert_eq!((stats.hits, stats.misses), (2, 1));
-    /// ```
-    pub fn serve(&self, spec: &UniverseSpec, request: EngineRequest) -> Answer {
-        self.prepare(spec).serve(self.solve_threads, request)
-    }
-
-    /// Serves a whole batch against one universe (one cache access, one
-    /// engine, many requests). An empty request slice returns
-    /// immediately **without touching the cache**: a probe with nothing
-    /// to ask must not pay an `O(n²)` prepare, and must not let that
-    /// prepare evict another tenant's warm entry.
-    pub fn serve_universe_batch(
-        &self,
-        spec: &UniverseSpec,
-        requests: &[EngineRequest],
-    ) -> Vec<Answer> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        self.prepare(spec).serve_batch(self.solve_threads, requests)
+    /// [`Registry::serve_mixed_checked_deadline`] with
+    /// [`Deadline::none`].
+    pub fn serve_mixed_checked(&self, batch: &[TenantBatch]) -> Vec<Vec<CheckedAnswer>> {
+        self.serve_mixed_checked_deadline(batch, Deadline::none())
     }
 
     /// Serves a mixed batch — many tenants, many universes, interleaved
-    /// requests — and returns per-tenant answers in input order.
+    /// requests — and returns per-tenant answers in input order, with
+    /// typed per-request diagnoses and **fault isolation**: one
+    /// tenant's failure never costs another tenant its answer, and
+    /// never costs the process its life.
     ///
     /// Scheduling has two phases, both over the registry's worker
     /// threads. *Prepare*: tenants are deduplicated by content key, and
@@ -234,6 +202,38 @@ impl Registry {
     /// Tenants may freely mix serving modes: full-matrix specs and
     /// coreset specs ([`UniverseSpec::with_coreset`]) ride the same
     /// batch, each prepared and cached in its own mode.
+    ///
+    /// Every failure mode is caught at the narrowest boundary that
+    /// contains it:
+    ///
+    /// - A universe whose oracles emit non-finite floats is refused at
+    ///   prepare with [`ServeError::NonFiniteScore`] (and never cached);
+    ///   only requests against *that* universe see the error.
+    /// - An oracle that panics during preparation poisons nothing: the
+    ///   unwind is caught per distinct universe, its tenants get
+    ///   [`ServeError::WorkerPanicked`], and the shared cache keeps
+    ///   serving (a shard lock poisoned by a panic elsewhere recovers by
+    ///   evicting that shard — see `cache.rs`).
+    /// - A panic mid-solve is caught per `(tenant, request)` unit: the
+    ///   worker discards its scratch (possibly torn mid-unwind), takes a
+    ///   fresh one, and continues draining the queue, so answers behind
+    ///   the panicking unit are still served — bit-identical to a batch
+    ///   that never contained the bad tenant.
+    ///
+    /// Infeasible requests get the engines' typed diagnoses, decided
+    /// from the prepared dimensions before any clock is read — the same
+    /// answer [`Registry::try_serve`] gives, on every retry. Tenants
+    /// with zero requests are skipped before the cache is touched (no
+    /// prepare, no eviction pressure).
+    ///
+    /// The cooperative `deadline` covers the whole batch: prepares poll
+    /// it at matrix-row / Gonzalez-iteration boundaries, solves between
+    /// rounds. Requests whose work is abandoned after the deadline
+    /// trips get [`ServeError::DeadlineExceeded`]; an abandoned prepare
+    /// is **never cached** (only `Ok` builds are inserted), so a retry
+    /// with a looser deadline starts from a clean miss. Cache **hits**
+    /// are fetched even past the deadline — they are `O(1)`, and
+    /// refusing them would only waste the work already done.
     ///
     /// # Example
     ///
@@ -260,7 +260,7 @@ impl Registry {
     /// )
     /// .with_coreset(CoresetSpec::with_budget(48));
     ///
-    /// let answers = registry.serve_mixed(&[
+    /// let answers = registry.serve_mixed_checked(&[
     ///     TenantBatch {
     ///         spec: small,
     ///         requests: vec![EngineRequest { kind: ObjectiveKind::MaxSum, k: 5 }],
@@ -274,53 +274,6 @@ impl Registry {
     /// assert_eq!(answers[1][0].as_ref().unwrap().1.len(), 10);
     /// assert_eq!(registry.stats().misses, 2); // one prepare per universe
     /// ```
-    pub fn serve_mixed(&self, batch: &[TenantBatch]) -> Vec<Vec<Answer>> {
-        self.serve_mixed_checked(batch)
-            .into_iter()
-            .map(|tenant| tenant.into_iter().map(Result::ok).collect())
-            .collect()
-    }
-
-    /// [`Registry::serve_mixed`] with typed per-request diagnoses and
-    /// **fault isolation**: one tenant's failure never costs another
-    /// tenant its answer, and never costs the process its life.
-    ///
-    /// Every failure mode is caught at the narrowest boundary that
-    /// contains it:
-    ///
-    /// - A universe whose oracles emit non-finite floats is refused at
-    ///   prepare with [`ServeError::NonFiniteScore`] (and never cached);
-    ///   only requests against *that* universe see the error.
-    /// - An oracle that panics during preparation poisons nothing: the
-    ///   unwind is caught per distinct universe, its tenants get
-    ///   [`ServeError::WorkerPanicked`], and the shared cache keeps
-    ///   serving (a shard lock poisoned by a panic elsewhere recovers by
-    ///   evicting that shard — see `cache.rs`).
-    /// - A panic mid-solve is caught per `(tenant, request)` unit: the
-    ///   worker discards its scratch (possibly torn mid-unwind), takes a
-    ///   fresh one, and continues draining the queue, so answers behind
-    ///   the panicking unit are still served — bit-identical to a batch
-    ///   that never contained the bad tenant.
-    ///
-    /// Infeasible requests get the same typed diagnoses as
-    /// [`Registry::try_serve`], computed from the prepared dimensions
-    /// without re-solving. Tenants with zero requests are skipped before
-    /// the cache is touched (no prepare, no eviction pressure).
-    pub fn serve_mixed_checked(&self, batch: &[TenantBatch]) -> Vec<Vec<CheckedAnswer>> {
-        self.serve_mixed_checked_deadline(batch, Deadline::none())
-    }
-
-    /// [`Registry::serve_mixed_checked`] under a cooperative
-    /// [`Deadline`] covering the whole batch: prepares poll it at
-    /// matrix-row / Gonzalez-iteration boundaries, solves between
-    /// rounds. Requests whose work is abandoned after the deadline
-    /// trips get [`ServeError::DeadlineExceeded`]; an abandoned prepare
-    /// is **never cached** (only `Ok` builds are inserted), so a retry
-    /// with a looser deadline starts from a clean miss. Cache **hits**
-    /// are served even past the deadline — they are `O(1)` fetches, and
-    /// refusing them would only waste the work already done. With
-    /// [`Deadline::none`] this is exactly
-    /// [`Registry::serve_mixed_checked`].
     pub fn serve_mixed_checked_deadline(
         &self,
         batch: &[TenantBatch],
@@ -368,12 +321,9 @@ impl Registry {
         // its own slot failed and the claiming loop moves on.
         let prepared: Vec<OnceLock<Result<PreparedVariant, ServeError>>> =
             (0..distinct.len()).map(|_| OnceLock::new()).collect();
-        // Residency before the prepare phase decides which slots are
-        // *fresh* warmth worth journaling once the phase completes.
-        let resident: Vec<bool> = distinct_keys
-            .iter()
-            .map(|k| self.cache.contains(k))
-            .collect();
+        // Which slots this batch actually built (vs hit): *fresh*
+        // warmth worth journaling once the phase completes.
+        let built: Vec<AtomicBool> = (0..distinct.len()).map(|_| AtomicBool::new(false)).collect();
         let workers = self.workers.min(units.max(distinct.len())).max(1);
         let solve_threads = (self.solve_threads / workers).max(1);
         {
@@ -388,12 +338,10 @@ impl Registry {
                             break;
                         }
                         let p = catch_unwind(AssertUnwindSafe(|| {
-                            self.cache.get_or_try_prepare_deadline(
-                                &distinct_keys[i],
-                                distinct[i],
-                                prepare_threads,
-                                deadline,
-                            )
+                            self.cache.get_or_try_prepare_with(&distinct_keys[i], || {
+                                built[i].store(true, Ordering::Relaxed);
+                                distinct[i].try_prepare_variant_deadline(prepare_threads, deadline)
+                            })
                         }))
                         .unwrap_or(Err(ServeError::WorkerPanicked));
                         let _ = prepared[i].set(p);
@@ -402,7 +350,7 @@ impl Registry {
             });
         }
         for (i, slot) in prepared.iter().enumerate() {
-            if !resident[i] && matches!(slot.get(), Some(Ok(_))) {
+            if built[i].load(Ordering::Relaxed) && matches!(slot.get(), Some(Ok(_))) {
                 self.note_warm(distinct[i]);
             }
         }
@@ -437,29 +385,7 @@ impl Registry {
                 .expect("prepare phase covered every distinct universe")
             {
                 Err(e) => Err(*e),
-                Ok(prep) => {
-                    let attempt = {
-                        let s = &mut *scratch;
-                        catch_unwind(AssertUnwindSafe(|| {
-                            prep.serve_with_deadline(solve_threads, request, s, deadline)
-                        }))
-                    };
-                    match attempt {
-                        Ok(Some(answer)) => Ok(answer),
-                        // `None` is either genuine infeasibility or a
-                        // deadline abort; the deadline is monotone, so
-                        // re-checking it here disambiguates race-free.
-                        Ok(None) if deadline.exceeded() => Err(ServeError::DeadlineExceeded),
-                        Ok(None) => Err(prep.classify_infeasible(request.k)),
-                        Err(_) => {
-                            // The unwind may have torn the scratch
-                            // buffers mid-solve; a fresh scratch keeps
-                            // every later unit on this worker exact.
-                            *scratch = SolveScratch::new();
-                            Err(ServeError::WorkerPanicked)
-                        }
-                    }
-                }
+                Ok(prep) => solve_checked(prep, solve_threads, request, scratch, deadline),
             };
             (t, r, answer)
         };
@@ -516,73 +442,67 @@ impl Registry {
         answers
     }
 
-    /// [`Registry::prepare`] with validation: a freshly built universe
-    /// whose oracles emitted non-finite floats is refused with
-    /// [`ServeError::NonFiniteScore`] and never cached; already-resident
-    /// entries are returned as-is.
+    /// The prepared state for `spec` — cached, or built, validated and
+    /// cached. Full-matrix for plain specs; coreset state (no `n × n`
+    /// allocation) for specs in [`UniverseSpec::with_coreset`] mode. A
+    /// freshly built universe whose oracles emitted non-finite floats
+    /// is refused with [`ServeError::NonFiniteScore`] and never cached.
     pub fn try_prepare(&self, spec: &UniverseSpec) -> Result<PreparedVariant, ServeError> {
-        let key = spec.key();
-        let resident = self.cache.contains(&key);
-        let prepared = self
-            .cache
-            .get_or_try_prepare(&key, spec, self.solve_threads)?;
-        if !resident {
+        let mut built = false;
+        let prepared = self.cache.get_or_try_prepare_with(&spec.key(), || {
+            built = true;
+            spec.try_prepare_variant(self.solve_threads)
+        })?;
+        if built {
             self.note_warm(spec);
         }
         Ok(prepared)
     }
 
-    /// [`Registry::try_prepare`] under a cooperative [`Deadline`]: a
-    /// cache hit returns immediately; a miss builds under the deadline
-    /// and fails with [`ServeError::DeadlineExceeded`] once it trips —
-    /// the abandoned build is never cached.
-    pub fn try_prepare_deadline(
-        &self,
-        spec: &UniverseSpec,
-        deadline: Deadline,
-    ) -> Result<PreparedVariant, ServeError> {
-        let key = spec.key();
-        let resident = self.cache.contains(&key);
-        let prepared = self.cache.get_or_try_prepare_deadline(
-            &key,
-            spec,
-            self.solve_threads,
-            deadline,
-        )?;
-        if !resident {
-            self.note_warm(spec);
-        }
-        Ok(prepared)
-    }
-
-    /// Like [`Registry::serve`], but with a typed diagnosis instead of
-    /// `None` when no answer exists: [`ServeError::InfeasibleK`] when
-    /// `k` exceeds the universe (e.g. after removals shrank it below
-    /// `k`), [`ServeError::ExceedsCoresetBudget`] when the universe
-    /// could answer but the spec's coreset budget cannot, or
+    /// Serves one request against one universe: the exact objective
+    /// value with the chosen indices, or the typed diagnosis —
+    /// [`ServeError::InfeasibleK`] when `k` exceeds the universe (e.g.
+    /// after removals shrank it below `k`),
+    /// [`ServeError::ExceedsCoresetBudget`] when the universe could
+    /// answer but the spec's coreset budget cannot, or
     /// [`ServeError::NonFiniteScore`] when the universe itself is
     /// refused at prepare (validated before anything is cached).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use divr_core::engine::EngineRequest;
+    /// use divr_core::prelude::*;
+    /// use divr_relquery::Tuple;
+    /// use divr_server::{Registry, UniverseSpec};
+    /// use std::sync::Arc;
+    ///
+    /// let registry = Registry::default();
+    /// let spec = UniverseSpec::new(
+    ///     (0..50).map(|i| Tuple::ints([i, i % 7])).collect(),
+    ///     Arc::new(AttributeRelevance { attr: 1, default: Ratio::ZERO }),
+    ///     Arc::new(NumericDistance { attr: 0, fallback: Ratio::ZERO }),
+    ///     Ratio::new(1, 2),
+    /// );
+    ///
+    /// // First call prepares (O(n²)) and caches; repeats are hits that
+    /// // skip matrix construction entirely.
+    /// for _ in 0..3 {
+    ///     let (value, set) = registry
+    ///         .try_serve(&spec, EngineRequest { kind: ObjectiveKind::MaxMin, k: 5 })
+    ///         .unwrap();
+    ///     assert_eq!(set.len(), 5);
+    ///     assert!(value > Ratio::ZERO);
+    /// }
+    /// let stats = registry.stats();
+    /// assert_eq!((stats.hits, stats.misses), (2, 1));
+    /// ```
     pub fn try_serve(
         &self,
         spec: &UniverseSpec,
         request: EngineRequest,
     ) -> Result<(Ratio, Vec<usize>), ServeError> {
         self.try_prepare(spec)?.try_serve(self.solve_threads, request)
-    }
-
-    /// [`Registry::try_serve`] under a cooperative [`Deadline`]
-    /// spanning prepare **and** solve: either phase failing the
-    /// deadline yields [`ServeError::DeadlineExceeded`], the abandoned
-    /// prepare is never cached, and a warm entry still serves (the
-    /// solve itself checks the deadline between rounds).
-    pub fn try_serve_deadline(
-        &self,
-        spec: &UniverseSpec,
-        request: EngineRequest,
-        deadline: Deadline,
-    ) -> Result<(Ratio, Vec<usize>), ServeError> {
-        self.try_prepare_deadline(spec, deadline)?
-            .try_serve_deadline(self.solve_threads, request, deadline)
     }
 
     /// Applies one delta operation to a universe and returns the spec of
@@ -598,9 +518,11 @@ impl Registry {
     /// never pays the `O(n²)` cold prepare again for a small edit, and
     /// the migrated entry serves **bit-identically** to a cold prepare
     /// of the mutated universe (coreset-mode entries are re-prepared in
-    /// `O(n·m)` to keep that same invariant). If `spec` is cold, only
-    /// the spec is mutated; the next serve prepares from scratch at
-    /// version `0`.
+    /// `O(n·m)` to keep that same invariant). An inserted tuple whose
+    /// scores are non-finite drops the entry instead (only the new row
+    /// is validated, `O(n)`), so no delta can make an unvalidated
+    /// universe resident. If `spec` is cold, only the spec is mutated;
+    /// the next serve prepares from scratch at version `0`.
     ///
     /// Because entries are keyed by mutated *content*, a delta chain and
     /// a flat spec of the same tuples address the same entry — there is
@@ -627,26 +549,34 @@ impl Registry {
                     // the in-flight engine keeps the old immutable
                     // state, we mutate the copy.
                     let mut p = Arc::try_unwrap(arc).unwrap_or_else(|a| a.fork());
-                    match op {
+                    let valid = match op {
                         DeltaOp::Insert(t) => {
                             let rel = spec.relevance().rel(t);
                             p.insert_tuple(t.clone(), rel);
+                            // The resident state was validated when it
+                            // was built; only the new row can be bad.
+                            p.check_finite_item(p.n() - 1)
                         }
                         DeltaOp::Remove(i) => {
                             p.remove_tuple(*i).expect("index validated by spec.apply");
+                            Ok(())
                         }
-                    }
-                    PreparedVariant::Full(Arc::new(p))
+                    };
+                    valid.map(|()| PreparedVariant::Full(Arc::new(p)))
                 }
                 // Streaming coreset maintenance trades bit-identity for
                 // speed (see divr_core::coreset); the registry's
                 // contract is exact equivalence with a cold prepare, so
                 // coreset entries re-select in O(n·m).
-                PreparedVariant::Coreset(_) => mutated.prepare_variant(self.solve_threads),
+                PreparedVariant::Coreset(_) => mutated.try_prepare_variant(self.solve_threads),
             };
-            log.push(op.clone());
-            self.cache
-                .insert_versioned(&mutated.key(), migrated, version + 1, log);
+            // A non-finite new row drops the entry to cold: the next
+            // serve gets the typed refusal from the checked prepare.
+            if let Ok(migrated) = migrated {
+                log.push(op.clone());
+                self.cache
+                    .insert_versioned(&mutated.key(), migrated, version + 1, log);
+            }
         }
         Ok(mutated)
     }

@@ -2,15 +2,18 @@
 //! description of one QRD universe.
 
 use crate::fingerprint::{FingerprintEncoder, Fingerprintable, UniverseKey};
-use divr_core::coreset::{CoresetConfig, CoresetEngine, PreparedCoreset, SharedCoreset};
+use divr_core::coreset::{CoresetConfig, PreparedCoreset};
 use divr_core::distance::Distance;
-use divr_core::engine::{
-    DeltaError, DeltaOp, Engine, EngineRequest, PreparedUniverse, ServeError, SolveScratch,
-};
+use divr_core::engine::{DeltaError, DeltaOp, PreparedUniverse, ServeError};
 use divr_core::relevance::Relevance;
 use divr_core::{Deadline, Ratio, SharedPrepared};
 use divr_relquery::Tuple;
 use std::sync::Arc;
+
+/// The prepared state the registry caches for one spec — full-matrix or
+/// coreset, by the spec's serving mode. Defined in `divr_core` (the
+/// pipeline's auto-escalation returns the same type).
+pub use divr_core::pipeline::PreparedVariant;
 
 /// A relevance function the registry can serve: evaluable *and*
 /// content-addressable, usable from any worker thread.
@@ -66,200 +69,13 @@ impl CoresetSpec {
             refine_rounds: 0,
         }
     }
-}
 
-/// The prepared state the registry caches for one spec: the full
-/// `n × n` [`PreparedUniverse`] or the sub-quadratic
-/// [`PreparedCoreset`], by the spec's serving mode. Cloning is `O(1)`
-/// (both arms are `Arc`s).
-#[derive(Clone)]
-pub enum PreparedVariant {
-    /// Full-matrix prepared state (exact-tie-fallback engine).
-    Full(SharedPrepared),
-    /// Coreset prepared state (`m × m` matrix, `O(n)` bookkeeping).
-    Coreset(SharedCoreset),
-}
-
-impl PreparedVariant {
-    /// Universe size `n`.
-    pub fn n(&self) -> usize {
-        match self {
-            PreparedVariant::Full(p) => p.n(),
-            PreparedVariant::Coreset(p) => p.n(),
-        }
-    }
-
-    /// Whether this is the coreset variant.
-    pub fn is_coreset(&self) -> bool {
-        matches!(self, PreparedVariant::Coreset(_))
-    }
-
-    /// The full-matrix prepared state, if that is what was built.
-    pub fn as_full(&self) -> Option<&SharedPrepared> {
-        match self {
-            PreparedVariant::Full(p) => Some(p),
-            PreparedVariant::Coreset(_) => None,
-        }
-    }
-
-    /// The coreset prepared state, if that is what was built.
-    pub fn as_coreset(&self) -> Option<&SharedCoreset> {
-        match self {
-            PreparedVariant::Full(_) => None,
-            PreparedVariant::Coreset(p) => Some(p),
-        }
-    }
-
-    /// Approximate heap bytes this entry pins — `n²`-dominated for the
-    /// full variant, `m² + O(n)` for the coreset variant. The quantity
-    /// the cache's byte budget meters.
-    pub fn approx_bytes(&self) -> usize {
-        match self {
-            PreparedVariant::Full(p) => p.approx_bytes(),
-            PreparedVariant::Coreset(p) => p.approx_bytes(),
-        }
-    }
-
-    /// Serves one request against this prepared state with `threads`
-    /// solver workers (exact value + full-universe indices; `None` when
-    /// infeasible — for the coreset variant also when `k` exceeds the
-    /// representative budget).
-    pub fn serve(&self, threads: usize, request: EngineRequest) -> Option<(Ratio, Vec<usize>)> {
-        self.serve_with(threads, request, &mut SolveScratch::new())
-    }
-
-    /// [`PreparedVariant::serve`] against a caller-owned
-    /// [`SolveScratch`] — the form the registry's workers use, one
-    /// scratch per worker thread, so steady-state mixed-batch serving
-    /// allocates nothing per request beyond the answer sets. A single
-    /// scratch serves full and coreset variants (and any mix of
-    /// universes) interchangeably.
-    pub fn serve_with(
-        &self,
-        threads: usize,
-        request: EngineRequest,
-        scratch: &mut SolveScratch,
-    ) -> Option<(Ratio, Vec<usize>)> {
-        match self {
-            PreparedVariant::Full(p) => {
-                Engine::from_prepared(p.clone(), threads).serve_with(request, scratch)
-            }
-            PreparedVariant::Coreset(p) => {
-                CoresetEngine::from_prepared(p.clone(), threads).serve_with(request, scratch)
-            }
-        }
-    }
-
-    /// Like [`PreparedVariant::serve`] but with a typed diagnosis when
-    /// no answer exists: [`ServeError::InfeasibleK`] when `k` exceeds
-    /// the universe (e.g. after removals shrank it), or
-    /// [`ServeError::ExceedsCoresetBudget`] when the universe could
-    /// answer but this coreset preparation cannot.
-    pub fn try_serve(
-        &self,
-        threads: usize,
-        request: EngineRequest,
-    ) -> Result<(Ratio, Vec<usize>), ServeError> {
-        self.try_serve_deadline(threads, request, Deadline::none())
-    }
-
-    /// [`PreparedVariant::try_serve`] under a cooperative [`Deadline`]:
-    /// the solve checks it between rounds and fails with
-    /// [`ServeError::DeadlineExceeded`] once it trips. With
-    /// [`Deadline::none`] (or any deadline that never trips) answers
-    /// are bit-identical to the undeadlined form.
-    pub fn try_serve_deadline(
-        &self,
-        threads: usize,
-        request: EngineRequest,
-        deadline: Deadline,
-    ) -> Result<(Ratio, Vec<usize>), ServeError> {
-        match self {
-            PreparedVariant::Full(p) => Engine::from_prepared(p.clone(), threads)
-                .with_deadline(deadline)
-                .try_serve(request),
-            PreparedVariant::Coreset(p) => CoresetEngine::from_prepared(p.clone(), threads)
-                .with_deadline(deadline)
-                .try_serve(request),
-        }
-    }
-
-    /// [`PreparedVariant::serve_with`] under a cooperative [`Deadline`]
-    /// — the deadline-aware scratch-reusing form the registry's batch
-    /// workers use. `None` on infeasibility **or** a tripped deadline;
-    /// callers that need to tell the two apart re-check the deadline
-    /// (it is monotone) or use [`PreparedVariant::try_serve_deadline`].
-    pub fn serve_with_deadline(
-        &self,
-        threads: usize,
-        request: EngineRequest,
-        scratch: &mut SolveScratch,
-        deadline: Deadline,
-    ) -> Option<(Ratio, Vec<usize>)> {
-        match self {
-            PreparedVariant::Full(p) => Engine::from_prepared(p.clone(), threads)
-                .with_deadline(deadline)
-                .serve_with(request, scratch),
-            PreparedVariant::Coreset(p) => CoresetEngine::from_prepared(p.clone(), threads)
-                .with_deadline(deadline)
-                .serve_with(request, scratch),
-        }
-    }
-
-    /// Validates every cached float in this prepared state (relevance
-    /// caches and the distance matrix — full `n × n` or coreset
-    /// `m × m`): `Ok` iff none is `NaN`/`±∞`. The checked prepare
-    /// paths run this once per build so non-finite oracle output is a
-    /// typed refusal ([`ServeError::NonFiniteScore`]) instead of a
-    /// silently mis-selected answer set.
-    pub fn check_finite(&self) -> Result<(), ServeError> {
-        match self {
-            PreparedVariant::Full(p) => p.check_finite(),
-            PreparedVariant::Coreset(p) => p.check_finite(),
-        }
-    }
-
-    /// The typed diagnosis for a `None` answer from
-    /// [`PreparedVariant::serve`] at result size `k`, computed from the
-    /// prepared state's dimensions alone (no re-solve):
-    /// [`ServeError::InfeasibleK`] when `k` exceeds the universe,
-    /// [`ServeError::ExceedsCoresetBudget`] when the universe could
-    /// answer but this coreset preparation cannot.
-    pub fn classify_infeasible(&self, k: usize) -> ServeError {
-        let n = self.n();
-        match self {
-            PreparedVariant::Coreset(p) if k <= n && k > p.m() => {
-                ServeError::ExceedsCoresetBudget { k, m: p.m(), n }
-            }
-            _ => ServeError::InfeasibleK { k, n },
-        }
-    }
-
-    /// Serves a whole batch against this prepared state (one scratch
-    /// reused across the batch).
-    pub fn serve_batch(
-        &self,
-        threads: usize,
-        requests: &[EngineRequest],
-    ) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        match self {
-            PreparedVariant::Full(p) => {
-                Engine::from_prepared(p.clone(), threads).serve_batch(requests)
-            }
-            PreparedVariant::Coreset(p) => {
-                CoresetEngine::from_prepared(p.clone(), threads).serve_batch(requests)
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for PreparedVariant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PreparedVariant::Full(p) => f.debug_tuple("PreparedVariant::Full").field(p).finish(),
-            PreparedVariant::Coreset(p) => {
-                f.debug_tuple("PreparedVariant::Coreset").field(p).finish()
-            }
+    /// This mode as the core layer's build configuration.
+    pub(crate) fn config(&self, threads: usize) -> CoresetConfig {
+        CoresetConfig {
+            budget: self.budget,
+            refine_rounds: self.refine_rounds,
+            threads,
         }
     }
 }
@@ -396,10 +212,11 @@ impl UniverseSpec {
 
     /// Pays the **full-matrix** preparation cost — relevance cache plus
     /// the `O(n²)` distance matrix — and returns the shareable result,
-    /// regardless of the spec's serving mode. This is the exact/oracle
-    /// path (the conformance suites build their reference engines from
-    /// it); the registry itself prepares through
-    /// [`UniverseSpec::prepare_variant`], which honors the mode.
+    /// regardless of the spec's serving mode and without validation.
+    /// This is the exact/oracle path (the conformance suites build
+    /// their reference engines from it); the registry itself prepares
+    /// through [`UniverseSpec::try_prepare_variant_deadline`], which
+    /// honors the mode and refuses non-finite scores.
     pub fn prepare(&self, threads: usize) -> SharedPrepared {
         Arc::new(PreparedUniverse::build_shared(
             self.universe.clone(),
@@ -410,79 +227,51 @@ impl UniverseSpec {
         ))
     }
 
-    /// Prepares this spec the way the registry caches it: full-matrix
-    /// state for plain specs, coreset state (no `n × n` allocation)
-    /// when [`UniverseSpec::with_coreset`] was set. Called exactly once
-    /// per cached universe; everything after is an `Arc` clone.
-    pub fn prepare_variant(&self, threads: usize) -> PreparedVariant {
-        match self.coreset {
-            None => PreparedVariant::Full(self.prepare(threads)),
-            Some(mode) => {
-                let config = CoresetConfig {
-                    budget: mode.budget,
-                    refine_rounds: mode.refine_rounds,
-                    threads,
-                };
-                PreparedVariant::Coreset(Arc::new(PreparedCoreset::build_shared(
-                    self.universe.clone(),
-                    &*self.rel,
-                    Arc::new(OracleAdapter(self.dis.clone())),
-                    self.lambda,
-                    &config,
-                )))
-            }
-        }
-    }
-
-    /// [`UniverseSpec::prepare_variant`] plus validation: refuses a
-    /// universe whose oracles emitted a non-finite float
-    /// ([`ServeError::NonFiniteScore`]) before it can reach the argmax
-    /// rounds, where `NaN` comparisons would silently mis-select. The
-    /// registry's checked serving paths prepare through this and never
-    /// cache a refused universe.
+    /// [`UniverseSpec::try_prepare_variant_deadline`] with
+    /// [`Deadline::none`].
     pub fn try_prepare_variant(&self, threads: usize) -> Result<PreparedVariant, ServeError> {
-        let prepared = self.prepare_variant(threads);
-        prepared.check_finite()?;
-        Ok(prepared)
+        self.try_prepare_variant_deadline(threads, Deadline::none())
     }
 
-    /// [`UniverseSpec::try_prepare_variant`] under a cooperative
-    /// [`Deadline`]: the `O(n²)` (or `O(n·m)`) build polls it at row /
+    /// Prepares this spec the way the registry caches it — full-matrix
+    /// state for plain specs, coreset state (no `n × n` allocation)
+    /// when [`UniverseSpec::with_coreset`] was set — and validates it:
+    /// a universe whose oracles emitted a non-finite float is refused
+    /// ([`ServeError::NonFiniteScore`]) before it can reach the argmax
+    /// rounds, where `NaN` comparisons would silently mis-select.
+    ///
+    /// The `O(n²)` (or `O(n·m)`) build polls `deadline` at row /
     /// iteration boundaries and is abandoned with
-    /// [`ServeError::DeadlineExceeded`] once it trips — the partially
-    /// built state is dropped and must never be cached (the registry's
+    /// [`ServeError::DeadlineExceeded`] once it trips. Either refusal
+    /// drops the built state; it must never be cached (the registry's
     /// cache only inserts `Ok` results, which preserves that).
     pub fn try_prepare_variant_deadline(
         &self,
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, ServeError> {
+        let dis = Arc::new(OracleAdapter(self.dis.clone()));
         let prepared = match self.coreset {
             None => PreparedVariant::Full(Arc::new(
                 PreparedUniverse::try_build_shared_deadline(
                     self.universe.clone(),
                     &*self.rel,
-                    Arc::new(OracleAdapter(self.dis.clone())),
+                    dis,
                     self.lambda,
                     threads,
                     deadline,
                 )?,
             )),
-            Some(mode) => {
-                let config = CoresetConfig {
-                    budget: mode.budget,
-                    refine_rounds: mode.refine_rounds,
-                    threads,
-                };
-                PreparedVariant::Coreset(Arc::new(PreparedCoreset::try_build_shared_deadline(
+            Some(mode) => PreparedVariant::Coreset(Arc::new(
+                PreparedCoreset::try_build_shared_deadline(
                     self.universe.clone(),
                     &*self.rel,
-                    Arc::new(OracleAdapter(self.dis.clone())),
+                    dis,
                     self.lambda,
-                    &config,
+                    &mode.config(threads),
                     deadline,
-                )?))
-            }
+                )?,
+            )),
         };
         prepared.check_finite()?;
         Ok(prepared)

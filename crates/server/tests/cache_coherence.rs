@@ -23,7 +23,9 @@ use divr_core::relevance::TableRelevance;
 use divr_core::Ratio;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple};
-use divr_server::{QueryFrontDoor, QuerySpec, Registry, RegistryConfig, UniverseSpec};
+use divr_server::{
+    CheckedAnswer, QueryFrontDoor, QuerySpec, Registry, RegistryConfig, TenantBatch, UniverseSpec,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -33,6 +35,20 @@ struct RawContent {
     lambda_num: i64,
     rels: Vec<i64>,
     dists: Vec<i64>,
+}
+
+/// One universe's whole batch through the registry's batch entry point.
+fn serve_all(
+    registry: &Registry,
+    spec: &UniverseSpec,
+    requests: &[EngineRequest],
+) -> Vec<CheckedAnswer> {
+    registry
+        .serve_mixed_checked(&[TenantBatch {
+            spec: spec.clone(),
+            requests: requests.to_vec(),
+        }])
+        .remove(0)
 }
 
 fn content_strategy() -> impl Strategy<Value = RawContent> {
@@ -401,23 +417,23 @@ proptest! {
             .map(|kind| EngineRequest { kind, k })
             .collect();
         // First lifetime of A.
-        let first_prepared = registry.prepare(&spec_a).as_full().unwrap().clone();
+        let first_prepared = registry.try_prepare(&spec_a).unwrap().as_full().unwrap().clone();
         let first_matrix: Vec<f64> = (0..first_prepared.n())
             .flat_map(|i| first_prepared.matrix().row(i).to_vec())
             .collect();
-        let first_answers = registry.serve_universe_batch(&spec_a, &requests);
+        let first_answers = serve_all(&registry, &spec_a, &requests);
         // Insert B: evicts A under the 1-byte budget.
-        registry.prepare(&spec_b);
+        registry.try_prepare(&spec_b).unwrap();
         prop_assert!(!registry.is_cached(&spec_a));
         prop_assert!(registry.stats().evictions >= 1);
         // Second lifetime of A: rebuilt, not resurrected.
-        let second_prepared = registry.prepare(&spec_a).as_full().unwrap().clone();
+        let second_prepared = registry.try_prepare(&spec_a).unwrap().as_full().unwrap().clone();
         prop_assert!(!Arc::ptr_eq(&first_prepared, &second_prepared));
         let second_matrix: Vec<f64> = (0..second_prepared.n())
             .flat_map(|i| second_prepared.matrix().row(i).to_vec())
             .collect();
         prop_assert_eq!(first_matrix, second_matrix, "rebuild changed the matrix");
-        let second_answers = registry.serve_universe_batch(&spec_a, &requests);
+        let second_answers = serve_all(&registry, &spec_a, &requests);
         prop_assert_eq!(first_answers, second_answers, "rebuild changed served answers");
     }
 }

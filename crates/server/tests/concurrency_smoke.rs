@@ -11,7 +11,7 @@ use divr_core::prelude::*;
 use divr_core::relevance::TableRelevance;
 use divr_core::Ratio;
 use divr_relquery::Tuple;
-use divr_server::{Answer, Registry, RegistryConfig, UniverseSpec};
+use divr_server::{CheckedAnswer, Registry, RegistryConfig, UniverseSpec};
 use std::sync::Arc;
 
 const THREADS: usize = 4;
@@ -46,7 +46,7 @@ fn requests() -> Vec<EngineRequest> {
         .collect()
 }
 
-fn hammer(registry: &Registry, oracle: &[(UniverseSpec, Vec<Answer>)]) {
+fn hammer(registry: &Registry, oracle: &[(UniverseSpec, Vec<CheckedAnswer>)]) {
     let reqs = requests();
     let reqs = &reqs;
     std::thread::scope(|scope| {
@@ -58,7 +58,7 @@ fn hammer(registry: &Registry, oracle: &[(UniverseSpec, Vec<Answer>)]) {
                     let which = (t * 7 + i) % oracle.len();
                     let (spec, expected) = &oracle[which];
                     let r = (t + i * 3) % reqs.len();
-                    let got = registry.serve(spec, reqs[r]);
+                    let got = registry.try_serve(spec, reqs[r]);
                     assert_eq!(
                         &got, &expected[r],
                         "thread {t} iteration {i}: universe {which} request {r} diverged"
@@ -70,13 +70,13 @@ fn hammer(registry: &Registry, oracle: &[(UniverseSpec, Vec<Answer>)]) {
 }
 
 /// Sequential oracle answers for every (universe, request) pair.
-fn oracle() -> Vec<(UniverseSpec, Vec<Answer>)> {
+fn oracle() -> Vec<(UniverseSpec, Vec<CheckedAnswer>)> {
     let reqs = requests();
     (0..4)
         .map(|which| {
             let spec = spec_of(which);
             let engine = Engine::from_prepared(spec.prepare(1), 1);
-            let answers = reqs.iter().map(|&r| engine.serve(r)).collect();
+            let answers = reqs.iter().map(|&r| engine.try_serve(r)).collect();
             (spec, answers)
         })
         .collect()

@@ -1,0 +1,309 @@
+//! Deadlines composed with the rest of the serving stack, in-process
+//! (`crates/service/tests/deadline_drain.rs` reaches the same paths
+//! only over TCP): cold prepares, resident entries, delta-migrated
+//! entries, an attached `Durability` — and the one classification
+//! order every layer shares, so a request never flips between
+//! `InfeasibleK` (422) and `DeadlineExceeded` (504) across retries.
+
+use divr_core::coreset::{CoresetConfig, CoresetEngine};
+use divr_core::distance::NumericDistance;
+use divr_core::engine::{Engine, EngineRequest, ServeError, SolveScratch};
+use divr_core::problem::ObjectiveKind;
+use divr_core::relevance::AttributeRelevance;
+use divr_core::{Deadline, Ratio};
+use divr_relquery::parser::parse_query;
+use divr_relquery::{Database, Tuple};
+use divr_server::{
+    CheckedAnswer, CoresetSpec, DeltaOp, Durability, QueryError, QueryFrontDoor, QuerySpec,
+    Registry, RegistryConfig, TenantBatch, UniverseSpec,
+};
+use std::sync::Arc;
+use std::time::Instant;
+
+const N: i64 = 20;
+const BUDGET: usize = 8;
+const THREADS: usize = 2;
+
+fn rel() -> Arc<AttributeRelevance> {
+    Arc::new(AttributeRelevance {
+        attr: 1,
+        default: Ratio::ZERO,
+    })
+}
+
+fn dis() -> Arc<NumericDistance> {
+    Arc::new(NumericDistance {
+        attr: 0,
+        fallback: Ratio::ZERO,
+    })
+}
+
+fn rows() -> Vec<Tuple> {
+    (0..N).map(|i| Tuple::ints([i * 7 % 31, i % 4])).collect()
+}
+
+fn full_spec() -> UniverseSpec {
+    UniverseSpec::new(rows(), rel(), dis(), Ratio::new(1, 2))
+}
+
+fn coreset_spec() -> UniverseSpec {
+    full_spec().with_coreset(CoresetSpec::with_budget(BUDGET))
+}
+
+fn query_spec() -> QuerySpec {
+    QuerySpec::new(
+        parse_query("Q(x, y) :- R(x, y)").unwrap(),
+        rel(),
+        dis(),
+        Ratio::new(1, 2),
+    )
+    .unwrap()
+}
+
+fn database() -> Database {
+    let mut db = Database::new();
+    db.create_relation("R", &["x", "y"]).unwrap();
+    for t in rows() {
+        db.insert("R", vec![t[0].clone(), t[1].clone()]).unwrap();
+    }
+    db
+}
+
+fn front() -> QueryFrontDoor {
+    let f = QueryFrontDoor::new(Arc::new(Registry::new(RegistryConfig {
+        workers: THREADS,
+        solve_threads: THREADS,
+        ..RegistryConfig::default()
+    })));
+    f.register_database("main", database());
+    f
+}
+
+/// Already passed when it is handed over: every checkpoint trips.
+fn expired() -> Deadline {
+    Deadline::at(Instant::now())
+}
+
+/// Multi-round solves: each polls the deadline before it can finish.
+fn requests() -> Vec<EngineRequest> {
+    ObjectiveKind::ALL
+        .into_iter()
+        .map(|kind| EngineRequest { kind, k: 4 })
+        .collect()
+}
+
+fn serve(registry: &Registry, spec: &UniverseSpec, deadline: Deadline) -> Vec<CheckedAnswer> {
+    registry
+        .serve_mixed_checked_deadline(
+            &[TenantBatch {
+                spec: spec.clone(),
+                requests: requests(),
+            }],
+            deadline,
+        )
+        .remove(0)
+}
+
+/// What a fresh engine of the spec's mode answers — the bit-identity
+/// oracle for everything the registry serves.
+fn fresh(spec: &UniverseSpec) -> Vec<CheckedAnswer> {
+    requests()
+        .into_iter()
+        .map(|r| match spec.coreset() {
+            None => Engine::from_prepared(spec.prepare(THREADS), THREADS).try_serve(r),
+            Some(mode) => CoresetEngine::new(
+                spec.universe().to_vec(),
+                &**spec.relevance(),
+                dis(),
+                spec.lambda(),
+                &CoresetConfig::with_budget(mode.budget).with_threads(THREADS),
+            )
+            .try_serve(r),
+        })
+        .collect()
+}
+
+fn tmpdir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "divr-deadline-composition-{tag}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn expired_deadline_on_a_cold_universe_leaves_nothing_behind() {
+    for (tag, spec) in [("cold-full", full_spec()), ("cold-coreset", coreset_spec())] {
+        let dir = tmpdir(tag);
+        let registry = Registry::new(RegistryConfig {
+            workers: THREADS,
+            solve_threads: THREADS,
+            ..RegistryConfig::default()
+        });
+        let journal = Durability::open(&dir).unwrap();
+        registry.attach_durability(Arc::clone(&journal));
+        let journaled = journal.stats().wal_records;
+
+        // The abandoned prepare: typed, not resident, not journaled.
+        for answer in serve(&registry, &spec, expired()) {
+            assert_eq!(answer, Err(ServeError::DeadlineExceeded));
+        }
+        assert!(!registry.is_cached(&spec));
+        assert_eq!(registry.stats().entries, 0);
+        assert_eq!(journal.stats().wal_records, journaled);
+
+        // The retry starts from a clean miss and answers like a fresh
+        // engine of the spec's mode.
+        let before = registry.stats();
+        assert_eq!(serve(&registry, &spec, Deadline::none()), fresh(&spec));
+        let after = registry.stats();
+        assert_eq!((after.misses - before.misses, after.hits), (1, 0));
+        assert_eq!(journal.stats().wal_records, journaled + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn expired_deadline_on_a_cold_query_leaves_nothing_behind() {
+    let dir = tmpdir("cold-query");
+    let f = front();
+    let journal = Durability::open(&dir).unwrap();
+    f.registry().attach_durability(Arc::clone(&journal));
+    let journaled = journal.stats().wal_records;
+    let q = query_spec();
+
+    assert_eq!(
+        f.serve_query_deadline("main", &q, &requests(), expired()),
+        Err(QueryError::Serve(ServeError::DeadlineExceeded))
+    );
+    assert!(!f.is_warm("main", &q).unwrap());
+    assert_eq!(f.registry().stats().entries, 0);
+    assert_eq!(journal.stats().wal_records, journaled);
+
+    let before = f.registry().stats();
+    let answers = f
+        .serve_query_deadline("main", &q, &requests(), Deadline::none())
+        .unwrap();
+    let after = f.registry().stats();
+    assert_eq!((after.misses - before.misses, after.hits), (1, 0));
+    let served = UniverseSpec::new(
+        f.universe_of("main", &q).unwrap(),
+        rel(),
+        dis(),
+        Ratio::new(1, 2),
+    );
+    assert_eq!(answers, fresh(&served));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resident_and_migrated_entries_survive_an_expired_deadline() {
+    let registry = Registry::default();
+    let base = full_spec();
+    registry.try_prepare(&base).unwrap();
+
+    // A hit is fetched past the deadline: a solve with no checkpoint
+    // to trip is answered, a multi-round solve is abandoned, and
+    // either way the entry stays resident.
+    let one = EngineRequest {
+        kind: ObjectiveKind::MaxSum,
+        k: 1,
+    };
+    let hits = registry.stats().hits;
+    let answers = registry.serve_mixed_checked_deadline(
+        &[TenantBatch {
+            spec: base.clone(),
+            requests: vec![one, requests()[0]],
+        }],
+        expired(),
+    );
+    assert_eq!(answers[0][0], registry.try_serve(&base, one));
+    assert!(answers[0][0].is_ok());
+    assert_eq!(answers[0][1], Err(ServeError::DeadlineExceeded));
+    assert!(registry.stats().hits > hits);
+    assert!(registry.is_cached(&base));
+
+    // The same after a delta migrated the entry: the abandoned solves
+    // leave the migrated state intact, and it then serves warm —
+    // bit-identically to a fresh engine over the mutated universe.
+    let mutated = registry
+        .apply_delta(&base, &DeltaOp::Insert(Tuple::ints([100, 3])))
+        .unwrap();
+    for answer in serve(&registry, &mutated, expired()) {
+        assert_eq!(answer, Err(ServeError::DeadlineExceeded));
+    }
+    assert_eq!(registry.version_of(&mutated), Some(1));
+    let misses = registry.stats().misses;
+    assert_eq!(serve(&registry, &mutated, Deadline::none()), fresh(&mutated));
+    assert_eq!(registry.stats().misses, misses, "the migrated entry went cold");
+}
+
+/// An infeasible `k` on a resident universe under an expired deadline
+/// is the same typed infeasibility through every layer — decided from
+/// the prepared dimensions before any clock is read.
+#[test]
+fn infeasible_k_is_never_reported_as_a_timeout() {
+    let n = N as usize;
+    let too_big = EngineRequest {
+        kind: ObjectiveKind::MaxSum,
+        k: n + 1,
+    };
+    let over_budget = EngineRequest {
+        kind: ObjectiveKind::MaxMin,
+        k: BUDGET + 1,
+    };
+    let f = front();
+    let registry = f.registry();
+    let cases = [
+        (full_spec(), too_big, ServeError::InfeasibleK { k: n + 1, n }),
+        (coreset_spec(), too_big, ServeError::InfeasibleK { k: n + 1, n }),
+        (
+            coreset_spec(),
+            over_budget,
+            ServeError::ExceedsCoresetBudget {
+                k: BUDGET + 1,
+                m: BUDGET,
+                n,
+            },
+        ),
+    ];
+    for (spec, request, want) in cases {
+        let resident = registry.try_prepare(&spec).unwrap();
+        let mut scratch = SolveScratch::new();
+        assert_eq!(
+            resident.try_serve_deadline(THREADS, request, &mut scratch, expired()),
+            Err(want)
+        );
+        assert_eq!(registry.try_serve(&spec, request), Err(want));
+        let batch = [TenantBatch {
+            spec,
+            requests: vec![request, requests()[0]],
+        }];
+        let answers = registry.serve_mixed_checked_deadline(&batch, expired());
+        // Infeasible stays infeasible; only the feasible, abandoned
+        // solve beside it is a timeout.
+        assert_eq!(answers[0], [Err(want), Err(ServeError::DeadlineExceeded)]);
+    }
+
+    // The query front door, explicit-coreset mode included.
+    for (q, request, want) in [
+        (query_spec(), too_big, ServeError::InfeasibleK { k: n + 1, n }),
+        (
+            query_spec().with_coreset(CoresetSpec::with_budget(BUDGET)),
+            over_budget,
+            ServeError::ExceedsCoresetBudget {
+                k: BUDGET + 1,
+                m: BUDGET,
+                n,
+            },
+        ),
+    ] {
+        f.serve_query("main", &q, &[request]).unwrap(); // resident
+        assert_eq!(
+            f.serve_query_deadline("main", &q, &[request, requests()[0]], expired()),
+            Ok(vec![Err(want), Err(ServeError::DeadlineExceeded)])
+        );
+    }
+}

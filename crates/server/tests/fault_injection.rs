@@ -10,8 +10,12 @@ use divr_core::problem::ObjectiveKind;
 use divr_core::relevance::AttributeRelevance;
 use divr_core::Ratio;
 use divr_relquery::Tuple;
+use divr_core::Deadline;
+use divr_relquery::parser::parse_query;
+use divr_relquery::{Database, Value};
 use divr_server::{
-    FingerprintEncoder, Fingerprintable, Registry, TenantBatch, UniverseSpec,
+    CoresetSpec, DeltaOp, FingerprintEncoder, Fingerprintable, QueryError, QueryFrontDoor,
+    QuerySpec, Registry, TenantBatch, UniverseSpec,
 };
 use std::sync::Arc;
 
@@ -61,6 +65,45 @@ impl Distance for NanDistance {
 impl Fingerprintable for NanDistance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
         enc.write_tag("test:nan-distance");
+    }
+}
+
+/// Finite everywhere except against one poisoned tuple (attribute 0
+/// equal to `poison`): a universe that validates cold, then meets a
+/// non-finite row only when a delta inserts that tuple.
+#[derive(Clone, Copy, Debug)]
+struct PoisonedDistance {
+    poison: i64,
+}
+
+impl PoisonedDistance {
+    fn inner(&self) -> NumericDistance {
+        NumericDistance {
+            attr: 0,
+            fallback: Ratio::ZERO,
+        }
+    }
+}
+
+impl Distance for PoisonedDistance {
+    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+        self.inner().dist(a, b)
+    }
+
+    fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
+        let poisoned = |t: &Tuple| t.get(0) == Some(&Value::Int(self.poison));
+        if a != b && (poisoned(a) || poisoned(b)) {
+            f64::NAN
+        } else {
+            self.inner().dist_f64(a, b)
+        }
+    }
+}
+
+impl Fingerprintable for PoisonedDistance {
+    fn fingerprint(&self, enc: &mut FingerprintEncoder) {
+        enc.write_tag("test:poisoned-distance");
+        enc.write_usize(self.poison as usize);
     }
 }
 
@@ -212,7 +255,11 @@ fn empty_batches_never_touch_the_cache() {
     let spec = healthy_spec(3);
 
     // Empty request slice: no prepare, no cache traffic at all.
-    assert!(registry.serve_universe_batch(&spec, &[]).is_empty());
+    let results = registry.serve_mixed_checked(&[TenantBatch {
+        spec: spec.clone(),
+        requests: Vec::new(),
+    }]);
+    assert_eq!(results, vec![Vec::new()]);
     let stats = registry.stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
 
@@ -235,4 +282,135 @@ fn empty_batches_never_touch_the_cache() {
     assert!(results[1][0].is_ok());
     let stats = registry.stats();
     assert_eq!((stats.misses, stats.entries), (1, 1));
+}
+
+fn is_non_finite<T: std::fmt::Debug>(answer: &Result<T, ServeError>) -> bool {
+    matches!(
+        answer,
+        Err(ServeError::NonFiniteScore {
+            source: ScoreSource::Distance,
+            ..
+        })
+    )
+}
+
+/// No public registry path can make an unvalidated universe resident:
+/// a NaN-distance universe through every entry point, in every order,
+/// is always the typed refusal and never an entry.
+#[test]
+fn non_finite_universe_is_refused_through_every_entry_point_in_every_order() {
+    let request = EngineRequest {
+        kind: ObjectiveKind::MaxSum,
+        k: 4,
+    };
+    type EntryPoint = fn(&Registry, &UniverseSpec, EngineRequest) -> bool;
+    let entry_points: [EntryPoint; 4] = [
+        |registry, spec, _| is_non_finite(&registry.try_prepare(spec)),
+        |registry, spec, request| is_non_finite(&registry.try_serve(spec, request)),
+        |registry, spec, request| {
+            let batch = [TenantBatch {
+                spec: spec.clone(),
+                requests: vec![request],
+            }];
+            is_non_finite(&registry.serve_mixed_checked(&batch)[0][0])
+        },
+        |registry, spec, request| {
+            let batch = [TenantBatch {
+                spec: spec.clone(),
+                requests: vec![request],
+            }];
+            let far = Deadline::in_ms(600_000);
+            is_non_finite(&registry.serve_mixed_checked_deadline(&batch, far)[0][0])
+        },
+    ];
+    let full = hostile_spec(Arc::new(NanDistance));
+    let coreset = full.clone().with_coreset(CoresetSpec::with_budget(6));
+    for spec in [full, coreset] {
+        // Every ordering of the four entry points on one registry.
+        for order in 0..24usize {
+            let mut remaining: Vec<usize> = (0..4).collect();
+            let registry = Registry::default();
+            let mut code = order;
+            for radix in (1..=4).rev() {
+                let which = remaining.remove(code % radix);
+                code /= radix;
+                assert!(
+                    entry_points[which](&registry, &spec, request),
+                    "order {order}: entry point {which} did not refuse"
+                );
+                assert_eq!(registry.stats().entries, 0, "order {order}");
+            }
+        }
+    }
+}
+
+/// The delta paths validate the row they append: a tuple whose scores
+/// are non-finite drops the warm entry to cold, and the next serve
+/// gets the typed refusal from the checked prepare.
+#[test]
+fn non_finite_delta_row_drops_the_entry_to_cold() {
+    let request = EngineRequest {
+        kind: ObjectiveKind::MaxMin,
+        k: 3,
+    };
+    let poison = 1_000;
+    let base = hostile_spec(Arc::new(PoisonedDistance { poison }));
+    let insert = DeltaOp::Insert(Tuple::ints([poison, 1]));
+
+    for spec in [
+        base.clone(),
+        base.clone().with_coreset(CoresetSpec::with_budget(6)),
+    ] {
+        let registry = Registry::default();
+        assert!(registry.try_serve(&spec, request).is_ok());
+        assert_eq!(registry.stats().entries, 1);
+        let mutated = registry.apply_delta(&spec, &insert).unwrap();
+        assert_eq!(registry.stats().entries, 0);
+        assert!(is_non_finite(&registry.try_serve(&mutated, request)));
+        assert_eq!(registry.stats().entries, 0);
+    }
+
+    // The query front door's base-table insert, full and coreset.
+    let rel = Arc::new(AttributeRelevance {
+        attr: 1,
+        default: Ratio::ZERO,
+    });
+    let query = |coreset: Option<CoresetSpec>| {
+        let q = QuerySpec::new(
+            parse_query("Q(x, y) :- R(x, y)").unwrap(),
+            rel.clone(),
+            Arc::new(PoisonedDistance { poison }),
+            Ratio::new(1, 2),
+        )
+        .unwrap();
+        match coreset {
+            Some(mode) => q.with_coreset(mode),
+            None => q,
+        }
+    };
+    for q in [query(None), query(Some(CoresetSpec::with_budget(6)))] {
+        let mut db = Database::new();
+        db.create_relation("R", &["x", "y"]).unwrap();
+        for i in 0..10 {
+            db.insert("R", vec![Value::int(i), Value::int(i % 4)]).unwrap();
+        }
+        let front = QueryFrontDoor::new(Arc::new(Registry::default()));
+        front.register_database("main", db);
+        assert!(front.serve_query("main", &q, &[request]).unwrap()[0].is_ok());
+        assert!(front.is_warm("main", &q).unwrap());
+        assert!(front
+            .insert_base_tuple("main", "R", vec![Value::int(poison), Value::int(1)])
+            .unwrap());
+        assert!(!front.is_warm("main", &q).unwrap());
+        assert_eq!(front.registry().stats().entries, 0);
+        let refused = front.serve_query("main", &q, &[request]);
+        assert!(
+            matches!(
+                refused,
+                Err(QueryError::Serve(ServeError::NonFiniteScore { .. }))
+            ),
+            "{refused:?}"
+        );
+        assert_eq!(front.registry().stats().entries, 0);
+    }
 }

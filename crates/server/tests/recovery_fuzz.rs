@@ -141,7 +141,7 @@ fn build_tape(dir: &Path) {
 
     // A universe-keyed entry and a delta migration ride the same WAL.
     let us = uspec();
-    registry.prepare(&us);
+    registry.try_prepare(&us).unwrap();
     let us2 = registry
         .apply_delta(&us, &DeltaOp::Insert(Tuple::ints([99, 3])))
         .unwrap();

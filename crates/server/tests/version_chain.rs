@@ -170,7 +170,7 @@ proptest! {
             workers: 1,
             solve_threads: 1,
         });
-        registry.prepare(&base);
+        registry.try_prepare(&base).unwrap();
         prop_assert_eq!(registry.version_of(&base), Some(0));
 
         let mut spec = base;
@@ -188,8 +188,8 @@ proptest! {
             prop_assert!(registry.is_cached(&flat));
 
             // Bit-identical matrix and answers vs a cold prepare.
-            let migrated = registry.prepare(&flat);
-            let cold = flat.prepare_variant(1);
+            let migrated = registry.try_prepare(&flat).unwrap();
+            let cold = flat.try_prepare_variant(1).unwrap();
             prop_assert_eq!(
                 matrix_bits_full(&migrated),
                 matrix_bits_full(&cold),
@@ -199,8 +199,8 @@ proptest! {
             let engine = Engine::from_prepared(cold.as_full().unwrap().clone(), 1);
             for req in requests_for(ids.len()) {
                 prop_assert_eq!(
-                    registry.serve(&spec, req),
-                    engine.serve(req),
+                    registry.try_serve(&spec, req),
+                    engine.try_serve(req),
                     "step {} {:?}: answers diverged",
                     step,
                     req
@@ -223,14 +223,14 @@ proptest! {
             workers: 1,
             solve_threads: 1,
         });
-        registry.prepare(&base);
+        registry.try_prepare(&base).unwrap();
 
         let mut spec = base;
         let mut log_bytes = 0usize;
         for (op, _) in realize_ops(&raw) {
             spec = registry.apply_delta(&spec, &op).expect("ops realized in range");
             log_bytes += op.approx_bytes();
-            let resident = registry.prepare(&spec); // hit: same Arc the entry holds
+            let resident = registry.try_prepare(&spec).unwrap(); // hit: same Arc the entry holds
             prop_assert_eq!(
                 registry.stats().bytes,
                 resident.approx_bytes() + log_bytes,
@@ -254,7 +254,7 @@ proptest! {
             workers: 1,
             solve_threads: 1,
         });
-        registry.prepare(&base);
+        registry.try_prepare(&base).unwrap();
         let mut spec = base;
         let mut steps = 0u64;
         for (op, _) in realize_ops(&raw) {
@@ -265,21 +265,21 @@ proptest! {
         prop_assert_eq!(registry.version_of(&spec), Some(steps));
         let warm_answers: Vec<_> = requests_for(spec.universe().len())
             .into_iter()
-            .map(|req| registry.serve(&spec, req))
+            .map(|req| registry.try_serve(&spec, req))
             .collect();
 
         // Insert an unrelated universe: the 1-byte budget evicts the chain.
         let other_scores = scores_of(&other);
         let other_spec = spec_of(&other_scores, &(0..other.n0).collect::<Vec<_>>());
         prop_assume!(other_spec.key() != spec.key());
-        registry.prepare(&other_spec);
+        registry.try_prepare(&other_spec).unwrap();
         prop_assert!(!registry.is_cached(&spec));
         prop_assert_eq!(registry.version_of(&spec), None);
 
         // Rebuild: cold, version 0, same answers.
         let cold_answers: Vec<_> = requests_for(spec.universe().len())
             .into_iter()
-            .map(|req| registry.serve(&spec, req))
+            .map(|req| registry.try_serve(&spec, req))
             .collect();
         prop_assert_eq!(registry.version_of(&spec), Some(0));
         prop_assert_eq!(warm_answers, cold_answers, "rebuild diverged from the chain");
@@ -307,7 +307,7 @@ fn cold_apply_delta_touches_no_cache_state() {
     assert!(!registry.is_cached(&mutated));
     assert_eq!(registry.version_of(&mutated), None);
     assert_eq!(registry.stats().entries, 0);
-    registry.prepare(&mutated);
+    registry.try_prepare(&mutated).unwrap();
     assert_eq!(registry.version_of(&mutated), Some(0));
     assert_eq!(registry.stats().misses, 1);
 }
@@ -326,7 +326,7 @@ fn bad_remove_is_typed_and_leaves_entry_alone() {
     let scores = scores_of(&raw);
     let base = spec_of(&scores, &[0, 1, 2, 3]);
     let registry = Registry::default();
-    registry.prepare(&base);
+    registry.try_prepare(&base).unwrap();
     assert_eq!(
         registry.apply_delta(&base, &DeltaOp::Remove(4)).err(),
         Some(DeltaError::IndexOutOfRange { index: 4, n: 4 })
@@ -353,7 +353,7 @@ fn coreset_chain_reconverges_and_shrink_is_typed() {
     let base = spec_of(&scores, &(0..8).collect::<Vec<_>>())
         .with_coreset(CoresetSpec::with_budget(5));
     let registry = Registry::default();
-    registry.prepare(&base);
+    registry.try_prepare(&base).unwrap();
 
     let mutated = registry
         .apply_delta(&base, &DeltaOp::Remove(0))
@@ -361,11 +361,11 @@ fn coreset_chain_reconverges_and_shrink_is_typed() {
     assert_eq!(registry.version_of(&mutated), Some(1));
     // Cold-equivalence: the migrated coreset entry answers exactly like
     // a fresh prepare of the mutated spec.
-    let cold = mutated.prepare_variant(1);
+    let cold = mutated.try_prepare_variant(1).unwrap();
     for req in requests_for(5) {
         assert_eq!(
-            registry.serve(&mutated, req),
-            cold.try_serve(1, req).ok(),
+            registry.try_serve(&mutated, req),
+            cold.try_serve(1, req),
             "coreset migration diverged on {req:?}"
         );
     }

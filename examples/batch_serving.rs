@@ -9,7 +9,7 @@
 //! request from the same matrix, with results guaranteed to match the
 //! exact `Ratio`-path heuristics up to equal-score ties.
 
-use divr::core::engine::EngineRequest;
+use divr::core::engine::{EngineRequest, SolveScratch};
 use divr::core::prelude::*;
 use divr::relquery::{parser, Database, Value};
 use rand::rngs::StdRng;
@@ -58,7 +58,7 @@ fn main() {
     );
 
     // Serve a mixed batch: three objectives × three page sizes, plus
-    // one infeasible request to show the None path.
+    // one infeasible request to show the typed-error path.
     let mut requests: Vec<EngineRequest> = ObjectiveKind::ALL
         .into_iter()
         .flat_map(|kind| [5usize, 10, 25].map(|k| EngineRequest { kind, k }))
@@ -69,12 +69,21 @@ fn main() {
     });
 
     let t1 = Instant::now();
-    let answers = engine.serve_batch(&requests);
+    let mut scratch = SolveScratch::new();
+    let answers: Vec<_> = requests
+        .iter()
+        .map(|&req| {
+            let mut set = Vec::new();
+            engine
+                .serve_into(req, &mut scratch, &mut set)
+                .map(|value| (value, set))
+        })
+        .collect();
     let elapsed = t1.elapsed();
 
     for (req, ans) in requests.iter().zip(&answers) {
         match ans {
-            Some((value, set)) => {
+            Ok((value, set)) => {
                 let ids: Vec<i64> = set
                     .iter()
                     .take(6)
@@ -89,11 +98,7 @@ fn main() {
                     if set.len() > 6 { " …" } else { "" }
                 );
             }
-            None => println!(
-                "{:<7} k={:<7} infeasible: |Q(D)| < k",
-                req.kind.to_string(),
-                req.k
-            ),
+            Err(e) => println!("{:<7} k={:<7} {e}", req.kind.to_string(), req.k),
         }
     }
     println!(

@@ -57,7 +57,7 @@ fn main() {
     );
     for kind in ObjectiveKind::ALL {
         let t = Instant::now();
-        let (value, set) = engine.serve(EngineRequest { kind, k: K }).unwrap();
+        let (value, set) = engine.try_serve(EngineRequest { kind, k: K }).unwrap();
         println!(
             "  {kind}: F = {value} in {:.2?}, picked {:?}…",
             t.elapsed(),
@@ -97,7 +97,7 @@ fn main() {
     ];
     for pass in ["cold", "warm"] {
         let t = Instant::now();
-        let answers = registry.serve_mixed(&batch);
+        let answers = registry.serve_mixed_checked(&batch);
         println!(
             "registry mixed batch ({pass}): {} answers in {:.2?}",
             answers.iter().map(|a| a.len()).sum::<usize>(),

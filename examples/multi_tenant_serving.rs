@@ -16,7 +16,7 @@ use divr::core::distance::NumericDistance;
 use divr::core::engine::EngineRequest;
 use divr::core::prelude::*;
 use divr::relquery::Tuple;
-use divr::server::{Answer, Registry, RegistryConfig, TenantBatch, UniverseSpec};
+use divr::server::{CheckedAnswer, Registry, RegistryConfig, TenantBatch, UniverseSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -94,7 +94,7 @@ fn main() {
 
     println!("— burst 1: cold cache —");
     let t = Instant::now();
-    let answers = registry.serve_mixed(&burst);
+    let answers = registry.serve_mixed_checked(&burst);
     let cold = t.elapsed();
     report(&answers, cold);
     let s = registry.stats();
@@ -108,7 +108,7 @@ fn main() {
 
     println!("— burst 2: identical traffic, warm cache —");
     let t = Instant::now();
-    let answers = registry.serve_mixed(&burst);
+    let answers = registry.serve_mixed_checked(&burst);
     let warm = t.elapsed();
     report(&answers, warm);
     let s = registry.stats();
@@ -120,7 +120,7 @@ fn main() {
     );
 }
 
-fn report(answers: &[Vec<Answer>], took: std::time::Duration) {
+fn report(answers: &[Vec<CheckedAnswer>], took: std::time::Duration) {
     let served: usize = answers.iter().map(|a| a.len()).sum();
     println!("   served {served} requests in {took:.2?}");
     for (t, tenant) in answers.iter().enumerate() {

@@ -22,7 +22,7 @@
 //!     &CoresetConfig::recommended(5),
 //! );
 //! let (value, set) = engine
-//!     .serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 5 })
+//!     .try_serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 5 })
 //!     .unwrap();
 //! assert_eq!(set.len(), 5);
 //! assert!(value > Ratio::ZERO);

@@ -148,8 +148,8 @@ proptest! {
         let cs = coreset_engine(&inst, raw.n + extra);
         for kind in ObjectiveKind::ALL {
             let req = EngineRequest { kind, k };
-            let (fv, fset) = full.serve(req).expect("k ≤ n");
-            let (cv, cset) = cs.serve(req).expect("k ≤ n ≤ budget");
+            let (fv, fset) = full.try_serve(req).expect("k ≤ n");
+            let (cv, cset) = cs.try_serve(req).expect("k ≤ n ≤ budget");
             prop_assert_eq!(&fset, &cset, "{} k={}: index sets diverged", kind, k);
             prop_assert_eq!(fv, cv, "{} k={}: values diverged", kind, k);
         }
@@ -168,8 +168,8 @@ proptest! {
         let cs = coreset_engine(&inst, (4 * k).max(16));
         for kind in ObjectiveKind::ALL {
             let req = EngineRequest { kind, k };
-            let (ev, _) = full.serve(req).expect("k ≤ n");
-            let (cv, cset) = cs.serve(req).expect("k ≤ budget ≤ n");
+            let (ev, _) = full.try_serve(req).expect("k ≤ n");
+            let (cv, cset) = cs.try_serve(req).expect("k ≤ budget ≤ n");
             prop_assert_eq!(cset.len(), k);
             let mut dedup = cset.clone();
             dedup.dedup();
@@ -217,8 +217,8 @@ proptest! {
         let full = full_engine(&inst);
         for kind in ObjectiveKind::ALL {
             let req = EngineRequest { kind, k };
-            let (ev, _) = full.serve(req).expect("k ≤ n");
-            let (sv, sset) = streamed.serve(req).expect("k ≤ budget");
+            let (ev, _) = full.try_serve(req).expect("k ≤ n");
+            let (sv, sset) = streamed.try_serve(req).expect("k ≤ budget");
             prop_assert_eq!(sset.len(), k);
             let mut dedup = sset.clone();
             dedup.sort_unstable();
@@ -264,16 +264,16 @@ proptest! {
         let cs = coreset_engine(&inst, budget);
         // Two passes: cold (misses) then warm (hits) must agree.
         for pass in 0..2 {
-            let answers = registry.serve_mixed(&batch);
+            let answers = registry.serve_mixed_checked(&batch);
             for (r, req) in requests.iter().enumerate() {
                 prop_assert_eq!(
                     &answers[0][r],
-                    &full.serve(*req),
+                    &full.try_serve(*req),
                     "full tenant diverged (pass {}, {:?})", pass, req
                 );
                 prop_assert_eq!(
                     &answers[1][r],
-                    &cs.serve(*req),
+                    &cs.try_serve(*req),
                     "coreset tenant diverged (pass {}, {:?})", pass, req
                 );
             }
@@ -305,8 +305,8 @@ fn measured_factor_report() {
         let cs = coreset_engine(&inst, (4 * k).max(16));
         for (i, kind) in ObjectiveKind::ALL.into_iter().enumerate() {
             let req = EngineRequest { kind, k };
-            let (ev, _) = full.serve(req).unwrap();
-            let (cv, _) = cs.serve(req).unwrap();
+            let (ev, _) = full.try_serve(req).unwrap();
+            let (cv, _) = cs.try_serve(req).unwrap();
             let ratio = if cv.is_zero() {
                 if ev.is_zero() { 1.0 } else { f64::INFINITY }
             } else {

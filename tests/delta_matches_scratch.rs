@@ -25,7 +25,7 @@
 //! float noise.
 
 use divr::core::distance::TableDistance;
-use divr::core::engine::{DeltaError, Engine, EngineRequest, PreparedUniverse};
+use divr::core::engine::{DeltaError, Engine, EngineRequest, PreparedUniverse, ServeError};
 use divr::core::prelude::*;
 use divr::core::relevance::TableRelevance;
 use divr::core::Ratio;
@@ -142,14 +142,14 @@ fn warm_and_serve(
     ks: &[usize],
 ) -> (
     PreparedUniverse<'static>,
-    Vec<(ObjectiveKind, usize, Option<(Ratio, Vec<usize>)>)>,
+    Vec<(ObjectiveKind, usize, Result<(Ratio, Vec<usize>), ServeError>)>,
 ) {
     let arc = Arc::new(prepared);
     let engine = Engine::from_prepared(arc.clone(), 1);
     let mut answers = Vec::new();
     for kind in ObjectiveKind::ALL {
         for &k in ks {
-            answers.push((kind, k, engine.serve(EngineRequest { kind, k })));
+            answers.push((kind, k, engine.try_serve(EngineRequest { kind, k })));
         }
     }
     drop(engine);

@@ -7,7 +7,7 @@
 //! rule decides.
 
 use divr::core::distance::TableDistance;
-use divr::core::engine::{Engine, EngineRequest};
+use divr::core::engine::{Engine, EngineRequest, SolveScratch};
 use divr::core::prelude::*;
 use divr::core::relevance::TableRelevance;
 use divr::core::solvers::mono;
@@ -148,8 +148,10 @@ proptest! {
             .into_iter()
             .map(|kind| EngineRequest { kind, k: raw.k })
             .collect();
-        for (req, ans) in reqs.iter().zip(e.serve_batch(&reqs)) {
-            let (v, set) = ans.unwrap();
+        let mut scratch = SolveScratch::new();
+        for req in &reqs {
+            let mut set = Vec::new();
+            let v = e.serve_into(*req, &mut scratch, &mut set).unwrap();
             prop_assert_eq!(set.len(), raw.k);
             prop_assert_eq!(e.objective_exact(req.kind, &set), v);
         }

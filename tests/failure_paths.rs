@@ -146,7 +146,6 @@ fn k_above_n_after_removals_is_a_typed_error_not_a_panic() {
         kind: ObjectiveKind::MaxMin,
         k: 4,
     };
-    assert!(engine.serve(req).is_none());
     assert_eq!(
         engine.try_serve(req),
         Err(ServeError::InfeasibleK { k: 4, n: 3 })
@@ -156,7 +155,7 @@ fn k_above_n_after_removals_is_a_typed_error_not_a_panic() {
     // same typed error, never a panic.
     let registry = Registry::default();
     let mut spec = UniverseSpec::new(universe, Arc::new(rel), Arc::new(dis), Ratio::new(1, 2));
-    registry.prepare(&spec);
+    registry.try_prepare(&spec).unwrap();
     spec = registry.apply_delta(&spec, &DeltaOp::Remove(0)).unwrap();
     spec = registry.apply_delta(&spec, &DeltaOp::Remove(0)).unwrap();
     assert_eq!(

@@ -205,7 +205,7 @@ fn heap_preamble_builds_at_most_once_under_concurrency() {
                 scope.spawn(move || {
                     let engine = Engine::from_prepared(prepared, 1);
                     engine
-                        .serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 7 })
+                        .try_serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 7 })
                         .expect("feasible")
                 })
             })
@@ -222,7 +222,7 @@ fn heap_preamble_builds_at_most_once_under_concurrency() {
     }
     // A fresh engine over the same prepared state reuses the preamble.
     let again = Engine::from_prepared(prepared.clone(), 2)
-        .serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 7 })
+        .try_serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 7 })
         .unwrap();
     assert_eq!(again, answers[0]);
     assert_eq!(prepared.ms_preamble_builds(), 1);
@@ -245,7 +245,7 @@ fn one_scratch_across_mixed_universes_is_stateless()  {
                 let via_scratch = e
                     .serve_into(EngineRequest { kind, k }, &mut scratch, &mut out)
                     .map(|v| (v, out.clone()));
-                let fresh = e.serve(EngineRequest { kind, k });
+                let fresh = e.try_serve(EngineRequest { kind, k });
                 assert_eq!(via_scratch, fresh, "n={n} {kind} k={k}");
             }
         }

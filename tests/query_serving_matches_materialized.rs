@@ -146,7 +146,10 @@ fn oracle_answers(
         lambda,
     );
     let registry = Registry::default();
-    requests.iter().map(|&r| registry.serve(&spec, r)).collect()
+    requests
+        .iter()
+        .map(|&r| registry.try_serve(&spec, r).ok())
+        .collect()
 }
 
 /// Asserts the front door's checked answers equal the oracle's

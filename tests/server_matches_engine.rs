@@ -112,7 +112,7 @@ fn assert_matches(
     spec: &UniverseSpec,
     req: EngineRequest,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let want = oracle_engine(spec).serve(req);
+    let want = oracle_engine(spec).try_serve(req).ok();
     match (got, &want) {
         (None, None) => {}
         (Some((gv, gs)), Some((wv, ws))) => {
@@ -149,12 +149,12 @@ proptest! {
         // Serve the same batch twice: first pass exercises misses, the
         // second pass hits the cached prepared universes.
         for pass in 0..2 {
-            let answers = registry.serve_mixed(&batch);
+            let answers = registry.serve_mixed_checked(&batch);
             prop_assert_eq!(answers.len(), batch.len(), "pass {}", pass);
             for (tenant, tenant_answers) in raw.tenants.iter().zip(&answers) {
                 let &(u, obj, k) = tenant;
                 prop_assert_eq!(tenant_answers.len(), 1);
-                assert_matches(&tenant_answers[0], &specs[u], request_of(obj, k))?;
+                assert_matches(&tenant_answers[0].clone().ok(), &specs[u], request_of(obj, k))?;
             }
         }
         // Distinct universe contents were each prepared exactly once.
@@ -188,7 +188,7 @@ proptest! {
         for round in 0..2 {
             for (spec, obj) in [(&spec_a, round), (&spec_b, round + 1)] {
                 let req = request_of(obj, k);
-                let got = registry.serve(spec, req);
+                let got = registry.try_serve(spec, req).ok();
                 assert_matches(&got, spec, req)?;
             }
         }
@@ -230,8 +230,8 @@ proptest! {
         let p = DiversityProblem::from_prepared(&prepared, k);
         for kind in ObjectiveKind::ALL {
             let req = EngineRequest { kind, k };
-            let cold = registry.serve(&spec, req);
-            let warm = registry.serve(&spec, req);
+            let cold = registry.try_serve(&spec, req).ok();
+            let warm = registry.try_serve(&spec, req).ok();
             prop_assert_eq!(&cold, &warm);
             assert_matches(&cold, &spec, req)?;
             let sequential = match kind {
