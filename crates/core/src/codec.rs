@@ -1,15 +1,15 @@
 //! Canonical binary codecs: the byte vocabulary durability speaks.
 //!
-//! The serving registry already has an injective canonical encoding —
-//! the fingerprint bytes that content-address every cache entry. This
-//! module makes that vocabulary *decodable*: a [`ByteWriter`] that
-//! emits exactly the fingerprint primitives (little-endian fixed-width
-//! integers, length-prefixed strings, tag-byte-discriminated values,
-//! arity-prefixed tuples) and a [`ByteReader`] that parses them back
-//! without ever panicking — every read returns a typed [`CodecError`]
-//! on truncated or malformed input, because the reader's job is to
-//! survive torn write-ahead-log tails and corrupted snapshots, not to
-//! trust them.
+//! The serving registry content-addresses every cache entry by an
+//! injective canonical encoding. This module is that vocabulary, in
+//! both directions: a [`ByteWriter`] — the registry's key encoder and
+//! the durable formats' record encoder are this one type — that emits
+//! the primitives (little-endian fixed-width integers, length-prefixed
+//! strings, tag-byte-discriminated values, arity-prefixed tuples) and
+//! a [`ByteReader`] that parses them back without ever panicking —
+//! every read returns a typed [`CodecError`] on truncated or malformed
+//! input, because the reader's job is to survive torn write-ahead-log
+//! tails and corrupted snapshots, not to trust them.
 //!
 //! A hand-rolled CRC-32 (IEEE 802.3, the zlib polynomial) rides along
 //! for framing: durability stores every record as
@@ -72,10 +72,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Accumulates the canonical binary encoding. The byte layout of every
-/// primitive matches the registry's fingerprint encoder, so fingerprint
-/// bytes (oracle configurations in particular) parse with the same
-/// [`ByteReader`].
+/// Accumulates the canonical binary encoding. The registry's cache
+/// keys are written with this type too, so fingerprint bytes (oracle
+/// configurations in particular) parse with the same [`ByteReader`].
 #[derive(Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -112,7 +111,7 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// A length or index (as `u64`, matching the fingerprint encoder).
+    /// A length or index (as `u64`).
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }

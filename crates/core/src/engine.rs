@@ -844,6 +844,25 @@ pub enum DeltaOp {
 }
 
 impl DeltaOp {
+    /// Replays this op on a plain tuple sequence (`push` /
+    /// `swap_remove`) — the flat universe every delta-patched prepared
+    /// state must stay byte-identical to.
+    pub fn apply_to(&self, universe: &mut Vec<Tuple>) -> Result<(), DeltaError> {
+        match self {
+            DeltaOp::Insert(tuple) => universe.push(tuple.clone()),
+            DeltaOp::Remove(index) => {
+                if *index >= universe.len() {
+                    return Err(DeltaError::IndexOutOfRange {
+                        index: *index,
+                        n: universe.len(),
+                    });
+                }
+                universe.swap_remove(*index);
+            }
+        }
+        Ok(())
+    }
+
     /// Heap estimate for delta-log byte metering (same tuple formula as
     /// every other metering path, so logged inserts and cached tuples
     /// are charged comparably).

@@ -15,8 +15,8 @@ use crate::coreset::{
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::{
-    default_threads, Engine, EngineRequest, PreparedUniverse, ServeError, SharedPrepared,
-    SolveScratch,
+    default_threads, DeltaOp, Engine, EngineRequest, PreparedUniverse, ServeError,
+    SharedPrepared, SolveScratch,
 };
 use crate::problem::{DiversityProblem, ObjectiveKind};
 use crate::ratio::Ratio;
@@ -145,6 +145,56 @@ impl PreparedVariant {
         match self {
             PreparedVariant::Full(p) => p.check_finite(),
             PreparedVariant::Coreset(p) => p.check_finite(),
+        }
+    }
+
+    /// Applies `ops` to this prepared state in place — the one delta
+    /// step behind every warm-entry migration (the registry's
+    /// `apply_delta`, the query front door's base-edit repair, and
+    /// recovery's replay of a delta tail). `rel` scores inserted
+    /// tuples. `None` means the state cannot be patched and the caller
+    /// goes cold (drops the entry; the next serve re-prepares):
+    ///
+    /// * an appended row with a non-finite score — the resident state
+    ///   was validated when it was built, so only the new row can be
+    ///   bad, and it is checked as it lands (`O(n)`, not a rescan);
+    /// * a coreset that is still shared (it has no `O(1)` fork) or is
+    ///   asked to remove — it cannot un-derive a departed tuple's
+    ///   contributions, and extending its insertion stream *is* its
+    ///   repair;
+    /// * a removal index outside the universe.
+    ///
+    /// A shared full-matrix state is forked first: solves in flight
+    /// keep the old immutable state, the copy is patched. The patched
+    /// full-matrix state is bit-identical to a cold prepare of the
+    /// mutated universe ([`PreparedUniverse::insert_tuple`]).
+    pub fn patch(self, ops: &[DeltaOp], rel: &dyn Relevance) -> Option<PreparedVariant> {
+        if ops.is_empty() {
+            return Some(self);
+        }
+        match self {
+            PreparedVariant::Full(arc) => {
+                let mut p = Arc::try_unwrap(arc).unwrap_or_else(|shared| shared.fork());
+                for op in ops {
+                    match op {
+                        DeltaOp::Insert(t) => {
+                            p.insert_tuple(t.clone(), rel.rel(t));
+                            p.check_finite_item(p.n() - 1).ok()?;
+                        }
+                        DeltaOp::Remove(i) => drop(p.remove_tuple(*i).ok()?),
+                    }
+                }
+                Some(PreparedVariant::Full(Arc::new(p)))
+            }
+            PreparedVariant::Coreset(arc) => {
+                let mut p = Arc::try_unwrap(arc).ok()?;
+                for op in ops {
+                    let DeltaOp::Insert(t) = op else { return None };
+                    p.insert_tuple(t.clone(), rel.rel(t));
+                    p.check_finite_item(p.n() - 1).ok()?;
+                }
+                Some(PreparedVariant::Coreset(Arc::new(p)))
+            }
         }
     }
 

@@ -501,7 +501,7 @@ mod tests {
         }
         impl Fingerprintable for NanDistance {
             fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-                enc.write_tag("test:nan-distance");
+                enc.write_str("test:nan-distance");
             }
         }
 

@@ -22,112 +22,21 @@
 use divr_core::distance::{ConstantDistance, HammingDistance, NumericDistance, TableDistance};
 use divr_core::relevance::{AttributeRelevance, ConstantRelevance, TableRelevance};
 use divr_core::Ratio;
-use divr_relquery::{Tuple, Value};
+use divr_relquery::Tuple;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 const FNV128_OFFSET: u128 = 0x6C62_272E_07BB_0142_62B8_2175_6295_C58D;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
 
-/// Accumulates a canonical byte encoding plus a running 128-bit FNV-1a
-/// digest of the same bytes.
-#[derive(Default)]
-pub struct FingerprintEncoder {
-    bytes: Vec<u8>,
-    digest: u128,
-}
-
-impl FingerprintEncoder {
-    /// A fresh encoder.
-    pub fn new() -> Self {
-        FingerprintEncoder {
-            bytes: Vec::new(),
-            digest: FNV128_OFFSET,
-        }
-    }
-
-    fn push(&mut self, chunk: &[u8]) {
-        for &b in chunk {
-            self.digest ^= u128::from(b);
-            self.digest = self.digest.wrapping_mul(FNV128_PRIME);
-        }
-        self.bytes.extend_from_slice(chunk);
-    }
-
-    /// A type/section tag (length-prefixed, so tags can never bleed
-    /// into adjacent fields).
-    pub fn write_tag(&mut self, tag: &str) {
-        self.write_usize(tag.len());
-        self.push(tag.as_bytes());
-    }
-
-    /// A length or index.
-    pub fn write_usize(&mut self, v: usize) {
-        self.push(&(v as u64).to_le_bytes());
-    }
-
-    /// A signed 64-bit integer.
-    pub fn write_i64(&mut self, v: i64) {
-        self.push(&v.to_le_bytes());
-    }
-
-    /// A signed 128-bit integer.
-    pub fn write_i128(&mut self, v: i128) {
-        self.push(&v.to_le_bytes());
-    }
-
-    /// An exact rational: reduced numerator then denominator — `Ratio`
-    /// stores a unique reduced form, so equal rationals encode
-    /// identically and unequal ones differ.
-    pub fn write_ratio(&mut self, r: Ratio) {
-        self.write_i128(r.numerator());
-        self.write_i128(r.denominator());
-    }
-
-    /// A string (length-prefixed).
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.push(s.as_bytes());
-    }
-
-    /// A raw byte string (length-prefixed) — for embedding an already
-    /// canonical encoding, e.g. a
-    /// [`CanonicalQuery`](divr_relquery::CanonicalQuery)'s key bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        self.write_usize(bytes.len());
-        self.push(bytes);
-    }
-
-    /// An attribute value, tagged by sort.
-    pub fn write_value(&mut self, v: &Value) {
-        match v {
-            Value::Int(i) => {
-                self.push(&[0]);
-                self.write_i64(*i);
-            }
-            Value::Str(s) => {
-                self.push(&[1]);
-                self.write_str(s);
-            }
-        }
-    }
-
-    /// A tuple (arity-prefixed).
-    pub fn write_tuple(&mut self, t: &Tuple) {
-        self.write_usize(t.arity());
-        for v in t.iter() {
-            self.write_value(v);
-        }
-    }
-
-    /// Finishes into a cache key.
-    pub fn into_key(self) -> UniverseKey {
-        UniverseKey {
-            digest: self.digest,
-            bytes: Arc::from(self.bytes.into_boxed_slice()),
-        }
-    }
-}
+/// The key encoder *is* the workspace's canonical byte writer: cache
+/// keys and the durable formats share one vocabulary (length-prefixed
+/// strings and tags, little-endian fixed-width integers, sort-tagged
+/// values, arity-prefixed tuples), which is what lets the persist
+/// codec parse fingerprint bytes back with
+/// [`ByteReader`](divr_core::ByteReader). Finish a key with
+/// [`UniverseKey::from_bytes`].
+pub type FingerprintEncoder = divr_core::ByteWriter;
 
 /// A registry cache key: the canonical content encoding (authoritative
 /// for equality) plus its 128-bit digest (used for hashing and shard
@@ -139,9 +48,10 @@ pub struct UniverseKey {
 }
 
 impl UniverseKey {
-    /// Rebuilds a key from its canonical content encoding (recomputing
-    /// the FNV-1a digest) — the durability layer's path from persisted
-    /// key bytes back to a live cache key. For any key,
+    /// The key for a canonical content encoding (one FNV-1a pass for
+    /// the digest, one copy into the shared bytes) — how every encoder
+    /// finishes, and the durability layer's path from persisted key
+    /// bytes back to a live cache key. For any key,
     /// `UniverseKey::from_bytes(key.bytes()) == key`.
     pub fn from_bytes(bytes: &[u8]) -> UniverseKey {
         let mut digest = FNV128_OFFSET;
@@ -151,7 +61,7 @@ impl UniverseKey {
         }
         UniverseKey {
             digest,
-            bytes: Arc::from(bytes.to_vec().into_boxed_slice()),
+            bytes: Arc::from(bytes),
         }
     }
 
@@ -190,14 +100,14 @@ pub trait Fingerprintable {
 
 impl Fingerprintable for ConstantRelevance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("rel:const");
+        enc.write_str("rel:const");
         enc.write_ratio(self.0);
     }
 }
 
 impl Fingerprintable for AttributeRelevance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("rel:attr");
+        enc.write_str("rel:attr");
         enc.write_usize(self.attr);
         enc.write_ratio(self.default);
     }
@@ -205,7 +115,7 @@ impl Fingerprintable for AttributeRelevance {
 
 impl Fingerprintable for TableRelevance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("rel:table");
+        enc.write_str("rel:table");
         enc.write_ratio(self.default_value());
         let mut entries: Vec<(&Tuple, Ratio)> = self.entries().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
@@ -219,14 +129,14 @@ impl Fingerprintable for TableRelevance {
 
 impl Fingerprintable for ConstantDistance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("dis:const");
+        enc.write_str("dis:const");
         enc.write_ratio(self.0);
     }
 }
 
 impl Fingerprintable for NumericDistance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("dis:numeric");
+        enc.write_str("dis:numeric");
         enc.write_usize(self.attr);
         enc.write_ratio(self.fallback);
     }
@@ -234,14 +144,14 @@ impl Fingerprintable for NumericDistance {
 
 impl Fingerprintable for HammingDistance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("dis:hamming");
+        enc.write_str("dis:hamming");
         enc.write_ratio(self.weight);
     }
 }
 
 impl Fingerprintable for TableDistance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("dis:table");
+        enc.write_str("dis:table");
         enc.write_ratio(self.default_value());
         let mut entries: Vec<(&(Tuple, Tuple), Ratio)> = self.entries().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
@@ -257,11 +167,12 @@ impl Fingerprintable for TableDistance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use divr_relquery::Value;
 
     fn key_of(f: impl Fn(&mut FingerprintEncoder)) -> UniverseKey {
         let mut enc = FingerprintEncoder::new();
         f(&mut enc);
-        enc.into_key()
+        UniverseKey::from_bytes(enc.bytes())
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   byte-budgeted LRU ([`cache`]): a hit skips relevance evaluation
 //!   and matrix construction entirely and goes straight to the
 //!   parallel solve rounds;
-//! * [`Registry::serve_mixed_checked`] schedules interleaved batches
-//!   from many tenants over work-stealing worker threads, preparing
-//!   each distinct universe exactly once per batch;
+//! * [`Registry::serve_mixed_checked`] runs interleaved batches from
+//!   many tenants as two steps of one claim loop (resolve each distinct
+//!   universe exactly once, then solve every request), with the
+//!   caller's thread as the first worker;
 //! * universes too large for any `n × n` matrix opt into **coreset
 //!   mode** ([`UniverseSpec::with_coreset`]): preparation selects
 //!   `m ≪ n` representatives in `O(n·m)` ([`divr_core::coreset`]),

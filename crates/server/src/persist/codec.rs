@@ -40,7 +40,7 @@ pub struct Unpersistable;
 fn fingerprint_bytes(f: impl FnOnce(&mut FingerprintEncoder)) -> Vec<u8> {
     let mut enc = FingerprintEncoder::new();
     f(&mut enc);
-    enc.into_key().bytes().to_vec()
+    enc.into_bytes()
 }
 
 /// Rebuilds a relevance oracle from its fingerprint bytes. The
@@ -573,7 +573,7 @@ mod tests {
         }
         impl Fingerprintable for Alien {
             fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-                enc.write_tag("rel:alien");
+                enc.write_str("rel:alien");
             }
         }
         let spec = UniverseSpec::new(tuples(3), Arc::new(Alien), dis(), Ratio::new(1, 2));
@@ -653,5 +653,104 @@ mod tests {
         bad.write_ratio(Ratio::int(2));
         corrupt[pos..pos + bad.bytes().len()].copy_from_slice(bad.bytes());
         assert!(decode_record(&corrupt).is_err());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Golden byte vectors: cache keys and durable payloads are one
+    /// vocabulary written by one encoder, and a change to either must
+    /// be a decision, not a side effect — these literals were recorded
+    /// before the key encoder and the record encoder became one type.
+    /// A new literal here means every persisted data directory and
+    /// every warm cache key from older builds stops matching.
+    #[test]
+    fn golden_key_and_wal_bytes_do_not_drift() {
+        use crate::query::QueryFrontDoor;
+        use crate::registry::Registry;
+        let universe = vec![
+            Tuple::ints([1, 2]),
+            Tuple::new(vec![Value::int(-3), Value::str("a")]),
+        ];
+        let full = UniverseSpec::new(universe, rel(), dis(), Ratio::new(1, 2));
+        let coreset = full.clone().with_coreset(CoresetSpec {
+            budget: 8,
+            refine_rounds: 2,
+        });
+        let full_key = concat!(
+            "0800000000000000756e69766572736502000000000000000200000000000000",
+            "000100000000000000000200000000000000020000000000000000fdffffffff",
+            "ffffff01010000000000000061030000000000000072656c0800000000000000",
+            "72656c3a61747472010000000000000000000000000000000000000000000000",
+            "0100000000000000000000000000000003000000000000006469730b00000000",
+            "0000006469733a6e756d65726963000000000000000001000000000000000000",
+            "0000000000000100000000000000000000000000000006000000000000006c61",
+            "6d62646101000000000000000000000000000000020000000000000000000000",
+            "0000000009000000000000006d6f64653a66756c6c",
+        );
+        assert_eq!(hex(full.key().bytes()), full_key);
+        let coreset_key = concat!(
+            "0800000000000000756e69766572736502000000000000000200000000000000",
+            "000100000000000000000200000000000000020000000000000000fdffffffff",
+            "ffffff01010000000000000061030000000000000072656c0800000000000000",
+            "72656c3a61747472010000000000000000000000000000000000000000000000",
+            "0100000000000000000000000000000003000000000000006469730b00000000",
+            "0000006469733a6e756d65726963000000000000000001000000000000000000",
+            "0000000000000100000000000000000000000000000006000000000000006c61",
+            "6d62646101000000000000000000000000000000020000000000000000000000",
+            "000000000c000000000000006d6f64653a636f72657365740800000000000000",
+            "0200000000000000",
+        );
+        assert_eq!(hex(coreset.key().bytes()), coreset_key);
+
+        let mut db = Database::new();
+        db.create_relation("R", &["x", "y"]).unwrap();
+        db.create_relation("S", &["y", "z"]).unwrap();
+        let front = QueryFrontDoor::new(Arc::new(Registry::default()));
+        front.register_database("main", db);
+        let q = QuerySpec::new(
+            parse_query("Q(x, z) :- R(x, y), S(y, z)").unwrap(),
+            rel(),
+            dis(),
+            Ratio::new(1, 3),
+        )
+        .unwrap();
+        let query_key = concat!(
+            "0500000000000000717565727904000000000000006d61696e05000000000000",
+            "0063616e6f6e7b00000000000000430200000000000000010000000000000000",
+            "0101000000000000000200000000000000240000000000000002000000000000",
+            "0000520200000000000000010000000000000000010200000000000000240000",
+            "0000000000020000000000000000530200000000000000010200000000000000",
+            "010100000000000000040000000000000072656c730200000000000000010000",
+            "0000000000520000000000000000010000000000000053000000000000000003",
+            "0000000000000072656c080000000000000072656c3a61747472010000000000",
+            "0000000000000000000000000000000000000100000000000000000000000000",
+            "000003000000000000006469730b000000000000006469733a6e756d65726963",
+            "0000000000000000010000000000000000000000000000000100000000000000",
+            "000000000000000006000000000000006c616d62646101000000000000000000",
+            "0000000000000300000000000000000000000000000009000000000000006d6f",
+            "64653a6175746f0004000000000000",
+        );
+        assert_eq!(hex(front.key_for("main", &q).unwrap().bytes()), query_key);
+
+        let rec = Record::WarmUniverse {
+            spec: coreset,
+            version: 3,
+            log: vec![DeltaOp::Insert(Tuple::ints([9, 1])), DeltaOp::Remove(0)],
+        };
+        let wal_payload = concat!(
+            "0102000000000000000200000000000000000100000000000000000200000000",
+            "000000020000000000000000fdffffffffffffff010100000000000000613800",
+            "000000000000080000000000000072656c3a6174747201000000000000000000",
+            "0000000000000000000000000000010000000000000000000000000000003b00",
+            "0000000000000b000000000000006469733a6e756d6572696300000000000000",
+            "0001000000000000000000000000000000010000000000000000000000000000",
+            "0001000000000000000000000000000000020000000000000000000000000000",
+            "0001080000000000000002000000000000000300000000000000020000000000",
+            "0000000200000000000000000900000000000000000100000000000000010000",
+            "000000000000",
+        );
+        assert_eq!(hex(&encode_record(&rec).unwrap()), wal_payload);
     }
 }

@@ -9,9 +9,14 @@
 //! durable mutation is a record; a live hook applies the record to
 //! the book and appends it to the write-ahead log **in one critical
 //! section**, and recovery applies the same records through the same
-//! `Book::apply_record` — so replay equals live *by construction*:
-//! there is exactly one state-transition function, not a live one and a
-//! replay one that could drift.
+//! `Book::apply_record` — so the book a replay rebuilds equals the book
+//! the live process kept *by construction*: the book has exactly one
+//! state-transition function, not a live one and a replay one that
+//! could drift. The book mirrors the live structures rather than being
+//! them, so the one decision it must make the way the front door does —
+//! which tuples a base-table edit adds to or removes from each warm
+//! query's universe — is not mirrored by hand: both call
+//! `crate::query::plan_base_edit` and replay the ops it returns.
 //!
 //! Query universes are persisted as sequences, not re-evaluated on
 //! recovery: a delta-repaired entry's order is *original evaluation
@@ -58,13 +63,12 @@ mod codec;
 mod files;
 
 use crate::fingerprint::UniverseKey;
-use crate::query::{QueryFrontDoor, QuerySpec};
+use crate::query::{base_edit_applies, plan_base_edit, QueryFrontDoor, QuerySpec};
 use crate::registry::Registry;
 use crate::spec::{PreparedVariant, UniverseSpec};
 use divr_core::engine::DeltaOp;
-use divr_relquery::eval::query_contains;
-use divr_relquery::{delta_results, Database, Tuple};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use divr_relquery::{Database, Tuple};
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -222,130 +226,62 @@ impl Book {
                 db,
                 relation,
                 tuple,
-            } => {
-                let Some(bdb) = self.dbs.get_mut(db) else {
-                    return;
-                };
-                // Idempotent under replay: already present → no-op
-                // (the live path validates absence before logging).
-                if bdb.db.insert_tuple(relation, tuple.clone()).ok() != Some(true) {
-                    return;
-                }
-                let BookDb { db: base, warm } = bdb;
-                let affected: Vec<Vec<u8>> = warm
-                    .iter()
-                    .filter(|(_, q)| q.spec.relations().contains(relation))
-                    .map(|(id, _)| id.clone())
-                    .collect();
-                for id in affected {
-                    let q = warm.get_mut(&id).expect("collected from warm");
-                    // Mirrors `QueryFrontDoor::insert_base_tuple`:
-                    // semi-naive candidates, deduplicated against the
-                    // sequence, appended; no plan → the entry goes
-                    // cold.
-                    match delta_results(base, q.spec.query(), relation, tuple) {
-                        Ok(Some(candidates)) => {
-                            let mut fresh: Vec<Tuple> = Vec::new();
-                            {
-                                let existing: HashSet<&Tuple> = q.universe.iter().collect();
-                                for c in candidates {
-                                    if !existing.contains(&c) && !fresh.contains(&c) {
-                                        fresh.push(c);
-                                    }
-                                }
-                            }
-                            q.version += fresh.len() as u64;
-                            q.universe.extend(fresh);
-                        }
-                        Ok(None) | Err(_) => {
-                            warm.remove(&id);
-                        }
-                    }
-                }
-            }
+            } => self.apply_base_edit(db, relation, tuple, true),
             Record::BaseRemove {
                 db,
                 relation,
                 tuple,
-            } => {
-                let Some(bdb) = self.dbs.get_mut(db) else {
-                    return;
-                };
-                let BookDb { db: base, warm } = bdb;
-                let present = base
-                    .relation(relation)
-                    .map(|r| r.contains(tuple))
-                    .unwrap_or(false);
-                if !present {
-                    return;
-                }
-                // Candidate plans against the PRE-removal state —
-                // exactly the tuples whose derivations could involve
-                // the removed base tuple (mirrors
-                // `QueryFrontDoor::remove_base_tuple`).
-                let plans: Vec<(Vec<u8>, Option<Vec<Tuple>>)> = warm
-                    .iter()
-                    .filter(|(_, q)| q.spec.relations().contains(relation))
-                    .map(|(id, q)| {
-                        let plan = delta_results(base, q.spec.query(), relation, tuple)
-                            .ok()
-                            .flatten();
-                        (id.clone(), plan)
-                    })
-                    .collect();
-                let _ = base.remove_tuple(relation, tuple);
-                for (id, plan) in plans {
-                    let Some(candidates) = plan else {
-                        warm.remove(&id);
-                        continue;
-                    };
-                    let q = warm.get_mut(&id).expect("collected from warm");
-                    let mut doomed: Vec<Tuple> = Vec::new();
-                    let mut broken = false;
-                    for c in candidates {
-                        if doomed.contains(&c) || !q.universe.contains(&c) {
-                            continue;
-                        }
-                        match query_contains(base, q.spec.query(), &c) {
-                            Ok(true) => {}
-                            Ok(false) => doomed.push(c),
-                            Err(_) => {
-                                broken = true;
-                                break;
-                            }
-                        }
-                    }
-                    if broken {
-                        warm.remove(&id);
-                        continue;
-                    }
-                    if doomed.is_empty() {
-                        continue;
-                    }
-                    if q.kind != WarmKind::Full {
-                        // Coreset state cannot un-derive a removed
-                        // tuple's contributions in O(Δ·n); live drops
-                        // it cold and so does the book.
-                        warm.remove(&id);
-                        continue;
-                    }
-                    for t in &doomed {
-                        if let Some(i) = q.universe.iter().position(|u| u == t) {
-                            q.universe.swap_remove(i);
-                        }
-                    }
-                    q.version += doomed.len() as u64;
-                    if q.universe.is_empty() {
-                        warm.remove(&id);
-                    }
-                }
-            }
+            } => self.apply_base_edit(db, relation, tuple, false),
             Record::WarmQuery { db, entry } => {
                 let Some(bdb) = self.dbs.get_mut(db) else {
                     return;
                 };
                 bdb.warm
                     .insert(codec::query_ident(&entry.spec), entry.clone());
+            }
+        }
+    }
+
+    /// A base-table edit fans out to the warm queries reading the
+    /// relation along the same [`plan_base_edit`] the front door
+    /// follows, so replay repairs each sequence exactly as live did.
+    fn apply_base_edit(&mut self, db: &str, relation: &str, tuple: &Tuple, insert: bool) {
+        let Some(BookDb { db: base, warm }) = self.dbs.get_mut(db) else {
+            return;
+        };
+        // Idempotent under replay: an edit that no longer applies is a
+        // no-op (the live path validates before logging).
+        if !matches!(base_edit_applies(base, insert, relation, tuple), Ok(true)) {
+            return;
+        }
+        let ids: Vec<Vec<u8>> = warm
+            .iter()
+            .filter(|(_, q)| q.spec.relations().contains(relation))
+            .map(|(id, _)| id.clone())
+            .collect();
+        let plans = plan_base_edit(
+            base,
+            insert,
+            relation,
+            tuple,
+            ids.iter().map(|id| (warm[id].spec.query(), warm[id].universe.as_slice())),
+        );
+        for (id, plan) in ids.into_iter().zip(plans) {
+            let q = warm.get_mut(&id).expect("collected from warm");
+            // Live drops what it cannot repair — no plan, a coreset
+            // asked to remove (it cannot un-derive a departed tuple's
+            // contributions in O(Δ·n)), a universe shrunk to empty —
+            // and so does the book.
+            let repaired = plan.is_some_and(|ops| {
+                let patchable = q.kind == WarmKind::Full
+                    || ops.iter().all(|op| matches!(op, DeltaOp::Insert(_)));
+                q.version += ops.len() as u64;
+                patchable
+                    && ops.iter().all(|op| op.apply_to(&mut q.universe).is_ok())
+                    && !q.universe.is_empty()
+            });
+            if !repaired {
+                warm.remove(&id);
             }
         }
     }
@@ -641,7 +577,7 @@ impl Durability {
                     )
                 }));
                 match restored {
-                    Ok(Ok(())) => report.recovered_queries += 1,
+                    Ok(Some(())) => report.recovered_queries += 1,
                     _ => report.failed_entries += 1,
                 }
             }
@@ -680,10 +616,9 @@ impl Durability {
     }
 
     /// A universe became warm in the registry cache.
-    pub(crate) fn log_warm_universe(&self, spec: &UniverseSpec) {
-        let key = spec.key();
+    pub(crate) fn log_warm_universe(&self, spec: &UniverseSpec, key: &UniverseKey) {
         let mut inner = self.lock();
-        if inner.book.universes.contains_key(&key) {
+        if inner.book.universes.contains_key(key) {
             return;
         }
         self.apply_and_log(
@@ -726,37 +661,20 @@ impl Durability {
         );
     }
 
-    /// A base-table insert is about to happen (write-ahead: the caller
-    /// validated it will succeed, logs, then mutates).
-    pub(crate) fn log_base_insert(&self, db: &str, relation: &str, tuple: &Tuple) {
+    /// A base-table insert or removal is about to happen (write-ahead:
+    /// the caller validated it will succeed, logs, then mutates).
+    pub(crate) fn log_base_edit(&self, db: &str, relation: &str, tuple: &Tuple, insert: bool) {
         let mut inner = self.lock();
         if !inner.book.dbs.contains_key(db) {
             return;
         }
-        self.apply_and_log(
-            &mut inner,
-            &Record::BaseInsert {
-                db: db.to_string(),
-                relation: relation.to_string(),
-                tuple: tuple.clone(),
-            },
-        );
-    }
-
-    /// A base-table removal is about to happen.
-    pub(crate) fn log_base_remove(&self, db: &str, relation: &str, tuple: &Tuple) {
-        let mut inner = self.lock();
-        if !inner.book.dbs.contains_key(db) {
-            return;
-        }
-        self.apply_and_log(
-            &mut inner,
-            &Record::BaseRemove {
-                db: db.to_string(),
-                relation: relation.to_string(),
-                tuple: tuple.clone(),
-            },
-        );
+        let (db, relation, tuple) = (db.to_string(), relation.to_string(), tuple.clone());
+        let rec = if insert {
+            Record::BaseInsert { db, relation, tuple }
+        } else {
+            Record::BaseRemove { db, relation, tuple }
+        };
+        self.apply_and_log(&mut inner, &rec);
     }
 
     /// A query became warm at the front door (miss path only; hits

@@ -37,14 +37,14 @@
 
 use crate::cache::PreparedCache;
 use crate::fingerprint::{FingerprintEncoder, UniverseKey};
-use crate::registry::{solve_checked, CheckedAnswer, Registry};
+use crate::registry::{claim_each, solve_checked, CheckedAnswer, Registry};
 use crate::spec::{CoresetSpec, OracleAdapter, PreparedVariant, ServableDistance, ServableRelevance};
 use divr_core::coreset::{CoresetConfig, PreparedCoreset, CORESET_AUTO_THRESHOLD};
-use divr_core::engine::{DeltaOp, EngineRequest, PreparedUniverse, ServeError, SolveScratch};
+use divr_core::engine::{DeltaOp, EngineRequest, PreparedUniverse, ServeError};
 use divr_core::{Deadline, Ratio};
+use divr_relquery::eval::query_contains;
 use divr_relquery::{delta_results, stream_query, CanonicalQuery, Database, Query, Tuple, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Why a query could not be served at all (per-request diagnoses ride
@@ -328,36 +328,36 @@ impl QueryFrontDoor {
 
     fn key_of(db_name: &str, dbst: &DbState, spec: &QuerySpec) -> UniverseKey {
         let mut enc = FingerprintEncoder::new();
-        enc.write_tag("query");
+        enc.write_str("query");
         enc.write_str(db_name);
-        enc.write_tag("canon");
+        enc.write_str("canon");
         enc.write_bytes(spec.canon.bytes());
         // Only relations the query reads: a version bump elsewhere must
         // not cool this entry.
-        enc.write_tag("rels");
+        enc.write_str("rels");
         enc.write_usize(spec.relations.len());
         for r in &spec.relations {
             enc.write_str(r);
             enc.write_usize(*dbst.rel_versions.get(r).unwrap_or(&0) as usize);
         }
-        enc.write_tag("rel");
+        enc.write_str("rel");
         spec.rel.fingerprint(&mut enc);
-        enc.write_tag("dis");
+        enc.write_str("dis");
         spec.dis.fingerprint(&mut enc);
-        enc.write_tag("lambda");
+        enc.write_str("lambda");
         enc.write_ratio(spec.lambda);
         match spec.coreset {
             None => {
-                enc.write_tag("mode:auto");
+                enc.write_str("mode:auto");
                 enc.write_usize(spec.auto_config(1).budget);
             }
             Some(cs) => {
-                enc.write_tag("mode:coreset");
+                enc.write_str("mode:coreset");
                 enc.write_usize(cs.budget);
                 enc.write_usize(cs.refine_rounds);
             }
         }
-        enc.into_key()
+        UniverseKey::from_bytes(enc.bytes())
     }
 
     /// Evaluates and prepares `spec` against `db` — the miss path.
@@ -370,82 +370,132 @@ impl QueryFrontDoor {
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, QueryError> {
-        let mut stream = stream_query(db, &spec.query)?;
-        let dis: Arc<dyn divr_core::distance::Distance + Send + Sync> =
-            Arc::new(OracleAdapter(spec.dis.clone()));
+        let mut stream = stream_query(db, &spec.query)?.fuse();
+        let mut head: Vec<Tuple> = Vec::new();
+        if spec.coreset.is_some() {
+            // Explicit coreset mode materializes, for bit-identity
+            // with the UniverseSpec path (Coreset::select over the
+            // whole universe, not the insertion stream).
+            head.extend(&mut stream);
+        } else {
+            // Pull until we know which side of the threshold this
+            // universe lands on. Evaluation itself polls the deadline
+            // every 64 tuples — a query whose result set is huge must
+            // not blow the budget before preparation even starts.
+            while head.len() <= CORESET_AUTO_THRESHOLD {
+                if head.len().is_multiple_of(64) {
+                    deadline.check()?;
+                }
+                match stream.next() {
+                    Some(t) => head.push(t),
+                    None => break,
+                }
+            }
+        }
+        if head.is_empty() {
+            return Err(QueryError::EmptyResult);
+        }
+        // Above threshold the rest of the evaluation flows straight
+        // into coreset maintenance — Q(D) is never a second vector.
+        let streamed = head.len() > CORESET_AUTO_THRESHOLD;
+        Ok(Self::build_variant(spec, head.into_iter().chain(stream), streamed, threads, deadline)?)
+    }
+
+    /// Prepares and validates the serving state for `spec` over a tuple
+    /// sequence — the one builder behind the miss path and recovery:
+    /// a coreset selected over the whole sequence for an explicit
+    /// mode, else (auto mode) the streamed coreset when the sequence
+    /// is past the escalation threshold (`streamed`) and the exact
+    /// full matrix when it is not.
+    fn build_variant(
+        spec: &QuerySpec,
+        tuples: impl Iterator<Item = Tuple>,
+        streamed: bool,
+        threads: usize,
+        deadline: Deadline,
+    ) -> Result<PreparedVariant, ServeError> {
+        let dis = Arc::new(OracleAdapter(spec.dis.clone()));
+        let (rel, lambda) = (&*spec.rel, spec.lambda);
         let prepared = match spec.coreset {
-            Some(mode) => {
-                // Explicit coreset mode materializes, for bit-identity
-                // with the UniverseSpec path (Coreset::select over the
-                // whole universe, not the insertion stream).
-                let universe: Vec<Tuple> = stream.collect();
-                if universe.is_empty() {
-                    return Err(QueryError::EmptyResult);
-                }
-                let config = mode.config(threads);
-                PreparedVariant::Coreset(Arc::new(
-                    PreparedCoreset::try_build_shared_deadline(
-                        universe,
-                        &*spec.rel,
-                        dis,
-                        spec.lambda,
-                        &config,
-                        deadline,
-                    )
-                    .map_err(QueryError::Serve)?,
-                ))
-            }
-            None => {
-                // Pull until we know which side of the threshold this
-                // universe lands on. Evaluation itself polls the
-                // deadline every 64 tuples — a query whose result set
-                // is huge must not blow the budget before preparation
-                // even starts.
-                let mut head: Vec<Tuple> = Vec::new();
-                while head.len() <= CORESET_AUTO_THRESHOLD {
-                    if head.len().is_multiple_of(64) {
-                        deadline.check().map_err(QueryError::Serve)?;
-                    }
-                    match stream.next() {
-                        Some(t) => head.push(t),
-                        None => break,
-                    }
-                }
-                if head.is_empty() {
-                    return Err(QueryError::EmptyResult);
-                }
-                if head.len() <= CORESET_AUTO_THRESHOLD {
-                    PreparedVariant::Full(Arc::new(
-                        PreparedUniverse::try_build_shared_deadline(
-                            head,
-                            &*spec.rel,
-                            dis,
-                            spec.lambda,
-                            threads,
-                            deadline,
-                        )
-                        .map_err(QueryError::Serve)?,
-                    ))
-                } else {
-                    // Above threshold: the rest of the evaluation flows
-                    // straight into coreset maintenance — Q(D) is never
-                    // a second vector.
-                    let config = spec.auto_config(threads);
-                    PreparedVariant::Coreset(Arc::new(
-                        PreparedCoreset::try_build_streaming_deadline(
-                            head.into_iter().chain(stream),
-                            &*spec.rel,
-                            dis,
-                            spec.lambda,
-                            &config,
-                            deadline,
-                        )
-                        .map_err(QueryError::Serve)?,
-                    ))
-                }
-            }
+            Some(mode) => PreparedVariant::Coreset(Arc::new(
+                PreparedCoreset::try_build_shared_deadline(
+                    tuples.collect(),
+                    rel,
+                    dis,
+                    lambda,
+                    &mode.config(threads),
+                    deadline,
+                )?,
+            )),
+            None if streamed => PreparedVariant::Coreset(Arc::new(
+                PreparedCoreset::try_build_streaming_deadline(
+                    tuples,
+                    rel,
+                    dis,
+                    lambda,
+                    &spec.auto_config(threads),
+                    deadline,
+                )?,
+            )),
+            None => PreparedVariant::Full(Arc::new(
+                PreparedUniverse::try_build_shared_deadline(
+                    tuples.collect(),
+                    rel,
+                    dis,
+                    lambda,
+                    threads,
+                    deadline,
+                )?,
+            )),
         };
-        prepared.check_finite().map_err(QueryError::Serve)?;
+        prepared.check_finite()?;
+        Ok(prepared)
+    }
+
+    /// The prepared state `spec` addresses against `db` — the one
+    /// resolve behind [`QueryFrontDoor::serve_query_deadline`] and
+    /// [`QueryFrontDoor::universe_of`]: the registry's guarded fetch
+    /// under the semantic key (evaluate + prepare on a miss, a
+    /// panicking oracle ⇒ [`ServeError::WorkerPanicked`]), then the
+    /// warm bookkeeping every resident entry needs for base-table
+    /// edits to find, re-key and repair it.
+    fn resolve(
+        &self,
+        db: &str,
+        spec: &QuerySpec,
+        deadline: Deadline,
+    ) -> Result<PreparedVariant, QueryError> {
+        let threads = self.registry.solve_threads();
+        let (key, prepared, built) = {
+            let state = self.read_state();
+            let dbst = state
+                .get(db)
+                .ok_or_else(|| QueryError::UnknownDatabase(db.to_string()))?;
+            let key = Self::key_of(db, dbst, spec);
+            let (prepared, built) = self.registry.fetch(&key, || {
+                Self::build_prepared(&dbst.db, spec, threads, deadline)
+            })?;
+            (key, prepared, built)
+        };
+        // Record the warm entry outside the read lock (idempotent; the
+        // delta fan-out needs the spec to re-key and repair it).
+        let mut state = self.write_state();
+        if let Some(dbst) = state.get_mut(db) {
+            dbst.warm
+                .entry(key.clone()) // O(1): Arc'd bytes
+                .or_insert_with(|| WarmQuery { spec: spec.clone() });
+            // Journal fresh warmth under the state lock (the
+            // state → durability lock order every hook uses), so no
+            // base-table edit can interleave between the build and
+            // the book seeing it. Skipped if a concurrent edit
+            // already re-keyed this query — the entry we built is
+            // no longer the one being served.
+            if built && Self::key_of(db, dbst, spec) == key {
+                if let Some(d) = self.registry.durability() {
+                    d.log_warm_query(db, spec, &prepared);
+                }
+            }
+        }
         Ok(prepared)
     }
 
@@ -478,50 +528,15 @@ impl QueryFrontDoor {
         requests: &[EngineRequest],
         deadline: Deadline,
     ) -> Result<Vec<CheckedAnswer>, QueryError> {
+        let prepared = self.resolve(db, spec, deadline)?;
         let threads = self.registry.solve_threads();
-        // Whether this call actually built (vs hit): only a fresh build
-        // is new warmth worth journaling.
-        let built = std::cell::Cell::new(false);
-        let (key, prepared) = {
-            let state = self.read_state();
-            let dbst = state
-                .get(db)
-                .ok_or_else(|| QueryError::UnknownDatabase(db.to_string()))?;
-            let key = Self::key_of(db, dbst, spec);
-            let prepared = self.cache().get_or_try_prepare_with(&key, || {
-                built.set(true);
-                catch_unwind(AssertUnwindSafe(|| {
-                    Self::build_prepared(&dbst.db, spec, threads, deadline)
-                }))
-                .unwrap_or(Err(QueryError::Serve(ServeError::WorkerPanicked)))
-            })?;
-            (key, prepared)
-        };
-        // Record the warm entry outside the read lock (idempotent; the
-        // delta fan-out needs the spec to re-key and repair it).
-        {
-            let mut state = self.write_state();
-            if let Some(dbst) = state.get_mut(db) {
-                dbst.warm
-                    .entry(key.clone()) // O(1): Arc'd bytes
-                    .or_insert_with(|| WarmQuery { spec: spec.clone() });
-                // Journal fresh warmth under the state lock (the
-                // state → durability lock order every hook uses), so no
-                // base-table edit can interleave between the build and
-                // the book seeing it. Skipped if a concurrent edit
-                // already re-keyed this query — the entry we built is
-                // no longer the one being served.
-                if built.get() && Self::key_of(db, dbst, spec) == key {
-                    if let Some(d) = self.registry.durability() {
-                        d.log_warm_query(db, spec, &prepared);
-                    }
-                }
-            }
-        }
-        let mut scratch = SolveScratch::new();
-        Ok(requests
-            .iter()
-            .map(|&request| solve_checked(&prepared, threads, request, &mut scratch, deadline))
+        // One worker: each solve keeps the whole thread budget.
+        let solved = claim_each(1, requests.len(), |i, scratch| {
+            solve_checked(&prepared, threads, requests[i], scratch, deadline)
+        });
+        Ok(solved
+            .into_iter()
+            .map(|answer| answer.unwrap_or(Err(ServeError::WorkerPanicked)))
             .collect())
     }
 
@@ -532,18 +547,7 @@ impl QueryFrontDoor {
     /// oracle must feed the materialized path to expect bit-identical
     /// answers.
     pub fn universe_of(&self, db: &str, spec: &QuerySpec) -> Result<Vec<Tuple>, QueryError> {
-        let threads = self.registry.solve_threads();
-        let state = self.read_state();
-        let dbst = state
-            .get(db)
-            .ok_or_else(|| QueryError::UnknownDatabase(db.to_string()))?;
-        let key = Self::key_of(db, dbst, spec);
-        let prepared = self
-            .cache()
-            .get_or_try_prepare_with(&key, || {
-                Self::build_prepared(&dbst.db, spec, threads, Deadline::none())
-            })?;
-        Ok(prepared.universe().to_vec())
+        Ok(self.resolve(db, spec, Deadline::none())?.universe().to_vec())
     }
 
     /// Inserts one tuple into a base relation and **delta-repairs every
@@ -570,109 +574,7 @@ impl QueryFrontDoor {
         relation: &str,
         values: Vec<Value>,
     ) -> Result<bool, QueryError> {
-        let mut state = self.write_state();
-        let dbst = state
-            .get_mut(db)
-            .ok_or_else(|| QueryError::UnknownDatabase(db.to_string()))?;
-        let tuple = Tuple::new(values);
-        // Write-ahead discipline: validate that the mutation will
-        // succeed, journal it, then mutate — the in-memory insert is
-        // never acknowledged before it is durable.
-        {
-            let rel = dbst.db.relation(relation)?;
-            if tuple.arity() != rel.arity() {
-                return Err(QueryError::Query(divr_relquery::Error::ArityMismatch {
-                    relation: relation.to_string(),
-                    expected: rel.arity(),
-                    found: tuple.arity(),
-                }));
-            }
-            if rel.contains(&tuple) {
-                return Ok(false);
-            }
-        }
-        if let Some(d) = self.registry.durability() {
-            d.log_base_insert(db, relation, &tuple);
-        }
-        let inserted = dbst.db.insert_tuple(relation, tuple.clone())?;
-        debug_assert!(inserted, "validated as absent above");
-        *dbst.rel_versions.entry(relation.to_string()).or_insert(0) += 1;
-
-        // Fan out to the warm queries that read this relation.
-        let affected: Vec<UniverseKey> = dbst
-            .warm
-            .iter()
-            .filter(|(_, w)| w.spec.relations.contains(relation))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for old_key in affected {
-            let w = dbst.warm.remove(&old_key).expect("collected from warm");
-            let new_key = Self::key_of(db, dbst, &w.spec);
-            let Some((prepared, version, mut log)) = self.cache().take(&old_key) else {
-                // Evicted since it was recorded: nothing to migrate.
-                continue;
-            };
-            let fresh = match delta_results(&dbst.db, &w.spec.query, relation, &tuple) {
-                Ok(Some(candidates)) => {
-                    let existing: HashSet<&Tuple> = prepared.universe().iter().collect();
-                    let mut fresh: Vec<Tuple> = Vec::new();
-                    for c in candidates {
-                        if !existing.contains(&c) && !fresh.contains(&c) {
-                            fresh.push(c);
-                        }
-                    }
-                    fresh
-                }
-                // No incremental plan (FO) or the delta evaluation
-                // failed: drop the entry, next serve re-prepares cold.
-                Ok(None) | Err(_) => continue,
-            };
-            let count = fresh.len() as u64;
-            // The resident state was validated when it was built, so
-            // only the appended rows can be bad: each is checked as it
-            // lands (O(n), not a full rescan), and a non-finite one
-            // drops the entry to cold — the next serve gets the typed
-            // refusal from the checked prepare.
-            let mut valid = true;
-            let migrated = match prepared {
-                // Result unchanged — carry the state to the new key
-                // untouched (no version bump: no delta was applied).
-                unchanged if fresh.is_empty() => unchanged,
-                PreparedVariant::Full(arc) => {
-                    let mut p = Arc::try_unwrap(arc).unwrap_or_else(|a| a.fork());
-                    for t in &fresh {
-                        let rel = w.spec.rel.rel(t);
-                        p.insert_tuple(t.clone(), rel);
-                        valid &= p.check_finite_item(p.n() - 1).is_ok();
-                        log.push(DeltaOp::Insert(t.clone()));
-                    }
-                    PreparedVariant::Full(Arc::new(p))
-                }
-                PreparedVariant::Coreset(arc) => {
-                    // The streamed-coreset contract is determinism
-                    // in the insertion sequence, so extending the
-                    // stream *is* the repair. A widely shared Arc
-                    // cannot be mutated — drop it and go cold.
-                    let Ok(mut p) = Arc::try_unwrap(arc) else {
-                        continue;
-                    };
-                    for t in &fresh {
-                        let rel = w.spec.rel.rel(t);
-                        p.insert_tuple(t.clone(), rel);
-                        valid &= p.check_finite_item(p.n() - 1).is_ok();
-                        log.push(DeltaOp::Insert(t.clone()));
-                    }
-                    PreparedVariant::Coreset(Arc::new(p))
-                }
-            };
-            if !valid {
-                continue;
-            }
-            self.cache()
-                .insert_versioned(&new_key, migrated, version + count, log);
-            dbst.warm.insert(new_key, w);
-        }
-        Ok(true)
+        self.edit_base_tuple(db, relation, Tuple::new(values), true)
     }
 
     /// Removes one tuple from a base relation and repairs every warm
@@ -710,216 +612,208 @@ impl QueryFrontDoor {
         relation: &str,
         values: Vec<Value>,
     ) -> Result<bool, QueryError> {
+        self.edit_base_tuple(db, relation, Tuple::new(values), false)
+    }
+
+    /// The one base-edit path behind the two public wrappers: validate,
+    /// journal, mutate, then migrate every warm entry reading
+    /// `relation` along its [`plan_base_edit`] repair.
+    fn edit_base_tuple(
+        &self,
+        db: &str,
+        relation: &str,
+        tuple: Tuple,
+        insert: bool,
+    ) -> Result<bool, QueryError> {
         let mut state = self.write_state();
         let dbst = state
             .get_mut(db)
             .ok_or_else(|| QueryError::UnknownDatabase(db.to_string()))?;
-        let tuple = Tuple::new(values);
-        // Write-ahead discipline, as in insert: validate, journal,
-        // mutate.
-        {
-            let rel = dbst.db.relation(relation)?;
-            if tuple.arity() != rel.arity() {
-                return Err(QueryError::Query(divr_relquery::Error::ArityMismatch {
-                    relation: relation.to_string(),
-                    expected: rel.arity(),
-                    found: tuple.arity(),
-                }));
-            }
-            if !rel.contains(&tuple) {
-                return Ok(false);
-            }
+        // Write-ahead discipline: validate that the mutation will
+        // succeed, journal it, then mutate — the in-memory edit is
+        // never acknowledged before it is durable.
+        if !base_edit_applies(&dbst.db, insert, relation, &tuple)? {
+            return Ok(false);
         }
         if let Some(d) = self.registry.durability() {
-            d.log_base_remove(db, relation, &tuple);
+            d.log_base_edit(db, relation, &tuple, insert);
         }
 
-        // Candidate plans must run against the PRE-removal database —
-        // after the removal the joins that involved the tuple are gone
-        // and the plan would come back empty.
-        let affected: Vec<UniverseKey> = dbst
+        // Take every warm entry reading this relation out of the cache
+        // (the stale state is never resident beside its repair); one
+        // evicted since it was recorded has nothing to migrate.
+        let taken: Vec<_> = dbst
             .warm
-            .iter()
-            .filter(|(_, w)| w.spec.relations.contains(relation))
-            .map(|(k, _)| k.clone())
+            .extract_if(|_, w| w.spec.relations.contains(relation))
+            .filter_map(|(old_key, w)| Some((w, self.cache().take(&old_key)?)))
             .collect();
-        let mut plans: Vec<(UniverseKey, Option<Vec<Tuple>>)> = Vec::with_capacity(affected.len());
-        for key in affected {
-            let w = &dbst.warm[&key];
-            let plan = delta_results(&dbst.db, &w.spec.query, relation, &tuple)
-                .ok()
-                .flatten();
-            plans.push((key, plan));
-        }
-
-        let removed = dbst.db.remove_tuple(relation, &tuple)?;
-        debug_assert!(removed, "validated as present above");
+        let plans = plan_base_edit(
+            &mut dbst.db,
+            insert,
+            relation,
+            &tuple,
+            taken.iter().map(|(w, (p, _, _))| (&w.spec.query, p.universe())),
+        );
         *dbst.rel_versions.entry(relation.to_string()).or_insert(0) += 1;
 
-        for (old_key, plan) in plans {
-            let w = dbst.warm.remove(&old_key).expect("collected from warm");
-            let Some((prepared, version, mut log)) = self.cache().take(&old_key) else {
-                // Evicted since it was recorded: nothing to migrate.
+        for ((w, (prepared, version, mut log)), plan) in taken.into_iter().zip(plans) {
+            // No incremental plan, unpatchable state (see
+            // `PreparedVariant::patch`), or Q(D) = ∅ now: the entry is
+            // dropped, and the next serve re-prepares at the new
+            // version or gets the typed refusal. An empty plan carries
+            // the state to the new key untouched (no version bump: no
+            // delta was applied).
+            let Some(ops) = plan else { continue };
+            let Some(migrated) = prepared.patch(&ops, &*w.spec.rel).filter(|p| p.n() > 0) else {
                 continue;
             };
-            let Some(candidates) = plan else {
-                // No incremental plan (FO): cold at the new version.
-                continue;
-            };
-            // Which candidates actually left the result? Each is
-            // re-checked against the post-removal database — a tuple
-            // with another derivation stays.
-            let mut doomed: Vec<Tuple> = Vec::new();
-            let mut broken = false;
-            {
-                let universe = prepared.universe();
-                for c in candidates {
-                    if doomed.contains(&c) || !universe.contains(&c) {
-                        continue;
-                    }
-                    match divr_relquery::eval::query_contains(&dbst.db, &w.spec.query, &c) {
-                        Ok(true) => {}
-                        Ok(false) => doomed.push(c),
-                        Err(_) => {
-                            broken = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if broken {
-                continue;
-            }
             let new_key = Self::key_of(db, dbst, &w.spec);
-            if doomed.is_empty() {
-                // Result unchanged — carry the state to the new key
-                // untouched (no version bump: no delta was applied).
-                self.cache().insert_versioned(&new_key, prepared, version, log);
-                dbst.warm.insert(new_key, w);
-                continue;
-            }
-            match prepared {
-                PreparedVariant::Full(arc) => {
-                    let mut p = Arc::try_unwrap(arc).unwrap_or_else(|a| a.fork());
-                    for t in &doomed {
-                        let Some(i) = p.universe().iter().position(|u| u == t) else {
-                            continue;
-                        };
-                        p.remove_tuple(i).expect("position taken from the universe");
-                        log.push(DeltaOp::Remove(i));
-                    }
-                    if p.universe().is_empty() {
-                        // Q(D) = ∅ now: nothing to diversify. Drop the
-                        // entry; the next serve gets the typed
-                        // EmptyResult refusal.
-                        continue;
-                    }
-                    let count = doomed.len() as u64;
-                    self.cache().insert_versioned(
-                        &new_key,
-                        PreparedVariant::Full(Arc::new(p)),
-                        version + count,
-                        log,
-                    );
-                    dbst.warm.insert(new_key, w);
-                }
-                // Coreset state cannot un-derive a removed tuple's
-                // contributions incrementally: cold.
-                PreparedVariant::Coreset(_) => continue,
-            }
+            let version = version + ops.len() as u64;
+            log.extend(ops);
+            self.cache().insert_versioned(&new_key, migrated, version, log);
+            dbst.warm.insert(new_key, w);
         }
         Ok(true)
     }
 
     /// Rebuilds one recovered warm query entry — database already
     /// re-registered, `universe` the exact sequence the crashed process
-    /// was serving — into prepared state bit-identical to it.
+    /// was serving — into prepared state bit-identical to it, through
+    /// the builder and the delta step that produced the original.
     /// `streamed` picks the auto-escalated streaming build for specs
     /// without an explicit coreset; explicit-coreset specs re-select
-    /// over the first `base_len` tuples and stream the delta tail, the
-    /// same path that built the original. Already-warm content is left
-    /// untouched.
+    /// over the first `base_len` tuples and replay the rest as inserts.
+    /// Already-warm content is left untouched. `None` if the entry
+    /// could not be rebuilt (it stays cold).
     pub(crate) fn restore_warm_query(
         &self,
         db: &str,
         spec: &QuerySpec,
-        universe: Vec<Tuple>,
+        mut universe: Vec<Tuple>,
         streamed: bool,
         base_len: usize,
         version: u64,
-    ) -> Result<(), QueryError> {
+    ) -> Option<()> {
         if universe.is_empty() {
-            return Err(QueryError::EmptyResult);
+            return None;
         }
         let threads = self.registry.solve_threads();
-        let dis: Arc<dyn divr_core::distance::Distance + Send + Sync> =
-            Arc::new(OracleAdapter(spec.dis.clone()));
         let mut state = self.write_state();
-        let dbst = state
-            .get_mut(db)
-            .ok_or_else(|| QueryError::UnknownDatabase(db.to_string()))?;
+        let dbst = state.get_mut(db)?;
         let key = Self::key_of(db, dbst, spec);
-        if self.cache().contains(&key) {
-            dbst.warm
-                .entry(key)
-                .or_insert_with(|| WarmQuery { spec: spec.clone() });
-            return Ok(());
+        if !self.cache().contains(&key) {
+            let tail: Vec<DeltaOp> = match spec.coreset {
+                Some(_) => universe
+                    .split_off(base_len.min(universe.len()))
+                    .into_iter()
+                    .map(DeltaOp::Insert)
+                    .collect(),
+                None => Vec::new(),
+            };
+            let built =
+                Self::build_variant(spec, universe.into_iter(), streamed, threads, Deadline::none());
+            let prepared = built.ok()?.patch(&tail, &*spec.rel)?;
+            // Empty delta log: the restored entry is equivalent to a
+            // cold prepare of its current content; the version survives
+            // for observability and future migrations.
+            self.cache().insert_versioned(&key, prepared, version, Vec::new());
         }
-        let prepared = match spec.coreset {
-            Some(mode) => {
-                let config = mode.config(threads);
-                let base_len = base_len.min(universe.len());
-                let mut universe = universe;
-                let tail = universe.split_off(base_len);
-                let mut p = PreparedCoreset::try_build_shared_deadline(
-                    universe,
-                    &*spec.rel,
-                    dis,
-                    spec.lambda,
-                    &config,
-                    Deadline::none(),
-                )
-                .map_err(QueryError::Serve)?;
-                for t in tail {
-                    let rel = spec.rel.rel(&t);
-                    p.insert_tuple(t, rel);
-                }
-                PreparedVariant::Coreset(Arc::new(p))
-            }
-            None if streamed => {
-                let config = spec.auto_config(threads);
-                PreparedVariant::Coreset(Arc::new(
-                    PreparedCoreset::try_build_streaming_deadline(
-                        universe,
-                        &*spec.rel,
-                        dis,
-                        spec.lambda,
-                        &config,
-                        Deadline::none(),
-                    )
-                    .map_err(QueryError::Serve)?,
-                ))
-            }
-            None => PreparedVariant::Full(Arc::new(
-                PreparedUniverse::try_build_shared_deadline(
-                    universe,
-                    &*spec.rel,
-                    dis,
-                    spec.lambda,
-                    threads,
-                    Deadline::none(),
-                )
-                .map_err(QueryError::Serve)?,
-            )),
-        };
-        prepared.check_finite().map_err(QueryError::Serve)?;
-        // Empty delta log: the restored entry is equivalent to a cold
-        // prepare of its current content; the version survives for
-        // observability and future migrations.
-        self.cache().insert_versioned(&key, prepared, version, Vec::new());
-        dbst.warm.insert(key, WarmQuery { spec: spec.clone() });
-        Ok(())
+        dbst.warm
+            .entry(key)
+            .or_insert_with(|| WarmQuery { spec: spec.clone() });
+        Some(())
     }
+}
+
+/// Whether editing `tuple` into (`insert`) or out of `relation` changes
+/// `db`: an unknown relation or a wrong arity is an error, and under set
+/// semantics inserting a present tuple or removing an absent one changes
+/// nothing. What the live write path validates before it journals, and
+/// what replay re-checks to stay idempotent.
+pub(crate) fn base_edit_applies(
+    db: &Database,
+    insert: bool,
+    relation: &str,
+    tuple: &Tuple,
+) -> Result<bool, divr_relquery::Error> {
+    let rel = db.relation(relation)?;
+    if tuple.arity() != rel.arity() {
+        return Err(divr_relquery::Error::ArityMismatch {
+            relation: relation.to_string(),
+            expected: rel.arity(),
+            found: tuple.arity(),
+        });
+    }
+    Ok(rel.contains(tuple) != insert)
+}
+
+/// Applies one base-table edit (validated by [`base_edit_applies`]) to
+/// `db` and plans the repair of every warm universe reading
+/// `relation`: for each `(query, universe sequence)`, the delta ops
+/// that make the sequence serve the edited database, or `None` when
+/// there is no incremental plan (an FO query, a failed delta
+/// evaluation) and the entry goes cold. The live fan-out and the
+/// durable book's replay both repair along this one plan.
+///
+/// The semi-naive plan ([`delta_results`]) joins through the edited
+/// tuple, so it runs where the tuple is present — after an insert,
+/// **before** a removal (afterwards the joins that involved it are gone
+/// and the plan would come back empty). An insert appends the
+/// candidates not already in the sequence (set semantics). A removal
+/// re-checks each candidate against the post-removal database
+/// ([`query_contains`]) and swap-removes only those with no surviving
+/// derivation.
+pub(crate) fn plan_base_edit<'a>(
+    db: &mut Database,
+    insert: bool,
+    relation: &str,
+    tuple: &Tuple,
+    warm: impl Iterator<Item = (&'a Query, &'a [Tuple])>,
+) -> Vec<Option<Vec<DeltaOp>>> {
+    let warm: Vec<_> = warm.collect();
+    let candidates = |db: &Database| -> Vec<Option<Vec<Tuple>>> {
+        warm.iter()
+            .map(|(query, _)| delta_results(db, query, relation, tuple).ok().flatten())
+            .collect()
+    };
+    let before = (!insert).then(|| candidates(db));
+    let changed = if insert {
+        db.insert_tuple(relation, tuple.clone())
+    } else {
+        db.remove_tuple(relation, tuple)
+    };
+    debug_assert!(matches!(changed, Ok(true)), "validated by base_edit_applies");
+    let candidates = before.unwrap_or_else(|| candidates(db));
+    warm.iter()
+        .zip(candidates)
+        .map(|(&(query, universe), candidates)| {
+            let mut ops = Vec::new();
+            if insert {
+                let existing: HashSet<&Tuple> = universe.iter().collect();
+                let mut fresh: Vec<Tuple> = Vec::new();
+                for c in candidates? {
+                    if !existing.contains(&c) && !fresh.contains(&c) {
+                        fresh.push(c);
+                    }
+                }
+                ops.extend(fresh.into_iter().map(DeltaOp::Insert));
+            } else {
+                // The sequence as the swap-removes will leave it, so
+                // each index addresses the state the op applies to.
+                let mut left: Vec<&Tuple> = universe.iter().collect();
+                for c in candidates? {
+                    let Some(i) = left.iter().position(|u| **u == c) else {
+                        continue; // never in Q(D), or already leaving
+                    };
+                    if !query_contains(db, query, &c).ok()? {
+                        left.swap_remove(i);
+                        ops.push(DeltaOp::Remove(i));
+                    }
+                }
+            }
+            Some(ops)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,16 +1,19 @@
-//! The serving registry: prepared-engine cache + mixed-batch scheduler.
+//! The serving registry: the prepared-state cache plus the one copy of
+//! each per-frame mechanism — *resolve* (`Registry::fetch`), *schedule*
+//! (`claim_each`) and *solve* (`solve_checked`); the *patch* step is
+//! [`PreparedVariant::patch`].
 
 use crate::cache::{CacheStats, PreparedCache};
+use crate::fingerprint::UniverseKey;
 use crate::spec::{PreparedVariant, UniverseSpec};
 use divr_core::engine::{
     default_threads, DeltaError, DeltaOp, EngineRequest, ServeError, SolveScratch,
 };
 use divr_core::{Deadline, Ratio};
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Registry sizing knobs.
 #[derive(Clone, Copy, Debug)]
@@ -73,6 +76,49 @@ pub(crate) fn solve_checked(
     })
 }
 
+/// The registry's one scheduler: runs `work(i, scratch)` for every
+/// `i < items`, claimants pulling the next index from a shared atomic
+/// counter until none is left. **The calling thread is claimant 0** and
+/// only `min(workers, items) − 1` threads are spawned, so a one-item
+/// step runs inline and a one-worker step is a plain loop. Each
+/// claimant owns one [`SolveScratch`] for every item it claims, so a
+/// steady-state solve step does no per-request heap allocation.
+///
+/// `work` is expected to contain its own panics ([`solve_checked`],
+/// [`Registry::fetch`]); if a spawned claimant dies anyway (e.g. its
+/// stack overflowed), the item it held comes back `None` and the rest
+/// are still claimed by the survivors.
+pub(crate) fn claim_each<T: Send + Sync>(
+    workers: usize,
+    items: usize,
+    work: impl Fn(usize, &mut SolveScratch) -> T + Sync,
+) -> Vec<Option<T>> {
+    let done: Vec<OnceLock<T>> = (0..items).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let claimant = || {
+        let mut scratch = SolveScratch::new();
+        loop {
+            // Relaxed: the counter only hands out indices; results are
+            // published by the slots and the scope's joins.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items {
+                break;
+            }
+            let _ = done[i].set(work(i, &mut scratch));
+        }
+    };
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers.min(items))
+            .map(|_| scope.spawn(claimant))
+            .collect();
+        claimant();
+        for handle in spawned {
+            let _ = handle.join();
+        }
+    });
+    done.into_iter().map(OnceLock::into_inner).collect()
+}
+
 /// One tenant's slice of a mixed batch: a universe plus the requests to
 /// run against it.
 #[derive(Clone, Debug)]
@@ -93,10 +139,12 @@ pub type RegistryStats = CacheStats;
 /// ([`UniverseSpec::key`]), keeps prepared state — relevance caches
 /// plus the `O(n²)` distance matrix, or the `m × m` coreset state for
 /// [`UniverseSpec::with_coreset`] specs — in a byte-budgeted LRU, and
-/// schedules mixed batches across work-stealing workers. A cache hit
-/// skips preparation entirely and goes straight to the parallel solve
-/// rounds; results are bit-identical to a freshly prepared engine *of
-/// the spec's mode* ([`Engine`](divr_core::engine::Engine) for full
+/// runs each batch as two claim-loop steps (resolve the distinct
+/// universes, then solve the request units) in which the caller's own
+/// thread is the first worker — a one-universe, one-request frame
+/// never leaves it. A cache hit skips preparation entirely and goes
+/// straight to the parallel solve rounds; results are bit-identical to
+/// a freshly prepared engine *of the spec's mode* ([`Engine`](divr_core::engine::Engine) for full
 /// specs, [`CoresetEngine`](divr_core::coreset::CoresetEngine) for
 /// coreset specs) because hit and miss paths execute the same solver
 /// over the same (shared or rebuilt) state.
@@ -139,12 +187,47 @@ impl Registry {
         self.persist.get()
     }
 
-    /// Journals a fresh warm universe (no-op when durability is off or
-    /// the book already has it).
-    fn note_warm(&self, spec: &UniverseSpec) {
-        if let Some(d) = self.persist.get() {
-            d.log_warm_universe(spec);
+    /// The one guarded fetch behind every resolve — registry-keyed
+    /// ([`Registry::try_prepare`], the batch path) and query-keyed (the
+    /// front door): the prepared state under `key`, running `build` on
+    /// a miss, plus whether this call built it (fresh warmth, which the
+    /// caller journals). The lookup and the build run under
+    /// `catch_unwind`, so a panicking oracle becomes
+    /// [`ServeError::WorkerPanicked`] for this caller alone and poisons
+    /// nothing: a failed build caches nothing, and a shard lock
+    /// poisoned by a panic elsewhere recovers by evicting that shard
+    /// (see `cache.rs`).
+    pub(crate) fn fetch<E: From<ServeError>>(
+        &self,
+        key: &UniverseKey,
+        build: impl FnOnce() -> Result<PreparedVariant, E>,
+    ) -> Result<(PreparedVariant, bool), E> {
+        let mut built = false;
+        let fetched = catch_unwind(AssertUnwindSafe(|| {
+            self.cache.get_or_try_prepare_with(key, || {
+                built = true;
+                build()
+            })
+        }));
+        Ok((fetched.unwrap_or(Err(ServeError::WorkerPanicked.into()))?, built))
+    }
+
+    /// Resolves `spec` (whose content key is `key`) through
+    /// [`Registry::fetch`], journaling a fresh build when durability
+    /// is attached (a no-op if the book already has it).
+    fn resolve(
+        &self,
+        spec: &UniverseSpec,
+        key: &UniverseKey,
+        threads: usize,
+        deadline: Deadline,
+    ) -> Result<PreparedVariant, ServeError> {
+        let (prepared, built) =
+            self.fetch(key, || spec.try_prepare_variant_deadline(threads, deadline))?;
+        if let (true, Some(d)) = (built, self.persist.get()) {
+            d.log_warm_universe(spec, key);
         }
+        Ok(prepared)
     }
 
     /// Rebuilds one recovered universe entry into the cache at its
@@ -189,15 +272,16 @@ impl Registry {
     /// tenant's failure never costs another tenant its answer, and
     /// never costs the process its life.
     ///
-    /// Scheduling has two phases, both over the registry's worker
-    /// threads. *Prepare*: tenants are deduplicated by content key, and
-    /// workers claim distinct universes from a shared counter, so a
-    /// universe appearing in ten tenant slots is prepared (or fetched)
-    /// once. *Solve*: every `(tenant, request)` unit goes into
-    /// per-worker deques dealt round-robin; a worker drains its own
-    /// deque from the front and, when empty, steals from the back of
-    /// the longest remaining deque — so a worker stuck behind one huge
-    /// solve never strands queued work while others idle.
+    /// Scheduling is two steps of the same claim loop, in which the
+    /// calling thread is the first worker and at most `workers − 1`
+    /// more are spawned, each pulling the next item from a shared
+    /// counter. *Resolve*: tenants are deduplicated by content key and
+    /// each distinct universe is fetched (or prepared) once, even if it
+    /// appears in ten tenant slots. *Solve*: every `(tenant, request)`
+    /// unit is one item, so a worker stuck behind one huge solve never
+    /// strands the rest. A step with one item runs inline: the daemon's
+    /// one-tenant frame resolves on the connection worker's own thread
+    /// and spawns a thread only for a second answer.
     ///
     /// Tenants may freely mix serving modes: full-matrix specs and
     /// coreset specs ([`UniverseSpec::with_coreset`]) ride the same
@@ -216,7 +300,7 @@ impl Registry {
     ///   evicting that shard — see `cache.rs`).
     /// - A panic mid-solve is caught per `(tenant, request)` unit: the
     ///   worker discards its scratch (possibly torn mid-unwind), takes a
-    ///   fresh one, and continues draining the queue, so answers behind
+    ///   fresh one, and continues claiming units, so answers behind
     ///   the panicking unit are still served — bit-identical to a batch
     ///   that never contained the bad tenant.
     ///
@@ -280,164 +364,57 @@ impl Registry {
         deadline: Deadline,
     ) -> Vec<Vec<CheckedAnswer>> {
         // Deduplicate universes by content, keeping each distinct key
-        // (fingerprinting is O(content); never pay it twice per batch).
-        // Zero-request tenants are excluded: they contribute no solve
-        // units, so they must not force a prepare either.
-        let mut distinct: Vec<&UniverseSpec> = Vec::new();
-        let mut distinct_keys: Vec<crate::fingerprint::UniverseKey> = Vec::new();
-        let mut slot_of_tenant: Vec<Option<usize>> = Vec::with_capacity(batch.len());
-        {
-            let mut slot_by_key: HashMap<crate::fingerprint::UniverseKey, usize> = HashMap::new();
-            for tenant in batch {
-                if tenant.requests.is_empty() {
-                    slot_of_tenant.push(None);
-                    continue;
-                }
-                let key = tenant.spec.key();
-                let slot = match slot_by_key.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let slot = distinct.len();
-                        distinct.push(&tenant.spec);
-                        distinct_keys.push(v.key().clone()); // O(1): Arc'd bytes
-                        v.insert(slot);
-                        slot
-                    }
-                };
-                slot_of_tenant.push(Some(slot));
+        // (fingerprinting is O(content); never pay it twice per batch),
+        // and flatten the requests into (tenant, request, universe)
+        // units. Zero-request tenants contribute no unit, so they force
+        // no prepare either.
+        let mut distinct: Vec<(&UniverseSpec, UniverseKey)> = Vec::new();
+        let mut slot_by_key: HashMap<UniverseKey, usize> = HashMap::new();
+        let mut flat: Vec<(usize, usize, usize)> = Vec::new();
+        for (t, tenant) in batch.iter().enumerate() {
+            if tenant.requests.is_empty() {
+                continue;
             }
+            let slot = *slot_by_key.entry(tenant.spec.key()).or_insert_with_key(|key| {
+                distinct.push((&tenant.spec, key.clone())); // O(1): Arc'd bytes
+                distinct.len() - 1
+            });
+            flat.extend((0..tenant.requests.len()).map(|r| (t, r, slot)));
         }
-        let units: usize = batch.iter().map(|t| t.requests.len()).sum();
-        if units == 0 {
-            return batch.iter().map(|_| Vec::new()).collect();
-        }
+        let units = flat.len();
 
-        // Phase 1: prepare each distinct universe once, workers
-        // claiming slots from a shared counter. The thread budget is
-        // divided among the workers that actually run in this phase —
-        // one distinct universe must not build its O(n²) matrix
-        // single-threaded just because the solve phase will fan wider.
-        // Preparation runs under catch_unwind: a panicking oracle marks
-        // its own slot failed and the claiming loop moves on.
-        let prepared: Vec<OnceLock<Result<PreparedVariant, ServeError>>> =
-            (0..distinct.len()).map(|_| OnceLock::new()).collect();
-        // Which slots this batch actually built (vs hit): *fresh*
-        // warmth worth journaling once the phase completes.
-        let built: Vec<AtomicBool> = (0..distinct.len()).map(|_| AtomicBool::new(false)).collect();
+        // The thread budget is divided among the workers that actually
+        // run in each step — one distinct universe must not build its
+        // O(n²) matrix single-threaded just because the solve step will
+        // fan wider.
         let workers = self.workers.min(units.max(distinct.len())).max(1);
         let solve_threads = (self.solve_threads / workers).max(1);
-        {
-            let prepare_workers = workers.min(distinct.len()).max(1);
-            let prepare_threads = (self.solve_threads / prepare_workers).max(1);
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..prepare_workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= distinct.len() {
-                            break;
-                        }
-                        let p = catch_unwind(AssertUnwindSafe(|| {
-                            self.cache.get_or_try_prepare_with(&distinct_keys[i], || {
-                                built[i].store(true, Ordering::Relaxed);
-                                distinct[i].try_prepare_variant_deadline(prepare_threads, deadline)
-                            })
-                        }))
-                        .unwrap_or(Err(ServeError::WorkerPanicked));
-                        let _ = prepared[i].set(p);
-                    });
-                }
-            });
-        }
-        for (i, slot) in prepared.iter().enumerate() {
-            if built[i].load(Ordering::Relaxed) && matches!(slot.get(), Some(Ok(_))) {
-                self.note_warm(distinct[i]);
-            }
-        }
+        let prepare_workers = workers.min(distinct.len()).max(1);
+        let prepare_threads = (self.solve_threads / prepare_workers).max(1);
 
-        // Phase 2: flatten request units and solve with work stealing.
-        let mut flat: Vec<(usize, usize)> = Vec::with_capacity(units); // (tenant, request)
-        for (t, tenant) in batch.iter().enumerate() {
-            for r in 0..tenant.requests.len() {
-                flat.push((t, r));
+        let prepared = claim_each(prepare_workers, distinct.len(), |slot, _| {
+            let (spec, key) = &distinct[slot];
+            self.resolve(spec, key, prepare_threads, deadline)
+        });
+        let solved = claim_each(workers, units, |u, scratch| {
+            let (t, r, slot) = flat[u];
+            match &prepared[slot] {
+                Some(Ok(p)) => solve_checked(p, solve_threads, batch[t].requests[r], scratch, deadline),
+                Some(Err(e)) => Err(*e),
+                None => Err(ServeError::WorkerPanicked),
             }
-        }
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        // A panic can only poison a queue lock if the panic happens
-        // while it is held; pushes and pops are tiny and panic-free, so
-        // a poisoned queue's contents are still consistent — recover the
-        // guard and keep scheduling.
-        fn lock_queue(
-            q: &Mutex<VecDeque<usize>>,
-        ) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
-            q.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-        }
-        for (u, queue) in (0..flat.len()).zip((0..workers).cycle()) {
-            lock_queue(&queues[queue]).push_back(u);
-        }
-        let solve_unit = |u: usize, scratch: &mut SolveScratch| -> (usize, usize, CheckedAnswer) {
-            let (t, r) = flat[u];
-            let slot = slot_of_tenant[t].expect("flat units only reference prepared tenants");
-            let request = batch[t].requests[r];
-            let answer = match prepared[slot]
-                .get()
-                .expect("prepare phase covered every distinct universe")
-            {
-                Err(e) => Err(*e),
-                Ok(prep) => solve_checked(prep, solve_threads, request, scratch, deadline),
-            };
-            (t, r, answer)
-        };
-        let solved: Vec<Vec<(usize, usize, CheckedAnswer)>> = std::thread::scope(|scope| {
-            let queues = &queues;
-            let solve_unit = &solve_unit;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        // One scratch per worker: every solve unit this
-                        // worker drains (or steals) reuses the same
-                        // buffers, so the steady-state solve phase does
-                        // no per-request heap allocation.
-                        let mut scratch = SolveScratch::new();
-                        loop {
-                            // Own queue first (front)…
-                            let mine = lock_queue(&queues[w]).pop_front();
-                            if let Some(u) = mine {
-                                out.push(solve_unit(u, &mut scratch));
-                                continue;
-                            }
-                            // …then steal from the longest victim (back).
-                            let victim = (0..queues.len())
-                                .filter(|&v| v != w)
-                                .max_by_key(|&v| lock_queue(&queues[v]).len());
-                            let stolen = victim.and_then(|v| lock_queue(&queues[v]).pop_back());
-                            match stolen {
-                                Some(u) => out.push(solve_unit(u, &mut scratch)),
-                                None => break,
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            // Per-unit catch_unwind means a worker thread cannot die of
-            // a solver panic; if one dies anyway (e.g. its stack
-            // overflowed), its claimed-but-unreported units keep the
-            // WorkerPanicked default below — the batch still returns.
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
         });
 
+        // A unit whose worker died outside every fault boundary keeps
+        // the WorkerPanicked default — the batch still returns.
         let mut answers: Vec<Vec<CheckedAnswer>> = batch
             .iter()
             .map(|t| vec![Err(ServeError::WorkerPanicked); t.requests.len()])
             .collect();
-        for (t, r, answer) in solved.into_iter().flatten() {
-            answers[t][r] = answer;
+        for (&(t, r, _), answer) in flat.iter().zip(solved) {
+            if let Some(answer) = answer {
+                answers[t][r] = answer;
+            }
         }
         answers
     }
@@ -448,15 +425,7 @@ impl Registry {
     /// freshly built universe whose oracles emitted non-finite floats
     /// is refused with [`ServeError::NonFiniteScore`] and never cached.
     pub fn try_prepare(&self, spec: &UniverseSpec) -> Result<PreparedVariant, ServeError> {
-        let mut built = false;
-        let prepared = self.cache.get_or_try_prepare_with(&spec.key(), || {
-            built = true;
-            spec.try_prepare_variant(self.solve_threads)
-        })?;
-        if built {
-            self.note_warm(spec);
-        }
-        Ok(prepared)
+        self.resolve(spec, &spec.key(), self.solve_threads, Deadline::none())
     }
 
     /// Serves one request against one universe: the exact objective
@@ -543,36 +512,19 @@ impl Registry {
         }
         if let Some((prepared, version, mut log)) = self.cache.take(&spec.key()) {
             let migrated = match prepared {
-                PreparedVariant::Full(arc) => {
-                    // Sole owner: patch in place. Shared (a solve is
-                    // still in flight on the old state): fork first —
-                    // the in-flight engine keeps the old immutable
-                    // state, we mutate the copy.
-                    let mut p = Arc::try_unwrap(arc).unwrap_or_else(|a| a.fork());
-                    let valid = match op {
-                        DeltaOp::Insert(t) => {
-                            let rel = spec.relevance().rel(t);
-                            p.insert_tuple(t.clone(), rel);
-                            // The resident state was validated when it
-                            // was built; only the new row can be bad.
-                            p.check_finite_item(p.n() - 1)
-                        }
-                        DeltaOp::Remove(i) => {
-                            p.remove_tuple(*i).expect("index validated by spec.apply");
-                            Ok(())
-                        }
-                    };
-                    valid.map(|()| PreparedVariant::Full(Arc::new(p)))
-                }
                 // Streaming coreset maintenance trades bit-identity for
                 // speed (see divr_core::coreset); the registry's
                 // contract is exact equivalence with a cold prepare, so
                 // coreset entries re-select in O(n·m).
-                PreparedVariant::Coreset(_) => mutated.try_prepare_variant(self.solve_threads),
+                PreparedVariant::Coreset(_) => {
+                    mutated.try_prepare_variant(self.solve_threads).ok()
+                }
+                full => full.patch(std::slice::from_ref(op), &**spec.relevance()),
             };
-            // A non-finite new row drops the entry to cold: the next
-            // serve gets the typed refusal from the checked prepare.
-            if let Ok(migrated) = migrated {
+            // An entry that cannot be patched (a non-finite new row)
+            // drops to cold: the next serve gets the typed refusal from
+            // the checked prepare.
+            if let Some(migrated) = migrated {
                 log.push(op.clone());
                 self.cache
                     .insert_versioned(&mutated.key(), migrated, version + 1, log);
@@ -601,5 +553,80 @@ impl Registry {
     /// Drops all cached state and resets the counters.
     pub fn clear(&self) {
         self.cache.clear()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fingerprint::{FingerprintEncoder, Fingerprintable};
+    use divr_core::distance::Distance;
+    use divr_core::problem::ObjectiveKind;
+    use divr_core::relevance::Relevance;
+    use divr_relquery::Tuple;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
+
+    /// Relevance and distance in one oracle that records which threads
+    /// evaluated it.
+    #[derive(Clone, Default)]
+    struct Witness(Arc<Mutex<HashSet<ThreadId>>>);
+
+    impl Witness {
+        fn seen(&self) {
+            self.0.lock().unwrap().insert(std::thread::current().id());
+        }
+    }
+
+    impl Relevance for Witness {
+        fn rel(&self, t: &Tuple) -> Ratio {
+            self.seen();
+            Ratio::int(t.get(0).and_then(|v| v.as_int()).unwrap_or(0) % 3)
+        }
+    }
+
+    impl Distance for Witness {
+        fn dist(&self, _: &Tuple, _: &Tuple) -> Ratio {
+            self.seen();
+            Ratio::ONE // all tied: the solve re-enters the oracle to break ties exactly
+        }
+    }
+
+    impl Fingerprintable for Witness {
+        fn fingerprint(&self, enc: &mut FingerprintEncoder) {
+            enc.write_str("test:witness");
+        }
+    }
+
+    /// A one-tenant, one-request batch — the daemon's frame — never
+    /// leaves the caller's thread, however many workers the registry
+    /// may use: one distinct universe resolves inline and one unit
+    /// solves inline.
+    #[test]
+    fn one_unit_batch_runs_entirely_on_the_callers_thread() {
+        let witness = Witness::default();
+        let registry = Registry::new(RegistryConfig {
+            workers: 4,
+            solve_threads: 1,
+            ..RegistryConfig::default()
+        });
+        let batch = [TenantBatch {
+            spec: UniverseSpec::new(
+                (0..12).map(|i| Tuple::ints([i])).collect(),
+                Arc::new(witness.clone()),
+                Arc::new(witness.clone()),
+                Ratio::new(1, 2),
+            ),
+            requests: vec![EngineRequest {
+                kind: ObjectiveKind::MaxMin,
+                k: 3,
+            }],
+        }];
+        for _cold_then_warm in 0..2 {
+            assert!(registry.serve_mixed_checked(&batch)[0][0].is_ok());
+        }
+        let seen = witness.0.lock().unwrap();
+        assert_eq!(*seen, HashSet::from([std::thread::current().id()]));
     }
 }

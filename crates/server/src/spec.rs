@@ -168,18 +168,7 @@ impl UniverseSpec {
     /// not below the current universe size.
     pub fn apply(&self, op: &DeltaOp) -> Result<UniverseSpec, DeltaError> {
         let mut next = self.clone();
-        match op {
-            DeltaOp::Insert(tuple) => next.universe.push(tuple.clone()),
-            DeltaOp::Remove(index) => {
-                if *index >= next.universe.len() {
-                    return Err(DeltaError::IndexOutOfRange {
-                        index: *index,
-                        n: next.universe.len(),
-                    });
-                }
-                next.universe.swap_remove(*index);
-            }
-        }
+        op.apply_to(&mut next.universe)?;
         Ok(next)
     }
 
@@ -188,26 +177,26 @@ impl UniverseSpec {
     /// not merely likely — to yield distinct keys).
     pub fn key(&self) -> UniverseKey {
         let mut enc = FingerprintEncoder::new();
-        enc.write_tag("universe");
+        enc.write_str("universe");
         enc.write_usize(self.universe.len());
         for t in &self.universe {
             enc.write_tuple(t);
         }
-        enc.write_tag("rel");
+        enc.write_str("rel");
         self.rel.fingerprint(&mut enc);
-        enc.write_tag("dis");
+        enc.write_str("dis");
         self.dis.fingerprint(&mut enc);
-        enc.write_tag("lambda");
+        enc.write_str("lambda");
         enc.write_ratio(self.lambda);
         match self.coreset {
-            None => enc.write_tag("mode:full"),
+            None => enc.write_str("mode:full"),
             Some(cs) => {
-                enc.write_tag("mode:coreset");
+                enc.write_str("mode:coreset");
                 enc.write_usize(cs.budget);
                 enc.write_usize(cs.refine_rounds);
             }
         }
-        enc.into_key()
+        UniverseKey::from_bytes(enc.bytes())
     }
 
     /// Pays the **full-matrix** preparation cost — relevance cache plus

@@ -36,7 +36,7 @@ impl Distance for PanickingDistance {
 
 impl Fingerprintable for PanickingDistance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("test:panicking-distance");
+        enc.write_str("test:panicking-distance");
     }
 }
 
@@ -64,7 +64,7 @@ impl Distance for NanDistance {
 
 impl Fingerprintable for NanDistance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("test:nan-distance");
+        enc.write_str("test:nan-distance");
     }
 }
 
@@ -102,7 +102,7 @@ impl Distance for PoisonedDistance {
 
 impl Fingerprintable for PoisonedDistance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("test:poisoned-distance");
+        enc.write_str("test:poisoned-distance");
         enc.write_usize(self.poison as usize);
     }
 }
@@ -294,25 +294,26 @@ fn is_non_finite<T: std::fmt::Debug>(answer: &Result<T, ServeError>) -> bool {
     )
 }
 
-/// No public registry path can make an unvalidated universe resident:
-/// a NaN-distance universe through every entry point, in every order,
-/// is always the typed refusal and never an entry.
+/// No public registry path can make a refused universe resident, and
+/// none lets an oracle's panic escape: a NaN-distance universe and a
+/// panicking-distance universe through every entry point, in every
+/// order, are always the typed refusal and never an entry.
 #[test]
-fn non_finite_universe_is_refused_through_every_entry_point_in_every_order() {
+fn hostile_universe_is_refused_through_every_entry_point_in_every_order() {
     let request = EngineRequest {
         kind: ObjectiveKind::MaxSum,
         k: 4,
     };
-    type EntryPoint = fn(&Registry, &UniverseSpec, EngineRequest) -> bool;
+    type EntryPoint = fn(&Registry, &UniverseSpec, EngineRequest) -> Option<ServeError>;
     let entry_points: [EntryPoint; 4] = [
-        |registry, spec, _| is_non_finite(&registry.try_prepare(spec)),
-        |registry, spec, request| is_non_finite(&registry.try_serve(spec, request)),
+        |registry, spec, _| registry.try_prepare(spec).err(),
+        |registry, spec, request| registry.try_serve(spec, request).err(),
         |registry, spec, request| {
             let batch = [TenantBatch {
                 spec: spec.clone(),
                 requests: vec![request],
             }];
-            is_non_finite(&registry.serve_mixed_checked(&batch)[0][0])
+            registry.serve_mixed_checked(&batch).remove(0).remove(0).err()
         },
         |registry, spec, request| {
             let batch = [TenantBatch {
@@ -320,28 +321,102 @@ fn non_finite_universe_is_refused_through_every_entry_point_in_every_order() {
                 requests: vec![request],
             }];
             let far = Deadline::in_ms(600_000);
-            is_non_finite(&registry.serve_mixed_checked_deadline(&batch, far)[0][0])
+            let mut answers = registry.serve_mixed_checked_deadline(&batch, far);
+            answers.remove(0).remove(0).err()
         },
     ];
-    let full = hostile_spec(Arc::new(NanDistance));
-    let coreset = full.clone().with_coreset(CoresetSpec::with_budget(6));
-    for spec in [full, coreset] {
-        // Every ordering of the four entry points on one registry.
-        for order in 0..24usize {
-            let mut remaining: Vec<usize> = (0..4).collect();
-            let registry = Registry::default();
-            let mut code = order;
-            for radix in (1..=4).rev() {
-                let which = remaining.remove(code % radix);
-                code /= radix;
-                assert!(
-                    entry_points[which](&registry, &spec, request),
-                    "order {order}: entry point {which} did not refuse"
-                );
-                assert_eq!(registry.stats().entries, 0, "order {order}");
+    type Refusal = fn(&Option<ServeError>) -> bool;
+    let hostiles: [(UniverseSpec, Refusal); 2] = [
+        (hostile_spec(Arc::new(NanDistance)), |e| {
+            is_non_finite(&e.map_or(Ok(()), Err))
+        }),
+        (hostile_spec(Arc::new(PanickingDistance)), |e| {
+            *e == Some(ServeError::WorkerPanicked)
+        }),
+    ];
+    for (full, refused) in hostiles {
+        let coreset = full.clone().with_coreset(CoresetSpec::with_budget(6));
+        for spec in [full, coreset] {
+            // Every ordering of the four entry points on one registry.
+            for order in 0..24usize {
+                let mut remaining: Vec<usize> = (0..4).collect();
+                let registry = Registry::default();
+                let mut code = order;
+                for radix in (1..=4).rev() {
+                    let which = remaining.remove(code % radix);
+                    code /= radix;
+                    let outcome = entry_points[which](&registry, &spec, request);
+                    assert!(
+                        refused(&outcome),
+                        "order {order}: entry point {which} gave {outcome:?}"
+                    );
+                    assert_eq!(registry.stats().entries, 0, "order {order}");
+                }
             }
         }
     }
+}
+
+fn small_db() -> Database {
+    let mut db = Database::new();
+    db.create_relation("R", &["x", "y"]).unwrap();
+    for i in 0..10 {
+        db.insert("R", vec![Value::int(i), Value::int(i % 4)]).unwrap();
+    }
+    db
+}
+
+fn identity_query(distance: Arc<dyn divr_server::ServableDistance>) -> QuerySpec {
+    QuerySpec::new(
+        parse_query("Q(x, y) :- R(x, y)").unwrap(),
+        Arc::new(AttributeRelevance {
+            attr: 1,
+            default: Ratio::ZERO,
+        }),
+        distance,
+        Ratio::new(1, 2),
+    )
+    .unwrap()
+}
+
+/// The front door resolves through the same guarded fetch: a panicking
+/// oracle on a cold query is the typed refusal from `universe_of` and
+/// `serve_query` alike, and nothing becomes resident.
+#[test]
+fn panicking_oracle_at_the_front_door_is_typed() {
+    let front = QueryFrontDoor::new(Arc::new(Registry::default()));
+    front.register_database("main", small_db());
+    let q = identity_query(Arc::new(PanickingDistance));
+    let died = QueryError::Serve(ServeError::WorkerPanicked);
+    assert_eq!(front.universe_of("main", &q), Err(died.clone()));
+    let request = EngineRequest {
+        kind: ObjectiveKind::MaxSum,
+        k: 3,
+    };
+    assert_eq!(front.serve_query("main", &q, &[request]), Err(died));
+    assert_eq!(front.registry().stats().entries, 0);
+}
+
+/// An entry first built by `universe_of` is a warm entry like any
+/// other: the next base-table edit finds it, re-keys it and repairs it
+/// instead of orphaning it under its old key.
+#[test]
+fn universe_of_miss_is_migrated_by_the_next_base_edit() {
+    let front = QueryFrontDoor::new(Arc::new(Registry::default()));
+    front.register_database("main", small_db());
+    let q = identity_query(Arc::new(NumericDistance {
+        attr: 0,
+        fallback: Ratio::ZERO,
+    }));
+    assert_eq!(front.universe_of("main", &q).unwrap().len(), 10);
+    assert_eq!(front.registry().stats().entries, 1);
+    assert!(front
+        .insert_base_tuple("main", "R", vec![Value::int(77), Value::int(1)])
+        .unwrap());
+    assert!(front.is_warm("main", &q).unwrap(), "migrated, not orphaned");
+    assert_eq!(front.registry().stats().entries, 1);
+    assert_eq!(front.universe_of("main", &q).unwrap().len(), 11);
+    assert_eq!(front.registry().stats().misses, 1, "repaired, never re-prepared");
 }
 
 /// The delta paths validate the row they append: a tuple whose scores

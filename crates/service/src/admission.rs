@@ -237,8 +237,8 @@ mod tests {
 
     fn key(tag: &str) -> UniverseKey {
         let mut enc = FingerprintEncoder::new();
-        enc.write_tag(tag);
-        enc.into_key()
+        enc.write_str(tag);
+        UniverseKey::from_bytes(enc.bytes())
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::wire::{
     ratio_to_json, relevance_from_json, requests_from_json, tuple_from_json, universe_from_json,
 };
 use divr_core::coreset::CORESET_AUTO_THRESHOLD;
-use divr_core::engine::ServeError;
+use divr_core::engine::{EngineRequest, ServeError};
 use divr_core::problem::ObjectiveKind;
 use divr_core::{Deadline, Ratio};
 use divr_relquery::parser::parse_query;
@@ -540,45 +540,46 @@ fn handle_frame(shared: &Shared, payload: &[u8]) -> Value {
         Some("serve" | "query" | "mutate") if shared.draining.load(Ordering::SeqCst) => {
             draining_frame(shared)
         }
-        Some("serve") => handle_serve(shared, &doc),
-        Some("query") => handle_query(shared, &doc),
-        Some("mutate") => handle_mutate(shared, &doc),
+        Some("serve") => handle_serve(shared, &doc).unwrap_or_else(|refusal| refusal),
+        Some("query") => handle_query(shared, &doc).unwrap_or_else(|refusal| refusal),
+        Some("mutate") => handle_mutate(shared, &doc).unwrap_or_else(|refusal| refusal),
         Some("checkpoint") => handle_checkpoint(shared),
         Some(other) => error_frame(400, "bad_request", &format!("unknown op {other:?}")),
         None => error_frame(400, "bad_request", "frame needs a string \"op\""),
     }
 }
 
-fn handle_serve(shared: &Shared, doc: &Value) -> Value {
+/// The required field `name` of a work frame, decoded: absent is a
+/// `400 bad_request` saying `missing`, malformed one carrying the
+/// decoder's message.
+fn field<T>(
+    doc: &Value,
+    name: &str,
+    missing: &str,
+    decode: impl FnOnce(&Value) -> Result<T, String>,
+) -> Result<T, Value> {
+    let v = doc
+        .get(name)
+        .ok_or_else(|| error_frame(400, "bad_request", missing))?;
+    decode(v).map_err(|e| error_frame(400, "bad_request", &e))
+}
+
+/// A work-frame handler's early exit: the refusal frame to send back.
+type Handled = Result<Value, Value>;
+
+fn handle_serve(shared: &Shared, doc: &Value) -> Handled {
     let Some(tenant) = doc.get("tenant").and_then(Value::as_str) else {
-        return error_frame(400, "bad_request", "serve needs a string \"tenant\"");
+        return Err(error_frame(400, "bad_request", "serve needs a string \"tenant\""));
     };
-    let requests = match doc.get("requests").ok_or("serve needs requests") {
-        Ok(v) => match requests_from_json(v) {
-            Ok(requests) => requests,
-            Err(e) => return error_frame(400, "bad_request", &e),
-        },
-        Err(e) => return error_frame(400, "bad_request", e),
-    };
-    let mut spec = match doc.get("universe").ok_or("serve needs a universe") {
-        Ok(v) => match universe_from_json(v) {
-            Ok(spec) => spec,
-            Err(e) => return error_frame(400, "bad_request", &e),
-        },
-        Err(e) => return error_frame(400, "bad_request", e),
-    };
-    let deadline = match frame_deadline(shared, doc) {
-        Ok(deadline) => deadline,
-        Err(frame) => return frame,
-    };
+    let requests = field(doc, "requests", "serve needs requests", requests_from_json)?;
+    let mut spec = field(doc, "universe", "serve needs a universe", universe_from_json)?;
+    let deadline = frame_deadline(shared, doc)?;
 
     // Rate gate: microseconds spent here guard O(n²) work behind it.
-    if let Err(rejection) = shared
+    shared
         .admission
         .admit_requests(tenant, requests.len() as f64)
-    {
-        return rejection_frame(&rejection);
-    }
+        .map_err(|rejection| rejection_frame(&rejection))?;
 
     // In-flight gauge (this frame included) drives degradation.
     let depth = DepthGuard::enter(&shared.depth);
@@ -600,12 +601,10 @@ fn handle_serve(shared: &Shared, doc: &Value) -> Value {
         spec.universe().len(),
         spec.coreset().map(|mode| mode.budget),
     );
-    if let Err(rejection) = shared
+    shared
         .admission
         .charge_universe(tenant, &spec.key(), estimate)
-    {
-        return rejection_frame(&rejection);
-    }
+        .map_err(|rejection| rejection_frame(&rejection))?;
 
     let started = Instant::now();
     let mut results = shared.registry.serve_mixed_checked_deadline(
@@ -616,21 +615,41 @@ fn handle_serve(shared: &Shared, doc: &Value) -> Value {
         deadline,
     );
     let elapsed = started.elapsed();
-    let answers = results.pop().unwrap_or_default();
-    for request in &requests {
-        shared.latency.record(request.kind, elapsed);
-    }
     drop(depth);
+    Ok(reply(
+        &shared.latency,
+        &shared.deadline_exceeded,
+        &requests,
+        elapsed,
+        results.pop().unwrap_or_default(),
+        ("degraded", Value::Bool(degraded)),
+    ))
+}
 
-    // A batch whose every request died at the deadline becomes one
-    // frame-level retryable 504 (what a retrying client keys off);
-    // a partial trip keeps the per-answer error objects instead.
+/// The one reply tail of a work frame (`serve` and `query`): records
+/// the frame's latency per requested objective, counts a frame any of
+/// whose answers died at the deadline (once per frame), and encodes.
+/// A batch whose every request died at the deadline becomes one
+/// frame-level retryable 504 (what a retrying client keys off); a
+/// partial trip keeps the per-answer error objects instead. `extra`
+/// is the op's own member (`degraded` / `database`).
+fn reply(
+    latency: &LatencyStats,
+    deadline_exceeded: &AtomicU64,
+    requests: &[EngineRequest],
+    elapsed: Duration,
+    answers: Vec<divr_server::CheckedAnswer>,
+    extra: (&'static str, Value),
+) -> Value {
+    for request in requests {
+        latency.record(request.kind, elapsed);
+    }
     let tripped = answers
         .iter()
         .filter(|a| matches!(a, Err(ServeError::DeadlineExceeded)))
         .count();
     if tripped > 0 {
-        shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+        deadline_exceeded.fetch_add(1, Ordering::Relaxed);
     }
     if tripped == answers.len() && tripped > 0 {
         return error_frame(
@@ -639,10 +658,9 @@ fn handle_serve(shared: &Shared, doc: &Value) -> Value {
             "the frame's deadline passed before the work finished; nothing was cached",
         );
     }
-
     object([
         ("ok", Value::Bool(true)),
-        ("degraded", Value::Bool(degraded)),
+        extra,
         ("answers", answers_json(answers)),
     ])
 }
@@ -712,95 +730,59 @@ fn query_error_frame(e: &QueryError) -> Value {
 /// [`CORESET_AUTO_THRESHOLD`] auto-escalates to a streamed coreset
 /// (sized by `max_k`) inside the front door itself, which bounds
 /// prepared bytes without a load signal.
-fn handle_query(shared: &Shared, doc: &Value) -> Value {
+fn handle_query(shared: &Shared, doc: &Value) -> Handled {
     let Some(tenant) = doc.get("tenant").and_then(Value::as_str) else {
-        return error_frame(400, "bad_request", "query needs a string \"tenant\"");
+        return Err(error_frame(400, "bad_request", "query needs a string \"tenant\""));
     };
     let Some(text) = doc.get("query").and_then(Value::as_str) else {
-        return error_frame(400, "bad_request", "query needs a string \"query\"");
+        return Err(error_frame(400, "bad_request", "query needs a string \"query\""));
     };
     // Malformed query *text* is a 400 — the frame itself is broken.
     // Schema-level mismatches against the shipped database surface
     // later as 422s.
-    let query = match parse_query(text) {
-        Ok(query) => query,
-        Err(e) => return error_frame(400, "bad_request", &format!("malformed query: {e}")),
-    };
-    let (db_name, db) = match doc.get("database").ok_or("query needs a database") {
-        Ok(v) => match database_from_json(v) {
-            Ok(pair) => pair,
-            Err(e) => return error_frame(400, "bad_request", &e),
-        },
-        Err(e) => return error_frame(400, "bad_request", e),
-    };
-    let rel = match doc.get("relevance").ok_or("query needs relevance") {
-        Ok(v) => match relevance_from_json(v) {
-            Ok(rel) => rel,
-            Err(e) => return error_frame(400, "bad_request", &e),
-        },
-        Err(e) => return error_frame(400, "bad_request", e),
-    };
-    let dis = match doc.get("distance").ok_or("query needs distance") {
-        Ok(v) => match distance_from_json(v) {
-            Ok(dis) => dis,
-            Err(e) => return error_frame(400, "bad_request", &e),
-        },
-        Err(e) => return error_frame(400, "bad_request", e),
-    };
-    let lambda = match doc.get("lambda").ok_or("query needs lambda") {
-        Ok(v) => match ratio_from_json(v) {
-            Ok(lambda) if lambda >= Ratio::ZERO && lambda <= Ratio::ONE => lambda,
-            Ok(_) => return error_frame(400, "bad_request", "lambda must lie in [0, 1]"),
-            Err(e) => return error_frame(400, "bad_request", &e),
-        },
-        Err(e) => return error_frame(400, "bad_request", e),
-    };
-    let requests = match doc.get("requests").ok_or("query needs requests") {
-        Ok(v) => match requests_from_json(v) {
-            Ok(requests) => requests,
-            Err(e) => return error_frame(400, "bad_request", &e),
-        },
-        Err(e) => return error_frame(400, "bad_request", e),
-    };
-    let deadline = match frame_deadline(shared, doc) {
-        Ok(deadline) => deadline,
-        Err(frame) => return frame,
-    };
+    let query = parse_query(text)
+        .map_err(|e| error_frame(400, "bad_request", &format!("malformed query: {e}")))?;
+    let (db_name, db) = field(doc, "database", "query needs a database", database_from_json)?;
+    let rel = field(doc, "relevance", "query needs relevance", relevance_from_json)?;
+    let dis = field(doc, "distance", "query needs distance", distance_from_json)?;
+    let lambda = field(doc, "lambda", "query needs lambda", |v| {
+        let lambda = ratio_from_json(v)?;
+        if lambda < Ratio::ZERO || lambda > Ratio::ONE {
+            return Err("lambda must lie in [0, 1]".to_string());
+        }
+        Ok(lambda)
+    })?;
+    let requests = field(doc, "requests", "query needs requests", requests_from_json)?;
+    let deadline = frame_deadline(shared, doc)?;
 
     // Rate gate, same currency as `serve`: one token per answer.
-    if let Err(rejection) = shared
+    shared
         .admission
         .admit_requests(tenant, requests.len() as f64)
-    {
-        return rejection_frame(&rejection);
-    }
+        .map_err(|rejection| rejection_frame(&rejection))?;
 
     // Schema pre-flight, before anything is charged or prepared: an
     // unknown relation or a wrong-arity atom is a 422 here, not an
     // unbounded cardinality estimate below.
-    if let Err(e) = divr_relquery::check_schema(&db, &query) {
-        return query_error_frame(&QueryError::Query(e));
-    }
+    divr_relquery::check_schema(&db, &query)
+        .map_err(|e| query_error_frame(&QueryError::Query(e)))?;
 
     // Cardinality bound *before* evaluation — a saturating product of
     // relation sizes, never an underestimate — drives the cache-byte
     // estimate below.
     let bound = divr_relquery::cardinality_bound(&db, &query);
 
-    let mut spec = match QuerySpec::new(query, rel, dis, lambda) {
-        Ok(spec) => spec,
-        Err(e) => return query_error_frame(&e),
-    };
+    let mut spec = QuerySpec::new(query, rel, dis, lambda).map_err(|e| query_error_frame(&e))?;
     if let Some(mode) = doc.get("coreset") {
-        match coreset_from_json(mode) {
-            Ok(mode) => spec = spec.with_coreset(mode),
-            Err(e) => return error_frame(400, "bad_request", &e),
-        }
+        let mode = coreset_from_json(mode).map_err(|e| error_frame(400, "bad_request", &e))?;
+        spec = spec.with_coreset(mode);
     }
     if let Some(k) = doc.get("max_k") {
         match k.as_i64().and_then(|k| usize::try_from(k).ok()).filter(|&k| k > 0) {
             Some(k) => spec = spec.with_max_k(k),
-            None => return error_frame(400, "bad_request", "max_k must be a positive integer"),
+            None => {
+                return Err(error_frame(400, "bad_request", "max_k must be a positive integer"))
+            }
         }
     }
 
@@ -821,44 +803,35 @@ fn handle_query(shared: &Shared, doc: &Value) -> Value {
     let budget = spec.coreset().map(|mode| mode.budget).or_else(|| {
         (n_bound > CORESET_AUTO_THRESHOLD).then(|| spec.auto_budget())
     });
-    let key = match shared.front.key_for(&db_name, &spec) {
-        Ok(key) => key,
-        Err(e) => return query_error_frame(&e),
-    };
-    if let Err(rejection) = shared
+    let key = shared
+        .front
+        .key_for(&db_name, &spec)
+        .map_err(|e| query_error_frame(&e))?;
+    shared
         .admission
         .charge_universe(tenant, &key, estimate_prepared_bytes(n_bound, budget))
-    {
-        return rejection_frame(&rejection);
-    }
+        .map_err(|rejection| rejection_frame(&rejection))?;
 
     let started = Instant::now();
-    let answers = match shared.front.serve_query_deadline(&db_name, &spec, &requests, deadline) {
-        Ok(answers) => answers,
-        Err(e) => {
+    let answers = shared
+        .front
+        .serve_query_deadline(&db_name, &spec, &requests, deadline)
+        .map_err(|e| {
             if matches!(e, QueryError::Serve(ServeError::DeadlineExceeded)) {
                 shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
             }
-            return query_error_frame(&e);
-        }
-    };
+            query_error_frame(&e)
+        })?;
     let elapsed = started.elapsed();
-    for request in &requests {
-        shared.latency.record(request.kind, elapsed);
-    }
     drop(depth);
-    if answers
-        .iter()
-        .any(|a| matches!(a, Err(ServeError::DeadlineExceeded)))
-    {
-        shared.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    object([
-        ("ok", Value::Bool(true)),
+    Ok(reply(
+        &shared.latency,
+        &shared.deadline_exceeded,
+        &requests,
+        elapsed,
+        answers,
         ("database", Value::Str(db_name)),
-        ("answers", answers_json(answers)),
-    ])
+    ))
 }
 
 /// `{"op": "mutate"}` — edits one base tuple of a registered database:
@@ -868,52 +841,42 @@ fn handle_query(shared: &Shared, doc: &Value) -> Value {
 /// (doomed tuples swap-removed from warm `Full` entries, other
 /// derivations kept). With durability on, the edit is journaled to the
 /// WAL *before* the in-memory mutation is acknowledged.
-fn handle_mutate(shared: &Shared, doc: &Value) -> Value {
-    let Some(tenant) = doc.get("tenant").and_then(Value::as_str) else {
-        return error_frame(400, "bad_request", "mutate needs a string \"tenant\"");
+fn handle_mutate(shared: &Shared, doc: &Value) -> Handled {
+    let text = |name: &str| {
+        doc.get(name).and_then(Value::as_str).ok_or_else(|| {
+            error_frame(400, "bad_request", &format!("mutate needs a string {name:?}"))
+        })
     };
-    let Some(db) = doc.get("database").and_then(Value::as_str) else {
-        return error_frame(400, "bad_request", "mutate needs a string \"database\"");
-    };
-    let Some(relation) = doc.get("relation").and_then(Value::as_str) else {
-        return error_frame(400, "bad_request", "mutate needs a string \"relation\"");
-    };
-    let Some(action) = doc.get("action").and_then(Value::as_str) else {
-        return error_frame(400, "bad_request", "mutate needs a string \"action\"");
-    };
-    let tuple = match doc.get("tuple").ok_or("mutate needs a tuple") {
-        Ok(v) => match tuple_from_json(v) {
-            Ok(tuple) => tuple,
-            Err(e) => return error_frame(400, "bad_request", &e),
-        },
-        Err(e) => return error_frame(400, "bad_request", e),
-    };
+    let (tenant, db) = (text("tenant")?, text("database")?);
+    let (relation, action) = (text("relation")?, text("action")?);
+    let tuple = field(doc, "tuple", "mutate needs a tuple", tuple_from_json)?;
     // One token per mutation — the same rate currency as answers, so a
     // tenant cannot sidestep its QPS quota by hammering the write path.
-    if let Err(rejection) = shared.admission.admit_requests(tenant, 1.0) {
-        return rejection_frame(&rejection);
-    }
+    shared
+        .admission
+        .admit_requests(tenant, 1.0)
+        .map_err(|rejection| rejection_frame(&rejection))?;
     let values = tuple.iter().cloned().collect();
     let outcome = match action {
         "insert" => shared.front.insert_base_tuple(db, relation, values),
         "remove" => shared.front.remove_base_tuple(db, relation, values),
         other => {
-            return error_frame(
+            return Err(error_frame(
                 400,
                 "bad_request",
                 &format!("unknown action {other:?} (expected \"insert\" or \"remove\")"),
-            )
+            ))
         }
     };
     match outcome {
-        Ok(changed) => object([("ok", Value::Bool(true)), ("changed", Value::Bool(changed))]),
+        Ok(changed) => Ok(object([("ok", Value::Bool(true)), ("changed", Value::Bool(changed))])),
         // Unlike the query path (which registers databases itself), the
         // mutate frame names a database the client claims exists — an
         // unknown name is the client's schema error, not ours.
         Err(e @ QueryError::UnknownDatabase(_)) => {
-            error_frame(422, "unknown_database", &e.to_string())
+            Err(error_frame(422, "unknown_database", &e.to_string()))
         }
-        Err(e) => query_error_frame(&e),
+        Err(e) => Err(query_error_frame(&e)),
     }
 }
 
@@ -1059,4 +1022,56 @@ fn stats_frame(shared: &Shared) -> Value {
             ]),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The shared reply tail, for both ops: every answer tripped ⇒ one
+    /// frame-level retryable 504; a partial trip keeps per-answer
+    /// objects; either way the counter moves once per frame and the
+    /// latency is recorded per requested objective.
+    #[test]
+    fn reply_tail_is_one_for_serve_and_query() {
+        let requests = [
+            EngineRequest { kind: ObjectiveKind::MaxSum, k: 2 },
+            EngineRequest { kind: ObjectiveKind::MaxMin, k: 2 },
+        ];
+        let ok = || Ok((Ratio::ONE, vec![0, 1]));
+        let tripped = || Err(ServeError::DeadlineExceeded);
+        let extras = [
+            ("degraded", Value::Bool(false)),
+            ("database", Value::Str("db-0".into())),
+        ];
+        for extra in extras {
+            let latency = LatencyStats::new();
+            let counter = AtomicU64::new(0);
+            let tail = |answers| {
+                reply(&latency, &counter, &requests, Duration::from_micros(7), answers, extra.clone())
+            };
+
+            let frame = tail(vec![tripped(), tripped()]);
+            assert_eq!(frame.get("ok"), Some(&Value::Bool(false)), "{}", extra.0);
+            assert_eq!(frame.get("code"), Some(&Value::Int(504)));
+            assert_eq!(frame.get("kind").and_then(Value::as_str), Some("deadline_exceeded"));
+            assert_eq!(frame.get("retryable"), Some(&Value::Bool(true)));
+            assert!(frame.get("answers").is_none());
+            assert_eq!(counter.load(Ordering::Relaxed), 1, "once per frame, not per answer");
+
+            let frame = tail(vec![ok(), tripped()]);
+            assert_eq!(frame.get("ok"), Some(&Value::Bool(true)));
+            assert_eq!(frame.get(extra.0), Some(&extra.1));
+            let answers = frame.get("answers").and_then(Value::as_array).unwrap();
+            assert_eq!(answers[0].get("ok"), Some(&Value::Bool(true)));
+            assert_eq!(answers[1].get("code"), Some(&Value::Int(504)));
+            assert_eq!(counter.load(Ordering::Relaxed), 2);
+
+            let frame = tail(vec![ok(), ok()]);
+            assert_eq!(frame.get("ok"), Some(&Value::Bool(true)));
+            assert_eq!(counter.load(Ordering::Relaxed), 2, "no trip, no count");
+            assert_eq!(latency.of(ObjectiveKind::MaxSum).count(), 3);
+            assert_eq!(latency.of(ObjectiveKind::Mono).count(), 0);
+        }
+    }
 }

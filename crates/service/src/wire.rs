@@ -23,7 +23,7 @@ use divr_core::Ratio;
 use divr_relquery::{Database, Tuple};
 use divr_server::{
     CoresetSpec, FingerprintEncoder, Fingerprintable, ServableDistance, ServableRelevance,
-    UniverseSpec,
+    UniverseKey, UniverseSpec,
 };
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ impl Distance for ChaosPanicDistance {
 
 impl Fingerprintable for ChaosPanicDistance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("dis:chaos_panic");
+        enc.write_str("dis:chaos_panic");
     }
 }
 
@@ -74,7 +74,7 @@ impl Distance for ChaosNanDistance {
 
 impl Fingerprintable for ChaosNanDistance {
     fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("dis:chaos_nan");
+        enc.write_str("dis:chaos_nan");
     }
 }
 
@@ -138,7 +138,7 @@ pub fn database_from_json(v: &Value) -> Result<(String, Database), String> {
         .ok_or("database needs a relations array")?;
     let mut db = Database::new();
     let mut enc = FingerprintEncoder::new();
-    enc.write_tag("wire-db");
+    enc.write_str("wire-db");
     enc.write_usize(relations.len());
     for relation in relations {
         let name = relation
@@ -154,7 +154,7 @@ pub fn database_from_json(v: &Value) -> Result<(String, Database), String> {
             .map(|a| a.as_str().ok_or("relation attrs must be strings"))
             .collect::<Result<_, _>>()?;
         db.create_relation(name, &attrs).map_err(|e| e.to_string())?;
-        enc.write_tag("rel");
+        enc.write_str("rel");
         enc.write_str(name);
         enc.write_usize(attrs.len());
         for attr in &attrs {
@@ -174,7 +174,7 @@ pub fn database_from_json(v: &Value) -> Result<(String, Database), String> {
             }
         }
     }
-    Ok((format!("db-{:032x}", enc.into_key().digest()), db))
+    Ok((format!("db-{:032x}", UniverseKey::from_bytes(enc.bytes()).digest()), db))
 }
 
 /// Decodes one `relevance` object (`{"kind": "constant"|"attribute", …}`).

@@ -8,8 +8,10 @@
 //! but the traffic re-uses those universes heavily, and the `O(n²)`
 //! distance-matrix build dominates every cold request. The registry
 //! fingerprints each universe by content, caches prepared state in a
-//! byte-budgeted LRU, and schedules mixed batches over work-stealing
-//! workers, so only the *first* request against each universe pays
+//! byte-budgeted LRU, and runs a mixed batch as two steps of one claim
+//! loop — resolve each distinct universe once, then solve every
+//! request, the caller's thread working alongside the workers it
+//! spawns — so only the *first* request against each universe pays
 //! preparation.
 
 use divr::core::distance::NumericDistance;

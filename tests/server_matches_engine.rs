@@ -128,15 +128,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Mixed interleaved batches through a comfortably sized cache:
-    /// every answer equals a fresh single-universe engine solve.
+    /// every answer equals a fresh single-universe engine solve, and the
+    /// registry's worker count changes neither an answer nor a miss.
     #[test]
     fn mixed_batches_match_fresh_engines(raw in batch_strategy()) {
-        let registry = Registry::new(RegistryConfig {
-            byte_budget: 64 << 20,
-            shards: 2,
-            workers: 2,
-            solve_threads: 2,
-        });
         let specs: Vec<UniverseSpec> = raw.universes.iter().map(spec_of).collect();
         let batch: Vec<TenantBatch> = raw
             .tenants
@@ -146,26 +141,40 @@ proptest! {
                 requests: vec![request_of(obj, k)],
             })
             .collect();
-        // Serve the same batch twice: first pass exercises misses, the
-        // second pass hits the cached prepared universes.
-        for pass in 0..2 {
-            let answers = registry.serve_mixed_checked(&batch);
-            prop_assert_eq!(answers.len(), batch.len(), "pass {}", pass);
-            for (tenant, tenant_answers) in raw.tenants.iter().zip(&answers) {
-                let &(u, obj, k) = tenant;
-                prop_assert_eq!(tenant_answers.len(), 1);
-                assert_matches(&tenant_answers[0].clone().ok(), &specs[u], request_of(obj, k))?;
-            }
-        }
-        // Distinct universe contents were each prepared exactly once.
         let distinct = {
             let mut keys: Vec<_> = specs.iter().map(|s| s.key()).collect();
             keys.sort_by(|a, b| a.bytes().cmp(b.bytes()));
             keys.dedup();
             keys.len()
         };
-        // Tenants may not cover every generated universe.
-        prop_assert!(registry.stats().misses as usize <= distinct);
+        let mut runs = Vec::new();
+        for workers in [1usize, 4] {
+            let registry = Registry::new(RegistryConfig {
+                byte_budget: 64 << 20,
+                shards: 2,
+                workers,
+                solve_threads: 2,
+            });
+            // Serve the same batch twice: first pass exercises misses,
+            // the second pass hits the cached prepared universes.
+            let mut served = Vec::new();
+            for pass in 0..2 {
+                let answers = registry.serve_mixed_checked(&batch);
+                prop_assert_eq!(answers.len(), batch.len(), "pass {}", pass);
+                for (tenant, tenant_answers) in raw.tenants.iter().zip(&answers) {
+                    let &(u, obj, k) = tenant;
+                    prop_assert_eq!(tenant_answers.len(), 1);
+                    assert_matches(&tenant_answers[0].clone().ok(), &specs[u], request_of(obj, k))?;
+                }
+                served.push(answers);
+            }
+            // Distinct universe contents were each prepared exactly
+            // once (tenants may not cover every generated universe).
+            let misses = registry.stats().misses;
+            prop_assert!(misses as usize <= distinct);
+            runs.push((served, misses));
+        }
+        prop_assert_eq!(&runs[0], &runs[1], "worker count changed an answer or a miss");
     }
 
     /// A byte budget too small for two universes forces evict → rebuild
