@@ -15,28 +15,36 @@
 //! * `coreset/prepare_2000` vs `full/prepare_2000` — same workload
 //!   family at a size the full engine still handles, isolating what
 //!   the `O(n·m)` selection costs relative to the `O(n²)` build it
-//!   replaces.
+//!   replaces;
+//! * `coreset/select_t{1,2}` and `coreset/prepare_t{1,2}` at
+//!   `n = 20 000, m = 256` (the wire benchmark's `coreset_huge` shape)
+//!   and `n = 50 000, m = 160` — `Coreset::select` alone and the whole
+//!   prepare, at one and two threads: the cells that show whether the
+//!   thread setting helps or hurts the selection.
 //!
 //! Run with `cargo bench -p divr-bench --bench coreset_scaling`;
 //! recorded numbers live in `BENCH_coreset.json` at the workspace
-//! root.
+//! root. Set `BENCH_QUICK=1` for the CI smoke configuration (every
+//! size and window divided by ten — sanity, not a timing gate).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use divr_core::coreset::{CoresetConfig, CoresetEngine, PreparedCoreset};
+use divr_core::coreset::{Coreset, CoresetConfig, CoresetEngine, PreparedCoreset};
 use divr_core::distance::NumericDistance;
 use divr_core::engine::{EngineRequest, PreparedUniverse};
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
-use divr_core::relevance::TableRelevance;
+use divr_core::relevance::{Relevance, TableRelevance};
 use divr_relquery::Tuple;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-const N_LARGE: usize = 50_000;
-const N_SMALL: usize = 2_000;
 const K: usize = 10;
 const BUDGET: usize = 16 * K; // CoresetConfig::recommended(K)
+
+fn quick() -> bool {
+    std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
+}
 
 /// Deterministic workload: 2-D integer points, L1-on-attr-0 distance,
 /// random integer relevances — the `engine_hotpath` family, at sizes
@@ -56,16 +64,19 @@ fn dis() -> Arc<dyn divr_core::distance::Distance + Send + Sync> {
 }
 
 fn coreset_scaling(c: &mut Criterion) {
+    let shrink = if quick() { 10 } else { 1 };
+    let window = std::time::Duration::from_millis(2000 / shrink as u64);
+    let (n_large, n_small) = (50_000 / shrink, 2_000 / shrink);
     let mut g = c.benchmark_group("coreset");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(100));
-    g.measurement_time(std::time::Duration::from_millis(2000));
+    g.measurement_time(window);
 
     // The headline: prepare + serve where the full matrix cannot exist.
-    let (universe, rel) = workload(N_LARGE);
+    let (universe, rel) = workload(n_large);
     let config = CoresetConfig::with_budget(BUDGET);
     g.bench_with_input(
-        BenchmarkId::new("prepare", N_LARGE),
+        BenchmarkId::new("prepare", n_large),
         &universe,
         |b, u| {
             b.iter(|| {
@@ -83,7 +94,7 @@ fn coreset_scaling(c: &mut Criterion) {
     );
     for kind in ObjectiveKind::ALL {
         g.bench_with_input(
-            BenchmarkId::new(format!("serve_{kind}"), N_LARGE),
+            BenchmarkId::new(format!("serve_{kind}"), n_large),
             &kind,
             |b, &kind| {
                 b.iter(|| engine.try_serve(EngineRequest { kind, k: K }).unwrap().1.len())
@@ -91,11 +102,41 @@ fn coreset_scaling(c: &mut Criterion) {
         );
     }
 
+    // Selection alone and the whole prepare at one and two threads, on
+    // the wire benchmark's shape and on the headline's.
+    for (n, m) in [(20_000 / shrink, 256), (n_large, BUDGET)] {
+        let (universe, rel) = workload(n);
+        let rels: Vec<Ratio> = universe.iter().map(|t| rel.rel(t)).collect();
+        let oracle = dis();
+        for threads in [1, 2] {
+            g.bench_function(
+                BenchmarkId::new(format!("select_t{threads}"), format!("{n}_m{m}")),
+                |b| b.iter(|| Coreset::select(&universe, &rels, &*oracle, m, threads).m()),
+            );
+            let config = CoresetConfig::with_budget(m).with_threads(threads);
+            g.bench_function(
+                BenchmarkId::new(format!("prepare_t{threads}"), format!("{n}_m{m}")),
+                |b| {
+                    b.iter(|| {
+                        PreparedCoreset::build_shared(
+                            universe.clone(),
+                            &rel,
+                            oracle.clone(),
+                            Ratio::new(1, 2),
+                            &config,
+                        )
+                        .m()
+                    })
+                },
+            );
+        }
+    }
+
     // Small-n contrast: what the O(n·m) selection costs next to the
     // O(n²) matrix build it replaces.
-    let (small, small_rel) = workload(N_SMALL);
+    let (small, small_rel) = workload(n_small);
     g.bench_with_input(
-        BenchmarkId::new("prepare", N_SMALL),
+        BenchmarkId::new("prepare", n_small),
         &small,
         |b, u| {
             b.iter(|| {
@@ -115,10 +156,10 @@ fn coreset_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("full");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(100));
-    g.measurement_time(std::time::Duration::from_millis(2000));
-    let (small, small_rel) = workload(N_SMALL);
+    g.measurement_time(window);
+    let (small, small_rel) = workload(n_small);
     g.bench_with_input(
-        BenchmarkId::new("prepare", N_SMALL),
+        BenchmarkId::new("prepare", n_small),
         &small,
         |b, u| {
             b.iter(|| {

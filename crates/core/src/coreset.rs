@@ -13,16 +13,17 @@
 //! universe. This module implements that route with the same
 //! exactness discipline as the engine:
 //!
-//! * [`Coreset::select`] — a parallel farthest-point (Gonzalez
-//!   k-center / GMM-style) pass that picks `m` representatives in
-//!   `O(n·m)` distance evaluations and **zero** `n × n` allocations.
+//! * [`Coreset::select`] — a farthest-point (Gonzalez k-center /
+//!   GMM-style) pass that picks `m` representatives in `O(n·m)`
+//!   distance evaluations and **zero** `n × n` allocations.
 //!   Half the budget goes to the top-relevance items (so the λ → 0
 //!   regime, where only relevance matters, stays exact for
 //!   `k ≤ ⌈m/2⌉`), half to farthest-point coverage (so the λ → 1
-//!   regime keeps the classical k-center guarantees). Scans are
-//!   thread-sharded and float-scored with the engine's exact-`Ratio`
-//!   tie fallback, so selection is deterministic down to equal-score
-//!   ties.
+//!   regime keeps the classical k-center guarantees). Sweeps are
+//!   float-scored with the engine's exact-`Ratio` tie fallback, so
+//!   selection is deterministic down to equal-score ties; key-shaped
+//!   oracles ([`Distance::key_column`]) are swept as one flat integer
+//!   column, all others per pair across threads.
 //! * [`PreparedCoreset`] — the owned, shareable prepared state: `O(n)`
 //!   relevance caches, the coreset itself, and an `m × m`
 //!   [`PreparedUniverse`] over the representatives. Its [`approx_bytes`](PreparedCoreset::approx_bytes)
@@ -76,10 +77,11 @@
 
 use crate::avail::GenMarks;
 use crate::deadline::Deadline;
-use crate::distance::Distance;
+use crate::distance::{key_gap_f64, Distance};
 use crate::engine::{
-    argmax_with_ties, default_threads, resolve_ties_exact, score_relevance, DistOracle, Engine,
-    EngineRequest, PreparedUniverse, ServeError, SolveScratch,
+    argmax_with_ties, default_threads, resolve_ties_exact, score_relevance, tie_threshold,
+    DistOracle, Engine, EngineRequest, PreparedUniverse, ServeError, SolveScratch, TieCandidate,
+    TieChunk,
 };
 use crate::problem::ObjectiveKind;
 use crate::ratio::Ratio;
@@ -171,37 +173,87 @@ pub struct Coreset {
     covering_radius: f64,
 }
 
-/// Runs `body` over `0..n` split across `threads` workers, handing each
-/// worker disjoint `&mut` chunks of the two coverage arrays.
-fn par_update(
-    n: usize,
+/// One coverage sweep over items `base..base + nearest.len()`: folds the
+/// representative at position `pos` into their coverage arrays
+/// (`dist_to_rep(i)` is item `i`'s float distance to it) and, riding the
+/// same pass, collects the farthest still-unselected items — the next
+/// Gonzalez round's argmax with its near-ties, the same candidate set
+/// [`argmax_with_ties`] would report over the updated `nearest`.
+///
+/// The loop is the selection's whole `O(n·m)` cost, so it keeps the
+/// tie threshold in a register (refreshed only when the maximum moves)
+/// and consults `selected` only for items already inside the window.
+fn cover_chunk(
+    base: usize,
+    nearest: &mut [f64],
+    assignment: &mut [usize],
+    pos: usize,
+    selected: &GenMarks,
+    dist_to_rep: impl Fn(usize) -> f64,
+) -> TieChunk {
+    let mut ties: Vec<TieCandidate> = Vec::new();
+    let mut best = f64::NEG_INFINITY;
+    let mut thr = f64::NEG_INFINITY;
+    for (off, (slot, asg)) in nearest.iter_mut().zip(assignment.iter_mut()).enumerate() {
+        let i = base + off;
+        let d = dist_to_rep(i);
+        if d < *slot {
+            *slot = d;
+            *asg = pos;
+        }
+        let v = *slot;
+        if v >= thr && !selected.is_marked(i) {
+            if v > best {
+                best = v;
+                thr = tie_threshold(best);
+            }
+            if v >= thr {
+                ties.push(TieCandidate { index: i, score: v });
+            }
+        }
+    }
+    // Candidates admitted under an earlier, lower threshold.
+    ties.retain(|t| t.score >= thr);
+    TieChunk { best, ties }
+}
+
+/// [`cover_chunk`] over the whole universe, sharded across `threads`
+/// workers (disjoint `&mut` chunks of the two coverage arrays) when the
+/// universe is large enough for that to pay; the shards' candidates are
+/// merged in index order, so the result does not depend on `threads`.
+fn cover(
     threads: usize,
     nearest: &mut [f64],
     assignment: &mut [usize],
-    body: impl Fn(usize, &mut f64, &mut usize) + Sync,
-) {
+    pos: usize,
+    selected: &GenMarks,
+    dist_to_rep: impl Fn(usize) -> f64 + Sync,
+) -> Vec<TieCandidate> {
+    let n = nearest.len();
     if threads <= 1 || n < 4096 {
-        for (i, (slot, asg)) in nearest.iter_mut().zip(assignment.iter_mut()).enumerate() {
-            body(i, slot, asg);
-        }
-        return;
+        return cover_chunk(0, nearest, assignment, pos, selected, dist_to_rep).ties;
     }
     let chunk = n.div_ceil(threads);
     std::thread::scope(|scope| {
-        let body = &body;
-        for (ci, (near_c, asg_c)) in nearest
+        let dist_to_rep = &dist_to_rep;
+        // Spawn every shard before joining any.
+        let shards: Vec<_> = nearest
             .chunks_mut(chunk)
             .zip(assignment.chunks_mut(chunk))
             .enumerate()
-        {
-            scope.spawn(move || {
-                let base = ci * chunk;
-                for (off, (slot, asg)) in near_c.iter_mut().zip(asg_c.iter_mut()).enumerate() {
-                    body(base + off, slot, asg);
-                }
-            });
-        }
-    });
+            .map(|(ci, (near_c, asg_c))| {
+                scope.spawn(move || {
+                    cover_chunk(ci * chunk, near_c, asg_c, pos, selected, dist_to_rep)
+                })
+            })
+            .collect();
+        shards
+            .into_iter()
+            .map(|shard| shard.join().expect("coverage worker panicked"))
+            .reduce(TieChunk::merge)
+            .map(|merged| merged.ties)
+            .unwrap_or_default()
+    })
 }
 
 impl Coreset {
@@ -215,10 +267,18 @@ impl Coreset {
     ///    regimes keep their winners in the coreset.
     /// 2. **Farthest-point coverage** — repeatedly add the item whose
     ///    float distance to the selected set is largest (the Gonzalez
-    ///    k-center / GMM rule), scanning candidates across `threads`
-    ///    shards; near-ties within the engine's float window are
-    ///    re-scored through the exact `Ratio` oracle and broken toward
-    ///    the lowest index, exactly like [`crate::engine`]'s argmax.
+    ///    k-center / GMM rule); near-ties within the engine's float
+    ///    window are re-scored through the exact `Ratio` oracle and
+    ///    broken toward the lowest index, exactly like
+    ///    [`crate::engine`]'s argmax.
+    ///
+    /// Each representative costs one `O(n)` sweep that updates every
+    /// item's coverage and finds the next farthest candidates in the
+    /// same pass. An oracle that hands out a
+    /// [`Distance::key_column`] is swept as a flat integer column,
+    /// inline; any other oracle is called per pair, sharded across
+    /// `threads` once `n ≥ 4096`. The selection is identical either way
+    /// and for every `threads`.
     ///
     /// `rel_exact[i]` must equal `δ_rel(universe[i])`. Panics if the
     /// oracle emits non-comparable (non-finite) distances; untrusted
@@ -263,48 +323,65 @@ impl Coreset {
             });
         }
 
-        // Phase 1: top-⌈m/2⌉ by exact relevance, lowest index on ties.
+        // Phase 1: top-⌈m/2⌉ by exact relevance, lowest index on ties —
+        // a total order, so partitioning around the quota-th item and
+        // sorting only the prefix yields the prefix of the full sort.
         let rel_quota = m.div_ceil(2);
+        let by_rel_desc = |a: &usize, b: &usize| rel_exact[*b].cmp(&rel_exact[*a]).then(a.cmp(b));
         let mut by_rel: Vec<usize> = (0..n).collect();
-        by_rel.sort_by(|&a, &b| rel_exact[b].cmp(&rel_exact[a]).then(a.cmp(&b)));
+        by_rel.select_nth_unstable_by(rel_quota - 1, by_rel_desc);
+        by_rel.truncate(rel_quota);
+        by_rel.sort_unstable_by(by_rel_desc);
         let mut selected = GenMarks::new();
         selected.reset(n);
-        let mut reps: Vec<usize> = Vec::with_capacity(m);
-        for &i in &by_rel[..rel_quota] {
+        let mut reps = by_rel;
+        reps.reserve_exact(m - rel_quota);
+        for &i in &reps {
             selected.mark(i);
-            reps.push(i);
         }
 
         // Coverage state: nearest[i] = float distance from item i to the
         // selected set, assignment[i] = position (into `reps`) of the
-        // representative achieving it.
+        // representative achieving it. One sweep folds one
+        // representative in and reports the farthest unselected items
+        // as of that sweep; over a key column the sweep is a flat
+        // inline loop (spawning per round costs more than it saves),
+        // otherwise `threads` shard the per-pair oracle calls.
         let mut nearest = vec![f64::INFINITY; n];
         let mut assignment = vec![0usize; n];
+        let keys = dis.key_column(universe);
+        let mut sweep = |pos: usize, rep: usize, selected: &GenMarks| match &keys {
+            Some(keys) => {
+                let rep_key = keys[rep];
+                let to_rep = |i: usize| key_gap_f64(keys[i], rep_key);
+                cover_chunk(0, &mut nearest, &mut assignment, pos, selected, to_rep).ties
+            }
+            None => {
+                let rep_tuple = &universe[rep];
+                let to_rep = |i: usize| dis.dist_f64(&universe[i], rep_tuple);
+                cover(
+                    threads,
+                    &mut nearest,
+                    &mut assignment,
+                    pos,
+                    selected,
+                    to_rep,
+                )
+            }
+        };
+        let mut farthest = Vec::new();
         for (pos, &r) in reps.iter().enumerate() {
             // Deadline checkpoint: one coverage pass is O(n).
             deadline.check()?;
-            let rep_tuple = &universe[r];
-            par_update(n, threads, &mut nearest, &mut assignment, |i, slot, asg| {
-                let d = dis.dist_f64(&universe[i], rep_tuple);
-                if d < *slot {
-                    *slot = d;
-                    *asg = pos;
-                }
-            });
+            farthest = sweep(pos, r, &selected);
         }
 
-        // Phase 2: farthest-point rounds.
+        // Phase 2: farthest-point rounds, each resolved from the
+        // candidates the previous sweep left behind.
         while reps.len() < m {
             // Deadline checkpoint: one Gonzalez iteration is O(n).
             deadline.check()?;
-            let eval = |i: usize| {
-                if selected.is_marked(i) {
-                    None
-                } else {
-                    Some(nearest[i])
-                }
-            };
-            let Some(ties) = argmax_with_ties(n, threads, 1, &eval) else {
+            if farthest.is_empty() {
                 // m < n leaves unselected candidates, so an empty argmax
                 // means their coverage distances do not order: the
                 // oracle emitted a non-finite float (full-universe
@@ -317,27 +394,18 @@ impl Coreset {
                     i,
                     j: reps[assignment[i]],
                 });
-            };
+            }
             let exact_nearest = |i: usize| -> Ratio {
                 reps.iter()
                     .map(|&r| dis.dist(&universe[i], &universe[r]))
                     .min()
                     .expect("reps is non-empty")
             };
-            let winner = resolve_ties_exact(&ties, exact_nearest);
+            let winner = resolve_ties_exact(&farthest, exact_nearest);
             selected.mark(winner);
-            let pos = reps.len();
+            farthest = sweep(reps.len(), winner, &selected);
             reps.push(winner);
-            let rep_tuple = &universe[winner];
-            par_update(n, threads, &mut nearest, &mut assignment, |i, slot, asg| {
-                let d = dis.dist_f64(&universe[i], rep_tuple);
-                if d < *slot {
-                    *slot = d;
-                    *asg = pos;
-                }
-            });
         }
-
         // Canonical order: ascending indices, so the coreset
         // sub-universe preserves the original tuple order (and the
         // engine's lowest-index tie-breaks map monotonically back).
@@ -374,6 +442,12 @@ impl Coreset {
     /// representative.
     pub fn rep_of(&self, i: usize) -> usize {
         self.assignment[i]
+    }
+
+    /// Float distance from item `i` to its nearest representative
+    /// (`0.0` for the representatives themselves).
+    pub fn rep_distance(&self, i: usize) -> f64 {
+        self.nearest[i]
     }
 
     /// The float k-center covering radius of the selection.

@@ -38,15 +38,18 @@ pub trait Distance {
         self.dist(a, b).to_f64()
     }
 
-    /// One float matrix column: `out[i] = dist_f64(items[i], target)`,
-    /// appended to `out`. This is the oracle traffic of a single-tuple
-    /// delta ([`crate::engine::PreparedUniverse::insert_tuple`] extends
-    /// the matrix by exactly one column), split out so table-backed
-    /// oracles can batch their lookups in one pass. Must produce the
-    /// same bits as calling [`Distance::dist_f64`] per item.
-    fn dist_col_f64(&self, items: &[Tuple], target: &Tuple, out: &mut Vec<f64>) {
-        out.reserve(items.len());
-        out.extend(items.iter().map(|t| self.dist_f64(t, target)));
+    /// The flat integer key column of `items`, for oracles that are a
+    /// one-dimensional metric over them: `Some(keys)` promises that for
+    /// every `i`, `j`, `dist_f64(&items[i], &items[j])` is bit-for-bit
+    /// `(keys[i] - keys[j]).abs() as f64` (so equal tuples have equal
+    /// keys and the zero diagonal is implied). The coreset selection
+    /// ([`crate::coreset::Coreset::try_select_deadline`]) then sweeps
+    /// the column instead of dispatching `dist_f64` per pair. `None`
+    /// (the default) keeps the per-pair path; a wrapper that alters
+    /// distances in any way — fault injection included — must not
+    /// forward its inner oracle's column.
+    fn key_column(&self, _items: &[Tuple]) -> Option<Vec<i64>> {
+        None
     }
 
     /// Approximate heap bytes retained by this function's configuration
@@ -238,10 +241,28 @@ impl Distance for NumericDistance {
             a.get(self.attr).and_then(|v| v.as_int()),
             b.get(self.attr).and_then(|v| v.as_int()),
         ) {
-            (Some(x), Some(y)) => (x - y).abs() as f64,
+            (Some(x), Some(y)) => key_gap_f64(x, y),
             _ => self.fallback.to_f64(),
         }
     }
+
+    /// The `attr` column, iff every item holds an integer there (one
+    /// item without it would bring `fallback` into play).
+    fn key_column(&self, items: &[Tuple]) -> Option<Vec<i64>> {
+        items
+            .iter()
+            .map(|t| t.get(self.attr).and_then(|v| v.as_int()))
+            .collect()
+    }
+}
+
+/// The float distance between two integer keys — the one expression
+/// behind both [`NumericDistance::dist_f64`] and the coreset's
+/// key-column sweeps ([`Distance::key_column`]), so the two paths cannot
+/// drift by a bit.
+#[inline(always)]
+pub(crate) fn key_gap_f64(x: i64, y: i64) -> f64 {
+    (x - y).abs() as f64
 }
 
 /// Wraps a closure; symmetry is enforced by evaluating on the canonical
@@ -270,8 +291,8 @@ impl Distance for Box<dyn Distance + '_> {
         (**self).dist_f64(a, b)
     }
 
-    fn dist_col_f64(&self, items: &[Tuple], target: &Tuple, out: &mut Vec<f64>) {
-        (**self).dist_col_f64(items, target, out)
+    fn key_column(&self, items: &[Tuple]) -> Option<Vec<i64>> {
+        (**self).key_column(items)
     }
 
     fn approx_bytes(&self) -> usize {
@@ -288,8 +309,8 @@ impl Distance for Box<dyn Distance + Send + Sync + '_> {
         (**self).dist_f64(a, b)
     }
 
-    fn dist_col_f64(&self, items: &[Tuple], target: &Tuple, out: &mut Vec<f64>) {
-        (**self).dist_col_f64(items, target, out)
+    fn key_column(&self, items: &[Tuple]) -> Option<Vec<i64>> {
+        (**self).key_column(items)
     }
 
     fn approx_bytes(&self) -> usize {
@@ -367,25 +388,46 @@ mod tests {
     }
 
     #[test]
-    fn dist_col_matches_per_pair_calls_bit_for_bit() {
-        let items: Vec<Tuple> = (0..6).map(|i| Tuple::ints([i * 4, i])).collect();
-        let target = Tuple::ints([7, 3]);
-        let oracles: Vec<Box<dyn Distance>> = vec![
-            Box::new(NumericDistance { attr: 0, fallback: Ratio::ONE }),
-            Box::new(HammingDistance::default()),
-            Box::new(
-                TableDistance::with_default(Ratio::new(1, 3))
-                    .with(items[2].clone(), target.clone(), Ratio::new(5, 7)),
-            ),
-        ];
-        for d in &oracles {
-            let mut col = Vec::new();
-            d.dist_col_f64(&items, &target, &mut col);
-            assert_eq!(col.len(), items.len());
-            for (t, &c) in items.iter().zip(&col) {
-                assert_eq!(c.to_bits(), d.dist_f64(t, &target).to_bits());
+    fn key_column_reproduces_dist_f64_bit_for_bit_or_is_absent() {
+        let items: Vec<Tuple> = [5, -3, 5, 0, i64::from(i32::MAX), -40]
+            .into_iter()
+            .enumerate()
+            .map(|(i, key)| Tuple::ints([key, i as i64 % 2]))
+            .collect();
+        let numeric = NumericDistance {
+            attr: 0,
+            fallback: Ratio::ONE,
+        };
+        let boxed: Box<dyn Distance + Send + Sync> = Box::new(numeric.clone());
+        let keys = boxed
+            .key_column(&items)
+            .expect("every item has an int at attr 0");
+        for (a, &ka) in items.iter().zip(&keys) {
+            for (b, &kb) in items.iter().zip(&keys) {
+                assert_eq!(
+                    key_gap_f64(ka, kb).to_bits(),
+                    numeric.dist_f64(a, b).to_bits()
+                );
             }
         }
+        // One item without an integer at `attr` brings `fallback` into
+        // play, so the column is withheld.
+        let mut mixed = items.clone();
+        mixed.push(Tuple::new(vec![divr_relquery::Value::str("x")]));
+        assert_eq!(numeric.key_column(&mixed), None);
+        let elsewhere = NumericDistance {
+            attr: 7,
+            fallback: Ratio::ONE,
+        };
+        assert_eq!(elsewhere.key_column(&items), None);
+        // Every other oracle keeps the per-pair path.
+        assert_eq!(HammingDistance::default().key_column(&items), None);
+        assert_eq!(
+            TableDistance::with_default(Ratio::ONE).key_column(&items),
+            None
+        );
+        let closure = ClosureDistance(|a: &Tuple, b: &Tuple| numeric.dist(a, b));
+        assert_eq!(closure.key_column(&items), None);
     }
 
     #[test]

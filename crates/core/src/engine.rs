@@ -468,15 +468,32 @@ pub(crate) struct TieCandidate {
 /// The tie-window threshold below a running maximum: scores at or above
 /// it are possible ties of `best`.
 #[inline]
-fn tie_threshold(best: f64) -> f64 {
+pub(crate) fn tie_threshold(best: f64) -> f64 {
     best - F64_TIE_EPS.max(best.abs() * F64_TIE_EPS)
 }
 
 /// A chunk's running maximum plus its near-tie candidates (possibly
 /// with stale entries below the final threshold; pruned lazily).
-struct TieChunk {
-    best: f64,
-    ties: Vec<TieCandidate>,
+pub(crate) struct TieChunk {
+    pub(crate) best: f64,
+    pub(crate) ties: Vec<TieCandidate>,
+}
+
+impl TieChunk {
+    /// Folds the chunk to this one's right into it: the joint maximum,
+    /// and both sides' candidates still inside its tie window, in
+    /// ascending index order.
+    pub(crate) fn merge(mut self, right: TieChunk) -> TieChunk {
+        let best = self.best.max(right.best);
+        let thr = tie_threshold(best);
+        self.ties.retain(|t| t.score >= thr);
+        self.ties
+            .extend(right.ties.into_iter().filter(|t| t.score >= thr));
+        TieChunk {
+            best,
+            ties: self.ties,
+        }
+    }
 }
 
 /// One sequential tie-collecting scan over `range`, appending into
@@ -547,13 +564,7 @@ pub(crate) fn argmax_with_ties_into(
             Some(TieChunk { best, ties })
         }
     };
-    let merged = par_map_reduce(n, threads, work_per_item, scan, |mut a, b| {
-        let best = a.best.max(b.best);
-        let thr = tie_threshold(best);
-        a.ties.retain(|t| t.score >= thr);
-        a.ties.extend(b.ties.into_iter().filter(|t| t.score >= thr));
-        TieChunk { best, ties: a.ties }
-    });
+    let merged = par_map_reduce(n, threads, work_per_item, scan, TieChunk::merge);
     match merged {
         Some(chunk) => {
             out.extend(chunk.ties);
@@ -949,10 +960,10 @@ impl Distance for DistOracle<'_> {
         }
     }
 
-    fn dist_col_f64(&self, items: &[Tuple], target: &Tuple, out: &mut Vec<f64>) {
+    fn key_column(&self, items: &[Tuple]) -> Option<Vec<i64>> {
         match self {
-            DistOracle::Borrowed(d) => d.dist_col_f64(items, target, out),
-            DistOracle::Shared(d) => d.dist_col_f64(items, target, out),
+            DistOracle::Borrowed(d) => d.key_column(items),
+            DistOracle::Shared(d) => d.key_column(items),
         }
     }
 
@@ -1311,8 +1322,11 @@ impl<'a> PreparedUniverse<'a> {
         let rel_new = rel.to_f64();
         // The only oracle work of the whole operation: the new column
         // col[i] = δ_dis(universe[i], tuple).
-        let mut col = Vec::new();
-        self.dis.dist_col_f64(&self.universe, &tuple, &mut col);
+        let col: Vec<f64> = self
+            .universe
+            .iter()
+            .map(|t| self.dis.dist_f64(t, &tuple))
+            .collect();
         self.matrix.push_item(&col);
         if rel_new.is_finite() && col.iter().all(|d| d.is_finite()) {
             self.repair_ms_seed_insert(&col, rel_new);

@@ -299,20 +299,37 @@ impl PartialOrd for Ratio {
     }
 }
 
-impl Ord for Ratio {
-    fn cmp(&self, other: &Ratio) -> Ordering {
-        // a/b vs c/d  ⇔  a·d vs c·b (b, d > 0). Cross-reduce to avoid
-        // overflow.
+impl Ratio {
+    /// `a/b` vs `c/d` as `a·d` vs `c·b` (`b, d > 0`) with `gcd(a, c)` and
+    /// `gcd(b, d)` divided out of both sides first — positive factors,
+    /// so the ordering is preserved and the products are as small as
+    /// they can be. `None` when even those overflow.
+    fn cmp_cross_reduced(&self, other: &Ratio) -> Option<Ordering> {
         let g_num = gcd(self.num, other.num).max(1);
         let g_den = gcd(self.den, other.den).max(1);
-        // Dividing both sides of `a·d vs c·b` by the positive quantities
-        // g_num·g_den preserves the ordering.
-        let left = (self.num / g_num).checked_mul(other.den / g_den);
-        let right = (other.num / g_num).checked_mul(self.den / g_den);
-        match (left, right) {
-            (Some(l), Some(r)) => l.cmp(&r),
-            _ => panic!("{OVERFLOW_MSG}"),
+        let left = (self.num / g_num).checked_mul(other.den / g_den)?;
+        let right = (other.num / g_num).checked_mul(self.den / g_den)?;
+        Some(left.cmp(&right))
+    }
+}
+
+impl Ord for Ratio {
+    fn cmp(&self, other: &Ratio) -> Ordering {
+        // Equal denominators (integers above all) compare numerators;
+        // otherwise the plain cross product decides whenever it fits.
+        // Only when it overflows do the two Euclid loops of the
+        // cross-reduced form run — same ordering on every input.
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
         }
+        if let (Some(left), Some(right)) = (
+            self.num.checked_mul(other.den),
+            other.num.checked_mul(self.den),
+        ) {
+            return left.cmp(&right);
+        }
+        self.cmp_cross_reduced(other)
+            .unwrap_or_else(|| panic!("{OVERFLOW_MSG}"))
     }
 }
 
@@ -401,6 +418,66 @@ mod tests {
         let b = Ratio::new_i128(1 << 21, (1i128 << 40) - 1);
         let c = Ratio::new_i128((1 << 21) + 1, (1i128 << 40) - 1);
         assert!(b < c);
+    }
+
+    /// `Ord::cmp`'s fast paths against the reduce-first comparison on
+    /// operands of every magnitude, including ones within a factor 2
+    /// of `i128::MAX` where the plain cross product overflows.
+    #[test]
+    fn cmp_fast_paths_agree_with_cross_reduction() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xCA710);
+        let part = |rng: &mut StdRng| -> i128 {
+            let magnitude = match rng.gen_range(0..4) {
+                0 => i128::from(rng.gen_range(0i64..=12)),
+                1 => i128::from(rng.gen_range(0i64..=i64::MAX)),
+                2 => i128::MAX / 2 + i128::from(rng.gen_range(0i64..=i64::MAX)),
+                _ => i128::MAX - i128::from(rng.gen_range(0i64..=1000)),
+            };
+            if rng.gen_range(0..2) == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        };
+        let (mut fitted, mut overflowed, mut shared_den) = (0, 0, 0);
+        for _ in 0..20_000 {
+            let (a_den, b_den) = (part(&mut rng).abs().max(1), part(&mut rng).abs().max(1));
+            let a = Ratio::new_i128(part(&mut rng), a_den);
+            let b = if rng.gen_range(0..4) == 0 {
+                Ratio::new_i128(part(&mut rng), a_den)
+            } else {
+                Ratio::new_i128(part(&mut rng), b_den)
+            };
+            shared_den += usize::from(a.den == b.den);
+            match a.cmp_cross_reduced(&b) {
+                Some(expected) => {
+                    assert_eq!(a.cmp(&b), expected, "{a} vs {b}");
+                    assert_eq!(b.cmp(&a), expected.reverse(), "{b} vs {a}");
+                    fitted += 1;
+                }
+                None => {
+                    // The panic case: no fast path may claim it.
+                    assert_ne!(a.den, b.den, "{a} vs {b}");
+                    assert!(
+                        a.num.checked_mul(b.den).is_none() || b.num.checked_mul(a.den).is_none(),
+                        "{a} vs {b}"
+                    );
+                    overflowed += 1;
+                }
+            }
+        }
+        assert!(fitted > 1000 && overflowed > 1000 && shared_den > 1000);
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio arithmetic overflow")]
+    fn cmp_panics_when_the_reduced_cross_product_overflows() {
+        // Coprime numerators and denominators: nothing to divide out.
+        let a = Ratio::new_i128(i128::MAX, 2);
+        let b = Ratio::new_i128(i128::MAX - 2, 3);
+        let _ = a.cmp(&b);
     }
 
     #[test]

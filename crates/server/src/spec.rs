@@ -8,7 +8,7 @@ use divr_core::engine::{DeltaError, DeltaOp, PreparedUniverse, ServeError};
 use divr_core::relevance::Relevance;
 use divr_core::{Deadline, Ratio, SharedPrepared};
 use divr_relquery::Tuple;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The prepared state the registry caches for one spec — full-matrix or
 /// coreset, by the spec's serving mode. Defined in `divr_core` (the
@@ -38,8 +38,8 @@ impl Distance for OracleAdapter {
         self.0.dist_f64(a, b)
     }
 
-    fn dist_col_f64(&self, items: &[Tuple], target: &Tuple, out: &mut Vec<f64>) {
-        self.0.dist_col_f64(items, target, out)
+    fn key_column(&self, items: &[Tuple]) -> Option<Vec<i64>> {
+        self.0.key_column(items)
     }
 
     fn approx_bytes(&self) -> usize {
@@ -95,6 +95,11 @@ pub struct UniverseSpec {
     dis: Arc<dyn ServableDistance>,
     lambda: Ratio,
     coreset: Option<CoresetSpec>,
+    /// [`UniverseSpec::key`], computed on first use: fingerprinting is
+    /// `O(content)` and one frame asks for it more than once (admission
+    /// ledger, then the registry). Every method that changes content
+    /// resets it.
+    key: OnceLock<UniverseKey>,
 }
 
 impl UniverseSpec {
@@ -116,6 +121,7 @@ impl UniverseSpec {
             dis,
             lambda,
             coreset: None,
+            key: OnceLock::new(),
         }
     }
 
@@ -127,6 +133,7 @@ impl UniverseSpec {
     /// universe are distinct cache entries with honest byte accounting.
     pub fn with_coreset(mut self, mode: CoresetSpec) -> Self {
         self.coreset = Some(mode);
+        self.key = OnceLock::new();
         self
     }
 
@@ -169,6 +176,7 @@ impl UniverseSpec {
     pub fn apply(&self, op: &DeltaOp) -> Result<UniverseSpec, DeltaError> {
         let mut next = self.clone();
         op.apply_to(&mut next.universe)?;
+        next.key = OnceLock::new();
         Ok(next)
     }
 
@@ -176,6 +184,10 @@ impl UniverseSpec {
     /// [`crate::fingerprint`] for why distinct content is guaranteed —
     /// not merely likely — to yield distinct keys).
     pub fn key(&self) -> UniverseKey {
+        self.key.get_or_init(|| self.fingerprint()).clone()
+    }
+
+    fn fingerprint(&self) -> UniverseKey {
         let mut enc = FingerprintEncoder::new();
         enc.write_str("universe");
         enc.write_usize(self.universe.len());
@@ -274,5 +286,49 @@ impl std::fmt::Debug for UniverseSpec {
             .field("lambda", &self.lambda)
             .field("coreset", &self.coreset)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use divr_core::distance::NumericDistance;
+    use divr_core::relevance::AttributeRelevance;
+
+    fn spec(n: i64) -> UniverseSpec {
+        UniverseSpec::new(
+            (0..n).map(|i| Tuple::ints([i, i % 3])).collect(),
+            Arc::new(AttributeRelevance {
+                attr: 1,
+                default: Ratio::ZERO,
+            }),
+            Arc::new(NumericDistance {
+                attr: 0,
+                fallback: Ratio::ZERO,
+            }),
+            Ratio::new(1, 2),
+        )
+    }
+
+    /// A key already handed out must not follow the spec into a
+    /// different content or serving mode.
+    #[test]
+    fn memoized_key_never_outlives_the_content_it_describes() {
+        let base = spec(6);
+        let key = base.key();
+        assert_eq!(base.key(), key);
+        assert_eq!(base.clone().key(), key);
+
+        let coreset = base.clone().with_coreset(CoresetSpec::with_budget(4));
+        assert_ne!(coreset.key(), key);
+        assert_eq!(
+            coreset.key(),
+            spec(6).with_coreset(CoresetSpec::with_budget(4)).key()
+        );
+
+        let grown = base.apply(&DeltaOp::Insert(Tuple::ints([6, 0]))).unwrap();
+        assert_eq!(grown.key(), spec(7).key());
+        let shrunk = grown.apply(&DeltaOp::Remove(6)).unwrap();
+        assert_eq!(shrunk.key(), key);
     }
 }

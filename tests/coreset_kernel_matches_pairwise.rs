@@ -1,0 +1,381 @@
+//! Differential conformance for the coreset selection's two distance
+//! paths ([`divr::core::coreset::Coreset::try_select_deadline`]):
+//!
+//! * an oracle that hands out a [`Distance::key_column`]
+//!   ([`NumericDistance`] over all-integer keys) is swept as one flat
+//!   integer column;
+//! * every other oracle — here the *same function* behind a
+//!   [`ClosureDistance`], which has no column to offer — is called per
+//!   pair, sharded across threads for large universes.
+//!
+//! The two must select **bit-identical** coresets (representatives,
+//! assignment, per-item coverage distances, covering radius) and serve
+//! identical `(value, set)` answers, for every thread count; the column
+//! must be withheld whenever `fallback` could apply, must never tunnel
+//! through a distance-altering wrapper, and neither path may outrun a
+//! deadline.
+
+use divr::core::coreset::{Coreset, CoresetConfig, CoresetEngine};
+use divr::core::distance::ClosureDistance;
+use divr::core::engine::{EngineRequest, ScoreSource};
+use divr::core::prelude::*;
+use divr::core::relevance::Relevance;
+use divr::core::{Deadline, Ratio};
+use divr::relquery::{Tuple, Value};
+use divr::server::{
+    CoresetSpec, FingerprintEncoder, Fingerprintable, Registry, ServeError, UniverseSpec,
+};
+use divr::service::wire::{ChaosNanDistance, ChaosPanicDistance};
+use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+const REL: AttributeRelevance = AttributeRelevance {
+    attr: 1,
+    default: Ratio::ZERO,
+};
+
+fn numeric(fallback: i64) -> NumericDistance {
+    NumericDistance {
+        attr: 0,
+        fallback: Ratio::int(fallback),
+    }
+}
+
+/// `oracle`'s function with the hook stripped: a closure cannot be
+/// asked for a column.
+fn behind_closure(oracle: NumericDistance) -> impl Distance + Send + Sync + 'static {
+    ClosureDistance(move |a: &Tuple, b: &Tuple| oracle.dist(a, b))
+}
+
+/// `[key, score]` tuples; duplicate rows are duplicate tuples.
+fn universe_of(rows: &[(i64, i64)]) -> Vec<Tuple> {
+    rows.iter()
+        .map(|&(key, score)| Tuple::ints([key, score]))
+        .collect()
+}
+
+fn rels_of(universe: &[Tuple]) -> Vec<Ratio> {
+    universe.iter().map(|t| REL.rel(t)).collect()
+}
+
+/// Everything a [`Coreset`] exposes, floats as bits.
+fn observe(c: &Coreset, n: usize) -> (Vec<usize>, Vec<usize>, Vec<u64>, u64) {
+    (
+        c.indices().to_vec(),
+        (0..n).map(|i| c.rep_of(i)).collect(),
+        (0..n).map(|i| c.rep_distance(i).to_bits()).collect(),
+        c.covering_radius().to_bits(),
+    )
+}
+
+/// Few distinct keys (negative ones included) and few distinct scores:
+/// duplicate tuples, equal-key distinct tuples and float ties in every
+/// round.
+fn rows_strategy(n: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<(i64, i64)>> {
+    proptest::collection::vec((-40i64..=40, 0i64..=6), n)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// (a) Column sweep ≡ per-pair calls, for budgets 1, m < n, m ≥ n.
+    #[test]
+    fn key_column_selects_and_serves_like_per_pair_calls(
+        rows in rows_strategy(2..=70),
+        budget_pick in 0usize..=3,
+        lambda_num in 0i64..=4,
+        k in 1usize..=4,
+    ) {
+        let universe = universe_of(&rows);
+        let n = universe.len();
+        let budget = [1, (n / 3).max(2), n - 1, n + 5][budget_pick];
+        let rels = rels_of(&universe);
+        let column = numeric(7);
+        prop_assert!(column.key_column(&universe).is_some());
+        let pairwise = behind_closure(numeric(7));
+        prop_assert!(pairwise.key_column(&universe).is_none());
+
+        let by_column = Coreset::select(&universe, &rels, &column, budget, 1);
+        let by_pair = Coreset::select(&universe, &rels, &pairwise, budget, 1);
+        prop_assert_eq!(observe(&by_column, n), observe(&by_pair, n));
+
+        let lambda = Ratio::new(lambda_num, 4);
+        let config = CoresetConfig::with_budget(budget).with_threads(2);
+        let engine_of = |dis: Arc<dyn Distance + Send + Sync>| {
+            CoresetEngine::new(universe.clone(), &REL, dis, lambda, &config)
+        };
+        let (a, b) = (engine_of(Arc::new(column)), engine_of(Arc::new(pairwise)));
+        for kind in ObjectiveKind::ALL {
+            let req = EngineRequest { kind, k };
+            prop_assert_eq!(a.try_serve(req), b.try_serve(req), "{} k={}", kind, k);
+        }
+    }
+
+    /// (b) One tuple without an integer at `attr` — missing, or a
+    /// `Str` — withholds the column, and `fallback` still applies: far
+    /// larger than any key gap, it makes the odd tuple the first
+    /// farthest point.
+    #[test]
+    fn one_keyless_tuple_withholds_the_column(
+        rows in rows_strategy(8..=40),
+        at in 0usize..=39,
+        as_str in 0usize..=1,
+    ) {
+        let mut universe = universe_of(&rows);
+        let at = at % universe.len();
+        universe[at] = if as_str == 1 {
+            Tuple::new(vec![Value::str("no key"), Value::int(0)])
+        } else {
+            Tuple::new(vec![])
+        };
+        let n = universe.len();
+        let rels = rels_of(&universe);
+        let oracle = numeric(1_000);
+        prop_assert!(oracle.key_column(&universe).is_none());
+        let direct = Coreset::select(&universe, &rels, &oracle, 6, 1);
+        let closed = Coreset::select(&universe, &rels, &behind_closure(numeric(1_000)), 6, 1);
+        prop_assert_eq!(observe(&direct, n), observe(&closed, n));
+        prop_assert!(direct.indices().contains(&at), "fallback did not apply");
+        prop_assert!(direct.covering_radius() <= 80.0);
+    }
+
+    /// (c) `threads` never changes the selection: trivially on the
+    /// column path (always inline), and on the per-pair path at a size
+    /// where the sweeps really are sharded (`n ≥ 4096`) — keys drawn
+    /// from a narrow range, so tie sets straddle the shard boundary.
+    #[test]
+    fn thread_count_never_changes_the_selection(
+        seed in 0u64..=u64::MAX / 2,
+        n in 4096usize..=4200,
+        spread in 3i64..=500,
+        budget in 2usize..=12,
+    ) {
+        let mut state = seed | 1;
+        let mut draw = |below: i64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as i64) % below
+        };
+        let rows: Vec<(i64, i64)> = (0..n).map(|_| (draw(spread) - spread / 2, draw(5))).collect();
+        let universe = universe_of(&rows);
+        let rels = rels_of(&universe);
+        let pairwise = behind_closure(numeric(0));
+        let sharded = Coreset::select(&universe, &rels, &pairwise, budget, 2);
+        let inline = Coreset::select(&universe, &rels, &pairwise, budget, 1);
+        prop_assert_eq!(observe(&sharded, n), observe(&inline, n));
+        for threads in [1, 2] {
+            let by_column = Coreset::select(&universe, &rels, &numeric(0), budget, threads);
+            prop_assert_eq!(observe(&by_column, n), observe(&inline, n));
+        }
+    }
+}
+
+// ------------------------------------------------ (d) fault wrappers
+
+/// Alters the float path of the `NumericDistance` it wraps and offers
+/// no column — if the hook tunnelled through, the sweep would read
+/// clean integer keys and the fault would vanish.
+#[derive(Clone, Debug)]
+struct NanOver(NumericDistance);
+
+impl Distance for NanOver {
+    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+        self.0.dist(a, b)
+    }
+    fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
+        if a == b {
+            0.0
+        } else {
+            f64::NAN
+        }
+    }
+}
+
+/// `NaN` only against the tuple whose key is `poison`.
+#[derive(Clone, Debug)]
+struct PoisonOver(NumericDistance, i64);
+
+impl Distance for PoisonOver {
+    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+        self.0.dist(a, b)
+    }
+    fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
+        let poisoned = |t: &Tuple| t.get(0) == Some(&Value::int(self.1));
+        if a != b && (poisoned(a) || poisoned(b)) {
+            f64::NAN
+        } else {
+            self.0.dist_f64(a, b)
+        }
+    }
+}
+
+/// Panics on the first off-diagonal float distance.
+#[derive(Clone, Debug)]
+struct PanicOver(NumericDistance);
+
+impl Distance for PanicOver {
+    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+        self.0.dist(a, b)
+    }
+    fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
+        assert!(a == b, "injected fault: distance oracle killed the worker");
+        0.0
+    }
+}
+
+macro_rules! fingerprint_as {
+    ($($ty:ty => $tag:literal),*) => {$(
+        impl Fingerprintable for $ty {
+            fn fingerprint(&self, enc: &mut FingerprintEncoder) {
+                enc.write_str($tag);
+            }
+        }
+    )*};
+}
+fingerprint_as!(NanOver => "test:nan-over", PoisonOver => "test:poison-over", PanicOver => "test:panic-over");
+
+fn spread_universe(n: i64) -> Vec<Tuple> {
+    (0..n).map(|i| Tuple::ints([i * 7 % 101, i % 5])).collect()
+}
+
+fn coreset_answer(
+    universe: Vec<Tuple>,
+    dis: Arc<dyn divr::server::ServableDistance>,
+) -> Result<(Ratio, Vec<usize>), ServeError> {
+    let spec = UniverseSpec::new(universe, Arc::new(REL), dis, Ratio::new(1, 2))
+        .with_coreset(CoresetSpec::with_budget(8));
+    Registry::default().try_serve(
+        &spec,
+        EngineRequest {
+            kind: ObjectiveKind::MaxMin,
+            k: 3,
+        },
+    )
+}
+
+#[test]
+fn fault_wrappers_keep_their_faults_in_coreset_mode() {
+    let universe = spread_universe(60);
+    let inner = numeric(0);
+    assert!(inner.key_column(&universe).is_some());
+    let distance_refused = |r: Result<_, ServeError>| {
+        matches!(
+            r,
+            Err(ServeError::NonFiniteScore {
+                source: ScoreSource::Distance,
+                ..
+            })
+        )
+    };
+
+    assert!(NanOver(inner.clone()).key_column(&universe).is_none());
+    assert!(distance_refused(coreset_answer(
+        universe.clone(),
+        Arc::new(NanOver(inner.clone()))
+    )));
+    assert!(distance_refused(coreset_answer(
+        universe.clone(),
+        Arc::new(ChaosNanDistance)
+    )));
+
+    // Key 0 belongs to item 0 only; every sweep meets it.
+    let poisoned = PoisonOver(inner.clone(), 0);
+    assert!(poisoned.key_column(&universe).is_none());
+    assert!(distance_refused(coreset_answer(
+        universe.clone(),
+        Arc::new(poisoned)
+    )));
+
+    assert!(PanicOver(inner.clone()).key_column(&universe).is_none());
+    assert_eq!(
+        coreset_answer(universe.clone(), Arc::new(PanicOver(inner.clone()))),
+        Err(ServeError::WorkerPanicked)
+    );
+    assert_eq!(
+        coreset_answer(universe.clone(), Arc::new(ChaosPanicDistance)),
+        Err(ServeError::WorkerPanicked)
+    );
+
+    // The unwrapped oracle serves, through the same registry path.
+    assert!(coreset_answer(universe, Arc::new(inner)).is_ok());
+}
+
+// ------------------------------------------------------ (e) deadlines
+
+/// A key-column oracle that counts its exact-distance calls (the
+/// selection's tie-breaks, the only oracle traffic between two column
+/// sweeps) and stalls in each past `stall_until`.
+struct StallingKeys {
+    inner: NumericDistance,
+    exact_calls: AtomicUsize,
+    stall_until: Option<Instant>,
+}
+
+impl Distance for StallingKeys {
+    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+        self.exact_calls.fetch_add(1, Ordering::Relaxed);
+        if let Some(until) = self.stall_until {
+            std::thread::sleep(until.saturating_duration_since(Instant::now()));
+        }
+        self.inner.dist(a, b)
+    }
+    fn dist_f64(&self, _: &Tuple, _: &Tuple) -> f64 {
+        panic!("the column path must not call the oracle per pair");
+    }
+    fn key_column(&self, items: &[Tuple]) -> Option<Vec<i64>> {
+        self.inner.key_column(items)
+    }
+}
+
+#[test]
+fn deadline_aborts_before_the_first_sweep_and_between_sweeps() {
+    // Keys mirrored around 0 with the five relevance-guard picks at the
+    // centre: the first farthest-point round is an exact tie (−30, 30).
+    let rows: Vec<(i64, i64)> = (-30..=30i64)
+        .map(|key| (key, i64::from(key.abs() <= 2)))
+        .collect();
+    let universe = universe_of(&rows);
+    let rels = rels_of(&universe);
+    let select = |dis: &(dyn Distance + Sync), deadline| {
+        Coreset::try_select_deadline(&universe, &rels, dis, 10, 2, deadline).map(|c| c.m())
+    };
+    let expired = Deadline::at(Instant::now());
+
+    // Before the first sweep, on both paths: no distance is evaluated.
+    let float_calls = AtomicUsize::new(0);
+    let counting = ClosureDistance(|a: &Tuple, b: &Tuple| {
+        float_calls.fetch_add(1, Ordering::Relaxed);
+        numeric(0).dist(a, b)
+    });
+    assert_eq!(
+        select(&counting, expired),
+        Err(ServeError::DeadlineExceeded)
+    );
+    assert_eq!(float_calls.load(Ordering::Relaxed), 0);
+    let keys = |stall_until| StallingKeys {
+        inner: numeric(0),
+        exact_calls: AtomicUsize::new(0),
+        stall_until,
+    };
+    let idle = keys(None);
+    assert_eq!(select(&idle, expired), Err(ServeError::DeadlineExceeded));
+    assert_eq!(idle.exact_calls.load(Ordering::Relaxed), 0);
+
+    // Between sweeps: the deadline passes during the first round's
+    // tie-break; the round finishes its sweep and the next checkpoint
+    // abandons the selection instead of running the remaining rounds.
+    let at = Instant::now() + Duration::from_millis(250);
+    let stalled = keys(Some(at));
+    assert_eq!(
+        select(&stalled, Deadline::at(at)),
+        Err(ServeError::DeadlineExceeded)
+    );
+    let one_round = stalled.exact_calls.load(Ordering::Relaxed);
+    assert!(one_round > 0, "the tie-break never ran");
+
+    // Unbounded, the same oracle finishes, with many more tie-breaks.
+    let free = keys(None);
+    assert_eq!(select(&free, Deadline::none()), Ok(10));
+    assert!(free.exact_calls.load(Ordering::Relaxed) > one_round);
+}
