@@ -11,7 +11,10 @@
 //!   (`m = 160`), and the `m × m` matrix build at `n = 50 000`;
 //! * `coreset/serve_50000_{F_MS,F_MM,F_mono}` — one warm `k = 10`
 //!   request per objective against the prepared coreset (includes the
-//!   exact full-universe re-score; `F_mono`'s is `O(n·k)` by design);
+//!   exact full-universe re-score; `F_mono`'s reads the memoized
+//!   key-column distance sums), and `serve_F_mono_first_50000` — the
+//!   first mono request against a fresh prepare, which builds that
+//!   memo (`O(n log n)`);
 //! * `coreset/prepare_2000` vs `full/prepare_2000` — same workload
 //!   family at a size the full engine still handles, isolating what
 //!   the `O(n·m)` selection costs relative to the `O(n²)` build it
@@ -101,6 +104,28 @@ fn coreset_scaling(c: &mut Criterion) {
             },
         );
     }
+
+    // The first mono request pays for the exact distance sums of all n
+    // items; prepare stays outside the timed window.
+    let samples = if quick() { 1 } else { 5 };
+    let mut first = std::time::Duration::ZERO;
+    for _ in 0..samples {
+        let fresh = CoresetEngine::new(universe.clone(), &rel, dis(), Ratio::new(1, 2), &config);
+        let t0 = std::time::Instant::now();
+        let (_, set) = fresh
+            .try_serve(EngineRequest {
+                kind: ObjectiveKind::Mono,
+                k: K,
+            })
+            .unwrap();
+        first += t0.elapsed();
+        assert_eq!(set.len(), K);
+    }
+    println!(
+        "{:<40} {:>10.3} us/iter   ({samples} samples, prepare untimed)",
+        format!("coreset/serve_F_mono_first/{n_large}"),
+        first.as_secs_f64() * 1e6 / samples as f64,
+    );
 
     // Selection alone and the whole prepare at one and two threads, on
     // the wire benchmark's shape and on the headline's.

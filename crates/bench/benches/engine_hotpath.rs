@@ -2,9 +2,10 @@
 //! pair-weight heap vs the retired eager rescan, cold (first request
 //! against a fresh `PreparedUniverse`; the heap seed is fused into the
 //! matrix build, so cold ≈ heapify + rounds) vs warm (everything
-//! resident), plus steady-state allocation counts for the
-//! scratch-based serving forms, measured by a counting global
-//! allocator.
+//! resident), `F_mono` serving (select + exact re-score) first-request
+//! and warm over a key-column and a keyless oracle, plus steady-state
+//! allocation counts for the scratch-based serving forms, measured by
+//! a counting global allocator.
 //!
 //! Run with `cargo bench -p divr-bench --bench engine_hotpath`;
 //! set `BENCH_QUICK=1` for the CI smoke configuration (tiny n, one k —
@@ -13,6 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use divr_bench::workloads as w;
+use divr_core::distance::{Distance, NumericDistance};
 use divr_core::engine::{Engine, EngineRequest, SolveScratch};
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
@@ -161,6 +163,66 @@ fn warm_and_eager(c: &mut Criterion, sizes: &[usize], ks: &[usize]) {
     }
 }
 
+/// `F_mono` through `serve_into` — top-`k` cut plus the exact re-score
+/// — over a key-column oracle (`NumericDistance` on attribute 0: exact
+/// distance sums memoized in `O(n log n)`) and over the keyless L1
+/// closure (per-pair `Ratio` sums, `O(n·k)` per request). `first` is
+/// the first request against a fresh `PreparedUniverse` (prepare
+/// untimed; pays the float preamble and the memo), `warm` the
+/// steady-state repeat.
+fn mono_serving(sizes: &[usize], ks: &[usize]) {
+    println!("\n== group mono ==");
+    let keyed = NumericDistance {
+        attr: 0,
+        fallback: Ratio::ZERO,
+    };
+    let keyless = w::l1_distance();
+    let oracles: [(&str, &(dyn Distance + Sync)); 2] = [("keyed", &keyed), ("keyless", &keyless)];
+    for &n in sizes {
+        let (universe, rel) = workload(n);
+        for (label, dis) in oracles {
+            for &k in ks {
+                let req = EngineRequest {
+                    kind: ObjectiveKind::Mono,
+                    k,
+                };
+                let mut scratch = SolveScratch::new();
+                let mut out = Vec::new();
+                let samples = if quick() { 1 } else { 5 };
+                let mut first = Duration::ZERO;
+                let mut warm = Duration::ZERO;
+                let mut warm_rounds = 0u32;
+                let mut warm_allocs = 0u64;
+                for _ in 0..samples {
+                    let e = Engine::with_threads(universe.clone(), &rel, dis, Ratio::new(1, 2), 1);
+                    let t0 = Instant::now();
+                    e.serve_into(req, &mut scratch, &mut out).expect("feasible");
+                    first += t0.elapsed();
+                    let (t0, allocs_before) = (Instant::now(), alloc_count());
+                    while warm_rounds == 0 || (t0.elapsed() < Duration::from_millis(40) && !quick()) {
+                        e.serve_into(req, &mut scratch, &mut out).expect("feasible");
+                        warm_rounds += 1;
+                    }
+                    warm += t0.elapsed();
+                    warm_allocs += alloc_count() - allocs_before;
+                    assert_eq!(out.len(), k);
+                }
+                println!(
+                    "{:<40} {:>14}/iter   ({samples} samples, prepare untimed)",
+                    format!("mono/{label}/first/{n}/k{k}"),
+                    fmt_ns(first.as_nanos() / samples as u128),
+                );
+                println!(
+                    "{:<40} {:>14}/iter   ({warm_rounds} rounds, {:.2} allocs/request)",
+                    format!("mono/{label}/warm/{n}/k{k}"),
+                    fmt_ns(warm.as_nanos() / u128::from(warm_rounds)),
+                    warm_allocs as f64 / f64::from(warm_rounds),
+                );
+            }
+        }
+    }
+}
+
 /// Steady-state allocation counts: a warm engine + scratch serving
 /// through `serve_into` (reused output buffer) must allocate **zero**
 /// times per request. The eager path's per-round churn is printed for
@@ -213,6 +275,7 @@ fn hotpath(c: &mut Criterion) {
     };
     cold_greedy(&sizes, &ks);
     warm_and_eager(c, &sizes, &ks);
+    mono_serving(&sizes, &ks);
     let (alloc_n, alloc_k) = if quick() { (400, 5) } else { (2000, 10) };
     allocation_counts(alloc_n, alloc_k);
 }

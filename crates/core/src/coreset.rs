@@ -35,7 +35,9 @@
 //!   **re-scores the answer exactly against the full universe**: the
 //!   returned `Ratio` is the true objective value of the returned set
 //!   under full-universe semantics (for `F_mono` that means the
-//!   diversity term averages over all `n` items, not the coreset).
+//!   diversity term averages over all `n` items, not the coreset —
+//!   `O(k)` reads of memoized exact sums over a key-column oracle,
+//!   `O(n·k)` oracle calls otherwise).
 //!   An optional refine step ([`CoresetConfig::refine_rounds`])
 //!   additionally hill-climbs the chosen set over the *full* universe
 //!   with `O(n·k)` distance evaluations per round.
@@ -83,6 +85,7 @@ use crate::engine::{
     DistOracle, Engine, EngineRequest, PreparedUniverse, ServeError, SolveScratch, TieCandidate,
     TieChunk,
 };
+use crate::mono_exact::{MonoExact, MonoSums};
 use crate::problem::ObjectiveKind;
 use crate::ratio::Ratio;
 use crate::relevance::Relevance;
@@ -471,6 +474,10 @@ pub struct PreparedCoreset {
     config: CoresetConfig,
     coreset: Coreset,
     sub: Arc<PreparedUniverse<'static>>,
+    // Exact full-universe distance sums for the `F_mono` re-score, when
+    // the oracle is a key column: built by the first mono request,
+    // repaired per insert, dropped by a removal.
+    mono_sums: MonoSums,
 }
 
 /// A prepared coreset shareable across threads and cache entries.
@@ -537,6 +544,7 @@ impl PreparedCoreset {
             config: *config,
             coreset,
             sub,
+            mono_sums: MonoSums::default(),
         })
     }
 
@@ -674,6 +682,7 @@ impl PreparedCoreset {
     pub fn insert_tuple(&mut self, tuple: Tuple, rel: Ratio) {
         let x = self.universe.len();
         let m = self.coreset.m();
+        self.mono_sums.repair_insert(&*self.dis, &tuple);
         if m < self.config.budget.max(1) || m == 0 {
             // Budget open: x becomes representative m.
             self.sub_mut().insert_tuple(tuple.clone(), rel);
@@ -758,6 +767,7 @@ impl PreparedCoreset {
         let removed = self.universe.swap_remove(index);
         self.rel_exact.swap_remove(index);
         self.rel_f.swap_remove(index);
+        self.mono_sums.invalidate();
         let threads = self.config.threads.max(1);
         self.coreset = Coreset::select(
             &self.universe,
@@ -794,8 +804,9 @@ impl PreparedCoreset {
     /// charges for this entry: the `m²` sub-matrix and its coreset
     /// tuples (via the sub-universe's own accounting, which also counts
     /// the retained oracle once), plus the full universe's tuples,
-    /// `O(n)` relevance caches, and the coverage assignment with its
-    /// per-item distances.
+    /// `O(n)` relevance caches, the coverage assignment with its
+    /// per-item distances, and the exact mono distance sums (populated
+    /// by the first `F_mono` request, charged up front).
     pub fn approx_bytes(&self) -> usize {
         let n = self.universe.len();
         let tuples: usize = self
@@ -807,7 +818,8 @@ impl PreparedCoreset {
             + tuples
             + n * (std::mem::size_of::<Ratio>()
                 + 2 * std::mem::size_of::<f64>()
-                + std::mem::size_of::<usize>())
+                + std::mem::size_of::<usize>()
+                + MonoSums::BYTES_PER_ITEM)
             + self.coreset.indices.len() * std::mem::size_of::<usize>()
     }
 
@@ -828,6 +840,13 @@ impl PreparedCoreset {
             });
         }
         self.sub.check_finite()
+    }
+
+    /// The memoized exact full-universe distance sums
+    /// `Σ_j δ_dis(t_i, t_j)`, if populated (`Some(None)` = the oracle
+    /// offers no usable [`Distance::key_column`]).
+    pub fn mono_sums_preamble(&self) -> Option<Option<&[i128]>> {
+        self.mono_sums.peek()
     }
 
     /// [`PreparedCoreset::check_finite`] restricted to what
@@ -935,12 +954,25 @@ impl CoresetEngine {
     /// **full-universe semantics**: `F_MS`/`F_MM` read the set's own
     /// relevances and pairwise distances through the exact oracle;
     /// `F_mono`'s diversity term averages each member's distance over
-    /// all `n` universe items (Section 3.2) — `O(n·k)` exact distance
-    /// evaluations, the price of an honest mono score without the
-    /// `n × n` matrix.
+    /// all `n` universe items (Section 3.2) — `O(k)` from the memoized
+    /// key-column sums (`O(n log n)` once), `O(n·k)` exact distance
+    /// evaluations over an oracle without a column: the price of an
+    /// honest mono score without the `n × n` matrix.
     pub fn objective_exact_full(&self, kind: ObjectiveKind, subset: &[usize]) -> Ratio {
+        self.objective_exact_full_by(kind, subset, Deadline::none())
+            .expect("unbounded deadline cannot be exceeded")
+    }
+
+    /// [`CoresetEngine::objective_exact_full`] under a deadline, polled
+    /// before each `O(n)` per-pair mono sweep.
+    fn objective_exact_full_by(
+        &self,
+        kind: ObjectiveKind,
+        subset: &[usize],
+        deadline: Deadline,
+    ) -> Result<Ratio, ServeError> {
         let p = &*self.prepared;
-        match kind {
+        Ok(match kind {
             ObjectiveKind::MaxSum => crate::problem::f_ms_from(
                 subset.len(),
                 p.lambda,
@@ -953,26 +985,17 @@ impl CoresetEngine {
                 |a| p.rel_exact[subset[a]],
                 |a, b| p.dist_of(subset[a], subset[b]),
             ),
-            ObjectiveKind::Mono => subset.iter().map(|&i| self.mono_score_exact_full(i)).sum(),
-        }
-    }
-
-    /// Exact full-universe mono score `v(t)` of item `i` (Theorem 5.4's
-    /// sort key, over all `n` items).
-    fn mono_score_exact_full(&self, i: usize) -> Ratio {
-        let p = &*self.prepared;
-        let rel_part = (Ratio::ONE - p.lambda) * p.rel_exact[i];
-        let n = p.universe.len();
-        if n <= 1 || p.lambda.is_zero() {
-            return rel_part;
-        }
-        let mut dsum = Ratio::ZERO;
-        for j in 0..n {
-            if j != i {
-                dsum += p.dist_of(i, j);
+            ObjectiveKind::Mono => {
+                let exact = MonoExact {
+                    lambda: p.lambda,
+                    rel_exact: &p.rel_exact,
+                    universe: &p.universe,
+                    dis: &*p.dis,
+                    sums: &p.mono_sums,
+                };
+                exact.value(subset, deadline)?
             }
-        }
-        rel_part + p.lambda * dsum / Ratio::int(n as i64 - 1)
+        })
     }
 
     /// [`CoresetEngine::serve_into`] with freshly allocated scratch and
@@ -1035,7 +1058,7 @@ impl CoresetEngine {
                 }
             }
         }
-        Ok(self.objective_exact_full(request.kind, out))
+        self.objective_exact_full_by(request.kind, out, self.deadline)
     }
 
     /// One full-universe refinement round for `F_MS`/`F_MM`: scan every

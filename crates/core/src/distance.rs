@@ -42,12 +42,19 @@ pub trait Distance {
     /// one-dimensional metric over them: `Some(keys)` promises that for
     /// every `i`, `j`, `dist_f64(&items[i], &items[j])` is bit-for-bit
     /// `(keys[i] - keys[j]).abs() as f64` (so equal tuples have equal
-    /// keys and the zero diagonal is implied). The coreset selection
+    /// keys and the zero diagonal is implied), that
+    /// `dist(&items[i], &items[j])` is **exactly**
+    /// `Ratio::int((keys[i] - keys[j]).abs())`, and that `keys[i]`
+    /// depends on `items[i]` alone. The coreset selection
     /// ([`crate::coreset::Coreset::try_select_deadline`]) then sweeps
-    /// the column instead of dispatching `dist_f64` per pair. `None`
-    /// (the default) keeps the per-pair path; a wrapper that alters
-    /// distances in any way — fault injection included — must not
-    /// forward its inner oracle's column.
+    /// the column instead of dispatching `dist_f64` per pair, and the
+    /// exact `F_mono` score reads per-item distance sums computed from
+    /// the sorted column instead of summing `n − 1` `dist` calls
+    /// ([`crate::engine::PreparedUniverse::mono_sums_preamble`]; a
+    /// column whose `max − min` overflows `i64` is not used there).
+    /// `None` (the default) keeps the per-pair paths; a wrapper that
+    /// alters distances in any way — fault injection included — must
+    /// not forward its inner oracle's column.
     fn key_column(&self, _items: &[Tuple]) -> Option<Vec<i64>> {
         None
     }

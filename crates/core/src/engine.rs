@@ -70,6 +70,7 @@ use crate::approx::ms_pair_weight_parts;
 use crate::avail::{GenMarks, IndexSet};
 use crate::deadline::Deadline;
 use crate::distance::Distance;
+use crate::mono_exact::{MonoExact, MonoSums};
 use crate::problem::ObjectiveKind;
 use crate::ratio::Ratio;
 use crate::relevance::Relevance;
@@ -1006,6 +1007,10 @@ pub struct PreparedUniverse<'a> {
     // an insert can repair them in O(n) (`dsum += col[i]`) instead of
     // re-streaming the whole matrix.
     mono_dsums: OnceLock<Vec<f64>>,
+    // The same sums exactly, when the oracle is a key column: what the
+    // exact mono re-score reads instead of n oracle calls per winner,
+    // and what seeds `mono_dsums` when every sum is below 2^53.
+    mono_sums: MonoSums,
     gmm_seed: OnceLock<Option<(usize, usize)>>,
     // Per-anchor best-partner seed for the max-sum lazy heap: anchor i's
     // heaviest partner j > i over the full universe. O(n²) to build
@@ -1114,6 +1119,7 @@ impl<'a> PreparedUniverse<'a> {
             matrix,
             mono_scores: OnceLock::new(),
             mono_dsums: OnceLock::new(),
+            mono_sums: MonoSums::default(),
             gmm_seed: OnceLock::new(),
             ms_seed,
             preamble_builds,
@@ -1217,9 +1223,10 @@ impl<'a> PreparedUniverse<'a> {
     /// (stride headroom included), the relevance caches, tuple payloads
     /// (estimated at one word per attribute value), the `O(n)` memoized
     /// solver preambles (the max-sum heap seed, materialized during the
-    /// matrix build, plus the mono scores and row sums, populated by
-    /// the first `F_mono` request — all charged up front because they
-    /// stay resident for the cache entry's lifetime), **and** the
+    /// matrix build, plus the mono scores, row sums and exact key-column
+    /// sums, populated by the first `F_mono` request — all charged up
+    /// front because they stay resident for the cache entry's
+    /// lifetime), **and** the
     /// retained distance oracle ([`Distance::approx_bytes`]) — a
     /// table-backed oracle's pair map can dwarf the float matrix, and
     /// it stays alive as long as this prepared universe does.
@@ -1228,7 +1235,9 @@ impl<'a> PreparedUniverse<'a> {
         let tuples: usize = self.universe.iter().map(tuple_approx_bytes).sum();
         self.matrix.approx_bytes()
             + n * (std::mem::size_of::<Ratio>() + std::mem::size_of::<f64>())
-            + n * (2 * std::mem::size_of::<f64>() + std::mem::size_of::<PairSeed>())
+            + n * (2 * std::mem::size_of::<f64>()
+                + MonoSums::BYTES_PER_ITEM
+                + std::mem::size_of::<PairSeed>())
             + tuples
             + self.dis.approx_bytes()
     }
@@ -1312,7 +1321,8 @@ impl<'a> PreparedUniverse<'a> {
     /// * mono row sums — each old row's sum gains exactly its new
     ///   column entry, appended at the end of the same left-to-right
     ///   fold; scores are recomputed from the repaired sums through the
-    ///   shared `mono_score_from_dsum` expression;
+    ///   shared `mono_score_from_dsum` expression; the exact
+    ///   key-column sums gain `|k_i − k_new|` each, in integers;
     /// * GMM seed — the new pairs `(i, n)` are scanned with the same
     ///   float filter + exact-`Ratio` resolution as the from-scratch
     ///   seed, and the partition winner is compared exactly against the
@@ -1331,6 +1341,7 @@ impl<'a> PreparedUniverse<'a> {
         if rel_new.is_finite() && col.iter().all(|d| d.is_finite()) {
             self.repair_ms_seed_insert(&col, rel_new);
             self.repair_mono_insert(&col, rel_new);
+            self.mono_sums.repair_insert(&self.dis, &tuple);
             self.repair_gmm_seed_insert(&col, &tuple, rel, rel_new);
         } else {
             // Non-finite scores do not order, so no repair can match a
@@ -1370,6 +1381,7 @@ impl<'a> PreparedUniverse<'a> {
     fn invalidate_preambles(&mut self) {
         self.mono_scores = OnceLock::new();
         self.mono_dsums = OnceLock::new();
+        self.mono_sums.invalidate();
         self.gmm_seed = OnceLock::new();
         self.ms_seed = OnceLock::new();
     }
@@ -1513,6 +1525,7 @@ impl<'a> PreparedUniverse<'a> {
             matrix: self.matrix.clone(),
             mono_scores: self.mono_scores.clone(),
             mono_dsums: self.mono_dsums.clone(),
+            mono_sums: self.mono_sums.clone(),
             gmm_seed: self.gmm_seed.clone(),
             ms_seed: self.ms_seed.clone(),
             preamble_builds: AtomicUsize::new(self.preamble_builds.load(Ordering::Relaxed)),
@@ -1525,6 +1538,25 @@ impl<'a> PreparedUniverse<'a> {
     /// bit-identical to from-scratch ones.
     pub fn mono_preamble(&self) -> Option<&[f64]> {
         self.mono_scores.get().map(Vec::as_slice)
+    }
+
+    /// The memoized exact key-column distance sums `Σ_j δ_dis(t_i, t_j)`,
+    /// if populated (`Some(None)` = the oracle offers no usable
+    /// [`Distance::key_column`], the per-pair path answers).
+    pub fn mono_sums_preamble(&self) -> Option<Option<&[i128]>> {
+        self.mono_sums.peek()
+    }
+
+    /// What the exact mono score reads, for the one shared
+    /// [`MonoExact::mono_score_exact`].
+    pub(crate) fn mono_exact(&self) -> MonoExact<'_> {
+        MonoExact {
+            lambda: self.lambda,
+            rel_exact: &self.rel_exact,
+            universe: &self.universe,
+            dis: &self.dis,
+            sums: &self.mono_sums,
+        }
     }
 
     /// The memoized GMM seed pair, if populated (`Some(None)` = a
@@ -1676,7 +1708,20 @@ impl<'a> Engine<'a> {
     /// [`DiversityProblem::objective`](crate::problem::DiversityProblem::objective)
     /// term for term.
     pub fn objective_exact(&self, kind: ObjectiveKind, subset: &[usize]) -> Ratio {
-        match kind {
+        self.objective_exact_by(kind, subset, Deadline::none())
+            .expect("unbounded deadline cannot be exceeded")
+    }
+
+    /// [`Engine::objective_exact`] under a deadline: `F_mono` over an
+    /// oracle without a key column polls it once per member, before
+    /// that member's `O(n)` distance sweep.
+    fn objective_exact_by(
+        &self,
+        kind: ObjectiveKind,
+        subset: &[usize],
+        deadline: Deadline,
+    ) -> Result<Ratio, ServeError> {
+        Ok(match kind {
             ObjectiveKind::MaxSum => crate::problem::f_ms_from(
                 subset.len(),
                 self.prepared.lambda,
@@ -1689,42 +1734,33 @@ impl<'a> Engine<'a> {
                 |a| self.prepared.rel_exact[subset[a]],
                 |a, b| self.dist_of(subset[a], subset[b]),
             ),
-            ObjectiveKind::Mono => subset.iter().map(|&i| self.mono_score_exact(i)).sum(),
-        }
+            ObjectiveKind::Mono => self.prepared.mono_exact().value(subset, deadline)?,
+        })
     }
 
-    /// Exact per-item mono score `v(t)` (Theorem 5.4's sort key).
-    fn mono_score_exact(&self, i: usize) -> Ratio {
-        let rel_part = (Ratio::ONE - self.prepared.lambda) * self.prepared.rel_exact[i];
-        let n = self.n();
-        if n <= 1 || self.prepared.lambda.is_zero() {
-            return rel_part;
-        }
-        let mut dsum = Ratio::ZERO;
-        for j in 0..n {
-            if j != i {
-                dsum += self.dist_of(i, j);
-            }
-        }
-        rel_part + self.prepared.lambda * dsum / Ratio::int(n as i64 - 1)
-    }
-
-    /// Float mono scores of all items, one linear pass per matrix row —
-    /// `O(n²)` total, but k-independent, so computed once per prepared
-    /// universe and memoized (warm-cache mono requests skip straight to
-    /// the top-k sort). The per-row distance sums are memoized
-    /// separately (`mono_dsums`) because they are what
+    /// Float mono scores of all items — k-independent, so computed once
+    /// per prepared universe and memoized (warm-cache mono requests
+    /// skip straight to the top-k cut). The per-row distance sums are
+    /// memoized separately (`mono_dsums`) because they are what
     /// [`PreparedUniverse::insert_tuple`] repairs in `O(n)`; both the
     /// fresh path here and the repair path derive the score through the
     /// same [`mono_score_from_dsum`] expression, keeping them
     /// bit-identical.
+    ///
+    /// The sums are one linear fold per matrix row, `O(n²)` — unless
+    /// the oracle is a key column whose exact sums all stay below 2^53:
+    /// then the `O(n log n)` integer sums convert to the very same
+    /// floats ([`KeySums::to_f64_exact`](crate::mono_exact::KeySums)).
     fn mono_scores_f64(&self) -> &[f64] {
         self.prepared.mono_scores.get_or_init(|| {
+            let p = &*self.prepared;
             let n = self.n();
-            let dsums = self
-                .prepared
-                .mono_dsums
-                .get_or_init(|| (0..n).map(|i| self.prepared.matrix.row(i).iter().sum()).collect());
+            let dsums = p.mono_dsums.get_or_init(|| {
+                p.mono_sums
+                    .get_or_build(&p.dis, &p.universe)
+                    .and_then(|sums| sums.to_f64_exact())
+                    .unwrap_or_else(|| (0..n).map(|i| p.matrix.row(i).iter().sum()).collect())
+            });
             self.prepared
                 .rel
                 .iter()
@@ -2372,7 +2408,8 @@ impl<'a> Engine<'a> {
     }
 
     /// `F_mono` top-`k` by per-item score (the Theorem 5.4 PTIME rule):
-    /// float row sums, exact re-ranking inside the float tie window.
+    /// float scores cut at the `k`-th largest, exact re-ranking inside
+    /// the float tie window around the cut.
     /// Matches [`mono::max_mono`](crate::solvers::mono::max_mono) up to
     /// equal-score ties. `None` when `k > n`.
     pub fn mono_top_k(&self, k: usize) -> Option<Vec<usize>> {
@@ -2394,13 +2431,18 @@ impl<'a> Engine<'a> {
         if k > n {
             return false;
         }
-        // Deadline checkpoint before the sort (the whole selection is
-        // one O(n log n) pass; first request also pays the O(n²)
-        // row-sum preamble below).
+        // Deadline checkpoint before the cut (the whole selection is
+        // one O(n) pass; the first request also pays the preamble
+        // below — O(n log n) over a key column, O(n²) row sums
+        // otherwise).
         if self.deadline.exceeded() {
             return false;
         }
         let scores = self.mono_scores_f64();
+        if k == 0 || k == n {
+            out.extend(0..k);
+            return true;
+        }
         let SolveScratch {
             scored,
             band,
@@ -2409,18 +2451,15 @@ impl<'a> Engine<'a> {
         } = scratch;
         scored.clear();
         scored.extend((0..n).map(|i| (scores[i], i)));
-        // Descending by score, ascending by index. The index tiebreak
-        // makes the order total and strict, so the unstable sort (which
-        // allocates nothing, unlike the stable one) is deterministic.
-        scored.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-        if k == 0 || k == n {
-            out.extend(scored[..k].iter().map(|&(_, i)| i));
-            out.sort_unstable();
-            return true;
-        }
+        // The k-th largest under: descending by score, ascending by
+        // index. The index tiebreak makes the order total and strict,
+        // so the cut is the one a full sort would put at rank k − 1.
+        let (_, &mut (cut, _), _) = scored.select_nth_unstable_by(k - 1, |a, b| {
+            b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1))
+        });
         // Items comfortably above the cut are in; the float-ambiguous
-        // band around the k-th score is re-ranked exactly.
-        let cut = scored[k - 1].0;
+        // band around the k-th score is re-ranked exactly (so the order
+        // the partition left `scored` in never shows).
         let window = F64_TIE_EPS.max(cut.abs() * F64_TIE_EPS);
         band.clear();
         for &(s, i) in scored.iter() {
@@ -2433,7 +2472,15 @@ impl<'a> Engine<'a> {
         let need = k - out.len();
         if need < band.len() {
             band_exact.clear();
-            band_exact.extend(band.iter().map(|&i| (self.mono_score_exact(i), i)));
+            let exact = self.prepared.mono_exact();
+            for &i in band.iter() {
+                // Per-pair oracles sweep O(n) per band member: the
+                // score polls the deadline before each sweep.
+                let Ok(score) = exact.mono_score_exact(i, self.deadline) else {
+                    return false;
+                };
+                band_exact.push((score, i));
+            }
             band_exact.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
             band.clear();
             band.extend(band_exact.iter().map(|&(_, i)| i));
@@ -2590,7 +2637,7 @@ impl<'a> Engine<'a> {
         out: &mut Vec<usize>,
     ) -> Result<Ratio, ServeError> {
         self.solve_into(request, scratch, out)?;
-        Ok(self.objective_exact(request.kind, out))
+        self.objective_exact_by(request.kind, out, self.deadline)
     }
 
     /// [`Engine::serve_into`] without the exact re-score — the coreset

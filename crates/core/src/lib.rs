@@ -66,6 +66,7 @@ pub mod dispersion;
 pub mod distance;
 pub mod engine;
 pub mod gen;
+mod mono_exact;
 pub mod pipeline;
 pub mod problem;
 pub mod ratio;

@@ -203,7 +203,24 @@ impl Ratio {
     /// denominators are expected — e.g. measuring float deviations
     /// against large-denominator oracle values.
     pub fn checked_add(self, rhs: Ratio) -> Option<Ratio> {
-        // a/b + c/d = (a·(l/b) + c·(l/d)) / l with l = lcm(b, d).
+        // Equal denominators (integers above all): the lcm is the
+        // denominator itself, so only the numerators add — no Euclid
+        // loop for integers, one reduce otherwise. Same value, same
+        // canonical form and same `None` as the general path below.
+        if self.den == rhs.den {
+            let num = self.num.checked_add(rhs.num)?;
+            return Some(if self.den == 1 {
+                Ratio { num, den: 1 }
+            } else {
+                Ratio::new_i128(num, self.den)
+            });
+        }
+        self.checked_add_lcm(rhs)
+    }
+
+    /// The general path of [`Ratio::checked_add`]:
+    /// `a/b + c/d = (a·(l/b) + c·(l/d)) / l` with `l = lcm(b, d)`.
+    fn checked_add_lcm(self, rhs: Ratio) -> Option<Ratio> {
         let g = gcd(self.den, rhs.den);
         let l = (self.den / g).checked_mul(rhs.den)?;
         let left = self.num.checked_mul(l / self.den)?;
@@ -478,6 +495,74 @@ mod tests {
         let a = Ratio::new_i128(i128::MAX, 2);
         let b = Ratio::new_i128(i128::MAX - 2, 3);
         let _ = a.cmp(&b);
+    }
+
+    /// `checked_add`'s equal-denominator fast path against the lcm path
+    /// on value *and* representation: integers, shared non-unit
+    /// denominators that need a reduce, sums that cancel to zero, and
+    /// numerators near `i128::MAX` where both must return `None`.
+    #[test]
+    fn add_fast_path_agrees_with_the_lcm_path() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xADD);
+        let num = |rng: &mut StdRng| -> i128 {
+            let magnitude = match rng.gen_range(0..3) {
+                0 => i128::from(rng.gen_range(0i64..=12)),
+                1 => i128::from(rng.gen_range(0i64..=i64::MAX)),
+                _ => i128::MAX - i128::from(rng.gen_range(0i64..=1000)),
+            };
+            if rng.gen_range(0..2) == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        };
+        let same = |a: Option<Ratio>, b: Option<Ratio>| match (a, b) {
+            (Some(x), Some(y)) => (x.num, x.den) == (y.num, y.den),
+            (None, None) => true,
+            _ => false,
+        };
+        let (mut integers, mut reduced, mut cancelled, mut overflowed) = (0, 0, 0, 0);
+        for _ in 0..20_000 {
+            let den = match rng.gen_range(0..3) {
+                0 => 1,
+                1 => i128::from(rng.gen_range(2i64..=12)),
+                _ => i128::from(rng.gen_range(2i64..=i64::MAX)),
+            };
+            let a = Ratio::new_i128(num(&mut rng), den);
+            let b = match rng.gen_range(0..4) {
+                0 => -a,
+                _ => Ratio::new_i128(num(&mut rng), den),
+            };
+            if a.den != b.den {
+                continue; // reduced apart: `checked_add` is the lcm path
+            }
+            if a.num.checked_add(b.num) == Some(i128::MIN) {
+                continue; // `gcd` cannot take |i128::MIN| on either path
+            }
+            let (fast, lcm) = (a.checked_add(b), a.checked_add_lcm(b));
+            assert!(same(fast, lcm), "{a} + {b}: {fast:?} vs {lcm:?}");
+            assert!(same(b.checked_add(a), lcm), "{b} + {a}");
+            match fast {
+                None => overflowed += 1,
+                Some(sum) => {
+                    integers += usize::from(a.den == 1);
+                    reduced += usize::from(sum.den != a.den);
+                    cancelled += usize::from(sum.is_zero());
+                }
+            }
+        }
+        assert!(integers > 1000 && reduced > 1000 && cancelled > 1000 && overflowed > 1000);
+        let sixth = Ratio::new(1, 6);
+        assert_eq!(sixth + sixth, Ratio::new(1, 3));
+        assert_eq!((sixth + sixth).denominator(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio arithmetic overflow")]
+    fn add_still_panics_on_integer_overflow() {
+        let _ = Ratio::new_i128(i128::MAX, 1) + Ratio::ONE;
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `InfeasibleK` (422) and `DeadlineExceeded` (504) across retries.
 
 use divr_core::coreset::{CoresetConfig, CoresetEngine};
-use divr_core::distance::NumericDistance;
+use divr_core::distance::{Distance, NumericDistance};
 use divr_core::engine::{Engine, EngineRequest, ServeError, SolveScratch};
 use divr_core::problem::ObjectiveKind;
 use divr_core::relevance::AttributeRelevance;
@@ -14,11 +14,12 @@ use divr_core::{Deadline, Ratio};
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple};
 use divr_server::{
-    CheckedAnswer, CoresetSpec, DeltaOp, Durability, QueryError, QueryFrontDoor, QuerySpec,
-    Registry, RegistryConfig, TenantBatch, UniverseSpec,
+    CheckedAnswer, CoresetSpec, DeltaOp, Durability, FingerprintEncoder, Fingerprintable,
+    QueryError, QueryFrontDoor, QuerySpec, Registry, RegistryConfig, TenantBatch, UniverseSpec,
 };
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const N: i64 = 20;
 const BUDGET: usize = 8;
@@ -305,5 +306,83 @@ fn infeasible_k_is_never_reported_as_a_timeout() {
             f.serve_query_deadline("main", &q, &[request, requests()[0]], expired()),
             Ok(vec![Err(want), Err(ServeError::DeadlineExceeded)])
         );
+    }
+}
+
+/// [`dis`]'s function without its key column: `F_mono`'s exact re-score
+/// has no memoized sums to read and sweeps `n − 1` exact calls per
+/// winner. Counts those calls and, once armed, holds each until the
+/// armed instant.
+#[derive(Default)]
+struct KeylessStall {
+    exact_calls: AtomicUsize,
+    stall_until: Mutex<Option<Instant>>,
+}
+
+impl Distance for KeylessStall {
+    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+        self.exact_calls.fetch_add(1, Ordering::Relaxed);
+        if let Some(until) = *self.stall_until.lock().unwrap() {
+            std::thread::sleep(until.saturating_duration_since(Instant::now()));
+        }
+        dis().dist(a, b)
+    }
+}
+
+impl Fingerprintable for KeylessStall {
+    fn fingerprint(&self, enc: &mut FingerprintEncoder) {
+        enc.write_str("test:keyless-stall");
+    }
+}
+
+/// The re-score runs after the solver's last checkpoint; over a keyless
+/// oracle it is `k` sweeps of `O(n)` exact calls, and it polls the
+/// deadline before each — a request overshoots by one sweep, not `k`.
+#[test]
+fn mono_rescore_over_a_keyless_oracle_stops_within_one_sweep() {
+    let n = N as usize;
+    let mono = EngineRequest {
+        kind: ObjectiveKind::Mono,
+        k: 4,
+    };
+    for coreset in [false, true] {
+        let oracle = Arc::new(KeylessStall::default());
+        let mut spec = UniverseSpec::new(rows(), rel(), oracle.clone(), Ratio::new(1, 2));
+        if coreset {
+            spec = spec.with_coreset(CoresetSpec::with_budget(BUDGET));
+        }
+        let registry = Registry::default();
+        let resident = registry.try_prepare(&spec).unwrap();
+        let warm = registry.try_serve(&spec, mono).unwrap();
+        let misses = registry.stats().misses;
+
+        // Expired on arrival: the solver's own checkpoint answers,
+        // before any oracle call.
+        let calls = oracle.exact_calls.load(Ordering::Relaxed);
+        let batch = [TenantBatch {
+            spec: spec.clone(),
+            requests: vec![mono],
+        }];
+        let answers = registry.serve_mixed_checked_deadline(&batch, expired());
+        assert_eq!(answers[0], [Err(ServeError::DeadlineExceeded)]);
+        assert_eq!(oracle.exact_calls.load(Ordering::Relaxed), calls);
+
+        // Expiring inside the first sweep: that sweep finishes, the
+        // poll before the next one abandons the request.
+        let at = Instant::now() + Duration::from_millis(200);
+        *oracle.stall_until.lock().unwrap() = Some(at);
+        let mut scratch = SolveScratch::new();
+        assert_eq!(
+            resident.try_serve_deadline(THREADS, mono, &mut scratch, Deadline::at(at)),
+            Err(ServeError::DeadlineExceeded)
+        );
+        let swept = oracle.exact_calls.load(Ordering::Relaxed) - calls;
+        assert!((1..n).contains(&swept), "coreset={coreset}: {swept} exact calls");
+
+        // Nothing cached changed: the entry is resident and answers as
+        // it did.
+        assert!(registry.is_cached(&spec));
+        assert_eq!(registry.try_serve(&spec, mono), Ok(warm));
+        assert_eq!(registry.stats().misses, misses);
     }
 }

@@ -15,6 +15,12 @@
 //! through a distance-altering wrapper, and neither path may outrun a
 //! deadline.
 
+mod common;
+
+use common::{
+    behind_closure, numeric, rows_strategy, spread_universe, universe_of, NanOver, PanicOver,
+    PoisonOver, REL,
+};
 use divr::core::coreset::{Coreset, CoresetConfig, CoresetEngine};
 use divr::core::distance::ClosureDistance;
 use divr::core::engine::{EngineRequest, ScoreSource};
@@ -22,39 +28,12 @@ use divr::core::prelude::*;
 use divr::core::relevance::Relevance;
 use divr::core::{Deadline, Ratio};
 use divr::relquery::{Tuple, Value};
-use divr::server::{
-    CoresetSpec, FingerprintEncoder, Fingerprintable, Registry, ServeError, UniverseSpec,
-};
+use divr::server::{CoresetSpec, Registry, ServeError, UniverseSpec};
 use divr::service::wire::{ChaosNanDistance, ChaosPanicDistance};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-const REL: AttributeRelevance = AttributeRelevance {
-    attr: 1,
-    default: Ratio::ZERO,
-};
-
-fn numeric(fallback: i64) -> NumericDistance {
-    NumericDistance {
-        attr: 0,
-        fallback: Ratio::int(fallback),
-    }
-}
-
-/// `oracle`'s function with the hook stripped: a closure cannot be
-/// asked for a column.
-fn behind_closure(oracle: NumericDistance) -> impl Distance + Send + Sync + 'static {
-    ClosureDistance(move |a: &Tuple, b: &Tuple| oracle.dist(a, b))
-}
-
-/// `[key, score]` tuples; duplicate rows are duplicate tuples.
-fn universe_of(rows: &[(i64, i64)]) -> Vec<Tuple> {
-    rows.iter()
-        .map(|&(key, score)| Tuple::ints([key, score]))
-        .collect()
-}
 
 fn rels_of(universe: &[Tuple]) -> Vec<Ratio> {
     universe.iter().map(|t| REL.rel(t)).collect()
@@ -68,13 +47,6 @@ fn observe(c: &Coreset, n: usize) -> (Vec<usize>, Vec<usize>, Vec<u64>, u64) {
         (0..n).map(|i| c.rep_distance(i).to_bits()).collect(),
         c.covering_radius().to_bits(),
     )
-}
-
-/// Few distinct keys (negative ones included) and few distinct scores:
-/// duplicate tuples, equal-key distinct tuples and float ties in every
-/// round.
-fn rows_strategy(n: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<(i64, i64)>> {
-    proptest::collection::vec((-40i64..=40, 0i64..=6), n)
 }
 
 proptest! {
@@ -172,72 +144,6 @@ proptest! {
 }
 
 // ------------------------------------------------ (d) fault wrappers
-
-/// Alters the float path of the `NumericDistance` it wraps and offers
-/// no column — if the hook tunnelled through, the sweep would read
-/// clean integer keys and the fault would vanish.
-#[derive(Clone, Debug)]
-struct NanOver(NumericDistance);
-
-impl Distance for NanOver {
-    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
-        self.0.dist(a, b)
-    }
-    fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
-        if a == b {
-            0.0
-        } else {
-            f64::NAN
-        }
-    }
-}
-
-/// `NaN` only against the tuple whose key is `poison`.
-#[derive(Clone, Debug)]
-struct PoisonOver(NumericDistance, i64);
-
-impl Distance for PoisonOver {
-    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
-        self.0.dist(a, b)
-    }
-    fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
-        let poisoned = |t: &Tuple| t.get(0) == Some(&Value::int(self.1));
-        if a != b && (poisoned(a) || poisoned(b)) {
-            f64::NAN
-        } else {
-            self.0.dist_f64(a, b)
-        }
-    }
-}
-
-/// Panics on the first off-diagonal float distance.
-#[derive(Clone, Debug)]
-struct PanicOver(NumericDistance);
-
-impl Distance for PanicOver {
-    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
-        self.0.dist(a, b)
-    }
-    fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
-        assert!(a == b, "injected fault: distance oracle killed the worker");
-        0.0
-    }
-}
-
-macro_rules! fingerprint_as {
-    ($($ty:ty => $tag:literal),*) => {$(
-        impl Fingerprintable for $ty {
-            fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-                enc.write_str($tag);
-            }
-        }
-    )*};
-}
-fingerprint_as!(NanOver => "test:nan-over", PoisonOver => "test:poison-over", PanicOver => "test:panic-over");
-
-fn spread_universe(n: i64) -> Vec<Tuple> {
-    (0..n).map(|i| Tuple::ints([i * 7 % 101, i % 5])).collect()
-}
 
 fn coreset_answer(
     universe: Vec<Tuple>,

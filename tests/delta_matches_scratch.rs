@@ -8,8 +8,10 @@
 //! * every served answer (exact `Ratio` value *and* index set) across
 //!   all three objectives and a range of `k`;
 //! * the memoized solver preambles after warming both sides: the mono
-//!   score/d-sum vector (bits), the GMM exact seed pair, and the
-//!   per-anchor max-sum best-partner seed (bits + partner index);
+//!   score/d-sum vector (bits), the exact mono distance sums (repaired
+//!   in integer adds per insert, carried by a fork), the GMM exact seed
+//!   pair, and the per-anchor max-sum best-partner seed (bits + partner
+//!   index);
 //! * the repair-vs-rebuild discipline: inserts *repair* the max-sum
 //!   seed in place (`ms_preamble_builds` stays at its construction
 //!   count), removals invalidate and lazily rebuild (exactly one extra
@@ -20,11 +22,14 @@
 //! relevance equal, every distance equal — every candidate ties, so the
 //! answer is decided entirely by the exact-arithmetic lex tie-break),
 //! and *near-tied* (scores differing by at most 1, keeping many
-//! candidates inside the float tie window). Integer workloads make
+//! candidates inside the float tie window). A fourth, *keyed*, swaps
+//! the pair table for a [`NumericDistance`] over few distinct keys, the
+//! one family whose oracle offers a key column — there the exact mono
+//! sums are a populated memo, not just "no column". Integer workloads make
 //! `f64` arithmetic exact, so any divergence is a real repair bug, not
 //! float noise.
 
-use divr::core::distance::TableDistance;
+use divr::core::distance::{Distance, TableDistance};
 use divr::core::engine::{DeltaError, Engine, EngineRequest, PreparedUniverse, ServeError};
 use divr::core::prelude::*;
 use divr::core::relevance::TableRelevance;
@@ -49,9 +54,12 @@ struct RawChurn {
     /// `(op, x)`: `op == 0` inserts the next pool tuple, `op == 1`
     /// removes index `x % n` (skipped when it would shrink below 2).
     ops: Vec<(u8, usize)>,
+    /// Distances are `|key_i − key_j|` with `key_i = dists[i] − 15`
+    /// (behind a [`NumericDistance`]) instead of the pair table.
+    keyed: bool,
 }
 
-/// `family`: 0 = regular, 1 = all-tied, 2 = near-tied.
+/// `family`: 0 = regular, 1 = all-tied, 2 = near-tied, 3 = keyed.
 fn churn_strategy(family: u8) -> impl Strategy<Value = RawChurn> {
     (3usize..=10, 0i64..=2)
         .prop_flat_map(move |(n0, lambda_num)| {
@@ -86,6 +94,7 @@ fn churn_strategy(family: u8) -> impl Strategy<Value = RawChurn> {
                 rels,
                 dists,
                 ops,
+                keyed: family == 3,
             }
         })
 }
@@ -93,28 +102,38 @@ fn churn_strategy(family: u8) -> impl Strategy<Value = RawChurn> {
 struct Scores {
     tuples: Vec<Tuple>,
     rel: TableRelevance,
-    dis: TableDistance,
+    dis: Arc<dyn Distance + Send + Sync>,
     lambda: Ratio,
 }
 
 fn scores_of(raw: &RawChurn) -> Scores {
     let total = raw.n0 + POOL;
-    let tuples: Vec<Tuple> = (0..total as i64).map(|i| Tuple::ints([i])).collect();
+    let tuples: Vec<Tuple> = (0..total)
+        .map(|i| Tuple::ints([i as i64, raw.dists[i] - 15]))
+        .collect();
     let mut rel = TableRelevance::with_default(Ratio::ZERO);
     for (t, &r) in tuples.iter().zip(&raw.rels) {
         rel.set(t.clone(), Ratio::int(r));
     }
-    let mut dis = TableDistance::with_default(Ratio::ZERO);
-    let mut it = raw.dists.iter();
-    for i in 0..total {
-        for j in (i + 1)..total {
-            dis.set(
-                tuples[i].clone(),
-                tuples[j].clone(),
-                Ratio::int(*it.next().unwrap()),
-            );
+    let dis: Arc<dyn Distance + Send + Sync> = if raw.keyed {
+        Arc::new(NumericDistance {
+            attr: 1,
+            fallback: Ratio::ZERO,
+        })
+    } else {
+        let mut table = TableDistance::with_default(Ratio::ZERO);
+        let mut it = raw.dists.iter();
+        for i in 0..total {
+            for j in (i + 1)..total {
+                table.set(
+                    tuples[i].clone(),
+                    tuples[j].clone(),
+                    Ratio::int(*it.next().unwrap()),
+                );
+            }
         }
-    }
+        Arc::new(table)
+    };
     Scores {
         tuples,
         rel,
@@ -127,7 +146,7 @@ fn build(scores: &Scores, ids: &[usize]) -> PreparedUniverse<'static> {
     PreparedUniverse::build_shared(
         ids.iter().map(|&i| scores.tuples[i].clone()).collect(),
         &scores.rel,
-        Arc::new(scores.dis.clone()),
+        scores.dis.clone(),
         scores.lambda,
         1,
     )
@@ -166,6 +185,19 @@ fn matrix_bits(p: &PreparedUniverse<'_>) -> Vec<u64> {
 fn mono_bits(p: &PreparedUniverse<'_>) -> Option<Vec<u64>> {
     p.mono_preamble()
         .map(|s| s.iter().map(|x| x.to_bits()).collect())
+}
+
+/// The exact mono distance sums, checked against the oracle pair by
+/// pair whenever the memo holds a column.
+fn mono_sums(p: &PreparedUniverse<'_>) -> Result<Option<Option<Vec<i128>>>, TestCaseError> {
+    let memo = p.mono_sums_preamble().map(|m| m.map(<[i128]>::to_vec));
+    if let Some(Some(sums)) = &memo {
+        for (i, &sum) in sums.iter().enumerate() {
+            let pairwise: Ratio = (0..p.n()).map(|j| p.dist_of(i, j)).sum();
+            prop_assert_eq!(Ratio::new_i128(sum, 1), pairwise, "exact mono sum of item {}", i);
+        }
+    }
+    Ok(memo)
 }
 
 fn ms_bits(p: &PreparedUniverse<'_>) -> Option<Vec<(u64, usize)>> {
@@ -232,6 +264,10 @@ fn churn_case(raw: &RawChurn) -> Result<(), TestCaseError> {
             prop_assert_eq!(da, sa, "{} k={}: answers diverged", kind, k);
         }
         prop_assert_eq!(mono_bits(&prepared), mono_bits(&scratch), "mono preamble");
+        let memo = mono_sums(&prepared)?;
+        prop_assert_eq!(&memo, &mono_sums(&scratch)?, "exact mono sums");
+        prop_assert_eq!(&memo, &mono_sums(&prepared.fork())?, "a fork drops the exact mono sums");
+        prop_assert_eq!(matches!(memo, Some(Some(_))), raw.keyed, "column offered iff keyed");
         prop_assert_eq!(
             prepared.gmm_preamble(),
             scratch.gmm_preamble(),
@@ -270,6 +306,13 @@ proptest! {
     fn churn_matches_scratch_near_tied(raw in churn_strategy(2)) {
         churn_case(&raw)?;
     }
+
+    /// Keyed family: a key-column oracle, so the exact mono sums are
+    /// memoized, repaired by inserts and dropped by removals.
+    #[test]
+    fn churn_matches_scratch_keyed(raw in churn_strategy(3)) {
+        churn_case(&raw)?;
+    }
 }
 
 /// Shrinking below `k` is a typed condition, not a panic: after
@@ -283,6 +326,7 @@ fn churn_to_infeasible_k_is_typed() {
         rels: (0..(4 + POOL) as i64).collect(),
         dists: vec![5; (4 + POOL) * (4 + POOL - 1) / 2],
         ops: vec![],
+        keyed: false,
     };
     let scores = scores_of(&raw);
     let mut prepared = build(&scores, &[0, 1, 2, 3]);
