@@ -1,8 +1,8 @@
-//! Hot-path benchmark for the incremental-gain `F_MS` engine: lazy
-//! pair-weight heap vs the retired eager rescan, cold (first request
-//! against a fresh `PreparedUniverse`; the heap seed is fused into the
-//! matrix build, so cold ≈ heapify + rounds) vs warm (everything
-//! resident), `F_mono` serving (select + exact re-score) first-request
+//! Hot-path benchmark for the incremental-gain `F_MS` engine: the lazy
+//! pair-weight heap cold (first request against a fresh
+//! `PreparedUniverse`; the heap seed is fused into the matrix build, so
+//! cold ≈ heapify + rounds) vs warm (everything resident), `F_mono`
+//! serving (select + exact re-score) first-request
 //! and warm over a key-column and a keyless oracle, plus steady-state
 //! allocation counts for the scratch-based serving forms, measured by
 //! a counting global allocator.
@@ -115,9 +115,8 @@ fn cold_greedy(sizes: &[usize], ks: &[usize]) {
     }
 }
 
-/// Warm `F_MS` (memoized heap preamble) and the eager baseline, on one
-/// prepared engine.
-fn warm_and_eager(c: &mut Criterion, sizes: &[usize], ks: &[usize]) {
+/// Warm `F_MS` (memoized heap preamble), on one prepared engine.
+fn warm_greedy(c: &mut Criterion, sizes: &[usize], ks: &[usize]) {
     for &n in sizes {
         let (universe, rel) = workload(n);
         let dis = w::l1_distance();
@@ -133,33 +132,6 @@ fn warm_and_eager(c: &mut Criterion, sizes: &[usize], ks: &[usize]) {
             });
         }
         g.finish();
-        // The eager baseline rescans O(m²) pairs per round: time it at
-        // the sizes where that stays affordable (n = 8000, k = 50 would
-        // run ~1.6G pair evaluations per iteration).
-        if n <= 2000 || quick() {
-            let mut g = c.benchmark_group("fms_eager");
-            g.sample_size(10);
-            g.warm_up_time(Duration::from_millis(20));
-            g.measurement_time(Duration::from_millis(200));
-            for &k in ks {
-                g.bench_with_input(
-                    BenchmarkId::new(format!("eager/{n}"), format!("k{k}")),
-                    &e,
-                    |b, e| b.iter(|| e.greedy_max_sum_eager(k).map(|s| s.len())),
-                );
-            }
-            g.finish();
-        } else {
-            let t0 = Instant::now();
-            let set = e.greedy_max_sum_eager(ks[0]).expect("feasible");
-            let dt = t0.elapsed();
-            assert_eq!(set.len(), ks[0]);
-            println!(
-                "{:<40} {:>14}/iter   (1 sample)",
-                format!("fms_eager/eager/{n}/k{}", ks[0]),
-                fmt_ns(dt.as_nanos()),
-            );
-        }
     }
 }
 
@@ -225,8 +197,7 @@ fn mono_serving(sizes: &[usize], ks: &[usize]) {
 
 /// Steady-state allocation counts: a warm engine + scratch serving
 /// through `serve_into` (reused output buffer) must allocate **zero**
-/// times per request. The eager path's per-round churn is printed for
-/// contrast.
+/// times per request.
 fn allocation_counts(n: usize, k: usize) {
     let (universe, rel) = workload(n);
     let dis = w::l1_distance();
@@ -254,17 +225,6 @@ fn allocation_counts(n: usize, k: usize) {
             per_request,
         );
     }
-    let eager_rounds = if quick() { 2 } else { 20 };
-    let before = alloc_count();
-    for _ in 0..eager_rounds {
-        e.greedy_max_sum_eager(k);
-    }
-    let per_eager = (alloc_count() - before) as f64 / eager_rounds as f64;
-    println!(
-        "{:<40} {:>14.2} allocs/request (retired eager scan, for contrast)",
-        format!("allocs/eager_greedy/{n}/k{k}"),
-        per_eager,
-    );
 }
 
 fn hotpath(c: &mut Criterion) {
@@ -274,7 +234,7 @@ fn hotpath(c: &mut Criterion) {
         (vec![2000, 8000], vec![10, 50])
     };
     cold_greedy(&sizes, &ks);
-    warm_and_eager(c, &sizes, &ks);
+    warm_greedy(c, &sizes, &ks);
     mono_serving(&sizes, &ks);
     let (alloc_n, alloc_k) = if quick() { (400, 5) } else { (2000, 10) };
     allocation_counts(alloc_n, alloc_k);

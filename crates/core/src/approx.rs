@@ -21,9 +21,11 @@
 //!
 //! These sequential `Ratio`-path functions are the **reference
 //! semantics** for the production paths: [`crate::engine`] reproduces
-//! them against a precomputed matrix (identical up to equal-score
-//! ties), and [`crate::coreset`] runs them on an `m ≪ n` representative
-//! subset for universes whose matrix cannot be allocated. The
+//! [`greedy_max_sum`] and [`gmm_max_min`] against a precomputed matrix
+//! (identical up to equal-score ties), and [`crate::coreset`] runs
+//! those on an `m ≪ n` representative subset for universes whose
+//! matrix cannot be allocated; [`mmr`] and [`local_search_swap`] exist
+//! only here. The
 //! guarantee each algorithm carries — and the test that pins it — is
 //! tabulated in `docs/PAPER_MAP.md` ("Approximation guarantees").
 

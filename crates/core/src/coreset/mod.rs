@@ -1,0 +1,538 @@
+//! Sub-quadratic large-universe serving via GMM/k-center coresets.
+//!
+//! Every other serving path in this workspace — [`crate::engine`], the
+//! registry in `divr-server`, even the exact solvers — materializes the
+//! full `n × n` [`DistanceMatrix`](crate::engine::DistanceMatrix).
+//! That is the right trade-off up to a few thousand tuples and a dead
+//! end beyond: at `n = 50 000` the matrix alone is `n²·8 B ≈ 20 GB`.
+//! The standard route around the wall (Zhang et al., *Diversification
+//! on Big Data in Query Processing*; Capannini et al., *Efficient
+//! Diversification of Web Search Results*) is **candidate-set
+//! reduction**: pick `m ≪ n` representatives first, run the quadratic
+//! heuristics on those, and re-score the answer against the full
+//! universe. This module implements that route with the same
+//! exactness discipline as the engine:
+//!
+//! * [`Coreset::select`] — a farthest-point (Gonzalez k-center /
+//!   GMM-style) pass that picks `m` representatives in `O(n·m)`
+//!   distance evaluations and **zero** `n × n` allocations.
+//!   Half the budget goes to the top-relevance items (so the λ → 0
+//!   regime, where only relevance matters, stays exact for
+//!   `k ≤ ⌈m/2⌉`), half to farthest-point coverage (so the λ → 1
+//!   regime keeps the classical k-center guarantees). Sweeps are
+//!   float-scored with the engine's exact-`Ratio` tie fallback, so
+//!   selection is deterministic down to equal-score ties; key-shaped
+//!   oracles ([`Distance::key_column`]) are swept as one flat integer
+//!   column, all others per pair across threads.
+//! * [`PreparedCoreset`] — the owned, shareable prepared state: `O(n)`
+//!   relevance caches, the coreset itself, and an `m × m`
+//!   [`PreparedUniverse`] over the representatives. Its [`approx_bytes`](PreparedCoreset::approx_bytes)
+//!   meters `m²`, not `n²` — the honest figure a byte-budgeted cache
+//!   must charge.
+//! * [`CoresetEngine`] — runs the max-sum / max-min / mono solvers
+//!   of [`Engine`] on the coreset's matrix, maps the
+//!   chosen representatives back to full-universe indices, and
+//!   **re-scores the answer exactly against the full universe**: the
+//!   returned `Ratio` is the true objective value of the returned set
+//!   under full-universe semantics (for `F_mono` that means the
+//!   diversity term averages over all `n` items, not the coreset —
+//!   `O(k)` reads of memoized exact sums over a key-column oracle,
+//!   `O(n·k)` oracle calls otherwise).
+//!   An optional refine step ([`CoresetConfig::refine_rounds`])
+//!   additionally hill-climbs the chosen set over the *full* universe
+//!   with `O(n·k)` distance evaluations per round.
+//!
+//! ## Exactness and quality contract
+//!
+//! With `budget ≥ n` the coreset is the whole universe in its original
+//! order, so [`CoresetEngine`] is **identical** to [`Engine`] — same
+//! `Ratio` values, same index sets (`tests/coreset_matches_engine.rs`
+//! property-tests this). Below that, answers are feasible sets of the
+//! full problem whose exact values the differential suite bounds
+//! against the full engine's within a measured factor on random
+//! integer universes (see `MEASURED_FACTOR` in the test).
+//!
+//! ```
+//! use divr_core::coreset::{CoresetConfig, CoresetEngine};
+//! use divr_core::engine::EngineRequest;
+//! use divr_core::prelude::*;
+//! use divr_relquery::Tuple;
+//! use std::sync::Arc;
+//!
+//! // 10 000 tuples: the full matrix would be 800 MB; the coreset
+//! // path touches O(n·m) distances and allocates m² = 64² floats.
+//! let universe: Vec<Tuple> = (0..10_000).map(|i| Tuple::ints([i, i % 97])).collect();
+//! let engine = CoresetEngine::new(
+//!     universe,
+//!     &AttributeRelevance { attr: 1, default: Ratio::ZERO },
+//!     Arc::new(NumericDistance { attr: 0, fallback: Ratio::ZERO }),
+//!     Ratio::new(1, 2),
+//!     &CoresetConfig::with_budget(64),
+//! );
+//! let (value, set) = engine
+//!     .try_serve(EngineRequest { kind: ObjectiveKind::MaxMin, k: 8 })
+//!     .unwrap();
+//! assert_eq!(set.len(), 8);
+//! assert!(value > Ratio::ZERO);
+//! assert!(set.iter().all(|&i| i < 10_000)); // full-universe indices
+//! ```
+//!
+//! [`Engine`]: crate::engine::Engine
+//! [`PreparedUniverse`]: crate::engine::PreparedUniverse
+
+mod prepared;
+mod serve;
+
+pub use prepared::{PreparedCoreset, SharedCoreset};
+pub use serve::CoresetEngine;
+
+use crate::avail::GenMarks;
+use crate::deadline::Deadline;
+use crate::distance::{key_gap_f64, Distance};
+use crate::engine::{
+    default_threads, resolve_ties_exact, tie_threshold, ScoreSource, ServeError, TieCandidate,
+    TieChunk,
+};
+use crate::ratio::Ratio;
+use divr_relquery::Tuple;
+
+/// Universe size above which [`crate::pipeline::QueryDiversification`]
+/// auto-escalates from the full-matrix engine to the coreset path: at
+/// this `n` the flat `f64` matrix costs `n²·8 B = 128 MiB` and its
+/// build cost starts to dominate every request.
+pub const CORESET_AUTO_THRESHOLD: usize = 4096;
+
+/// Sizing and behaviour knobs for the coreset path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CoresetConfig {
+    /// Number of representatives `m` to select (clamped to `n`). Also
+    /// the largest servable `k`: requests with `k > m` (but `k ≤ n`)
+    /// fail with [`ServeError::ExceedsCoresetBudget`] — size the budget
+    /// for the largest `k` you serve, e.g. via
+    /// [`CoresetConfig::recommended`].
+    pub budget: usize,
+    /// Full-universe single-swap refinement rounds applied to each
+    /// `F_MS` / `F_MM` answer (0 = pure coreset answer, re-scored
+    /// exactly). Each round costs `O(n·k)` distance evaluations and can
+    /// only improve the exact objective value. `F_mono` ignores this
+    /// (its per-item score is already a full-universe quantity that a
+    /// swap scan cannot evaluate in o(n) per candidate).
+    pub refine_rounds: usize,
+    /// Worker threads for selection scans and the `m × m` matrix build.
+    pub threads: usize,
+}
+
+impl CoresetConfig {
+    /// A config with the given representative budget, no refinement,
+    /// and all available cores.
+    pub fn with_budget(budget: usize) -> Self {
+        CoresetConfig {
+            budget: budget.max(1),
+            refine_rounds: 0,
+            threads: default_threads(),
+        }
+    }
+
+    /// The default sizing for requests up to result size `k`:
+    /// `max(64, 16·k)` representatives — large enough that the
+    /// relevance half covers `8·k` top items and the coverage half
+    /// leaves GMM real room, small enough that the `m × m` matrix
+    /// stays a few megabytes even for generous `k`.
+    pub fn recommended(k: usize) -> Self {
+        Self::with_budget(64usize.max(16 * k.max(1)))
+    }
+
+    /// Builder-style refinement-round override.
+    pub fn refine(mut self, rounds: usize) -> Self {
+        self.refine_rounds = rounds;
+        self
+    }
+
+    /// Builder-style thread override (1 = fully sequential).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+}
+
+impl Default for CoresetConfig {
+    fn default() -> Self {
+        CoresetConfig::recommended(16)
+    }
+}
+
+/// The selected representatives of one universe, plus the coverage
+/// structure the selection pass produces for free.
+#[derive(Clone, Debug)]
+pub struct Coreset {
+    /// Selected full-universe indices, ascending. `indices.len() = m`.
+    pub(super) indices: Vec<usize>,
+    /// For each universe item, the position in [`Coreset::indices`] of
+    /// its nearest representative (by the builder's float passes).
+    pub(super) assignment: Vec<usize>,
+    /// For each universe item, the float distance to its assigned
+    /// representative — retained (not just its max) because the
+    /// streaming maintenance path ([`PreparedCoreset::insert_tuple`])
+    /// needs per-item coverage to decide absorb-vs-displace in `O(n)`.
+    pub(super) nearest: Vec<f64>,
+    /// `max_i δ_dis(i, rep(i))` in float — the k-center covering radius
+    /// of the selection, a direct quality diagnostic (0 when `m = n`).
+    pub(super) covering_radius: f64,
+}
+
+/// One coverage sweep over items `base..base + nearest.len()`: folds the
+/// representative at position `pos` into their coverage arrays
+/// (`dist_to_rep(i)` is item `i`'s float distance to it) and, riding the
+/// same pass, collects the farthest still-unselected items — the next
+/// Gonzalez round's argmax with its near-ties, the same candidate set
+/// [`argmax_with_ties`] would report over the updated `nearest`.
+///
+/// The loop is the selection's whole `O(n·m)` cost, so it keeps the
+/// tie threshold in a register (refreshed only when the maximum moves)
+/// and consults `selected` only for items already inside the window.
+fn cover_chunk(
+    base: usize,
+    nearest: &mut [f64],
+    assignment: &mut [usize],
+    pos: usize,
+    selected: &GenMarks,
+    dist_to_rep: impl Fn(usize) -> f64,
+) -> TieChunk {
+    let mut ties: Vec<TieCandidate> = Vec::new();
+    let mut best = f64::NEG_INFINITY;
+    let mut thr = f64::NEG_INFINITY;
+    for (off, (slot, asg)) in nearest.iter_mut().zip(assignment.iter_mut()).enumerate() {
+        let i = base + off;
+        let d = dist_to_rep(i);
+        if d < *slot {
+            *slot = d;
+            *asg = pos;
+        }
+        let v = *slot;
+        if v >= thr && !selected.is_marked(i) {
+            if v > best {
+                best = v;
+                thr = tie_threshold(best);
+            }
+            if v >= thr {
+                ties.push(TieCandidate { index: i, score: v });
+            }
+        }
+    }
+    // Candidates admitted under an earlier, lower threshold.
+    ties.retain(|t| t.score >= thr);
+    TieChunk { best, ties }
+}
+
+/// [`cover_chunk`] over the whole universe, sharded across `threads`
+/// workers (disjoint `&mut` chunks of the two coverage arrays) when the
+/// universe is large enough for that to pay; the shards' candidates are
+/// merged in index order, so the result does not depend on `threads`.
+fn cover(
+    threads: usize,
+    nearest: &mut [f64],
+    assignment: &mut [usize],
+    pos: usize,
+    selected: &GenMarks,
+    dist_to_rep: impl Fn(usize) -> f64 + Sync,
+) -> Vec<TieCandidate> {
+    let n = nearest.len();
+    if threads <= 1 || n < 4096 {
+        return cover_chunk(0, nearest, assignment, pos, selected, dist_to_rep).ties;
+    }
+    let chunk = n.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let dist_to_rep = &dist_to_rep;
+        // Spawn every shard before joining any.
+        let shards: Vec<_> = nearest
+            .chunks_mut(chunk)
+            .zip(assignment.chunks_mut(chunk))
+            .enumerate()
+            .map(|(ci, (near_c, asg_c))| {
+                scope.spawn(move || {
+                    cover_chunk(ci * chunk, near_c, asg_c, pos, selected, dist_to_rep)
+                })
+            })
+            .collect();
+        shards
+            .into_iter()
+            .map(|shard| shard.join().expect("coverage worker panicked"))
+            .reduce(TieChunk::merge)
+            .map(|merged| merged.ties)
+            .unwrap_or_default()
+    })
+}
+
+impl Coreset {
+    /// Selects `min(budget, n)` representatives in `O(n·m)` distance
+    /// evaluations without materializing any `n × n` structure.
+    ///
+    /// Two phases, both deterministic:
+    ///
+    /// 1. **Relevance guard** — the top `⌈m/2⌉` items by exact
+    ///    relevance (ties to the lowest index), so relevance-dominated
+    ///    regimes keep their winners in the coreset.
+    /// 2. **Farthest-point coverage** — repeatedly add the item whose
+    ///    float distance to the selected set is largest (the Gonzalez
+    ///    k-center / GMM rule); near-ties within the engine's float
+    ///    window are re-scored through the exact `Ratio` oracle and
+    ///    broken toward the lowest index, exactly like
+    ///    [`crate::engine`]'s argmax.
+    ///
+    /// Each representative costs one `O(n)` sweep that updates every
+    /// item's coverage and finds the next farthest candidates in the
+    /// same pass. An oracle that hands out a
+    /// [`Distance::key_column`] is swept as a flat integer column,
+    /// inline; any other oracle is called per pair, sharded across
+    /// `threads` once `n ≥ 4096`. The selection is identical either way
+    /// and for every `threads`.
+    ///
+    /// `rel_exact[i]` must equal `δ_rel(universe[i])`. Panics if the
+    /// oracle emits non-comparable (non-finite) distances; untrusted
+    /// oracles go through [`Coreset::try_select_deadline`].
+    pub fn select(
+        universe: &[Tuple],
+        rel_exact: &[Ratio],
+        dis: &(dyn Distance + Sync),
+        budget: usize,
+        threads: usize,
+    ) -> Coreset {
+        Self::try_select_deadline(universe, rel_exact, dis, budget, threads, Deadline::none())
+            .expect("unbounded deadline, finite distances")
+    }
+
+    /// [`Coreset::select`] under a cooperative [`Deadline`], checked
+    /// between phase-1 coverage passes and between Gonzalez
+    /// farthest-point iterations — each an `O(n)` scan, so an
+    /// abandoned selection overshoots its deadline by at most one
+    /// pass. Returns `Err(ServeError::DeadlineExceeded)` on
+    /// abandonment, and `Err(ServeError::NonFiniteScore)` when the
+    /// coverage distances stop ordering; partial state is dropped.
+    pub fn try_select_deadline(
+        universe: &[Tuple],
+        rel_exact: &[Ratio],
+        dis: &(dyn Distance + Sync),
+        budget: usize,
+        threads: usize,
+        deadline: Deadline,
+    ) -> Result<Coreset, ServeError> {
+        let n = universe.len();
+        assert_eq!(rel_exact.len(), n, "one relevance score per item");
+        let threads = threads.max(1);
+        let m = budget.max(1).min(n);
+        if m == n {
+            // Identity coreset: every item represents itself.
+            return Ok(Coreset {
+                indices: (0..n).collect(),
+                assignment: (0..n).collect(),
+                nearest: vec![0.0; n],
+                covering_radius: 0.0,
+            });
+        }
+
+        // Phase 1: top-⌈m/2⌉ by exact relevance, lowest index on ties —
+        // a total order, so partitioning around the quota-th item and
+        // sorting only the prefix yields the prefix of the full sort.
+        let rel_quota = m.div_ceil(2);
+        let by_rel_desc = |a: &usize, b: &usize| rel_exact[*b].cmp(&rel_exact[*a]).then(a.cmp(b));
+        let mut by_rel: Vec<usize> = (0..n).collect();
+        by_rel.select_nth_unstable_by(rel_quota - 1, by_rel_desc);
+        by_rel.truncate(rel_quota);
+        by_rel.sort_unstable_by(by_rel_desc);
+        let mut selected = GenMarks::new();
+        selected.reset(n);
+        let mut reps = by_rel;
+        reps.reserve_exact(m - rel_quota);
+        for &i in &reps {
+            selected.mark(i);
+        }
+
+        // Coverage state: nearest[i] = float distance from item i to the
+        // selected set, assignment[i] = position (into `reps`) of the
+        // representative achieving it. One sweep folds one
+        // representative in and reports the farthest unselected items
+        // as of that sweep; over a key column the sweep is a flat
+        // inline loop (spawning per round costs more than it saves),
+        // otherwise `threads` shard the per-pair oracle calls.
+        let mut nearest = vec![f64::INFINITY; n];
+        let mut assignment = vec![0usize; n];
+        let keys = dis.key_column(universe);
+        let mut sweep = |pos: usize, rep: usize, selected: &GenMarks| match &keys {
+            Some(keys) => {
+                let rep_key = keys[rep];
+                let to_rep = |i: usize| key_gap_f64(keys[i], rep_key);
+                cover_chunk(0, &mut nearest, &mut assignment, pos, selected, to_rep).ties
+            }
+            None => {
+                let rep_tuple = &universe[rep];
+                let to_rep = |i: usize| dis.dist_f64(&universe[i], rep_tuple);
+                cover(
+                    threads,
+                    &mut nearest,
+                    &mut assignment,
+                    pos,
+                    selected,
+                    to_rep,
+                )
+            }
+        };
+        let mut farthest = Vec::new();
+        for (pos, &r) in reps.iter().enumerate() {
+            // Deadline checkpoint: one coverage pass is O(n).
+            deadline.check()?;
+            farthest = sweep(pos, r, &selected);
+        }
+
+        // Phase 2: farthest-point rounds, each resolved from the
+        // candidates the previous sweep left behind.
+        while reps.len() < m {
+            // Deadline checkpoint: one Gonzalez iteration is O(n).
+            deadline.check()?;
+            if farthest.is_empty() {
+                // m < n leaves unselected candidates, so an empty argmax
+                // means their coverage distances do not order: the
+                // oracle emitted a non-finite float (full-universe
+                // indices of one offending item and its representative).
+                let i = (0..n)
+                    .find(|&i| !selected.is_marked(i) && !nearest[i].is_finite())
+                    .unwrap_or(0);
+                return Err(ServeError::NonFiniteScore {
+                    source: ScoreSource::Distance,
+                    i,
+                    j: reps[assignment[i]],
+                });
+            }
+            let exact_nearest = |i: usize| -> Ratio {
+                reps.iter()
+                    .map(|&r| dis.dist(&universe[i], &universe[r]))
+                    .min()
+                    .expect("reps is non-empty")
+            };
+            let winner = resolve_ties_exact(&farthest, exact_nearest);
+            selected.mark(winner);
+            farthest = sweep(reps.len(), winner, &selected);
+            reps.push(winner);
+        }
+        // Canonical order: ascending indices, so the coreset
+        // sub-universe preserves the original tuple order (and the
+        // engine's lowest-index tie-breaks map monotonically back).
+        let mut order: Vec<usize> = (0..m).collect();
+        order.sort_by_key(|&p| reps[p]);
+        let mut new_pos = vec![0usize; m];
+        for (rank, &p) in order.iter().enumerate() {
+            new_pos[p] = rank;
+        }
+        let indices: Vec<usize> = order.iter().map(|&p| reps[p]).collect();
+        for asg in &mut assignment {
+            *asg = new_pos[*asg];
+        }
+        let covering_radius = nearest.iter().fold(0.0f64, |a, &b| a.max(b));
+        Ok(Coreset {
+            indices,
+            assignment,
+            nearest,
+            covering_radius,
+        })
+    }
+
+    /// Number of representatives `m`.
+    pub fn m(&self) -> usize {
+        self.indices.len()
+    }
+
+    /// The selected full-universe indices, ascending.
+    pub fn indices(&self) -> &[usize] {
+        &self.indices
+    }
+
+    /// Position in [`Coreset::indices`] of item `i`'s nearest
+    /// representative.
+    pub fn rep_of(&self, i: usize) -> usize {
+        self.assignment[i]
+    }
+
+    /// Float distance from item `i` to its nearest representative
+    /// (`0.0` for the representatives themselves).
+    pub fn rep_distance(&self, i: usize) -> f64 {
+        self.nearest[i]
+    }
+
+    /// The float k-center covering radius of the selection.
+    pub fn covering_radius(&self) -> f64 {
+        self.covering_radius
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::distance::{NumericDistance, TableDistance};
+    use crate::engine::fixtures::{line_universe, REL};
+    use crate::relevance::Relevance;
+
+    fn rels_of(u: &[Tuple]) -> Vec<Ratio> {
+        u.iter().map(|t| REL.rel(t)).collect()
+    }
+
+    #[test]
+    fn identity_coreset_when_budget_covers_universe() {
+        let u = line_universe(20);
+        let rels = rels_of(&u);
+        let d = NumericDistance { attr: 0, fallback: Ratio::ZERO };
+        for budget in [20, 50] {
+            let c = Coreset::select(&u, &rels, &d, budget, 2);
+            assert_eq!(c.indices(), (0..20).collect::<Vec<_>>().as_slice());
+            assert_eq!(c.covering_radius(), 0.0);
+            for i in 0..20 {
+                assert_eq!(c.rep_of(i), i);
+            }
+        }
+    }
+
+    #[test]
+    fn relevance_guard_keeps_top_items() {
+        // Relevance = attr 1 ∈ {0..4}; the top half of the budget must
+        // contain the most relevant items.
+        let u = line_universe(40);
+        let rels = rels_of(&u);
+        let d = NumericDistance { attr: 0, fallback: Ratio::ZERO };
+        let c = Coreset::select(&u, &rels, &d, 16, 2);
+        let max_rel = rels.iter().max().unwrap();
+        let top: Vec<usize> = (0..40).filter(|&i| rels[i] == *max_rel).collect();
+        let kept = top.iter().filter(|i| c.indices().contains(i)).count();
+        assert!(kept >= 16 / 2 / 2, "relevance guard dropped the top items");
+    }
+
+    #[test]
+    fn covering_radius_shrinks_with_budget() {
+        let u = line_universe(200);
+        let rels = rels_of(&u);
+        let d = NumericDistance { attr: 0, fallback: Ratio::ZERO };
+        let small = Coreset::select(&u, &rels, &d, 8, 2);
+        let large = Coreset::select(&u, &rels, &d, 64, 2);
+        assert!(large.covering_radius() <= small.covering_radius());
+        assert!(small.covering_radius() > 0.0);
+    }
+
+    #[test]
+    fn selection_is_thread_count_invariant() {
+        let u = line_universe(150);
+        let rels = rels_of(&u);
+        let d = NumericDistance { attr: 0, fallback: Ratio::ZERO };
+        let a = Coreset::select(&u, &rels, &d, 24, 1);
+        let b = Coreset::select(&u, &rels, &d, 24, 4);
+        assert_eq!(a.indices(), b.indices());
+        assert_eq!(a.assignment, b.assignment);
+    }
+
+    #[test]
+    fn all_tied_universe_selects_lowest_indices() {
+        // Constant relevance and distance: every scan ties, so the
+        // exact fallback must fall back to lowest-index picks.
+        let u: Vec<Tuple> = (0..12).map(|i| Tuple::ints([i])).collect();
+        let rels = vec![Ratio::ONE; 12];
+        let d = TableDistance::with_default(Ratio::ONE);
+        let c = Coreset::select(&u, &rels, &d, 5, 3);
+        assert_eq!(c.indices(), &[0, 1, 2, 3, 4]);
+    }
+}

@@ -1,0 +1,458 @@
+//! The flat `f64` [`DistanceMatrix`], its thread-sharded fill with the
+//! fused max-sum seed scan, and the chunked map/reduce the argmax scans
+//! share.
+
+use super::ServeError;
+use crate::deadline::Deadline;
+use crate::distance::Distance;
+use crate::ratio::Ratio;
+use divr_relquery::Tuple;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Below this much estimated work (items × per-item cost units) a round
+/// is scanned inline — spawning threads costs more than the scan.
+pub(super) const PAR_MIN_WORK: usize = 2048;
+
+/// Splits `0..n` into at most `threads` contiguous chunks, runs `map` on
+/// each (on worker threads when it pays off), and folds the non-`None`
+/// results with `reduce`. `work_per_item` is the caller's estimate of
+/// one item's evaluation cost (in arbitrary units where 1 ≈ a few float
+/// ops) — spawning is gated on total *work*, not item count, so a scan
+/// of 1000 items that each cost `O(n)` still parallelizes.
+pub(super) fn par_map_reduce<T, M, R>(
+    n: usize,
+    threads: usize,
+    work_per_item: usize,
+    map: M,
+    reduce: R,
+) -> Option<T>
+where
+    T: Send,
+    M: Fn(Range<usize>) -> Option<T> + Sync,
+    R: Fn(T, T) -> T,
+{
+    if n == 0 {
+        return None;
+    }
+    if threads <= 1 || n.saturating_mul(work_per_item.max(1)) < PAR_MIN_WORK {
+        return map(0..n);
+    }
+    let chunk = n.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let map = &map;
+        // Spawn every worker before joining any (a lazy iterator chain
+        // would interleave spawn with join and serialize the scan).
+        let mut handles = Vec::with_capacity(threads);
+        for t in 0..threads {
+            let lo = t * chunk;
+            if lo >= n {
+                break;
+            }
+            let hi = (lo + chunk).min(n);
+            handles.push(scope.spawn(move || map(lo..hi)));
+        }
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("engine worker panicked"))
+            .reduce(reduce)
+    })
+}
+
+/// One unit of the parallel matrix build: a row index, its `&mut` row
+/// slice, and (in fused-seed mode) the anchor's seed slot.
+type RowTask<'a> = (usize, &'a mut [f64], Option<&'a mut PairSeed>);
+
+/// A precomputed, row-major `n × n` pairwise distance matrix in `f64`.
+///
+/// Rows are contiguous, so the per-round inner loops of the engine walk
+/// memory linearly instead of re-dispatching through the [`Distance`]
+/// trait object (and re-reducing `Ratio` fractions) `O(n·k)` times per
+/// query. The matrix stores the *approximate* values; exactness is
+/// restored by the engine's tie fallback (see the module docs).
+///
+/// Rows are laid out at a fixed `stride ≥ n`, with a few rows of
+/// headroom past `n`: appending one item (`DistanceMatrix::push_item`)
+/// then writes one column and one row in place — `O(n)`, no
+/// reallocation — until the headroom is exhausted, at which point the
+/// matrix re-strides once (amortized `O(n)` per insert). The headroom
+/// is real allocated memory and is counted by
+/// [`DistanceMatrix::approx_bytes`].
+#[derive(Clone, Debug)]
+pub struct DistanceMatrix {
+    n: usize,
+    stride: usize,
+    data: Vec<f64>,
+}
+
+/// Headroom rows allocated past `n`: enough that a growing universe
+/// re-strides every `≈ n/16` inserts (amortized `O(n)` per insert),
+/// small enough that the byte overhead stays near 13%.
+fn matrix_pad(n: usize) -> usize {
+    (n / 16).max(4)
+}
+
+impl DistanceMatrix {
+    /// Builds the matrix for `universe` under `dis`, computing each
+    /// unordered pair once and mirroring. Row construction is spread
+    /// over `threads` workers (pass 1 to force a sequential build).
+    pub fn build(universe: &[Tuple], dis: &(dyn Distance + Sync), threads: usize) -> Self {
+        Self::try_build_with_seed(universe, dis, threads, None, Deadline::none())
+            .expect("unbounded deadline cannot be exceeded")
+            .0
+    }
+
+    /// [`DistanceMatrix::build`], optionally **fusing** the max-sum
+    /// best-partner seed scan into the row fill: right after a worker
+    /// finishes row `i`'s upper-triangle entries — while those 8·(n−i)
+    /// bytes are still cache-hot from being written — it scans the tail
+    /// for anchor `i`'s heaviest partner under [`ms_weight_f64`] with
+    /// `weights = (one_minus_lambda·rel, 2λ)`. A standalone seed pass
+    /// would re-stream the whole `O(n²)` triangle from memory; fused, it
+    /// rides the build's own sweep for a few percent of extra compute.
+    ///
+    /// The build runs under a cooperative [`Deadline`], checked at **row
+    /// boundaries**: each worker polls the deadline (and a shared cancel
+    /// flag, so one tripped worker stops the rest) before filling the
+    /// next row. A row is `O(n)` work, so an abandoned build overshoots
+    /// its deadline by at most one row per worker. Returns
+    /// `Err(ServeError::DeadlineExceeded)` on abandonment — the
+    /// partially filled matrix is dropped, never observed.
+    pub(crate) fn try_build_with_seed(
+        universe: &[Tuple],
+        dis: &(dyn Distance + Sync),
+        threads: usize,
+        seed_weights: Option<(&[f64], f64, f64)>, // (rel_f, one_minus, lam)
+        deadline: Deadline,
+    ) -> Result<(Self, Option<Vec<PairSeed>>), ServeError> {
+        let n = universe.len();
+        let stride = n + matrix_pad(n);
+        let mut data = vec![0.0f64; stride * stride];
+        let mut seed = seed_weights.map(|_| vec![PairSeed::NONE; n]);
+        if n == 0 {
+            return Ok((DistanceMatrix { n, stride, data }, seed));
+        }
+        // Fills row i's strict upper triangle, then (fused mode) scans
+        // the still-hot tail for the anchor's best partner. Rows arrive
+        // stride-wide; everything past column `n` is headroom and stays
+        // zero.
+        let fill_row = |i: usize, row: &mut [f64], slot: Option<&mut PairSeed>| {
+            for (j, cell) in row[..n].iter_mut().enumerate().skip(i + 1) {
+                *cell = dis.dist_f64(&universe[i], &universe[j]);
+            }
+            if let (Some(slot), Some((rel, one_minus, lam))) = (slot, seed_weights) {
+                *slot = PairSeed::scan(i, rel, &row[..n], one_minus, lam);
+            }
+        };
+        // Hand each bucket `RowTask` triples; `None` slots when the
+        // seed is not requested.
+        let mut seed_slots: Vec<Option<&mut PairSeed>> = match &mut seed {
+            Some(s) => s.iter_mut().map(Some).collect(),
+            None => (0..n).map(|_| None).collect(),
+        };
+        // Deadline checkpoints sit at row boundaries; a shared flag
+        // fans one worker's trip out to the others without waiting for
+        // each to poll the clock independently.
+        let cancelled = AtomicBool::new(false);
+        if threads <= 1 || n * n < 4096 {
+            for ((i, row), slot) in data
+                .chunks_mut(stride)
+                .take(n)
+                .enumerate()
+                .zip(seed_slots.drain(..))
+            {
+                if deadline.exceeded() {
+                    return Err(ServeError::DeadlineExceeded);
+                }
+                fill_row(i, row, slot);
+            }
+        } else {
+            // Row i holds n−1−i entries of the strict upper triangle, so
+            // contiguous row batches would be badly imbalanced (the first
+            // thread would own almost half the work). Deal rows to the
+            // workers round-robin instead: each worker's share of the
+            // triangle is then within one row of even.
+            let mut buckets: Vec<Vec<RowTask<'_>>> = (0..threads).map(|_| Vec::new()).collect();
+            for ((i, row), slot) in data
+                .chunks_mut(stride)
+                .take(n)
+                .enumerate()
+                .zip(seed_slots.drain(..))
+            {
+                buckets[i % threads].push((i, row, slot));
+            }
+            std::thread::scope(|scope| {
+                let fill_row = &fill_row;
+                let cancelled = &cancelled;
+                for bucket in buckets {
+                    scope.spawn(move || {
+                        for (i, row, slot) in bucket {
+                            if cancelled.load(Ordering::Relaxed) {
+                                return;
+                            }
+                            if deadline.exceeded() {
+                                cancelled.store(true, Ordering::Relaxed);
+                                return;
+                            }
+                            fill_row(i, row, slot);
+                        }
+                    });
+                }
+            });
+            if cancelled.load(Ordering::Relaxed) {
+                return Err(ServeError::DeadlineExceeded);
+            }
+        }
+        // Mirror the strict upper triangle onto the lower one.
+        for i in 0..n {
+            if deadline.exceeded() {
+                return Err(ServeError::DeadlineExceeded);
+            }
+            for j in (i + 1)..n {
+                data[j * stride + i] = data[i * stride + j];
+            }
+        }
+        Ok((DistanceMatrix { n, stride, data }, seed))
+    }
+
+    /// Number of universe items.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The approximate distance `δ_dis(i, j)`.
+    #[inline]
+    pub fn get(&self, i: usize, j: usize) -> f64 {
+        self.data[i * self.stride + j]
+    }
+
+    /// The contiguous `i`-th row (length `n`; the stride headroom past
+    /// it is not exposed).
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.stride..i * self.stride + self.n]
+    }
+
+    /// Allocated footprint in bytes, headroom included — the honest
+    /// quantity for cache byte budgets.
+    pub fn approx_bytes(&self) -> usize {
+        self.data.len() * std::mem::size_of::<f64>()
+    }
+
+    /// Appends one item in `O(n)`: writes the new column
+    /// (`col[i] = δ_dis(i, new)`) into every existing row and the new
+    /// row `n` (diagonal zero included), in place. Re-strides first —
+    /// one `O(n²)` copy, amortized over the `≈ n/16` inserts the
+    /// headroom admits — only when the headroom is exhausted.
+    pub(crate) fn push_item(&mut self, col: &[f64]) {
+        debug_assert_eq!(col.len(), self.n);
+        let n = self.n;
+        if n + 1 > self.stride {
+            self.restride(n + 1);
+        }
+        let s = self.stride;
+        for (i, &d) in col.iter().enumerate() {
+            self.data[i * s + n] = d;
+        }
+        let base = n * s;
+        self.data[base..base + n].copy_from_slice(col);
+        self.data[base + n] = 0.0;
+        self.n = n + 1;
+    }
+
+    /// Swap-removes item `r` in `O(n)`: the last item's row and column
+    /// move into slot `r` (mirroring `Vec::swap_remove` on the
+    /// universe), everything else stays in place. The stride never
+    /// shrinks, so removals only ever *grow* the headroom.
+    pub(crate) fn swap_remove_item(&mut self, r: usize) {
+        let n = self.n;
+        debug_assert!(r < n);
+        let last = n - 1;
+        let s = self.stride;
+        if r != last {
+            // Column r takes the last column (never reads row `last`,
+            // which the row fix below still needs intact)…
+            for i in 0..last {
+                if i != r {
+                    self.data[i * s + r] = self.data[i * s + last];
+                }
+            }
+            // …then row r takes the last row, with the diagonal zeroed
+            // at the relabelled position.
+            for j in 0..last {
+                self.data[r * s + j] = if j == r { 0.0 } else { self.data[last * s + j] };
+            }
+        }
+        self.n = last;
+    }
+
+    /// Reallocates at a larger stride (preserving all `n × n` content)
+    /// with fresh headroom past `need` rows.
+    fn restride(&mut self, need: usize) {
+        let stride = need + matrix_pad(need);
+        let mut data = vec![0.0f64; stride * stride];
+        for i in 0..self.n {
+            let src = i * self.stride;
+            let dst = i * stride;
+            data[dst..dst + self.n].copy_from_slice(&self.data[src..src + self.n]);
+        }
+        self.data = data;
+        self.stride = stride;
+    }
+
+    /// Exact-verification fallback: recomputes every pair through the
+    /// `Ratio` oracle and returns the largest absolute deviation between
+    /// the stored float and the exact value. `0.0` means the matrix is
+    /// bit-exact (true whenever all distances are integers below 2⁵³).
+    ///
+    /// The deviation is measured **in exact arithmetic**: the stored
+    /// float is lifted back to its exact dyadic rational
+    /// ([`Ratio::from_f64_exact`]) and subtracted from the oracle's
+    /// `Ratio` before any rounding. Converting the exact value to `f64`
+    /// first (the naive approach) would round it to the *same* float the
+    /// matrix stores whenever the error is below one ulp — reporting
+    /// `0.0` for matrices that are demonstrably not bit-exact, e.g. on
+    /// large-denominator rational distances. Should a pair's exact
+    /// subtraction leave `i128` range (stored float outside the dyadic
+    /// range, or an oracle denominator so large the difference cannot
+    /// be represented), that pair falls back to the float-space
+    /// difference instead of panicking or understating the deviation.
+    /// Each exact deviation rounds to `f64` once, at the end — the
+    /// conversion is monotone, so the reported maximum is the true one.
+    pub fn verify_exact(&self, universe: &[Tuple], dis: &dyn Distance) -> f64 {
+        let mut worst = 0.0f64;
+        for i in 0..self.n {
+            for j in (i + 1)..self.n {
+                let exact = dis.dist(&universe[i], &universe[j]);
+                let stored = self.get(i, j);
+                let dev = Ratio::from_f64_exact(stored)
+                    .and_then(|s| s.checked_sub(exact))
+                    .map_or_else(|| (stored - exact.to_f64()).abs(), |d| d.abs().to_f64());
+                if dev > worst {
+                    worst = dev;
+                }
+            }
+        }
+        worst
+    }
+}
+
+/// The float Gollapudi–Sharma pair weight
+/// `w(i,j) = (1−λ)(r_i + r_j) + 2λ·d(i,j)`.
+///
+/// Every float evaluation of the max-sum weight — the memoized seed
+/// build, its insert repair, the lazy heap's row rescans and the
+/// near-tie pair collection — funnels through this one expression, so
+/// all of them produce **bit-identical** floats for the same pair. That
+/// identity is what makes the lazy heap's upper-bound invariant exact:
+/// a cached score is the max of the same expression over a superset of
+/// partners.
+#[inline(always)]
+pub(super) fn ms_weight_f64(one_minus: f64, lam: f64, ri: f64, rj: f64, dij: f64) -> f64 {
+    one_minus * (ri + rj) + lam * 2.0 * dij
+}
+
+/// One anchor's entry in the memoized max-sum preamble: its heaviest
+/// partner `j > anchor` over the **full** universe, under
+/// [`ms_weight_f64`]. `partner == usize::MAX` means the anchor has no
+/// partner (the last item).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PairSeed {
+    pub(super) score: f64,
+    pub(super) partner: usize,
+}
+
+impl PairSeed {
+    /// The seed of an anchor with no partner `j > anchor`.
+    pub(super) const NONE: PairSeed = PairSeed {
+        score: f64::NEG_INFINITY,
+        partner: usize::MAX,
+    };
+
+    /// `anchor`'s seed from its full matrix `row`: a left-to-right
+    /// strict-`>` scan of the partners `j > anchor` (float ties keep the
+    /// earlier one). The one scan behind the fused build, the lazy
+    /// rebuild after a removal, and — one step at a time — the insert
+    /// repair.
+    #[inline]
+    pub(super) fn scan(anchor: usize, rel: &[f64], row: &[f64], one_minus: f64, lam: f64) -> PairSeed {
+        let ri = rel[anchor];
+        let mut seed = PairSeed::NONE;
+        for (off, (rj, dij)) in rel[anchor + 1..].iter().zip(&row[anchor + 1..]).enumerate() {
+            let w = ms_weight_f64(one_minus, lam, ri, *rj, *dij);
+            if w > seed.score {
+                seed = PairSeed {
+                    score: w,
+                    partner: anchor + 1 + off,
+                };
+            }
+        }
+        seed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::fixtures::{line_universe, DIS};
+    use crate::distance::TableDistance;
+
+    #[test]
+    fn matrix_matches_oracle_exactly_on_integer_distances() {
+        let u = line_universe(12);
+        let m = DistanceMatrix::build(&u, &DIS, 2);
+        assert_eq!(m.verify_exact(&u, &DIS), 0.0);
+        assert_eq!(m.get(3, 3), 0.0);
+        assert_eq!(m.get(2, 5), m.get(5, 2));
+    }
+
+    #[test]
+    fn verify_exact_reports_sub_ulp_deviation_on_large_denominators() {
+        // Adversarial distances whose denominators exceed f64 precision:
+        // `to_f64` rounds them, so the stored float differs from the
+        // exact rational by a sub-ulp amount. The old float-space check
+        // rounded the exact value to the *same* float before comparing
+        // and reported 0.0; the documented contract (maximum absolute
+        // deviation) requires a strictly positive answer here.
+        let u: Vec<Tuple> = (0..3).map(|i| Tuple::ints([i])).collect();
+        let adversarial = Ratio::new_i128(1_000_000_000_000_007, 3_000_000_000_000_001);
+        let mut dis = TableDistance::with_default(Ratio::ZERO);
+        dis.set(u[0].clone(), u[1].clone(), adversarial);
+        dis.set(u[0].clone(), u[2].clone(), Ratio::new(1, 3));
+        dis.set(u[1].clone(), u[2].clone(), Ratio::int(2));
+        let m = DistanceMatrix::build(&u, &dis, 1);
+        let worst = m.verify_exact(&u, &dis);
+        assert!(worst > 0.0, "sub-ulp rounding must be reported");
+        // Pin the value against the Ratio-exact deviation of each pair.
+        let expected = [
+            (0usize, 1usize, adversarial),
+            (0, 2, Ratio::new(1, 3)),
+            (1, 2, Ratio::int(2)),
+        ]
+        .iter()
+        .map(|&(i, j, exact)| {
+            (Ratio::from_f64_exact(m.get(i, j)).unwrap() - exact).abs()
+        })
+        .max()
+        .unwrap();
+        assert_eq!(worst, expected.to_f64());
+        // Sub-ulp for O(1)-magnitude values: exactly the regime the old
+        // implementation was blind to.
+        assert!(worst < 1e-15, "deviation {worst} unexpectedly large");
+    }
+
+    #[test]
+    fn verify_exact_survives_denominators_beyond_subtraction_range() {
+        // A coprime denominator near 2^80: subtracting the stored
+        // dyadic (denominator ~2^53) needs an lcm far beyond i128, so
+        // the exact path must fall back to the float-space difference
+        // for this pair instead of panicking.
+        let u: Vec<Tuple> = (0..2).map(|i| Tuple::ints([i])).collect();
+        let huge = Ratio::new_i128(1i128 << 79, (1i128 << 80) + 1); // ≈ 1/2
+        let mut dis = TableDistance::with_default(Ratio::ZERO);
+        dis.set(u[0].clone(), u[1].clone(), huge);
+        let m = DistanceMatrix::build(&u, &dis, 1);
+        let worst = m.verify_exact(&u, &dis);
+        assert!(worst.is_finite() && (0.0..=1e-15).contains(&worst));
+    }
+}

@@ -1,6 +1,8 @@
-//! The exact side of `F_mono` (Theorem 5.4): the per-item score
+//! The exact re-score both engines share ([`ExactView`]), and the part
+//! of it that costs — the exact side of `F_mono` (Theorem 5.4): the
+//! per-item score
 //! `v(t) = (1−λ)·δ_rel(t) + λ/(n−1) · Σ_{t'} δ_dis(t, t')` in `Ratio`
-//! arithmetic, shared by the full-matrix and the coreset engine.
+//! arithmetic.
 //!
 //! The distance sum is what costs: `n − 1` oracle calls per item. When
 //! the oracle is a one-dimensional integer metric
@@ -8,11 +10,12 @@
 //! prefix-sum pass — `O(n log n)` integer work, memoized in a
 //! [`MonoSums`] cell beside the other solver preambles, repaired in
 //! `O(n)` per insert. Without a column the per-pair sweep remains, as
-//! the fallback inside the one [`MonoExact::mono_score_exact`] body.
+//! the fallback inside the one [`ExactView::mono_score_exact`] body.
 
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::ServeError;
+use crate::problem::{f_mm_from, f_ms_from, ObjectiveKind};
 use crate::ratio::Ratio;
 use divr_relquery::Tuple;
 use std::sync::OnceLock;
@@ -146,10 +149,13 @@ impl MonoSums {
     }
 }
 
-/// Everything the exact mono score reads, borrowed from a prepared
-/// state ([`crate::engine::PreparedUniverse`] or
-/// [`crate::coreset::PreparedCoreset`]).
-pub(crate) struct MonoExact<'s> {
+/// The one exact-objective view: everything an exact score reads,
+/// borrowed from a prepared state
+/// ([`PreparedUniverse::exact`](crate::engine::PreparedUniverse) or
+/// [`PreparedCoreset::exact`](crate::coreset::PreparedCoreset)). Both
+/// engines re-score through [`ExactView::value`], so `F(U)` has one
+/// body however the set was chosen.
+pub(crate) struct ExactView<'s> {
     pub(crate) lambda: Ratio,
     pub(crate) rel_exact: &'s [Ratio],
     pub(crate) universe: &'s [Tuple],
@@ -157,7 +163,7 @@ pub(crate) struct MonoExact<'s> {
     pub(crate) sums: &'s MonoSums,
 }
 
-impl MonoExact<'_> {
+impl ExactView<'_> {
     /// Exact per-item mono score `v(t_i)` (Theorem 5.4's sort key) over
     /// the whole universe. `O(1)` from the memoized key-column sums;
     /// without a column the `O(n)` per-pair sweep, preceded by one
@@ -185,13 +191,31 @@ impl MonoExact<'_> {
         Ok(rel_part + self.lambda * dsum / Ratio::int(n as i64 - 1))
     }
 
-    /// Exact `F_mono(U) = Σ_{t ∈ U} v(t)`, members added in `subset`
-    /// order.
-    pub(crate) fn value(&self, subset: &[usize], deadline: Deadline) -> Result<Ratio, ServeError> {
-        subset
-            .iter()
-            .map(|&i| self.mono_score_exact(i, deadline))
-            .sum()
+    /// Exact `F(U)` of the index set `subset` under full-universe
+    /// semantics, term for term
+    /// [`DiversityProblem::objective`](crate::problem::DiversityProblem::objective):
+    /// `F_MS`/`F_MM` read the members' relevances and pairwise oracle
+    /// distances, `F_mono` adds the members' scores in `subset` order —
+    /// the only kind that can trip `deadline`.
+    pub(crate) fn value(
+        &self,
+        kind: ObjectiveKind,
+        subset: &[usize],
+        deadline: Deadline,
+    ) -> Result<Ratio, ServeError> {
+        let rel = |a: usize| self.rel_exact[subset[a]];
+        let dist = |a: usize, b: usize| {
+            self.dis
+                .dist(&self.universe[subset[a]], &self.universe[subset[b]])
+        };
+        match kind {
+            ObjectiveKind::MaxSum => Ok(f_ms_from(subset.len(), self.lambda, rel, dist)),
+            ObjectiveKind::MaxMin => Ok(f_mm_from(subset.len(), self.lambda, rel, dist)),
+            ObjectiveKind::Mono => subset
+                .iter()
+                .map(|&i| self.mono_score_exact(i, deadline))
+                .sum(),
+        }
     }
 }
 

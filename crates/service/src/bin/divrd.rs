@@ -34,15 +34,26 @@ use divr_service::{RecoverMode, Service, ServiceConfig};
 use std::io::Read;
 use std::time::Duration;
 
-fn flag_value(flag: &str, args: &mut std::iter::Peekable<std::env::Args>) -> u64 {
-    args.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("{flag} needs an integer value"))
+const USAGE: &str =
+    "usage: divrd [ADDR] [WORKERS] [--idle-timeout-ms N] [--default-deadline-ms N] \
+[--max-frame-bytes N] [--data-dir PATH] [--recover-mode eager|lazy] [--checkpoint-interval-ms N]";
+
+/// A command line `divrd` cannot run: one line saying why, the usage
+/// string, exit code 2 — before anything is bound or opened.
+fn usage_error(message: &str) -> ! {
+    eprintln!("divrd: {message}\n{USAGE}");
+    std::process::exit(2);
 }
 
-fn flag_str(flag: &str, args: &mut std::iter::Peekable<std::env::Args>) -> String {
+fn flag_value(flag: &str, args: &mut std::env::Args) -> u64 {
     args.next()
-        .unwrap_or_else(|| panic!("{flag} needs a value"))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs an integer value")))
+}
+
+fn flag_str(flag: &str, args: &mut std::env::Args) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
 }
 
 fn main() {
@@ -51,7 +62,7 @@ fn main() {
         ..ServiceConfig::default()
     };
     let mut positional = 0;
-    let mut args = std::env::args().peekable();
+    let mut args = std::env::args();
     args.next(); // argv[0]
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -70,21 +81,24 @@ fn main() {
             "--recover-mode" => {
                 config.recover_mode = flag_str(&arg, &mut args)
                     .parse::<RecoverMode>()
-                    .unwrap_or_else(|e| panic!("--recover-mode: {e}"));
+                    .unwrap_or_else(|e| usage_error(&format!("--recover-mode: {e}")));
             }
             "--checkpoint-interval-ms" => {
                 config.checkpoint_interval =
                     Some(Duration::from_millis(flag_value(&arg, &mut args)));
             }
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag}")),
             _ if positional == 0 => {
                 config.addr = arg;
                 positional += 1;
             }
             _ if positional == 1 => {
-                config.workers = arg.parse().expect("WORKERS must be an integer");
+                config.workers = arg
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("WORKERS must be an integer"));
                 positional += 1;
             }
-            other => panic!("unexpected argument {other:?}"),
+            other => usage_error(&format!("unexpected argument {other:?}")),
         }
     }
     let service = Service::start(config).expect("failed to bind");

@@ -7,6 +7,7 @@
 //! rule decides.
 
 use divr::core::distance::TableDistance;
+use divr::core::coreset::{CoresetConfig, CoresetEngine};
 use divr::core::engine::{Engine, EngineRequest, SolveScratch};
 use divr::core::prelude::*;
 use divr::core::relevance::TableRelevance;
@@ -14,6 +15,7 @@ use divr::core::solvers::mono;
 use divr::core::{approx, Ratio};
 use divr::relquery::Tuple;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A random integer-scored instance: `n` points, relevances in
 /// `[0, 20]`, upper-triangle distances in `[0, 30]`, `λ ∈ {0, ¼, …, 1}`.
@@ -101,15 +103,6 @@ proptest! {
         prop_assert_eq!(&seq, &fast);
     }
 
-    /// Engine MMR == sequential MMR.
-    #[test]
-    fn mmr_agrees(raw in instance_strategy()) {
-        let (universe, rel, dis, lambda) = build(&raw);
-        let p = DiversityProblem::new(universe.clone(), &rel, &dis, lambda, raw.k);
-        let e = Engine::with_threads(universe, &rel, &dis, lambda, 2);
-        prop_assert_eq!(approx::mmr(&p).unwrap(), e.mmr(raw.k).unwrap());
-    }
-
     /// Engine mono top-k == the Theorem 5.4 exact PTIME solver.
     #[test]
     fn mono_top_k_agrees(raw in instance_strategy()) {
@@ -120,22 +113,6 @@ proptest! {
         let fast = e.mono_top_k(raw.k).unwrap();
         prop_assert_eq!(opt, e.objective_exact(ObjectiveKind::Mono, &fast));
         prop_assert_eq!(&seq, &fast);
-    }
-
-    /// Engine local search == sequential local search, from the same
-    /// (greedy) start: same final exact value.
-    #[test]
-    fn local_search_agrees(raw in instance_strategy()) {
-        let (universe, rel, dis, lambda) = build(&raw);
-        let p = DiversityProblem::new(universe.clone(), &rel, &dis, lambda, raw.k);
-        let e = Engine::with_threads(universe, &rel, &dis, lambda, 2);
-        let init: Vec<usize> = (0..raw.k).collect();
-        for kind in ObjectiveKind::ALL {
-            let (sv, sset) = approx::local_search_swap(&p, kind, init.clone(), 16);
-            let (ev, eset) = e.local_search_swap(kind, init.clone(), 16);
-            prop_assert_eq!(sv, ev, "{} diverged", kind);
-            prop_assert_eq!(p.objective(kind, &sset), e.objective_exact(kind, &eset));
-        }
     }
 
     /// The batch front door returns exact values consistent with the
@@ -154,6 +131,74 @@ proptest! {
             let v = e.serve_into(*req, &mut scratch, &mut set).unwrap();
             prop_assert_eq!(set.len(), raw.k);
             prop_assert_eq!(e.objective_exact(req.kind, &set), v);
+        }
+    }
+
+    /// The serving entry point against every sequential reference at
+    /// once: one scratch and one output vector reused across all three
+    /// objectives and several `k` (odd, even, `k = n`) must return the
+    /// reference's set and its exact value each time.
+    #[test]
+    fn serve_into_agrees_with_every_reference(raw in instance_strategy()) {
+        let (universe, rel, dis, lambda) = build(&raw);
+        let e = Engine::with_threads(universe.clone(), &rel, &dis, lambda, 2);
+        let (mut scratch, mut set) = (SolveScratch::new(), Vec::new());
+        for k in [raw.k, raw.k % raw.n + 1, raw.n] {
+            let p = DiversityProblem::new(universe.clone(), &rel, &dis, lambda, k);
+            for kind in ObjectiveKind::ALL {
+                let reference = match kind {
+                    ObjectiveKind::MaxSum => approx::greedy_max_sum(&p).unwrap(),
+                    ObjectiveKind::MaxMin => approx::gmm_max_min(&p).unwrap(),
+                    ObjectiveKind::Mono => mono::max_mono(&p).unwrap().1,
+                };
+                let value = e.serve_into(EngineRequest { kind, k }, &mut scratch, &mut set).unwrap();
+                prop_assert_eq!(&set, &reference, "{} k={}", kind, k);
+                prop_assert_eq!(value, p.objective(kind, &reference), "{} k={}", kind, k);
+            }
+        }
+    }
+
+    /// The exact re-score is one body: on *arbitrary* index sets (not
+    /// solver outputs; any size from empty up) the full engine, a
+    /// coreset engine whose budget covers the universe and one whose
+    /// budget does not all report `DiversityProblem::objective` — over
+    /// a keyless oracle (per-pair sweep) and a keyed one (memoized
+    /// distance sums).
+    #[test]
+    fn exact_rescore_is_one_body(
+        raw in instance_strategy(),
+        keys in proptest::collection::vec(-40i64..=40, 14),
+        mask in proptest::collection::vec(0u8..=1, 14),
+    ) {
+        let subset: Vec<usize> = (0..raw.n).filter(|&i| mask[i] == 1).collect();
+        let (universe, rel, dis, lambda) = build(&raw);
+        assert_one_rescore(universe, &rel, Arc::new(dis), lambda, &subset);
+        let keyed: Vec<Tuple> = (0..raw.n).map(|i| Tuple::ints([keys[i], raw.rels[i]])).collect();
+        let rel = AttributeRelevance { attr: 1, default: Ratio::ZERO };
+        let dis = NumericDistance { attr: 0, fallback: Ratio::ZERO };
+        assert_one_rescore(keyed, &rel, Arc::new(dis), lambda, &subset);
+    }
+}
+
+fn assert_one_rescore(
+    universe: Vec<Tuple>,
+    rel: &dyn Relevance,
+    dis: Arc<dyn Distance + Send + Sync>,
+    lambda: Ratio,
+    subset: &[usize],
+) {
+    let n = universe.len();
+    let p = DiversityProblem::new(universe.clone(), rel, &*dis, lambda, 1);
+    let full = Engine::with_threads(universe.clone(), rel, &*dis, lambda, 2);
+    let coresets = [n, n / 2].map(|budget| {
+        let config = CoresetConfig::with_budget(budget).with_threads(2);
+        CoresetEngine::new(universe.clone(), rel, dis.clone(), lambda, &config)
+    });
+    for kind in ObjectiveKind::ALL {
+        let want = p.objective(kind, subset);
+        assert_eq!(full.objective_exact(kind, subset), want, "{kind} full");
+        for cs in &coresets {
+            assert_eq!(cs.objective_exact_full(kind, subset), want, "{kind} coreset m={}", cs.m());
         }
     }
 }

@@ -1,12 +1,12 @@
-//! Differential property tests for the lazy-heap `greedy_max_sum`
-//! rewrite: the CELF-style lazy pair-weight heap must be
-//! **bit-identical** to the retired eager full-scan
-//! (`Engine::greedy_max_sum_eager`) — same index sets and same exact
-//! `Ratio` values — on every instance, not merely tie-equivalent.
-//! Both paths funnel every float pair weight through one shared
-//! expression and resolve near-ties through the same exact-`Ratio`
-//! fallback, so any divergence is a bug in the heap's pop/rescan
-//! bookkeeping, which is exactly what these tests hunt:
+//! Differential property tests for the lazy-heap `greedy_max_sum`:
+//! the CELF-style lazy pair-weight heap must return **the same index
+//! sets and the same exact `Ratio` values** as the sequential
+//! `Ratio`-path reference (`approx::greedy_max_sum`) on every
+//! instance, not merely tie-equivalent ones. The reference scans every
+//! remaining pair each round in exact arithmetic; the engine filters in
+//! floats and resolves near-ties through the exact fallback, so any
+//! divergence is a bug in the heap's pop/rescan bookkeeping or in the
+//! tie window, which is exactly what these tests hunt:
 //!
 //! * random integer-scored instances across λ ∈ {0, ¼, ½, ¾, 1},
 //!   odd and even `k`, including `k = n` (the heap drains completely);
@@ -20,7 +20,7 @@
 //!   engines race their first `F_MS` request against it.
 
 use divr::core::distance::{NumericDistance, TableDistance};
-use divr::core::engine::{Engine, EngineRequest};
+use divr::core::engine::{Engine, EngineRequest, SolveScratch};
 use divr::core::prelude::*;
 use divr::core::relevance::TableRelevance;
 use divr::core::Ratio;
@@ -80,40 +80,51 @@ fn build(raw: &RawInstance) -> (Vec<Tuple>, TableRelevance, TableDistance, Ratio
     (universe, rel, dis, Ratio::new(raw.lambda_num, 4))
 }
 
-/// Lazy and eager must agree exactly — sets and values — and the lazy
-/// answer must also survive a *reused* scratch (a second solve against
-/// a warm scratch and memoized preamble must not drift).
-fn assert_lazy_eq_eager(e: &Engine<'_>, k: usize, ctx: &str) {
-    let eager = e.greedy_max_sum_eager(k);
+/// Lazy and reference must agree exactly — sets and values — cold, on
+/// a warm re-solve (memoized preamble), and through a *reused* scratch
+/// (buffers left over from the previous solve must not drift). The
+/// reference runs over the engine's own universe and oracles; `k = 0`
+/// is the empty set (`DiversityProblem` itself requires `k ≥ 1`) and
+/// `k > n` has no answer on either side.
+fn assert_lazy_eq_reference(e: &Engine<'_>, k: usize, ctx: &str) {
     let lazy = e.greedy_max_sum(k);
-    assert_eq!(eager, lazy, "{ctx}: lazy diverged from eager at k={k}");
-    if let Some(set) = &lazy {
-        // Values too (the set equality already implies it; this guards
-        // the objective plumbing).
-        let v = e.objective_exact(ObjectiveKind::MaxSum, set);
-        let ve = e.objective_exact(ObjectiveKind::MaxSum, eager.as_ref().unwrap());
-        assert_eq!(v, ve, "{ctx}: value diverged at k={k}");
-        // Warm re-solve: memoized preamble + possibly reused buffers.
-        assert_eq!(e.greedy_max_sum(k).as_ref(), Some(set), "{ctx}: warm re-solve drifted");
+    if k == 0 {
+        assert_eq!(lazy, Some(Vec::new()), "{ctx}: k=0 is the empty set");
+    } else {
+        let p = DiversityProblem::from_prepared(e.prepared(), k);
+        let want = divr::core::approx::greedy_max_sum(&p);
+        assert_eq!(want, lazy, "{ctx}: lazy diverged from the reference at k={k}");
+        if let Some(set) = &want {
+            let v = e.objective_exact(ObjectiveKind::MaxSum, set);
+            assert_eq!(v, p.f_ms(set), "{ctx}: value diverged at k={k}");
+        }
+    }
+    let Some(set) = lazy else { return };
+    assert_eq!(e.greedy_max_sum(k), Some(set.clone()), "{ctx}: warm re-solve drifted");
+    let (mut scratch, mut out) = (SolveScratch::new(), Vec::new());
+    for _ in 0..2 {
+        assert!(e.greedy_max_sum_into(k, &mut scratch, &mut out));
+        assert_eq!(out, set, "{ctx}: reused scratch drifted at k={k}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random instances: lazy ≡ eager for the requested k, its parity
-    /// sibling, and k = n.
+    /// Random instances: lazy ≡ reference for the requested k, its
+    /// parity sibling, and k = n.
     #[test]
-    fn lazy_matches_eager_on_random_instances(raw in instance_strategy()) {
+    fn lazy_matches_reference_on_random_instances(raw in instance_strategy()) {
         let (universe, rel, dis, lambda) = build(&raw);
         let e = Engine::with_threads(universe, &rel, &dis, lambda, 2);
         for k in [raw.k, (raw.k % raw.n) + 1, raw.n] {
-            assert_lazy_eq_eager(&e, k, "random");
+            assert_lazy_eq_reference(&e, k, "random");
         }
     }
 
-    /// Also against the sequential `Ratio`-path reference: the chain
-    /// approx ≡ eager ≡ lazy holds end to end on exact-float instances.
+    /// A cold engine against a reference built from the raw oracles
+    /// (not through `DiversityProblem::from_prepared`), so the helper's
+    /// shortcut is itself cross-checked.
     #[test]
     fn lazy_matches_ratio_reference(raw in instance_strategy()) {
         let (universe, rel, dis, lambda) = build(&raw);
@@ -127,7 +138,7 @@ proptest! {
 
 /// All-tied adversarial universes: constant relevance, constant
 /// distance. Every pair weight is the same float, so the heap's pop
-/// order and tie collection must reproduce the eager lexicographic
+/// order and tie collection must reproduce the reference's lexicographic
 /// winner on every round — for λ = 0, λ = 1, a mixed λ, every parity
 /// of k, and k = n.
 #[test]
@@ -139,7 +150,7 @@ fn all_tied_universes_resolve_identically() {
         for lambda in [Ratio::ZERO, Ratio::new(1, 2), Ratio::ONE] {
             let e = Engine::with_threads(universe.clone(), &rel, &dis, lambda, 2);
             for k in 0..=n {
-                assert_lazy_eq_eager(&e, k, "all-tied");
+                assert_lazy_eq_reference(&e, k, "all-tied");
                 // The fully-tied greedy must pick the k lowest indices.
                 if k >= 2 {
                     let set = e.greedy_max_sum(k).unwrap();
@@ -153,7 +164,7 @@ fn all_tied_universes_resolve_identically() {
 
 /// Near-tied universes: one pair is heavier by exactly one unit, the
 /// rest all tie — the heap must pull the heavy pair first and then fall
-/// back to lexicographic picks, like the eager scan.
+/// back to lexicographic picks, like the reference's double loop.
 #[test]
 fn single_heavy_pair_breaks_the_tie() {
     let n = 9usize;
@@ -165,7 +176,7 @@ fn single_heavy_pair_breaks_the_tie() {
         for lambda in [Ratio::new(1, 4), Ratio::ONE] {
             let e = Engine::with_threads(universe.clone(), &rel, &dis, lambda, 2);
             for k in [2, 3, 4, 5, n] {
-                assert_lazy_eq_eager(&e, k, "single-heavy-pair");
+                assert_lazy_eq_reference(&e, k, "single-heavy-pair");
                 let set = e.greedy_max_sum(k).unwrap();
                 assert!(
                     set.contains(&a) && set.contains(&b),
@@ -232,7 +243,6 @@ fn heap_preamble_builds_at_most_once_under_concurrency() {
 /// buffer reuse across engines must never leak state between solves.
 #[test]
 fn one_scratch_across_mixed_universes_is_stateless()  {
-    use divr::core::SolveScratch;
     let rel = AttributeRelevance { attr: 1, default: Ratio::ZERO };
     let dis = NumericDistance { attr: 0, fallback: Ratio::ZERO };
     let mut scratch = SolveScratch::new();
