@@ -1,14 +1,46 @@
 //! The flat `f64` [`DistanceMatrix`], its thread-sharded fill with the
 //! fused max-sum seed scan, and the chunked map/reduce the argmax scans
 //! share.
+//!
+//! ## Recycled allocations
+//!
+//! A serving process under churn builds and drops one multi-megabyte
+//! matrix per cold universe. Handed back to the allocator, those
+//! buffers interleave with small long-lived allocations and the
+//! process settles tens of megabytes above what is resident, by an
+//! amount that depends on which arena a thread landed in. So a dropped
+//! matrix **parks** its buffer in one small process-wide free list and
+//! the next build of exactly that allocation size takes it back:
+//!
+//! * the list holds at most [`default_threads`] buffers — the builds
+//!   that can be in flight at once — and only buffers of at least
+//!   1 MB (below that the allocator's own bins already win);
+//! * the oldest buffer is dropped first, so sizes nobody asks for any
+//!   more age out after `default_threads()` further drops;
+//! * a build takes only a buffer of **exactly** `stride²` elements and
+//!   zeroes all of it before the first row is filled.
+//!
+//! **Headroom invariant.** Every cell a build does not write — the
+//! diagonal, and the headroom rows and columns past `n` that
+//! [`DistanceMatrix::push_item`] later grows into — leaves the build
+//! `0.0`, whether the buffer came from `vec![0.0; …]` or from the free
+//! list: the whole allocation of a recycled build is bit-identical to a
+//! fresh one
+//! (`recycled_build_is_bit_identical_to_fresh` parks a NaN-filled buffer
+//! and compares every cell), so no distance of the universe that owned
+//! the buffer before can surface in a served matrix.
+//!
+//! There is nothing to configure; [`spare_buffers`] reports the list's
+//! current content for `{"op":"stats"}`.
 
-use super::ServeError;
+use super::{default_threads, ServeError};
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::ratio::Ratio;
 use divr_relquery::Tuple;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Below this much estimated work (items × per-item cost units) a round
 /// is scanned inline — spawning threads costs more than the scan.
@@ -59,6 +91,54 @@ where
     })
 }
 
+/// The parked matrix allocations, oldest first (see the module docs).
+static SPARE: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+
+/// Smallest allocation worth parking, in elements (1 MB).
+const SPARE_MIN_LEN: usize = (1 << 20) / std::mem::size_of::<f64>();
+
+fn lock_spare() -> MutexGuard<'static, Vec<Vec<f64>>> {
+    // Nothing panics under this lock, and a list of whole buffers is
+    // consistent wherever a holder might have stopped.
+    SPARE.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Parks a dropped matrix's allocation for the next build of its size,
+/// ageing the oldest parked buffer out once the list is full. Both
+/// frees — a buffer too small to park, the aged-out one — happen
+/// outside the lock.
+fn park(buf: Vec<f64>) {
+    if buf.len() < SPARE_MIN_LEN {
+        return;
+    }
+    let cap = default_threads();
+    let mut spare = lock_spare();
+    spare.push(buf);
+    let aged_out = (spare.len() > cap).then(|| spare.remove(0));
+    drop(spare);
+    drop(aged_out);
+}
+
+/// The most recently parked allocation of exactly `len` elements, with
+/// whatever its last owner left in it.
+fn take_spare(len: usize) -> Option<Vec<f64>> {
+    if len < SPARE_MIN_LEN {
+        return None;
+    }
+    let mut spare = lock_spare();
+    let at = spare.iter().rposition(|buf| buf.len() == len)?;
+    Some(spare.remove(at))
+}
+
+/// `(buffers, bytes)` currently parked in the matrix free list: at most
+/// [`default_threads`] buffers, each at least 1 MB. A gauge for the
+/// daemon's stats — memory the process holds that no cache entry owns.
+pub fn spare_buffers() -> (usize, usize) {
+    let spare = lock_spare();
+    let bytes = spare.iter().map(|buf| std::mem::size_of_val(&buf[..])).sum();
+    (spare.len(), bytes)
+}
+
 /// One unit of the parallel matrix build: a row index, its `&mut` row
 /// slice, and (in fused-seed mode) the anchor's seed slot.
 type RowTask<'a> = (usize, &'a mut [f64], Option<&'a mut PairSeed>);
@@ -77,12 +157,23 @@ type RowTask<'a> = (usize, &'a mut [f64], Option<&'a mut PairSeed>);
 /// reallocation — until the headroom is exhausted, at which point the
 /// matrix re-strides once (amortized `O(n)` per insert). The headroom
 /// is real allocated memory and is counted by
-/// [`DistanceMatrix::approx_bytes`].
+/// [`DistanceMatrix::approx_bytes`]; a build leaves every cell of it
+/// `0.0` (the module docs' headroom invariant).
+///
+/// Dropping a matrix parks its allocation for the next build of the
+/// same size instead of freeing it (module docs, "Recycled
+/// allocations").
 #[derive(Clone, Debug)]
 pub struct DistanceMatrix {
     n: usize,
     stride: usize,
     data: Vec<f64>,
+}
+
+impl Drop for DistanceMatrix {
+    fn drop(&mut self) {
+        park(std::mem::take(&mut self.data));
+    }
 }
 
 /// Headroom rows allocated past `n`: enough that a growing universe
@@ -118,6 +209,11 @@ impl DistanceMatrix {
     /// its deadline by at most one row per worker. Returns
     /// `Err(ServeError::DeadlineExceeded)` on abandonment — the
     /// partially filled matrix is dropped, never observed.
+    ///
+    /// The buffer is a parked allocation of exactly `stride²` elements
+    /// when the free list has one (zeroed here, all of it), a fresh
+    /// `vec![0.0; …]` otherwise; the fill, mirror and seed scan below
+    /// cannot tell the difference.
     pub(crate) fn try_build_with_seed(
         universe: &[Tuple],
         dis: &(dyn Distance + Sync),
@@ -127,7 +223,13 @@ impl DistanceMatrix {
     ) -> Result<(Self, Option<Vec<PairSeed>>), ServeError> {
         let n = universe.len();
         let stride = n + matrix_pad(n);
-        let mut data = vec![0.0f64; stride * stride];
+        let mut data = match take_spare(stride * stride) {
+            Some(mut recycled) => {
+                recycled.fill(0.0);
+                recycled
+            }
+            None => vec![0.0f64; stride * stride],
+        };
         let mut seed = seed_weights.map(|_| vec![PairSeed::NONE; n]);
         if n == 0 {
             return Ok((DistanceMatrix { n, stride, data }, seed));
@@ -394,8 +496,166 @@ impl PairSeed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::fixtures::{line_universe, DIS};
     use crate::distance::TableDistance;
+    use crate::engine::fixtures::{line_universe, DIS, REL};
+    use crate::engine::{Engine, EngineRequest, PreparedUniverse, ScoreSource};
+    use crate::problem::ObjectiveKind;
+    use std::sync::Arc;
+
+    /// The whole allocation — headroom rows and columns too — as bits.
+    fn bits(m: &DistanceMatrix) -> Vec<u64> {
+        m.data.iter().map(|d| d.to_bits()).collect()
+    }
+
+    /// Allocation length of a matrix built over `n` items.
+    fn built_len(n: usize) -> usize {
+        (n + matrix_pad(n)).pow(2)
+    }
+
+    /// Empties the free list of `len`-element buffers, so the next
+    /// build of that size is `vec!`-backed.
+    fn forget_spares(len: usize) {
+        while take_spare(len).is_some() {}
+    }
+
+    /// The free list is process-wide and the test harness runs tests
+    /// side by side: the tests that park buffers take turns, so one
+    /// cannot age out what another just parked. No other unit test of
+    /// this crate builds a matrix large enough to park (≥ 1 MB).
+    static FREE_LIST_TESTS: Mutex<()> = Mutex::new(());
+
+    fn free_list_turn() -> MutexGuard<'static, ()> {
+        FREE_LIST_TESTS.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    #[test]
+    fn recycled_build_is_bit_identical_to_fresh() {
+        let _turn = free_list_turn();
+        let n = 353;
+        let u = line_universe(n as i64);
+        let len = built_len(n);
+        assert!(len >= SPARE_MIN_LEN, "large enough to be parked");
+        let rel: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
+        for threads in [1, 2] {
+            for fused in [false, true] {
+                let weights = fused.then_some((rel.as_slice(), 0.5, 0.5));
+                let build = || {
+                    DistanceMatrix::try_build_with_seed(&u, &DIS, threads, weights, Deadline::none())
+                        .unwrap()
+                };
+                forget_spares(len);
+                let (mut fresh, fresh_seed) = build();
+                // What a dropped matrix leaves behind, at its worst: an
+                // allocation of the right size with no cell zero.
+                let sentinel = vec![f64::NAN; len];
+                let parked_at = sentinel.as_ptr();
+                drop(DistanceMatrix { n: 0, stride: 0, data: sentinel });
+                let (mut recycled, recycled_seed) = build();
+                assert_eq!(recycled.data.as_ptr(), parked_at, "the build took the parked buffer");
+                assert_eq!(bits(&recycled), bits(&fresh), "threads {threads}, fused {fused}");
+                let seed_bits = |seed: Option<Vec<PairSeed>>| {
+                    seed.map(|s| s.iter().map(|p| (p.score.to_bits(), p.partner)).collect::<Vec<_>>())
+                };
+                assert_eq!(seed_bits(recycled_seed), seed_bits(fresh_seed));
+                // Inserts grow into the headroom, then past it (one
+                // re-stride); removals relabel in place. Both read
+                // cells the build itself never wrote.
+                let stride = fresh.stride;
+                for step in 0..=stride - n {
+                    let col: Vec<f64> = (0..fresh.n()).map(|i| (i + step) as f64).collect();
+                    fresh.push_item(&col);
+                    recycled.push_item(&col);
+                }
+                assert!(fresh.stride > stride, "the inserts crossed a re-stride");
+                assert_eq!(bits(&recycled), bits(&fresh));
+                for r in [fresh.n() - 1, 7, 0] {
+                    fresh.swap_remove_item(r);
+                    recycled.swap_remove_item(r);
+                }
+                assert_eq!(bits(&recycled), bits(&fresh));
+            }
+        }
+    }
+
+    #[test]
+    fn refused_universe_parks_a_buffer_the_next_build_serves_clean() {
+        /// `DIS`, except that every distance to the item keyed `0` is
+        /// NaN on the float path.
+        struct NanAtZero;
+        impl Distance for NanAtZero {
+            fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+                DIS.dist(a, b)
+            }
+            fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
+                let zero = divr_relquery::Value::int(0);
+                if a != b && (a.get(0) == Some(&zero) || b.get(0) == Some(&zero)) {
+                    f64::NAN
+                } else {
+                    DIS.dist_f64(a, b)
+                }
+            }
+        }
+
+        let _turn = free_list_turn();
+        let n = 347;
+        let u = line_universe(n as i64);
+        let len = built_len(n);
+        assert!(len >= SPARE_MIN_LEN);
+        let lambda = Ratio::new(1, 2);
+        let healthy = || Arc::new(PreparedUniverse::build_shared(u.clone(), &REL, Arc::new(DIS), lambda, 2));
+        forget_spares(len);
+        let fresh = healthy();
+
+        // Exactly what the serving layers do with a poisoned universe:
+        // build, validate, refuse, drop — which parks its matrix.
+        let refused = PreparedUniverse::build_shared(u.clone(), &REL, Arc::new(NanAtZero), lambda, 2);
+        assert!(matches!(
+            refused.check_finite(),
+            Err(ServeError::NonFiniteScore { source: ScoreSource::Distance, .. })
+        ));
+        let parked_at = refused.matrix().data.as_ptr();
+        drop(refused);
+
+        let recycled = healthy();
+        assert_eq!(recycled.matrix().data.as_ptr(), parked_at, "the build took the refused matrix");
+        assert_eq!(recycled.check_finite(), Ok(()));
+        assert_eq!(bits(recycled.matrix()), bits(fresh.matrix()));
+        for kind in ObjectiveKind::ALL {
+            let request = EngineRequest { kind, k: 9 };
+            assert_eq!(
+                Engine::from_prepared(recycled.clone(), 2).try_serve(request),
+                Engine::from_prepared(fresh.clone(), 2).try_serve(request),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn free_list_is_bounded_and_ignores_small_buffers() {
+        let _turn = free_list_turn();
+        // Below 1 MB nothing is parked or handed out.
+        let small = SPARE_MIN_LEN - 1;
+        drop(DistanceMatrix { n: 0, stride: 0, data: vec![1.0; small] });
+        assert!(take_spare(small).is_none());
+        // Above it, however many matrices are dropped, at most
+        // `default_threads()` buffers stay, and the oldest went first.
+        let len = SPARE_MIN_LEN + 17;
+        let cap = default_threads();
+        let addresses: Vec<*const f64> = (0..cap + 2)
+            .map(|_| {
+                let data = vec![1.0; len];
+                let at = data.as_ptr();
+                drop(DistanceMatrix { n: 0, stride: 0, data });
+                at
+            })
+            .collect();
+        let (buffers, bytes) = spare_buffers();
+        assert!(buffers <= cap && bytes >= buffers * SPARE_MIN_LEN * 8);
+        // Newest first out; a size nobody parked is never matched.
+        assert_eq!(take_spare(len).map(|b| b.as_ptr()), addresses.last().copied());
+        assert!(take_spare(len + 1).is_none());
+        forget_spares(len);
+    }
 
     #[test]
     fn matrix_matches_oracle_exactly_on_integer_distances() {

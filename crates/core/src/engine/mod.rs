@@ -70,7 +70,7 @@
 //!
 //! | Module | Holds |
 //! |---|---|
-//! | `matrix` | [`DistanceMatrix`], its fill with the fused max-sum seed scan, the chunked map/reduce |
+//! | `matrix` | [`DistanceMatrix`], its fill with the fused max-sum seed scan, the free list dropped matrices park their allocation in ([`spare_buffers`]), the chunked map/reduce |
 //! | `ties` | float argmax with the [`F64_TIE_EPS`] window, exact tie resolution |
 //! | `prepared` | [`PreparedUniverse`] (build, memoized preambles, delta repair), [`DistOracle`] |
 //! | `solve` | [`Engine`] and [`SolveScratch`] |
@@ -85,7 +85,7 @@ mod prepared;
 mod solve;
 mod ties;
 
-pub use matrix::DistanceMatrix;
+pub use matrix::{spare_buffers, DistanceMatrix};
 pub use prepared::{DistOracle, PreparedUniverse, SharedPrepared};
 pub use solve::{Engine, SolveScratch};
 pub use ties::F64_TIE_EPS;

@@ -30,7 +30,9 @@
 //! warm. Evicted state is only ever dropped, never mutated: any engine
 //! still solving against an evicted `Arc` keeps it alive and correct,
 //! and a re-request rebuilds from the spec — so eviction can never
-//! serve stale or torn matrices.
+//! serve stale or torn matrices. The drop itself — releasing a 9–35 MB
+//! matrix — happens **after** the shard lock is released, like the
+//! build: victims are unlinked under the lock and handed out of it.
 
 use crate::fingerprint::UniverseKey;
 use crate::spec::PreparedVariant;
@@ -120,18 +122,22 @@ impl PreparedCache {
     /// copy, so the recovery is to evict the whole shard (counted as
     /// evictions), clear the poison flag, and keep serving: in-flight
     /// `Arc` clones finish on the old immutable state, and the next
-    /// request per key simply re-prepares.
+    /// request per key simply re-prepares. The torn entries are dropped
+    /// with the lock released, then the (now clean) shard is locked
+    /// again.
     fn lock_shard<'a>(&self, shard: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
-        match shard.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                self.evictions
-                    .fetch_add(guard.entries.len() as u64, Ordering::Relaxed);
-                guard.entries.clear();
-                guard.bytes = 0;
-                shard.clear_poison();
-                guard
+        loop {
+            match shard.lock() {
+                Ok(guard) => return guard,
+                Err(poisoned) => {
+                    let mut guard = poisoned.into_inner();
+                    let torn = std::mem::take(&mut guard.entries);
+                    guard.bytes = 0;
+                    self.evictions.fetch_add(torn.len() as u64, Ordering::Relaxed);
+                    shard.clear_poison();
+                    drop(guard);
+                    drop(torn);
+                }
             }
         }
     }
@@ -199,7 +205,9 @@ impl PreparedCache {
             },
         );
         guard.bytes += bytes;
-        self.evict_over_budget(&mut guard, stamp);
+        let victims = self.evict_over_budget(&mut guard, stamp);
+        drop(guard);
+        drop(victims);
         prepared
     }
 
@@ -233,7 +241,7 @@ impl PreparedCache {
         let shard = self.shard_of(key);
         let mut guard = self.lock_shard(shard);
         let stamp = self.tick();
-        if let Some(old) = guard.entries.insert(
+        let replaced = guard.entries.insert(
             key.clone(),
             Entry {
                 prepared,
@@ -242,11 +250,14 @@ impl PreparedCache {
                 version,
                 delta_log,
             },
-        ) {
+        );
+        if let Some(old) = &replaced {
             guard.bytes -= old.bytes;
         }
         guard.bytes += bytes;
-        self.evict_over_budget(&mut guard, stamp);
+        let victims = self.evict_over_budget(&mut guard, stamp);
+        drop(guard);
+        drop((replaced, victims));
     }
 
     /// The delta version of the resident entry for `key` (`0` = cold
@@ -259,9 +270,12 @@ impl PreparedCache {
             .map(|e| e.version)
     }
 
-    /// Drops LRU entries (never the one stamped `keep_stamp`) until the
-    /// shard fits its budget slice.
-    fn evict_over_budget(&self, shard: &mut Shard, keep_stamp: u64) {
+    /// Unlinks LRU entries (never the one stamped `keep_stamp`) until
+    /// the shard fits its budget slice, and returns them: the caller
+    /// drops them once it has released the shard.
+    #[must_use = "drop the victims after releasing the shard lock"]
+    fn evict_over_budget(&self, shard: &mut Shard, keep_stamp: u64) -> Vec<Entry> {
+        let mut victims = Vec::new();
         while shard.bytes > self.budget_per_shard && shard.entries.len() > 1 {
             let victim = shard
                 .entries
@@ -273,8 +287,10 @@ impl PreparedCache {
             if let Some(e) = shard.entries.remove(&victim) {
                 shard.bytes -= e.bytes;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
+                victims.push(e);
             }
         }
+        victims
     }
 
     /// Whether `key` is currently resident (no LRU bump).
@@ -288,8 +304,10 @@ impl PreparedCache {
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut guard = self.lock_shard(shard);
-            guard.entries.clear();
+            let dropped = std::mem::take(&mut guard.entries);
             guard.bytes = 0;
+            drop(guard);
+            drop(dropped);
         }
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);

@@ -13,6 +13,15 @@
 //! 128-bit FNV-1a digest of the same bytes rides along for cheap
 //! hashing and shard selection; it is never trusted for equality.
 //!
+//! One consumer outside this crate uses the digest **in place of** the
+//! bytes: the service's admission ledger remembers a charged universe
+//! as `(digest, encoded length)` so that a never-refunded row does not
+//! keep a key's bytes alive. That trust is for quota deduplication
+//! only — a collision under-charges one tenant for one universe and
+//! cannot change an answer, because the universe is still looked up,
+//! prepared and served under its full bytes here
+//! (see `divr_service::admission`).
+//!
 //! Relevance and distance functions participate through
 //! [`Fingerprintable`]: a function fingerprint encodes a type tag plus
 //! the full configuration (table entries in sorted order, attribute

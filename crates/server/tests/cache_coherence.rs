@@ -8,7 +8,10 @@
 //!    canonical content encoding (the digest only routes shards).
 //! 2. **Eviction never serves stale state** — insert → evict →
 //!    re-prepare yields a prepared universe with identical matrices
-//!    and identical served answers.
+//!    and identical served answers; and when the matrices are large
+//!    enough (≥ 1 MB) that the rebuild runs inside the allocation an
+//!    evicted universe left behind, nothing of that universe shows —
+//!    not in the matrix, not in the headroom later inserts grow into.
 //! 3. **Tableau-equivalent queries share one entry** — syntactically
 //!    distinct conjunctive queries related by variable renaming, atom
 //!    reordering and atom duplication produce the *same* front-door
@@ -16,10 +19,10 @@
 //!    non-equivalent near-misses (a changed head, an extra
 //!    non-redundant atom) never collide.
 
-use divr_core::distance::TableDistance;
-use divr_core::engine::EngineRequest;
+use divr_core::distance::{NumericDistance, TableDistance};
+use divr_core::engine::{spare_buffers, DeltaOp, EngineRequest};
 use divr_core::prelude::*;
-use divr_core::relevance::TableRelevance;
+use divr_core::relevance::{AttributeRelevance, TableRelevance};
 use divr_core::Ratio;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple};
@@ -436,4 +439,117 @@ proptest! {
         let second_answers = serve_all(&registry, &spec_a, &requests);
         prop_assert_eq!(first_answers, second_answers, "rebuild changed served answers");
     }
+}
+
+/// A keyed universe of `n` items (`[position, score]`, numeric distance
+/// on the position) whose content depends on `variant`.
+fn keyed_spec(n: i64, variant: i64) -> UniverseSpec {
+    UniverseSpec::new(
+        (0..n)
+            .map(|i| Tuple::ints([(i * 7 + variant * 13) % (3 * n), (i + variant) % 5]))
+            .collect(),
+        Arc::new(AttributeRelevance {
+            attr: 1,
+            default: Ratio::ZERO,
+        }),
+        Arc::new(NumericDistance {
+            attr: 0,
+            fallback: Ratio::ZERO,
+        }),
+        Ratio::new(1, 2),
+    )
+}
+
+/// Every cell of the prepared matrix, row by row, as bits.
+fn matrix_bits(prepared: &divr_server::PreparedVariant) -> Vec<u64> {
+    let full = prepared.as_full().unwrap();
+    (0..full.n())
+        .flat_map(|i| full.matrix().row(i).iter().map(|d| d.to_bits()))
+        .collect()
+}
+
+/// Property 2 where the rebuild reuses memory: two universe sizes, two
+/// contents of each, served in turn at a 1-byte budget. Every build
+/// evicts the other size's universe, whose matrix parks its allocation;
+/// from the third build on, each one runs inside the buffer that the
+/// *other content* of its own size left two steps earlier. The matrix
+/// must still be what the distance oracle says, cell for cell, and a
+/// universe's later lifetimes must serve what its first one did.
+///
+/// (The only test in this binary whose matrices are large enough to
+/// park, so the free-list gauge below is its own.)
+#[test]
+fn eviction_recycles_allocations_stale_free_across_two_sizes() {
+    let registry = Registry::new(RegistryConfig {
+        byte_budget: 1,
+        shards: 1,
+        workers: 1,
+        solve_threads: 1,
+    });
+    let requests: Vec<EngineRequest> = ObjectiveKind::ALL
+        .into_iter()
+        .map(|kind| EngineRequest { kind, k: 6 })
+        .collect();
+    let specs = [
+        keyed_spec(352, 0),
+        keyed_spec(388, 0),
+        keyed_spec(352, 1),
+        keyed_spec(388, 1),
+    ];
+    let mut first_life: Vec<Option<Vec<CheckedAnswer>>> = vec![None; specs.len()];
+    assert_eq!(spare_buffers(), (0, 0));
+    for round in 0..12 {
+        let at = round % specs.len();
+        let spec = &specs[at];
+        let parked_before = spare_buffers();
+        let prepared = registry.try_prepare(spec).unwrap();
+        let matrix_bytes = prepared.as_full().unwrap().matrix().approx_bytes();
+        if round >= 2 {
+            // The buffer of this size is gone from the free list and
+            // the evicted universe's, of the other size, took its place:
+            // this build ran in recycled memory.
+            assert_eq!(parked_before, (1, matrix_bytes), "round {round}");
+            let (buffers, bytes) = spare_buffers();
+            assert!(buffers == 1 && bytes != matrix_bytes, "round {round}");
+        }
+        // Straight from the oracle, through no matrix code at all.
+        let u = spec.universe();
+        let expected: Vec<u64> = (0..u.len())
+            .flat_map(|i| {
+                (0..u.len()).map(move |j| match i == j {
+                    true => 0.0f64.to_bits(),
+                    false => spec.distance().dist_f64(&u[i], &u[j]).to_bits(),
+                })
+            })
+            .collect();
+        assert_eq!(matrix_bits(&prepared), expected, "round {round}");
+        drop(prepared);
+        let answers = serve_all(&registry, spec, &requests);
+        assert!(answers.iter().all(Result::is_ok));
+        match &first_life[at] {
+            None => first_life[at] = Some(answers),
+            Some(first) => assert_eq!(&answers, first, "round {round}"),
+        }
+    }
+    assert_eq!(registry.stats().evictions, 11);
+
+    // The resident universe was built in recycled memory. Grow it past
+    // its headroom (24 rows at n = 388) by warm migration: the inserts
+    // write into cells that build never touched, then re-stride. A cold
+    // prepare of the same tuples in another registry must agree.
+    let mut spec = specs[3].clone();
+    for step in 0..30 {
+        let tuple = Tuple::ints([5_000 + 3 * step, step % 5]);
+        spec = registry.apply_delta(&spec, &DeltaOp::Insert(tuple)).unwrap();
+    }
+    assert_eq!(registry.version_of(&spec), Some(30));
+    let cold = Registry::default();
+    assert_eq!(
+        matrix_bits(&registry.try_prepare(&spec).unwrap()),
+        matrix_bits(&cold.try_prepare(&spec).unwrap())
+    );
+    assert_eq!(
+        serve_all(&registry, &spec, &requests),
+        serve_all(&cold, &spec, &requests)
+    );
 }

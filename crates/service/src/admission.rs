@@ -22,9 +22,34 @@
 //! seconds — and the lock recovers from poisoning the same way the
 //! registry's cache shards do (quota state is always consistent at
 //! rest; see `divr_server::cache`).
+//!
+//! ## Ledger rows and what the digest is trusted for
+//!
+//! Because the ledger is never refunded it grows by one row per
+//! never-seen universe for as long as the process lives, so a row must
+//! not keep the universe's key alive: a [`UniverseKey`] shares its whole
+//! canonical encoding (26 KB at `n = 1000`, 520 KB at `n = 20 000`), and
+//! a ledger of key clones pins every encoding the daemon has ever
+//! admitted. A row is therefore the key's 128-bit digest plus its
+//! encoded length — 24 bytes, whatever the universe's size.
+//!
+//! That makes this the one place where the digest stands in for the
+//! bytes, and it is trusted for quota **deduplication only**. Two
+//! different universes of equal encoded length whose FNV-1a digests
+//! collide would share a row, and the tenant would be under-charged for
+//! one of them — something a second tenant name, equally unauthenticated,
+//! already buys for free. A collision can never change an answer: the
+//! prepared-state cache still decides equality on the full bytes
+//! (`divr_server::fingerprint`), so the colliding universe is prepared
+//! and served as itself.
+//!
+//! What remains unbounded is the tenant map itself: a tenant name is
+//! free-form, so each new name costs its bucket and an empty ledger
+//! until the process exits. `{"op":"stats"}` reports both sizes
+//! (`admission.tenants`, `admission.ledger_rows`).
 
 use divr_server::UniverseKey;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -106,10 +131,23 @@ impl std::fmt::Display for Rejection {
     }
 }
 
+/// One charged universe: its key's digest (high and low half) and
+/// encoded length. See the module docs for what that is trusted for.
+type LedgerRow = [u64; 3];
+
+fn ledger_row(key: &UniverseKey) -> LedgerRow {
+    let digest = key.digest();
+    [
+        (digest >> 64) as u64,
+        digest as u64,
+        key.bytes().len() as u64,
+    ]
+}
+
 struct Tenant {
     tokens: f64,
     refilled_at: Instant,
-    charged: HashMap<UniverseKey, u64>,
+    charged: HashSet<LedgerRow>,
     charged_bytes: u64,
 }
 
@@ -122,6 +160,7 @@ pub struct Admission {
     admitted: AtomicU64,
     rejected_qps: AtomicU64,
     rejected_cache: AtomicU64,
+    ledger_rows: AtomicU64,
 }
 
 impl Admission {
@@ -133,6 +172,7 @@ impl Admission {
             admitted: AtomicU64::new(0),
             rejected_qps: AtomicU64::new(0),
             rejected_cache: AtomicU64::new(0),
+            ledger_rows: AtomicU64::new(0),
         }
     }
 
@@ -148,14 +188,20 @@ impl Admission {
         tenant: &str,
         now: Instant,
     ) -> &'a mut Tenant {
-        tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| Tenant {
-                tokens: self.config.burst,
-                refilled_at: now,
-                charged: HashMap::new(),
-                charged_bytes: 0,
-            })
+        // Both gates of every frame come through here: the name is
+        // copied on a tenant's first sight only.
+        if !tenants.contains_key(tenant) {
+            tenants.insert(
+                tenant.to_string(),
+                Tenant {
+                    tokens: self.config.burst,
+                    refilled_at: now,
+                    charged: HashSet::new(),
+                    charged_bytes: 0,
+                },
+            );
+        }
+        tenants.get_mut(tenant).expect("known or just inserted")
     }
 
     /// Charges `cost` request tokens against the tenant's bucket.
@@ -184,7 +230,8 @@ impl Admission {
 
     /// Charges a universe's estimated prepared bytes to the tenant's
     /// ledger (idempotent per key: re-serving a universe the tenant
-    /// already paid for is free).
+    /// already paid for is free). The ledger remembers the key's digest
+    /// and length, never the key — see the module docs.
     pub fn charge_universe(
         &self,
         tenant: &str,
@@ -194,7 +241,8 @@ impl Admission {
         let now = Instant::now();
         let mut tenants = self.lock_tenants();
         let state = self.tenant_entry(&mut tenants, tenant, now);
-        if state.charged.contains_key(key) {
+        let row = ledger_row(key);
+        if state.charged.contains(&row) {
             return Ok(());
         }
         if state.charged_bytes.saturating_add(bytes) > self.config.cache_quota_bytes {
@@ -205,8 +253,9 @@ impl Admission {
                 quota: self.config.cache_quota_bytes,
             });
         }
-        state.charged.insert(key.clone(), bytes);
+        state.charged.insert(row);
         state.charged_bytes += bytes;
+        self.ledger_rows.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -216,6 +265,17 @@ impl Admission {
             self.admitted.load(Ordering::Relaxed),
             self.rejected_qps.load(Ordering::Relaxed),
             self.rejected_cache.load(Ordering::Relaxed),
+        )
+    }
+
+    /// `(tenants, ledger_rows)`: how many tenant names and how many
+    /// charged universes (over all tenants) the controller remembers.
+    /// Neither is ever released, so both only grow — the two numbers
+    /// that explain admission's share of the process's memory.
+    pub fn gauges(&self) -> (usize, u64) {
+        (
+            self.lock_tenants().len(),
+            self.ledger_rows.load(Ordering::Relaxed),
         )
     }
 }
@@ -276,6 +336,44 @@ mod tests {
         // …but a small one still fits, and other tenants are untouched.
         assert!(adm.charge_universe("alice", &key("u3"), 300).is_ok());
         assert!(adm.charge_universe("bob", &key("u2"), 600).is_ok());
+    }
+
+    #[test]
+    fn ledger_rows_are_fixed_size() {
+        assert_eq!(std::mem::size_of::<LedgerRow>(), 24);
+        let adm = Admission::new(AdmissionConfig {
+            qps: 1000.0,
+            burst: 1000.0,
+            cache_quota_bytes: 1000,
+        });
+        // A 1 MB key and a 16-byte key cost the same row, and the row
+        // keeps neither alive: the caller's key is the only owner.
+        let mut big = vec![7u8; 1 << 20];
+        let small = [7u8; 16];
+        for bytes in [&big[..], &small[..]] {
+            let k = UniverseKey::from_bytes(bytes);
+            assert!(adm.charge_universe("alice", &k, 100).is_ok());
+            assert_eq!(ledger_row(&k)[2], bytes.len() as u64);
+        }
+        assert_eq!(adm.gauges(), (1, 2));
+        // Re-charging after the first key was dropped is still free.
+        assert!(adm.charge_universe("alice", &UniverseKey::from_bytes(&big), 100).is_ok());
+        assert_eq!(adm.gauges(), (1, 2));
+        // One byte of difference is another universe, charged again…
+        big[12345] ^= 1;
+        assert!(adm.charge_universe("alice", &UniverseKey::from_bytes(&big), 100).is_ok());
+        assert_eq!(adm.gauges(), (1, 3));
+        // …and the quota arithmetic is the one it always was: 300 of
+        // 1000 bytes are charged, so 701 more are refused and 700 fit.
+        let e = adm.charge_universe("alice", &key("u"), 701).unwrap_err();
+        assert_eq!(
+            e,
+            Rejection::CacheQuota { charged: 300, requested: 701, quota: 1000 }
+        );
+        assert!(adm.charge_universe("alice", &key("u"), 700).is_ok());
+        // A refusal leaves no row behind; a second tenant has its own.
+        assert!(adm.charge_universe("bob", &key("u"), 700).is_ok());
+        assert_eq!(adm.gauges(), (2, 5));
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::wire::{
     ratio_to_json, relevance_from_json, requests_from_json, tuple_from_json, universe_from_json,
 };
 use divr_core::coreset::CORESET_AUTO_THRESHOLD;
-use divr_core::engine::{EngineRequest, ServeError};
+use divr_core::engine::{spare_buffers, EngineRequest, ServeError};
 use divr_core::problem::ObjectiveKind;
 use divr_core::{Deadline, Ratio};
 use divr_relquery::parser::parse_query;
@@ -943,7 +943,9 @@ fn stats_frame(shared: &Shared) -> Value {
             .collect(),
     );
     let (admitted, rejected_qps, rejected_cache) = shared.admission.counters();
+    let (tenants, ledger_rows) = shared.admission.gauges();
     let cache = shared.registry.stats();
+    let (parked_buffers, parked_bytes) = spare_buffers();
     let durability = match &shared.durability {
         None => object([("enabled", Value::Bool(false))]),
         Some(d) => {
@@ -980,6 +982,8 @@ fn stats_frame(shared: &Shared) -> Value {
                             counter(shared.rejected_queue.load(Ordering::Relaxed)),
                         ),
                         ("degraded", counter(shared.degraded.load(Ordering::Relaxed))),
+                        ("tenants", counter(tenants as u64)),
+                        ("ledger_rows", counter(ledger_rows)),
                     ]),
                 ),
                 (
@@ -990,6 +994,8 @@ fn stats_frame(shared: &Shared) -> Value {
                         ("evictions", counter(cache.evictions)),
                         ("entries", counter(cache.entries as u64)),
                         ("bytes", counter(cache.bytes as u64)),
+                        ("spare_buffers", counter(parked_buffers as u64)),
+                        ("spare_bytes", counter(parked_bytes as u64)),
                     ]),
                 ),
                 (

@@ -292,6 +292,80 @@ fn cache_quota_answers_429_before_preparing() {
     service.shutdown();
 }
 
+/// `{"op":"stats"}` is read by name (the `e2e` benchmark, dashboards):
+/// members are only ever added. Every name served so far is still
+/// there, and the memory gauges say what the daemon remembers — one
+/// ledger row per never-seen universe, one record per tenant name, and
+/// a matrix free list that stays within `default_threads()` buffers
+/// however many matrices were evicted.
+#[test]
+fn stats_members_are_additive_and_the_memory_gauges_count() {
+    let mut config = test_config();
+    config.registry.byte_budget = 1; // every insert evicts its predecessor
+    config.registry.shards = 1;
+    let service = Service::start(config).unwrap();
+    let mut client = Client::connect(service.local_addr()).unwrap();
+    // Six never-seen universes, each with a matrix above the free
+    // list's 1 MB floor, under a tenant that changes every other frame.
+    let request = [EngineRequest {
+        kind: ObjectiveKind::MaxMin,
+        k: 3,
+    }];
+    for frame in 0..6 {
+        let tenant = format!("tenant-{}", frame / 2);
+        let universe = universe_json(360 + frame, "numeric");
+        let response = client.request(&serve_doc(&tenant, universe, &request)).unwrap();
+        assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
+    }
+
+    let reply = client.stats().unwrap();
+    let stats = reply.get("stats").unwrap();
+    let int = |group: &str, name: &str| {
+        stats
+            .get(group)
+            .and_then(|g| g.get(name))
+            .and_then(Value::as_i64)
+            .unwrap_or_else(|| panic!("stats.{group}.{name} is missing or not an integer"))
+    };
+    for (group, names) in [
+        (
+            "admission",
+            &["admitted", "rejected_qps", "rejected_cache", "rejected_queue", "degraded"][..],
+        ),
+        ("cache", &["hits", "misses", "evictions", "entries", "bytes"][..]),
+        ("robustness", &["deadline_exceeded", "reaped_idle", "draining_refused"][..]),
+    ] {
+        for name in names {
+            int(group, name);
+        }
+    }
+    for objective in ["max_sum", "max_min", "mono"] {
+        for name in ["count", "mean_us", "p50_us", "p99_us"] {
+            let member = stats.get("latency").and_then(|l| l.get(objective)).and_then(|o| o.get(name));
+            assert!(member.and_then(Value::as_i64).is_some(), "latency.{objective}.{name}");
+        }
+    }
+    assert_eq!(
+        stats.get("robustness").and_then(|r| r.get("draining")),
+        Some(&Value::Bool(false))
+    );
+    assert_eq!(
+        stats.get("durability").and_then(|d| d.get("enabled")),
+        Some(&Value::Bool(false))
+    );
+    assert!(stats.get("depth").and_then(Value::as_i64).is_some());
+    assert!(stats.get("frames").and_then(Value::as_i64).is_some());
+
+    assert_eq!(int("admission", "ledger_rows"), 6);
+    assert_eq!(int("admission", "tenants"), 3);
+    assert_eq!(int("cache", "evictions"), 5);
+    let spare_buffers = int("cache", "spare_buffers");
+    let cap = divr_core::engine::default_threads() as i64;
+    assert!((1..=cap).contains(&spare_buffers), "{spare_buffers} parked, cap {cap}");
+    assert!(int("cache", "spare_bytes") >= spare_buffers << 20);
+    service.shutdown();
+}
+
 #[test]
 fn saturated_accept_queue_answers_429_queue_full() {
     let service = Service::start(ServiceConfig {
