@@ -3,9 +3,11 @@
 //! `PreparedUniverse`; the heap seed is fused into the matrix build, so
 //! cold ≈ heapify + rounds) vs warm (everything resident), `F_mono`
 //! serving (select + exact re-score) first-request
-//! and warm over a key-column and a keyless oracle, plus steady-state
-//! allocation counts for the scratch-based serving forms, measured by
-//! a counting global allocator.
+//! and warm over a key-column and a keyless oracle, the cold prepare
+//! itself (fused matrix build + `check_finite`, into a fresh and into a
+//! recycled allocation) with the first `F_MM` request after it, plus
+//! steady-state allocation counts for the scratch-based serving forms,
+//! measured by a counting global allocator.
 //!
 //! Run with `cargo bench -p divr-bench --bench engine_hotpath`;
 //! set `BENCH_QUICK=1` for the CI smoke configuration (tiny n, one k —
@@ -15,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use divr_bench::workloads as w;
 use divr_core::distance::{Distance, NumericDistance};
-use divr_core::engine::{Engine, EngineRequest, SolveScratch};
+use divr_core::engine::{Engine, EngineRequest, PreparedUniverse, SolveScratch};
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
 use divr_core::relevance::TableRelevance;
@@ -23,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Counts every allocation (and growth-realloc) so the steady-state
@@ -195,6 +198,66 @@ fn mono_serving(sizes: &[usize], ks: &[usize]) {
     }
 }
 
+/// The cold prepare as `UniverseSpec::try_prepare_variant` runs it —
+/// relevance pass, fused matrix build on 2 threads, `check_finite` —
+/// over the key-column oracle the wire's `{"kind":"numeric"}` decodes
+/// to. `fresh`: every sample allocates (the earlier samples are held,
+/// so the matrix free list has nothing to hand out) and pays the
+/// first-touch page faults; `recycled`: every sample takes the buffer
+/// the previous one parked. `gmm_first`: the first `F_MM` request
+/// against a freshly prepared universe, prepare untimed — what is left
+/// of the seed scan once the build has done its part.
+fn prepare_cost(sizes: &[usize], gmm_n: usize, k: usize) {
+    println!("\n== group prepare ==");
+    let dis = Arc::new(NumericDistance {
+        attr: 0,
+        fallback: Ratio::ZERO,
+    });
+    let samples = if quick() { 1 } else { 7 };
+    let prepare = |universe: Vec<divr_relquery::Tuple>, rel: &TableRelevance| {
+        let t0 = Instant::now();
+        let prepared = PreparedUniverse::build_shared(universe, rel, dis.clone(), Ratio::new(1, 2), 2);
+        prepared.check_finite().expect("finite workload");
+        (t0.elapsed(), prepared)
+    };
+    let median = |mut times: Vec<Duration>| {
+        times.sort_unstable();
+        times[times.len() / 2].as_nanos()
+    };
+    for &n in sizes {
+        let (universe, rel) = workload(n);
+        let held: Vec<_> = (0..samples).map(|_| prepare(universe.clone(), &rel)).collect();
+        println!(
+            "{:<40} {:>14}/iter   (median of {samples}, 2 threads, check_finite included)",
+            format!("prepare/fresh/{n}"),
+            fmt_ns(median(held.iter().map(|(t, _)| *t).collect())),
+        );
+        drop(held); // parks what the recycled samples take
+        let times = (0..samples).map(|_| prepare(universe.clone(), &rel).0).collect();
+        println!(
+            "{:<40} {:>14}/iter   (median of {samples}, 2 threads, check_finite included)",
+            format!("prepare/recycled/{n}"),
+            fmt_ns(median(times)),
+        );
+    }
+    let (universe, rel) = workload(gmm_n);
+    let mut scratch = SolveScratch::new();
+    let mut out = Vec::new();
+    let times = (0..samples)
+        .map(|_| {
+            let e = Engine::from_prepared(Arc::new(prepare(universe.clone(), &rel).1), 1);
+            let t0 = Instant::now();
+            assert!(e.gmm_max_min_into(k, &mut scratch, &mut out));
+            t0.elapsed()
+        })
+        .collect();
+    println!(
+        "{:<40} {:>14}/iter   (median of {samples}, prepare untimed)",
+        format!("gmm_first/{gmm_n}/k{k}"),
+        fmt_ns(median(times)),
+    );
+}
+
 /// Steady-state allocation counts: a warm engine + scratch serving
 /// through `serve_into` (reused output buffer) must allocate **zero**
 /// times per request.
@@ -236,6 +299,11 @@ fn hotpath(c: &mut Criterion) {
     cold_greedy(&sizes, &ks);
     warm_greedy(c, &sizes, &ks);
     mono_serving(&sizes, &ks);
+    if quick() {
+        prepare_cost(&[400], 400, 5);
+    } else {
+        prepare_cost(&[1000, 2000], 2000, 10);
+    }
     let (alloc_n, alloc_k) = if quick() { (400, 5) } else { (2000, 10) };
     allocation_counts(alloc_n, alloc_k);
 }

@@ -1,6 +1,12 @@
-//! The flat `f64` [`DistanceMatrix`], its thread-sharded fill with the
-//! fused max-sum seed scan, and the chunked map/reduce the argmax scans
-//! share.
+//! The flat `f64` [`DistanceMatrix`] — one thread-sharded fill with the
+//! hot-row scans fused into it (max-sum seed, GMM row bests, first
+//! non-finite distance), one cache-blocked mirror on the same workers —
+//! and the chunked map/reduce the argmax scans share.
+//!
+//! A cold build touches each cell once while it is hot: everything the
+//! prepared universe later wants from the whole triangle is read off a
+//! row right after a worker wrote it, so nothing re-streams the `n²`
+//! floats from memory before the first answer leaves.
 //!
 //! ## Recycled allocations
 //!
@@ -139,9 +145,145 @@ pub fn spare_buffers() -> (usize, usize) {
     (spare.len(), bytes)
 }
 
-/// One unit of the parallel matrix build: a row index, its `&mut` row
-/// slice, and (in fused-seed mode) the anchor's seed slot.
-type RowTask<'a> = (usize, &'a mut [f64], Option<&'a mut PairSeed>);
+/// One unit of the matrix fill: a row index, its `&mut` row slice, and
+/// (in fused mode) the slot the row's hot scans report into.
+type RowTask<'a> = (usize, &'a mut [f64], Option<&'a mut RowScan>);
+
+/// What one fused-build worker learns from row `i` while it is still
+/// cache-hot from being written.
+#[derive(Clone, Copy)]
+struct RowScan {
+    ms: PairSeed,
+    gmm: f64,
+    /// First `j > i` whose distance is `NaN`/`±∞`.
+    non_finite: Option<usize>,
+}
+
+/// Everything the fused build learned about the matrix it returns, one
+/// hot scan per row: the two per-anchor solver preambles and the
+/// finiteness verdict [`PreparedUniverse::check_finite`] answers from.
+///
+/// [`PreparedUniverse::check_finite`]: super::PreparedUniverse::check_finite
+pub(crate) struct RowScans {
+    /// Per-anchor max-sum seed ([`PairSeed::scan`]).
+    pub(super) ms: Vec<PairSeed>,
+    /// Per-anchor GMM row best ([`gmm_row_best`]).
+    pub(super) gmm: Vec<f64>,
+    /// The lexicographically first pair `i < j` whose distance is
+    /// non-finite. The lower triangle is a bit-copy of the upper and
+    /// the diagonal is `0.0`, so this is also the first bad cell of a
+    /// row-major scan of the whole matrix.
+    pub(super) non_finite: Option<(usize, usize)>,
+}
+
+/// Runs `work` on every task of every bucket — inline and in order when
+/// there is one bucket, one scoped worker per bucket otherwise. Every
+/// worker polls `deadline` (and a shared cancel flag, so one tripped
+/// worker stops the rest without each reading the clock) before each
+/// task: an abandoned run overshoots by at most one task per worker.
+fn run_dealt<T: Send>(
+    mut buckets: Vec<Vec<T>>,
+    deadline: Deadline,
+    work: impl Fn(T) + Sync,
+) -> Result<(), ServeError> {
+    let cancelled = AtomicBool::new(false);
+    let run = |bucket: Vec<T>| {
+        for task in bucket {
+            if cancelled.load(Ordering::Relaxed) {
+                return;
+            }
+            if deadline.exceeded() {
+                cancelled.store(true, Ordering::Relaxed);
+                return;
+            }
+            work(task);
+        }
+    };
+    if buckets.len() == 1 {
+        run(buckets.pop().expect("one bucket"));
+    } else {
+        std::thread::scope(|scope| {
+            let run = &run;
+            for bucket in buckets {
+                scope.spawn(move || run(bucket));
+            }
+        });
+    }
+    if cancelled.load(Ordering::Relaxed) {
+        return Err(ServeError::DeadlineExceeded);
+    }
+    Ok(())
+}
+
+/// One unit of the mirror: the index of a block's first row and the
+/// lower halves (columns `0..j` of row `j`) of its rows.
+type MirrorBlock<'a, 'b> = (usize, &'a mut [&'b mut [f64]]);
+
+/// Rows per mirror block and columns per tile: a 32 × 32 tile is 8 KB,
+/// so the staging copy below stays in L1 while it turns rows into
+/// columns.
+const MIRROR_TILE: usize = 32;
+
+/// Copies the strict upper triangle of the `n × n` matrix in `data`
+/// (rows `stride` apart) onto the lower one, and touches nothing else —
+/// not the diagonal, not the headroom.
+///
+/// Every row is split at its diagonal: the lower halves are `n`
+/// disjoint `&mut` destinations, the upper halves `n` shared sources
+/// of the same buffer. Destination rows are dealt round-robin to
+/// `workers` in blocks of [`MIRROR_TILE`] (inline when `workers == 1`)
+/// and each block is copied tile by tile through a stack buffer —
+/// source rows read contiguously into it, destination rows written
+/// contiguously out of it — so neither side of the copy strides
+/// through memory. The deadline is polled per block: an abandoned
+/// mirror overshoots by at most one block — `O(n)` cells — per worker.
+fn mirror_upper(
+    data: &mut [f64],
+    n: usize,
+    stride: usize,
+    workers: usize,
+    deadline: Deadline,
+) -> Result<(), ServeError> {
+    let (mut lower, upper): (Vec<&mut [f64]>, Vec<&[f64]>) = data
+        .chunks_mut(stride)
+        .take(n)
+        .enumerate()
+        .map(|(i, row)| {
+            let (lower, upper) = row.split_at_mut(i);
+            (lower, &*upper)
+        })
+        .unzip();
+    let mut buckets: Vec<Vec<MirrorBlock<'_, '_>>> = (0..workers).map(|_| Vec::new()).collect();
+    for (b, block) in lower.chunks_mut(MIRROR_TILE).enumerate() {
+        buckets[b % workers].push((b * MIRROR_TILE, block));
+    }
+    let upper = upper.as_slice();
+    // `block` holds the lower halves of rows `first..first + rows`; row
+    // j's is its columns `0..j`. Source row i starts at its diagonal,
+    // so cell `(i, j)` sits at offset `j − i` of `upper[i]`.
+    run_dealt(buckets, deadline, |(first, block)| {
+        let rows = block.len();
+        // Whole tiles left of the block's diagonal tile (`first` is a
+        // multiple of the tile edge): every cell is below the diagonal.
+        let mut staged = [[0.0f64; MIRROR_TILE]; MIRROR_TILE];
+        for tile in (0..first).step_by(MIRROR_TILE) {
+            for (line, (i, src)) in staged.iter_mut().zip((tile..).zip(&upper[tile..])) {
+                line[..rows].copy_from_slice(&src[first - i..first - i + rows]);
+            }
+            for (r, dst) in block.iter_mut().enumerate() {
+                for (cell, line) in dst[tile..tile + MIRROR_TILE].iter_mut().zip(&staged) {
+                    *cell = line[r];
+                }
+            }
+        }
+        // The diagonal tile: row j takes only the columns before j.
+        for (j, dst) in (first..).zip(block.iter_mut()) {
+            for ((i, cell), src) in (first..).zip(&mut dst[first..]).zip(&upper[first..]) {
+                *cell = src[j - i];
+            }
+        }
+    })
+}
 
 /// A precomputed, row-major `n × n` pairwise distance matrix in `f64`.
 ///
@@ -185,34 +327,44 @@ fn matrix_pad(n: usize) -> usize {
 
 impl DistanceMatrix {
     /// Builds the matrix for `universe` under `dis`, computing each
-    /// unordered pair once and mirroring. Row construction is spread
-    /// over `threads` workers (pass 1 to force a sequential build).
+    /// unordered pair once and mirroring. Row construction and (from
+    /// 1 MB of matrix up) the mirror are spread over `threads` workers
+    /// (pass 1 to force a sequential build). The same fill and mirror
+    /// as a prepared universe's fused build, without its row scans.
     pub fn build(universe: &[Tuple], dis: &(dyn Distance + Sync), threads: usize) -> Self {
         Self::try_build_with_seed(universe, dis, threads, None, Deadline::none())
             .expect("unbounded deadline cannot be exceeded")
             .0
     }
 
-    /// [`DistanceMatrix::build`], optionally **fusing** the max-sum
-    /// best-partner seed scan into the row fill: right after a worker
+    /// [`DistanceMatrix::build`], optionally **fusing** every scan that
+    /// needs the whole triangle into the row fill: right after a worker
     /// finishes row `i`'s upper-triangle entries — while those 8·(n−i)
     /// bytes are still cache-hot from being written — it scans the tail
-    /// for anchor `i`'s heaviest partner under [`ms_weight_f64`] with
-    /// `weights = (one_minus_lambda·rel, 2λ)`. A standalone seed pass
-    /// would re-stream the whole `O(n²)` triangle from memory; fused, it
-    /// rides the build's own sweep for a few percent of extra compute.
+    /// for
     ///
-    /// The build runs under a cooperative [`Deadline`], checked at **row
-    /// boundaries**: each worker polls the deadline (and a shared cancel
-    /// flag, so one tripped worker stops the rest) before filling the
-    /// next row. A row is `O(n)` work, so an abandoned build overshoots
-    /// its deadline by at most one row per worker. Returns
+    /// * anchor `i`'s heaviest partner under [`ms_weight_f64`]
+    ///   ([`PairSeed::scan`], the max-sum heap seed),
+    /// * anchor `i`'s best GMM seed value ([`gmm_row_best`]), and
+    /// * the first non-finite distance of the row,
+    ///
+    /// with `seed_weights = (rel, one_minus_lambda, lambda)`, and
+    /// returns them as [`RowScans`]. Standalone, each of the three would
+    /// re-stream the whole `O(n²)` triangle from memory; fused, they ride
+    /// the build's own sweep for a few percent of extra compute.
+    ///
+    /// The build runs under a cooperative [`Deadline`]: each fill worker
+    /// polls it (and a shared cancel flag, so one tripped worker stops
+    /// the rest) before the next **row**, each mirror worker before the
+    /// next **32-row block** of the lower triangle. Both are `O(n)`
+    /// work, so an abandoned build overshoots its deadline by at most
+    /// one row, then one block, per worker. Returns
     /// `Err(ServeError::DeadlineExceeded)` on abandonment — the
     /// partially filled matrix is dropped, never observed.
     ///
     /// The buffer is a parked allocation of exactly `stride²` elements
     /// when the free list has one (zeroed here, all of it), a fresh
-    /// `vec![0.0; …]` otherwise; the fill, mirror and seed scan below
+    /// `vec![0.0; …]` otherwise; the fill, mirror and row scans below
     /// cannot tell the difference.
     pub(crate) fn try_build_with_seed(
         universe: &[Tuple],
@@ -220,7 +372,7 @@ impl DistanceMatrix {
         threads: usize,
         seed_weights: Option<(&[f64], f64, f64)>, // (rel_f, one_minus, lam)
         deadline: Deadline,
-    ) -> Result<(Self, Option<Vec<PairSeed>>), ServeError> {
+    ) -> Result<(Self, Option<RowScans>), ServeError> {
         let n = universe.len();
         let stride = n + matrix_pad(n);
         let mut data = match take_spare(stride * stride) {
@@ -230,91 +382,64 @@ impl DistanceMatrix {
             }
             None => vec![0.0f64; stride * stride],
         };
-        let mut seed = seed_weights.map(|_| vec![PairSeed::NONE; n]);
-        if n == 0 {
-            return Ok((DistanceMatrix { n, stride, data }, seed));
-        }
         // Fills row i's strict upper triangle, then (fused mode) scans
-        // the still-hot tail for the anchor's best partner. Rows arrive
-        // stride-wide; everything past column `n` is headroom and stays
-        // zero.
-        let fill_row = |i: usize, row: &mut [f64], slot: Option<&mut PairSeed>| {
+        // the still-hot tail. Rows arrive stride-wide; everything past
+        // column `n` is headroom and stays zero.
+        let fill_row = |(i, row, slot): RowTask<'_>| {
             for (j, cell) in row[..n].iter_mut().enumerate().skip(i + 1) {
                 *cell = dis.dist_f64(&universe[i], &universe[j]);
             }
             if let (Some(slot), Some((rel, one_minus, lam))) = (slot, seed_weights) {
-                *slot = PairSeed::scan(i, rel, &row[..n], one_minus, lam);
+                let row = &row[..n];
+                let tail = &row[i + 1..];
+                // Branch-free first, which vectorizes; the search, which
+                // cannot, is never reached by a healthy row.
+                let poisoned = tail.iter().fold(false, |bad, d| bad | !d.is_finite());
+                *slot = RowScan {
+                    ms: PairSeed::scan(i, rel, row, one_minus, lam),
+                    gmm: gmm_row_best(i, rel, row, one_minus, lam),
+                    non_finite: poisoned
+                        .then(|| tail.iter().position(|d| !d.is_finite()))
+                        .flatten()
+                        .map(|off| i + 1 + off),
+                };
             }
         };
-        // Hand each bucket `RowTask` triples; `None` slots when the
-        // seed is not requested.
-        let mut seed_slots: Vec<Option<&mut PairSeed>> = match &mut seed {
-            Some(s) => s.iter_mut().map(Some).collect(),
-            None => (0..n).map(|_| None).collect(),
+        let unscanned = RowScan {
+            ms: PairSeed::NONE,
+            gmm: f64::NEG_INFINITY,
+            non_finite: None,
         };
-        // Deadline checkpoints sit at row boundaries; a shared flag
-        // fans one worker's trip out to the others without waiting for
-        // each to poll the clock independently.
-        let cancelled = AtomicBool::new(false);
-        if threads <= 1 || n * n < 4096 {
-            for ((i, row), slot) in data
-                .chunks_mut(stride)
-                .take(n)
-                .enumerate()
-                .zip(seed_slots.drain(..))
-            {
-                if deadline.exceeded() {
-                    return Err(ServeError::DeadlineExceeded);
-                }
-                fill_row(i, row, slot);
-            }
-        } else {
-            // Row i holds n−1−i entries of the strict upper triangle, so
-            // contiguous row batches would be badly imbalanced (the first
-            // thread would own almost half the work). Deal rows to the
-            // workers round-robin instead: each worker's share of the
-            // triangle is then within one row of even.
-            let mut buckets: Vec<Vec<RowTask<'_>>> = (0..threads).map(|_| Vec::new()).collect();
-            for ((i, row), slot) in data
-                .chunks_mut(stride)
-                .take(n)
-                .enumerate()
-                .zip(seed_slots.drain(..))
-            {
-                buckets[i % threads].push((i, row, slot));
-            }
-            std::thread::scope(|scope| {
-                let fill_row = &fill_row;
-                let cancelled = &cancelled;
-                for bucket in buckets {
-                    scope.spawn(move || {
-                        for (i, row, slot) in bucket {
-                            if cancelled.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            if deadline.exceeded() {
-                                cancelled.store(true, Ordering::Relaxed);
-                                return;
-                            }
-                            fill_row(i, row, slot);
-                        }
-                    });
-                }
-            });
-            if cancelled.load(Ordering::Relaxed) {
-                return Err(ServeError::DeadlineExceeded);
-            }
+        let mut scans = seed_weights.map(|_| vec![unscanned; n]);
+        // Row i holds n−1−i entries of the strict upper triangle, so
+        // contiguous row batches would be badly imbalanced (the first
+        // worker would own almost half the work). Deal rows round-robin
+        // instead: each worker's share is then within one row of even.
+        // A small matrix is filled inline — one bucket.
+        let workers = if n * n < 4096 { 1 } else { threads.max(1) };
+        let mut buckets: Vec<Vec<RowTask<'_>>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut slots = scans.iter_mut().flatten();
+        for (i, row) in data.chunks_mut(stride).take(n).enumerate() {
+            buckets[i % workers].push((i, row, slots.next()));
         }
-        // Mirror the strict upper triangle onto the lower one.
-        for i in 0..n {
-            if deadline.exceeded() {
-                return Err(ServeError::DeadlineExceeded);
-            }
-            for j in (i + 1)..n {
-                data[j * stride + i] = data[i * stride + j];
-            }
-        }
-        Ok((DistanceMatrix { n, stride, data }, seed))
+        run_dealt(buckets, deadline, fill_row)?;
+        // Below the free list's floor (1 MB) the copy is tens of µs and
+        // a spawn costs more: mirror inline. Above it, a worker needs a
+        // block to copy.
+        let workers = match data.len() < SPARE_MIN_LEN {
+            true => 1,
+            false => workers.min(n.div_ceil(MIRROR_TILE)),
+        };
+        mirror_upper(&mut data, n, stride, workers, deadline)?;
+        let scans = scans.map(|scans| RowScans {
+            ms: scans.iter().map(|s| s.ms).collect(),
+            gmm: scans.iter().map(|s| s.gmm).collect(),
+            non_finite: scans
+                .iter()
+                .enumerate()
+                .find_map(|(i, s)| s.non_finite.map(|j| (i, j))),
+        });
+        Ok((DistanceMatrix { n, stride, data }, scans))
     }
 
     /// Number of universe items.
@@ -454,6 +579,42 @@ pub(super) fn ms_weight_f64(one_minus: f64, lam: f64, ri: f64, rj: f64, dij: f64
     one_minus * (ri + rj) + lam * 2.0 * dij
 }
 
+/// The float GMM seed value of a pair,
+/// `(1−λ)·min(r_i, r_j) + λ·d(i,j)` — the `F_MM` value of `{i, j}`.
+///
+/// The one spelling of that expression: the fused build's row scan, its
+/// lazy rebuild, the insert repairs and the seed's tie-window re-scan
+/// all call it, so a row best, a repaired row best and a re-scanned
+/// pair compare bit for bit.
+#[inline(always)]
+pub(super) fn gmm_seed_f64(one_minus: f64, lam: f64, ri: f64, rj: f64, dij: f64) -> f64 {
+    one_minus * ri.min(rj) + lam * dij
+}
+
+/// `anchor`'s entry in the memoized GMM row-best preamble: the largest
+/// [`gmm_seed_f64`] over its partners `j > anchor`, from its full
+/// matrix `row` — the first partner's value, then a left-to-right
+/// strict-`>` scan. `-∞` when the anchor has no partner (the last
+/// item). The one scan behind the fused build and the lazy rebuild
+/// after a removal; the insert repair is one more iteration of it.
+#[inline]
+pub(super) fn gmm_row_best(anchor: usize, rel: &[f64], row: &[f64], one_minus: f64, lam: f64) -> f64 {
+    let ri = rel[anchor];
+    let mut values = rel[anchor + 1..]
+        .iter()
+        .zip(&row[anchor + 1..])
+        .map(|(rj, dij)| gmm_seed_f64(one_minus, lam, ri, *rj, *dij));
+    let Some(mut best) = values.next() else {
+        return f64::NEG_INFINITY;
+    };
+    for v in values {
+        if v > best {
+            best = v;
+        }
+    }
+    best
+}
+
 /// One anchor's entry in the memoized max-sum preamble: its heaviest
 /// partner `j > anchor` over the **full** universe, under
 /// [`ms_weight_f64`]. `partner == usize::MAX` means the anchor has no
@@ -553,8 +714,12 @@ mod tests {
                 let (mut recycled, recycled_seed) = build();
                 assert_eq!(recycled.data.as_ptr(), parked_at, "the build took the parked buffer");
                 assert_eq!(bits(&recycled), bits(&fresh), "threads {threads}, fused {fused}");
-                let seed_bits = |seed: Option<Vec<PairSeed>>| {
-                    seed.map(|s| s.iter().map(|p| (p.score.to_bits(), p.partner)).collect::<Vec<_>>())
+                let seed_bits = |scans: Option<RowScans>| {
+                    scans.map(|s| {
+                        let ms: Vec<_> = s.ms.iter().map(|p| (p.score.to_bits(), p.partner)).collect();
+                        let gmm: Vec<_> = s.gmm.iter().map(|v| v.to_bits()).collect();
+                        (ms, gmm, s.non_finite)
+                    })
                 };
                 assert_eq!(seed_bits(recycled_seed), seed_bits(fresh_seed));
                 // Inserts grow into the headroom, then past it (one
@@ -574,6 +739,39 @@ mod tests {
                 }
                 assert_eq!(bits(&recycled), bits(&fresh));
             }
+        }
+    }
+
+    #[test]
+    fn expired_deadline_stops_the_mirror_before_its_first_block() {
+        let (n, stride) = (70, 75);
+        let mut data = vec![0.0f64; stride * stride];
+        for i in 0..n {
+            for j in i + 1..n {
+                data[i * stride + j] = (i * n + j) as f64;
+            }
+        }
+        let filled = data.clone();
+        for workers in [1, 2, 3] {
+            let expired = Deadline::at(std::time::Instant::now());
+            assert_eq!(
+                mirror_upper(&mut data, n, stride, workers, expired),
+                Err(ServeError::DeadlineExceeded)
+            );
+            assert_eq!(data, filled, "{workers} workers: no block was copied");
+        }
+        // Unbounded, every worker count writes the same lower triangle
+        // and nothing else.
+        let mut mirrored = filled.clone();
+        for i in 0..n {
+            for j in 0..i {
+                mirrored[i * stride + j] = filled[j * stride + i];
+            }
+        }
+        for workers in [1, 2, 3] {
+            let mut data = filled.clone();
+            assert_eq!(mirror_upper(&mut data, n, stride, workers, Deadline::none()), Ok(()));
+            assert_eq!(data, mirrored, "{workers} workers");
         }
     }
 

@@ -70,9 +70,9 @@
 //!
 //! | Module | Holds |
 //! |---|---|
-//! | `matrix` | [`DistanceMatrix`], its fill with the fused max-sum seed scan, the free list dropped matrices park their allocation in ([`spare_buffers`]), the chunked map/reduce |
+//! | `matrix` | [`DistanceMatrix`], its fill with the fused hot-row scans (max-sum seed, GMM row bests, finiteness record), its tiled mirror, the free list dropped matrices park their allocation in ([`spare_buffers`]), the chunked map/reduce |
 //! | `ties` | float argmax with the [`F64_TIE_EPS`] window, exact tie resolution |
-//! | `prepared` | [`PreparedUniverse`] (build, memoized preambles, delta repair), [`DistOracle`] |
+//! | `prepared` | [`PreparedUniverse`] (build, memoized preambles and their lazy builders, delta repair), [`DistOracle`] |
 //! | `solve` | [`Engine`] and [`SolveScratch`] |
 //!
 //! The request, error and delta types live here.

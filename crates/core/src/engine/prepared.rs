@@ -2,8 +2,10 @@
 //! [`Engine`](super::Engine) — construction, the memoized solver
 //! preambles, and their `O(n)` repair under deltas.
 
-use super::matrix::{ms_weight_f64, DistanceMatrix, PairSeed};
-use super::ties::tie_threshold;
+use super::matrix::{
+    gmm_row_best, gmm_seed_f64, ms_weight_f64, par_map_reduce, DistanceMatrix, PairSeed,
+};
+use super::ties::{argmax_with_ties, resolve_pairs_exact, tie_threshold};
 use super::{tuple_approx_bytes, DeltaError, ScoreSource, ServeError};
 use crate::deadline::Deadline;
 use crate::distance::Distance;
@@ -75,12 +77,20 @@ impl Distance for DistOracle<'_> {
 /// [`PreparedUniverse::build_shared`] — is `Send + Sync` and is the unit
 /// the serving registry caches and evicts.
 pub struct PreparedUniverse<'a> {
-    pub(super) universe: Vec<Tuple>,
-    pub(super) dis: DistOracle<'a>,
-    pub(super) rel_exact: Vec<Ratio>,
-    pub(super) lambda: Ratio,
-    pub(super) rel: Vec<f64>,
-    pub(super) matrix: DistanceMatrix,
+    universe: Vec<Tuple>,
+    dis: DistOracle<'a>,
+    rel_exact: Vec<Ratio>,
+    lambda: Ratio,
+    // `(1 − λ, λ)` as floats ([`lambda_floats`]): the weights of every
+    // float score, derived once here and copied by every engine.
+    weights: (f64, f64),
+    rel: Vec<f64>,
+    matrix: DistanceMatrix,
+    // What the matrix build saw of `δ_dis`'s finiteness while each row
+    // was hot: `Some(verdict)` from construction until the first delta,
+    // `None` after one (the verdict no longer covers the matrix and
+    // `check_finite` goes back to scanning it).
+    built_finite: Option<Result<(), ServeError>>,
     // Lazily memoized k-independent solver preambles: the first request
     // that needs one pays for it, every later request against this
     // prepared universe (across engines and threads) reuses it. All
@@ -90,31 +100,47 @@ pub struct PreparedUniverse<'a> {
     // indices, breaking the lex/partner structure an O(n) repair would
     // need) and the next request rebuilds lazily from the patched
     // matrix.
-    pub(super) mono_scores: OnceLock<Vec<f64>>,
+    mono_scores: OnceLock<Vec<f64>>,
     // Per-item matrix row sums, memoized alongside the mono scores so
     // an insert can repair them in O(n) (`dsum += col[i]`) instead of
     // re-streaming the whole matrix.
-    pub(super) mono_dsums: OnceLock<Vec<f64>>,
+    mono_dsums: OnceLock<Vec<f64>>,
     // The same sums exactly, when the oracle is a key column: what the
     // exact mono re-score reads instead of n oracle calls per winner,
     // and what seeds `mono_dsums` when every sum is below 2^53.
-    pub(super) mono_sums: MonoSums,
-    pub(super) gmm_seed: OnceLock<Option<(usize, usize)>>,
+    mono_sums: MonoSums,
+    // Per-anchor best GMM seed value over the partners j > i
+    // ([`gmm_row_best`]): what the seed pair below is resolved from, so
+    // the first `F_MM` request reads n − 1 floats instead of the
+    // triangle. Built with the matrix, like `ms_seed`.
+    gmm_rows: OnceLock<Vec<f64>>,
+    // The seed pair itself — resolved (exactly, through the oracle)
+    // only when `F_MM` is first asked.
+    gmm_seed: OnceLock<Option<(usize, usize)>>,
     // Per-anchor best-partner seed for the max-sum lazy heap: anchor i's
     // heaviest partner j > i over the full universe. O(n²) to build
     // (thread-sharded), O(n) to heapify per request — so warm-registry
     // F_MS requests skip the quadratic scan entirely.
-    pub(super) ms_seed: OnceLock<Vec<PairSeed>>,
+    ms_seed: OnceLock<Vec<PairSeed>>,
     // How many times `ms_seed` has been built (observable proof that
     // the OnceLock makes the preamble at-most-once under concurrency).
-    pub(super) preamble_builds: AtomicUsize,
+    preamble_builds: AtomicUsize,
+}
+
+/// `(1 − λ, λ)` in `f64` — the one derivation of the two float weights:
+/// [`PreparedUniverse`] stores the result at construction and
+/// [`Engine::from_prepared`](super::Engine::from_prepared) copies it, so
+/// the fused build scans, the delta repairs and every solver round
+/// weigh with the same two floats.
+fn lambda_floats(lambda: Ratio) -> (f64, f64) {
+    ((Ratio::ONE - lambda).to_f64(), lambda.to_f64())
 }
 
 /// The float mono score from its memoized parts: the **single**
 /// expression both the fresh preamble pass and the insert repair
 /// evaluate, so repaired scores are bit-identical to from-scratch ones.
 #[inline(always)]
-pub(super) fn mono_score_from_dsum(one_minus: f64, lam: f64, rel: f64, dsum: f64, n: usize) -> f64 {
+fn mono_score_from_dsum(one_minus: f64, lam: f64, rel: f64, dsum: f64, n: usize) -> f64 {
     let rel_part = one_minus * rel;
     if n <= 1 || lam == 0.0 {
         return rel_part;
@@ -176,35 +202,45 @@ impl<'a> PreparedUniverse<'a> {
             "one relevance score per universe item"
         );
         let rel_f: Vec<f64> = rel_exact.iter().map(Ratio::to_f64).collect();
-        // The max-sum heap seed is fused into the matrix build: the
-        // same float weights the solvers use ([`ms_weight_f64`] with
-        // exactly the λ floats [`Engine::from_prepared`] derives), each
-        // row scanned while cache-hot from being written — a standalone
-        // seed pass would cost a second full sweep of the triangle.
-        let lam = lambda.to_f64();
-        let one_minus = (Ratio::ONE - lambda).to_f64();
-        let weights = Some((rel_f.as_slice(), one_minus, lam));
-        let (matrix, seed) =
-            DistanceMatrix::try_build_with_seed(&universe, dis.inner(), threads.max(1), weights, deadline)?;
-        let ms_seed = OnceLock::new();
-        let preamble_builds = AtomicUsize::new(0);
-        if let Some(seed) = seed {
-            let _ = ms_seed.set(seed);
-            preamble_builds.store(1, Ordering::Relaxed);
-        }
+        // Everything that needs the whole triangle is fused into the
+        // matrix build — the max-sum heap seed, the GMM row bests and
+        // the finiteness verdict, under the float weights the solvers
+        // use — each row scanned while cache-hot from being written: a
+        // standalone pass would cost a second full sweep each.
+        let weights = lambda_floats(lambda);
+        let (one_minus, lam) = weights;
+        let (matrix, scans) = DistanceMatrix::try_build_with_seed(
+            &universe,
+            dis.inner(),
+            threads.max(1),
+            Some((rel_f.as_slice(), one_minus, lam)),
+            deadline,
+        )?;
+        let scans = scans.expect("asked for with the weights");
+        let built_finite = match scans.non_finite {
+            Some((i, j)) => Err(ServeError::NonFiniteScore {
+                source: ScoreSource::Distance,
+                i,
+                j,
+            }),
+            None => Ok(()),
+        };
         Ok(PreparedUniverse {
             universe,
             dis,
             rel_exact,
             lambda,
+            weights,
             rel: rel_f,
             matrix,
+            built_finite: Some(built_finite),
             mono_scores: OnceLock::new(),
             mono_dsums: OnceLock::new(),
             mono_sums: MonoSums::default(),
+            gmm_rows: OnceLock::from(scans.gmm),
             gmm_seed: OnceLock::new(),
-            ms_seed,
-            preamble_builds,
+            ms_seed: OnceLock::from(scans.ms),
+            preamble_builds: AtomicUsize::new(1),
         })
     }
 
@@ -276,16 +312,31 @@ impl<'a> PreparedUniverse<'a> {
     }
 
     /// The precomputed distance matrix.
+    #[inline]
     pub fn matrix(&self) -> &DistanceMatrix {
         &self.matrix
     }
 
+    /// The float relevance cache the argmax rounds read, by item.
+    #[inline]
+    pub(super) fn rel_f64(&self) -> &[f64] {
+        &self.rel
+    }
+
+    /// `(1 − λ, λ)` as the floats every score of this universe is
+    /// weighed with (`lambda_floats`, derived once at construction).
+    pub(super) fn weights(&self) -> (f64, f64) {
+        self.weights
+    }
+
     /// Exact relevance of item `i` (from the construction-time cache).
+    #[inline]
     pub fn rel_of(&self, i: usize) -> Ratio {
         self.rel_exact[i]
     }
 
     /// The construction-time exact relevance cache, indexed by item.
+    #[inline]
     pub fn relevances(&self) -> &[Ratio] {
         &self.rel_exact
     }
@@ -304,11 +355,11 @@ impl<'a> PreparedUniverse<'a> {
     /// registry's byte budget meters: the matrix **as allocated**
     /// (stride headroom included), the relevance caches, tuple payloads
     /// (estimated at one word per attribute value), the `O(n)` memoized
-    /// solver preambles (the max-sum heap seed, materialized during the
-    /// matrix build, plus the mono scores, row sums and exact key-column
-    /// sums, populated by the first `F_mono` request — all charged up
-    /// front because they stay resident for the cache entry's
-    /// lifetime), **and** the
+    /// solver preambles (the max-sum heap seed and the GMM row bests,
+    /// materialized during the matrix build, plus the mono scores, row
+    /// sums and exact key-column sums, populated by the first `F_mono`
+    /// request — all charged up front because they stay resident for
+    /// the cache entry's lifetime), **and** the
     /// retained distance oracle ([`Distance::approx_bytes`]) — a
     /// table-backed oracle's pair map can dwarf the float matrix, and
     /// it stays alive as long as this prepared universe does.
@@ -317,7 +368,7 @@ impl<'a> PreparedUniverse<'a> {
         let tuples: usize = self.universe.iter().map(tuple_approx_bytes).sum();
         self.matrix.approx_bytes()
             + n * (std::mem::size_of::<Ratio>() + std::mem::size_of::<f64>())
-            + n * (2 * std::mem::size_of::<f64>()
+            + n * (3 * std::mem::size_of::<f64>()
                 + MonoSums::BYTES_PER_ITEM
                 + std::mem::size_of::<PairSeed>())
             + tuples
@@ -331,8 +382,17 @@ impl<'a> PreparedUniverse<'a> {
     /// comparison is `false`, so a poisoned candidate can masquerade as
     /// the maximum or hide from it); serving layers call this once at
     /// prepare time and refuse the universe with the typed diagnosis
-    /// instead. `O(n²)` float compares — a few percent of the build
-    /// cost, and only ever paid when the universe is (re)prepared.
+    /// instead.
+    ///
+    /// `O(n)` on a universe as built: the relevance scan, then the
+    /// verdict the matrix build recorded while each row was hot — the
+    /// first non-finite pair `i < j`, which is the first bad cell of a
+    /// row-major scan (the lower triangle is a bit-copy of the upper,
+    /// the diagonal `0.0`). A delta drops that record
+    /// ([`PreparedUniverse::insert_tuple`],
+    /// [`PreparedUniverse::remove_tuple`] — they validate through
+    /// [`PreparedUniverse::check_finite_item`]) and this goes back to
+    /// the `O(n²)` scan, with the same answer either way.
     pub fn check_finite(&self) -> Result<(), ServeError> {
         if let Some(i) = self.rel.iter().position(|r| !r.is_finite()) {
             return Err(ServeError::NonFiniteScore {
@@ -340,6 +400,9 @@ impl<'a> PreparedUniverse<'a> {
                 i,
                 j: i,
             });
+        }
+        if let Some(verdict) = self.built_finite {
+            return verdict;
         }
         for i in 0..self.n() {
             let row = self.matrix.row(i);
@@ -405,6 +468,8 @@ impl<'a> PreparedUniverse<'a> {
     ///   fold; scores are recomputed from the repaired sums through the
     ///   shared `mono_score_from_dsum` expression; the exact
     ///   key-column sums gain `|k_i − k_new|` each, in integers;
+    /// * GMM row bests — the new pair `(i, n)` is one more strict-`>`
+    ///   iteration of each anchor's `gmm_row_best` scan;
     /// * GMM seed — the new pairs `(i, n)` are scanned with the same
     ///   float filter + exact-`Ratio` resolution as the from-scratch
     ///   seed, and the partition winner is compared exactly against the
@@ -420,10 +485,12 @@ impl<'a> PreparedUniverse<'a> {
             .map(|t| self.dis.dist_f64(t, &tuple))
             .collect();
         self.matrix.push_item(&col);
+        self.built_finite = None;
         if rel_new.is_finite() && col.iter().all(|d| d.is_finite()) {
             self.repair_ms_seed_insert(&col, rel_new);
             self.repair_mono_insert(&col, rel_new);
             self.mono_sums.repair_insert(&self.dis, &tuple);
+            self.repair_gmm_rows_insert(&col, rel_new);
             self.repair_gmm_seed_insert(&col, &tuple, rel, rel_new);
         } else {
             // Non-finite scores do not order, so no repair can match a
@@ -454,6 +521,7 @@ impl<'a> PreparedUniverse<'a> {
         let removed = self.universe.swap_remove(index);
         self.rel_exact.swap_remove(index);
         self.rel.swap_remove(index);
+        self.built_finite = None;
         self.invalidate_preambles();
         Ok(removed)
     }
@@ -464,6 +532,7 @@ impl<'a> PreparedUniverse<'a> {
         self.mono_scores = OnceLock::new();
         self.mono_dsums = OnceLock::new();
         self.mono_sums.invalidate();
+        self.gmm_rows = OnceLock::new();
         self.gmm_seed = OnceLock::new();
         self.ms_seed = OnceLock::new();
     }
@@ -475,8 +544,7 @@ impl<'a> PreparedUniverse<'a> {
     /// The new anchor `n` has no partner `j > n` yet.
     fn repair_ms_seed_insert(&mut self, col: &[f64], rel_new: f64) {
         let n = self.universe.len();
-        let lam = self.lambda.to_f64();
-        let one_minus = (Ratio::ONE - self.lambda).to_f64();
+        let (one_minus, lam) = self.weights;
         let rel = &self.rel;
         let Some(seed) = self.ms_seed.get_mut() else {
             return;
@@ -507,8 +575,7 @@ impl<'a> PreparedUniverse<'a> {
         }
         dsums.push(self.matrix.row(n_old).iter().sum());
         let n_new = n_old + 1;
-        let lam = self.lambda.to_f64();
-        let one_minus = (Ratio::ONE - self.lambda).to_f64();
+        let (one_minus, lam) = self.weights;
         let rel = &self.rel;
         let dsums = self.mono_dsums.get().expect("repaired above");
         if let Some(scores) = self.mono_scores.get_mut() {
@@ -522,6 +589,27 @@ impl<'a> PreparedUniverse<'a> {
         }
     }
 
+    /// Insert repair of the GMM row bests (when populated): the pair
+    /// `(i, n)` is one more candidate for every anchor — a strict `>`
+    /// update, identical to `gmm_row_best` reaching `j = n` as its
+    /// final iteration (the old last anchor's `-∞` takes its first
+    /// partner's value, finite by the caller's check). The new anchor
+    /// `n` has no partner `j > n` yet.
+    fn repair_gmm_rows_insert(&mut self, col: &[f64], rel_new: f64) {
+        let (one_minus, lam) = self.weights;
+        let rel = &self.rel;
+        let Some(rows) = self.gmm_rows.get_mut() else {
+            return;
+        };
+        for ((best, &ri), &din) in rows.iter_mut().zip(rel).zip(col) {
+            let v = gmm_seed_f64(one_minus, lam, ri, rel_new, din);
+            if v > *best {
+                *best = v;
+            }
+        }
+        rows.push(f64::NEG_INFINITY);
+    }
+
     /// Insert repair of the GMM seed pair (when populated): only the
     /// pairs `(i, n)` are new, so their partition champion — float
     /// filter, exact-`Ratio` resolution, lowest anchor on exact ties,
@@ -532,8 +620,7 @@ impl<'a> PreparedUniverse<'a> {
     /// anchors, matching the from-scratch lex rule.
     fn repair_gmm_seed_insert(&mut self, col: &[f64], tuple: &Tuple, rel_exact_new: Ratio, rel_new: f64) {
         let n = self.universe.len();
-        let lam = self.lambda.to_f64();
-        let one_minus = (Ratio::ONE - self.lambda).to_f64();
+        let (one_minus, lam) = self.weights;
         let one_minus_exact = Ratio::ONE - self.lambda;
         // Split borrows up front: the closure below reads universe /
         // rel_exact / dis while `seed` mutably borrows only `gmm_seed`.
@@ -552,7 +639,7 @@ impl<'a> PreparedUniverse<'a> {
         // window; same per-pair expression as `best_seed_pair`.
         let mut best = f64::NEG_INFINITY;
         for (&ri, &d) in rel_f.iter().zip(col) {
-            let v = one_minus * ri.min(rel_new) + lam * d;
+            let v = gmm_seed_f64(one_minus, lam, ri, rel_new, d);
             if v > best {
                 best = v;
             }
@@ -564,7 +651,7 @@ impl<'a> PreparedUniverse<'a> {
         };
         let mut winner: Option<(usize, Ratio)> = None;
         for (i, (&ri, &d)) in rel_f.iter().zip(col).enumerate() {
-            if one_minus * ri.min(rel_new) + lam * d >= thr {
+            if gmm_seed_f64(one_minus, lam, ri, rel_new, d) >= thr {
                 let v = exact_of(i);
                 if winner.as_ref().is_none_or(|(_, w)| v > *w) {
                     winner = Some((i, v));
@@ -588,6 +675,123 @@ impl<'a> PreparedUniverse<'a> {
         }
     }
 
+    /// Float mono scores of all items — k-independent, so computed once
+    /// per prepared universe and memoized (warm-cache mono requests
+    /// skip straight to the top-k cut). The per-row distance sums are
+    /// memoized separately (`mono_dsums`) because they are what
+    /// [`PreparedUniverse::insert_tuple`] repairs in `O(n)`; both the
+    /// fresh path here and the repair path derive the score through the
+    /// same `mono_score_from_dsum` expression, keeping them
+    /// bit-identical.
+    ///
+    /// The sums are one linear fold per matrix row, `O(n²)` — unless
+    /// the oracle is a key column whose exact sums all stay below 2^53:
+    /// then the `O(n log n)` integer sums convert to the very same
+    /// floats ([`KeySums::to_f64_exact`](crate::mono_exact::KeySums)).
+    pub(super) fn mono_scores_f64(&self) -> &[f64] {
+        self.mono_scores.get_or_init(|| {
+            let n = self.n();
+            let dsums = self.mono_dsums.get_or_init(|| {
+                self.mono_sums
+                    .get_or_build(&self.dis, &self.universe)
+                    .and_then(|sums| sums.to_f64_exact())
+                    .unwrap_or_else(|| (0..n).map(|i| self.matrix.row(i).iter().sum()).collect())
+            });
+            let (one_minus, lam) = self.weights;
+            self.rel
+                .iter()
+                .zip(dsums)
+                .map(|(&r, &d)| mono_score_from_dsum(one_minus, lam, r, d, n))
+                .collect()
+        })
+    }
+
+    /// The memoized max-sum preamble: every anchor's best full-universe
+    /// partner. Normally populated at construction (fused into the
+    /// matrix build, where every row is scanned cache-hot); the
+    /// `get_or_init` fallback (the first `F_MS` request after a removal
+    /// dropped it) rebuilds it from the finished matrix with the same
+    /// [`PairSeed::scan`]. Every `F_MS` request heapifies the seed in
+    /// `O(n)`.
+    pub(super) fn ms_seed(&self) -> &[PairSeed] {
+        self.ms_seed.get_or_init(|| {
+            self.preamble_builds.fetch_add(1, Ordering::Relaxed);
+            let (one_minus, lam) = self.weights;
+            (0..self.n())
+                .map(|i| PairSeed::scan(i, &self.rel, self.matrix.row(i), one_minus, lam))
+                .collect()
+        })
+    }
+
+    /// The memoized GMM row bests. Like [`PreparedUniverse::ms_seed`]:
+    /// populated at construction by the fused build, and rebuilt here —
+    /// from the finished matrix, with the same [`gmm_row_best`], rows
+    /// sharded over `threads` — by the first `F_MM` request after a
+    /// removal dropped them.
+    fn gmm_rows(&self, threads: usize) -> &[f64] {
+        self.gmm_rows.get_or_init(|| {
+            let n = self.n();
+            let (one_minus, lam) = self.weights;
+            let scan = |rows: std::ops::Range<usize>| -> Option<Vec<f64>> {
+                Some(
+                    rows.map(|i| gmm_row_best(i, &self.rel, self.matrix.row(i), one_minus, lam))
+                        .collect(),
+                )
+            };
+            let concat = |mut left: Vec<f64>, right: Vec<f64>| {
+                left.extend(right);
+                left
+            };
+            par_map_reduce(n, threads, n / 2 + 1, scan, concat).unwrap_or_default()
+        })
+    }
+
+    /// The GMM seed pair `argmax (1−λ)·min(rel) + λ·dist`,
+    /// lexicographically first on ties; `None` below two items.
+    /// k-independent, so memoized: warm `F_MM` requests skip straight
+    /// to the rounds.
+    ///
+    /// Resolved **lazily**, from the row bests the build left behind:
+    /// the float argmax with its tie window runs over `n − 1` stored
+    /// floats, only the tied anchors' rows are re-scanned for the tied
+    /// pairs, and only those pairs reach the exact oracle. On an
+    /// all-tied universe (the paper's reduction gadgets) that last step
+    /// is `O(n²)` exact distances — paid when `F_MM` is first asked,
+    /// never by a universe that is not asked.
+    pub(super) fn gmm_seed(&self, threads: usize) -> Option<(usize, usize)> {
+        *self.gmm_seed.get_or_init(|| self.best_seed_pair(threads))
+    }
+
+    fn best_seed_pair(&self, threads: usize) -> Option<(usize, usize)> {
+        let n = self.n();
+        if n < 2 {
+            return None;
+        }
+        let rows = self.gmm_rows(threads);
+        // n − 1 loads: cheaper inline than any spawn.
+        let anchors = argmax_with_ties(n - 1, 1, 1, &|i| Some(rows[i]))?;
+        let best = anchors
+            .iter()
+            .map(|t| t.score)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let thr = tie_threshold(best);
+        let (one_minus, lam) = self.weights;
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        for t in &anchors {
+            let i = t.index;
+            let (ri, row) = (self.rel[i], self.matrix.row(i));
+            for (j, (&rj, &dij)) in self.rel.iter().zip(row).enumerate().skip(i + 1) {
+                if gmm_seed_f64(one_minus, lam, ri, rj, dij) >= thr {
+                    pairs.push((i, j));
+                }
+            }
+        }
+        let one_minus = Ratio::ONE - self.lambda;
+        Some(resolve_pairs_exact(&mut pairs, |i, j| {
+            one_minus * self.rel_exact[i].min(self.rel_exact[j]) + self.lambda * self.dist_of(i, j)
+        }))
+    }
+
     /// A private deep copy — matrix, caches, and every memoized
     /// preamble in whatever population state they are in. This is how
     /// the serving registry turns a *shared* warm entry into a mutable
@@ -601,10 +805,13 @@ impl<'a> PreparedUniverse<'a> {
             rel: self.rel.clone(),
             dis: self.dis.clone_ref(),
             lambda: self.lambda,
+            weights: self.weights,
             matrix: self.matrix.clone(),
+            built_finite: self.built_finite,
             mono_scores: self.mono_scores.clone(),
             mono_dsums: self.mono_dsums.clone(),
             mono_sums: self.mono_sums.clone(),
+            gmm_rows: self.gmm_rows.clone(),
             gmm_seed: self.gmm_seed.clone(),
             ms_seed: self.ms_seed.clone(),
             preamble_builds: AtomicUsize::new(self.preamble_builds.load(Ordering::Relaxed)),
@@ -643,6 +850,14 @@ impl<'a> PreparedUniverse<'a> {
     /// sub-2-item universe with no pair to seed from).
     pub fn gmm_preamble(&self) -> Option<Option<(usize, usize)>> {
         self.gmm_seed.get().copied()
+    }
+
+    /// The memoized GMM row bests, if populated: anchor `i`'s largest
+    /// float seed value `(1−λ)·min(r_i, r_j) + λ·d(i,j)` over `j > i`
+    /// (`-∞` for the last item, which has no such partner). Built with
+    /// the matrix, repaired by inserts, dropped by removals.
+    pub fn gmm_rows_preamble(&self) -> Option<&[f64]> {
+        self.gmm_rows.get().map(Vec::as_slice)
     }
 
     /// The memoized max-sum seed as `(score, partner)` pairs, if

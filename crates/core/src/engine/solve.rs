@@ -1,11 +1,11 @@
 //! The [`Engine`] solvers — lazy-heap `F_MS` greedy, GMM for `F_MM`,
 //! `F_mono` top-k — and the reusable [`SolveScratch`] they run in.
 
-use super::matrix::{ms_weight_f64, DistanceMatrix, PairSeed};
-use super::prepared::{mono_score_from_dsum, score_relevance, DistOracle, PreparedUniverse};
+use super::matrix::{ms_weight_f64, DistanceMatrix};
+use super::prepared::{score_relevance, DistOracle, PreparedUniverse};
 use super::ties::{
-    argmax_with_ties, argmax_with_ties_into, resolve_pairs_exact, resolve_ties_exact,
-    tie_threshold, TieCandidate, F64_TIE_EPS,
+    argmax_with_ties_into, resolve_pairs_exact, resolve_ties_exact, tie_threshold, TieCandidate,
+    F64_TIE_EPS,
 };
 use super::{default_threads, EngineRequest, ServeError};
 use crate::approx::ms_pair_weight_parts;
@@ -17,7 +17,6 @@ use crate::ratio::Ratio;
 use crate::relevance::Relevance;
 use divr_relquery::Tuple;
 use std::collections::BinaryHeap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A live lazy-heap entry: `score = w(anchor, partner)`, where
@@ -170,11 +169,11 @@ impl<'a> Engine<'a> {
     /// evaluation, no matrix build — the skip-straight-to-solving path
     /// the serving registry takes on a cache hit.
     pub fn from_prepared(prepared: Arc<PreparedUniverse<'a>>, threads: usize) -> Self {
-        let lambda = prepared.lambda;
+        let (one_minus, lam) = prepared.weights();
         Engine {
             prepared,
-            lam: lambda.to_f64(),
-            one_minus: (Ratio::ONE - lambda).to_f64(),
+            lam,
+            one_minus,
             threads: threads.max(1),
             deadline: Deadline::none(),
         }
@@ -213,12 +212,12 @@ impl<'a> Engine<'a> {
 
     /// The trade-off parameter λ.
     pub fn lambda(&self) -> Ratio {
-        self.prepared.lambda
+        self.prepared.lambda()
     }
 
     /// The precomputed distance matrix.
     pub fn matrix(&self) -> &DistanceMatrix {
-        &self.prepared.matrix
+        self.prepared.matrix()
     }
 
     /// Worker threads used for per-round argmax scans.
@@ -228,7 +227,7 @@ impl<'a> Engine<'a> {
 
     /// Exact relevance of item `i` (from the construction-time cache).
     pub fn rel_of(&self, i: usize) -> Ratio {
-        self.prepared.rel_exact[i]
+        self.prepared.relevances()[i]
     }
 
     /// Exact distance between items `i` and `j` (through the oracle —
@@ -241,7 +240,7 @@ impl<'a> Engine<'a> {
     pub fn tuples_of(&self, subset: &[usize]) -> Vec<Tuple> {
         subset
             .iter()
-            .map(|&i| self.prepared.universe[i].clone())
+            .map(|&i| self.prepared.universe()[i].clone())
             .collect()
     }
 
@@ -255,63 +254,14 @@ impl<'a> Engine<'a> {
             .expect("unbounded deadline cannot be exceeded")
     }
 
-    /// Float mono scores of all items — k-independent, so computed once
-    /// per prepared universe and memoized (warm-cache mono requests
-    /// skip straight to the top-k cut). The per-row distance sums are
-    /// memoized separately (`mono_dsums`) because they are what
-    /// [`PreparedUniverse::insert_tuple`] repairs in `O(n)`; both the
-    /// fresh path here and the repair path derive the score through the
-    /// same [`mono_score_from_dsum`] expression, keeping them
-    /// bit-identical.
-    ///
-    /// The sums are one linear fold per matrix row, `O(n²)` — unless
-    /// the oracle is a key column whose exact sums all stay below 2^53:
-    /// then the `O(n log n)` integer sums convert to the very same
-    /// floats ([`KeySums::to_f64_exact`](crate::mono_exact::KeySums)).
-    fn mono_scores_f64(&self) -> &[f64] {
-        self.prepared.mono_scores.get_or_init(|| {
-            let p = &*self.prepared;
-            let n = self.n();
-            let dsums = p.mono_dsums.get_or_init(|| {
-                p.mono_sums
-                    .get_or_build(&p.dis, &p.universe)
-                    .and_then(|sums| sums.to_f64_exact())
-                    .unwrap_or_else(|| (0..n).map(|i| p.matrix.row(i).iter().sum()).collect())
-            });
-            self.prepared
-                .rel
-                .iter()
-                .zip(dsums)
-                .map(|(&r, &d)| mono_score_from_dsum(self.one_minus, self.lam, r, d, n))
-                .collect()
-        })
-    }
-
     /// Argmax of relevance with lowest-index tie-break (the `k = 1` rule
     /// of [`crate::approx`]), into a scratch tie buffer.
     fn most_relevant_with(&self, ties: &mut Vec<TieCandidate>) -> Option<usize> {
-        if !argmax_with_ties_into(self.n(), self.threads, 1, &|i| Some(self.prepared.rel[i]), ties)
+        if !argmax_with_ties_into(self.n(), self.threads, 1, &|i| Some(self.prepared.rel_f64()[i]), ties)
         {
             return None;
         }
-        Some(resolve_ties_exact(ties, |i| self.prepared.rel_exact[i]))
-    }
-
-    /// The memoized max-sum preamble: every anchor's best full-universe
-    /// partner. Normally populated at construction (fused into the
-    /// matrix build, where every row is scanned cache-hot); the
-    /// `get_or_init` fallback (the first `F_MS` request after a removal
-    /// dropped it) rebuilds it from the finished matrix with the same
-    /// [`PairSeed::scan`]. Every `F_MS` request heapifies the seed in
-    /// `O(n)`.
-    fn ms_seed(&self) -> &[PairSeed] {
-        let p = &*self.prepared;
-        p.ms_seed.get_or_init(|| {
-            p.preamble_builds.fetch_add(1, Ordering::Relaxed);
-            (0..p.n())
-                .map(|i| PairSeed::scan(i, &p.rel, p.matrix.row(i), self.one_minus, self.lam))
-                .collect()
-        })
+        Some(resolve_ties_exact(ties, |i| self.prepared.relevances()[i]))
     }
 
     /// Greedy pair-picking for `F_MS`, float path with exact tie
@@ -358,7 +308,7 @@ impl<'a> Engine<'a> {
         // Heapify the memoized seed (O(n)) into the scratch-owned
         // storage; `BinaryHeap::from` is linear and allocation-free on
         // a warmed buffer.
-        let seed = self.ms_seed();
+        let seed = self.prepared.ms_seed();
         let mut storage = std::mem::take(&mut scratch.heap);
         storage.clear();
         storage.extend(seed.iter().enumerate().filter_map(|(i, s)| {
@@ -439,11 +389,11 @@ impl<'a> Engine<'a> {
             for e in fresh.iter() {
                 if e.score >= thr {
                     let i = e.anchor;
-                    let ri = self.prepared.rel[i];
-                    let row = self.prepared.matrix.row(i);
+                    let ri = self.prepared.rel_f64()[i];
+                    let row = self.prepared.matrix().row(i);
                     for &j in avail.as_slice() {
                         if j > i
-                            && ms_weight_f64(self.one_minus, self.lam, ri, self.prepared.rel[j], row[j])
+                            && ms_weight_f64(self.one_minus, self.lam, ri, self.prepared.rel_f64()[j], row[j])
                                 >= thr
                         {
                             pairs.push((i, j));
@@ -473,17 +423,17 @@ impl<'a> Engine<'a> {
                 if !avail.contains(t) {
                     return None;
                 }
-                let row = self.prepared.matrix.row(t);
+                let row = self.prepared.matrix().row(t);
                 let d2: f64 = chosen.iter().map(|&s| row[s]).sum::<f64>() * 2.0;
-                Some(self.one_minus * (k_i - 1) as f64 * self.prepared.rel[t] + self.lam * d2)
+                Some(self.one_minus * (k_i - 1) as f64 * self.prepared.rel_f64()[t] + self.lam * d2)
             };
             if !argmax_with_ties_into(n, self.threads, k, &eval, ties) {
                 return false;
             }
-            let one_minus = Ratio::ONE - self.prepared.lambda;
+            let one_minus = Ratio::ONE - self.prepared.lambda();
             let winner = resolve_ties_exact(ties, |t| {
-                one_minus.scale(k_i - 1) * self.prepared.rel_exact[t]
-                    + self.prepared.lambda
+                one_minus.scale(k_i - 1) * self.prepared.relevances()[t]
+                    + self.prepared.lambda()
                         * chosen
                             .iter()
                             .map(|&s| self.dist_of(s, t))
@@ -500,13 +450,13 @@ impl<'a> Engine<'a> {
     /// set (`O(m)`), for re-insertion into the lazy heap. `None` once no
     /// partner `j > anchor` remains.
     fn rescan_anchor(&self, anchor: usize, avail: &IndexSet) -> Option<HeapEntry> {
-        let ri = self.prepared.rel[anchor];
-        let row = self.prepared.matrix.row(anchor);
+        let ri = self.prepared.rel_f64()[anchor];
+        let row = self.prepared.matrix().row(anchor);
         let mut best = f64::NEG_INFINITY;
         let mut partner = usize::MAX;
         for &j in avail.as_slice() {
             if j > anchor {
-                let w = ms_weight_f64(self.one_minus, self.lam, ri, self.prepared.rel[j], row[j]);
+                let w = ms_weight_f64(self.one_minus, self.lam, ri, self.prepared.rel_f64()[j], row[j]);
                 if w > best || (w == best && j < partner) {
                     best = w;
                     partner = j;
@@ -522,9 +472,9 @@ impl<'a> Engine<'a> {
 
     fn exact_ms_pair_weight(&self, i: usize, j: usize) -> Ratio {
         ms_pair_weight_parts(
-            self.prepared.lambda,
-            self.prepared.rel_exact[i],
-            self.prepared.rel_exact[j],
+            self.prepared.lambda(),
+            self.prepared.relevances()[i],
+            self.prepared.relevances()[j],
             self.dist_of(i, j),
         )
     }
@@ -565,8 +515,8 @@ impl<'a> Engine<'a> {
             }
         }
         // The seed pair is k-independent: memoized per prepared
-        // universe, so warm-cache GMM requests skip the O(n²) seed scan.
-        let Some((i, j)) = *self.prepared.gmm_seed.get_or_init(|| self.best_seed_pair()) else {
+        // universe, so warm-cache GMM requests skip its resolution.
+        let Some((i, j)) = self.prepared.gmm_seed(self.threads) else {
             return false;
         };
         let SolveScratch {
@@ -580,14 +530,14 @@ impl<'a> Engine<'a> {
         out.push(j);
         marks.mark(i);
         marks.mark(j);
-        let mut min_rel = self.prepared.rel[i].min(self.prepared.rel[j]);
-        let mut min_rel_exact = self.prepared.rel_exact[i].min(self.prepared.rel_exact[j]);
-        let mut min_dis = self.prepared.matrix.get(i, j);
+        let mut min_rel = self.prepared.rel_f64()[i].min(self.prepared.rel_f64()[j]);
+        let mut min_rel_exact = self.prepared.relevances()[i].min(self.prepared.relevances()[j]);
+        let mut min_dis = self.prepared.matrix().get(i, j);
         let mut min_dis_exact = self.dist_of(i, j);
         // nearest[t] = min distance from t to the chosen set.
         nearest.clear();
         nearest.extend(
-            (0..n).map(|t| self.prepared.matrix.get(i, t).min(self.prepared.matrix.get(j, t))),
+            (0..n).map(|t| self.prepared.matrix().get(i, t).min(self.prepared.matrix().get(j, t))),
         );
         while out.len() < k {
             // Deadline checkpoint: one GMM round is an O(n) scan.
@@ -599,7 +549,7 @@ impl<'a> Engine<'a> {
                     return None;
                 }
                 Some(
-                    self.one_minus * min_rel.min(self.prepared.rel[t])
+                    self.one_minus * min_rel.min(self.prepared.rel_f64()[t])
                         + self.lam * min_dis.min(nearest[t]),
                 )
             };
@@ -608,16 +558,16 @@ impl<'a> Engine<'a> {
             }
             let chosen: &[usize] = out;
             let t = resolve_ties_exact(ties, |t| {
-                (Ratio::ONE - self.prepared.lambda) * min_rel_exact.min(self.prepared.rel_exact[t])
-                    + self.prepared.lambda * self.exact_nearest(chosen, t).min(min_dis_exact)
+                (Ratio::ONE - self.prepared.lambda()) * min_rel_exact.min(self.prepared.relevances()[t])
+                    + self.prepared.lambda() * self.exact_nearest(chosen, t).min(min_dis_exact)
             });
-            min_rel = min_rel.min(self.prepared.rel[t]);
-            min_rel_exact = min_rel_exact.min(self.prepared.rel_exact[t]);
+            min_rel = min_rel.min(self.prepared.rel_f64()[t]);
+            min_rel_exact = min_rel_exact.min(self.prepared.relevances()[t]);
             min_dis = min_dis.min(nearest[t]);
             min_dis_exact = min_dis_exact.min(self.exact_nearest(out, t));
             marks.mark(t);
             out.push(t);
-            let row = self.prepared.matrix.row(t);
+            let row = self.prepared.matrix().row(t);
             for (slot, &d) in nearest.iter_mut().zip(row) {
                 if d < *slot {
                     *slot = d;
@@ -635,47 +585,6 @@ impl<'a> Engine<'a> {
             .map(|&s| self.dist_of(s, t))
             .min()
             .expect("chosen is non-empty")
-    }
-
-    /// The GMM seed pair `argmax (1−λ)·min(rel) + λ·dist`,
-    /// lexicographically first on ties.
-    fn best_seed_pair(&self) -> Option<(usize, usize)> {
-        let n = self.n();
-        if n < 2 {
-            return None;
-        }
-        let seed_value = |i: usize, j: usize| {
-            self.one_minus * self.prepared.rel[i].min(self.prepared.rel[j]) + self.lam * self.prepared.matrix.get(i, j)
-        };
-        let row_best = |i: usize| {
-            let mut best: Option<f64> = None;
-            for j in (i + 1)..n {
-                let v = seed_value(i, j);
-                if best.is_none_or(|b| v > b) {
-                    best = Some(v);
-                }
-            }
-            best
-        };
-        let anchors = argmax_with_ties(n - 1, self.threads, n / 2 + 1, &row_best)?;
-        let best = anchors
-            .iter()
-            .map(|t| t.score)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let thr = tie_threshold(best);
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for t in &anchors {
-            let i = t.index;
-            for j in (i + 1)..n {
-                if seed_value(i, j) >= thr {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        let one_minus = Ratio::ONE - self.prepared.lambda;
-        Some(resolve_pairs_exact(&mut pairs, |i, j| {
-            one_minus * self.prepared.rel_exact[i].min(self.prepared.rel_exact[j]) + self.prepared.lambda * self.dist_of(i, j)
-        }))
     }
 
     /// `F_mono` top-`k` by per-item score (the Theorem 5.4 PTIME rule):
@@ -709,7 +618,7 @@ impl<'a> Engine<'a> {
         if self.deadline.exceeded() {
             return false;
         }
-        let scores = self.mono_scores_f64();
+        let scores = self.prepared.mono_scores_f64();
         if k == 0 || k == n {
             out.extend(0..k);
             return true;
@@ -828,7 +737,7 @@ impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("n", &self.n())
-            .field("lambda", &self.prepared.lambda)
+            .field("lambda", &self.prepared.lambda())
             .field("threads", &self.threads)
             .finish()
     }

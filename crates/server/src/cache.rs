@@ -40,6 +40,7 @@ use divr_core::engine::DeltaOp;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 struct Entry {
     prepared: PreparedVariant,
@@ -73,6 +74,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped to satisfy the byte budget.
     pub evictions: u64,
+    /// Microseconds spent inside the build step of every miss, failed
+    /// and abandoned builds included: `prepare_us / misses` is the mean
+    /// cold prepare as this process paid it.
+    pub prepare_us: u64,
     /// Prepared universes currently resident.
     pub entries: usize,
     /// Approximate resident bytes.
@@ -88,6 +93,7 @@ pub struct PreparedCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    prepare_us: AtomicU64,
 }
 
 impl PreparedCache {
@@ -103,6 +109,7 @@ impl PreparedCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            prepare_us: AtomicU64::new(0),
         }
     }
 
@@ -157,7 +164,8 @@ impl PreparedCache {
     /// cannot park a poisoned entry for later hits to trip over, so a
     /// retry starts from a clean miss. Racing builders adopt the first
     /// insert. `build` runs outside any shard lock and must already
-    /// validate what it returns.
+    /// validate what it returns; whatever it returns, its wall time is
+    /// added to [`CacheStats::prepare_us`].
     pub fn get_or_try_prepare_with<E>(
         &self,
         key: &UniverseKey,
@@ -172,10 +180,13 @@ impl PreparedCache {
                 return Ok(entry.prepared.clone());
             }
         }
-        // Miss: build (and validate) outside the lock.
+        // Miss: build (and validate) outside the lock, on the clock.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let prepared = build()?;
-        Ok(self.adopt_or_insert(shard, key, prepared))
+        let started = Instant::now();
+        let built = build();
+        self.prepare_us
+            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+        Ok(self.adopt_or_insert(shard, key, built?))
     }
 
     /// The common tail of a miss: re-lock, adopt a race winner if one
@@ -312,6 +323,7 @@ impl PreparedCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
+        self.prepare_us.store(0, Ordering::Relaxed);
     }
 
     /// A consistent-enough snapshot of the counters (shards are read
@@ -328,6 +340,7 @@ impl PreparedCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
+            prepare_us: self.prepare_us.load(Ordering::Relaxed),
             entries,
             bytes,
         }

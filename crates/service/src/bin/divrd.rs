@@ -14,6 +14,11 @@
 //! draining`) followed by a final checkpoint, so the successor restarts
 //! warm. See `divr_service` for the protocol.
 //!
+//! Exit codes: `0` after a graceful drain, `2` for a command line it
+//! cannot run (usage on stderr), `1` when it cannot start — `ADDR`
+//! cannot be bound or `--data-dir` cannot be opened — with
+//! `divrd: cannot start: <error>` on stderr.
+//!
 //! Flags:
 //!
 //! * `--idle-timeout-ms N` — reap connections silent for `N` ms.
@@ -101,7 +106,13 @@ fn main() {
             other => usage_error(&format!("unexpected argument {other:?}")),
         }
     }
-    let service = Service::start(config).expect("failed to bind");
+    // An address already in use, an unusable `--data-dir`: the
+    // environment's fault, not a bug — one line and exit 1, before any
+    // address is announced.
+    let service = Service::start(config).unwrap_or_else(|e| {
+        eprintln!("divrd: cannot start: {e}");
+        std::process::exit(1);
+    });
     eprintln!("divrd listening on {}", service.local_addr());
 
     // Block until stdin closes (EOF), then drain gracefully. Reading

@@ -992,6 +992,7 @@ fn stats_frame(shared: &Shared) -> Value {
                         ("hits", counter(cache.hits)),
                         ("misses", counter(cache.misses)),
                         ("evictions", counter(cache.evictions)),
+                        ("prepare_us", counter(cache.prepare_us)),
                         ("entries", counter(cache.entries as u64)),
                         ("bytes", counter(cache.bytes as u64)),
                         ("spare_buffers", counter(parked_buffers as u64)),

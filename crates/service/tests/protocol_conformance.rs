@@ -332,7 +332,7 @@ fn stats_members_are_additive_and_the_memory_gauges_count() {
             "admission",
             &["admitted", "rejected_qps", "rejected_cache", "rejected_queue", "degraded"][..],
         ),
-        ("cache", &["hits", "misses", "evictions", "entries", "bytes"][..]),
+        ("cache", &["hits", "misses", "evictions", "prepare_us", "entries", "bytes"][..]),
         ("robustness", &["deadline_exceeded", "reaped_idle", "draining_refused"][..]),
     ] {
         for name in names {
@@ -359,6 +359,10 @@ fn stats_members_are_additive_and_the_memory_gauges_count() {
     assert_eq!(int("admission", "ledger_rows"), 6);
     assert_eq!(int("admission", "tenants"), 3);
     assert_eq!(int("cache", "evictions"), 5);
+    // Six cold prepares, each timed: the daemon can state its own mean
+    // cold cost (n = 360 builds take hundreds of µs at the very least).
+    assert_eq!(int("cache", "misses"), 6);
+    assert!(int("cache", "prepare_us") >= 6 * 100, "{}", int("cache", "prepare_us"));
     let spare_buffers = int("cache", "spare_buffers");
     let cap = divr_core::engine::default_threads() as i64;
     assert!((1..=cap).contains(&spare_buffers), "{spare_buffers} parked, cap {cap}");

@@ -9,7 +9,10 @@
 //!   all three objectives and a range of `k`;
 //! * the memoized solver preambles after warming both sides: the mono
 //!   score/d-sum vector (bits), the exact mono distance sums (repaired
-//!   in integer adds per insert, carried by a fork), the GMM exact seed
+//!   in integer adds per insert, carried by a fork), the GMM row bests
+//!   (bits: an insert's repair ≡ the scratch build's fused scan ≡ a
+//!   fork's copy, before any request; a removal leaves them
+//!   unpopulated until `max_min` rebuilds them), the GMM exact seed
 //!   pair, and the per-anchor max-sum best-partner seed (bits + partner
 //!   index);
 //! * the repair-vs-rebuild discipline: inserts *repair* the max-sum
@@ -200,6 +203,11 @@ fn mono_sums(p: &PreparedUniverse<'_>) -> Result<Option<Option<Vec<i128>>>, Test
     Ok(memo)
 }
 
+fn gmm_rows_bits(p: &PreparedUniverse<'_>) -> Option<Vec<u64>> {
+    p.gmm_rows_preamble()
+        .map(|s| s.iter().map(|x| x.to_bits()).collect())
+}
+
 fn ms_bits(p: &PreparedUniverse<'_>) -> Option<Vec<(u64, usize)>> {
     p.ms_preamble()
         .map(|v| v.into_iter().map(|(s, i)| (s.to_bits(), i)).collect())
@@ -247,6 +255,14 @@ fn churn_case(raw: &RawChurn) -> Result<(), TestCaseError> {
         // From-scratch reference over the same content and order.
         let scratch = build(&scores, &cur);
         prop_assert_eq!(prepared.n(), scratch.n());
+        // Before any request: an insert repaired the warm row bests
+        // into what the scratch build's fused scan wrote; a removal
+        // dropped them.
+        if op == 0 {
+            prop_assert_eq!(gmm_rows_bits(&prepared), gmm_rows_bits(&scratch), "repaired gmm row bests");
+        } else {
+            prop_assert_eq!(gmm_rows_bits(&prepared), None, "a removal leaves the gmm row bests unpopulated");
+        }
         prop_assert_eq!(
             matrix_bits(&prepared),
             matrix_bits(&scratch),
@@ -268,6 +284,10 @@ fn churn_case(raw: &RawChurn) -> Result<(), TestCaseError> {
         prop_assert_eq!(&memo, &mono_sums(&scratch)?, "exact mono sums");
         prop_assert_eq!(&memo, &mono_sums(&prepared.fork())?, "a fork drops the exact mono sums");
         prop_assert_eq!(matches!(memo, Some(Some(_))), raw.keyed, "column offered iff keyed");
+        let rows = gmm_rows_bits(&prepared);
+        prop_assert!(rows.is_some(), "max_min (re)built the gmm row bests");
+        prop_assert_eq!(&rows, &gmm_rows_bits(&scratch), "gmm row bests");
+        prop_assert_eq!(&rows, &gmm_rows_bits(&prepared.fork()), "a fork drops the gmm row bests");
         prop_assert_eq!(
             prepared.gmm_preamble(),
             scratch.gmm_preamble(),
