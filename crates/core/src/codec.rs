@@ -167,6 +167,14 @@ impl ByteWriter {
         }
     }
 
+    /// A tuple sequence, count-prefixed — a universe, a relation's rows.
+    pub fn write_tuples(&mut self, tuples: &[Tuple]) {
+        self.write_usize(tuples.len());
+        for t in tuples {
+            self.write_tuple(t);
+        }
+    }
+
     /// A delta operation (`0` = insert tuple, `1` = remove index).
     pub fn write_delta_op(&mut self, op: &DeltaOp) {
         match op {
@@ -304,6 +312,21 @@ impl<'a> ByteReader<'a> {
         Ok(Tuple::new(values))
     }
 
+    /// Reads a count-prefixed tuple sequence.
+    pub fn read_tuples(&mut self) -> Result<Vec<Tuple>, CodecError> {
+        let n = self.read_usize()?;
+        // Every tuple takes ≥ 8 bytes (its arity): a count beyond the
+        // remaining bytes is unsatisfiable — reject before reserving.
+        if n > self.remaining() {
+            return Err(CodecError::Truncated);
+        }
+        let mut tuples = Vec::with_capacity(n);
+        for _ in 0..n {
+            tuples.push(self.read_tuple()?);
+        }
+        Ok(tuples)
+    }
+
     /// Reads a delta operation.
     pub fn read_delta_op(&mut self) -> Result<DeltaOp, CodecError> {
         match self.read_u8()? {
@@ -337,6 +360,7 @@ mod tests {
         w.write_bytes(&[1, 2, 3]);
         w.write_value(&Value::str("x"));
         w.write_tuple(&Tuple::ints([1, 2, 3]));
+        w.write_tuples(&[Tuple::ints([4]), Tuple::ints([])]);
         w.write_delta_op(&DeltaOp::Insert(Tuple::ints([9])));
         w.write_delta_op(&DeltaOp::Remove(4));
         let bytes = w.into_bytes();
@@ -351,6 +375,10 @@ mod tests {
         assert_eq!(r.read_bytes().unwrap(), &[1, 2, 3]);
         assert_eq!(r.read_value().unwrap(), Value::str("x"));
         assert_eq!(r.read_tuple().unwrap(), Tuple::ints([1, 2, 3]));
+        assert_eq!(
+            r.read_tuples().unwrap(),
+            vec![Tuple::ints([4]), Tuple::ints([])]
+        );
         assert_eq!(
             r.read_delta_op().unwrap(),
             DeltaOp::Insert(Tuple::ints([9]))
@@ -377,6 +405,14 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.read_usize(), Err(CodecError::Invalid("length prefix")));
+        // A plausible count the input cannot hold is refused before
+        // anything is reserved for it.
+        let mut w = ByteWriter::new();
+        w.write_usize(1 << 20);
+        assert_eq!(
+            ByteReader::new(w.bytes()).read_tuples(),
+            Err(CodecError::Truncated)
+        );
     }
 
     #[test]

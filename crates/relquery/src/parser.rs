@@ -222,14 +222,44 @@ fn lex_int(chars: &[char], start: usize) -> Result<(i64, usize)> {
     Ok((n, j))
 }
 
+/// Deepest formula nesting the parser accepts, counted in open
+/// `formula` / `unary` productions (a parenthesis costs two, a `!`, a
+/// quantifier or an `->` one). Every cycle of the recursive descent
+/// passes through one of the two, and a stack
+/// overflow is an abort rather than an error, so the depth a query
+/// text can demand must be bounded; the bound also caps every
+/// recursive pass over the parsed [`Formula`] (normalize, evaluate,
+/// drop).
+pub const MAX_FORMULA_DEPTH: usize = 128;
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Open `formula` / `unary` calls.
+    depth: usize,
 }
 
 impl Parser {
     fn new(toks: Vec<Tok>) -> Self {
-        Parser { toks, pos: 0 }
+        Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Runs one nesting level of the descent, refusing to go past
+    /// [`MAX_FORMULA_DEPTH`].
+    fn nested(&mut self, level: fn(&mut Self) -> Result<Formula>) -> Result<Formula> {
+        if self.depth == MAX_FORMULA_DEPTH {
+            return Err(Error::Parse(format!(
+                "formula nests deeper than the limit of {MAX_FORMULA_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let parsed = level(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn peek(&self) -> Option<&Tok> {
@@ -367,6 +397,10 @@ impl Parser {
 
     /// `formula := or_expr ('->' formula)?` — implication, right-assoc.
     fn formula(&mut self) -> Result<Formula> {
+        self.nested(Self::formula_level)
+    }
+
+    fn formula_level(&mut self) -> Result<Formula> {
         let lhs = self.or_expr()?;
         if self.peek() == Some(&Tok::Arrow) {
             self.next();
@@ -404,6 +438,10 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<Formula> {
+        self.nested(Self::unary_level)
+    }
+
+    fn unary_level(&mut self) -> Result<Formula> {
         match self.peek() {
             Some(Tok::Bang) => {
                 self.next();
@@ -555,6 +593,55 @@ mod tests {
         assert!(parse_query("Q(x) :-").is_err());
         assert!(parse_query("Q(x) := R(x").is_err());
         assert!(parse_query("Q(x) :- R(x, 'unterminated)").is_err());
+    }
+
+    #[test]
+    fn formula_nesting_is_bounded() {
+        // One `!` is one level; a parenthesis is two.
+        let bangs = |n: usize| format!("Q(x) := R(x) & {}S(x)", "!".repeat(n));
+        let parens = |n: usize| format!("Q(x) := {}R(x){}", "(".repeat(n), ")".repeat(n));
+        let arrows = |n: usize| format!("Q(x) := {}R(x)", "R(x) -> ".repeat(n));
+        // `formula` + the first `unary` are open when the chain starts.
+        // At the limit the query parses, and the passes downstream of
+        // the parser (validate, evaluate, display, drop) recurse no
+        // deeper than it did.
+        let mut db = Database::new();
+        db.create_relation("R", &["x"]).unwrap();
+        db.create_relation("S", &["x"]).unwrap();
+        db.insert("R", vec![Value::int(1)]).unwrap();
+        db.insert("S", vec![Value::int(1)]).unwrap();
+        for at_limit in [
+            bangs(MAX_FORMULA_DEPTH - 2),
+            parens(MAX_FORMULA_DEPTH / 2 - 1),
+            arrows(MAX_FORMULA_DEPTH - 2),
+        ] {
+            let q = parse_query(&at_limit).unwrap();
+            assert_eq!(q.eval(&db).unwrap().sorted_tuples(), vec![Tuple::ints([1])]);
+            assert!(!q.to_string().is_empty());
+        }
+        for past in [
+            bangs(MAX_FORMULA_DEPTH - 1),
+            parens(MAX_FORMULA_DEPTH / 2),
+            arrows(MAX_FORMULA_DEPTH - 1),
+        ] {
+            match parse_query(&past) {
+                Err(Error::Parse(why)) => {
+                    assert!(why.contains(&MAX_FORMULA_DEPTH.to_string()), "{why}")
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+        // What used to overflow the stack and abort the process.
+        for deep in [bangs(200_000), parens(200_000), arrows(200_000)] {
+            assert!(matches!(parse_query(&deep), Err(Error::Parse(_))));
+        }
+        assert!(matches!(
+            parse_formula(&format!("{}R(x)", "exists y. ".repeat(200_000))),
+            Err(Error::Parse(_))
+        ));
+        // Depth, not length: a long flat conjunction is fine.
+        let flat = format!("Q(x) := R(x){}", " & R(x)".repeat(5_000));
+        assert!(parse_query(&flat).is_ok());
     }
 
     #[test]

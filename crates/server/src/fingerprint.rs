@@ -27,10 +27,20 @@
 //! the full configuration (table entries in sorted order, attribute
 //! indices, defaults). The closure-based functions of `divr_core`
 //! cannot be content-addressed and so are deliberately not servable.
+//!
+//! This module owns the **oracle tag vocabulary** (`rel:attr`,
+//! `dis:numeric`, …) in both directions: each tag is written by a
+//! [`Fingerprintable`] impl below and read back by
+//! `decode_relevance` / `decode_distance` beside it, which is how
+//! the durable formats (`crate::persist`) persist an oracle — as its
+//! fingerprint bytes. A new servable oracle kind is one impl and one
+//! decoder arm here (plus its JSON spelling in the wire layer), and
+//! nothing else.
 
+use crate::spec::{ServableDistance, ServableRelevance};
 use divr_core::distance::{ConstantDistance, HammingDistance, NumericDistance, TableDistance};
 use divr_core::relevance::{AttributeRelevance, ConstantRelevance, TableRelevance};
-use divr_core::Ratio;
+use divr_core::{ByteReader, CodecError, Ratio};
 use divr_relquery::Tuple;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -43,7 +53,7 @@ const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
 /// strings and tags, little-endian fixed-width integers, sort-tagged
 /// values, arity-prefixed tuples), which is what lets the persist
 /// codec parse fingerprint bytes back with
-/// [`ByteReader`](divr_core::ByteReader). Finish a key with
+/// [`ByteReader`]. Finish a key with
 /// [`UniverseKey::from_bytes`].
 pub type FingerprintEncoder = divr_core::ByteWriter;
 
@@ -171,6 +181,76 @@ impl Fingerprintable for TableDistance {
             enc.write_ratio(v);
         }
     }
+}
+
+/// The fingerprint bytes of one oracle — its persisted form.
+pub(crate) fn fingerprint_bytes(oracle: &(impl Fingerprintable + ?Sized)) -> Vec<u8> {
+    let mut enc = FingerprintEncoder::new();
+    oracle.fingerprint(&mut enc);
+    enc.into_bytes()
+}
+
+/// Accepts a decoded oracle only if it consumed `bytes` whole and
+/// re-fingerprints to exactly `bytes` — decode is the inverse of the
+/// fingerprint or it fails.
+fn round_trips<T: Fingerprintable + ?Sized>(
+    out: Arc<T>,
+    r: &ByteReader<'_>,
+    bytes: &[u8],
+) -> Result<Arc<T>, CodecError> {
+    if !r.is_empty() || fingerprint_bytes(&*out) != bytes {
+        return Err(CodecError::Invalid("oracle round-trip"));
+    }
+    Ok(out)
+}
+
+/// Rebuilds a relevance oracle from its fingerprint bytes; an unknown
+/// tag (an oracle with no durable form) is an error, never a panic.
+pub(crate) fn decode_relevance(bytes: &[u8]) -> Result<Arc<dyn ServableRelevance>, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    let out: Arc<dyn ServableRelevance> = match r.read_str()? {
+        "rel:const" => Arc::new(ConstantRelevance(r.read_ratio()?)),
+        "rel:attr" => Arc::new(AttributeRelevance {
+            attr: r.read_usize()?,
+            default: r.read_ratio()?,
+        }),
+        "rel:table" => {
+            let mut table = TableRelevance::with_default(r.read_ratio()?);
+            for _ in 0..r.read_usize()? {
+                let t = r.read_tuple()?;
+                table = table.with(t, r.read_ratio()?);
+            }
+            Arc::new(table)
+        }
+        _ => return Err(CodecError::Invalid("relevance tag")),
+    };
+    round_trips(out, &r, bytes)
+}
+
+/// Rebuilds a distance oracle from its fingerprint bytes (same
+/// contract as [`decode_relevance`]).
+pub(crate) fn decode_distance(bytes: &[u8]) -> Result<Arc<dyn ServableDistance>, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    let out: Arc<dyn ServableDistance> = match r.read_str()? {
+        "dis:const" => Arc::new(ConstantDistance(r.read_ratio()?)),
+        "dis:numeric" => Arc::new(NumericDistance {
+            attr: r.read_usize()?,
+            fallback: r.read_ratio()?,
+        }),
+        "dis:hamming" => Arc::new(HammingDistance {
+            weight: r.read_ratio()?,
+        }),
+        "dis:table" => {
+            let mut table = TableDistance::with_default(r.read_ratio()?);
+            for _ in 0..r.read_usize()? {
+                let (a, b) = (r.read_tuple()?, r.read_tuple()?);
+                table = table.with(a, b, r.read_ratio()?);
+            }
+            Arc::new(table)
+        }
+        _ => return Err(CodecError::Invalid("distance tag")),
+    };
+    round_trips(out, &r, bytes)
 }
 
 #[cfg(test)]

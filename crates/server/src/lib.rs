@@ -97,7 +97,7 @@ pub use persist::{
 pub use query::{QueryError, QueryFrontDoor, QuerySpec};
 pub use registry::{CheckedAnswer, Registry, RegistryConfig, RegistryStats, TenantBatch};
 pub use spec::{
-    CoresetSpec, PreparedVariant, ServableDistance, ServableRelevance, UniverseSpec,
+    CoresetSpec, Instance, PreparedVariant, ServableDistance, ServableRelevance, UniverseSpec,
 };
 
 // The delta vocabulary is divr_core's; re-exported so registry callers

@@ -1,11 +1,15 @@
 //! Record encodings: every durable mutation as one self-contained,
 //! decodable byte payload.
 //!
-//! The encodings reuse the registry's fingerprint vocabulary
-//! byte-for-byte — oracle configurations are persisted as their
-//! fingerprint bytes and decoded by dispatching on the fingerprint's
-//! own type tag (`rel:attr`, `dis:table`, …). That gives the format a
-//! built-in honesty check: after decoding an oracle, the decoder
+//! This module owns the **record layouts** — which fields each WAL /
+//! snapshot record holds, in which order, under which tag byte — and
+//! nothing below them: the `(δ_rel, δ_dis, λ, mode)` block inside a
+//! universe or query spec is encoded and decoded by
+//! [`Instance`](crate::spec::Instance) itself, and the oracle tag
+//! vocabulary it embeds (`rel:attr`, `dis:table`, …) by
+//! [`crate::fingerprint`]: an oracle is persisted as its fingerprint
+//! bytes and decoded by dispatching on the fingerprint's own type tag.
+//! That gives the format a built-in honesty check — the decoder
 //! re-fingerprints the reconstruction and requires the bytes to match,
 //! so `decode(encode(x))` is provably `x` at the content-key level or
 //! the record is rejected.
@@ -18,15 +22,11 @@
 //! record and counts it, and the write-ahead log never contains a
 //! record that recovery could not resolve.
 
-use crate::fingerprint::FingerprintEncoder;
 use crate::query::QuerySpec;
-use crate::spec::{CoresetSpec, ServableDistance, ServableRelevance, UniverseSpec};
-use divr_core::distance::{ConstantDistance, HammingDistance, NumericDistance, TableDistance};
-use divr_core::relevance::{AttributeRelevance, ConstantRelevance, TableRelevance};
-use divr_core::{ByteReader, ByteWriter, CodecError, Ratio};
+use crate::spec::{Instance, UniverseSpec};
+use divr_core::{ByteReader, ByteWriter, CodecError};
 use divr_relquery::parser::parse_query;
 use divr_relquery::{CanonicalQuery, Database, Relation, RelationSchema};
-use std::sync::Arc;
 
 use super::{Record, WarmKind, WarmQueryRecord};
 
@@ -36,163 +36,17 @@ use super::{Record, WarmKind, WarmQueryRecord};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Unpersistable;
 
-/// The fingerprint bytes of one oracle — the persisted form.
-fn fingerprint_bytes(f: impl FnOnce(&mut FingerprintEncoder)) -> Vec<u8> {
-    let mut enc = FingerprintEncoder::new();
-    f(&mut enc);
-    enc.into_bytes()
-}
-
-/// Rebuilds a relevance oracle from its fingerprint bytes. The
-/// reconstruction is re-fingerprinted and must reproduce `bytes`
-/// exactly — decode is the inverse of the fingerprint or it fails.
-pub(super) fn decode_relevance(bytes: &[u8]) -> Result<Arc<dyn ServableRelevance>, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let out: Arc<dyn ServableRelevance> = match r.read_str()? {
-        "rel:const" => Arc::new(ConstantRelevance(r.read_ratio()?)),
-        "rel:attr" => Arc::new(AttributeRelevance {
-            attr: r.read_usize()?,
-            default: r.read_ratio()?,
-        }),
-        "rel:table" => {
-            let mut table = TableRelevance::with_default(r.read_ratio()?);
-            let entries = r.read_usize()?;
-            for _ in 0..entries {
-                let t = r.read_tuple()?;
-                let v = r.read_ratio()?;
-                table = table.with(t, v);
-            }
-            Arc::new(table)
-        }
-        _ => return Err(CodecError::Invalid("relevance tag")),
-    };
-    if !r.is_empty() {
-        return Err(CodecError::Invalid("relevance trailing bytes"));
-    }
-    if fingerprint_bytes(|e| out.fingerprint(e)) != bytes {
-        return Err(CodecError::Invalid("relevance round-trip"));
-    }
-    Ok(out)
-}
-
-/// Rebuilds a distance oracle from its fingerprint bytes (same
-/// round-trip contract as [`decode_relevance`]).
-pub(super) fn decode_distance(bytes: &[u8]) -> Result<Arc<dyn ServableDistance>, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let out: Arc<dyn ServableDistance> = match r.read_str()? {
-        "dis:const" => Arc::new(ConstantDistance(r.read_ratio()?)),
-        "dis:numeric" => Arc::new(NumericDistance {
-            attr: r.read_usize()?,
-            fallback: r.read_ratio()?,
-        }),
-        "dis:hamming" => Arc::new(HammingDistance {
-            weight: r.read_ratio()?,
-        }),
-        "dis:table" => {
-            let mut table = TableDistance::with_default(r.read_ratio()?);
-            let entries = r.read_usize()?;
-            for _ in 0..entries {
-                let a = r.read_tuple()?;
-                let b = r.read_tuple()?;
-                let v = r.read_ratio()?;
-                table = table.with(a, b, v);
-            }
-            Arc::new(table)
-        }
-        _ => return Err(CodecError::Invalid("distance tag")),
-    };
-    if !r.is_empty() {
-        return Err(CodecError::Invalid("distance trailing bytes"));
-    }
-    if fingerprint_bytes(|e| out.fingerprint(e)) != bytes {
-        return Err(CodecError::Invalid("distance round-trip"));
-    }
-    Ok(out)
-}
-
-fn read_lambda(r: &mut ByteReader<'_>) -> Result<Ratio, CodecError> {
-    let lambda = r.read_ratio()?;
-    // `UniverseSpec::new` / `QuerySpec::new` assert this range; a
-    // decoder must refuse, not panic.
-    if lambda < Ratio::ZERO || lambda > Ratio::ONE {
-        return Err(CodecError::Invalid("lambda range"));
-    }
-    Ok(lambda)
-}
-
-fn write_coreset(w: &mut ByteWriter, mode: Option<CoresetSpec>) {
-    match mode {
-        None => w.write_u8(0),
-        Some(cs) => {
-            w.write_u8(1);
-            w.write_usize(cs.budget);
-            w.write_usize(cs.refine_rounds);
-        }
-    }
-}
-
-fn read_coreset(r: &mut ByteReader<'_>) -> Result<Option<CoresetSpec>, CodecError> {
-    match r.read_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(CoresetSpec {
-            budget: r.read_usize()?,
-            refine_rounds: r.read_usize()?,
-        })),
-        _ => Err(CodecError::Invalid("coreset mode tag")),
-    }
-}
-
-fn encode_universe_spec(w: &mut ByteWriter, spec: &UniverseSpec) {
-    w.write_usize(spec.universe().len());
-    for t in spec.universe() {
-        w.write_tuple(t);
-    }
-    w.write_bytes(&fingerprint_bytes(|e| spec.relevance().fingerprint(e)));
-    w.write_bytes(&fingerprint_bytes(|e| spec.distance().fingerprint(e)));
-    w.write_ratio(spec.lambda());
-    write_coreset(w, spec.coreset());
-}
-
-fn decode_universe_spec(r: &mut ByteReader<'_>) -> Result<UniverseSpec, CodecError> {
-    let n = r.read_usize()?;
-    if n > r.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let mut universe = Vec::with_capacity(n);
-    for _ in 0..n {
-        universe.push(r.read_tuple()?);
-    }
-    let rel = decode_relevance(r.read_bytes()?)?;
-    let dis = decode_distance(r.read_bytes()?)?;
-    let lambda = read_lambda(r)?;
-    let spec = UniverseSpec::new(universe, rel, dis, lambda);
-    Ok(match read_coreset(r)? {
-        None => spec,
-        Some(mode) => spec.with_coreset(mode),
-    })
-}
-
 fn encode_query_spec(w: &mut ByteWriter, spec: &QuerySpec) {
     w.write_str(&spec.query().to_string());
-    w.write_bytes(&fingerprint_bytes(|e| spec.relevance().fingerprint(e)));
-    w.write_bytes(&fingerprint_bytes(|e| spec.distance().fingerprint(e)));
-    w.write_ratio(spec.lambda());
-    write_coreset(w, spec.coreset());
+    spec.instance().encode(w);
     w.write_usize(spec.max_k());
 }
 
 fn decode_query_spec(r: &mut ByteReader<'_>) -> Result<QuerySpec, CodecError> {
-    let text = r.read_str()?;
-    let query = parse_query(text).map_err(|_| CodecError::Invalid("query text"))?;
-    let rel = decode_relevance(r.read_bytes()?)?;
-    let dis = decode_distance(r.read_bytes()?)?;
-    let lambda = read_lambda(r)?;
-    let mut spec =
-        QuerySpec::new(query, rel, dis, lambda).map_err(|_| CodecError::Invalid("query spec"))?;
-    if let Some(mode) = read_coreset(r)? {
-        spec = spec.with_coreset(mode);
-    }
-    Ok(spec.with_max_k(r.read_usize()?.max(1)))
+    let query = parse_query(r.read_str()?).map_err(|_| CodecError::Invalid("query text"))?;
+    let spec = QuerySpec::from_instance(query, Instance::decode(r)?)
+        .map_err(|_| CodecError::Invalid("query spec"))?;
+    Ok(spec.with_max_k(r.read_usize()?))
 }
 
 fn encode_database(w: &mut ByteWriter, db: &Database) {
@@ -203,10 +57,7 @@ fn encode_database(w: &mut ByteWriter, db: &Database) {
         for attr in rel.schema().attributes() {
             w.write_str(attr);
         }
-        w.write_usize(rel.len());
-        for t in rel.iter() {
-            w.write_tuple(t);
-        }
+        w.write_tuples(rel.tuples());
     }
 }
 
@@ -225,9 +76,7 @@ fn decode_database(r: &mut ByteReader<'_>) -> Result<Database, CodecError> {
         }
         let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
         let mut relation = Relation::new(RelationSchema::new(name.as_str(), &attr_refs));
-        let tuples = r.read_usize()?;
-        for _ in 0..tuples {
-            let t = r.read_tuple()?;
+        for t in r.read_tuples()? {
             relation
                 .insert(t)
                 .map_err(|_| CodecError::Invalid("relation tuple"))?;
@@ -258,43 +107,26 @@ fn read_warm_kind(r: &mut ByteReader<'_>) -> Result<WarmKind, CodecError> {
 }
 
 /// The identity of one warm query entry, independent of relation
-/// versions: canonical tableau ⊕ oracle fingerprints ⊕ λ ⊕ serving mode
-/// ⊕ sizing. The book's dedup key (relation versions restart at zero on
-/// recovery, so they must not participate).
+/// versions: canonical tableau ⊕ instance (oracle fingerprints, λ,
+/// serving mode) ⊕ sizing. The book's dedup key (relation versions
+/// restart at zero on recovery, so they must not participate).
 pub(super) fn query_ident(spec: &QuerySpec) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.write_bytes(spec.canon().bytes());
-    w.write_bytes(&fingerprint_bytes(|e| spec.relevance().fingerprint(e)));
-    w.write_bytes(&fingerprint_bytes(|e| spec.distance().fingerprint(e)));
-    w.write_ratio(spec.lambda());
-    write_coreset(&mut w, spec.coreset());
+    spec.instance().encode(&mut w);
     w.write_usize(spec.max_k());
     w.into_bytes()
-}
-
-/// Whether both of a spec's oracles have a durable form.
-fn oracles_persistable(
-    rel: &Arc<dyn ServableRelevance>,
-    dis: &Arc<dyn ServableDistance>,
-) -> bool {
-    decode_relevance(&fingerprint_bytes(|e| rel.fingerprint(e))).is_ok()
-        && decode_distance(&fingerprint_bytes(|e| dis.fingerprint(e))).is_ok()
 }
 
 /// Whether a query spec round-trips: its oracles decode and its text
 /// re-parses to the same canonical tableau (`Identity` queries, whose
 /// display form is not parser syntax, do not).
 fn query_persistable(spec: &QuerySpec) -> bool {
-    if !oracles_persistable(spec.relevance(), spec.distance()) {
-        return false;
-    }
-    let Ok(parsed) = parse_query(&spec.query().to_string()) else {
-        return false;
-    };
-    match CanonicalQuery::of(&parsed) {
-        Ok(canon) => canon.bytes() == spec.canon().bytes(),
-        Err(_) => false,
-    }
+    spec.instance().persistable()
+        && parse_query(&spec.query().to_string())
+            .ok()
+            .and_then(|parsed| CanonicalQuery::of(&parsed).ok())
+            .is_some_and(|canon| canon.bytes() == spec.canon().bytes())
 }
 
 const TAG_WARM_UNIVERSE: u8 = 1;
@@ -310,11 +142,12 @@ pub(super) fn encode_record(rec: &Record) -> Result<Vec<u8>, Unpersistable> {
     let mut w = ByteWriter::new();
     match rec {
         Record::WarmUniverse { spec, version, log } => {
-            if !oracles_persistable(spec.relevance(), spec.distance()) {
+            if !spec.instance().persistable() {
                 return Err(Unpersistable);
             }
             w.write_u8(TAG_WARM_UNIVERSE);
-            encode_universe_spec(&mut w, spec);
+            w.write_tuples(spec.universe());
+            spec.instance().encode(&mut w);
             w.write_u64(*version);
             w.write_usize(log.len());
             for op in log {
@@ -331,22 +164,14 @@ pub(super) fn encode_record(rec: &Record) -> Result<Vec<u8>, Unpersistable> {
             w.write_str(name);
             encode_database(&mut w, db);
         }
-        Record::BaseInsert {
+        Record::BaseEdit {
+            insert,
             db,
             relation,
             tuple,
         } => {
-            w.write_u8(TAG_BASE_INSERT);
-            w.write_str(db);
-            w.write_str(relation);
-            w.write_tuple(tuple);
-        }
-        Record::BaseRemove {
-            db,
-            relation,
-            tuple,
-        } => {
-            w.write_u8(TAG_BASE_REMOVE);
+            let tag = if *insert { TAG_BASE_INSERT } else { TAG_BASE_REMOVE };
+            w.write_u8(tag);
             w.write_str(db);
             w.write_str(relation);
             w.write_tuple(tuple);
@@ -358,10 +183,7 @@ pub(super) fn encode_record(rec: &Record) -> Result<Vec<u8>, Unpersistable> {
             w.write_u8(TAG_WARM_QUERY);
             w.write_str(db);
             encode_query_spec(&mut w, &entry.spec);
-            w.write_usize(entry.universe.len());
-            for t in &entry.universe {
-                w.write_tuple(t);
-            }
+            w.write_tuples(&entry.universe);
             write_warm_kind(&mut w, entry.kind);
             w.write_usize(entry.base_len);
             w.write_u64(entry.version);
@@ -376,7 +198,7 @@ pub(super) fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
     let mut r = ByteReader::new(payload);
     let rec = match r.read_u8()? {
         TAG_WARM_UNIVERSE => {
-            let spec = decode_universe_spec(&mut r)?;
+            let spec = UniverseSpec::from_instance(r.read_tuples()?, Instance::decode(&mut r)?);
             let version = r.read_u64()?;
             let ops = r.read_usize()?;
             if ops > r.remaining() {
@@ -396,12 +218,8 @@ pub(super) fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
             name: r.read_str()?.to_string(),
             db: decode_database(&mut r)?,
         },
-        TAG_BASE_INSERT => Record::BaseInsert {
-            db: r.read_str()?.to_string(),
-            relation: r.read_str()?.to_string(),
-            tuple: r.read_tuple()?,
-        },
-        TAG_BASE_REMOVE => Record::BaseRemove {
+        tag @ (TAG_BASE_INSERT | TAG_BASE_REMOVE) => Record::BaseEdit {
+            insert: tag == TAG_BASE_INSERT,
             db: r.read_str()?.to_string(),
             relation: r.read_str()?.to_string(),
             tuple: r.read_tuple()?,
@@ -409,18 +227,11 @@ pub(super) fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
         TAG_WARM_QUERY => {
             let db = r.read_str()?.to_string();
             let spec = decode_query_spec(&mut r)?;
-            let n = r.read_usize()?;
-            if n > r.remaining() {
-                return Err(CodecError::Truncated);
-            }
-            let mut universe = Vec::with_capacity(n);
-            for _ in 0..n {
-                universe.push(r.read_tuple()?);
-            }
+            let universe = r.read_tuples()?;
             let kind = read_warm_kind(&mut r)?;
             let base_len = r.read_usize()?;
             let version = r.read_u64()?;
-            if kind == WarmKind::CoresetExplicit && spec.coreset().is_none() {
+            if kind == WarmKind::CoresetExplicit && spec.instance().coreset().is_none() {
                 return Err(CodecError::Invalid("explicit kind without mode"));
             }
             Record::WarmQuery {
@@ -445,9 +256,16 @@ pub(super) fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::Fingerprintable;
+    use crate::fingerprint::{
+        decode_distance, decode_relevance, fingerprint_bytes, FingerprintEncoder, Fingerprintable,
+    };
+    use crate::spec::{CoresetSpec, ServableDistance, ServableRelevance};
+    use divr_core::distance::{ConstantDistance, HammingDistance, NumericDistance, TableDistance};
     use divr_core::engine::DeltaOp;
+    use divr_core::relevance::{AttributeRelevance, ConstantRelevance, TableRelevance};
+    use divr_core::Ratio;
     use divr_relquery::{Tuple, Value};
+    use std::sync::Arc;
 
     fn rel() -> Arc<dyn ServableRelevance> {
         Arc::new(AttributeRelevance {
@@ -504,12 +322,12 @@ mod tests {
                 .with(t(1), t(2), Ratio::ONE)
                 .with(t(2), t(3), Ratio::new(1, 2)),
         );
-        let rel_fp = fingerprint_bytes(|e| table_rel.fingerprint(e));
-        let dis_fp = fingerprint_bytes(|e| table_dis.fingerprint(e));
+        let rel_fp = fingerprint_bytes(&*table_rel);
+        let dis_fp = fingerprint_bytes(&*table_dis);
         let rel2 = decode_relevance(&rel_fp).unwrap();
         let dis2 = decode_distance(&dis_fp).unwrap();
-        assert_eq!(fingerprint_bytes(|e| rel2.fingerprint(e)), rel_fp);
-        assert_eq!(fingerprint_bytes(|e| dis2.fingerprint(e)), dis_fp);
+        assert_eq!(fingerprint_bytes(&*rel2), rel_fp);
+        assert_eq!(fingerprint_bytes(&*dis2), dis_fp);
     }
 
     #[test]
@@ -601,7 +419,15 @@ mod tests {
                 op: DeltaOp::Insert(Tuple::ints([7, 8])),
             })
             .unwrap(),
-            encode_record(&Record::BaseInsert {
+            encode_record(&Record::BaseEdit {
+                insert: true,
+                db: "main".into(),
+                relation: "R".into(),
+                tuple: Tuple::ints([1, 2]),
+            })
+            .unwrap(),
+            encode_record(&Record::BaseEdit {
+                insert: false,
                 db: "main".into(),
                 relation: "R".into(),
                 tuple: Tuple::ints([1, 2]),
@@ -653,6 +479,167 @@ mod tests {
         bad.write_ratio(Ratio::int(2));
         corrupt[pos..pos + bad.bytes().len()].copy_from_slice(bad.bytes());
         assert!(decode_record(&corrupt).is_err());
+    }
+
+    /// The `(δ_rel, δ_dis, λ, mode)` block has one key-tail writer, one
+    /// durable form and one λ check, whichever spec carries it. The
+    /// expected layouts are spelled out by hand here, so this test — not
+    /// a second writer — is what a change to either layout has to edit.
+    #[test]
+    fn instance_is_described_once() {
+        use crate::query::QueryFrontDoor;
+        use crate::registry::Registry;
+        let t = |i| Tuple::ints([i]);
+        let rels: Vec<Arc<dyn ServableRelevance>> = vec![
+            Arc::new(ConstantRelevance(Ratio::new(2, 3))),
+            rel(),
+            Arc::new(TableRelevance::with_default(Ratio::ZERO).with(t(1), Ratio::ONE)),
+        ];
+        let diss: Vec<Arc<dyn ServableDistance>> = vec![
+            Arc::new(ConstantDistance(Ratio::ONE)),
+            dis(),
+            Arc::new(HammingDistance { weight: Ratio::new(1, 4) }),
+            Arc::new(TableDistance::with_default(Ratio::ZERO).with(t(1), t(2), Ratio::int(5))),
+        ];
+        let modes = [None, Some(CoresetSpec { budget: 8, refine_rounds: 2 })];
+        let lambdas = [Ratio::ZERO, Ratio::new(1, 3), Ratio::ONE];
+
+        let mut db = Database::new();
+        db.create_relation("R", &["x", "y"]).unwrap();
+        let front = QueryFrontDoor::new(Arc::new(Registry::default()));
+        front.register_database("main", db);
+        let query = || parse_query("Q(x, y) :- R(x, y)").unwrap();
+
+        for rel in &rels {
+            for dis in &diss {
+                for mode in modes {
+                    for lambda in lambdas {
+                        let mut instance = Instance::new(rel.clone(), dis.clone(), lambda);
+                        if let Some(mode) = mode {
+                            instance = instance.with_coreset(mode);
+                        }
+                        let tail = |i: &Instance, auto| {
+                            let mut enc = FingerprintEncoder::new();
+                            i.write_key_tail(&mut enc, auto);
+                            enc.into_bytes()
+                        };
+
+                        // Durable decode(encode(i)) is `i` at the key level.
+                        assert!(instance.persistable());
+                        let mut w = ByteWriter::new();
+                        instance.encode(&mut w);
+                        let mut r = ByteReader::new(w.bytes());
+                        let decoded = Instance::decode(&mut r).unwrap();
+                        assert!(r.is_empty());
+                        for auto in [None, Some(64)] {
+                            assert_eq!(tail(&decoded, auto), tail(&instance, auto));
+                        }
+
+                        // Both specs write the same rel‥lambda section,
+                        // then their mode.
+                        let mut section = FingerprintEncoder::new();
+                        section.write_str("rel");
+                        rel.fingerprint(&mut section);
+                        section.write_str("dis");
+                        dis.fingerprint(&mut section);
+                        section.write_str("lambda");
+                        section.write_ratio(lambda);
+                        let ends = |mode: &dyn Fn(&mut FingerprintEncoder)| {
+                            let mut enc = FingerprintEncoder::new();
+                            mode(&mut enc);
+                            [section.bytes(), enc.bytes()].concat()
+                        };
+                        let explicit = |enc: &mut FingerprintEncoder, m: CoresetSpec| {
+                            enc.write_str("mode:coreset");
+                            enc.write_usize(m.budget);
+                            enc.write_usize(m.refine_rounds);
+                        };
+                        let uspec = UniverseSpec::from_instance(tuples(3), instance.clone());
+                        let qspec = QuerySpec::from_instance(query(), instance.clone()).unwrap();
+                        let ukey = uspec.key();
+                        let qkey = front.key_for("main", &qspec).unwrap();
+                        assert!(ukey.bytes().ends_with(&ends(&|enc| match mode {
+                            Some(m) => explicit(enc, m),
+                            None => enc.write_str("mode:full"),
+                        })));
+                        assert!(qkey.bytes().ends_with(&ends(&|enc| match mode {
+                            Some(m) => explicit(enc, m),
+                            None => {
+                                enc.write_str("mode:auto");
+                                enc.write_usize(qspec.auto_budget());
+                            }
+                        })));
+
+                        // The four-argument constructors build the same
+                        // instance.
+                        let four = UniverseSpec::new(tuples(3), rel.clone(), dis.clone(), lambda);
+                        let four = match mode {
+                            Some(m) => four.with_coreset(m),
+                            None => four,
+                        };
+                        assert_eq!(four.key(), ukey);
+                    }
+                }
+            }
+        }
+
+        // An out-of-range λ is refused by the one constructor through
+        // every door: `None` for the fallible callers (the JSON reader
+        // turns it into a 400), a typed error from the decoder, the
+        // documented panic from the four-argument `new`s.
+        for bad in [Ratio::new(-1, 2), Ratio::new(3, 2)] {
+            assert!(Instance::try_new(rel(), dis(), bad).is_none());
+            let mut w = ByteWriter::new();
+            Instance::new(rel(), dis(), Ratio::new(1, 2)).encode(&mut w);
+            let mut half = ByteWriter::new();
+            half.write_ratio(Ratio::new(1, 2));
+            let mut corrupt = w.into_bytes();
+            let at = corrupt
+                .windows(half.bytes().len())
+                .rposition(|win| win == half.bytes())
+                .unwrap();
+            let mut lambda = ByteWriter::new();
+            lambda.write_ratio(bad);
+            corrupt[at..at + lambda.bytes().len()].copy_from_slice(lambda.bytes());
+            assert_eq!(
+                Instance::decode(&mut ByteReader::new(&corrupt)).err(),
+                Some(CodecError::Invalid("lambda range"))
+            );
+            let panics = |f: &(dyn Fn() + std::panic::RefUnwindSafe)| {
+                let payload = std::panic::catch_unwind(f).unwrap_err();
+                let text = payload.downcast_ref::<String>().unwrap();
+                assert!(text.contains("λ must lie in [0, 1]"), "{text}");
+            };
+            panics(&|| drop(UniverseSpec::new(tuples(2), rel(), dis(), bad)));
+            panics(&|| drop(QuerySpec::new(query(), rel(), dis(), bad)));
+        }
+
+        // An oracle whose tag no decoder knows has no durable form, in
+        // either kind of record.
+        struct Alien;
+        impl divr_core::distance::Distance for Alien {
+            fn dist(&self, _: &Tuple, _: &Tuple) -> Ratio {
+                Ratio::ONE
+            }
+        }
+        impl Fingerprintable for Alien {
+            fn fingerprint(&self, enc: &mut FingerprintEncoder) {
+                enc.write_str("dis:alien");
+            }
+        }
+        let alien = Instance::new(rel(), Arc::new(Alien), Ratio::new(1, 2));
+        assert!(!alien.persistable());
+        let rec = Record::WarmQuery {
+            db: "main".into(),
+            entry: WarmQueryRecord {
+                spec: QuerySpec::from_instance(query(), alien).unwrap(),
+                universe: tuples(2),
+                kind: WarmKind::Full,
+                base_len: 2,
+                version: 0,
+            },
+        };
+        assert_eq!(encode_record(&rec), Err(Unpersistable));
     }
 
     fn hex(bytes: &[u8]) -> String {

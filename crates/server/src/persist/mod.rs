@@ -138,15 +138,10 @@ pub(crate) enum Record {
     Delta { base_key: Vec<u8>, op: DeltaOp },
     /// A database registered (or replaced) at the front door.
     RegisterDb { name: String, db: Database },
-    /// A base-table insert (fans out to warm queries on replay exactly
-    /// as it did live).
-    BaseInsert {
-        db: String,
-        relation: String,
-        tuple: Tuple,
-    },
-    /// A base-table removal.
-    BaseRemove {
+    /// A base-table insert (`insert`) or removal (fans out to warm
+    /// queries on replay exactly as it did live).
+    BaseEdit {
+        insert: bool,
         db: String,
         relation: String,
         tuple: Tuple,
@@ -222,16 +217,12 @@ impl Book {
                     },
                 );
             }
-            Record::BaseInsert {
+            Record::BaseEdit {
+                insert,
                 db,
                 relation,
                 tuple,
-            } => self.apply_base_edit(db, relation, tuple, true),
-            Record::BaseRemove {
-                db,
-                relation,
-                tuple,
-            } => self.apply_base_edit(db, relation, tuple, false),
+            } => self.apply_base_edit(db, relation, tuple, *insert),
             Record::WarmQuery { db, entry } => {
                 let Some(bdb) = self.dbs.get_mut(db) else {
                     return;
@@ -668,25 +659,26 @@ impl Durability {
         if !inner.book.dbs.contains_key(db) {
             return;
         }
-        let (db, relation, tuple) = (db.to_string(), relation.to_string(), tuple.clone());
-        let rec = if insert {
-            Record::BaseInsert { db, relation, tuple }
-        } else {
-            Record::BaseRemove { db, relation, tuple }
-        };
-        self.apply_and_log(&mut inner, &rec);
+        self.apply_and_log(
+            &mut inner,
+            &Record::BaseEdit {
+                insert,
+                db: db.to_string(),
+                relation: relation.to_string(),
+                tuple: tuple.clone(),
+            },
+        );
     }
 
     /// A query became warm at the front door (miss path only; hits
     /// must not pay the O(n) sequence copy).
     pub(crate) fn log_warm_query(&self, db: &str, spec: &QuerySpec, prepared: &PreparedVariant) {
-        let universe: Vec<Tuple> = match prepared {
-            PreparedVariant::Full(p) => p.universe().to_vec(),
-            PreparedVariant::Coreset(p) => p.universe().to_vec(),
-        };
+        let universe = prepared.universe().to_vec();
         let kind = match prepared {
             PreparedVariant::Full(_) => WarmKind::Full,
-            PreparedVariant::Coreset(_) if spec.coreset().is_some() => WarmKind::CoresetExplicit,
+            PreparedVariant::Coreset(_) if spec.instance().coreset().is_some() => {
+                WarmKind::CoresetExplicit
+            }
             PreparedVariant::Coreset(_) => WarmKind::CoresetStreamed,
         };
         let ident = codec::query_ident(spec);

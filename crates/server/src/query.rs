@@ -23,8 +23,8 @@
 //!
 //! Evaluation streams: the CQ evaluator's pull iterator feeds
 //! preparation directly. Universes at or under the auto-escalation
-//! threshold build the exact full matrix; larger ones flow into
-//! [`PreparedCoreset::try_build_streaming_deadline`] without `Q(D)` ever being
+//! threshold build the exact full matrix; larger ones flow into a
+//! streamed coreset (`Instance::build`) without `Q(D)` ever being
 //! materialized as a separate vector.
 //!
 //! Base-table inserts route through the delta machinery:
@@ -38,9 +38,9 @@
 use crate::cache::PreparedCache;
 use crate::fingerprint::{FingerprintEncoder, UniverseKey};
 use crate::registry::{claim_each, solve_checked, CheckedAnswer, Registry};
-use crate::spec::{CoresetSpec, OracleAdapter, PreparedVariant, ServableDistance, ServableRelevance};
-use divr_core::coreset::{CoresetConfig, PreparedCoreset, CORESET_AUTO_THRESHOLD};
-use divr_core::engine::{DeltaOp, EngineRequest, PreparedUniverse, ServeError};
+use crate::spec::{CoresetSpec, Instance, PreparedVariant, ServableDistance, ServableRelevance};
+use divr_core::coreset::{CoresetConfig, CORESET_AUTO_THRESHOLD};
+use divr_core::engine::{DeltaOp, EngineRequest, ServeError};
 use divr_core::{Deadline, Ratio};
 use divr_relquery::eval::query_contains;
 use divr_relquery::{delta_results, stream_query, CanonicalQuery, Database, Query, Tuple, Value};
@@ -89,19 +89,16 @@ impl From<ServeError> for QueryError {
     }
 }
 
-/// What a tenant hands the front door: the query plus the QRD instance
-/// parameters — the query-level analogue of
-/// [`UniverseSpec`](crate::UniverseSpec). The canonical tableau key is
-/// computed once at construction.
+/// What a tenant hands the front door: the query plus the same
+/// [`Instance`] a [`UniverseSpec`](crate::UniverseSpec) carries — the
+/// query-level analogue of it. The canonical tableau key is computed
+/// once at construction.
 #[derive(Clone)]
 pub struct QuerySpec {
     query: Query,
     canon: CanonicalQuery,
     relations: BTreeSet<String>,
-    rel: Arc<dyn ServableRelevance>,
-    dis: Arc<dyn ServableDistance>,
-    lambda: Ratio,
-    coreset: Option<CoresetSpec>,
+    instance: Instance,
     max_k: usize,
 }
 
@@ -123,20 +120,19 @@ impl QuerySpec {
         dis: Arc<dyn ServableDistance>,
         lambda: Ratio,
     ) -> Result<Self, QueryError> {
-        assert!(
-            lambda >= Ratio::ZERO && lambda <= Ratio::ONE,
-            "λ must lie in [0, 1]"
-        );
+        Self::from_instance(query, Instance::new(rel, dis, lambda))
+    }
+
+    /// Bundles a query with an already validated [`Instance`] (same
+    /// canonicalization, same errors on invalid queries).
+    pub fn from_instance(query: Query, instance: Instance) -> Result<Self, QueryError> {
         let canon = CanonicalQuery::of(&query)?;
         let relations = query.relations();
         Ok(QuerySpec {
             query,
             canon,
             relations,
-            rel,
-            dis,
-            lambda,
-            coreset: None,
+            instance,
             max_k: Self::DEFAULT_MAX_K,
         })
     }
@@ -148,7 +144,7 @@ impl QuerySpec {
     /// build the exact full matrix and larger ones auto-escalate to a
     /// streamed coreset sized by [`QuerySpec::with_max_k`].
     pub fn with_coreset(mut self, mode: CoresetSpec) -> Self {
-        self.coreset = Some(mode);
+        self.instance = self.instance.with_coreset(mode);
         self
     }
 
@@ -174,24 +170,10 @@ impl QuerySpec {
         &self.relations
     }
 
-    /// The explicit coreset mode, if forced.
-    pub fn coreset(&self) -> Option<CoresetSpec> {
-        self.coreset
-    }
-
-    /// The relevance oracle.
-    pub fn relevance(&self) -> &Arc<dyn ServableRelevance> {
-        &self.rel
-    }
-
-    /// The distance oracle.
-    pub fn distance(&self) -> &Arc<dyn ServableDistance> {
-        &self.dis
-    }
-
-    /// The λ trade-off.
-    pub fn lambda(&self) -> Ratio {
-        self.lambda
+    /// The functions, λ and serving mode (an explicit coreset, if
+    /// forced) the query's result is diversified under.
+    pub fn instance(&self) -> &Instance {
+        &self.instance
     }
 
     /// The largest `k` auto-escalated universes are sized for.
@@ -206,9 +188,19 @@ impl QuerySpec {
         CoresetConfig::recommended(self.max_k).budget
     }
 
-    /// The auto-escalation coreset configuration.
-    fn auto_config(&self, threads: usize) -> CoresetConfig {
-        CoresetConfig::recommended(self.max_k).with_threads(threads)
+    /// [`Instance::build`] over a tuple sequence, with the
+    /// auto-escalation coreset configuration when the sequence is past
+    /// the escalation threshold (`streamed`) — the miss path's and
+    /// recovery's one way in.
+    fn build(
+        &self,
+        tuples: impl Iterator<Item = Tuple>,
+        streamed: bool,
+        threads: usize,
+        deadline: Deadline,
+    ) -> Result<PreparedVariant, ServeError> {
+        let auto = streamed.then(|| CoresetConfig::recommended(self.max_k).with_threads(threads));
+        self.instance.build(tuples, auto, threads, deadline)
     }
 }
 
@@ -216,8 +208,7 @@ impl std::fmt::Debug for QuerySpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QuerySpec")
             .field("query", &format_args!("{}", self.query))
-            .field("lambda", &self.lambda)
-            .field("coreset", &self.coreset)
+            .field("instance", &self.instance)
             .field("max_k", &self.max_k)
             .finish()
     }
@@ -340,23 +331,8 @@ impl QueryFrontDoor {
             enc.write_str(r);
             enc.write_usize(*dbst.rel_versions.get(r).unwrap_or(&0) as usize);
         }
-        enc.write_str("rel");
-        spec.rel.fingerprint(&mut enc);
-        enc.write_str("dis");
-        spec.dis.fingerprint(&mut enc);
-        enc.write_str("lambda");
-        enc.write_ratio(spec.lambda);
-        match spec.coreset {
-            None => {
-                enc.write_str("mode:auto");
-                enc.write_usize(spec.auto_config(1).budget);
-            }
-            Some(cs) => {
-                enc.write_str("mode:coreset");
-                enc.write_usize(cs.budget);
-                enc.write_usize(cs.refine_rounds);
-            }
-        }
+        spec.instance
+            .write_key_tail(&mut enc, Some(spec.auto_budget()));
         UniverseKey::from_bytes(enc.bytes())
     }
 
@@ -372,7 +348,7 @@ impl QueryFrontDoor {
     ) -> Result<PreparedVariant, QueryError> {
         let mut stream = stream_query(db, &spec.query)?.fuse();
         let mut head: Vec<Tuple> = Vec::new();
-        if spec.coreset.is_some() {
+        if spec.instance.coreset().is_some() {
             // Explicit coreset mode materializes, for bit-identity
             // with the UniverseSpec path (Coreset::select over the
             // whole universe, not the insertion stream).
@@ -398,58 +374,7 @@ impl QueryFrontDoor {
         // Above threshold the rest of the evaluation flows straight
         // into coreset maintenance — Q(D) is never a second vector.
         let streamed = head.len() > CORESET_AUTO_THRESHOLD;
-        Ok(Self::build_variant(spec, head.into_iter().chain(stream), streamed, threads, deadline)?)
-    }
-
-    /// Prepares and validates the serving state for `spec` over a tuple
-    /// sequence — the one builder behind the miss path and recovery:
-    /// a coreset selected over the whole sequence for an explicit
-    /// mode, else (auto mode) the streamed coreset when the sequence
-    /// is past the escalation threshold (`streamed`) and the exact
-    /// full matrix when it is not.
-    fn build_variant(
-        spec: &QuerySpec,
-        tuples: impl Iterator<Item = Tuple>,
-        streamed: bool,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<PreparedVariant, ServeError> {
-        let dis = Arc::new(OracleAdapter(spec.dis.clone()));
-        let (rel, lambda) = (&*spec.rel, spec.lambda);
-        let prepared = match spec.coreset {
-            Some(mode) => PreparedVariant::Coreset(Arc::new(
-                PreparedCoreset::try_build_shared_deadline(
-                    tuples.collect(),
-                    rel,
-                    dis,
-                    lambda,
-                    &mode.config(threads),
-                    deadline,
-                )?,
-            )),
-            None if streamed => PreparedVariant::Coreset(Arc::new(
-                PreparedCoreset::try_build_streaming_deadline(
-                    tuples,
-                    rel,
-                    dis,
-                    lambda,
-                    &spec.auto_config(threads),
-                    deadline,
-                )?,
-            )),
-            None => PreparedVariant::Full(Arc::new(
-                PreparedUniverse::try_build_shared_deadline(
-                    tuples.collect(),
-                    rel,
-                    dis,
-                    lambda,
-                    threads,
-                    deadline,
-                )?,
-            )),
-        };
-        prepared.check_finite()?;
-        Ok(prepared)
+        Ok(spec.build(head.into_iter().chain(stream), streamed, threads, deadline)?)
     }
 
     /// The prepared state `spec` addresses against `db` — the one
@@ -664,7 +589,8 @@ impl QueryFrontDoor {
             // the state to the new key untouched (no version bump: no
             // delta was applied).
             let Some(ops) = plan else { continue };
-            let Some(migrated) = prepared.patch(&ops, &*w.spec.rel).filter(|p| p.n() > 0) else {
+            let rel = &**w.spec.instance.relevance();
+            let Some(migrated) = prepared.patch(&ops, rel).filter(|p| p.n() > 0) else {
                 continue;
             };
             let new_key = Self::key_of(db, dbst, &w.spec);
@@ -702,7 +628,7 @@ impl QueryFrontDoor {
         let dbst = state.get_mut(db)?;
         let key = Self::key_of(db, dbst, spec);
         if !self.cache().contains(&key) {
-            let tail: Vec<DeltaOp> = match spec.coreset {
+            let tail: Vec<DeltaOp> = match spec.instance.coreset() {
                 Some(_) => universe
                     .split_off(base_len.min(universe.len()))
                     .into_iter()
@@ -710,9 +636,8 @@ impl QueryFrontDoor {
                     .collect(),
                 None => Vec::new(),
             };
-            let built =
-                Self::build_variant(spec, universe.into_iter(), streamed, threads, Deadline::none());
-            let prepared = built.ok()?.patch(&tail, &*spec.rel)?;
+            let built = spec.build(universe.into_iter(), streamed, threads, Deadline::none());
+            let prepared = built.ok()?.patch(&tail, &**spec.instance.relevance())?;
             // Empty delta log: the restored entry is equivalent to a
             // cold prepare of its current content; the version survives
             // for observability and future migrations.

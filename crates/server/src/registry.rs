@@ -519,7 +519,7 @@ impl Registry {
                 PreparedVariant::Coreset(_) => {
                     mutated.try_prepare_variant(self.solve_threads).ok()
                 }
-                full => full.patch(std::slice::from_ref(op), &**spec.relevance()),
+                full => full.patch(std::slice::from_ref(op), &**spec.instance().relevance()),
             };
             // An entry that cannot be patched (a non-finite new row)
             // drops to cold: the next serve gets the typed refusal from

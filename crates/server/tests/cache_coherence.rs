@@ -518,7 +518,7 @@ fn eviction_recycles_allocations_stale_free_across_two_sizes() {
             .flat_map(|i| {
                 (0..u.len()).map(move |j| match i == j {
                     true => 0.0f64.to_bits(),
-                    false => spec.distance().dist_f64(&u[i], &u[j]).to_bits(),
+                    false => spec.instance().distance().dist_f64(&u[i], &u[j]).to_bits(),
                 })
             })
             .collect();

@@ -114,9 +114,9 @@ fn fresh(spec: &UniverseSpec) -> Vec<CheckedAnswer> {
             None => Engine::from_prepared(spec.prepare(THREADS), THREADS).try_serve(r),
             Some(mode) => CoresetEngine::new(
                 spec.universe().to_vec(),
-                &**spec.relevance(),
+                &**spec.instance().relevance(),
                 dis(),
-                spec.lambda(),
+                spec.instance().lambda(),
                 &CoresetConfig::with_budget(mode.budget).with_threads(THREADS),
             )
             .try_serve(r),

@@ -151,12 +151,19 @@ pub fn object(members: impl IntoIterator<Item = (&'static str, Value)>) -> Value
     )
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, and a stack overflow is an abort no `catch_unwind`
+/// sees, so the depth an input can demand must be bounded. The
+/// protocol's deepest legitimate document nests 6 levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage is an error).
+/// garbage is an error, nesting past [`MAX_DEPTH`] is an error).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -187,6 +194,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -227,8 +236,8 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.eat_literal("true", Value::Bool(true)),
             Some(b'f') => self.eat_literal("false", Value::Bool(false)),
@@ -236,6 +245,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, a level deeper than its parent.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than the limit of 64 levels"));
+        }
+        self.depth += 1;
+        let parsed = container(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn parse_object(&mut self) -> Result<Value, ParseError> {
@@ -321,6 +344,9 @@ impl<'a> Parser<'a> {
                                     self.pos += 1;
                                     self.expect(b'u', "expected low surrogate escape")?;
                                     let second = self.parse_hex4()?;
+                                    if !(0xDC00..=0xDFFF).contains(&second) {
+                                        return Err(self.err("invalid unicode escape"));
+                                    }
                                     0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
                                 } else {
                                     return Err(self.err("unpaired surrogate"));
@@ -426,6 +452,51 @@ mod tests {
             parse(r#""😀""#).unwrap(),
             Value::Str("\u{1F600}".to_string())
         );
+    }
+
+    #[test]
+    fn high_surrogate_needs_a_low_surrogate_escape_after_it() {
+        // `second - 0xDC00` on anything else underflowed: a panic in
+        // debug builds, U+2441 *accepted* in release builds.
+        for bad in [
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\ud800\ue000""#,
+        ] {
+            let e = parse(bad).unwrap_err();
+            assert_eq!(e.message, "invalid unicode escape", "{bad}");
+        }
+        assert!(parse(r#""\ud800x""#).is_err());
+        assert_eq!(
+            parse(r#""\ud83d\ude00""#).unwrap(),
+            Value::Str("\u{1F600}".to_string())
+        );
+        // Both ends of the low range pair up.
+        assert_eq!(
+            parse(r#""\ud800\udc00\udbff\udfff""#).unwrap(),
+            Value::Str("\u{10000}\u{10FFFF}".to_string())
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}"), ("[{\"a\":", "}]")] {
+            let levels = open.matches(['[', '{']).count();
+            let at_limit = nested(open, close, MAX_DEPTH / levels).replace(":}", ":1}");
+            assert!(parse(&at_limit).is_ok(), "{MAX_DEPTH} levels of {open}");
+            let past = nested(open, close, MAX_DEPTH / levels + 1).replace(":}", ":1}");
+            let e = parse(&past).unwrap_err();
+            assert!(e.message.contains(&MAX_DEPTH.to_string()), "{e}");
+        }
+        // Depth, not length: siblings do not accumulate.
+        let wide = format!("[{}[]]", "[[]],".repeat(10_000));
+        assert!(parse(&wide).is_ok());
+        // What used to overflow the stack and abort the process.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -23,7 +23,18 @@
 //!   and poison-recovering cache keep every other tenant's answers
 //!   bit-identical and the process alive. The [`wire`] module's
 //!   `chaos_panic` / `chaos_nan` distance kinds exist to prove exactly
-//!   that, end-to-end, through the real protocol.
+//!   that, end-to-end, through the real protocol. Around those sits a
+//!   per-frame boundary ([`server`]): a handler that panics anywhere
+//!   else — in practice `{"op": "mutate"}`, whose repair of warm
+//!   universes runs the tenant's distance oracle — costs that frame a
+//!   non-retryable `500 worker_panicked` and the worker keeps serving.
+//!   A mutate answered that way **was journaled and applied**; only
+//!   its reply was lost, and a retry answers `changed: false`.
+//! * **Bounded parsers** ([`json`], `divr_relquery::parser`): a frame
+//!   may nest [`json::MAX_DEPTH`] arrays/objects and its query text
+//!   `MAX_FORMULA_DEPTH` productions; past either it is a `400` naming
+//!   the limit instead of a stack overflow, which no `catch_unwind`
+//!   would have seen.
 //! * **Relational front door** (`{"op": "query"}`): a frame may carry
 //!   a *database and a conjunctive query over it* instead of a
 //!   materialized universe. The daemon evaluates `Q(D)` (streaming

@@ -14,7 +14,7 @@
 //! | 400  | `bad_request`, `frame_too_large` | malformed frame |
 //! | 422  | `infeasible_k`, `exceeds_coreset_budget`, `non_finite_score` | valid frame, unservable request |
 //! | 429  | `queue_full`, `qps_exceeded`, `cache_quota` | admission control pushed back |
-//! | 500  | `worker_panicked` | fault isolated to this request |
+//! | 500  | `worker_panicked` | fault isolated to this request (answer-level) or this frame |
 //! | 503  | `draining` | the daemon is shutting down gracefully |
 //! | 504  | `deadline_exceeded` | the frame's `deadline_ms` passed before the work finished |
 //!
@@ -22,7 +22,9 @@
 //! `"retryable": true`, and 429/503 may carry a `retry_after_ms` hint
 //! the client honors); `422`s are not (the request itself is wrong);
 //! `500` means a worker died solving this specific request and
-//! everything else kept serving. A `504` abandoned its prepare at a
+//! everything else kept serving (at the frame level: the handler
+//! itself panicked — a `mutate` so answered was journaled and applied,
+//! only its reply was lost). A `504` abandoned its prepare at a
 //! cooperative checkpoint and cached nothing, so a retry with a looser
 //! deadline starts clean.
 

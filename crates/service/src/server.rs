@@ -31,19 +31,25 @@
 //!    worker_panicked`) and the daemon keeps serving.
 //! 6. **Record** — the frame's latency lands in the per-objective
 //!    log-bucketed histograms exported by `{"op": "stats"}`.
+//!
+//! The whole walk runs inside one `catch_unwind` per frame
+//! (`handle_connection`): a handler that panics outside the registry's
+//! own boundaries — `{"op": "mutate"}` repairing a warm universe with
+//! a panicking oracle — answers a non-retryable `500 worker_panicked`
+//! and the worker stays in the pool.
 
 use crate::admission::{estimate_prepared_bytes, Admission, AdmissionConfig, Rejection};
 use crate::histogram::LatencyStats;
 use crate::json::{self, object, Value};
 use crate::proto::{is_retryable_code, serve_error_status, write_frame, FrameTooLarge};
 use crate::wire::{
-    coreset_from_json, database_from_json, distance_from_json, objective_to_str, ratio_from_json,
-    ratio_to_json, relevance_from_json, requests_from_json, tuple_from_json, universe_from_json,
+    database_from_json, instance_from_json, objective_to_str, ratio_to_json, requests_from_json,
+    tuple_from_json, universe_from_json,
 };
 use divr_core::coreset::CORESET_AUTO_THRESHOLD;
 use divr_core::engine::{spare_buffers, EngineRequest, ServeError};
 use divr_core::problem::ObjectiveKind;
-use divr_core::{Deadline, Ratio};
+use divr_core::Deadline;
 use divr_relquery::parser::parse_query;
 use divr_server::{
     Durability, QueryError, QueryFrontDoor, QuerySpec, RecoverMode, Registry, RegistryConfig,
@@ -51,6 +57,7 @@ use divr_server::{
 };
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, TrySendError};
@@ -450,7 +457,19 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
                 return;
             }
         };
-        let response = handle_frame(shared, &payload);
+        // The frame-level fault boundary (module docs): a handler
+        // that panics costs this frame a typed 500 and nothing more —
+        // the worker keeps its connection and its place in the pool,
+        // and every lock the unwind poisoned recovers on its next use.
+        let response = catch_unwind(AssertUnwindSafe(|| handle_frame(shared, &payload)))
+            .unwrap_or_else(|_| {
+                error_frame(
+                    500,
+                    "worker_panicked",
+                    "a fault while handling this frame was contained; \
+                     an edit it carried may have been applied",
+                )
+            });
         if write_frame(&mut stream, response.to_json().as_bytes()).is_err() {
             return;
         }
@@ -743,15 +762,8 @@ fn handle_query(shared: &Shared, doc: &Value) -> Handled {
     let query = parse_query(text)
         .map_err(|e| error_frame(400, "bad_request", &format!("malformed query: {e}")))?;
     let (db_name, db) = field(doc, "database", "query needs a database", database_from_json)?;
-    let rel = field(doc, "relevance", "query needs relevance", relevance_from_json)?;
-    let dis = field(doc, "distance", "query needs distance", distance_from_json)?;
-    let lambda = field(doc, "lambda", "query needs lambda", |v| {
-        let lambda = ratio_from_json(v)?;
-        if lambda < Ratio::ZERO || lambda > Ratio::ONE {
-            return Err("lambda must lie in [0, 1]".to_string());
-        }
-        Ok(lambda)
-    })?;
+    let instance =
+        instance_from_json(doc, "query").map_err(|e| error_frame(400, "bad_request", &e))?;
     let requests = field(doc, "requests", "query needs requests", requests_from_json)?;
     let deadline = frame_deadline(shared, doc)?;
 
@@ -772,11 +784,8 @@ fn handle_query(shared: &Shared, doc: &Value) -> Handled {
     // estimate below.
     let bound = divr_relquery::cardinality_bound(&db, &query);
 
-    let mut spec = QuerySpec::new(query, rel, dis, lambda).map_err(|e| query_error_frame(&e))?;
-    if let Some(mode) = doc.get("coreset") {
-        let mode = coreset_from_json(mode).map_err(|e| error_frame(400, "bad_request", &e))?;
-        spec = spec.with_coreset(mode);
-    }
+    let mut spec =
+        QuerySpec::from_instance(query, instance).map_err(|e| query_error_frame(&e))?;
     if let Some(k) = doc.get("max_k") {
         match k.as_i64().and_then(|k| usize::try_from(k).ok()).filter(|&k| k > 0) {
             Some(k) => spec = spec.with_max_k(k),
@@ -800,7 +809,7 @@ fn handle_query(shared: &Shared, doc: &Value) -> Handled {
     // quota), and a bound past the auto-escalation threshold is charged
     // at the coreset footprint it will actually prepare.
     let n_bound = usize::try_from(bound).unwrap_or(usize::MAX).min(1 << 26);
-    let budget = spec.coreset().map(|mode| mode.budget).or_else(|| {
+    let budget = spec.instance().coreset().map(|mode| mode.budget).or_else(|| {
         (n_bound > CORESET_AUTO_THRESHOLD).then(|| spec.auto_budget())
     });
     let key = shared
@@ -841,6 +850,13 @@ fn handle_query(shared: &Shared, doc: &Value) -> Handled {
 /// (doomed tuples swap-removed from warm `Full` entries, other
 /// derivations kept). With durability on, the edit is journaled to the
 /// WAL *before* the in-memory mutation is acknowledged.
+///
+/// The repair runs the tenant's distance oracle under the front door's
+/// write lock, outside the registry's fault boundaries; if it panics,
+/// the frame boundary in `handle_connection` answers `500
+/// worker_panicked`. By then the edit is journaled and applied (the
+/// entries under repair just stay cold), so a retry answers
+/// `changed: false`.
 fn handle_mutate(shared: &Shared, doc: &Value) -> Handled {
     let text = |name: &str| {
         doc.get(name).and_then(Value::as_str).ok_or_else(|| {
@@ -1034,6 +1050,7 @@ fn stats_frame(shared: &Shared) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use divr_core::Ratio;
 
     /// The shared reply tail, for both ops: every answer tripped ⇒ one
     /// frame-level retryable 504; a partial trip keeps per-answer

@@ -22,8 +22,8 @@ use divr_core::relevance::{AttributeRelevance, ConstantRelevance};
 use divr_core::Ratio;
 use divr_relquery::{Database, Tuple};
 use divr_server::{
-    CoresetSpec, FingerprintEncoder, Fingerprintable, ServableDistance, ServableRelevance,
-    UniverseKey, UniverseSpec,
+    CoresetSpec, FingerprintEncoder, Fingerprintable, Instance, ServableDistance,
+    ServableRelevance, UniverseKey, UniverseSpec,
 };
 use std::sync::Arc;
 
@@ -244,17 +244,22 @@ pub fn universe_from_json(v: &Value) -> Result<UniverseSpec, String> {
     for t in tuples_json {
         tuples.push(tuple_from_json(t)?);
     }
-    let rel = relevance_from_json(v.get("relevance").ok_or("universe needs relevance")?)?;
-    let dis = distance_from_json(v.get("distance").ok_or("universe needs distance")?)?;
-    let lambda = ratio_from_json(v.get("lambda").ok_or("universe needs lambda")?)?;
-    if lambda < Ratio::ZERO || lambda > Ratio::ONE {
-        return Err("lambda must lie in [0, 1]".to_string());
-    }
-    let mut spec = UniverseSpec::new(tuples, rel, dis, lambda);
-    if let Some(mode) = v.get("coreset") {
-        spec = spec.with_coreset(coreset_from_json(mode)?);
-    }
-    Ok(spec)
+    Ok(UniverseSpec::from_instance(tuples, instance_from_json(v, "universe")?))
+}
+
+/// Decodes the `relevance` / `distance` / `lambda` / `coreset`? members
+/// of `v` — a `universe` object, or a whole `query` frame (`owner` names
+/// which, for the messages) — into the [`Instance`] both carry.
+pub fn instance_from_json(v: &Value, owner: &str) -> Result<Instance, String> {
+    let member = |name: &str| v.get(name).ok_or_else(|| format!("{owner} needs {name}"));
+    let rel = relevance_from_json(member("relevance")?)?;
+    let dis = distance_from_json(member("distance")?)?;
+    let lambda = ratio_from_json(member("lambda")?)?;
+    let instance = Instance::try_new(rel, dis, lambda).ok_or("lambda must lie in [0, 1]")?;
+    Ok(match v.get("coreset") {
+        Some(mode) => instance.with_coreset(coreset_from_json(mode)?),
+        None => instance,
+    })
 }
 
 /// Decodes one `coreset` object (`{"budget", "refine_rounds"?}`).
@@ -336,8 +341,124 @@ mod tests {
         .unwrap();
         let spec = universe_from_json(&doc).unwrap();
         assert_eq!(spec.universe().len(), 3);
-        assert_eq!(spec.lambda(), Ratio::new(1, 2));
+        assert_eq!(spec.instance().lambda(), Ratio::new(1, 2));
         assert_eq!(spec.coreset().map(|c| c.budget), Some(2));
+    }
+
+    /// Every JSON spelling of an oracle, defaults spelled out or left
+    /// out, is the oracle one would build by hand — at the level that
+    /// matters, the cache key — whether the members sit in a `universe`
+    /// object or directly in a `query` frame.
+    #[test]
+    fn every_spelling_keys_like_the_hand_built_oracle() {
+        use divr_relquery::parser::parse_query;
+        use divr_server::{QueryFrontDoor, QuerySpec, Registry};
+        let third = Ratio::new(1, 3);
+        let rels: Vec<(&str, Arc<dyn ServableRelevance>)> = vec![
+            (r#"{"kind": "constant", "value": [1, 3]}"#, Arc::new(ConstantRelevance(third))),
+            (
+                r#"{"kind": "attribute", "attr": 1}"#,
+                Arc::new(AttributeRelevance { attr: 1, default: Ratio::ZERO }),
+            ),
+            (
+                r#"{"kind": "attribute", "attr": 0, "default": [1, 3]}"#,
+                Arc::new(AttributeRelevance { attr: 0, default: third }),
+            ),
+        ];
+        let diss: Vec<(&str, Arc<dyn ServableDistance>)> = vec![
+            (r#"{"kind": "constant", "value": [1, 3]}"#, Arc::new(ConstantDistance(third))),
+            (
+                r#"{"kind": "numeric", "attr": 0}"#,
+                Arc::new(NumericDistance { attr: 0, fallback: Ratio::ZERO }),
+            ),
+            (
+                r#"{"kind": "numeric", "attr": 1, "fallback": [1, 3]}"#,
+                Arc::new(NumericDistance { attr: 1, fallback: third }),
+            ),
+            (r#"{"kind": "hamming"}"#, Arc::new(HammingDistance { weight: Ratio::ONE })),
+            (
+                r#"{"kind": "hamming", "weight": [1, 3]}"#,
+                Arc::new(HammingDistance { weight: third }),
+            ),
+        ];
+        let modes = [
+            ("", None),
+            (r#", "coreset": {"budget": 5}"#, Some(CoresetSpec::with_budget(5))),
+            (
+                r#", "coreset": {"budget": 5, "refine_rounds": 2}"#,
+                Some(CoresetSpec { budget: 5, refine_rounds: 2 }),
+            ),
+        ];
+        let tuples = || vec![Tuple::ints([0, 3]), Tuple::ints([1, 5])];
+        let query = || parse_query("Q(x, y) :- R(x, y)").unwrap();
+        let front = QueryFrontDoor::new(Arc::new(Registry::default()));
+        let mut db = Database::new();
+        db.create_relation("R", &["x", "y"]).unwrap();
+        front.register_database("main", db);
+
+        for (rel_json, rel) in &rels {
+            for (dis_json, dis) in &diss {
+                for (mode_json, mode) in &modes {
+                    let members = format!(
+                        r#""relevance": {rel_json}, "distance": {dis_json}, "lambda": [2, 3]{mode_json}"#
+                    );
+                    let lambda = Ratio::new(2, 3);
+
+                    let doc = format!(r#"{{"tuples": [[0, 3], [1, 5]], {members}}}"#);
+                    let decoded = universe_from_json(&json::parse(&doc).unwrap()).unwrap();
+                    let mut by_hand = UniverseSpec::new(tuples(), rel.clone(), dis.clone(), lambda);
+                    if let Some(mode) = mode {
+                        by_hand = by_hand.with_coreset(*mode);
+                    }
+                    assert_eq!(decoded.key(), by_hand.key(), "{doc}");
+
+                    let frame = format!(r#"{{"op": "query", "tenant": "t", {members}}}"#);
+                    let instance = instance_from_json(&json::parse(&frame).unwrap(), "query");
+                    let decoded = QuerySpec::from_instance(query(), instance.unwrap()).unwrap();
+                    let mut by_hand =
+                        QuerySpec::new(query(), rel.clone(), dis.clone(), lambda).unwrap();
+                    if let Some(mode) = mode {
+                        by_hand = by_hand.with_coreset(*mode);
+                    }
+                    assert_eq!(
+                        front.key_for("main", &decoded).unwrap(),
+                        front.key_for("main", &by_hand).unwrap(),
+                        "{frame}"
+                    );
+                }
+            }
+        }
+
+        // One reader, one set of messages, named after the holder.
+        for (owner, doc, needle) in [
+            ("universe", r#"{"distance": 1, "lambda": 1}"#, "universe needs relevance"),
+            (
+                "query",
+                r#"{"relevance": {"kind": "constant", "value": [1, 1]}}"#,
+                "query needs distance",
+            ),
+            (
+                "query",
+                r#"{"relevance": {"kind": "constant", "value": [1, 1]},
+                    "distance": {"kind": "hamming"}}"#,
+                "query needs lambda",
+            ),
+            (
+                "query",
+                r#"{"relevance": {"kind": "constant", "value": [1, 1]},
+                    "distance": {"kind": "hamming"}, "lambda": [-1, 2]}"#,
+                "lambda must lie in [0, 1]",
+            ),
+            (
+                "universe",
+                r#"{"relevance": {"kind": "constant", "value": [1, 1]},
+                    "distance": {"kind": "hamming"}, "lambda": [1, 2], "coreset": {"budget": 0}}"#,
+                "positive budget",
+            ),
+        ] {
+            let err = instance_from_json(&json::parse(doc).unwrap(), owner).unwrap_err();
+            assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+        }
     }
 
     #[test]

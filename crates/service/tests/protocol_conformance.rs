@@ -690,3 +690,168 @@ fn concurrent_chaos_tenants_never_poison_healthy_ones() {
     assert!(client.ping().unwrap());
     service.shutdown();
 }
+
+/// Checks wire answers against library answers, value and indices.
+fn assert_answers_eq(answers: &[Value], want: &[(Ratio, Vec<usize>)]) {
+    assert_eq!(answers.len(), want.len());
+    for (answer, (value, indices)) in answers.iter().zip(want) {
+        assert_eq!(
+            ratio_of(answer.get("value").unwrap()),
+            (
+                i64::try_from(value.numerator()).unwrap(),
+                i64::try_from(value.denominator()).unwrap()
+            )
+        );
+        assert_eq!(&indices_of(answer.get("indices").unwrap()), indices);
+    }
+}
+
+/// Serves the standard 30-tuple universe on a fresh connection and
+/// returns the answers after checking each against the engine oracle —
+/// what "the daemon is unharmed" means after a hostile frame.
+fn serve_on_a_fresh_connection(addr: std::net::SocketAddr) -> Vec<Value> {
+    let mut client = Client::connect(addr).unwrap();
+    assert!(client.ping().unwrap());
+    let requests = all_objectives(4);
+    let response = client
+        .request(&serve_doc("bystander", universe_json(30, "numeric"), &requests))
+        .unwrap();
+    let answers = response.get("answers").and_then(Value::as_array).unwrap().to_vec();
+    let oracle = Registry::default();
+    let spec = universe_spec(30);
+    let want: Vec<_> = requests.iter().map(|r| oracle.try_serve(&spec, *r).unwrap()).collect();
+    assert_answers_eq(&answers, &want);
+    answers
+}
+
+/// A frame that nests 200 000 arrays deep used to overflow the worker's
+/// stack in the recursive-descent JSON parser — an abort no
+/// `catch_unwind` sees, so one 200 KB frame ended the process. It is a
+/// `400` naming the limit, and the connection keeps serving.
+#[test]
+fn deeply_nested_json_is_a_400_not_a_dead_daemon() {
+    use divr_service::proto::{read_frame, write_frame};
+    let service = Service::start(test_config()).unwrap();
+    let before = serve_on_a_fresh_connection(service.local_addr());
+
+    // Raw frames: a `Value` this deep could not even be dropped.
+    let mut stream = std::net::TcpStream::connect(service.local_addr()).unwrap();
+    let mut roundtrip = |payload: &[u8]| {
+        write_frame(&mut stream, payload).unwrap();
+        let reply = read_frame(&mut stream, 1 << 20).unwrap().expect("a reply frame");
+        json::parse(std::str::from_utf8(&reply).unwrap()).unwrap()
+    };
+    for hostile in ["[".repeat(200_000), r#"{"op":"#.repeat(200_000)] {
+        let response = roundtrip(hostile.as_bytes());
+        assert_eq!(response.get("code").and_then(Value::as_i64), Some(400));
+        assert_eq!(response.get("kind").and_then(Value::as_str), Some("bad_request"));
+        let detail = response.get("detail").and_then(Value::as_str).unwrap();
+        assert!(detail.contains(&json::MAX_DEPTH.to_string()), "{detail}");
+    }
+    // The same connection answers the next frame.
+    let pong = roundtrip(br#"{"op":"ping"}"#);
+    assert_eq!(pong.get("op").and_then(Value::as_str), Some("pong"));
+
+    assert_eq!(serve_on_a_fresh_connection(service.local_addr()), before);
+    service.shutdown();
+}
+
+/// The same abort through query text: 200 000 nested parentheses,
+/// negations or quantifiers recursed once each in the query parser.
+/// Malformed text is a `400`, before the handler looks at the database.
+#[test]
+fn deeply_nested_query_text_is_a_400_not_a_dead_daemon() {
+    let service = Service::start(test_config()).unwrap();
+    let before = serve_on_a_fresh_connection(service.local_addr());
+    let mut client = Client::connect(service.local_addr()).unwrap();
+    for text in [
+        format!("Q(x) := {}dept(x)", "(".repeat(200_000)),
+        format!("Q(x) := {}dept(x)", "!".repeat(200_000)),
+        format!("Q(x) := {}dept(x)", "exists y. ".repeat(200_000)),
+        format!("Q(x) := {}dept(x)", "dept(x) -> ".repeat(200_000)),
+    ] {
+        let response = client
+            .request(&query_frame("alice", &text, &all_objectives(2)))
+            .unwrap();
+        assert_eq!(response.get("code").and_then(Value::as_i64), Some(400));
+        assert_eq!(response.get("kind").and_then(Value::as_str), Some("bad_request"));
+        let detail = response.get("detail").and_then(Value::as_str).unwrap();
+        assert!(detail.contains("malformed query"), "{detail}");
+    }
+    assert!(client.ping().unwrap());
+    assert_eq!(serve_on_a_fresh_connection(service.local_addr()), before);
+    service.shutdown();
+}
+
+/// A base edit repairs warm universes under the front door's write
+/// lock, which runs the tenant's distance oracle outside the registry's
+/// two fault boundaries. With a panicking oracle the `mutate` frame used
+/// to unwind out of the worker loop: the worker was gone for good, and
+/// with `workers: 1` the daemon stayed up and accepted nothing. The
+/// frame-level boundary makes it one typed, non-retryable `500`.
+#[test]
+fn a_panicking_mutate_costs_its_frame_not_its_worker() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..test_config()
+    })
+    .unwrap();
+    let before = serve_on_a_fresh_connection(service.local_addr());
+
+    let mut client = Client::connect(service.local_addr()).unwrap();
+    // One row: no off-diagonal pair, so the chaos oracle prepares fine.
+    let chaos_query = query_doc(
+        "mallory",
+        "Q(x) :- R(x)",
+        json::parse(r#"{"relations": [{"name": "R", "attrs": ["x"], "rows": [[1]]}]}"#).unwrap(),
+        json::parse(r#"{"kind": "constant", "value": [1, 1]}"#).unwrap(),
+        json::parse(r#"{"kind": "chaos_panic"}"#).unwrap(),
+        json::parse("[1, 2]").unwrap(),
+        &all_objectives(1),
+    );
+    let response = client.request(&chaos_query).unwrap();
+    assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
+    let db = response.get("database").and_then(Value::as_str).unwrap();
+
+    // The insert grows the warm universe to two tuples: the repair asks
+    // the oracle for their distance, and the oracle panics.
+    let mutate = json::parse(&format!(
+        r#"{{"op": "mutate", "tenant": "mallory", "database": "{db}",
+            "relation": "R", "action": "insert", "tuple": [2]}}"#
+    ))
+    .unwrap();
+    let response = client.request(&mutate).unwrap();
+    assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
+    assert_eq!(response.get("code").and_then(Value::as_i64), Some(500));
+    assert_eq!(response.get("kind").and_then(Value::as_str), Some("worker_panicked"));
+    assert_eq!(response.get("retryable").and_then(Value::as_bool), Some(false));
+
+    // The only worker still holds this connection. The edit itself was
+    // journaled and applied before the repair ran — only the reply was
+    // lost to the fault — so a retry finds the tuple present.
+    assert!(client.ping().unwrap());
+    let retry = client.request(&mutate).unwrap();
+    assert_eq!(retry.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(retry.get("changed").and_then(Value::as_bool), Some(false));
+    // The entry under repair went cold, nothing stale is resident: the
+    // next query prepares over both tuples and meets the panic inside
+    // the registry's own boundary.
+    let response = client.request(&chaos_query).unwrap();
+    assert_eq!(response.get("code").and_then(Value::as_i64), Some(500));
+    drop(client); // one worker: free it for the next connection
+
+    // A fresh connection is served, and other tenants' answers — a
+    // universe and a different database — are what they were.
+    assert_eq!(serve_on_a_fresh_connection(service.local_addr()), before);
+    let mut client = Client::connect(service.local_addr()).unwrap();
+    let requests = all_objectives(3);
+    let text = "Q(d, s) :- emp(d, s), dept(d)";
+    let response = client.request(&query_frame("alice", text, &requests)).unwrap();
+    let answers = response.get("answers").and_then(Value::as_array).unwrap();
+    let front = QueryFrontDoor::new(Arc::new(Registry::default()));
+    front.register_database("main", database());
+    let want = front.serve_query("main", &query_spec(text), &requests).unwrap();
+    let want: Vec<_> = want.into_iter().map(Result::unwrap).collect();
+    assert_answers_eq(answers, &want);
+    service.shutdown();
+}

@@ -65,8 +65,8 @@ fn main() {
     let eu = region_universe(2, 900, Ratio::new(1, 2));
     let eu_ab = UniverseSpec::new(
         eu.universe().to_vec(),
-        eu.relevance().clone(),
-        eu.distance().clone(),
+        eu.instance().relevance().clone(),
+        eu.instance().distance().clone(),
         Ratio::new(3, 4),
     );
 

@@ -203,7 +203,7 @@ proptest! {
         }
 
         let requests = all_requests(raw.k);
-        let want = oracle_answers(materialized, spec.lambda(), &requests);
+        let want = oracle_answers(materialized, spec.instance().lambda(), &requests);
         let cold = front.serve_query("main", &spec, &requests).unwrap();
         assert_answers_match(&cold, &want, "cold")?;
         let warm = front.serve_query("main", &spec, &requests).unwrap();
@@ -294,7 +294,7 @@ proptest! {
         // The repaired universe sequence is the differential contract:
         // original order + appended repairs.
         let repaired = front.universe_of("main", &spec).unwrap();
-        let want = oracle_answers(repaired.clone(), spec.lambda(), &requests);
+        let want = oracle_answers(repaired.clone(), spec.instance().lambda(), &requests);
         let got = front.serve_query("main", &spec, &requests).unwrap();
         assert_answers_match(&got, &want, "post-delta")?;
         if touched {
