@@ -14,16 +14,18 @@
 //! exactness discipline as the engine:
 //!
 //! * [`Coreset::select`] — a farthest-point (Gonzalez k-center /
-//!   GMM-style) pass that picks `m` representatives in `O(n·m)`
-//!   distance evaluations and **zero** `n × n` allocations.
-//!   Half the budget goes to the top-relevance items (so the λ → 0
-//!   regime, where only relevance matters, stays exact for
-//!   `k ≤ ⌈m/2⌉`), half to farthest-point coverage (so the λ → 1
-//!   regime keeps the classical k-center guarantees). Sweeps are
-//!   float-scored with the engine's exact-`Ratio` tie fallback, so
-//!   selection is deterministic down to equal-score ties; key-shaped
-//!   oracles ([`Distance::key_column`]) are swept as one flat integer
-//!   column, all others per pair across threads.
+//!   GMM-style) pass that picks `m` representatives with **zero**
+//!   `n × n` allocations. Half the budget goes to the top-relevance
+//!   items (so the λ → 0 regime, where only relevance matters, stays
+//!   exact for `k ≤ ⌈m/2⌉`), half to farthest-point coverage (so the
+//!   λ → 1 regime keeps the classical k-center guarantees). Coverage
+//!   is float-scored with the engine's exact-`Ratio` tie fallback, so
+//!   selection is deterministic down to equal-score ties. An arbitrary
+//!   oracle is called per pair, `O(n·m)` distance evaluations across
+//!   threads; a key-shaped one ([`Distance::key_column`]) is sorted
+//!   once and each representative folded into the one gap between
+//!   already-folded keys it splits (`gaps.rs`: `O(n log n)` plus the
+//!   gaps re-scanned) — the same selection, bit for bit.
 //! * [`PreparedCoreset`] — the owned, shareable prepared state: `O(n)`
 //!   relevance caches, the coreset itself, and an `m × m`
 //!   [`PreparedUniverse`] over the representatives. Its [`approx_bytes`](PreparedCoreset::approx_bytes)
@@ -80,15 +82,18 @@
 //! [`Engine`]: crate::engine::Engine
 //! [`PreparedUniverse`]: crate::engine::PreparedUniverse
 
+mod gaps;
 mod prepared;
 mod serve;
 
 pub use prepared::{PreparedCoreset, SharedCoreset};
 pub use serve::CoresetEngine;
 
+use gaps::KeyGaps;
+
 use crate::avail::GenMarks;
 use crate::deadline::Deadline;
-use crate::distance::{key_gap_f64, Distance};
+use crate::distance::Distance;
 use crate::engine::{
     default_threads, resolve_ties_exact, tie_threshold, ScoreSource, ServeError, TieCandidate,
     TieChunk,
@@ -263,9 +268,54 @@ fn cover(
     })
 }
 
+/// The coverage arrays of a selection in progress and the one way this
+/// oracle folds a representative into them: over a key column the gap
+/// selector ([`KeyGaps`]), otherwise one per-pair [`cover`] sweep of all
+/// `n` items, which leaves the farthest candidates behind as it goes.
+struct Coverage<'a> {
+    universe: &'a [Tuple],
+    dis: &'a (dyn Distance + Sync),
+    threads: usize,
+    /// `nearest[i]`: float distance from item `i` to the folded set.
+    nearest: Vec<f64>,
+    /// `assignment[i]`: selection-order position of the representative
+    /// achieving it (the earliest, on equal distances).
+    assignment: Vec<usize>,
+    gaps: Option<KeyGaps>,
+    /// Per-pair path: what the latest sweep reported.
+    swept: Vec<TieCandidate>,
+}
+
+impl Coverage<'_> {
+    /// Folds representative `rep` (selection-order position `pos`,
+    /// already marked in `selected`) into the coverage arrays.
+    fn fold(&mut self, pos: usize, rep: usize, selected: &GenMarks) {
+        let (nearest, assignment) = (&mut self.nearest[..], &mut self.assignment[..]);
+        match &mut self.gaps {
+            Some(gaps) => gaps.fold(pos, rep, nearest, assignment),
+            None => {
+                let (universe, dis) = (self.universe, self.dis);
+                let to_rep = |i: usize| dis.dist_f64(&universe[i], &universe[rep]);
+                self.swept = cover(self.threads, nearest, assignment, pos, selected, to_rep);
+            }
+        }
+    }
+
+    /// The farthest unselected items as of the latest fold, with their
+    /// near-ties, ascending by index; empty when none orders. To be
+    /// asked once every selected item has been folded.
+    fn farthest(&mut self) -> Vec<TieCandidate> {
+        match &self.gaps {
+            Some(gaps) => gaps.farthest(&self.nearest),
+            None => std::mem::take(&mut self.swept),
+        }
+    }
+}
+
 impl Coreset {
-    /// Selects `min(budget, n)` representatives in `O(n·m)` distance
-    /// evaluations without materializing any `n × n` structure.
+    /// Selects `min(budget, n)` representatives in at most `O(n·m)`
+    /// distance evaluations without materializing any `n × n`
+    /// structure.
     ///
     /// Two phases, both deterministic:
     ///
@@ -279,13 +329,19 @@ impl Coreset {
     ///    broken toward the lowest index, exactly like
     ///    [`crate::engine`]'s argmax.
     ///
-    /// Each representative costs one `O(n)` sweep that updates every
-    /// item's coverage and finds the next farthest candidates in the
-    /// same pass. An oracle that hands out a
-    /// [`Distance::key_column`] is swept as a flat integer column,
-    /// inline; any other oracle is called per pair, sharded across
-    /// `threads` once `n ≥ 4096`. The selection is identical either way
-    /// and for every `threads`.
+    /// Folding a representative in lowers every item's coverage
+    /// distance that it strictly improves. An arbitrary oracle is called
+    /// per pair for that — one `O(n)` sweep per representative, sharded
+    /// across `threads` once `n ≥ 4096`, which finds the next farthest
+    /// candidates in the same pass. An oracle that hands out a
+    /// [`Distance::key_column`] has the column sorted once, and each
+    /// representative re-scans only the gap between the two
+    /// already-folded keys that bracket its own: no item beyond them
+    /// can get closer (the float distance is monotone in the key
+    /// difference and the update is strict), so for `m ≪ n` the
+    /// selection costs `O(n log n)` plus the gaps re-scanned instead of
+    /// `n·m`, inline. The selection is identical either way and for
+    /// every `threads`.
     ///
     /// `rel_exact[i]` must equal `δ_rel(universe[i])`. Panics if the
     /// oracle emits non-comparable (non-finite) distances; untrusted
@@ -302,10 +358,9 @@ impl Coreset {
     }
 
     /// [`Coreset::select`] under a cooperative [`Deadline`], checked
-    /// between phase-1 coverage passes and between Gonzalez
-    /// farthest-point iterations — each an `O(n)` scan, so an
-    /// abandoned selection overshoots its deadline by at most one
-    /// pass. Returns `Err(ServeError::DeadlineExceeded)` on
+    /// before each phase-1 fold and each Gonzalez farthest-point
+    /// iteration — each at most an `O(n)` scan, so an abandoned
+    /// selection overshoots its deadline by at most one pass. Returns `Err(ServeError::DeadlineExceeded)` on
     /// abandonment, and `Err(ServeError::NonFiniteScore)` when the
     /// coverage distances stop ordering; partial state is dropped.
     pub fn try_select_deadline(
@@ -347,59 +402,39 @@ impl Coreset {
             selected.mark(i);
         }
 
-        // Coverage state: nearest[i] = float distance from item i to the
-        // selected set, assignment[i] = position (into `reps`) of the
-        // representative achieving it. One sweep folds one
-        // representative in and reports the farthest unselected items
-        // as of that sweep; over a key column the sweep is a flat
-        // inline loop (spawning per round costs more than it saves),
-        // otherwise `threads` shard the per-pair oracle calls.
-        let mut nearest = vec![f64::INFINITY; n];
-        let mut assignment = vec![0usize; n];
-        let keys = dis.key_column(universe);
-        let mut sweep = |pos: usize, rep: usize, selected: &GenMarks| match &keys {
-            Some(keys) => {
-                let rep_key = keys[rep];
-                let to_rep = |i: usize| key_gap_f64(keys[i], rep_key);
-                cover_chunk(0, &mut nearest, &mut assignment, pos, selected, to_rep).ties
-            }
-            None => {
-                let rep_tuple = &universe[rep];
-                let to_rep = |i: usize| dis.dist_f64(&universe[i], rep_tuple);
-                cover(
-                    threads,
-                    &mut nearest,
-                    &mut assignment,
-                    pos,
-                    selected,
-                    to_rep,
-                )
-            }
+        let mut coverage = Coverage {
+            universe,
+            dis,
+            threads,
+            nearest: vec![f64::INFINITY; n],
+            assignment: vec![0usize; n],
+            gaps: dis.key_column(universe).map(KeyGaps::new),
+            swept: Vec::new(),
         };
-        let mut farthest = Vec::new();
         for (pos, &r) in reps.iter().enumerate() {
-            // Deadline checkpoint: one coverage pass is O(n).
+            // Deadline checkpoint: one fold is at most O(n).
             deadline.check()?;
-            farthest = sweep(pos, r, &selected);
+            coverage.fold(pos, r, &selected);
         }
 
         // Phase 2: farthest-point rounds, each resolved from the
-        // candidates the previous sweep left behind.
+        // candidates the folds so far leave.
         while reps.len() < m {
-            // Deadline checkpoint: one Gonzalez iteration is O(n).
+            // Deadline checkpoint: one Gonzalez iteration is at most O(n).
             deadline.check()?;
+            let farthest = coverage.farthest();
             if farthest.is_empty() {
                 // m < n leaves unselected candidates, so an empty argmax
                 // means their coverage distances do not order: the
                 // oracle emitted a non-finite float (full-universe
                 // indices of one offending item and its representative).
                 let i = (0..n)
-                    .find(|&i| !selected.is_marked(i) && !nearest[i].is_finite())
+                    .find(|&i| !selected.is_marked(i) && !coverage.nearest[i].is_finite())
                     .unwrap_or(0);
                 return Err(ServeError::NonFiniteScore {
                     source: ScoreSource::Distance,
                     i,
-                    j: reps[assignment[i]],
+                    j: reps[coverage.assignment[i]],
                 });
             }
             let exact_nearest = |i: usize| -> Ratio {
@@ -410,9 +445,14 @@ impl Coreset {
             };
             let winner = resolve_ties_exact(&farthest, exact_nearest);
             selected.mark(winner);
-            farthest = sweep(reps.len(), winner, &selected);
+            coverage.fold(reps.len(), winner, &selected);
             reps.push(winner);
         }
+        let Coverage {
+            nearest,
+            mut assignment,
+            ..
+        } = coverage;
         // Canonical order: ascending indices, so the coreset
         // sub-universe preserves the original tuple order (and the
         // engine's lowest-index tie-breaks map monotonically back).
@@ -523,6 +563,83 @@ mod tests {
         let b = Coreset::select(&u, &rels, &d, 24, 4);
         assert_eq!(a.indices(), b.indices());
         assert_eq!(a.assignment, b.assignment);
+    }
+
+    /// Fold by fold, the gap selector leaves the coverage arrays and
+    /// reports the candidates — indices, order, score bits — of a flat
+    /// sweep of all `n` items: duplicate-heavy columns (representatives
+    /// on taken keys, rounds where everything ties at 0) and columns
+    /// spanning all of `i64` (distinct gaps that round to one float).
+    #[test]
+    fn gap_selector_reports_what_a_flat_sweep_reports() {
+        use crate::distance::key_gap_f64;
+        for seed in 0..48u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut draw = |below: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % below
+            };
+            let n = 8 + 9 * seed as usize;
+            let keys: Vec<i64> = (0..n)
+                .map(|_| match seed % 3 {
+                    0 => draw(9) as i64 - 4,
+                    1 => [i64::MIN, -1, 0, i64::MAX][draw(4) as usize]
+                        .saturating_add((draw(5) as i64 - 2) << 12),
+                    _ => draw(20 * n as u64) as i64,
+                })
+                .collect();
+            let universe: Vec<Tuple> = keys.iter().map(|&key| Tuple::ints([key])).collect();
+            let dis = NumericDistance { attr: 0, fallback: Ratio::ZERO };
+            let mut coverage = Coverage {
+                universe: &universe,
+                dis: &dis,
+                threads: 1,
+                nearest: vec![f64::INFINITY; n],
+                assignment: vec![0; n],
+                gaps: dis.key_column(&universe).map(KeyGaps::new),
+                swept: Vec::new(),
+            };
+            assert!(coverage.gaps.is_some());
+            let (mut flat_nearest, mut flat_assignment) = (vec![f64::INFINITY; n], vec![0; n]);
+            let mut flat = Vec::new();
+            let mut selected = GenMarks::new();
+            selected.reset(n);
+            // Guards are all marked before the first fold, as in phase 1.
+            let mut reps: Vec<usize> = vec![draw(n as u64) as usize, draw(n as u64) as usize];
+            reps.dedup();
+            for &r in &reps {
+                selected.mark(r);
+            }
+            let mut fold_both = |coverage: &mut Coverage, pos: usize, rep: usize, selected: &GenMarks| {
+                coverage.fold(pos, rep, selected);
+                let to_rep = |i: usize| key_gap_f64(keys[i], keys[rep]);
+                let (near, asg) = (&mut flat_nearest, &mut flat_assignment);
+                let flat = cover_chunk(0, near, asg, pos, selected, to_rep).ties;
+                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&coverage.nearest), bits(near), "seed {seed} fold {pos}");
+                assert_eq!(&coverage.assignment, asg, "seed {seed} fold {pos}");
+                flat
+            };
+            for (pos, &r) in reps.iter().enumerate() {
+                flat = fold_both(&mut coverage, pos, r, &selected);
+            }
+            while reps.len() < n.min(24) {
+                let got = coverage.farthest();
+                let listed = |ties: &[TieCandidate]| {
+                    ties.iter()
+                        .map(|t| (t.index, t.score.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(listed(&got), listed(&flat), "seed {seed} round {}", reps.len());
+                // Any candidate may win the exact tie-break.
+                let winner = got[draw(got.len() as u64) as usize].index;
+                selected.mark(winner);
+                flat = fold_both(&mut coverage, reps.len(), winner, &selected);
+                reps.push(winner);
+            }
+        }
     }
 
     #[test]

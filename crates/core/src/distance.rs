@@ -41,13 +41,17 @@ pub trait Distance {
     /// The flat integer key column of `items`, for oracles that are a
     /// one-dimensional metric over them: `Some(keys)` promises that for
     /// every `i`, `j`, `dist_f64(&items[i], &items[j])` is bit-for-bit
-    /// `(keys[i] - keys[j]).abs() as f64` (so equal tuples have equal
+    /// `keys[i].abs_diff(keys[j]) as f64` (so equal tuples have equal
     /// keys and the zero diagonal is implied), that
-    /// `dist(&items[i], &items[j])` is **exactly**
-    /// `Ratio::int((keys[i] - keys[j]).abs())`, and that `keys[i]`
-    /// depends on `items[i]` alone. The coreset selection
-    /// ([`crate::coreset::Coreset::try_select_deadline`]) then sweeps
-    /// the column instead of dispatching `dist_f64` per pair, and the
+    /// `dist(&items[i], &items[j])` is **exactly** the integer
+    /// `|keys[i] − keys[j]|` — over all of `i64`, where the difference
+    /// needs 65 bits — and that `keys[i]` depends on `items[i]` alone.
+    /// The coreset selection
+    /// ([`crate::coreset::Coreset::try_select_deadline`]) then sorts
+    /// the column once and folds each representative into the one gap
+    /// of it that can move, instead of dispatching `dist_f64` per pair
+    /// (the float is monotone in the key difference, which is what lets
+    /// it skip every other item), and the
     /// exact `F_mono` score reads per-item distance sums computed from
     /// the sorted column instead of summing `n − 1` `dist` calls
     /// ([`crate::engine::PreparedUniverse::mono_sums_preamble`]; a
@@ -235,7 +239,8 @@ impl Distance for NumericDistance {
             a.get(self.attr).and_then(|v| v.as_int()),
             b.get(self.attr).and_then(|v| v.as_int()),
         ) {
-            (Some(x), Some(y)) => Ratio::int((x - y).abs()),
+            // The difference of two `i64` needs 65 bits.
+            (Some(x), Some(y)) => Ratio::new_i128((i128::from(x) - i128::from(y)).abs(), 1),
             _ => self.fallback,
         }
     }
@@ -265,11 +270,13 @@ impl Distance for NumericDistance {
 
 /// The float distance between two integer keys — the one expression
 /// behind both [`NumericDistance::dist_f64`] and the coreset's
-/// key-column sweeps ([`Distance::key_column`]), so the two paths cannot
-/// drift by a bit.
+/// key-column selection ([`Distance::key_column`]), so the two paths
+/// cannot drift by a bit. `abs_diff` cannot overflow, and `u64 as f64`
+/// rounds monotonically, so a wider key gap is never a smaller float —
+/// on all of `i64`.
 #[inline(always)]
 pub(crate) fn key_gap_f64(x: i64, y: i64) -> f64 {
-    (x - y).abs() as f64
+    x.abs_diff(y) as f64
 }
 
 /// Wraps a closure; symmetry is enforced by evaluating on the canonical
@@ -394,9 +401,37 @@ mod tests {
         assert_eq!(d.dist(&s1, &s1), Ratio::ZERO);
     }
 
+    /// Keys more than `i64::MAX` apart: the `i64` subtraction wrapped
+    /// to distance 1 in release and panicked in debug.
+    #[test]
+    fn numeric_gap_wider_than_i64_max_does_not_wrap() {
+        let d = NumericDistance {
+            attr: 0,
+            fallback: Ratio::ONE,
+        };
+        let (lo, hi) = (Tuple::ints([i64::MIN, 1]), Tuple::ints([i64::MAX, 2]));
+        let width = Ratio::new_i128(i128::from(u64::MAX), 1);
+        assert_eq!(d.dist(&lo, &hi), width);
+        assert_eq!(d.dist(&hi, &lo), width);
+        assert_eq!(d.dist_f64(&lo, &hi), u64::MAX as f64);
+        assert_eq!(d.dist_f64(&hi, &lo), d.dist(&hi, &lo).to_f64());
+        // Where the old expression did not overflow, nothing moves.
+        let near = Tuple::ints([i64::MIN + 1, 3]);
+        assert_eq!(d.dist(&lo, &near), Ratio::ONE);
+        assert_eq!(d.dist_f64(&near, &Tuple::ints([-1, 0])), i64::MAX as f64);
+        // Monotone in the key difference across the whole range.
+        let keys = [i64::MIN, i64::MIN + 1, -1, 0, 1 << 53, (1 << 53) + 1, i64::MAX];
+        for &x in &keys {
+            let gaps: Vec<f64> = keys.iter().map(|&y| key_gap_f64(x, y)).collect();
+            let (below, above) = gaps.split_at(keys.iter().position(|&y| y == x).unwrap());
+            assert!(below.windows(2).all(|w| w[0] >= w[1]), "{x}: {below:?}");
+            assert!(above.windows(2).all(|w| w[0] <= w[1]), "{x}: {above:?}");
+        }
+    }
+
     #[test]
     fn key_column_reproduces_dist_f64_bit_for_bit_or_is_absent() {
-        let items: Vec<Tuple> = [5, -3, 5, 0, i64::from(i32::MAX), -40]
+        let items: Vec<Tuple> = [5, -3, 5, 0, i64::from(i32::MAX), -40, i64::MIN, i64::MAX]
             .into_iter()
             .enumerate()
             .map(|(i, key)| Tuple::ints([key, i as i64 % 2]))

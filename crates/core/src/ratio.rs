@@ -49,6 +49,11 @@ impl Ratio {
     /// Builds from `i128` parts, reducing. Panics if `den == 0`.
     pub fn new_i128(num: i128, den: i128) -> Self {
         assert!(den != 0, "Ratio denominator must be non-zero");
+        if den == 1 {
+            // An integer is already reduced: skip the `i128` gcd and
+            // divisions (integer distances are built here per pair).
+            return Ratio { num, den };
+        }
         let sign = if den < 0 { -1 } else { 1 };
         let g = gcd(num, den);
         if g == 0 {

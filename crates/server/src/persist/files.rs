@@ -81,8 +81,10 @@ impl WalWriter {
         Ok(w)
     }
 
-    /// Appends one CRC-framed record and syncs it — the record is
-    /// durable when this returns `Ok`.
+    /// Appends one CRC-framed record to the segment **without**
+    /// syncing: it survives the process dying (the page cache does) but
+    /// not yet the machine; the next [`WalWriter::sync`] makes it and
+    /// everything appended before it durable.
     pub(super) fn append(&mut self, payload: &[u8]) -> io::Result<()> {
         let mut frame = Vec::with_capacity(8 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -96,7 +98,12 @@ impl WalWriter {
             let _ = self.file.sync_data();
             std::process::abort();
         }
-        self.file.write_all(&frame)?;
+        self.file.write_all(&frame)
+    }
+
+    /// Makes every record appended so far durable — the whole prefix,
+    /// in order: `fdatasync` covers the file, not the last write.
+    pub(super) fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
     }
 }

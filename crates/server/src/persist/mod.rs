@@ -29,10 +29,24 @@
 //!
 //! ## What is (and is not) guaranteed
 //!
-//! * A record acknowledged durable (WAL append returned) survives any
-//!   crash; recovery restores a **consistent prefix** of the record
-//!   stream — a torn tail or corrupt frame drops everything from the
-//!   first bad byte on, never a middle record with later ones kept.
+//! * **An acknowledgement is a `mutate` or `checkpoint` reply.** A
+//!   mutation record (`Delta`, `BaseEdit`) is synced before its reply
+//!   and survives any crash; recovery restores a **consistent prefix**
+//!   of the record stream — a torn tail or corrupt frame drops
+//!   everything from the first bad byte on, never a middle record with
+//!   later ones kept.
+//! * The other three records (`WarmUniverse`, `RegisterDb`,
+//!   `WarmQuery`) are **hints**: content-addressed state that the next
+//!   frame naming it re-creates. They are appended in order but pay no
+//!   `fsync` of their own; the next mutation's sync (which covers the
+//!   whole segment so far), the next checkpoint (which syncs the old
+//!   segment before it rotates) or a drain makes them durable. A
+//!   machine crash before that loses only hints nothing acknowledged
+//!   depends on — the entry is cold, the database is registered again
+//!   by the next query frame, never a wrong answer — and a mutation
+//!   cannot outlive the registration it edits, which precedes it in
+//!   the segment its sync covers. A killed process loses none of them
+//!   (the page cache outlives it).
 //! * Recovery never panics on arbitrary file corruption (CRC framing +
 //!   total decoders + whole-or-nothing snapshot validation).
 //! * Relation versions restart at zero after recovery. They exist only
@@ -148,6 +162,15 @@ pub(crate) enum Record {
     },
     /// A query became warm (front-door-keyed).
     WarmQuery { db: String, entry: WarmQueryRecord },
+}
+
+impl Record {
+    /// Whether a reply acknowledges this record, so that it must be on
+    /// disk before the reply leaves; the rest are hints (module docs,
+    /// § guarantees).
+    fn is_acknowledged(&self) -> bool {
+        matches!(self, Record::Delta { .. } | Record::BaseEdit { .. })
+    }
 }
 
 struct BookUniverse {
@@ -348,6 +371,9 @@ pub struct CheckpointReport {
 pub struct DurabilityStats {
     /// Records appended to the WAL this process lifetime.
     pub wal_records: u64,
+    /// `fsync`s of an open WAL segment: one per mutation record, one
+    /// per checkpoint — hints ride along.
+    pub wal_syncs: u64,
     /// WAL appends that failed at the I/O layer (the record is NOT
     /// durable; serving continued).
     pub wal_io_errors: u64,
@@ -380,6 +406,7 @@ pub struct Durability {
     /// Serializes checkpoints (the snapshot temp file is shared).
     ckpt: Mutex<()>,
     wal_records: AtomicU64,
+    wal_syncs: AtomicU64,
     wal_io_errors: AtomicU64,
     snapshots_written: AtomicU64,
     last_snapshot_bytes: AtomicU64,
@@ -468,6 +495,7 @@ impl Durability {
             }),
             ckpt: Mutex::new(()),
             wal_records: AtomicU64::new(0),
+            wal_syncs: AtomicU64::new(0),
             wal_io_errors: AtomicU64::new(0),
             snapshots_written: AtomicU64::new(0),
             last_snapshot_bytes: AtomicU64::new(0),
@@ -583,8 +611,9 @@ impl Durability {
     }
 
     /// Applies a record to the book and appends it to the WAL in one
-    /// critical section. The caller constructs the record; gating
-    /// (dedup, unresolvable-base checks) happens here under the lock.
+    /// critical section, syncing the segment iff a reply acknowledges
+    /// the record. The caller constructs the record; gating (dedup,
+    /// unresolvable-base checks) happens here under the lock.
     fn apply_and_log(&self, inner: &mut Inner, rec: &Record) {
         let payload = match codec::encode_record(rec) {
             Ok(p) => p,
@@ -594,7 +623,11 @@ impl Durability {
             }
         };
         inner.book.apply_record(rec);
-        match inner.wal.append(&payload) {
+        let mut logged = inner.wal.append(&payload);
+        if logged.is_ok() && rec.is_acknowledged() {
+            logged = self.sync_wal(inner);
+        }
+        match logged {
             Ok(()) => {
                 self.wal_records.fetch_add(1, Ordering::Relaxed);
             }
@@ -604,6 +637,11 @@ impl Durability {
                 self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    fn sync_wal(&self, inner: &mut Inner) -> io::Result<()> {
+        self.wal_syncs.fetch_add(1, Ordering::Relaxed);
+        inner.wal.sync()
     }
 
     /// A universe became warm in the registry cache.
@@ -770,6 +808,10 @@ impl Durability {
             }
             let records = inner.book.serialize(&self.skipped_unpersistable);
             let cut_seq = inner.next_seq;
+            // Hints at the old segment's tail become durable before a
+            // mutation can be acknowledged from the new one: until the
+            // snapshot lands, recovery replays both.
+            self.sync_wal(&mut inner)?;
             let fresh = files::WalWriter::create(&self.dir, cut_seq)?;
             inner.wal = fresh;
             inner.next_seq = cut_seq + 1;
@@ -792,6 +834,7 @@ impl Durability {
     pub fn stats(&self) -> DurabilityStats {
         DurabilityStats {
             wal_records: self.wal_records.load(Ordering::Relaxed),
+            wal_syncs: self.wal_syncs.load(Ordering::Relaxed),
             wal_io_errors: self.wal_io_errors.load(Ordering::Relaxed),
             snapshots_written: self.snapshots_written.load(Ordering::Relaxed),
             last_snapshot_bytes: self.last_snapshot_bytes.load(Ordering::Relaxed),

@@ -400,6 +400,10 @@ impl QueryFrontDoor {
             let (prepared, built) = self.registry.fetch(&key, || {
                 Self::build_prepared(&dbst.db, spec, threads, deadline)
             })?;
+            if !built && dbst.warm.contains_key(&key) {
+                // A warm hit changes nothing: no map-wide write lock.
+                return Ok(prepared);
+            }
             (key, prepared, built)
         };
         // Record the warm entry outside the read lock (idempotent; the
@@ -812,6 +816,37 @@ mod tests {
             let expect = oracle.try_serve(&uspec, request).unwrap();
             assert_eq!(a.as_ref().unwrap(), &expect);
         }
+    }
+
+    /// A warm query frame only reads the front door's map: it must
+    /// finish while another thread holds the read guard, which taking
+    /// the write lock would wait out.
+    #[test]
+    fn warm_hits_do_not_take_the_write_lock() {
+        let f = front();
+        f.register_database("main", db());
+        let q = spec("Q(x, z) :- R(x, y), S(y, z)");
+        let first = f.serve_query("main", &q, &reqs()).unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            // Dropped when this closure unwinds, so a failure is a
+            // panic, not four threads stuck behind the guard.
+            let held = f.read_state();
+            for _ in 0..4 {
+                let done = done.clone();
+                let (f, q, first) = (&f, &q, &first);
+                scope.spawn(move || {
+                    assert_eq!(&f.serve_query("main", q, &reqs()).unwrap(), first);
+                    done.send(()).unwrap();
+                });
+            }
+            for _ in 0..4 {
+                finished
+                    .recv_timeout(std::time::Duration::from_secs(20))
+                    .expect("a warm hit waited for the map-wide write lock");
+            }
+            drop(held);
+        });
     }
 
     #[test]

@@ -64,7 +64,8 @@
 //! * **Durability** (`divr_server::persist`, wired by [`server`]): a
 //!   daemon started with a data directory journals every registration,
 //!   base-table mutation, and warm prepare to a checksummed write-ahead
-//!   log *before* acknowledging it, and compacts the log into
+//!   log (a mutation is synced, with everything before it, *before* its
+//!   reply acknowledges it), and compacts the log into
 //!   length-prefixed, CRC-framed snapshots — on a timer, on
 //!   `{"op": "checkpoint"}`, and on graceful drain (so a drained
 //!   daemon's successor restarts 100% warm with zero replay). Recovery

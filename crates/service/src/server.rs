@@ -375,24 +375,43 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
     }
 }
 
-/// Accumulates stream bytes and yields whole frames, surviving read
-/// timeouts mid-frame (partial bytes stay buffered) so the worker can
-/// poll the stop flag without ever losing frame sync — and reaping the
+/// Most payload bytes a [`FrameReader`] makes room for ahead of their
+/// arrival: a 4-byte prefix announcing `max_frame_bytes` reserves this
+/// much, not the announced length.
+const READ_CHUNK: usize = 256 * 1024;
+
+/// Reads one frame at a time straight into the buffer it hands over —
+/// first the rest of the length prefix, then what the announced length
+/// still needs, never a byte of the next frame — surviving read
+/// timeouts mid-frame (partial bytes stay put) so the worker can poll
+/// the stop flag without ever losing frame sync — and reaping the
 /// connection once no byte has arrived for the configured idle
 /// timeout, so a dribbling or abandoned socket (a torn frame whose
 /// rest never comes, a slow-loris prefix) cannot pin a worker forever.
 struct FrameReader {
-    buf: Vec<u8>,
+    prefix: [u8; 4],
+    /// Bytes of the current frame read so far, prefix included.
+    got: usize,
+    /// The payload: what has arrived, then zeroes up to the end of the
+    /// chunk being filled. Never longer than the announced length.
+    payload: Vec<u8>,
     last_byte_at: Instant,
 }
 
 impl FrameReader {
+    fn new() -> FrameReader {
+        FrameReader {
+            prefix: [0; 4],
+            got: 0,
+            payload: Vec::new(),
+            last_byte_at: Instant::now(),
+        }
+    }
+
     fn next(&mut self, stream: &mut TcpStream, shared: &Shared) -> io::Result<Option<Vec<u8>>> {
         loop {
-            if self.buf.len() >= 4 {
-                let mut len_bytes = [0u8; 4];
-                len_bytes.copy_from_slice(&self.buf[..4]);
-                let len = u32::from_be_bytes(len_bytes) as usize;
+            let announced = (self.got >= 4).then(|| u32::from_be_bytes(self.prefix) as usize);
+            if let Some(len) = announced {
                 if len > shared.max_frame_bytes {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
@@ -402,10 +421,9 @@ impl FrameReader {
                         },
                     ));
                 }
-                if self.buf.len() >= 4 + len {
-                    let payload = self.buf[4..4 + len].to_vec();
-                    self.buf.drain(..4 + len);
-                    return Ok(Some(payload));
+                if self.got == 4 + len {
+                    self.got = 0;
+                    return Ok(Some(std::mem::take(&mut self.payload)));
                 }
             }
             if shared.stop.load(Ordering::SeqCst) {
@@ -415,11 +433,20 @@ impl FrameReader {
                 shared.reaped_idle.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
             }
-            let mut chunk = [0u8; 4096];
-            match stream.read(&mut chunk) {
+            let room = match announced {
+                None => &mut self.prefix[self.got..],
+                Some(len) => {
+                    let have = self.got - 4;
+                    if have == self.payload.len() {
+                        self.payload.resize(have + (len - have).min(READ_CHUNK), 0);
+                    }
+                    &mut self.payload[have..]
+                }
+            };
+            match stream.read(room) {
                 Ok(0) => return Ok(None),
                 Ok(n) => {
-                    self.buf.extend_from_slice(&chunk[..n]);
+                    self.got += n;
                     self.last_byte_at = Instant::now();
                 }
                 Err(e)
@@ -441,10 +468,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     // Slow-reader guard: a client that stops draining its socket costs
     // at most one write timeout, not a wedged worker.
     let _ = stream.set_write_timeout(Some(shared.write_timeout));
-    let mut reader = FrameReader {
-        buf: Vec::new(),
-        last_byte_at: Instant::now(),
-    };
+    let mut reader = FrameReader::new();
     loop {
         let payload = match reader.next(&mut stream, shared) {
             Ok(Some(payload)) => payload,
@@ -969,6 +993,7 @@ fn stats_frame(shared: &Shared) -> Value {
             object([
                 ("enabled", Value::Bool(true)),
                 ("wal_records", counter(s.wal_records)),
+                ("wal_syncs", counter(s.wal_syncs)),
                 ("wal_io_errors", counter(s.wal_io_errors)),
                 ("snapshots_written", counter(s.snapshots_written)),
                 ("last_snapshot_bytes", counter(s.last_snapshot_bytes)),

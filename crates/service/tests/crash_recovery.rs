@@ -10,7 +10,11 @@
 //! * `snapshot-post-rename` — published, but the old WAL segments were
 //!   never pruned;
 //! * `kill9` — `SIGKILL` with no injection at all, right after an
-//!   acknowledged mutation.
+//!   acknowledged mutation;
+//! * `hints-lost` — the machine, not the process, goes down: the WAL
+//!   keeps only what the last acknowledged mutation's `fsync` covered,
+//!   and the warmth and registration records appended after it (which
+//!   pay no `fsync` of their own) are gone.
 //!
 //! After each crash the daemon restarts on the same data directory and
 //! must recover **exactly the acknowledged prefix**: every mutation the
@@ -151,10 +155,14 @@ fn database_json() -> Value {
 }
 
 fn query_frame() -> Value {
+    query_frame_over(database_json())
+}
+
+fn query_frame_over(database: Value) -> Value {
     query_doc(
         "alice",
         "Q(d, s) :- emp(d, s)",
-        database_json(),
+        database,
         json::parse(r#"{"kind": "attribute", "attr": 1, "default": [0, 1]}"#).unwrap(),
         json::parse(r#"{"kind": "numeric", "attr": 0}"#).unwrap(),
         json::parse("[1, 2]").unwrap(),
@@ -239,6 +247,10 @@ fn seed_history(dir: &Path) -> (String, Vec<Op>) {
     let response = client.request(&mutate_frame(&db, "remove", [1, 5])).unwrap();
     assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
     assert_eq!(response.get("changed").and_then(Value::as_bool), Some(true));
+
+    // Only the two mutations and the checkpoint synced the log; the
+    // registration and the warm query rode along.
+    assert_eq!(durability_counter(&mut client, "wal_syncs"), 3);
 
     drop(client);
     daemon.drain();
@@ -348,6 +360,79 @@ fn sigkill_after_acknowledged_mutation_keeps_it() {
     drop(daemon);
 
     assert_recovers(&dir, &acked);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn durability_counter(client: &mut Client, name: &str) -> i64 {
+    let stats = client.stats().unwrap();
+    let durability = stats.get("stats").unwrap().get("durability").unwrap();
+    durability.get(name).and_then(Value::as_i64).unwrap()
+}
+
+#[test]
+fn a_machine_crash_loses_only_unacknowledged_hints() {
+    let dir = tmpdir("hints-lost");
+    let mut daemon = Daemon::spawn(Some(&dir), None);
+    let mut client = daemon.client();
+    let segment = || {
+        let mut logs: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "log"))
+            .collect();
+        assert_eq!(logs.len(), 1, "one WAL segment before any checkpoint");
+        logs.pop().unwrap()
+    };
+
+    // Registration and warmth are hints: journaled, not synced.
+    let warm = client.request(&query_frame()).unwrap();
+    assert_eq!(warm.get("ok").and_then(Value::as_bool), Some(true));
+    let db = warm.get("database").and_then(Value::as_str).unwrap().to_string();
+    assert_eq!(durability_counter(&mut client, "wal_records"), 2);
+    assert_eq!(durability_counter(&mut client, "wal_syncs"), 0);
+
+    // The acknowledged mutation syncs the segment — itself and the
+    // registration it edits, which precedes it there.
+    let response = client.request(&mutate_frame(&db, "insert", [3, 7])).unwrap();
+    assert_eq!(response.get("changed").and_then(Value::as_bool), Some(true));
+    assert_eq!(durability_counter(&mut client, "wal_syncs"), 1);
+    let synced = std::fs::metadata(segment()).unwrap().len();
+
+    // A second database after it: two more hints, no sync.
+    let other = json::parse(
+        r#"{"relations": [{"name": "emp", "attrs": ["dept", "salary"],
+                           "rows": [[5, 1], [6, 4], [7, 2], [8, 8]]}]}"#,
+    )
+    .unwrap();
+    let fresh = client.request(&query_frame_over(other.clone())).unwrap();
+    assert_eq!(fresh.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(durability_counter(&mut client, "wal_records"), 5);
+    assert_eq!(durability_counter(&mut client, "wal_syncs"), 1);
+    let want_other = fresh.get("answers").unwrap().to_json();
+
+    // The machine goes down: what no `fsync` covered never reached the
+    // disk. (A killed process alone loses nothing — `kill9` above.)
+    daemon.child.kill().unwrap();
+    daemon.wait_exit();
+    drop(daemon);
+    let log = std::fs::OpenOptions::new().write(true).open(segment()).unwrap();
+    assert!(log.metadata().unwrap().len() > synced);
+    log.set_len(synced).unwrap();
+    drop(log);
+
+    // The acknowledged mutation found its database and its warm query.
+    assert_recovers(&dir, &[Op::Insert([3, 7])]);
+
+    // The lost hints cost a registration and a cold prepare at the next
+    // frame that names the database, never a wrong answer.
+    let daemon = Daemon::spawn(Some(&dir), None);
+    let mut client = daemon.client();
+    assert_eq!(durability_counter(&mut client, "recovered_databases"), 1);
+    let again = client.request(&query_frame_over(other)).unwrap();
+    assert_eq!(again.get("answers").unwrap().to_json(), want_other);
+    let stats = client.stats().unwrap();
+    let cache = stats.get("stats").unwrap().get("cache").unwrap();
+    assert_eq!(cache.get("misses").and_then(Value::as_i64), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -8,8 +8,9 @@ use divr_core::distance::NumericDistance;
 use divr_core::Ratio;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple};
-use divr_server::{QueryError, QueryFrontDoor, QuerySpec, Registry, UniverseSpec};
+use divr_server::{CoresetSpec, QueryError, QueryFrontDoor, QuerySpec, Registry, UniverseSpec};
 use divr_service::json::{self, Value};
+use divr_service::wire::ratio_to_json;
 use divr_service::{query_doc, serve_doc, AdmissionConfig, Client, Service, ServiceConfig};
 use std::sync::Arc;
 
@@ -118,6 +119,61 @@ fn serve_answers_match_the_engine_oracle() {
             latency.get(name).unwrap().get("count").and_then(Value::as_i64),
             Some(1),
             "{name} histogram should hold one sample"
+        );
+    }
+    service.shutdown();
+}
+
+/// Keys more than `i64::MAX` apart, straight off the wire: the numeric
+/// distance used to subtract in `i64` (distance 1 in release, a `500`
+/// in debug). Full matrix and coreset mode, checked against the
+/// library and against the arithmetic.
+#[test]
+fn numeric_keys_at_both_ends_of_i64_are_2_pow_64_apart() {
+    let service = Service::start(test_config()).unwrap();
+    let mut client = Client::connect(service.local_addr()).unwrap();
+    let rows = [(i64::MIN, 3), (i64::MAX, 3), (0, 1), (1, 2)];
+    let relevance = AttributeRelevance {
+        attr: 1,
+        default: Ratio::ZERO,
+    };
+    let distance = NumericDistance {
+        attr: 0,
+        fallback: Ratio::ZERO,
+    };
+    let spec = UniverseSpec::new(
+        rows.iter().map(|&(key, score)| Tuple::ints([key, score])).collect(),
+        Arc::new(relevance),
+        Arc::new(distance),
+        Ratio::ONE,
+    );
+    let requests = all_objectives(2);
+    for (mode, spec) in [
+        ("", spec.clone()),
+        (r#", "coreset": {"budget": 3}"#, spec.with_coreset(CoresetSpec::with_budget(3))),
+    ] {
+        let universe = json::parse(&format!(
+            r#"{{"tuples": [[-9223372036854775808, 3], [9223372036854775807, 3], [0, 1], [1, 2]],
+                "relevance": {{"kind": "attribute", "attr": 1, "default": [0, 1]}},
+                "distance": {{"kind": "numeric", "attr": 0}}, "lambda": [1, 1]{mode}}}"#
+        ))
+        .unwrap();
+        let response = client.request(&serve_doc("alice", universe, &requests)).unwrap();
+        assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true), "{response:?}");
+        let answers = response.get("answers").and_then(Value::as_array).unwrap();
+        let oracle = Registry::default();
+        for (answer, request) in answers.iter().zip(&requests) {
+            let (value, indices) = oracle.try_serve(&spec, *request).unwrap();
+            assert_eq!(answer.get("value"), Some(&ratio_to_json(value)), "{:?}{mode}", request.kind);
+            assert_eq!(indices_of(answer.get("indices").unwrap()), indices);
+        }
+        // λ = 1: F_MM of the two ends is their distance, 2^64 − 1.
+        let max_min = &answers[1];
+        assert_eq!(requests[1].kind, ObjectiveKind::MaxMin);
+        assert_eq!(indices_of(max_min.get("indices").unwrap()), vec![0, 1], "{mode}");
+        assert_eq!(
+            max_min.get("value"),
+            Some(&Value::Array(vec![Value::Str(u64::MAX.to_string()), Value::Int(1)])),
         );
     }
     service.shutdown();

@@ -163,6 +163,53 @@ fn garbage_frames_interleave_with_valid_ones() {
     service.shutdown();
 }
 
+/// The reader takes from the socket exactly what the current frame
+/// still needs: frames sent in one burst come out one by one, a frame
+/// that arrives in pieces across the worker's 250 ms read timeouts is
+/// reassembled (split inside the prefix and inside the payload), and a
+/// payload longer than the reader's 256 KB chunk crosses chunks intact.
+#[test]
+fn frames_keep_their_boundaries_however_the_bytes_arrive() {
+    let service = Service::start(ServiceConfig {
+        idle_timeout: Duration::from_secs(20),
+        ..test_config()
+    })
+    .unwrap();
+    let mut raw = TcpStream::connect(service.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let framed = |payload: &[u8]| {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, payload).unwrap();
+        bytes
+    };
+    let ping = framed(br#"{"op": "ping"}"#);
+    let expect_pong = |raw: &mut TcpStream| {
+        let pong = read_response(raw);
+        assert_eq!(pong.get("op").and_then(Value::as_str), Some("pong"));
+    };
+
+    raw.write_all(&[&ping[..], &ping[..], &ping[..]].concat()).unwrap();
+    for _ in 0..3 {
+        expect_pong(&mut raw);
+    }
+
+    for piece in [&ping[..2], &ping[2..9], &ping[9..]] {
+        std::thread::sleep(Duration::from_millis(300));
+        raw.write_all(piece).unwrap();
+    }
+    expect_pong(&mut raw);
+
+    // The op sits behind 600 000 bytes of padding: it is only found
+    // if every chunk landed where it belongs.
+    let long = framed(format!(r#"{{"pad": "{}", "op": "ping"}}"#, "x".repeat(600_000)).as_bytes());
+    raw.write_all(&[&long[..], &ping[..]].concat()).unwrap();
+    expect_pong(&mut raw);
+    expect_pong(&mut raw);
+
+    assert_healthy(&service);
+    service.shutdown();
+}
+
 /// Reads one whole response frame off a raw test socket.
 fn read_response(raw: &mut TcpStream) -> Value {
     let payload = divr_service::proto::read_frame(raw, 1 << 20)

@@ -47,6 +47,16 @@ pub fn rows_strategy(n: std::ops::RangeInclusive<usize>) -> impl Strategy<Value 
     proptest::collection::vec((-40i64..=40, 0i64..=6), n)
 }
 
+/// A seeded generator for universes too large for a `vec` strategy:
+/// `draw(below)` lands in `0..below`.
+pub fn draws(seed: u64) -> impl FnMut(i64) -> i64 {
+    let mut state = seed | 1;
+    move |below| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((state >> 33) as i64) % below
+    }
+}
+
 /// 60-odd distinct keys spread over `0..101`, five score classes.
 pub fn spread_universe(n: i64) -> Vec<Tuple> {
     (0..n).map(|i| Tuple::ints([i * 7 % 101, i % 5])).collect()

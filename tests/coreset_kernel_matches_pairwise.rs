@@ -2,24 +2,28 @@
 //! paths ([`divr::core::coreset::Coreset::try_select_deadline`]):
 //!
 //! * an oracle that hands out a [`Distance::key_column`]
-//!   ([`NumericDistance`] over all-integer keys) is swept as one flat
-//!   integer column;
+//!   ([`NumericDistance`] over all-integer keys) goes through the gap
+//!   selector: the column is sorted once and each representative is
+//!   folded into the one gap between already-folded keys it falls in;
 //! * every other oracle — here the *same function* behind a
 //!   [`ClosureDistance`], which has no column to offer — is called per
-//!   pair, sharded across threads for large universes.
+//!   pair against all `n` items, sharded across threads for large
+//!   universes.
 //!
 //! The two must select **bit-identical** coresets (representatives,
 //! assignment, per-item coverage distances, covering radius) and serve
-//! identical `(value, set)` answers, for every thread count; the column
-//! must be withheld whenever `fallback` could apply, must never tunnel
-//! through a distance-altering wrapper, and neither path may outrun a
-//! deadline.
+//! identical `(value, set)` answers, for every thread count — on
+//! duplicate-heavy, all-tied and two-key columns and on keys at both
+//! ends of `i64`, where float gaps collapse and only the strict update
+//! order tells two representatives apart; the column must be withheld
+//! whenever `fallback` could apply, must never tunnel through a
+//! distance-altering wrapper, and neither path may outrun a deadline.
 
 mod common;
 
 use common::{
-    behind_closure, numeric, rows_strategy, spread_universe, universe_of, NanOver, PanicOver,
-    PoisonOver, REL,
+    behind_closure, draws, numeric, rows_strategy, spread_universe, universe_of, NanOver,
+    PanicOver, PoisonOver, REL,
 };
 use divr::core::coreset::{Coreset, CoresetConfig, CoresetEngine};
 use divr::core::distance::ClosureDistance;
@@ -52,7 +56,7 @@ fn observe(c: &Coreset, n: usize) -> (Vec<usize>, Vec<usize>, Vec<u64>, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// (a) Column sweep ≡ per-pair calls, for budgets 1, m < n, m ≥ n.
+    /// (a) Gap selector ≡ per-pair calls, for budgets 1, m < n, m ≥ n.
     #[test]
     fn key_column_selects_and_serves_like_per_pair_calls(
         rows in rows_strategy(2..=70),
@@ -85,6 +89,63 @@ proptest! {
         }
     }
 
+    /// (a′) The same at sizes where almost every item lies outside the
+    /// gap a fold re-scans (`n` up to 3 000), over the columns that
+    /// stress the skipping argument: heavy duplicates, one key, two
+    /// keys, keys at both ends of `i64` (gaps up to `2^64 − 1`, where
+    /// neighbouring differences round to one float), far-apart
+    /// clusters, and spread keys with few ties. Small universes also
+    /// take the budgets `n / 3` and `n − 1`; every size takes `1`, a
+    /// drawn budget and `≥ n`. Scores repeat, so relevance guards share
+    /// keys with each other and with later farthest points.
+    #[test]
+    fn gap_selector_matches_per_pair_calls_at_scale(
+        seed in 0u64..=u64::MAX / 2,
+        shape in 0usize..=5,
+        size in 0usize..=99,
+        budget_pick in 0usize..=4,
+        threads in 1usize..=3,
+    ) {
+        let mut draw = draws(seed);
+        const ENDS: [i64; 10] = [
+            i64::MIN, i64::MIN + 1, i64::MIN + 2, -(1 << 53) - 1, -1,
+            0, (1 << 53) + 1, i64::MAX - 2, i64::MAX - 1, i64::MAX,
+        ];
+        let n = if size < 40 { 2 + 2 * size } else { 100 + 49 * (size - 40) };
+        let (lo, hi) = (ENDS[draw(10) as usize], ENDS[draw(10) as usize]);
+        let rows: Vec<(i64, i64)> = (0..n)
+            .map(|_| {
+                let key = match shape {
+                    0 => draw(13) - 6,
+                    1 => lo,
+                    2 => if draw(2) == 0 { lo } else { hi },
+                    3 => ENDS[draw(10) as usize].saturating_add(draw(3) - 1),
+                    4 => (draw(6) - 3) * (1 << 60) + draw(4),
+                    _ => draw(10 * n as i64) - 5 * n as i64,
+                };
+                (key, draw(7))
+            })
+            .collect();
+        let universe = universe_of(&rows);
+        let drawn = 2 + draw(if n <= 80 { n as i64 } else { 62 }) as usize;
+        let budget = match budget_pick {
+            0 => 1,
+            1 => drawn,
+            2 => n + 5,
+            3 if n <= 80 => (n / 3).max(2),
+            4 if n <= 80 => n - 1,
+            _ => drawn / 2 + 1,
+        };
+        let rels = rels_of(&universe);
+        let by_column = Coreset::select(&universe, &rels, &numeric(7), budget, threads);
+        let by_pair = Coreset::select(&universe, &rels, &behind_closure(numeric(7)), budget, 1);
+        // Not `prop_assert_eq!`: a failure would print 4 × 3 000 numbers.
+        prop_assert!(
+            observe(&by_column, n) == observe(&by_pair, n),
+            "shape {} n {} budget {} threads {} seed {}", shape, n, budget, threads, seed
+        );
+    }
+
     /// (b) One tuple without an integer at `attr` — missing, or a
     /// `Str` — withholds the column, and `fallback` still applies: far
     /// larger than any key gap, it makes the odd tuple the first
@@ -114,9 +175,10 @@ proptest! {
     }
 
     /// (c) `threads` never changes the selection: trivially on the
-    /// column path (always inline), and on the per-pair path at a size
-    /// where the sweeps really are sharded (`n ≥ 4096`) — keys drawn
-    /// from a narrow range, so tie sets straddle the shard boundary.
+    /// column path (the gap selector never spawns), and on the per-pair
+    /// path at a size where the sweeps really are sharded (`n ≥ 4096`)
+    /// — keys drawn from a narrow range, so tie sets straddle the shard
+    /// boundary.
     #[test]
     fn thread_count_never_changes_the_selection(
         seed in 0u64..=u64::MAX / 2,
@@ -124,11 +186,7 @@ proptest! {
         spread in 3i64..=500,
         budget in 2usize..=12,
     ) {
-        let mut state = seed | 1;
-        let mut draw = |below: i64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) as i64) % below
-        };
+        let mut draw = draws(seed);
         let rows: Vec<(i64, i64)> = (0..n).map(|_| (draw(spread) - spread / 2, draw(5))).collect();
         let universe = universe_of(&rows);
         let rels = rels_of(&universe);
@@ -210,8 +268,8 @@ fn fault_wrappers_keep_their_faults_in_coreset_mode() {
 // ------------------------------------------------------ (e) deadlines
 
 /// A key-column oracle that counts its exact-distance calls (the
-/// selection's tie-breaks, the only oracle traffic between two column
-/// sweeps) and stalls in each past `stall_until`.
+/// selection's tie-breaks, the only oracle traffic between two folds
+/// over a column) and stalls in each past `stall_until`.
 struct StallingKeys {
     inner: NumericDistance,
     exact_calls: AtomicUsize,
@@ -248,7 +306,7 @@ fn deadline_aborts_before_the_first_sweep_and_between_sweeps() {
     };
     let expired = Deadline::at(Instant::now());
 
-    // Before the first sweep, on both paths: no distance is evaluated.
+    // Before the first fold, on both paths: no distance is evaluated.
     let float_calls = AtomicUsize::new(0);
     let counting = ClosureDistance(|a: &Tuple, b: &Tuple| {
         float_calls.fetch_add(1, Ordering::Relaxed);
@@ -268,8 +326,8 @@ fn deadline_aborts_before_the_first_sweep_and_between_sweeps() {
     assert_eq!(select(&idle, expired), Err(ServeError::DeadlineExceeded));
     assert_eq!(idle.exact_calls.load(Ordering::Relaxed), 0);
 
-    // Between sweeps: the deadline passes during the first round's
-    // tie-break; the round finishes its sweep and the next checkpoint
+    // Between folds: the deadline passes during the first round's
+    // tie-break; the round finishes its fold and the next checkpoint
     // abandons the selection instead of running the remaining rounds.
     let at = Instant::now() + Duration::from_millis(250);
     let stalled = keys(Some(at));
