@@ -14,8 +14,10 @@
 //!   of the implemented PTIME/FP algorithms and agreement with brute
 //!   force.
 //!
-//! The `repro` binary prints the tables; Criterion benches under
-//! `benches/` time the same workloads. Both are deterministic (seeded).
+//! The `repro` binary is the one reproduction path: it runs every
+//! series, checks each instance against a direct solver and prints the
+//! tables, deterministically (seeded). The Criterion benches under
+//! `benches/` time the serving stack, not the paper's cells.
 
 pub mod growth;
 pub mod workloads;

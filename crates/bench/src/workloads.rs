@@ -1,5 +1,5 @@
-//! Shared, seeded workload builders for the `repro` binary and the
-//! Criterion benches.
+//! Seeded workload builders for the `repro` binary (and the one
+//! distance the `engine_hotpath` bench borrows).
 
 use divr_core::distance::{ClosureDistance, ConstantDistance};
 use divr_core::problem::DiversityProblem;

@@ -47,7 +47,7 @@ pub(crate) fn ms_pair_weight_parts(
 }
 
 /// [`ms_pair_weight_parts`] read off a problem instance.
-fn ms_pair_weight(p: &DiversityProblem<'_>, i: usize, j: usize) -> Ratio {
+pub(crate) fn ms_pair_weight(p: &DiversityProblem<'_>, i: usize, j: usize) -> Ratio {
     ms_pair_weight_parts(p.lambda(), p.rel_of(i), p.rel_of(j), p.dist_of(i, j))
 }
 

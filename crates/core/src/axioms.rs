@@ -95,7 +95,7 @@ impl TableInstance {
     }
 
     /// Returns a copy with relevance of item `i` set to `v`.
-    pub fn with_rel(&self, i: usize, v: Ratio) -> Self {
+    fn with_rel(&self, i: usize, v: Ratio) -> Self {
         let mut out = self.clone();
         out.rels[i] = v;
         out

@@ -101,11 +101,6 @@ impl ByteWriter {
         self.buf.push(v);
     }
 
-    /// An unsigned 32-bit integer, little-endian.
-    pub fn write_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// An unsigned 64-bit integer, little-endian.
     pub fn write_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -117,12 +112,12 @@ impl ByteWriter {
     }
 
     /// A signed 64-bit integer, little-endian.
-    pub fn write_i64(&mut self, v: i64) {
+    fn write_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// A signed 128-bit integer, little-endian.
-    pub fn write_i128(&mut self, v: i128) {
+    fn write_i128(&mut self, v: i128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -235,11 +230,6 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     /// Reads a little-endian `u64`.
     pub fn read_u64(&mut self) -> Result<u64, CodecError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -256,12 +246,12 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `i64`.
-    pub fn read_i64(&mut self) -> Result<i64, CodecError> {
+    fn read_i64(&mut self) -> Result<i64, CodecError> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `i128`.
-    pub fn read_i128(&mut self) -> Result<i128, CodecError> {
+    fn read_i128(&mut self) -> Result<i128, CodecError> {
         Ok(i128::from_le_bytes(self.take(16)?.try_into().unwrap()))
     }
 
@@ -289,7 +279,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a sort-tagged attribute value.
-    pub fn read_value(&mut self) -> Result<Value, CodecError> {
+    fn read_value(&mut self) -> Result<Value, CodecError> {
         match self.read_u8()? {
             0 => Ok(Value::Int(self.read_i64()?)),
             1 => Ok(Value::str(self.read_str()?)),
@@ -352,7 +342,6 @@ mod tests {
     fn round_trips() {
         let mut w = ByteWriter::new();
         w.write_u8(7);
-        w.write_u32(0xDEAD_BEEF);
         w.write_usize(42);
         w.write_i64(-5);
         w.write_ratio(Ratio::new(-3, 7));
@@ -367,7 +356,6 @@ mod tests {
 
         let mut r = ByteReader::new(&bytes);
         assert_eq!(r.read_u8().unwrap(), 7);
-        assert_eq!(r.read_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.read_usize().unwrap(), 42);
         assert_eq!(r.read_i64().unwrap(), -5);
         assert_eq!(r.read_ratio().unwrap(), Ratio::new(-3, 7));

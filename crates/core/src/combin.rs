@@ -53,19 +53,18 @@ pub fn for_each_k_subset<F: FnMut(&[usize]) -> bool>(n: usize, k: usize, mut f: 
     }
 }
 
-/// Collects all k-subsets (for tests and small instances).
-pub fn all_k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    for_each_k_subset(n, k, |s| {
-        out.push(s.to_vec());
-        true
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn all_k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        for_each_k_subset(n, k, |s| {
+            out.push(s.to_vec());
+            true
+        });
+        out
+    }
 
     #[test]
     fn binomial_table() {

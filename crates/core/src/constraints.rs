@@ -93,15 +93,6 @@ impl CmPred {
         }
     }
 
-    /// `t_tuple[attr] ≠ value`.
-    pub fn attr_ne_const(tuple: usize, attr: usize, value: impl Into<Value>) -> Self {
-        CmPred::AttrConst {
-            left: AttrRef { tuple, attr },
-            op: CmOp::Ne,
-            value: value.into(),
-        }
-    }
-
     /// `t_a[attr_a] = t_b[attr_b]`.
     pub fn attrs_eq(a: (usize, usize), b: (usize, usize)) -> Self {
         CmPred::AttrAttr {

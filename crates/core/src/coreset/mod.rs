@@ -101,8 +101,8 @@ use crate::engine::{
 use crate::ratio::Ratio;
 use divr_relquery::Tuple;
 
-/// Universe size above which [`crate::pipeline::QueryDiversification`]
-/// auto-escalates from the full-matrix engine to the coreset path: at
+/// Size of `Q(D)` above which `divr-server`'s query front door
+/// escalates from the full-matrix engine to a streamed coreset: at
 /// this `n` the flat `f64` matrix costs `n²·8 B = 128 MiB` and its
 /// build cost starts to dominate every request.
 pub const CORESET_AUTO_THRESHOLD: usize = 4096;
@@ -142,9 +142,11 @@ impl CoresetConfig {
     /// `max(64, 16·k)` representatives — large enough that the
     /// relevance half covers `8·k` top items and the coverage half
     /// leaves GMM real room, small enough that the `m × m` matrix
-    /// stays a few megabytes even for generous `k`.
+    /// stays a few megabytes even for generous `k`. Saturates: `k`
+    /// arrives from the wire (`"max_k"`), and a wrapped product would
+    /// size the coreset *below* the `k` it was asked to serve.
     pub fn recommended(k: usize) -> Self {
-        Self::with_budget(64usize.max(16 * k.max(1)))
+        Self::with_budget(k.saturating_mul(16).max(64))
     }
 
     /// Builder-style refinement-round override.
@@ -512,6 +514,18 @@ mod tests {
 
     fn rels_of(u: &[Tuple]) -> Vec<Ratio> {
         u.iter().map(|t| REL.rel(t)).collect()
+    }
+
+    /// The budget never falls below the `k` it is sized for, however
+    /// large a `max_k` the wire sends.
+    #[test]
+    fn recommended_budget_saturates() {
+        assert_eq!(CoresetConfig::recommended(0).budget, 64);
+        assert_eq!(CoresetConfig::recommended(4).budget, 64);
+        assert_eq!(CoresetConfig::recommended(4096).budget, 65_536);
+        for k in [1usize << 60, usize::MAX] {
+            assert_eq!(CoresetConfig::recommended(k).budget, usize::MAX);
+        }
     }
 
     #[test]

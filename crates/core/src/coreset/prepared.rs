@@ -180,19 +180,9 @@ impl PreparedCoreset {
         &self.universe
     }
 
-    /// The trade-off parameter λ.
-    pub fn lambda(&self) -> Ratio {
-        self.lambda
-    }
-
     /// The selected coreset.
     pub fn coreset(&self) -> &Coreset {
         &self.coreset
-    }
-
-    /// The configuration this coreset was prepared with.
-    pub fn config(&self) -> &CoresetConfig {
-        &self.config
     }
 
     /// The `m × m` prepared universe over the representatives.

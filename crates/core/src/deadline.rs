@@ -19,10 +19,6 @@
 //! `504 deadline_exceeded` response in a small multiple of the deadline
 //! itself, instead of "whenever the prepare happens to finish".
 //!
-//! A [`Deadline`] is a point in time; a [`Budget`] is a reusable
-//! duration that stamps fresh deadlines (`budget.start()`) — the shape
-//! a daemon's `default_deadline_ms` config wants.
-//!
 //! Checking is cheap (`Instant::now()` plus a comparison) and the
 //! unbounded [`Deadline::none`] never trips, so the checkpoints cost
 //! nothing observable on the no-deadline paths — answers with and
@@ -30,36 +26,6 @@
 
 use crate::engine::ServeError;
 use std::time::{Duration, Instant};
-
-/// A reusable time allowance: stamps a fresh [`Deadline`] per request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Budget {
-    limit: Duration,
-}
-
-impl Budget {
-    /// A budget of `limit` per request.
-    pub const fn new(limit: Duration) -> Self {
-        Budget { limit }
-    }
-
-    /// A budget of `ms` milliseconds per request.
-    pub const fn from_ms(ms: u64) -> Self {
-        Budget {
-            limit: Duration::from_millis(ms),
-        }
-    }
-
-    /// The allowance this budget grants each request.
-    pub fn limit(&self) -> Duration {
-        self.limit
-    }
-
-    /// Starts the clock: the deadline `limit` from now.
-    pub fn start(&self) -> Deadline {
-        Deadline::after(self.limit)
-    }
-}
 
 /// A point in time past which a request should be abandoned at the
 /// next checkpoint — or [`Deadline::none`], which never trips.
@@ -93,11 +59,6 @@ impl Deadline {
     /// A deadline `ms` milliseconds from now.
     pub fn in_ms(ms: u64) -> Self {
         Self::after(Duration::from_millis(ms))
-    }
-
-    /// Whether this is the unbounded deadline.
-    pub fn is_none(&self) -> bool {
-        self.at.is_none()
     }
 
     /// Whether the deadline has passed. The checkpoint predicate: one
@@ -140,15 +101,14 @@ mod tests {
     #[test]
     fn none_never_trips() {
         let d = Deadline::none();
-        assert!(d.is_none());
         assert!(!d.exceeded());
         assert!(d.check().is_ok());
         assert_eq!(d.remaining(), None);
     }
 
     #[test]
-    fn zero_budget_trips_immediately() {
-        let d = Budget::from_ms(0).start();
+    fn zero_allowance_trips_immediately() {
+        let d = Deadline::in_ms(0);
         assert!(d.exceeded());
         assert_eq!(d.check(), Err(ServeError::DeadlineExceeded));
         assert_eq!(d.remaining(), Some(Duration::ZERO));
@@ -170,8 +130,8 @@ mod tests {
     }
 
     #[test]
-    fn huge_budget_saturates_to_unbounded() {
-        let d = Budget::new(Duration::MAX).start();
+    fn huge_allowance_saturates_to_unbounded() {
+        let d = Deadline::after(Duration::MAX);
         assert!(!d.exceeded());
     }
 }

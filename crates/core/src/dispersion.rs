@@ -9,9 +9,9 @@
 //! "partitioning with dispersed objects" from the equitable-dispersion
 //! family. This module makes those statements executable:
 //!
-//! * [`Dispersion`] — a node/edge-weighted instance with the variants of
+//! * [`Dispersion`] — an edge-weighted instance with the variants of
 //!   the equitable-dispersion family ([`DispersionVariant`]): Max-Sum,
-//!   Max-Min, Max-MinSum, Min-DiffSum, plus the size-free Max-Mean;
+//!   Max-Min, Max-MinSum, Min-DiffSum;
 //! * [`Dispersion::from_max_sum`] — the exact Gollapudi–Sharma pair-
 //!   weight bridge: `w(i,j) = (1−λ)(δ_rel(i)+δ_rel(j)) + 2λ·δ_dis(i,j)`
 //!   satisfies `F_MS(U) = Σ_{{i,j}⊆U} w(i,j)` for every candidate set;
@@ -32,12 +32,12 @@ use std::fmt;
 /// The equitable-dispersion objective family of Prokopyev et al.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DispersionVariant {
-    /// Maximize `Σ_{i∈M} a_i + Σ_{{i,j}⊆M} w(i,j)`.
+    /// Maximize `Σ_{{i,j}⊆M} w(i,j)`.
     MaxSum,
     /// Maximize `min_{{i,j}⊆M} w(i,j)`.
     MaxMin,
     /// Maximize the smallest node aggregate
-    /// `min_{i∈M} (a_i + Σ_{j∈M} w(i,j))`.
+    /// `min_{i∈M} Σ_{j∈M} w(i,j)`.
     MaxMinSum,
     /// Minimize the spread of node aggregates
     /// `max_i (…) − min_i (…)` — the *equitable* objective.
@@ -54,7 +54,7 @@ impl DispersionVariant {
     ];
 
     /// Whether the variant is a maximization (else minimization).
-    pub fn is_max(self) -> bool {
+    fn is_max(self) -> bool {
         !matches!(self, DispersionVariant::MinDiffSum)
     }
 }
@@ -71,8 +71,9 @@ impl fmt::Display for DispersionVariant {
     }
 }
 
-/// A dispersion instance: `n` nodes with weights `a_i` and symmetric
-/// pair weights `w(i,j)` (zero diagonal).
+/// A dispersion instance: `n` nodes with symmetric pair weights
+/// `w(i,j)` (zero diagonal). Prokopyev et al.'s node weights `a_i` are
+/// left out: both of the paper's bridges set them to zero.
 ///
 /// # Example
 ///
@@ -93,7 +94,6 @@ impl fmt::Display for DispersionVariant {
 #[derive(Clone, Debug)]
 pub struct Dispersion {
     n: usize,
-    node: Vec<Ratio>,
     /// Strict upper triangle, row-major: entry for `(i, j)` with `i < j`
     /// at `index(i, j)`.
     edge: Vec<Ratio>,
@@ -104,7 +104,6 @@ impl Dispersion {
     pub fn new(n: usize) -> Self {
         Dispersion {
             n,
-            node: vec![Ratio::ZERO; n],
             edge: vec![Ratio::ZERO; n * (n.saturating_sub(1)) / 2],
         }
     }
@@ -120,12 +119,6 @@ impl Dispersion {
         i * self.n - i * (i + 1) / 2 + (j - i - 1)
     }
 
-    /// Sets a node weight.
-    pub fn set_node(&mut self, i: usize, a: Ratio) -> &mut Self {
-        self.node[i] = a;
-        self
-    }
-
     /// Sets a pair weight (order-insensitive). Panics on the diagonal.
     pub fn set_edge(&mut self, i: usize, j: usize, w: Ratio) -> &mut Self {
         assert!(i != j, "dispersion weights live on pairs");
@@ -135,13 +128,8 @@ impl Dispersion {
         self
     }
 
-    /// The node weight `a_i`.
-    pub fn node_weight(&self, i: usize) -> Ratio {
-        self.node[i]
-    }
-
     /// The pair weight `w(i, j)`; 0 on the diagonal.
-    pub fn edge_weight(&self, i: usize, j: usize) -> Ratio {
+    fn edge_weight(&self, i: usize, j: usize) -> Ratio {
         if i == j {
             return Ratio::ZERO;
         }
@@ -149,27 +137,22 @@ impl Dispersion {
         self.edge[self.index(i, j)]
     }
 
-    /// The node aggregate `a_i + Σ_{j∈M} w(i, j)` for `i ∈ M`.
+    /// The node aggregate `Σ_{j∈M} w(i, j)` for `i ∈ M`.
     fn aggregate(&self, i: usize, subset: &[usize]) -> Ratio {
-        self.node[i]
-            + subset
-                .iter()
-                .map(|&j| self.edge_weight(i, j))
-                .sum::<Ratio>()
+        subset.iter().map(|&j| self.edge_weight(i, j)).sum()
     }
 
     /// The objective value of `subset` under `variant`.
     pub fn value(&self, variant: DispersionVariant, subset: &[usize]) -> Ratio {
         match variant {
             DispersionVariant::MaxSum => {
-                let nodes: Ratio = subset.iter().map(|&i| self.node[i]).sum();
                 let mut edges = Ratio::ZERO;
                 for (a, &i) in subset.iter().enumerate() {
                     for &j in &subset[a + 1..] {
                         edges += self.edge_weight(i, j);
                     }
                 }
-                nodes + edges
+                edges
             }
             DispersionVariant::MaxMin => {
                 let mut min: Option<Ratio> = None;
@@ -229,24 +212,6 @@ impl Dispersion {
         best
     }
 
-    /// The size-free **Max-Mean** objective
-    /// `(Σ_{i∈M} a_i + Σ_{{i,j}⊆M} w(i,j)) / |M|`, maximized over all
-    /// subsets with `|M| ≥ 2` by exhaustion (for cross-validation only —
-    /// exponential).
-    pub fn max_mean_brute(&self) -> Option<(Ratio, Vec<usize>)> {
-        let mut best: Option<(Ratio, Vec<usize>)> = None;
-        for m in 2..=self.n {
-            for_each_k_subset(self.n, m, |s| {
-                let v = self.value(DispersionVariant::MaxSum, s) / Ratio::int(m as i64);
-                if best.as_ref().is_none_or(|(b, _)| v > *b) {
-                    best = Some((v, s.to_vec()));
-                }
-                true
-            });
-        }
-        best
-    }
-
     /// The classical greedy pair heuristic for max-sum dispersion
     /// (Hassin–Rubinstein–Tamir): repeatedly take the heaviest remaining
     /// pair; if `m` is odd, finish with the node of best marginal gain.
@@ -259,17 +224,13 @@ impl Dispersion {
         let mut available: Vec<usize> = (0..self.n).collect();
         let mut chosen = Vec::with_capacity(m);
         if m == 1 {
-            let best = available
-                .iter()
-                .copied()
-                .max_by_key(|&i| (self.node[i], std::cmp::Reverse(i)))?;
-            return Some(vec![best]);
+            return Some(vec![0]);
         }
         while chosen.len() + 1 < m {
             let mut best: Option<(Ratio, usize, usize)> = None;
             for (ai, &i) in available.iter().enumerate() {
                 for &j in &available[ai + 1..] {
-                    let w = self.node[i] + self.node[j] + self.edge_weight(i, j);
+                    let w = self.edge_weight(i, j);
                     if best.is_none_or(|(b, _, _)| w > b) {
                         best = Some((w, i, j));
                     }
@@ -286,8 +247,7 @@ impl Dispersion {
         }
         if chosen.len() < m {
             let best = available.iter().copied().max_by_key(|&t| {
-                let marginal: Ratio = self.node[t]
-                    + chosen.iter().map(|&s| self.edge_weight(s, t)).sum::<Ratio>();
+                let marginal: Ratio = chosen.iter().map(|&s| self.edge_weight(s, t)).sum();
                 (marginal, std::cmp::Reverse(t))
             })?;
             chosen.push(best);
@@ -297,38 +257,17 @@ impl Dispersion {
     }
 
     /// The exact Gollapudi–Sharma bridge from max-sum diversification:
-    /// `w(i,j) = (1−λ)(δ_rel(i) + δ_rel(j)) + 2λ·δ_dis(i,j)`, node
-    /// weights 0. For every candidate set `U`,
+    /// `w(i,j) = (1−λ)(δ_rel(i) + δ_rel(j)) + 2λ·δ_dis(i,j)`. For every candidate set `U`,
     /// `value(MaxSum, U) = F_MS(U)` exactly.
     pub fn from_max_sum(p: &DiversityProblem<'_>) -> Self {
-        Self::from_max_sum_parts(p.n(), p.lambda(), |i| p.rel_of(i), |i, j| p.dist_of(i, j))
-    }
-
-    /// [`Dispersion::from_max_sum`] on raw components (relevance and
-    /// distance oracles by index) — the shared core of the problem-based
-    /// and engine-based bridges.
-    pub fn from_max_sum_parts(
-        n: usize,
-        lambda: Ratio,
-        rel: impl Fn(usize) -> Ratio,
-        dist: impl Fn(usize, usize) -> Ratio,
-    ) -> Self {
+        let n = p.n();
         let mut d = Dispersion::new(n);
         for i in 0..n {
             for j in i + 1..n {
-                let w = crate::approx::ms_pair_weight_parts(lambda, rel(i), rel(j), dist(i, j));
-                d.set_edge(i, j, w);
+                d.set_edge(i, j, crate::approx::ms_pair_weight(p, i, j));
             }
         }
         d
-    }
-
-    /// The Gollapudi–Sharma bridge read off a prepared
-    /// [`Engine`](crate::engine::Engine): same exact weights as
-    /// [`Dispersion::from_max_sum`], without rebuilding a
-    /// [`DiversityProblem`].
-    pub fn from_engine(e: &crate::engine::Engine<'_>) -> Self {
-        Self::from_max_sum_parts(e.n(), e.lambda(), |i| e.rel_of(i), |i, j| e.dist_of(i, j))
     }
 
     /// The max-min bridge:
@@ -462,13 +401,12 @@ mod tests {
     }
 
     #[test]
-    fn max_min_sum_accounts_for_node_weights() {
+    fn max_min_sum_takes_the_smallest_aggregate() {
         let mut d = Dispersion::new(3);
-        d.set_node(0, Ratio::int(5));
         d.set_edge(0, 1, Ratio::ONE);
         d.set_edge(0, 2, Ratio::ONE);
         d.set_edge(1, 2, Ratio::int(3));
-        // {1,2}: min aggregate 3; {0,1}: min(5+1, 1) = 1.
+        // {1,2}: both aggregates 3; {0,1} and {0,2}: 1.
         let (v, s) = d.brute_force(DispersionVariant::MaxMinSum, 2).unwrap();
         assert_eq!(v, Ratio::int(3));
         assert_eq!(s, vec![1, 2]);
@@ -503,18 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn max_mean_is_at_least_best_fixed_size_mean() {
-        let p = problem(7, Ratio::ONE, 3);
-        let d = Dispersion::from_max_sum(&p);
-        let (mean, set) = d.max_mean_brute().unwrap();
-        assert!(set.len() >= 2);
-        for m in 2..=7 {
-            let (v, _) = d.brute_force(DispersionVariant::MaxSum, m).unwrap();
-            assert!(mean >= v / Ratio::int(m as i64), "m={m}");
-        }
-    }
-
-    #[test]
     fn brute_force_degenerate_sizes() {
         let d = Dispersion::new(3);
         assert!(d.brute_force(DispersionVariant::MaxSum, 0).is_none());
@@ -526,11 +452,9 @@ mod tests {
     #[test]
     fn singleton_values() {
         let mut d = Dispersion::new(2);
-        d.set_node(0, Ratio::int(3));
         d.set_edge(0, 1, Ratio::int(9));
-        assert_eq!(d.value(DispersionVariant::MaxSum, &[0]), Ratio::int(3));
-        assert_eq!(d.value(DispersionVariant::MaxMin, &[0]), Ratio::ZERO);
-        assert_eq!(d.value(DispersionVariant::MaxMinSum, &[0]), Ratio::int(3));
-        assert_eq!(d.value(DispersionVariant::MinDiffSum, &[0]), Ratio::ZERO);
+        for variant in DispersionVariant::ALL {
+            assert_eq!(d.value(variant, &[0]), Ratio::ZERO, "{variant}");
+        }
     }
 }

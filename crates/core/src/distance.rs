@@ -138,11 +138,6 @@ impl TableDistance {
         self
     }
 
-    /// Number of explicit pair entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether the table has no explicit entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

@@ -25,9 +25,10 @@
 //!   [`crate::solvers::mono`] stay the sequential `Ratio`-path
 //!   references they are tested against,
 //! * one fallible entry point ([`Engine::serve_into`], with
-//!   [`Engine::try_serve`] as its allocating wrapper) used by
-//!   [`QueryDiversification::prepare_engine`](crate::pipeline::QueryDiversification::prepare_engine)
-//!   to answer many `(objective, k)` requests against one matrix.
+//!   [`Engine::try_serve`] as its allocating wrapper) that answers
+//!   many `(objective, k)` requests against one matrix — what
+//!   [`PreparedVariant`](crate::PreparedVariant) dispatches to for the
+//!   registry and the query front door of `divr-server`.
 //!
 //! ## Incremental-gain hot paths
 //!

@@ -210,19 +210,9 @@ impl<'a> Engine<'a> {
         self.prepared.universe()
     }
 
-    /// The trade-off parameter λ.
-    pub fn lambda(&self) -> Ratio {
-        self.prepared.lambda()
-    }
-
     /// The precomputed distance matrix.
     pub fn matrix(&self) -> &DistanceMatrix {
         self.prepared.matrix()
-    }
-
-    /// Worker threads used for per-round argmax scans.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Exact relevance of item `i` (from the construction-time cache).

@@ -26,8 +26,10 @@
 //! * sub-quadratic large-universe serving via GMM/k-center coresets,
 //!   for universes where the `n × n` distance matrix cannot even be
 //!   allocated ([`coreset`]);
-//! * an end-to-end pipeline from `(D, Q, δ_rel, δ_dis, λ, k)` to answers
-//!   ([`pipeline`]).
+//! * the paper's analysis interface from `(D, Q, δ_rel, δ_dis, λ, k)` to
+//!   exact QRD / DRP / RDC answers ([`pipeline`]). Serving the same
+//!   instance at scale is `divr-server`'s job: it builds the
+//!   [`PreparedVariant`] (full matrix or coreset) the engines here run on.
 //!
 //! ## Quick example
 //!
@@ -73,6 +75,7 @@ pub mod ratio;
 pub mod relevance;
 pub mod solvers;
 pub mod streaming;
+mod variant;
 
 pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
 pub use constraints::{CmOp, CmPred, Constraint};
@@ -80,7 +83,7 @@ pub use coreset::{
     Coreset, CoresetConfig, CoresetEngine, PreparedCoreset, SharedCoreset,
     CORESET_AUTO_THRESHOLD,
 };
-pub use deadline::{Budget, Deadline};
+pub use deadline::Deadline;
 pub use dispersion::{Dispersion, DispersionVariant};
 pub use distance::{
     ClosureDistance, ConstantDistance, Distance, HammingDistance, NumericDistance, TableDistance,
@@ -90,8 +93,7 @@ pub use engine::{
     ServeError, SharedPrepared, SolveScratch,
 };
 pub use pipeline::{
-    PipelineError, PipelineResult, PreparedVariant, QueryDiversification, ServedAnswer,
-    SharedDistance, SharedRelevance,
+    PipelineError, PipelineResult, QueryDiversification, SharedDistance, SharedRelevance,
 };
 pub use problem::{DiversityProblem, ObjectiveKind};
 pub use ratio::Ratio;
@@ -99,12 +101,13 @@ pub use relevance::{
     AttributeRelevance, ClosureRelevance, ConstantRelevance, Relevance, TableRelevance,
 };
 pub use streaming::StreamingDiversifier;
+pub use variant::PreparedVariant;
 
 /// Common imports for downstream users.
 pub mod prelude {
     pub use crate::constraints::{CmPred, Constraint};
     pub use crate::coreset::{CoresetConfig, CoresetEngine, PreparedCoreset, SharedCoreset};
-    pub use crate::deadline::{Budget, Deadline};
+    pub use crate::deadline::Deadline;
     pub use crate::distance::{
         ConstantDistance, Distance, HammingDistance, NumericDistance, TableDistance,
     };

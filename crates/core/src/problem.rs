@@ -244,7 +244,7 @@ impl<'a> DiversityProblem<'a> {
     /// The per-item mono score
     /// `v(t) = (1−λ)·δ_rel(t) + λ/(n−1)·Σ_{t'∈Q(D)} δ_dis(t, t')`
     /// (the quantity the Theorem 5.4 PTIME algorithm sorts by).
-    pub fn mono_score_of(&self, i: usize) -> Ratio {
+    fn mono_score_of(&self, i: usize) -> Ratio {
         let rel_part = (Ratio::ONE - self.lambda) * self.rel_cache[i];
         let n = self.n();
         if n <= 1 || self.lambda.is_zero() {

@@ -83,11 +83,6 @@ impl Ratio {
         self.den
     }
 
-    /// Whether this is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// Whether this is zero.
     pub fn is_zero(&self) -> bool {
         self.num == 0
@@ -584,8 +579,6 @@ mod tests {
     #[test]
     fn is_predicates() {
         assert!(Ratio::ZERO.is_zero());
-        assert!(Ratio::int(2).is_integer());
-        assert!(!Ratio::new(1, 2).is_integer());
         assert!(Ratio::new(-1, 2).is_negative());
     }
 

@@ -22,7 +22,7 @@ use crate::ratio::Ratio;
 
 /// Visits every candidate set (k-subset with `U ⊨ Σ`), with denial-based
 /// pruning. `f` returns `false` to stop; returns `true` iff completed.
-pub fn for_each_constrained_candidate<F: FnMut(&[usize]) -> bool>(
+fn for_each_constrained_candidate<F: FnMut(&[usize]) -> bool>(
     p: &DiversityProblem<'_>,
     constraints: &[Constraint],
     mut f: F,

@@ -8,8 +8,9 @@
 //!   connection. Complexity is `O(n · k · |distinct reachable sums|)`;
 //!   #P-hardness manifests as the reachable-sum count exploding on
 //!   adversarial weights, while workload-style instances stay small.
-//! * [`rdc_turing_difference`] packages the paper's Turing-reduction trick
-//!   (`#{F = B}` from two `≥`-threshold counts, proof of Theorem 7.5).
+//!   (The theorem's Turing-reduction trick — `#{F = B}` as the
+//!   difference of two `≥`-threshold counts — is exercised end to end
+//!   by `divr_reductions::sspk_rdc`.)
 
 use crate::combin::for_each_k_subset;
 use crate::problem::{DiversityProblem, ObjectiveKind};
@@ -20,12 +21,6 @@ use std::collections::HashMap;
 /// **RDC**: counts candidate sets with `F(U) ≥ B` (exact, pruned search).
 pub fn rdc(p: &DiversityProblem<'_>, kind: ObjectiveKind, bound: Ratio) -> u128 {
     Engine::new(p, kind).count_above(bound, false, None)
-}
-
-/// Counts candidate sets with `F(U) > B` (strict variant; used by rank
-/// computations and the Turing-difference helper).
-pub fn rdc_strict(p: &DiversityProblem<'_>, kind: ObjectiveKind, bound: Ratio) -> u128 {
-    Engine::new(p, kind).count_above(bound, true, None)
 }
 
 /// Unpruned enumeration counter, for differential testing of the pruned
@@ -71,19 +66,6 @@ pub fn count_sum_subsets_at_least(scores: &[Ratio], k: usize, bound: Ratio) -> u
 /// **RDC(·, F_mono)** via the sum-decomposition DP.
 pub fn rdc_mono_dp(p: &DiversityProblem<'_>, bound: Ratio) -> u128 {
     count_sum_subsets_at_least(&p.mono_item_scores(), p.k(), bound)
-}
-
-/// The Theorem 7.5 Turing-reduction step: the number of candidate sets
-/// with `F(U)` **exactly** `B`, computed as the difference of two
-/// `≥`-threshold RDC oracle calls (`X − Y` in the paper's proof).
-pub fn rdc_turing_difference(
-    p: &DiversityProblem<'_>,
-    kind: ObjectiveKind,
-    bound: Ratio,
-) -> u128 {
-    let at_least = rdc(p, kind, bound);
-    let strictly_above = rdc_strict(p, kind, bound);
-    at_least - strictly_above
 }
 
 #[cfg(test)]
@@ -165,32 +147,6 @@ mod tests {
             count_sum_subsets_at_least(&scores, 2, Ratio::new(2, 3)),
             2
         );
-    }
-
-    #[test]
-    fn turing_difference_counts_exact_level_sets() {
-        let (u, rel, dis, k, lambda) = instance(7, Ratio::ONE, 3);
-        let p = DiversityProblem::new(u, &rel, &dis, lambda, k);
-        for kind in ObjectiveKind::ALL {
-            for b in 0..8 {
-                let bound = Ratio::int(b);
-                let exact_level = {
-                    let mut c = 0u128;
-                    for_each_k_subset(p.n(), p.k(), |s| {
-                        if p.objective(kind, s) == bound {
-                            c += 1;
-                        }
-                        true
-                    });
-                    c
-                };
-                assert_eq!(
-                    rdc_turing_difference(&p, kind, bound),
-                    exact_level,
-                    "{kind} B={b}"
-                );
-            }
-        }
     }
 
     #[test]

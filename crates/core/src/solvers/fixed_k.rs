@@ -21,7 +21,7 @@ use crate::ratio::Ratio;
 use crate::solvers::{constrained, exact};
 
 /// Largest `k` accepted as "constant" by these wrappers.
-pub const MAX_CONSTANT_K: usize = 6;
+const MAX_CONSTANT_K: usize = 6;
 
 fn assert_constant_k(p: &DiversityProblem<'_>) {
     assert!(

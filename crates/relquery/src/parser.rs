@@ -49,7 +49,7 @@ pub fn parse_query(input: &str) -> Result<Query> {
 }
 
 /// Parses a single conjunctive query rule.
-pub fn parse_cq(input: &str) -> Result<ConjunctiveQuery> {
+fn parse_cq(input: &str) -> Result<ConjunctiveQuery> {
     let toks = lex(input)?;
     let mut p = Parser::new(toks);
     let cq = p.cq_rule()?;
@@ -65,15 +65,6 @@ pub fn parse_fo_query(input: &str) -> Result<FoQuery> {
     p.expect_end()?;
     q.validate()?;
     Ok(q)
-}
-
-/// Parses a bare formula (useful for tests and constraint bodies).
-pub fn parse_formula(input: &str) -> Result<Formula> {
-    let toks = lex(input)?;
-    let mut p = Parser::new(toks);
-    let f = p.formula()?;
-    p.expect_end()?;
-    Ok(f)
 }
 
 #[derive(Clone, Debug, PartialEq)]
@@ -503,6 +494,13 @@ mod tests {
     use super::*;
     use crate::query::QueryLanguage;
     use crate::{Database, Tuple};
+
+    fn parse_formula(input: &str) -> Result<Formula> {
+        let mut p = Parser::new(lex(input)?);
+        let f = p.formula()?;
+        p.expect_end()?;
+        Ok(f)
+    }
 
     #[test]
     fn parse_simple_cq() {

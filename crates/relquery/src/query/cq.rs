@@ -7,7 +7,7 @@
 //! atom (the *safety* condition — it makes the built-in predicates range
 //! over bound values only).
 
-use super::{ensure, Atom, Comparison, Query, Term, Var};
+use super::{ensure, Atom, Comparison, Term, Var};
 use crate::value::Value;
 use crate::{Error, Result};
 use std::collections::BTreeSet;
@@ -52,7 +52,7 @@ impl ConjunctiveQuery {
     }
 
     /// The set of variables bound by relation atoms.
-    pub fn bound_variables(&self) -> BTreeSet<Var> {
+    fn bound_variables(&self) -> BTreeSet<Var> {
         self.atoms
             .iter()
             .flat_map(|a| a.variables())
@@ -175,11 +175,6 @@ impl CqBuilder {
         q.validate()?;
         Ok(q)
     }
-
-    /// Finishes and wraps in [`Query::Cq`].
-    pub fn build_query(self) -> Result<Query> {
-        Ok(Query::Cq(self.build()?))
-    }
 }
 
 /// A union of conjunctive queries `Q1 ∪ ... ∪ Qr` (paper, Section 4.1).
@@ -238,7 +233,7 @@ impl fmt::Display for UnionQuery {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{cnst, var, CmpOp};
+    use super::super::{cnst, var, CmpOp, Query};
     use super::*;
 
     fn simple_cq() -> ConjunctiveQuery {

@@ -2,7 +2,6 @@
 
 use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
-use crate::value::Value;
 use crate::{Error, Result};
 use std::collections::HashSet;
 use std::fmt;
@@ -38,19 +37,6 @@ impl Relation {
         let attrs: Vec<String> = (0..arity).map(|i| format!("a{i}")).collect();
         let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
         Relation::new(RelationSchema::new(name, &attr_refs))
-    }
-
-    /// Builds a relation from an iterator of tuples (deduplicating).
-    pub fn from_tuples(
-        name: impl Into<String>,
-        arity: usize,
-        tuples: impl IntoIterator<Item = Tuple>,
-    ) -> Result<Self> {
-        let mut r = Relation::with_arity(name, arity);
-        for t in tuples {
-            r.insert(t)?;
-        }
-        Ok(r)
     }
 
     /// The relation's schema.
@@ -94,11 +80,6 @@ impl Relation {
         self.index.insert(tuple.clone());
         self.tuples.push(tuple);
         Ok(true)
-    }
-
-    /// Inserts a tuple built from plain values.
-    pub fn insert_values(&mut self, values: Vec<Value>) -> Result<bool> {
-        self.insert(Tuple::new(values))
     }
 
     /// Removes a tuple. Returns `true` if it was present. Insertion
@@ -221,13 +202,6 @@ mod tests {
         b.insert(Tuple::ints([2, 2])).unwrap();
         b.insert(Tuple::ints([1, 1])).unwrap();
         assert!(a.set_eq(&b));
-    }
-
-    #[test]
-    fn from_tuples_dedups() {
-        let r =
-            Relation::from_tuples("R", 1, vec![Tuple::ints([1]), Tuple::ints([1])]).unwrap();
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

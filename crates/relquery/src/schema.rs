@@ -33,11 +33,6 @@ impl RelationSchema {
     pub fn attributes(&self) -> &[String] {
         &self.attributes
     }
-
-    /// Resolves an attribute name to its position, if present.
-    pub fn attribute_index(&self, attr: &str) -> Option<usize> {
-        self.attributes.iter().position(|a| a == attr)
-    }
 }
 
 impl fmt::Display for RelationSchema {
@@ -55,8 +50,6 @@ mod tests {
         let s = RelationSchema::new("catalog", &["item", "type", "price"]);
         assert_eq!(s.name(), "catalog");
         assert_eq!(s.arity(), 3);
-        assert_eq!(s.attribute_index("type"), Some(1));
-        assert_eq!(s.attribute_index("nope"), None);
         assert_eq!(s.to_string(), "catalog(item, type, price)");
     }
 

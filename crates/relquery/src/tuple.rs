@@ -34,11 +34,6 @@ impl Tuple {
         self.0.iter()
     }
 
-    /// Returns the underlying values as a slice.
-    pub fn values(&self) -> &[Value] {
-        &self.0
-    }
-
     /// Builds a tuple of integers — convenient for the Boolean-domain
     /// gadgets of the paper's reductions (e.g. the `I_01` relation of
     /// Figure 5).
@@ -49,12 +44,6 @@ impl Tuple {
     /// Concatenates two tuples (used when composing gadget tuples).
     pub fn concat(&self, other: &Tuple) -> Tuple {
         Tuple(self.0.iter().chain(other.0.iter()).cloned().collect())
-    }
-
-    /// Returns a new tuple containing only the positions in `keep`,
-    /// in the given order.
-    pub fn project(&self, keep: &[usize]) -> Tuple {
-        Tuple(keep.iter().map(|&i| self.0[i].clone()).collect())
     }
 }
 
@@ -129,12 +118,11 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_project() {
+    fn concat() {
         let a = Tuple::ints([1, 2]);
         let b = Tuple::ints([3]);
         let c = a.concat(&b);
         assert_eq!(c, Tuple::ints([1, 2, 3]));
-        assert_eq!(c.project(&[2, 0]), Tuple::ints([3, 1]));
     }
 
     #[test]

@@ -64,8 +64,7 @@ struct Shard {
     bytes: usize,
 }
 
-/// Counters describing cache behaviour since construction (or the last
-/// [`PreparedCache::clear`]).
+/// Counters describing cache behaviour since construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Requests answered from a cached prepared universe.
@@ -311,21 +310,6 @@ impl PreparedCache {
             .contains_key(key)
     }
 
-    /// Drops every entry and resets the counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut guard = self.lock_shard(shard);
-            let dropped = std::mem::take(&mut guard.entries);
-            guard.bytes = 0;
-            drop(guard);
-            drop(dropped);
-        }
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.prepare_us.store(0, Ordering::Relaxed);
-    }
-
     /// A consistent-enough snapshot of the counters (shards are read
     /// one at a time; totals may straddle concurrent inserts).
     pub fn stats(&self) -> CacheStats {
@@ -461,16 +445,6 @@ mod tests {
         // The reservation covers the matrix plus the O(n) preambles.
         let n = 32usize;
         assert!(before >= n * n * 8 + n * (8 + 16));
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let cache = PreparedCache::new(usize::MAX, 2);
-        let s = spec(8, Ratio::ZERO);
-        fetch(&cache, &s).unwrap();
-        cache.clear();
-        let st = cache.stats();
-        assert_eq!(st, CacheStats::default());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use super::{Record, WarmKind, WarmQueryRecord};
 /// whose text does not round-trip through the parser). Skipped and
 /// counted, never written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Unpersistable;
+pub(super) struct Unpersistable;
 
 fn encode_query_spec(w: &mut ByteWriter, spec: &QuerySpec) {
     w.write_str(&spec.query().to_string());

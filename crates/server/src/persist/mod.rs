@@ -530,11 +530,6 @@ impl Durability {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// The data directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Rebuilds live serving state from the recovered book. Call
     /// **before** [`Registry::attach_durability`] so the restore paths
     /// do not re-log what the book already holds.

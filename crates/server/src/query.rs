@@ -106,7 +106,7 @@ impl QuerySpec {
     /// Default largest `k` auto-escalated universes are sized for (the
     /// coreset budget becomes `max(64, 16·max_k)`, the same rule as
     /// [`CoresetConfig::recommended`]).
-    pub const DEFAULT_MAX_K: usize = 64;
+    const DEFAULT_MAX_K: usize = 64;
 
     /// Bundles a query with its diversification parameters, computing
     /// the canonical tableau key (minimization + canonical labeling —

@@ -549,11 +549,6 @@ impl Registry {
     pub fn stats(&self) -> RegistryStats {
         self.cache.stats()
     }
-
-    /// Drops all cached state and resets the counters.
-    pub fn clear(&self) {
-        self.cache.clear()
-    }
 }
 
 #[cfg(test)]

@@ -25,9 +25,9 @@ use divr_relquery::Tuple;
 use std::sync::{Arc, OnceLock};
 
 /// The prepared state the registry caches for one spec — full-matrix or
-/// coreset, by the spec's serving mode. Defined in `divr_core` (the
-/// pipeline's auto-escalation returns the same type).
-pub use divr_core::pipeline::PreparedVariant;
+/// coreset, by the spec's serving mode. Defined in `divr_core`, beside
+/// the two engines it dispatches to.
+pub use divr_core::PreparedVariant;
 
 /// A relevance function the registry can serve: evaluable *and*
 /// content-addressable, usable from any worker thread.

@@ -17,10 +17,10 @@
 //!   and reconnects through transport errors.
 
 use crate::json::{self, object, Value};
-use crate::proto::{is_retryable_code, write_frame, FrameTooLarge};
+use crate::proto::{is_retryable_code, write_frame, FrameDecoder, FrameTooLarge, Step};
 use crate::wire::objective_to_str;
 use divr_core::engine::EngineRequest;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -109,14 +109,16 @@ impl Default for RetryPolicy {
     }
 }
 
+/// The largest response frame a [`Client`] accepts.
+const MAX_RESPONSE_BYTES: usize = 64 << 20;
+
 /// One connection to a running [`Service`](crate::server::Service),
 /// governed by a [`RetryPolicy`].
 pub struct Client {
     stream: TcpStream,
     addr: SocketAddr,
     policy: RetryPolicy,
-    max_frame_bytes: usize,
-    buf: Vec<u8>,
+    decoder: FrameDecoder,
     rng: u64,
     retries: u64,
 }
@@ -139,8 +141,7 @@ impl Client {
             stream,
             addr,
             policy,
-            max_frame_bytes: 64 << 20,
-            buf: Vec::new(),
+            decoder: FrameDecoder::new(MAX_RESPONSE_BYTES),
             rng: policy.jitter_seed | 1,
             retries: 0,
         })
@@ -149,9 +150,9 @@ impl Client {
     /// Drops the current socket and dials the same address again
     /// (discarding any half-read frame) — how the retry loop recovers
     /// from a reset or a drained daemon's closing socket.
-    pub fn reconnect(&mut self) -> Result<(), ClientError> {
+    fn reconnect(&mut self) -> Result<(), ClientError> {
         self.stream = open_stream(self.addr, &self.policy)?;
-        self.buf.clear();
+        self.decoder = FrameDecoder::new(MAX_RESPONSE_BYTES);
         Ok(())
     }
 
@@ -216,45 +217,23 @@ impl Client {
     /// passed, never because one `read()` came back short.
     pub fn read_response(&mut self) -> Result<Value, ClientError> {
         let deadline = self.policy.read_timeout.map(|t| Instant::now() + t);
-        loop {
-            if self.buf.len() >= 4 {
-                let mut len_bytes = [0u8; 4];
-                len_bytes.copy_from_slice(&self.buf[..4]);
-                let len = u32::from_be_bytes(len_bytes) as usize;
-                if len > self.max_frame_bytes {
-                    return Err(ClientError::Protocol(
-                        FrameTooLarge {
-                            len,
-                            max_bytes: self.max_frame_bytes,
-                        }
-                        .to_string(),
-                    ));
-                }
-                if self.buf.len() >= 4 + len {
-                    let payload: Vec<u8> = self.buf.drain(..4 + len).skip(4).collect();
-                    let text = std::str::from_utf8(&payload)
-                        .map_err(|_| ClientError::Protocol("response is not UTF-8".into()))?;
-                    return json::parse(text)
-                        .map_err(|e| ClientError::Protocol(e.to_string()));
-                }
-            }
+        let payload = loop {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(ClientError::TimedOut);
             }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(ClientError::Closed),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
+            match self.decoder.step(&mut self.stream) {
+                Ok(Step::Frame(payload)) => break payload,
+                Ok(Step::Progress | Step::Idle) => {}
+                Ok(Step::Eof(_)) => return Err(ClientError::Closed),
+                Err(e) if e.get_ref().is_some_and(|inner| inner.is::<FrameTooLarge>()) => {
+                    return Err(ClientError::Protocol(e.to_string()))
+                }
                 Err(e) => return Err(ClientError::Io(e)),
             }
-        }
+        };
+        let text = std::str::from_utf8(&payload)
+            .map_err(|_| ClientError::Protocol("response is not UTF-8".into()))?;
+        json::parse(text).map_err(|e| ClientError::Protocol(e.to_string()))
     }
 
     /// `{"op": "ping"}` → whether the daemon answered `pong`.

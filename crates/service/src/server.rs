@@ -41,7 +41,9 @@
 use crate::admission::{estimate_prepared_bytes, Admission, AdmissionConfig, Rejection};
 use crate::histogram::LatencyStats;
 use crate::json::{self, object, Value};
-use crate::proto::{is_retryable_code, serve_error_status, write_frame, FrameTooLarge};
+use crate::proto::{
+    is_retryable_code, serve_error_status, write_frame, FrameDecoder, FrameTooLarge, Step,
+};
 use crate::wire::{
     database_from_json, instance_from_json, objective_to_str, ratio_to_json, requests_from_json,
     tuple_from_json, universe_from_json,
@@ -55,7 +57,7 @@ use divr_server::{
     Durability, QueryError, QueryFrontDoor, QuerySpec, RecoverMode, Registry, RegistryConfig,
     TenantBatch,
 };
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -375,57 +377,28 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
     }
 }
 
-/// Most payload bytes a [`FrameReader`] makes room for ahead of their
-/// arrival: a 4-byte prefix announcing `max_frame_bytes` reserves this
-/// much, not the announced length.
-const READ_CHUNK: usize = 256 * 1024;
-
-/// Reads one frame at a time straight into the buffer it hands over —
-/// first the rest of the length prefix, then what the announced length
-/// still needs, never a byte of the next frame — surviving read
-/// timeouts mid-frame (partial bytes stay put) so the worker can poll
-/// the stop flag without ever losing frame sync — and reaping the
-/// connection once no byte has arrived for the configured idle
-/// timeout, so a dribbling or abandoned socket (a torn frame whose
-/// rest never comes, a slow-loris prefix) cannot pin a worker forever.
+/// The daemon's read policy over the one [`FrameDecoder`]: read
+/// timeouts mid-frame lose nothing (partial bytes stay put), so the
+/// worker can poll the stop flag between steps without ever losing
+/// frame sync — and the connection is reaped once no byte has arrived
+/// for the configured idle timeout, so a dribbling or abandoned socket
+/// (a torn frame whose rest never comes, a slow-loris prefix) cannot
+/// pin a worker forever.
 struct FrameReader {
-    prefix: [u8; 4],
-    /// Bytes of the current frame read so far, prefix included.
-    got: usize,
-    /// The payload: what has arrived, then zeroes up to the end of the
-    /// chunk being filled. Never longer than the announced length.
-    payload: Vec<u8>,
+    decoder: FrameDecoder,
     last_byte_at: Instant,
 }
 
 impl FrameReader {
-    fn new() -> FrameReader {
+    fn new(max_frame_bytes: usize) -> FrameReader {
         FrameReader {
-            prefix: [0; 4],
-            got: 0,
-            payload: Vec::new(),
+            decoder: FrameDecoder::new(max_frame_bytes),
             last_byte_at: Instant::now(),
         }
     }
 
     fn next(&mut self, stream: &mut TcpStream, shared: &Shared) -> io::Result<Option<Vec<u8>>> {
         loop {
-            let announced = (self.got >= 4).then(|| u32::from_be_bytes(self.prefix) as usize);
-            if let Some(len) = announced {
-                if len > shared.max_frame_bytes {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        FrameTooLarge {
-                            len,
-                            max_bytes: shared.max_frame_bytes,
-                        },
-                    ));
-                }
-                if self.got == 4 + len {
-                    self.got = 0;
-                    return Ok(Some(std::mem::take(&mut self.payload)));
-                }
-            }
             if shared.stop.load(Ordering::SeqCst) {
                 return Ok(None);
             }
@@ -433,30 +406,14 @@ impl FrameReader {
                 shared.reaped_idle.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
             }
-            let room = match announced {
-                None => &mut self.prefix[self.got..],
-                Some(len) => {
-                    let have = self.got - 4;
-                    if have == self.payload.len() {
-                        self.payload.resize(have + (len - have).min(READ_CHUNK), 0);
-                    }
-                    &mut self.payload[have..]
-                }
-            };
-            match stream.read(room) {
-                Ok(0) => return Ok(None),
-                Ok(n) => {
-                    self.got += n;
+            match self.decoder.step(stream)? {
+                Step::Frame(payload) => {
                     self.last_byte_at = Instant::now();
+                    return Ok(Some(payload));
                 }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(e) => return Err(e),
+                Step::Progress => self.last_byte_at = Instant::now(),
+                Step::Idle => {}
+                Step::Eof(_) => return Ok(None),
             }
         }
     }
@@ -468,7 +425,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     // Slow-reader guard: a client that stops draining its socket costs
     // at most one write timeout, not a wedged worker.
     let _ = stream.set_write_timeout(Some(shared.write_timeout));
-    let mut reader = FrameReader::new();
+    let mut reader = FrameReader::new(shared.max_frame_bytes);
     loop {
         let payload = match reader.next(&mut stream, shared) {
             Ok(Some(payload)) => payload,

@@ -263,7 +263,7 @@ pub fn instance_from_json(v: &Value, owner: &str) -> Result<Instance, String> {
 }
 
 /// Decodes one `coreset` object (`{"budget", "refine_rounds"?}`).
-pub fn coreset_from_json(mode: &Value) -> Result<CoresetSpec, String> {
+fn coreset_from_json(mode: &Value) -> Result<CoresetSpec, String> {
     let budget = mode
         .get("budget")
         .and_then(Value::as_i64)
@@ -313,7 +313,7 @@ pub fn objective_to_str(kind: ObjectiveKind) -> &'static str {
 }
 
 /// Parses a wire objective name.
-pub fn objective_from_str(name: &str) -> Option<ObjectiveKind> {
+fn objective_from_str(name: &str) -> Option<ObjectiveKind> {
     match name {
         "max_sum" => Some(ObjectiveKind::MaxSum),
         "max_min" => Some(ObjectiveKind::MaxMin),

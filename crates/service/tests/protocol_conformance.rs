@@ -681,6 +681,37 @@ fn infeasible_k_on_the_query_path_reuses_the_typed_422() {
     service.shutdown();
 }
 
+/// `"max_k"` sizes the streamed coreset (`16 · max_k`): any positive
+/// `i64` is accepted, so the product must saturate. Wrapped, `2^60`
+/// sized the budget at 64 in release and panicked the worker (a 500)
+/// under overflow checks. On a database this small the budget only
+/// enters the cache key, so the answers must equal a modest `max_k`'s.
+#[test]
+fn a_huge_max_k_is_answered_like_a_modest_one() {
+    let service = Service::start(test_config()).unwrap();
+    let mut client = Client::connect(service.local_addr()).unwrap();
+    let mut answers_at = |max_k: i64| {
+        let Value::Object(mut fields) =
+            query_frame("alice", "Q(d, s) :- emp(d, s), dept(d)", &all_objectives(3))
+        else {
+            unreachable!("query_doc builds an object")
+        };
+        fields.push(("max_k".to_string(), Value::Int(max_k)));
+        let response = client.request(&Value::Object(fields)).unwrap();
+        assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true), "{response:?}");
+        let answers = response.get("answers").and_then(Value::as_array).unwrap();
+        assert!(answers.iter().all(|a| a.get("ok").and_then(Value::as_bool) == Some(true)));
+        answers
+            .iter()
+            .map(|a| (ratio_of(a.get("value").unwrap()), indices_of(a.get("indices").unwrap())))
+            .collect::<Vec<_>>()
+    };
+    let modest = answers_at(4096);
+    assert_eq!(answers_at(1_152_921_504_606_846_976), modest);
+    assert_eq!(answers_at(i64::MAX), modest);
+    service.shutdown();
+}
+
 #[test]
 fn empty_query_result_is_typed_at_both_layers() {
     // Registry layer: a typed refusal, not a panic.
