@@ -47,9 +47,19 @@ while read -r crate max; do
 done <<'EOF'
 core 366
 server 95
-service 80
+service 74
 relquery 145
 EOF
+
+# One measurement generation below `e2e/`: the declared benches are the
+# files on disk, and each has its one recording at the repo root.
+gate "[[bench]] names = crates/bench/benches/*.rs" \
+  "$(sed -n '/^\[\[bench\]\]/{n;s/^name = "\(.*\)"$/\1/p}' crates/bench/Cargo.toml | sort | tr '\n' ' ')" = \
+  "$(ls crates/bench/benches | sed 's/\.rs$//' | sort | tr '\n' ' ')"
+gate "one BENCH_*.json per bench" "$(ls BENCH_*.json | tr '\n' ' ')" = "BENCH_coreset.json BENCH_hotpath.json "
+for pair in engine_hotpath:BENCH_hotpath.json coreset_scaling:BENCH_coreset.json; do
+  gate "${pair%%:*}.rs names ${pair##*:}" "$(grep -c "${pair##*:}" "crates/bench/benches/${pair%%:*}.rs")" -ge 1
+done
 
 # --- One definition each (a private or crate-level fn, defined once) --
 for name in mono_score_exact mmr local_search_swap gmm_seed_f64 ms_seed mono_scores_f64; do

@@ -16,8 +16,10 @@
 //!
 //! The `repro` binary is the one reproduction path: it runs every
 //! series, checks each instance against a direct solver and prints the
-//! tables, deterministically (seeded). The Criterion benches under
-//! `benches/` time the serving stack, not the paper's cells.
+//! tables, deterministically (seeded). The two Criterion benches under
+//! `benches/` (`engine_hotpath`, `coreset_scaling`) time the engine in
+//! `divr-core`, not the paper's cells; the daemon is measured over the
+//! wire by `e2e/` (`BENCHMARK.json`), which this crate knows nothing of.
 
 pub mod growth;
 pub mod workloads;

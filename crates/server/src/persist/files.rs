@@ -86,10 +86,7 @@ impl WalWriter {
     /// not yet the machine; the next [`WalWriter::sync`] makes it and
     /// everything appended before it durable.
     pub(super) fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let frame = frame(payload);
         if crash_point_is("wal-append") {
             // A torn append: half the frame reaches the kernel (page
             // cache survives process death), then the process dies
@@ -108,11 +105,17 @@ impl WalWriter {
     }
 }
 
-fn write_frame(file: &mut File, payload: &[u8]) -> io::Result<usize> {
+/// One record as both file kinds store it: `[len:u32][crc32:u32][payload]`.
+fn frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(8 + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(&crc32(payload).to_le_bytes());
     frame.extend_from_slice(payload);
+    frame
+}
+
+fn write_frame(file: &mut File, payload: &[u8]) -> io::Result<usize> {
+    let frame = frame(payload);
     file.write_all(&frame)?;
     Ok(frame.len())
 }

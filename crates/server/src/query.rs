@@ -280,6 +280,27 @@ impl QueryFrontDoor {
                 self.cache().take(key);
             }
         }
+        self.insert_database(&mut state, name, db);
+    }
+
+    /// Registers `db` under `name` unless a database is already there:
+    /// what a frame that ships its (content-named) database does at
+    /// first sight. The check and the insert are one critical section,
+    /// so of two frames that both found `name` absent only one
+    /// registers; the other must not replace a database that may have
+    /// been queried warm and edited since. The write lock is taken only
+    /// when the read-locked check says absent.
+    pub fn ensure_database(&self, name: &str, db: Database) {
+        if self.has_database(name) {
+            return;
+        }
+        let mut state = self.write_state();
+        if !state.contains_key(name) {
+            self.insert_database(&mut state, name.to_string(), db);
+        }
+    }
+
+    fn insert_database(&self, state: &mut HashMap<String, DbState>, name: String, db: Database) {
         // Journal under the state lock so concurrent registrations and
         // base-table edits reach the book in serving order.
         if let Some(d) = self.registry.durability() {
@@ -818,9 +839,10 @@ mod tests {
         }
     }
 
-    /// A warm query frame only reads the front door's map: it must
-    /// finish while another thread holds the read guard, which taking
-    /// the write lock would wait out.
+    /// A warm query frame — first-sight registration of a database
+    /// that is already there, then the serve — only reads the front
+    /// door's map: it must finish while another thread holds the read
+    /// guard, which taking the write lock would wait out.
     #[test]
     fn warm_hits_do_not_take_the_write_lock() {
         let f = front();
@@ -836,6 +858,7 @@ mod tests {
                 let done = done.clone();
                 let (f, q, first) = (&f, &q, &first);
                 scope.spawn(move || {
+                    f.ensure_database("main", db());
                     assert_eq!(&f.serve_query("main", q, &reqs()).unwrap(), first);
                     done.send(()).unwrap();
                 });

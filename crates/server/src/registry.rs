@@ -233,7 +233,7 @@ impl Registry {
     /// Rebuilds one recovered universe entry into the cache at its
     /// recovered version and delta log. Already-resident content is
     /// left untouched.
-    pub fn restore_entry(
+    pub(crate) fn restore_entry(
         &self,
         spec: &UniverseSpec,
         version: u64,

@@ -18,6 +18,10 @@
 //!    key and pin exactly one registry miss between them, while
 //!    non-equivalent near-misses (a changed head, an extra
 //!    non-redundant atom) never collide.
+//! 4. **First-sight registration never replaces** — a frame that
+//!    ships a database already registered under its content name
+//!    leaves the registered one alone, acknowledged edits, relation
+//!    versions, warm entries and journal included.
 
 use divr_core::distance::{NumericDistance, TableDistance};
 use divr_core::engine::{spare_buffers, DeltaOp, EngineRequest};
@@ -27,7 +31,8 @@ use divr_core::Ratio;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple};
 use divr_server::{
-    CheckedAnswer, QueryFrontDoor, QuerySpec, Registry, RegistryConfig, TenantBatch, UniverseSpec,
+    CheckedAnswer, Durability, QueryFrontDoor, QuerySpec, Registry, RegistryConfig, TenantBatch,
+    UniverseSpec,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -552,4 +557,72 @@ fn eviction_recycles_allocations_stale_free_across_two_sizes() {
         serve_all(&registry, &spec, &requests),
         serve_all(&cold, &spec, &requests)
     );
+}
+
+/// Property 4. Two workers can each hold a first-sight `query` frame
+/// for the same content-named database and both find it absent; the
+/// slower one's registration then arrives after the faster one's client
+/// had its query answered and a mutation journaled and acknowledged.
+/// That late call, played here in order, must change nothing: replacing
+/// would drop the edit and the warm entry, reset the relation versions,
+/// and journal a registration *after* the edit, so replay would lose
+/// the edit too.
+#[test]
+fn a_late_first_sight_registration_leaves_a_mutated_database_alone() {
+    let dir = std::env::temp_dir().join(format!("divr-cache-coherence-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let durability = Durability::open(&dir).unwrap();
+    let registry = Arc::new(Registry::default());
+    let front = QueryFrontDoor::new(Arc::clone(&registry));
+    registry.attach_durability(Arc::clone(&durability));
+
+    let shipped = full_db(&[2]);
+    let q = query_spec("Q(x, y) :- R0(x, y)");
+    let requests = [EngineRequest {
+        kind: ObjectiveKind::MaxSum,
+        k: 3,
+    }];
+    front.ensure_database("db-shipped", shipped.clone());
+    front.serve_query("db-shipped", &q, &requests).unwrap();
+    let edit = vec![divr_relquery::Value::int(7), divr_relquery::Value::int(7)];
+    assert!(front.insert_base_tuple("db-shipped", "R0", edit).unwrap());
+
+    let key = front.key_for("db-shipped", &q).unwrap();
+    let rows = front.universe_of("db-shipped", &q).unwrap();
+    assert!(rows.contains(&Tuple::ints([7, 7])));
+    let answers = front.serve_query("db-shipped", &q, &requests).unwrap();
+    let (journaled, misses) = (durability.stats().wal_records, registry.stats().misses);
+
+    front.ensure_database("db-shipped", shipped);
+
+    assert_eq!(
+        durability.stats().wal_records,
+        journaled,
+        "journaled a second registration"
+    );
+    assert_eq!(
+        front.key_for("db-shipped", &q).unwrap(),
+        key,
+        "relation versions were reset"
+    );
+    assert!(
+        front.is_warm("db-shipped", &q).unwrap(),
+        "the warm entry was dropped"
+    );
+    assert_eq!(
+        front.universe_of("db-shipped", &q).unwrap(),
+        rows,
+        "the edit was lost"
+    );
+    assert_eq!(
+        front.serve_query("db-shipped", &q, &requests).unwrap(),
+        answers
+    );
+    assert_eq!(
+        registry.stats().misses,
+        misses,
+        "served from the entry that was warm"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -277,6 +277,55 @@ fn clean_close_recovers_the_full_tape_warm() {
     let _ = fs::remove_dir_all(&golden);
 }
 
+/// The unmangled graceful path: a checkpoint is the last thing the
+/// predecessor did, so its successor replays nothing, serves the warm
+/// query and the universe-keyed entry without one cold prepare, and
+/// answers as before the restart and as a registry that never saw the
+/// disk.
+#[test]
+fn a_checkpointed_close_replays_nothing_and_restarts_warm() {
+    let dir = tmpdir("checkpointed");
+    build_tape(&dir);
+    let reopen = || {
+        let d = Durability::open(&dir).unwrap();
+        let registry = Arc::new(Registry::default());
+        let front = QueryFrontDoor::new(Arc::clone(&registry));
+        let report = d.recover(&registry, &front, RecoverMode::Eager);
+        registry.attach_durability(Arc::clone(&d));
+        (d, registry, front, report)
+    };
+    let q = qspec();
+    let before = {
+        let (d, registry, front, _) = reopen();
+        let written = d.checkpoint(&registry, &front).unwrap();
+        assert_eq!(written.records, 3, "database, warm query, universe");
+        front.serve_query("main", &q, &reqs()).unwrap()
+    };
+
+    let (d, registry, front, report) = reopen();
+    assert_eq!(
+        d.stats().wal_records_replayed,
+        0,
+        "the checkpoint covers the whole tape"
+    );
+    assert_eq!(report.failed_entries, 0);
+    assert!(report.recovered_queries >= 1 && report.recovered_universes >= 1);
+    let us = uspec()
+        .apply(&DeltaOp::Insert(Tuple::ints([99, 3])))
+        .unwrap();
+    let after = front.serve_query("main", &q, &reqs()).unwrap();
+    let cold = Registry::default();
+    for request in reqs() {
+        assert_eq!(
+            registry.try_serve(&us, request).unwrap(),
+            cold.try_serve(&us, request).unwrap()
+        );
+    }
+    assert_eq!(after, before, "a warm restart changed the answers");
+    assert_eq!(registry.stats().misses, 0, "a warm restart must not cold-prepare");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn truncation_at_every_byte_offset_recovers_a_consistent_prefix() {
     let golden = tmpdir("trunc-golden");

@@ -157,7 +157,7 @@ impl Client {
     }
 
     /// Transport-error and retryable-response retries this client has
-    /// spent so far (what the chaos bench reports).
+    /// spent so far.
     pub fn retries_observed(&self) -> u64 {
         self.retries
     }

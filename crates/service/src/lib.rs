@@ -54,13 +54,12 @@
 //! * **Self-healing client** ([`client`]): typed failures
 //!   ([`ClientError`]) and a [`RetryPolicy`] of capped jittered
 //!   backoff that honors `retry_after_ms` and never hangs on a dead
-//!   daemon. The [`chaos`] module's deterministic fault-injecting
-//!   proxy (latency, truncation, resets, corruption) drives the
-//!   fault-matrix suite proving every fault ends in a typed error or
-//!   a correct answer.
+//!   daemon. The fault-matrix suite (`tests/chaos_matrix.rs`, which
+//!   owns the deterministic fault-injecting proxy: latency,
+//!   truncation, resets, corruption) proves every fault ends in a
+//!   typed error or a correct answer.
 //! * **Observability** ([`histogram`]): lock-free log-bucketed latency
-//!   histograms per objective, exported by `{"op": "stats"}` — the
-//!   numbers `BENCH_service.json` gates regressions on.
+//!   histograms per objective, exported by `{"op": "stats"}`.
 //! * **Durability** (`divr_server::persist`, wired by [`server`]): a
 //!   daemon started with a data directory journals every registration,
 //!   base-table mutation, and warm prepare to a checksummed write-ahead
@@ -79,7 +78,6 @@
 //! `divrd` binary wraps the same entry point for the command line.
 
 pub mod admission;
-pub mod chaos;
 pub mod client;
 pub mod histogram;
 pub mod json;
@@ -88,7 +86,6 @@ pub mod server;
 pub mod wire;
 
 pub use admission::{Admission, AdmissionConfig, Rejection};
-pub use chaos::{ChaosProxy, Fault};
 pub use client::{query_doc, serve_doc, Client, ClientError, RetryPolicy};
 pub use histogram::{Histogram, LatencyStats};
 pub use proto::is_retryable_code;

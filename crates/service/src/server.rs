@@ -165,14 +165,8 @@ struct Shared {
     deadline_exceeded: AtomicU64,
     reaped_idle: AtomicU64,
     draining_refused: AtomicU64,
-    max_frame_bytes: usize,
-    degrade_watermark: usize,
-    degrade_budget: usize,
-    degrade_min_n: usize,
-    default_deadline_ms: Option<u64>,
-    idle_timeout: Duration,
-    write_timeout: Duration,
-    drain_grace: Duration,
+    /// As given to [`Service::start`], `degrade_budget` clamped to ≥ 1.
+    config: ServiceConfig,
 }
 
 /// A running daemon: acceptor thread + worker pool over one shared
@@ -189,7 +183,8 @@ pub struct Service {
 impl Service {
     /// Binds, spawns the pool, and returns once the socket is
     /// listening (a client may connect immediately).
-    pub fn start(config: ServiceConfig) -> io::Result<Service> {
+    pub fn start(mut config: ServiceConfig) -> io::Result<Service> {
+        config.degrade_budget = config.degrade_budget.max(1);
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let registry = Arc::new(Registry::new(config.registry));
@@ -221,15 +216,9 @@ impl Service {
             deadline_exceeded: AtomicU64::new(0),
             reaped_idle: AtomicU64::new(0),
             draining_refused: AtomicU64::new(0),
-            max_frame_bytes: config.max_frame_bytes,
-            degrade_watermark: config.degrade_watermark,
-            degrade_budget: config.degrade_budget.max(1),
-            degrade_min_n: config.degrade_min_n,
-            default_deadline_ms: config.default_deadline_ms,
-            idle_timeout: config.idle_timeout,
-            write_timeout: config.write_timeout,
-            drain_grace: config.drain_grace,
+            config,
         });
+        let config = &shared.config;
 
         let (tx, rx) = sync_channel::<TcpStream>(config.accept_backlog.max(1));
         let rx = Arc::new(Mutex::new(rx));
@@ -311,7 +300,7 @@ impl Service {
         self.begin_drain();
         let started = Instant::now();
         while self.shared.depth.load(Ordering::SeqCst) > 0
-            && started.elapsed() < self.shared.drain_grace
+            && started.elapsed() < self.shared.config.drain_grace
         {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -402,7 +391,7 @@ impl FrameReader {
             if shared.stop.load(Ordering::SeqCst) {
                 return Ok(None);
             }
-            if self.last_byte_at.elapsed() >= shared.idle_timeout {
+            if self.last_byte_at.elapsed() >= shared.config.idle_timeout {
                 shared.reaped_idle.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
             }
@@ -424,8 +413,8 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     // Slow-reader guard: a client that stops draining its socket costs
     // at most one write timeout, not a wedged worker.
-    let _ = stream.set_write_timeout(Some(shared.write_timeout));
-    let mut reader = FrameReader::new(shared.max_frame_bytes);
+    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let mut reader = FrameReader::new(shared.config.max_frame_bytes);
     loop {
         let payload = match reader.next(&mut stream, shared) {
             Ok(Some(payload)) => payload,
@@ -498,7 +487,7 @@ fn draining_frame(shared: &Shared) -> Value {
         503,
         "draining",
         "the daemon is draining for shutdown; retry against its successor",
-        shared.drain_grace.as_millis().try_into().unwrap_or(u64::MAX),
+        shared.config.drain_grace.as_millis().try_into().unwrap_or(u64::MAX),
     )
 }
 
@@ -508,6 +497,7 @@ fn draining_frame(shared: &Shared) -> Value {
 fn frame_deadline(shared: &Shared, doc: &Value) -> Result<Deadline, Value> {
     match doc.get("deadline_ms") {
         None => Ok(shared
+            .config
             .default_deadline_ms
             .map_or(Deadline::none(), Deadline::in_ms)),
         Some(v) => match v.as_i64().and_then(|ms| u64::try_from(ms).ok()).filter(|&ms| ms > 0) {
@@ -584,12 +574,12 @@ fn handle_serve(shared: &Shared, doc: &Value) -> Handled {
     // In-flight gauge (this frame included) drives degradation.
     let depth = DepthGuard::enter(&shared.depth);
     let mut degraded = false;
-    if depth.in_flight > shared.degrade_watermark
+    if depth.in_flight > shared.config.degrade_watermark
         && spec.coreset().is_none()
-        && spec.universe().len() >= shared.degrade_min_n
+        && spec.universe().len() >= shared.config.degrade_min_n
     {
         let max_k = requests.iter().map(|r| r.k).max().unwrap_or(0);
-        let budget = shared.degrade_budget.max(max_k);
+        let budget = shared.config.degrade_budget.max(max_k);
         spec = spec.with_coreset(divr_server::CoresetSpec::with_budget(budget));
         shared.degraded.fetch_add(1, Ordering::Relaxed);
         degraded = true;
@@ -780,10 +770,9 @@ fn handle_query(shared: &Shared, doc: &Value) -> Handled {
 
     // Content-addressed registration is idempotent: a name collision
     // *is* a content match, so an already-registered database keeps its
-    // warm query universes instead of being dropped and re-registered.
-    if !shared.front.has_database(&db_name) {
-        shared.front.register_database(db_name.clone(), db);
-    }
+    // warm query universes (and the edits acknowledged since) instead
+    // of being dropped and re-registered.
+    shared.front.ensure_database(&db_name, db);
 
     // Cache-byte gate. The bound is clamped before the quadratic
     // estimate (past the clamp the estimate already dwarfs any real

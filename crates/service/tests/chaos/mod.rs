@@ -17,9 +17,9 @@
 //! offset 6" flips a bit inside the JSON payload (the parser's case),
 //! every single run.
 //!
-//! This is test infrastructure compiled into the library (like the
-//! [`wire`](crate::wire) module's `chaos_panic` oracle) so the fault
-//! matrix and the chaos bench drive the same implementation.
+//! A module of the `chaos_matrix` test target, its one user. (The
+//! `chaos_panic` / `chaos_nan` oracles of `divr_service::wire` stay in
+//! the library: a stock `divrd` must answer them.)
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

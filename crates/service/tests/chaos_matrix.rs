@@ -18,11 +18,13 @@ use divr_relquery::Tuple;
 use divr_server::{Registry, UniverseSpec};
 use divr_service::json::{self, Value};
 use divr_service::{
-    query_doc, serve_doc, ChaosProxy, Client, ClientError, Fault, RetryPolicy, Service,
-    ServiceConfig,
+    query_doc, serve_doc, Client, ClientError, RetryPolicy, Service, ServiceConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
+
+mod chaos;
+use chaos::{ChaosProxy, Fault};
 
 fn test_config() -> ServiceConfig {
     ServiceConfig {
@@ -129,12 +131,13 @@ fn faults() -> Vec<Fault> {
 /// Runs one cell: op through the proxied client, one connection, and
 /// classifies the outcome. Panics (the matrix's failure mode) only on
 /// an *untyped* outcome: a malformed success frame or a response that
-/// is neither ok nor carrying a status code.
-fn run_cell(proxy_addr: std::net::SocketAddr, fault: Fault, op: &str) {
+/// is neither ok nor carrying a status code. Returns whether the cell
+/// was answered `ok: true`.
+fn run_cell(proxy_addr: std::net::SocketAddr, fault: Fault, op: &str) -> bool {
     let mut client = match Client::connect_with(proxy_addr, cell_policy()) {
         Ok(client) => client,
         // A refused/reset dial is a typed transport outcome.
-        Err(ClientError::Io(_) | ClientError::TimedOut | ClientError::Closed) => return,
+        Err(ClientError::Io(_) | ClientError::TimedOut | ClientError::Closed) => return false,
         Err(e) => panic!("untyped connect outcome for {fault:?}/{op}: {e}"),
     };
     let doc = match op {
@@ -152,25 +155,27 @@ fn run_cell(proxy_addr: std::net::SocketAddr, fault: Fault, op: &str) {
             // cannot tell. The guarantee for those cells is no panic,
             // no hang, daemon healthy — asserted after the matrix.
             if matches!(fault, Fault::CorruptResponse { .. }) {
-                return;
+                return false;
             }
             // Every other frame must be classifiable: a success or a
             // typed {code, kind} error.
-            let ok = frame.get("ok").and_then(Value::as_bool);
-            if ok == Some(true) {
-                return;
-            }
+            let ok = frame.get("ok").and_then(Value::as_bool) == Some(true);
             assert!(
-                frame.get("code").and_then(Value::as_i64).is_some()
+                ok || frame.get("code").and_then(Value::as_i64).is_some()
                     && frame.get("kind").and_then(Value::as_str).is_some(),
                 "untyped error frame for {fault:?}/{op}: {}",
                 frame.to_json()
             );
+            ok
         }
         // Transport and protocol failures are the typed outcomes the
         // matrix demands; nothing here may panic or hang.
-        Err(ClientError::TimedOut | ClientError::Closed | ClientError::Io(_)) => {}
-        Err(ClientError::Protocol(_)) => {}
+        Err(
+            ClientError::TimedOut
+            | ClientError::Closed
+            | ClientError::Io(_)
+            | ClientError::Protocol(_),
+        ) => false,
     }
 }
 
@@ -187,7 +192,15 @@ fn fault_matrix_every_cell_typed_and_daemon_survives() {
     let proxy = ChaosProxy::start(service.local_addr(), plan).unwrap();
     for fault in faults() {
         for op in OPS {
-            run_cell(proxy.local_addr(), fault, op);
+            let answered = run_cell(proxy.local_addr(), fault, op);
+            // A proxy that only forwards (late or not) changes no
+            // answer: the control cells must all be served.
+            if matches!(fault, Fault::None | Fault::Delay(_)) {
+                assert!(
+                    answered,
+                    "{fault:?}/{op} went unanswered through a clean proxy"
+                );
+            }
         }
     }
     proxy.shutdown();

@@ -439,7 +439,7 @@ fn a_machine_crash_loses_only_unacknowledged_hints() {
 #[test]
 fn graceful_drain_restarts_fully_warm_with_zero_replay() {
     let dir = tmpdir("drain-warm");
-    let (_db, _acked) = seed_history(&dir);
+    let (_db, acked) = seed_history(&dir);
 
     // The drain in seed_history ran the final checkpoint. The restart
     // must come back 100% warm from the snapshot alone: nothing to
@@ -468,9 +468,15 @@ fn graceful_drain_restarts_fully_warm_with_zero_replay() {
         "the warm query must be recovered"
     );
 
-    // First request hits the recovered entry — zero cold prepares.
+    // First request hits the recovered entry — zero cold prepares —
+    // and answers as the daemon that never stopped would.
     let response = client.request(&query_frame()).unwrap();
     assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(
+        response.get("answers").unwrap().to_json(),
+        oracle_answers(&acked),
+        "a warm restart changed the answers"
+    );
     let stats = client.stats().unwrap();
     let cache = stats.get("stats").unwrap().get("cache").unwrap();
     assert_eq!(

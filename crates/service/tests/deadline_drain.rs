@@ -11,6 +11,7 @@
 
 use divr_core::engine::EngineRequest;
 use divr_core::problem::ObjectiveKind;
+use divr_server::RegistryConfig;
 use divr_service::json::{self, Value};
 use divr_service::{
     serve_doc, AdmissionConfig, Client, ClientError, RetryPolicy, Service, ServiceConfig,
@@ -19,12 +20,16 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 fn universe_json(n: i64) -> Value {
+    universe_with_distance(n, r#"{"kind": "numeric", "attr": 0}"#)
+}
+
+fn universe_with_distance(n: i64, distance: &str) -> Value {
     let tuples: Vec<String> = (0..n).map(|i| format!("[{}, {}]", i, (i * 3) % 7)).collect();
     json::parse(&format!(
         r#"{{
             "tuples": [{}],
             "relevance": {{"kind": "attribute", "attr": 1, "default": [0, 1]}},
-            "distance": {{"kind": "numeric", "attr": 0}},
+            "distance": {distance},
             "lambda": [1, 2]
         }}"#,
         tuples.join(", ")
@@ -56,15 +61,26 @@ fn tight_deadline_is_a_prompt_504_and_nothing_is_cached() {
             cache_quota_bytes: u64::MAX,
             ..AdmissionConfig::default()
         },
+        // One prepare thread, so the cell costs the same work on any
+        // core count.
+        registry: RegistryConfig {
+            workers: 1,
+            solve_threads: 1,
+            ..RegistryConfig::default()
+        },
         ..ServiceConfig::default()
     })
     .unwrap();
     let mut client = Client::connect(service.local_addr()).unwrap();
 
-    // A cold n=3000 prepare takes ~1s in a debug build (measured);
-    // the 150ms deadline must cut it off at a checkpoint long before.
+    // Slow by construction, in either profile: Hamming distance offers
+    // no key column, so each of the 12.5 M pairs is one exact `Ratio`
+    // evaluation. Cold prepare + first answer measured ≈ 0.75 s with
+    // `--release`, ≈ 3.9 s without; the 150 ms deadline must cut it
+    // off at a checkpoint long before.
+    let universe = || universe_with_distance(5000, r#"{"kind": "hamming"}"#);
     let deadline = Duration::from_millis(150);
-    let doc = with_deadline(serve_doc("alice", universe_json(3000), &requests(4)), 150);
+    let doc = with_deadline(serve_doc("alice", universe(), &requests(4)), 150);
     let started = Instant::now();
     let response = client.request(&doc).unwrap();
     let elapsed = started.elapsed();
@@ -80,8 +96,8 @@ fn tight_deadline_is_a_prompt_504_and_nothing_is_cached() {
         Some(true)
     );
     assert!(
-        elapsed <= deadline * 4,
-        "504 took {elapsed:?}, far past the {deadline:?} deadline"
+        elapsed <= deadline * 2,
+        "504 took {elapsed:?}, past 2× the {deadline:?} deadline"
     );
 
     // The abandoned prepare was never cached, and the trip was
@@ -105,7 +121,7 @@ fn tight_deadline_is_a_prompt_504_and_nothing_is_cached() {
 
     // A retry with a generous deadline starts from a clean miss and
     // succeeds — the abandoned build poisoned nothing.
-    let doc = with_deadline(serve_doc("alice", universe_json(3000), &requests(4)), 120_000);
+    let doc = with_deadline(serve_doc("alice", universe(), &requests(4)), 120_000);
     let response = client.request(&doc).unwrap();
     assert_eq!(response.get("ok").and_then(Value::as_bool), Some(true));
     service.shutdown();
