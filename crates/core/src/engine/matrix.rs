@@ -49,15 +49,33 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Below this much estimated work (items × per-item cost units) a round
-/// is scanned inline — spawning threads costs more than the scan.
-pub(super) const PAR_MIN_WORK: usize = 2048;
+/// is scanned inline — spawning threads costs more than the scan. Sized
+/// on the 2-vCPU host the recordings come from: a pair of scoped spawns
+/// and joins costs 30–50 µs there and a unit ≈ 1.5 ns, so halving a
+/// scan repays its spawns from ≈ 60 000 units; the gate sits at twice
+/// that. A solve runs up to `k` such scans, so a gate that lets a ~3 µs
+/// scan spawn multiplies the whole solve (4 × at n = 3 000, k = 50, two
+/// threads).
+const PAR_MIN_WORK: usize = 1 << 17;
+
+// A unit-cost scan over any universe served with a full matrix runs
+// inline: past this size a query result escalates to a coreset.
+const _: () = assert!(crate::coreset::CORESET_AUTO_THRESHOLD < PAR_MIN_WORK);
+
+/// Whether a scan of `n` items at `work_per_item` units each is worth
+/// fanning out over `threads` — the one place that decides. Callers
+/// with an allocation-free inline form ask before calling
+/// [`par_map_reduce`]; everyone else just calls it.
+pub(super) fn fans_out(n: usize, threads: usize, work_per_item: usize) -> bool {
+    threads > 1 && n.saturating_mul(work_per_item.max(1)) >= PAR_MIN_WORK
+}
 
 /// Splits `0..n` into at most `threads` contiguous chunks, runs `map` on
-/// each (on worker threads when it pays off), and folds the non-`None`
-/// results with `reduce`. `work_per_item` is the caller's estimate of
-/// one item's evaluation cost (in arbitrary units where 1 ≈ a few float
-/// ops) — spawning is gated on total *work*, not item count, so a scan
-/// of 1000 items that each cost `O(n)` still parallelizes.
+/// each (on worker threads when [`fans_out`] says it pays off), and folds
+/// the non-`None` results with `reduce`. `work_per_item` is the caller's
+/// estimate of one item's evaluation cost (in arbitrary units where 1 ≈
+/// a few float ops) — spawning is gated on total *work*, not item count,
+/// so a scan of 1000 items that each cost `O(n)` still parallelizes.
 pub(super) fn par_map_reduce<T, M, R>(
     n: usize,
     threads: usize,
@@ -73,7 +91,7 @@ where
     if n == 0 {
         return None;
     }
-    if threads <= 1 || n.saturating_mul(work_per_item.max(1)) < PAR_MIN_WORK {
+    if !fans_out(n, threads, work_per_item) {
         return map(0..n);
     }
     let chunk = n.div_ceil(threads);
@@ -534,7 +552,7 @@ impl DistanceMatrix {
     ///
     /// The deviation is measured **in exact arithmetic**: the stored
     /// float is lifted back to its exact dyadic rational
-    /// ([`Ratio::from_f64_exact`]) and subtracted from the oracle's
+    /// (`Ratio::from_f64_exact`) and subtracted from the oracle's
     /// `Ratio` before any rounding. Converting the exact value to `f64`
     /// first (the naive approach) would round it to the *same* float the
     /// matrix stores whenever the error is below one ulp — reporting

@@ -74,7 +74,7 @@
 //! | `matrix` | [`DistanceMatrix`], its fill with the fused hot-row scans (max-sum seed, GMM row bests, finiteness record), its tiled mirror, the free list dropped matrices park their allocation in ([`spare_buffers`]), the chunked map/reduce |
 //! | `ties` | float argmax with the [`F64_TIE_EPS`] window, exact tie resolution |
 //! | `prepared` | [`PreparedUniverse`] (build, memoized preambles and their lazy builders, delta repair), [`DistOracle`] |
-//! | `solve` | [`Engine`] and [`SolveScratch`] |
+//! | `solve` | [`Engine`] and [`SolveScratch`]; the lazy-heap work counters ([`solver_counters`]) |
 //!
 //! The request, error and delta types live here.
 //!
@@ -88,7 +88,7 @@ mod ties;
 
 pub use matrix::{spare_buffers, DistanceMatrix};
 pub use prepared::{DistOracle, PreparedUniverse, SharedPrepared};
-pub use solve::{Engine, SolveScratch};
+pub use solve::{solver_counters, Engine, SolveScratch};
 pub use ties::F64_TIE_EPS;
 
 pub(crate) use prepared::score_relevance;

@@ -17,7 +17,28 @@ use crate::ratio::Ratio;
 use crate::relevance::Relevance;
 use divr_relquery::Tuple;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Lazy-heap `F_MS` solves started, heap entries popped and anchors
+/// rescanned, by every engine of the process (see [`solver_counters`]).
+static MS_REQUESTS: AtomicU64 = AtomicU64::new(0);
+static MS_POPS: AtomicU64 = AtomicU64::new(0);
+static MS_RESCANS: AtomicU64 = AtomicU64::new(0);
+
+/// `(requests, pops, rescans)` of the lazy-heap `F_MS` greedy since the
+/// process started — what a `max_sum` solve cost beyond its `k/2`
+/// rounds. A pop is `O(log n)`, a rescan one `O(n)` sweep of an
+/// anchor's row: a universe whose every anchor shares one best partner
+/// (an outlier) pays `≈ n` rescans per request once that partner is
+/// taken, an evenly spread one a handful. For `{"op":"stats"}`.
+pub fn solver_counters() -> (u64, u64, u64) {
+    (
+        MS_REQUESTS.load(Ordering::Relaxed),
+        MS_POPS.load(Ordering::Relaxed),
+        MS_RESCANS.load(Ordering::Relaxed),
+    )
+}
 
 /// A live lazy-heap entry: `score = w(anchor, partner)`, where
 /// `partner` was the anchor's best available partner when the entry was
@@ -295,6 +316,7 @@ impl<'a> Engine<'a> {
                 None => return false,
             }
         }
+        MS_REQUESTS.fetch_add(1, Ordering::Relaxed);
         // Heapify the memoized seed (O(n)) into the scratch-owned
         // storage; `BinaryHeap::from` is linear and allocation-free on
         // a warmed buffer.
@@ -349,11 +371,13 @@ impl<'a> Engine<'a> {
             // best fresh score: nothing left can be the max or tie it.
             fresh.clear();
             let mut best = f64::NEG_INFINITY;
+            let (mut pops, mut rescans) = (0, 0);
             while let Some(&top) = heap.peek() {
                 if !fresh.is_empty() && top.score < tie_threshold(best) {
                     break;
                 }
                 let top = heap.pop().expect("peeked entry exists");
+                pops += 1;
                 if !avail.contains(top.anchor) {
                     continue;
                 }
@@ -362,12 +386,19 @@ impl<'a> Engine<'a> {
                         best = top.score;
                     }
                     fresh.push(top);
-                } else if let Some(entry) = self.rescan_anchor(top.anchor, avail) {
-                    heap.push(entry);
+                } else {
+                    rescans += 1;
+                    if let Some(entry) = self.rescan_anchor(top.anchor, avail) {
+                        heap.push(entry);
+                    }
                 }
                 // An anchor with no remaining partner j > anchor is
                 // dropped for good: availability never grows back.
             }
+            // Once a round, not once a pop: the counters are shared by
+            // every solving thread.
+            MS_POPS.fetch_add(pops, Ordering::Relaxed);
+            MS_RESCANS.fetch_add(rescans, Ordering::Relaxed);
             if fresh.is_empty() {
                 return false; // fewer than two available items
             }

@@ -2,7 +2,7 @@
 //! whatever survives it (see the exactness contract in the module docs
 //! of [`crate::engine`]).
 
-use super::matrix::{par_map_reduce, PAR_MIN_WORK};
+use super::matrix::{fans_out, par_map_reduce};
 use crate::ratio::Ratio;
 use std::ops::Range;
 
@@ -105,7 +105,7 @@ pub(crate) fn argmax_with_ties_into(
     if n == 0 {
         return false;
     }
-    if threads <= 1 || n.saturating_mul(work_per_item.max(1)) < PAR_MIN_WORK {
+    if !fans_out(n, threads, work_per_item) {
         scan_ties(0..n, eval, out);
         return !out.is_empty();
     }

@@ -142,7 +142,7 @@ impl Ratio {
     /// float artifacts be measured in exact arithmetic instead of being
     /// rounded away by a second float conversion (see
     /// [`crate::engine::DistanceMatrix::verify_exact`]).
-    pub fn from_f64_exact(x: f64) -> Option<Ratio> {
+    pub(crate) fn from_f64_exact(x: f64) -> Option<Ratio> {
         if !x.is_finite() {
             return None;
         }

@@ -43,6 +43,19 @@ impl Value {
         }
     }
 
+    /// Takes member `key` out of an object, by value: the frame path
+    /// decodes its one large member (`universe` / `database`) from an
+    /// owned subtree so each row is freed as soon as it is decoded.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Value> {
+        match self {
+            Value::Object(members) => {
+                let at = members.iter().position(|(k, _)| k == key)?;
+                Some(members.remove(at).1)
+            }
+            _ => None,
+        }
+    }
+
     /// The integer value, if this is an [`Value::Int`].
     pub fn as_i64(&self) -> Option<i64> {
         match self {

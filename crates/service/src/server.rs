@@ -45,11 +45,11 @@ use crate::proto::{
     is_retryable_code, serve_error_status, write_frame, FrameDecoder, FrameTooLarge, Step,
 };
 use crate::wire::{
-    database_from_json, instance_from_json, objective_to_str, ratio_to_json, requests_from_json,
-    tuple_from_json, universe_from_json,
+    database_from_owned_json, instance_from_json, objective_to_str, ratio_to_json,
+    requests_from_json, tuple_from_json, universe_from_owned_json,
 };
 use divr_core::coreset::CORESET_AUTO_THRESHOLD;
-use divr_core::engine::{spare_buffers, EngineRequest, ServeError};
+use divr_core::engine::{solver_counters, spare_buffers, EngineRequest, ServeError};
 use divr_core::problem::ObjectiveKind;
 use divr_core::Deadline;
 use divr_relquery::parser::parse_query;
@@ -431,7 +431,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
         // that panics costs this frame a typed 500 and nothing more —
         // the worker keeps its connection and its place in the pool,
         // and every lock the unwind poisoned recovers on its next use.
-        let response = catch_unwind(AssertUnwindSafe(|| handle_frame(shared, &payload)))
+        let response = catch_unwind(AssertUnwindSafe(|| handle_frame(shared, payload)))
             .unwrap_or_else(|_| {
                 error_frame(
                     500,
@@ -511,14 +511,16 @@ fn frame_deadline(shared: &Shared, doc: &Value) -> Result<Deadline, Value> {
     }
 }
 
-fn handle_frame(shared: &Shared, payload: &[u8]) -> Value {
+fn handle_frame(shared: &Shared, payload: Vec<u8>) -> Value {
     shared.frames.fetch_add(1, Ordering::Relaxed);
-    let Ok(text) = std::str::from_utf8(payload) else {
-        return error_frame(400, "bad_request", "frame payload is not UTF-8");
-    };
-    let doc = match json::parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return error_frame(400, "bad_request", &format!("invalid JSON: {e}")),
+    let parsed = std::str::from_utf8(&payload).map(json::parse);
+    // The tree owns everything it needs: the payload is freed before
+    // the decode, admission and the solve run.
+    drop(payload);
+    let doc = match parsed {
+        Err(_) => return error_frame(400, "bad_request", "frame payload is not UTF-8"),
+        Ok(Err(e)) => return error_frame(400, "bad_request", &format!("invalid JSON: {e}")),
+        Ok(Ok(doc)) => doc,
     };
     match doc.get("op").and_then(Value::as_str) {
         Some("ping") => object([("ok", Value::Bool(true)), ("op", Value::Str("pong".into()))]),
@@ -530,8 +532,8 @@ fn handle_frame(shared: &Shared, payload: &[u8]) -> Value {
         Some("serve" | "query" | "mutate") if shared.draining.load(Ordering::SeqCst) => {
             draining_frame(shared)
         }
-        Some("serve") => handle_serve(shared, &doc).unwrap_or_else(|refusal| refusal),
-        Some("query") => handle_query(shared, &doc).unwrap_or_else(|refusal| refusal),
+        Some("serve") => handle_serve(shared, doc).unwrap_or_else(|refusal| refusal),
+        Some("query") => handle_query(shared, doc).unwrap_or_else(|refusal| refusal),
         Some("mutate") => handle_mutate(shared, &doc).unwrap_or_else(|refusal| refusal),
         Some("checkpoint") => handle_checkpoint(shared),
         Some(other) => error_frame(400, "bad_request", &format!("unknown op {other:?}")),
@@ -539,30 +541,32 @@ fn handle_frame(shared: &Shared, payload: &[u8]) -> Value {
     }
 }
 
-/// The required field `name` of a work frame, decoded: absent is a
-/// `400 bad_request` saying `missing`, malformed one carrying the
-/// decoder's message.
-fn field<T>(
-    doc: &Value,
-    name: &str,
+/// A required member of a work frame, decoded — borrowed
+/// (`doc.get(name)`) or taken out of the frame (`doc.take(name)`):
+/// absent is a `400 bad_request` saying `missing`, malformed one
+/// carrying the decoder's message.
+fn field<V, T>(
+    member: Option<V>,
     missing: &str,
-    decode: impl FnOnce(&Value) -> Result<T, String>,
+    decode: impl FnOnce(V) -> Result<T, String>,
 ) -> Result<T, Value> {
-    let v = doc
-        .get(name)
-        .ok_or_else(|| error_frame(400, "bad_request", missing))?;
+    let v = member.ok_or_else(|| error_frame(400, "bad_request", missing))?;
     decode(v).map_err(|e| error_frame(400, "bad_request", &e))
 }
 
 /// A work-frame handler's early exit: the refusal frame to send back.
 type Handled = Result<Value, Value>;
 
-fn handle_serve(shared: &Shared, doc: &Value) -> Handled {
+fn handle_serve(shared: &Shared, mut doc: Value) -> Handled {
+    // Out of the frame before anything borrows it: the rows are then
+    // owned by the decode, which frees each as its tuple is built.
+    let universe = doc.take("universe");
+    let doc = &doc;
     let Some(tenant) = doc.get("tenant").and_then(Value::as_str) else {
         return Err(error_frame(400, "bad_request", "serve needs a string \"tenant\""));
     };
-    let requests = field(doc, "requests", "serve needs requests", requests_from_json)?;
-    let mut spec = field(doc, "universe", "serve needs a universe", universe_from_json)?;
+    let requests = field(doc.get("requests"), "serve needs requests", requests_from_json)?;
+    let mut spec = field(universe, "serve needs a universe", universe_from_owned_json)?;
     let deadline = frame_deadline(shared, doc)?;
 
     // Rate gate: microseconds spent here guard O(n²) work behind it.
@@ -720,7 +724,10 @@ fn query_error_frame(e: &QueryError) -> Value {
 /// [`CORESET_AUTO_THRESHOLD`] auto-escalates to a streamed coreset
 /// (sized by `max_k`) inside the front door itself, which bounds
 /// prepared bytes without a load signal.
-fn handle_query(shared: &Shared, doc: &Value) -> Handled {
+fn handle_query(shared: &Shared, mut doc: Value) -> Handled {
+    // As in `handle_serve`: the rows leave the frame first.
+    let database = doc.take("database");
+    let doc = &doc;
     let Some(tenant) = doc.get("tenant").and_then(Value::as_str) else {
         return Err(error_frame(400, "bad_request", "query needs a string \"tenant\""));
     };
@@ -732,10 +739,10 @@ fn handle_query(shared: &Shared, doc: &Value) -> Handled {
     // later as 422s.
     let query = parse_query(text)
         .map_err(|e| error_frame(400, "bad_request", &format!("malformed query: {e}")))?;
-    let (db_name, db) = field(doc, "database", "query needs a database", database_from_json)?;
+    let (db_name, db) = field(database, "query needs a database", database_from_owned_json)?;
     let instance =
         instance_from_json(doc, "query").map_err(|e| error_frame(400, "bad_request", &e))?;
-    let requests = field(doc, "requests", "query needs requests", requests_from_json)?;
+    let requests = field(doc.get("requests"), "query needs requests", requests_from_json)?;
     let deadline = frame_deadline(shared, doc)?;
 
     // Rate gate, same currency as `serve`: one token per answer.
@@ -835,7 +842,7 @@ fn handle_mutate(shared: &Shared, doc: &Value) -> Handled {
     };
     let (tenant, db) = (text("tenant")?, text("database")?);
     let (relation, action) = (text("relation")?, text("action")?);
-    let tuple = field(doc, "tuple", "mutate needs a tuple", tuple_from_json)?;
+    let tuple = field(doc.get("tuple"), "mutate needs a tuple", tuple_from_json)?;
     // One token per mutation — the same rate currency as answers, so a
     // tenant cannot sidestep its QPS quota by hammering the write path.
     shared
@@ -932,6 +939,7 @@ fn stats_frame(shared: &Shared) -> Value {
     let (tenants, ledger_rows) = shared.admission.gauges();
     let cache = shared.registry.stats();
     let (parked_buffers, parked_bytes) = spare_buffers();
+    let (ms_requests, ms_pops, ms_rescans) = solver_counters();
     let durability = match &shared.durability {
         None => object([("enabled", Value::Bool(false))]),
         Some(d) => {
@@ -1008,6 +1016,16 @@ fn stats_frame(shared: &Shared) -> Value {
                     ]),
                 ),
                 ("durability", durability),
+                // Process-wide, like the parked buffers: every engine
+                // of the process counts into them.
+                (
+                    "solver",
+                    object([
+                        ("ms_requests", counter(ms_requests)),
+                        ("ms_pops", counter(ms_pops)),
+                        ("ms_rescans", counter(ms_rescans)),
+                    ]),
+                ),
                 (
                     "depth",
                     counter(shared.depth.load(Ordering::SeqCst) as u64),

@@ -25,6 +25,7 @@ use divr_server::{
     CoresetSpec, FingerprintEncoder, Fingerprintable, Instance, ServableDistance,
     ServableRelevance, UniverseKey, UniverseSpec,
 };
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// A distance oracle that panics on the first off-diagonal pair — the
@@ -136,16 +137,45 @@ pub fn database_from_json(v: &Value) -> Result<(String, Database), String> {
         .get("relations")
         .and_then(Value::as_array)
         .ok_or("database needs a relations array")?;
+    database_from_relations(relations.iter(), |relation| {
+        relation.get("rows").and_then(Value::as_array).map(|rows| rows.iter())
+    })
+}
+
+/// [`database_from_json`] over an owned `database` object: every row is
+/// dropped as soon as it is inserted, so a frame never holds a relation
+/// twice, as JSON and as tuples.
+pub(crate) fn database_from_owned_json(mut v: Value) -> Result<(String, Database), String> {
+    let Some(Value::Array(relations)) = v.take("relations") else {
+        return Err("database needs a relations array".to_string());
+    };
+    database_from_relations(relations.into_iter(), |mut relation| {
+        match relation.take("rows") {
+            Some(Value::Array(rows)) => Some(rows.into_iter()),
+            _ => None,
+        }
+    })
+}
+
+/// The one decode and fingerprint loop behind both walks of a
+/// `relations` array: `rows_of` hands over a relation's `rows`, by
+/// reference or by value, once its `name` and `attrs` have been read.
+fn database_from_relations<Rel: Borrow<Value>, Row: Borrow<Value>, Rows: Iterator<Item = Row>>(
+    relations: impl ExactSizeIterator<Item = Rel>,
+    rows_of: impl Fn(Rel) -> Option<Rows>,
+) -> Result<(String, Database), String> {
     let mut db = Database::new();
     let mut enc = FingerprintEncoder::new();
     enc.write_str("wire-db");
     enc.write_usize(relations.len());
     for relation in relations {
-        let name = relation
+        let header = relation.borrow();
+        let name = header
             .get("name")
             .and_then(Value::as_str)
-            .ok_or("relation needs a string name")?;
-        let attrs_json = relation
+            .ok_or("relation needs a string name")?
+            .to_string();
+        let attrs_json = header
             .get("attrs")
             .and_then(Value::as_array)
             .ok_or("relation needs an attrs array")?;
@@ -153,23 +183,19 @@ pub fn database_from_json(v: &Value) -> Result<(String, Database), String> {
             .iter()
             .map(|a| a.as_str().ok_or("relation attrs must be strings"))
             .collect::<Result<_, _>>()?;
-        db.create_relation(name, &attrs).map_err(|e| e.to_string())?;
+        db.create_relation(&name, &attrs).map_err(|e| e.to_string())?;
         enc.write_str("rel");
-        enc.write_str(name);
+        enc.write_str(&name);
         enc.write_usize(attrs.len());
         for attr in &attrs {
             enc.write_str(attr);
         }
-        let rows = relation
-            .get("rows")
-            .and_then(Value::as_array)
-            .ok_or("relation needs a rows array")?;
-        for row in rows {
-            let tuple = tuple_from_json(row)?;
+        for row in rows_of(relation).ok_or("relation needs a rows array")? {
+            let tuple = tuple_from_json(row.borrow())?;
             // Set semantics: duplicates are dropped by insert and
             // skipped in the fingerprint, so a database listing the
             // same row twice names the same content.
-            if db.insert_tuple(name, tuple.clone()).map_err(|e| e.to_string())? {
+            if db.insert_tuple(&name, tuple.clone()).map_err(|e| e.to_string())? {
                 enc.write_tuple(&tuple);
             }
         }
@@ -236,13 +262,33 @@ pub fn distance_from_json(v: &Value) -> Result<Arc<dyn ServableDistance>, String
 
 /// Decodes one `universe` object into a registry [`UniverseSpec`].
 pub fn universe_from_json(v: &Value) -> Result<UniverseSpec, String> {
-    let tuples_json = v
+    let rows = v
         .get("tuples")
         .and_then(Value::as_array)
         .ok_or("universe needs a tuples array")?;
-    let mut tuples = Vec::with_capacity(tuples_json.len());
-    for t in tuples_json {
-        tuples.push(tuple_from_json(t)?);
+    universe_from_rows(rows.iter(), v)
+}
+
+/// [`universe_from_json`] over an owned `universe` object: each row's
+/// JSON is freed the moment its [`Tuple`] exists, and the allocator
+/// hands the freed chunks to the tuples that follow — the frame's peak
+/// is the parsed tree, not the tree plus the decoded universe.
+pub(crate) fn universe_from_owned_json(mut v: Value) -> Result<UniverseSpec, String> {
+    let Some(Value::Array(rows)) = v.take("tuples") else {
+        return Err("universe needs a tuples array".to_string());
+    };
+    universe_from_rows(rows.into_iter(), &v)
+}
+
+/// Decodes the rows of a `tuples` array, walked by reference or by
+/// value, then the instance members of the `universe` object `v`.
+fn universe_from_rows<Row: Borrow<Value>>(
+    rows: impl ExactSizeIterator<Item = Row>,
+    v: &Value,
+) -> Result<UniverseSpec, String> {
+    let mut tuples = Vec::with_capacity(rows.len());
+    for row in rows {
+        tuples.push(tuple_from_json(row.borrow())?);
     }
     Ok(UniverseSpec::from_instance(tuples, instance_from_json(v, "universe")?))
 }
@@ -458,6 +504,112 @@ mod tests {
         ] {
             let err = instance_from_json(&json::parse(doc).unwrap(), owner).unwrap_err();
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
+        }
+    }
+
+    /// What a decoded universe is compared by: its tuples, in order,
+    /// and the canonical key bytes.
+    fn universe_facts(spec: UniverseSpec) -> (Vec<Tuple>, Vec<u8>) {
+        (spec.universe().to_vec(), spec.key().bytes().to_vec())
+    }
+
+    /// What a decoded database is compared by: its content name and,
+    /// per relation, the schema and the tuples in insertion order.
+    fn database_facts((name, db): (String, Database)) -> (String, Vec<(String, Vec<Tuple>)>) {
+        let relations = db.relations().map(|r| (format!("{:?}", r.schema()), r.tuples().to_vec()));
+        (name, relations.collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The consuming walk of a rows array is the borrowed walk:
+        /// same tuples, key bytes and content name, and — whichever row
+        /// is malformed, whatever follows it — the same error string.
+        /// Cells come from a domain of six values so duplicate rows are
+        /// the rule; `bad_at` past the end leaves every row well-formed.
+        #[test]
+        fn consuming_decode_is_the_borrowed_decode(
+            cells in proptest::collection::vec((0usize..6, 0usize..6), 0..=10),
+            bad_at in 0usize..30,
+            bad_kind in 0usize..5,
+            lambda_num in 0i64..=3,
+            second_relation in 0usize..3,
+        ) {
+            let cell = |c: usize| match c {
+                0..=3 => Value::Int(c as i64 - 1),
+                4 => Value::Str("x".into()),
+                _ => Value::Str("".into()),
+            };
+            let mut rows: Vec<Value> =
+                cells.iter().map(|&(a, b)| Value::Array(vec![cell(a), cell(b)])).collect();
+            if let Some(row) = rows.get_mut(bad_at) {
+                *row = match bad_kind {
+                    0 => Value::Int(3),
+                    1 => Value::Array(vec![Value::Int(1), Value::Null]),
+                    2 => Value::Array(vec![Value::Float(1.5), Value::Int(1)]),
+                    3 => Value::Array(vec![Value::Array(vec![]), Value::Int(1)]),
+                    // Well-formed as a tuple, the wrong arity for a relation.
+                    _ => Value::Array(vec![Value::Int(1)]),
+                };
+            }
+
+            let universe = json::object([
+                ("tuples", Value::Array(rows.clone())),
+                ("relevance", json::parse(r#"{"kind": "attribute", "attr": 1}"#).unwrap()),
+                ("distance", json::parse(r#"{"kind": "numeric", "attr": 0}"#).unwrap()),
+                // 3/2 is out of range: an instance error, read after the rows.
+                ("lambda", Value::Array(vec![Value::Int(lambda_num), Value::Int(2)])),
+            ]);
+            proptest::prop_assert_eq!(
+                universe_from_owned_json(universe.clone()).map(universe_facts),
+                universe_from_json(&universe).map(universe_facts)
+            );
+
+            let relation = |name: &str, rows: Option<Vec<Value>>| {
+                let attrs = ["a", "b"].map(|a| Value::Str(a.into())).to_vec();
+                let mut members = vec![("name", Value::Str(name.into())), ("attrs", Value::Array(attrs))];
+                members.extend(rows.map(|rows| ("rows", Value::Array(rows))));
+                json::object(members)
+            };
+            let mut relations = vec![relation("R", Some(rows.clone()))];
+            match second_relation {
+                0 => {}
+                1 => relations.push(relation("S", Some(rows.iter().rev().cloned().collect()))),
+                // A relation without rows, after one that decoded.
+                _ => relations.push(relation("S", None)),
+            }
+            let database = json::object([("relations", Value::Array(relations))]);
+            proptest::prop_assert_eq!(
+                database_from_owned_json(database.clone()).map(database_facts),
+                database_from_json(&database).map(database_facts)
+            );
+        }
+    }
+
+    /// The shapes the property cannot reach: a member that is missing
+    /// or not an array is refused alike, with the borrowed message.
+    #[test]
+    fn consuming_decode_refuses_missing_arrays_like_the_borrowed_one() {
+        for doc in [r#"{}"#, r#"{"tuples": 3}"#, r#"{"tuples": {"0": [1]}}"#, r#"[]"#] {
+            let v = json::parse(doc).unwrap();
+            let borrowed = universe_from_json(&v).map(universe_facts).unwrap_err();
+            assert_eq!(universe_from_owned_json(v).map(universe_facts), Err(borrowed), "{doc}");
+        }
+        for doc in [
+            r#"{}"#,
+            r#"{"relations": 3}"#,
+            r#"[]"#,
+            r#"{"relations": [{"name": "R", "attrs": ["a"], "rows": 3}]}"#,
+            r#"{"relations": [{"name": "R", "attrs": ["a"]}]}"#,
+            r#"{"relations": [{"name": "R", "attrs": [1], "rows": []}]}"#,
+            r#"{"relations": [{"name": "R", "attrs": ["a"], "rows": []},
+                              {"name": "R", "attrs": ["a"], "rows": []}]}"#,
+            r#"{"relations": [3]}"#,
+        ] {
+            let v = json::parse(doc).unwrap();
+            let borrowed = database_from_json(&v).map(database_facts).unwrap_err();
+            assert_eq!(database_from_owned_json(v).map(database_facts), Err(borrowed), "{doc}");
         }
     }
 

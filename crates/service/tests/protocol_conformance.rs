@@ -426,6 +426,91 @@ fn stats_members_are_additive_and_the_memory_gauges_count() {
     service.shutdown();
 }
 
+/// `stats.solver` names what a `max_sum` solve cost beyond its rounds:
+/// lazy-heap pops and `O(n)` anchor rescans. The counters are
+/// process-wide, so this cell asks a `divrd` of its own — nothing else
+/// solves in that process and every count is this test's.
+///
+/// An outlier (one tuple far from all others, last in the universe) is
+/// every anchor's cached best partner: round 1 takes it, every other
+/// anchor's bound is then stale and far too loose to skip, and round 2
+/// rescans all n − 2 of them. Evenly spaced positions leave a round
+/// the one or two anchors next in line.
+#[test]
+fn solver_counters_tell_an_outlier_universe_from_a_gap_spaced_one() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Child, Command, Stdio};
+
+    /// Kills and reaps the daemon however the test ends.
+    struct Daemon(Child);
+    impl Drop for Daemon {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    const N: i64 = 200;
+    const REPEATS: i64 = 3;
+    let universe = |last: i64| {
+        let tuples: Vec<String> = (0..N)
+            .map(|i| format!("[{}, {}]", if i == N - 1 { last } else { i * 13 }, (i * 3) % 7))
+            .collect();
+        json::parse(&format!(
+            r#"{{"tuples": [{}], "relevance": {{"kind": "attribute", "attr": 1}},
+                "distance": {{"kind": "numeric", "attr": 0}}, "lambda": [1, 2]}}"#,
+            tuples.join(", ")
+        ))
+        .unwrap()
+    };
+
+    let spawned = Command::new(env!("CARGO_BIN_EXE_divrd"))
+        .args(["127.0.0.1:0", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn();
+    let mut daemon = Daemon(spawned.expect("spawn divrd"));
+    let mut lines = BufReader::new(daemon.0.stderr.take().expect("stderr piped")).lines();
+    let addr: std::net::SocketAddr = loop {
+        let line = lines.next().expect("divrd announces its address").expect("read stderr");
+        if let Some(rest) = line.strip_prefix("divrd listening on ") {
+            break rest.trim().parse().expect("parse listen address");
+        }
+    };
+    let mut client = Client::connect(addr).unwrap();
+    let solver = |client: &mut Client| {
+        let stats = client.stats().unwrap();
+        let solver = stats.get("stats").and_then(|s| s.get("solver")).cloned();
+        ["ms_requests", "ms_pops", "ms_rescans"].map(|name| {
+            solver
+                .as_ref()
+                .and_then(|s| s.get(name))
+                .and_then(Value::as_i64)
+                .unwrap_or_else(|| panic!("stats.solver.{name} is missing or not an integer"))
+        })
+    };
+    assert_eq!(solver(&mut client), [0, 0, 0], "a fresh daemon has solved nothing");
+
+    let request = [EngineRequest { kind: ObjectiveKind::MaxSum, k: 6 }];
+    let rescans_per_request = |client: &mut Client, universe: Value| {
+        let [requests, pops, rescans] = solver(client);
+        for _ in 0..REPEATS {
+            let reply = client.request(&serve_doc("t", universe.clone(), &request)).unwrap();
+            assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true), "{}", reply.to_json());
+        }
+        let after = solver(client);
+        assert_eq!(after[0] - requests, REPEATS, "one lazy-heap solve per max_sum request");
+        assert!(after[1] - pops >= after[2] - rescans, "every rescan follows a pop");
+        (after[2] - rescans) / REPEATS
+    };
+    let gap_spaced = rescans_per_request(&mut client, universe((N - 1) * 13));
+    let outlier = rescans_per_request(&mut client, universe(1_000_000_000));
+    assert!(gap_spaced < N / 4, "{gap_spaced} rescans a request over evenly spaced positions");
+    assert!(outlier >= N - 2, "{outlier} rescans a request with an outlier, n = {N}");
+    println!("rescans a request at n = {N}: gap-spaced {gap_spaced}, outlier {outlier}");
+}
+
 #[test]
 fn saturated_accept_queue_answers_429_queue_full() {
     let service = Service::start(ServiceConfig {

@@ -202,3 +202,26 @@ fn assert_one_rescore(
         }
     }
 }
+
+/// The thread count is a scheduling knob, never an input: at n = 3000
+/// — inside the full-matrix range the daemon serves with
+/// `solve_threads = cores` — one prepared universe answers every
+/// objective identically on one thread and on two. `F_MM` and `F_mono`
+/// scan inline at this size; the odd-`k` `F_MS` finish (n × k units) is
+/// the round that still fans out.
+#[test]
+fn thread_count_never_changes_an_answer_at_n_3000() {
+    let n = 3000;
+    let universe: Vec<Tuple> =
+        (0..n).map(|i| Tuple::ints([(i * 7919) % 1_000_003, i % 11])).collect();
+    let rel = AttributeRelevance { attr: 1, default: Ratio::ZERO };
+    let dis = NumericDistance { attr: 0, fallback: Ratio::ZERO };
+    let one = Engine::with_threads(universe, &rel, &dis, Ratio::new(1, 2), 1);
+    let two = Engine::from_prepared(Arc::clone(one.prepared()), 2);
+    for kind in ObjectiveKind::ALL {
+        for k in [2, 50, 51] {
+            let request = EngineRequest { kind, k };
+            assert_eq!(two.try_serve(request), one.try_serve(request), "{kind} k={k}");
+        }
+    }
+}
