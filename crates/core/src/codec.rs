@@ -16,7 +16,6 @@
 //! `[len][crc][payload]` and drops anything whose checksum disagrees.
 //! No external dependencies — the table is built in a `const` context.
 
-use crate::engine::DeltaOp;
 use crate::ratio::Ratio;
 use divr_relquery::{Tuple, Value};
 
@@ -169,20 +168,6 @@ impl ByteWriter {
             self.write_tuple(t);
         }
     }
-
-    /// A delta operation (`0` = insert tuple, `1` = remove index).
-    pub fn write_delta_op(&mut self, op: &DeltaOp) {
-        match op {
-            DeltaOp::Insert(t) => {
-                self.write_u8(0);
-                self.write_tuple(t);
-            }
-            DeltaOp::Remove(i) => {
-                self.write_u8(1);
-                self.write_usize(*i);
-            }
-        }
-    }
 }
 
 /// Sanity cap on decoded length prefixes: no legitimate record in this
@@ -316,15 +301,6 @@ impl<'a> ByteReader<'a> {
         }
         Ok(tuples)
     }
-
-    /// Reads a delta operation.
-    pub fn read_delta_op(&mut self) -> Result<DeltaOp, CodecError> {
-        match self.read_u8()? {
-            0 => Ok(DeltaOp::Insert(self.read_tuple()?)),
-            1 => Ok(DeltaOp::Remove(self.read_usize()?)),
-            _ => Err(CodecError::Invalid("delta op tag")),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -350,8 +326,6 @@ mod tests {
         w.write_value(&Value::str("x"));
         w.write_tuple(&Tuple::ints([1, 2, 3]));
         w.write_tuples(&[Tuple::ints([4]), Tuple::ints([])]);
-        w.write_delta_op(&DeltaOp::Insert(Tuple::ints([9])));
-        w.write_delta_op(&DeltaOp::Remove(4));
         let bytes = w.into_bytes();
 
         let mut r = ByteReader::new(&bytes);
@@ -367,11 +341,6 @@ mod tests {
             r.read_tuples().unwrap(),
             vec![Tuple::ints([4]), Tuple::ints([])]
         );
-        assert_eq!(
-            r.read_delta_op().unwrap(),
-            DeltaOp::Insert(Tuple::ints([9]))
-        );
-        assert_eq!(r.read_delta_op().unwrap(), DeltaOp::Remove(4));
         assert!(r.is_empty());
     }
 
@@ -407,7 +376,5 @@ mod tests {
     fn bad_discriminants_rejected() {
         let mut r = ByteReader::new(&[9]);
         assert!(r.read_value().is_err());
-        let mut r = ByteReader::new(&[9]);
-        assert!(r.read_delta_op().is_err());
     }
 }

@@ -5,8 +5,7 @@ use super::{Coreset, CoresetConfig};
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::{
-    score_relevance, tuple_approx_bytes, DeltaError, DistOracle, PreparedUniverse, ScoreSource,
-    ServeError,
+    score_relevance, tuple_approx_bytes, DistOracle, PreparedUniverse, ScoreSource, ServeError,
 };
 use crate::mono_exact::{ExactView, MonoSums};
 use crate::ratio::Ratio;
@@ -296,44 +295,6 @@ impl PreparedCoreset {
         self.rel_f.push(rel.to_f64());
     }
 
-    /// Swap-removes the tuple at `index` (matching
-    /// [`PreparedUniverse::remove_tuple`]'s index semantics) and
-    /// **re-selects** the coreset from scratch over the shrunk
-    /// universe: a removal can delete a representative or strand a
-    /// covered cluster, and there is no `o(n·m)` repair that preserves
-    /// the selection's quality diagnostics — re-selection costs the
-    /// same `O(n·m)` as the original prepare while the `O(n)` relevance
-    /// caches carry over. Returns the removed tuple.
-    pub fn remove_tuple(&mut self, index: usize) -> Result<Tuple, DeltaError> {
-        let n = self.universe.len();
-        if index >= n {
-            return Err(DeltaError::IndexOutOfRange { index, n });
-        }
-        let removed = self.universe.swap_remove(index);
-        self.rel_exact.swap_remove(index);
-        self.rel_f.swap_remove(index);
-        self.mono_sums.invalidate();
-        let threads = self.config.threads.max(1);
-        self.coreset = Coreset::select(
-            &self.universe,
-            &self.rel_exact,
-            &*self.dis,
-            self.config.budget,
-            threads,
-        );
-        self.sub = Self::try_build_sub(
-            &self.universe,
-            &self.rel_exact,
-            &self.coreset,
-            &self.dis,
-            self.lambda,
-            threads,
-            Deadline::none(),
-        )
-        .expect("unbounded deadline cannot be exceeded");
-        Ok(removed)
-    }
-
     /// Mutable access to the sub-universe, copy-on-write: if the `Arc`
     /// is shared (an engine or cache still holds the pre-delta state),
     /// the prepared sub-universe is forked — preambles included — so
@@ -537,41 +498,6 @@ mod tests {
             assert_eq!(set.len(), 5);
             assert_eq!(v, e.objective_exact_full(kind, &set), "{kind}");
             assert!(set.iter().all(|&i| i < u.len()));
-        }
-    }
-
-    #[test]
-    fn remove_tuple_reselects_like_scratch() {
-        let mut u = line_universe(50);
-        let mut pc = PreparedCoreset::build_shared(
-            u.clone(),
-            &REL,
-            dis(),
-            Ratio::new(1, 3),
-            &CoresetConfig::with_budget(12).with_threads(1),
-        );
-        for r in [7usize, 0, 20] {
-            pc.remove_tuple(r).unwrap();
-            u.swap_remove(r);
-        }
-        assert!(matches!(
-            pc.remove_tuple(47),
-            Err(DeltaError::IndexOutOfRange { index: 47, n: 47 })
-        ));
-        // Re-selection makes removal answer exactly like a fresh prepare.
-        let fresh = PreparedCoreset::build_shared(
-            u,
-            &REL,
-            dis(),
-            Ratio::new(1, 3),
-            &CoresetConfig::with_budget(12).with_threads(1),
-        );
-        assert_eq!(pc.coreset().indices(), fresh.coreset().indices());
-        let a = CoresetEngine::from_prepared(Arc::new(pc), 1);
-        let b = CoresetEngine::from_prepared(Arc::new(fresh), 1);
-        for kind in ObjectiveKind::ALL {
-            let req = EngineRequest { kind, k: 4 };
-            assert_eq!(a.try_serve(req), b.try_serve(req), "{kind}");
         }
     }
 

@@ -251,7 +251,9 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
-/// One universe mutation, as logged by the registry's version chains.
+/// One universe mutation: a step of [`PreparedVariant::patch`](crate::PreparedVariant::patch),
+/// as the query front door's base-edit repair plans it and as recovery
+/// replays the inserted tail of a coreset sequence.
 ///
 /// `Remove` uses **swap-remove** semantics throughout the stack (the
 /// last item moves into the vacated slot), which is what makes the
@@ -284,17 +286,6 @@ impl DeltaOp {
             }
         }
         Ok(())
-    }
-
-    /// Heap estimate for delta-log byte metering (same tuple formula as
-    /// every other metering path, so logged inserts and cached tuples
-    /// are charged comparably).
-    pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<DeltaOp>()
-            + match self {
-                DeltaOp::Insert(t) => tuple_approx_bytes(t),
-                DeltaOp::Remove(_) => 0,
-            }
     }
 }
 

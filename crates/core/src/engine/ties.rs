@@ -144,7 +144,10 @@ pub(crate) fn argmax_with_ties(
 /// exact score is maximal, preferring the **lowest index** among exact
 /// ties — the same rule as the sequential `Ratio`-path code
 /// (`max_by_key((score, Reverse(i)))`).
-pub(crate) fn resolve_ties_exact(ties: &[TieCandidate], exact: impl Fn(usize) -> Ratio) -> usize {
+pub(crate) fn resolve_ties_exact(
+    ties: &[TieCandidate],
+    mut exact: impl FnMut(usize) -> Ratio,
+) -> usize {
     debug_assert!(!ties.is_empty());
     if ties.len() == 1 {
         return ties[0].index;

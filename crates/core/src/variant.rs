@@ -87,9 +87,9 @@ impl PreparedVariant {
     }
 
     /// Applies `ops` to this prepared state in place — the one delta
-    /// step behind every warm-entry migration (the registry's
-    /// `apply_delta`, the query front door's base-edit repair, and
-    /// recovery's replay of a delta tail). `rel` scores inserted
+    /// step, with two callers: the query front door's base-edit repair
+    /// of a warm entry, and recovery's replay of the inserted tail of
+    /// a coreset sequence. `rel` scores inserted
     /// tuples. `None` means the state cannot be patched and the caller
     /// goes cold (drops the entry; the next serve re-prepares):
     ///

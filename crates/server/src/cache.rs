@@ -46,16 +46,6 @@ struct Entry {
     prepared: PreparedVariant,
     bytes: usize,
     stamp: u64,
-    /// How many delta operations separate this entry from a cold
-    /// prepare: `0` for entries built by
-    /// [`PreparedCache::get_or_try_prepare_with`],
-    /// incremented each time the registry migrates the entry through
-    /// [`PreparedCache::insert_versioned`].
-    version: u64,
-    /// The operations applied since version `0`, in order. Metered as
-    /// part of [`Entry::bytes`] so a long-lived mutable tenant cannot
-    /// hide an unbounded log from the byte budget.
-    delta_log: Vec<DeltaOp>,
 }
 
 #[derive(Default)]
@@ -196,71 +186,70 @@ impl PreparedCache {
         key: &UniverseKey,
         prepared: PreparedVariant,
     ) -> PreparedVariant {
-        let bytes = prepared.approx_bytes();
         let mut guard = self.lock_shard(shard);
         if let Some(entry) = guard.entries.get_mut(key) {
             // Lost a build race; adopt the winner so all callers share.
             entry.stamp = self.tick();
             return entry.prepared.clone();
         }
-        let stamp = self.tick();
-        guard.entries.insert(
-            key.clone(),
-            Entry {
-                prepared: prepared.clone(),
-                bytes,
-                stamp,
-                version: 0,
-                delta_log: Vec::new(),
-            },
-        );
-        guard.bytes += bytes;
-        let victims = self.evict_over_budget(&mut guard, stamp);
-        drop(guard);
-        drop(victims);
+        self.insert_and_evict(guard, key, prepared.clone());
         prepared
     }
 
-    /// Removes and returns the entry for `key` (prepared state, version,
-    /// delta log), releasing its metered bytes. The registry's delta
-    /// path uses this to migrate a warm entry to the mutated universe's
-    /// key: taking first means the stale pre-mutation state is never
-    /// resident alongside the new one, and any in-flight `Arc` clones
-    /// simply finish their solves on the old immutable state.
-    pub fn take(&self, key: &UniverseKey) -> Option<(PreparedVariant, u64, Vec<DeltaOp>)> {
+    /// Removes and returns the prepared state under `key`, releasing
+    /// its metered bytes. The front door's base-edit repair uses this
+    /// to migrate a warm entry to its post-edit key: taking first means
+    /// the stale pre-edit state is never resident alongside the new
+    /// one, and any in-flight `Arc` clones simply finish their solves
+    /// on the old immutable state.
+    pub fn take(&self, key: &UniverseKey) -> Option<PreparedVariant> {
         let mut guard = self.lock_shard(self.shard_of(key));
         let entry = guard.entries.remove(key)?;
         guard.bytes -= entry.bytes;
-        Some((entry.prepared, entry.version, entry.delta_log))
+        Some(entry.prepared)
     }
 
-    /// Inserts delta-migrated prepared state under the mutated
-    /// universe's key, carrying its version and delta log. The entry is
-    /// metered as prepared bytes **plus** the log's bytes, then the
-    /// shard evicts LRU entries past budget exactly as after a cold
-    /// insert — the fresh entry itself is never its own victim.
+    /// Makes `prepared` the resident state under `key` (replacing what
+    /// was there), metered like a cold build, then evicts LRU entries
+    /// past budget — the fresh entry itself is never its own victim.
+    /// How a repaired or recovered entry becomes resident.
+    pub fn insert(&self, key: &UniverseKey, prepared: PreparedVariant) {
+        let guard = self.lock_shard(self.shard_of(key));
+        self.insert_and_evict(guard, key, prepared);
+    }
+
+    // `e2e/src/layers.rs:477,756` spell the insert this way and `e2e/`
+    // changes only in a `benchmark` PR (ROADMAP item 1 drops this);
+    // nothing under crates/, tests/ or examples/ may call it
+    // (`ci/gates.sh`).
+    #[doc(hidden)]
     pub fn insert_versioned(
         &self,
         key: &UniverseKey,
         prepared: PreparedVariant,
-        version: u64,
-        delta_log: Vec<DeltaOp>,
+        _: u64,
+        _: Vec<DeltaOp>,
     ) {
-        let bytes =
-            prepared.approx_bytes() + delta_log.iter().map(DeltaOp::approx_bytes).sum::<usize>();
-        let shard = self.shard_of(key);
-        let mut guard = self.lock_shard(shard);
+        self.insert(key, prepared)
+    }
+
+    /// The one insert: charges `prepared` to the locked shard under
+    /// `key`, unlinks what it replaces and what no longer fits, and
+    /// drops all of that with the lock released.
+    fn insert_and_evict(
+        &self,
+        mut guard: MutexGuard<'_, Shard>,
+        key: &UniverseKey,
+        prepared: PreparedVariant,
+    ) {
+        let bytes = prepared.approx_bytes();
         let stamp = self.tick();
-        let replaced = guard.entries.insert(
-            key.clone(),
-            Entry {
-                prepared,
-                bytes,
-                stamp,
-                version,
-                delta_log,
-            },
-        );
+        let entry = Entry {
+            prepared,
+            bytes,
+            stamp,
+        };
+        let replaced = guard.entries.insert(key.clone(), entry);
         if let Some(old) = &replaced {
             guard.bytes -= old.bytes;
         }
@@ -268,16 +257,6 @@ impl PreparedCache {
         let victims = self.evict_over_budget(&mut guard, stamp);
         drop(guard);
         drop((replaced, victims));
-    }
-
-    /// The delta version of the resident entry for `key` (`0` = cold
-    /// prepare, `v` = `v` operations since), or `None` if not resident.
-    /// No LRU bump.
-    pub fn version_of(&self, key: &UniverseKey) -> Option<u64> {
-        self.lock_shard(self.shard_of(key))
-            .entries
-            .get(key)
-            .map(|e| e.version)
     }
 
     /// Unlinks LRU entries (never the one stamped `keep_stamp`) until

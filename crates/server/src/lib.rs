@@ -29,13 +29,14 @@
 //!   `m ≪ n` representatives in `O(n·m)` ([`divr_core::coreset`]),
 //!   the cache meters the entry at its honest `m² + O(n)` size, and
 //!   full-matrix and coreset tenants mix freely in one batch;
-//! * mutable universes stay warm across edits
-//!   ([`Registry::apply_delta`]): a single-tuple insert or removal
-//!   migrates the cached entry in `O(n)` — matrix row/column patch plus
-//!   preamble repair, never a cold `O(n²)` re-prepare — re-keyed under
-//!   the mutated content with a versioned, byte-metered delta log
-//!   (`crates/server/tests/version_chain.rs` pins the migrated entry
-//!   bit-identical to a cold prepare of the mutated universe).
+//! * a universe changes because its database does
+//!   ([`QueryFrontDoor::insert_base_tuple`] /
+//!   [`QueryFrontDoor::remove_base_tuple`], the wire's `mutate`): every
+//!   warm query reading the edited relation is repaired in `O(Δ · n)` —
+//!   matrix row/column patch plus preamble repair, never a cold `O(n²)`
+//!   re-prepare — and re-keyed under the bumped relation version
+//!   (`tests/query_serving_matches_materialized.rs` pins the repaired
+//!   entry bit-identical to a cold prepare of the same sequence).
 //!
 //! For full-matrix specs, answers are **exactly** those of a freshly
 //! built [`Engine`](divr_core::engine::Engine) — same `Ratio` value,
@@ -100,7 +101,6 @@ pub use spec::{
     CoresetSpec, Instance, PreparedVariant, ServableDistance, ServableRelevance, UniverseSpec,
 };
 
-// The delta vocabulary is divr_core's; re-exported so registry callers
-// need not depend on divr_core directly to mutate universes. ScoreSource
-// rides along for matching on ServeError::NonFiniteScore diagnoses.
-pub use divr_core::engine::{DeltaError, DeltaOp, ScoreSource, ServeError};
+// The typed diagnoses are divr_core's; ScoreSource rides along for
+// matching on ServeError::NonFiniteScore.
+pub use divr_core::engine::{ScoreSource, ServeError};

@@ -130,7 +130,8 @@ fn query_persistable(spec: &QuerySpec) -> bool {
 }
 
 const TAG_WARM_UNIVERSE: u8 = 1;
-const TAG_DELTA: u8 = 2;
+// Tag 2 was a universe-keyed delta record no daemon ever wrote; it
+// stays reserved (a payload carrying it is `Invalid`), never reused.
 const TAG_REGISTER_DB: u8 = 3;
 const TAG_BASE_INSERT: u8 = 4;
 const TAG_BASE_REMOVE: u8 = 5;
@@ -141,23 +142,17 @@ const TAG_WARM_QUERY: u8 = 6;
 pub(super) fn encode_record(rec: &Record) -> Result<Vec<u8>, Unpersistable> {
     let mut w = ByteWriter::new();
     match rec {
-        Record::WarmUniverse { spec, version, log } => {
+        Record::WarmUniverse { spec } => {
             if !spec.instance().persistable() {
                 return Err(Unpersistable);
             }
             w.write_u8(TAG_WARM_UNIVERSE);
             w.write_tuples(spec.universe());
             spec.instance().encode(&mut w);
-            w.write_u64(*version);
-            w.write_usize(log.len());
-            for op in log {
-                w.write_delta_op(op);
-            }
-        }
-        Record::Delta { base_key, op } => {
-            w.write_u8(TAG_DELTA);
-            w.write_bytes(base_key);
-            w.write_delta_op(op);
+            // Two reserved words, once a version and an op count: the
+            // layout older data directories hold, always zero in them.
+            w.write_u64(0);
+            w.write_usize(0);
         }
         Record::RegisterDb { name, db } => {
             w.write_u8(TAG_REGISTER_DB);
@@ -186,7 +181,7 @@ pub(super) fn encode_record(rec: &Record) -> Result<Vec<u8>, Unpersistable> {
             w.write_tuples(&entry.universe);
             write_warm_kind(&mut w, entry.kind);
             w.write_usize(entry.base_len);
-            w.write_u64(entry.version);
+            w.write_u64(0); // reserved: once a version, read back by nothing
         }
     }
     Ok(w.into_bytes())
@@ -199,21 +194,12 @@ pub(super) fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
     let rec = match r.read_u8()? {
         TAG_WARM_UNIVERSE => {
             let spec = UniverseSpec::from_instance(r.read_tuples()?, Instance::decode(&mut r)?);
-            let version = r.read_u64()?;
-            let ops = r.read_usize()?;
-            if ops > r.remaining() {
-                return Err(CodecError::Truncated);
+            r.read_u64()?; // reserved
+            if r.read_usize()? != 0 {
+                return Err(CodecError::Invalid("universe op count"));
             }
-            let mut log = Vec::with_capacity(ops);
-            for _ in 0..ops {
-                log.push(r.read_delta_op()?);
-            }
-            Record::WarmUniverse { spec, version, log }
+            Record::WarmUniverse { spec }
         }
-        TAG_DELTA => Record::Delta {
-            base_key: r.read_bytes()?.to_vec(),
-            op: r.read_delta_op()?,
-        },
         TAG_REGISTER_DB => Record::RegisterDb {
             name: r.read_str()?.to_string(),
             db: decode_database(&mut r)?,
@@ -230,7 +216,7 @@ pub(super) fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
             let universe = r.read_tuples()?;
             let kind = read_warm_kind(&mut r)?;
             let base_len = r.read_usize()?;
-            let version = r.read_u64()?;
+            r.read_u64()?; // reserved; snapshots written before it was hold a count here
             if kind == WarmKind::CoresetExplicit && spec.instance().coreset().is_none() {
                 return Err(CodecError::Invalid("explicit kind without mode"));
             }
@@ -241,7 +227,6 @@ pub(super) fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
                     universe,
                     kind,
                     base_len,
-                    version,
                 },
             }
         }
@@ -261,7 +246,6 @@ mod tests {
     };
     use crate::spec::{CoresetSpec, ServableDistance, ServableRelevance};
     use divr_core::distance::{ConstantDistance, HammingDistance, NumericDistance, TableDistance};
-    use divr_core::engine::DeltaOp;
     use divr_core::relevance::{AttributeRelevance, ConstantRelevance, TableRelevance};
     use divr_core::Ratio;
     use divr_relquery::{Tuple, Value};
@@ -289,22 +273,10 @@ mod tests {
     fn universe_record_round_trips_to_same_key() {
         let spec = UniverseSpec::new(tuples(12), rel(), dis(), Ratio::new(1, 2))
             .with_coreset(CoresetSpec::with_budget(8));
-        let rec = Record::WarmUniverse {
-            spec: spec.clone(),
-            version: 3,
-            log: vec![DeltaOp::Insert(Tuple::ints([99, 1])), DeltaOp::Remove(2)],
-        };
+        let rec = Record::WarmUniverse { spec: spec.clone() };
         let payload = encode_record(&rec).unwrap();
         match decode_record(&payload).unwrap() {
-            Record::WarmUniverse {
-                spec: decoded,
-                version,
-                log,
-            } => {
-                assert_eq!(decoded.key(), spec.key());
-                assert_eq!(version, 3);
-                assert_eq!(log.len(), 2);
-            }
+            Record::WarmUniverse { spec: decoded } => assert_eq!(decoded.key(), spec.key()),
             other => panic!("wrong record: {other:?}"),
         }
     }
@@ -343,7 +315,6 @@ mod tests {
                 universe: tuples(5),
                 kind: WarmKind::Full,
                 base_len: 5,
-                version: 0,
             },
         };
         let payload = encode_record(&rec).unwrap();
@@ -395,11 +366,7 @@ mod tests {
             }
         }
         let spec = UniverseSpec::new(tuples(3), Arc::new(Alien), dis(), Ratio::new(1, 2));
-        let rec = Record::WarmUniverse {
-            spec,
-            version: 0,
-            log: Vec::new(),
-        };
+        let rec = Record::WarmUniverse { spec };
         assert_eq!(encode_record(&rec), Err(Unpersistable));
     }
 
@@ -410,13 +377,6 @@ mod tests {
         let records = vec![
             encode_record(&Record::WarmUniverse {
                 spec: UniverseSpec::new(tuples(4), rel(), dis(), Ratio::new(1, 3)),
-                version: 1,
-                log: vec![DeltaOp::Remove(0)],
-            })
-            .unwrap(),
-            encode_record(&Record::Delta {
-                base_key: vec![1, 2, 3],
-                op: DeltaOp::Insert(Tuple::ints([7, 8])),
             })
             .unwrap(),
             encode_record(&Record::BaseEdit {
@@ -440,7 +400,6 @@ mod tests {
                     universe: tuples(3),
                     kind: WarmKind::CoresetStreamed,
                     base_len: 3,
-                    version: 2,
                 },
             })
             .unwrap(),
@@ -461,12 +420,7 @@ mod tests {
         // Hand-corrupt a valid record's λ to 2/1 and check the decoder
         // refuses instead of tripping the constructor assert.
         let spec = UniverseSpec::new(tuples(2), rel(), dis(), Ratio::new(1, 2));
-        let payload = encode_record(&Record::WarmUniverse {
-            spec,
-            version: 0,
-            log: Vec::new(),
-        })
-        .unwrap();
+        let payload = encode_record(&Record::WarmUniverse { spec }).unwrap();
         let one_half = Ratio::new(1, 2);
         let mut needle = ByteWriter::new();
         needle.write_ratio(one_half);
@@ -636,7 +590,6 @@ mod tests {
                 universe: tuples(2),
                 kind: WarmKind::Full,
                 base_len: 2,
-                version: 0,
             },
         };
         assert_eq!(encode_record(&rec), Err(Unpersistable));
@@ -644,6 +597,12 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(text: &str) -> Vec<u8> {
+        (0..text.len() / 2)
+            .map(|i| u8::from_str_radix(&text[2 * i..2 * i + 2], 16).unwrap())
+            .collect()
     }
 
     /// Golden byte vectors: cache keys and durable payloads are one
@@ -721,12 +680,33 @@ mod tests {
         );
         assert_eq!(hex(front.key_for("main", &q).unwrap().bytes()), query_key);
 
-        let rec = Record::WarmUniverse {
-            spec: coreset,
-            version: 3,
-            log: vec![DeltaOp::Insert(Tuple::ints([9, 1])), DeltaOp::Remove(0)],
-        };
+        // The coreset `WarmUniverse` record as every daemon has written
+        // it (taken from the encoder that still had a version and a
+        // delta log to write): both reserved words zero.
         let wal_payload = concat!(
+            "0102000000000000000200000000000000000100000000000000000200000000",
+            "000000020000000000000000fdffffffffffffff010100000000000000613800",
+            "000000000000080000000000000072656c3a6174747201000000000000000000",
+            "0000000000000000000000000000010000000000000000000000000000003b00",
+            "0000000000000b000000000000006469733a6e756d6572696300000000000000",
+            "0001000000000000000000000000000000010000000000000000000000000000",
+            "0001000000000000000000000000000000020000000000000000000000000000",
+            "0001080000000000000002000000000000000000000000000000000000000000",
+            "0000",
+        );
+        let rec = Record::WarmUniverse { spec: coreset.clone() };
+        assert_eq!(hex(&encode_record(&rec).unwrap()), wal_payload);
+        match decode_record(&unhex(wal_payload)).unwrap() {
+            Record::WarmUniverse { spec } => assert_eq!(spec.key(), coreset.key()),
+            other => panic!("wrong record: {other:?}"),
+        }
+
+        // The same record at version 3 with two logged ops — the
+        // literal this test pinned while the universe-keyed delta path
+        // existed. Same layout: today's payload is its bytes up to the
+        // version word, then zeros. No daemon wrote a non-zero count, so
+        // the reader refuses it, typed.
+        let versioned = concat!(
             "0102000000000000000200000000000000000100000000000000000200000000",
             "000000020000000000000000fdffffffffffffff010100000000000000613800",
             "000000000000080000000000000072656c3a6174747201000000000000000000",
@@ -738,6 +718,52 @@ mod tests {
             "0000000200000000000000000900000000000000000100000000000000010000",
             "000000000000",
         );
-        assert_eq!(hex(&encode_record(&rec).unwrap()), wal_payload);
+        let words = wal_payload.len() - 32;
+        assert_eq!(wal_payload[..words], versioned[..words]);
+        assert_eq!(wal_payload[words..], "0".repeat(32));
+        assert_eq!(
+            decode_record(&unhex(versioned)).err(),
+            Some(CodecError::Invalid("universe op count"))
+        );
+        // Tag 2, a universe-keyed delta as the old encoder spelled it:
+        // reserved, so replay stops there (the consistent-prefix rule).
+        let delta = "020300000000000000010203000200000000000000000700000000000000000800000000000000";
+        assert_eq!(
+            decode_record(&unhex(delta)).err(),
+            Some(CodecError::Invalid("record tag"))
+        );
+
+        // A `WarmQuery` record does carry a non-zero version word in
+        // data directories written before this one was reserved (each
+        // base edit added the ops it planned): `q` over two tuples at
+        // version 5, from the old encoder. It decodes to the same spec,
+        // sequence, kind and base length, and re-encodes with the word
+        // zeroed in place.
+        let warm_query_v5 = concat!(
+            "0604000000000000006d61696e1b000000000000005128782c207a29203a2d20",
+            "5228782c2079292c205328792c207a293800000000000000080000000000000072",
+            "656c3a617474720100000000000000000000000000000000000000000000000100",
+            "00000000000000000000000000003b000000000000000b000000000000006469",
+            "733a6e756d65726963000000000000000001000000000000000000000000000000",
+            "0100000000000000000000000000000001000000000000000000000000000000",
+            "0300000000000000000000000000000000400000000000000002000000000000",
+            "0002000000000000000001000000000000000002000000000000000200000000",
+            "0000000003000000000000000004000000000000000002000000000000000500",
+            "000000000000",
+        );
+        let old = unhex(warm_query_v5);
+        let rec = decode_record(&old).unwrap();
+        match &rec {
+            Record::WarmQuery { db, entry } => {
+                assert_eq!(db, "main");
+                assert_eq!(query_ident(&entry.spec), query_ident(&q));
+                assert_eq!(entry.universe, [Tuple::ints([1, 2]), Tuple::ints([3, 4])]);
+                assert_eq!((entry.kind, entry.base_len), (WarmKind::Full, 2));
+            }
+            other => panic!("wrong record: {other:?}"),
+        }
+        let new = encode_record(&rec).unwrap();
+        assert_eq!(new[..new.len() - 8], old[..old.len() - 8]);
+        assert_eq!(new[new.len() - 8..], [0; 8]);
     }
 }

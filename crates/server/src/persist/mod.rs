@@ -1,11 +1,11 @@
-//! Crash-safe durability: checksummed snapshots + a write-ahead delta
-//! log, with warm restarts.
+//! Crash-safe durability: checksummed snapshots + a write-ahead log,
+//! with warm restarts.
 //!
 //! ## Design: the book mirrors the serving state
 //!
 //! [`Durability`] keeps a **book** — a self-contained mirror of
-//! everything warm: universe specs with their delta logs, registered
-//! databases, and each warm query's exact universe *sequence*. Every
+//! everything warm: universe specs, registered databases, and each
+//! warm query's exact universe *sequence*. Every
 //! durable mutation is a record; a live hook applies the record to
 //! the book and appends it to the write-ahead log **in one critical
 //! section**, and recovery applies the same records through the same
@@ -30,8 +30,8 @@
 //! ## What is (and is not) guaranteed
 //!
 //! * **An acknowledgement is a `mutate` or `checkpoint` reply.** A
-//!   mutation record (`Delta`, `BaseEdit`) is synced before its reply
-//!   and survives any crash; recovery restores a **consistent prefix**
+//!   mutation record (`BaseEdit`) is synced before its reply and
+//!   survives any crash; recovery restores a **consistent prefix**
 //!   of the record stream — a torn tail or corrupt frame drops
 //!   everything from the first bad byte on, never a middle record with
 //!   later ones kept.
@@ -134,7 +134,6 @@ pub(crate) struct WarmQueryRecord {
     pub(crate) universe: Vec<Tuple>,
     pub(crate) kind: WarmKind,
     pub(crate) base_len: usize,
-    pub(crate) version: u64,
 }
 
 /// One durable mutation — the single vocabulary shared by live
@@ -142,14 +141,7 @@ pub(crate) struct WarmQueryRecord {
 #[derive(Debug)]
 pub(crate) enum Record {
     /// A universe became warm (registry-keyed).
-    WarmUniverse {
-        spec: UniverseSpec,
-        version: u64,
-        log: Vec<DeltaOp>,
-    },
-    /// A delta applied to a warm universe, addressed by its
-    /// pre-mutation content key.
-    Delta { base_key: Vec<u8>, op: DeltaOp },
+    WarmUniverse { spec: UniverseSpec },
     /// A database registered (or replaced) at the front door.
     RegisterDb { name: String, db: Database },
     /// A base-table insert (`insert`) or removal (fans out to warm
@@ -169,14 +161,8 @@ impl Record {
     /// disk before the reply leaves; the rest are hints (module docs,
     /// § guarantees).
     fn is_acknowledged(&self) -> bool {
-        matches!(self, Record::Delta { .. } | Record::BaseEdit { .. })
+        matches!(self, Record::BaseEdit { .. })
     }
-}
-
-struct BookUniverse {
-    spec: UniverseSpec,
-    version: u64,
-    log: Vec<DeltaOp>,
 }
 
 #[derive(Default)]
@@ -192,42 +178,15 @@ struct BookDb {
 /// replay share.
 #[derive(Default)]
 struct Book {
-    universes: HashMap<UniverseKey, BookUniverse>,
+    universes: HashMap<UniverseKey, UniverseSpec>,
     dbs: BTreeMap<String, BookDb>,
 }
 
 impl Book {
     fn apply_record(&mut self, rec: &Record) {
         match rec {
-            Record::WarmUniverse { spec, version, log } => {
-                self.universes.insert(
-                    spec.key(),
-                    BookUniverse {
-                        spec: spec.clone(),
-                        version: *version,
-                        log: log.clone(),
-                    },
-                );
-            }
-            Record::Delta { base_key, op } => {
-                let key = UniverseKey::from_bytes(base_key);
-                let Some(mut entry) = self.universes.remove(&key) else {
-                    return;
-                };
-                // An op invalid against this content (possible only
-                // under replay skew) drops the entry — it goes cold,
-                // never stale.
-                if let Ok(next) = entry.spec.apply(op) {
-                    entry.log.push(op.clone());
-                    self.universes.insert(
-                        next.key(),
-                        BookUniverse {
-                            spec: next,
-                            version: entry.version + 1,
-                            log: entry.log,
-                        },
-                    );
-                }
+            Record::WarmUniverse { spec } => {
+                self.universes.insert(spec.key(), spec.clone());
             }
             Record::RegisterDb { name, db } => {
                 // Replacement drops the old instance's warm entries,
@@ -287,10 +246,8 @@ impl Book {
             // contributions in O(Δ·n)), a universe shrunk to empty —
             // and so does the book.
             let repaired = plan.is_some_and(|ops| {
-                let patchable = q.kind == WarmKind::Full
-                    || ops.iter().all(|op| matches!(op, DeltaOp::Insert(_)));
-                q.version += ops.len() as u64;
-                patchable
+                (q.kind == WarmKind::Full
+                    || ops.iter().all(|op| matches!(op, DeltaOp::Insert(_))))
                     && ops.iter().all(|op| op.apply_to(&mut q.universe).is_ok())
                     && !q.universe.is_empty()
             });
@@ -311,12 +268,8 @@ impl Book {
                 skipped.fetch_add(1, Ordering::Relaxed);
             }
         };
-        for entry in self.universes.values() {
-            push(&Record::WarmUniverse {
-                spec: entry.spec.clone(),
-                version: entry.version,
-                log: entry.log.clone(),
-            });
+        for spec in self.universes.values() {
+            push(&Record::WarmUniverse { spec: spec.clone() });
         }
         for (name, bdb) in &self.dbs {
             push(&Record::RegisterDb {
@@ -550,12 +503,7 @@ impl Durability {
                 .iter()
                 .map(|(name, b)| (name.clone(), b.db.clone()))
                 .collect();
-            let universes: Vec<(UniverseSpec, u64, Vec<DeltaOp>)> = inner
-                .book
-                .universes
-                .values()
-                .map(|e| (e.spec.clone(), e.version, e.log.clone()))
-                .collect();
+            let universes: Vec<UniverseSpec> = inner.book.universes.values().cloned().collect();
             let queries: Vec<(String, WarmQueryRecord)> = inner
                 .book
                 .dbs
@@ -570,10 +518,8 @@ impl Durability {
             report.recovered_databases += 1;
         }
         if mode == RecoverMode::Eager {
-            for (spec, version, log) in universes {
-                let restored = catch_unwind(AssertUnwindSafe(|| {
-                    registry.restore_entry(&spec, version, log.clone())
-                }));
+            for spec in universes {
+                let restored = catch_unwind(AssertUnwindSafe(|| registry.restore_entry(&spec)));
                 match restored {
                     Ok(Ok(())) => report.recovered_universes += 1,
                     _ => report.failed_entries += 1,
@@ -587,7 +533,6 @@ impl Durability {
                         q.universe.clone(),
                         q.kind == WarmKind::CoresetStreamed,
                         q.base_len,
-                        q.version,
                     )
                 }));
                 match restored {
@@ -645,32 +590,7 @@ impl Durability {
         if inner.book.universes.contains_key(key) {
             return;
         }
-        self.apply_and_log(
-            &mut inner,
-            &Record::WarmUniverse {
-                spec: spec.clone(),
-                version: 0,
-                log: Vec::new(),
-            },
-        );
-    }
-
-    /// A delta is about to migrate the entry at `spec`'s key. Logged
-    /// only when the book holds the base — the WAL never contains a
-    /// delta recovery could not resolve.
-    pub(crate) fn log_delta(&self, spec: &UniverseSpec, op: &DeltaOp) {
-        let key = spec.key();
-        let mut inner = self.lock();
-        if !inner.book.universes.contains_key(&key) {
-            return;
-        }
-        self.apply_and_log(
-            &mut inner,
-            &Record::Delta {
-                base_key: key.bytes().to_vec(),
-                op: op.clone(),
-            },
-        );
+        self.apply_and_log(&mut inner, &Record::WarmUniverse { spec: spec.clone() });
     }
 
     /// A database is being registered at the front door.
@@ -732,7 +652,6 @@ impl Durability {
                     universe,
                     kind,
                     base_len,
-                    version: 0,
                 },
             },
         );

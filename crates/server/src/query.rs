@@ -32,8 +32,7 @@
 //! query's new result tuples **semi-naively**
 //! ([`divr_relquery::delta_results`]) and migrates the prepared entry
 //! in place — `O(Δ · n)` instead of a cold re-evaluate + `O(n²)`
-//! re-prepare — re-keying it under the bumped relation version with
-//! its delta log extended, exactly like [`Registry::apply_delta`].
+//! re-prepare — re-keying it under the bumped relation version.
 
 use crate::cache::PreparedCache;
 use crate::fingerprint::{FingerprintEncoder, UniverseKey};
@@ -507,9 +506,8 @@ impl QueryFrontDoor {
     /// appended through the in-place delta path — full-matrix entries
     /// extend their matrix `O(Δ · n)`, streamed-coreset entries extend
     /// their insertion stream — then the entry is re-inserted under the
-    /// bumped relation version with its version advanced and the
-    /// operations logged, exactly like [`Registry::apply_delta`]. Warm
-    /// queries *not* reading `relation` keep their keys and stay warm.
+    /// bumped relation version. Warm queries *not* reading `relation`
+    /// keep their keys and stay warm.
     ///
     /// Returns `Ok(false)` (and changes nothing, set semantics) if the
     /// tuple was already present.
@@ -542,10 +540,9 @@ impl QueryFrontDoor {
     /// ([`divr_relquery::eval::query_contains`]) — only candidates
     /// with **no** surviving derivation leave the universe. Full-matrix
     /// entries migrate in place through the `O(n)` row/column
-    /// swap-remove path with their versions advanced and
-    /// [`DeltaOp::Remove`] logged per departure; universes the removal
-    /// leaves untouched carry their prepared state to the bumped
-    /// version without a rebuild.
+    /// swap-remove path, one [`DeltaOp::Remove`] per departure;
+    /// universes the removal leaves untouched carry their prepared
+    /// state to the bumped version without a rebuild.
     ///
     /// Returns `Ok(false)` (and changes nothing) if the tuple was not
     /// present.
@@ -602,26 +599,23 @@ impl QueryFrontDoor {
             insert,
             relation,
             &tuple,
-            taken.iter().map(|(w, (p, _, _))| (&w.spec.query, p.universe())),
+            taken.iter().map(|(w, p)| (&w.spec.query, p.universe())),
         );
         *dbst.rel_versions.entry(relation.to_string()).or_insert(0) += 1;
 
-        for ((w, (prepared, version, mut log)), plan) in taken.into_iter().zip(plans) {
+        for ((w, prepared), plan) in taken.into_iter().zip(plans) {
             // No incremental plan, unpatchable state (see
             // `PreparedVariant::patch`), or Q(D) = ∅ now: the entry is
             // dropped, and the next serve re-prepares at the new
             // version or gets the typed refusal. An empty plan carries
-            // the state to the new key untouched (no version bump: no
-            // delta was applied).
+            // the state to the new key untouched.
             let Some(ops) = plan else { continue };
             let rel = &**w.spec.instance.relevance();
             let Some(migrated) = prepared.patch(&ops, rel).filter(|p| p.n() > 0) else {
                 continue;
             };
             let new_key = Self::key_of(db, dbst, &w.spec);
-            let version = version + ops.len() as u64;
-            log.extend(ops);
-            self.cache().insert_versioned(&new_key, migrated, version, log);
+            self.cache().insert(&new_key, migrated);
             dbst.warm.insert(new_key, w);
         }
         Ok(true)
@@ -643,7 +637,6 @@ impl QueryFrontDoor {
         mut universe: Vec<Tuple>,
         streamed: bool,
         base_len: usize,
-        version: u64,
     ) -> Option<()> {
         if universe.is_empty() {
             return None;
@@ -663,10 +656,7 @@ impl QueryFrontDoor {
             };
             let built = spec.build(universe.into_iter(), streamed, threads, Deadline::none());
             let prepared = built.ok()?.patch(&tail, &**spec.instance.relevance())?;
-            // Empty delta log: the restored entry is equivalent to a
-            // cold prepare of its current content; the version survives
-            // for observability and future migrations.
-            self.cache().insert_versioned(&key, prepared, version, Vec::new());
+            self.cache().insert(&key, prepared);
         }
         dbst.warm
             .entry(key)

@@ -6,9 +6,7 @@
 use crate::cache::{CacheStats, PreparedCache};
 use crate::fingerprint::UniverseKey;
 use crate::spec::{PreparedVariant, UniverseSpec};
-use divr_core::engine::{
-    default_threads, DeltaError, DeltaOp, EngineRequest, ServeError, SolveScratch,
-};
+use divr_core::engine::{default_threads, EngineRequest, ServeError, SolveScratch};
 use divr_core::{Deadline, Ratio};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -153,7 +151,7 @@ pub struct Registry {
     workers: usize,
     solve_threads: usize,
     /// Optional durability subsystem; set once at startup (after
-    /// recovery) and consulted by every warm/delta transition.
+    /// recovery) and consulted by every warm transition and base edit.
     persist: OnceLock<Arc<crate::persist::Durability>>,
 }
 
@@ -175,7 +173,7 @@ impl Registry {
     }
 
     /// Attaches the durability subsystem: from here on, warm
-    /// transitions and deltas are journaled. Call **after**
+    /// transitions and base edits are journaled. Call **after**
     /// [`crate::persist::Durability::recover`] so restored entries are
     /// not re-logged. A second attach is ignored.
     pub fn attach_durability(&self, d: Arc<crate::persist::Durability>) {
@@ -230,21 +228,15 @@ impl Registry {
         Ok(prepared)
     }
 
-    /// Rebuilds one recovered universe entry into the cache at its
-    /// recovered version and delta log. Already-resident content is
-    /// left untouched.
-    pub(crate) fn restore_entry(
-        &self,
-        spec: &UniverseSpec,
-        version: u64,
-        log: Vec<DeltaOp>,
-    ) -> Result<(), ServeError> {
+    /// Rebuilds one recovered universe entry into the cache.
+    /// Already-resident content is left untouched.
+    pub(crate) fn restore_entry(&self, spec: &UniverseSpec) -> Result<(), ServeError> {
         let key = spec.key();
         if self.cache.contains(&key) {
             return Ok(());
         }
         let prepared = spec.try_prepare_variant(self.solve_threads)?;
-        self.cache.insert_versioned(&key, prepared, version, log);
+        self.cache.insert(&key, prepared);
         Ok(())
     }
 
@@ -430,8 +422,7 @@ impl Registry {
 
     /// Serves one request against one universe: the exact objective
     /// value with the chosen indices, or the typed diagnosis —
-    /// [`ServeError::InfeasibleK`] when `k` exceeds the universe (e.g.
-    /// after removals shrank it below `k`),
+    /// [`ServeError::InfeasibleK`] when `k` exceeds the universe,
     /// [`ServeError::ExceedsCoresetBudget`] when the universe could
     /// answer but the spec's coreset budget cannot, or
     /// [`ServeError::NonFiniteScore`] when the universe itself is
@@ -472,72 +463,6 @@ impl Registry {
         request: EngineRequest,
     ) -> Result<(Ratio, Vec<usize>), ServeError> {
         self.try_prepare(spec)?.try_serve(self.solve_threads, request)
-    }
-
-    /// Applies one delta operation to a universe and returns the spec of
-    /// the mutated universe (the handle for all subsequent serves).
-    ///
-    /// If `spec` is warm in the cache, its prepared state is **migrated**
-    /// instead of discarded: the entry is taken, patched in place —
-    /// `O(n)` row/column extension plus preamble repair for a
-    /// full-matrix insert, `O(n)` swap-remove for a removal — and
-    /// re-inserted under the mutated universe's content key with its
-    /// version advanced and the operation appended to the entry's delta
-    /// log (metered with the entry's bytes). A warm tenant therefore
-    /// never pays the `O(n²)` cold prepare again for a small edit, and
-    /// the migrated entry serves **bit-identically** to a cold prepare
-    /// of the mutated universe (coreset-mode entries are re-prepared in
-    /// `O(n·m)` to keep that same invariant). An inserted tuple whose
-    /// scores are non-finite drops the entry instead (only the new row
-    /// is validated, `O(n)`), so no delta can make an unvalidated
-    /// universe resident. If `spec` is cold, only the spec is mutated;
-    /// the next serve prepares from scratch at version `0`.
-    ///
-    /// Because entries are keyed by mutated *content*, a delta chain and
-    /// a flat spec of the same tuples address the same entry — there is
-    /// no alias under which the two could disagree.
-    ///
-    /// Fails with [`DeltaError::IndexOutOfRange`] (leaving cache state
-    /// untouched) if a `Remove` index is not below the universe size.
-    pub fn apply_delta(
-        &self,
-        spec: &UniverseSpec,
-        op: &DeltaOp,
-    ) -> Result<UniverseSpec, DeltaError> {
-        let mutated = spec.apply(op)?;
-        // Write-ahead: the delta is durable (when the book holds the
-        // base) before the in-memory migration is acknowledged.
-        if let Some(d) = self.persist.get() {
-            d.log_delta(spec, op);
-        }
-        if let Some((prepared, version, mut log)) = self.cache.take(&spec.key()) {
-            let migrated = match prepared {
-                // Streaming coreset maintenance trades bit-identity for
-                // speed (see divr_core::coreset); the registry's
-                // contract is exact equivalence with a cold prepare, so
-                // coreset entries re-select in O(n·m).
-                PreparedVariant::Coreset(_) => {
-                    mutated.try_prepare_variant(self.solve_threads).ok()
-                }
-                full => full.patch(std::slice::from_ref(op), &**spec.instance().relevance()),
-            };
-            // An entry that cannot be patched (a non-finite new row)
-            // drops to cold: the next serve gets the typed refusal from
-            // the checked prepare.
-            if let Some(migrated) = migrated {
-                log.push(op.clone());
-                self.cache
-                    .insert_versioned(&mutated.key(), migrated, version + 1, log);
-            }
-        }
-        Ok(mutated)
-    }
-
-    /// The delta version of the cached entry for this universe — `0`
-    /// for a cold prepare, `v` after `v` migrations through
-    /// [`Registry::apply_delta`] — or `None` if not resident.
-    pub fn version_of(&self, spec: &UniverseSpec) -> Option<u64> {
-        self.cache.version_of(&spec.key())
     }
 
     /// Whether a universe with this content is currently cached.

@@ -18,7 +18,7 @@ use crate::fingerprint::{
 };
 use divr_core::coreset::{CoresetConfig, PreparedCoreset};
 use divr_core::distance::Distance;
-use divr_core::engine::{DeltaError, DeltaOp, PreparedUniverse, ServeError};
+use divr_core::engine::{PreparedUniverse, ServeError};
 use divr_core::relevance::Relevance;
 use divr_core::{ByteReader, ByteWriter, CodecError, Deadline, Ratio, SharedPrepared};
 use divr_relquery::Tuple;
@@ -274,8 +274,8 @@ pub struct UniverseSpec {
     instance: Instance,
     /// [`UniverseSpec::key`], computed on first use: fingerprinting is
     /// `O(content)` and one frame asks for it more than once (admission
-    /// ledger, then the registry). Every method that changes content
-    /// resets it.
+    /// ledger, then the registry). [`UniverseSpec::with_coreset`], the
+    /// one method that changes what it describes, starts a fresh one.
     key: OnceLock<UniverseKey>,
 }
 
@@ -323,24 +323,6 @@ impl UniverseSpec {
     /// The functions, λ and serving mode over the universe.
     pub fn instance(&self) -> &Instance {
         &self.instance
-    }
-
-    /// The spec describing this universe after one delta operation:
-    /// same functions, λ, and serving mode, with the tuple appended
-    /// (`Insert`) or swap-removed (`Remove`). The result's
-    /// [`UniverseSpec::key`] is the *content* fingerprint of the mutated
-    /// universe — identical to the key of a spec built flat from the
-    /// same tuples — so a delta chain and its from-scratch equivalent
-    /// can never occupy different cache entries (and two different
-    /// contents can never share one; see [`crate::fingerprint`]).
-    ///
-    /// Fails with [`DeltaError::IndexOutOfRange`] if a `Remove` index is
-    /// not below the current universe size.
-    pub fn apply(&self, op: &DeltaOp) -> Result<UniverseSpec, DeltaError> {
-        let mut next = self.clone();
-        op.apply_to(&mut next.universe)?;
-        next.key = OnceLock::new();
-        Ok(next)
     }
 
     /// The injective content fingerprint of this universe (see
@@ -434,7 +416,7 @@ mod tests {
     }
 
     /// A key already handed out must not follow the spec into a
-    /// different content or serving mode.
+    /// different serving mode.
     #[test]
     fn memoized_key_never_outlives_the_content_it_describes() {
         let base = spec(6);
@@ -448,10 +430,5 @@ mod tests {
             coreset.key(),
             spec(6).with_coreset(CoresetSpec::with_budget(4)).key()
         );
-
-        let grown = base.apply(&DeltaOp::Insert(Tuple::ints([6, 0]))).unwrap();
-        assert_eq!(grown.key(), spec(7).key());
-        let shrunk = grown.apply(&DeltaOp::Remove(6)).unwrap();
-        assert_eq!(shrunk.key(), key);
     }
 }

@@ -22,17 +22,21 @@
 //!    ships a database already registered under its content name
 //!    leaves the registered one alone, acknowledged edits, relation
 //!    versions, warm entries and journal included.
+//! 5. **A repaired entry is metered as what it is** — however many
+//!    base edits a warm query has absorbed, the cache charges it for
+//!    its prepared state alone: no edit history rides along to crowd
+//!    out its neighbours.
 
 use divr_core::distance::{NumericDistance, TableDistance};
-use divr_core::engine::{spare_buffers, DeltaOp, EngineRequest};
+use divr_core::engine::{spare_buffers, EngineRequest};
 use divr_core::prelude::*;
 use divr_core::relevance::{AttributeRelevance, TableRelevance};
 use divr_core::Ratio;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple};
 use divr_server::{
-    CheckedAnswer, Durability, QueryFrontDoor, QuerySpec, Registry, RegistryConfig, TenantBatch,
-    UniverseSpec,
+    CheckedAnswer, CoresetSpec, Durability, QueryFrontDoor, QuerySpec, Registry, RegistryConfig,
+    TenantBatch, UniverseSpec,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -485,12 +489,12 @@ fn matrix_bits(prepared: &divr_server::PreparedVariant) -> Vec<u64> {
 /// park, so the free-list gauge below is its own.)
 #[test]
 fn eviction_recycles_allocations_stale_free_across_two_sizes() {
-    let registry = Registry::new(RegistryConfig {
+    let registry = Arc::new(Registry::new(RegistryConfig {
         byte_budget: 1,
         shards: 1,
         workers: 1,
         solve_threads: 1,
-    });
+    }));
     let requests: Vec<EngineRequest> = ObjectiveKind::ALL
         .into_iter()
         .map(|kind| EngineRequest { kind, k: 6 })
@@ -538,25 +542,42 @@ fn eviction_recycles_allocations_stale_free_across_two_sizes() {
     }
     assert_eq!(registry.stats().evictions, 11);
 
-    // The resident universe was built in recycled memory. Grow it past
-    // its headroom (24 rows at n = 388) by warm migration: the inserts
-    // write into cells that build never touched, then re-stride. A cold
-    // prepare of the same tuples in another registry must agree.
-    let mut spec = specs[3].clone();
-    for step in 0..30 {
-        let tuple = Tuple::ints([5_000 + 3 * step, step % 5]);
-        spec = registry.apply_delta(&spec, &DeltaOp::Insert(tuple)).unwrap();
+    // Serve the resident universe's rows as a query over a database:
+    // at this budget the query's build evicts that universe and runs in
+    // the buffer it parks. Grow the one warm entry past its headroom
+    // (24 rows at n = 388) by base inserts: each repair writes into
+    // cells the build never touched, then re-strides, and none of them
+    // is a miss. The new rows lie far outside the old ones, so every
+    // objective reads them; a cold prepare of the same sequence in
+    // another registry must answer the same.
+    let front = QueryFrontDoor::new(Arc::clone(&registry));
+    let mut db = Database::new();
+    db.create_relation("R", &["position", "score"]).unwrap();
+    for row in specs[3].universe() {
+        db.insert_tuple("R", row.clone()).unwrap();
     }
-    assert_eq!(registry.version_of(&spec), Some(30));
-    let cold = Registry::default();
+    front.register_database("main", db);
+    let instance = specs[3].instance().clone();
+    let q = QuerySpec::from_instance(parse_query("Q(x, y) :- R(x, y)").unwrap(), instance.clone())
+        .unwrap();
+    front.serve_query("main", &q, &requests).unwrap();
+    let misses = registry.stats().misses;
+    for step in 0..30 {
+        let row = [5_000 + 3 * step, step % 5].map(divr_relquery::Value::int);
+        assert!(front.insert_base_tuple("main", "R", row.to_vec()).unwrap());
+    }
+    let grown = UniverseSpec::from_instance(front.universe_of("main", &q).unwrap(), instance);
+    assert_eq!(grown.universe().len(), 388 + 30);
+    let requests: Vec<EngineRequest> = [6, 40]
+        .into_iter()
+        .flat_map(|k| ObjectiveKind::ALL.map(|kind| EngineRequest { kind, k }))
+        .collect();
     assert_eq!(
-        matrix_bits(&registry.try_prepare(&spec).unwrap()),
-        matrix_bits(&cold.try_prepare(&spec).unwrap())
+        front.serve_query("main", &q, &requests).unwrap(),
+        serve_all(&Registry::default(), &grown, &requests)
     );
-    assert_eq!(
-        serve_all(&registry, &spec, &requests),
-        serve_all(&cold, &spec, &requests)
-    );
+    let stats = registry.stats();
+    assert_eq!((stats.entries, stats.misses), (1, misses), "repaired, never rebuilt");
 }
 
 /// Property 4. Two workers can each hold a first-sight `query` frame
@@ -625,4 +646,47 @@ fn a_late_first_sight_registration_leaves_a_mutated_database_alone() {
         "served from the entry that was warm"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Property 5, to the byte, on an explicit-coreset query (a full
+/// matrix's allocated stride depends on when it last grew, so its bytes
+/// are not a function of the sequence alone): after 1 000 base inserts,
+/// some absorbed under a representative and some displacing one, all
+/// repaired in the one warm entry, the cache holds what a cold prepare
+/// of the same sequence weighs.
+#[test]
+fn a_long_mutated_warm_query_is_metered_like_a_cold_prepare() {
+    let registry = Arc::new(Registry::default());
+    let front = QueryFrontDoor::new(Arc::clone(&registry));
+    let base = keyed_spec(64, 0).with_coreset(CoresetSpec::with_budget(16));
+    let mut db = Database::new();
+    db.create_relation("R", &["position", "score"]).unwrap();
+    for row in base.universe() {
+        db.insert_tuple("R", row.clone()).unwrap();
+    }
+    front.register_database("main", db);
+    let q = QuerySpec::from_instance(
+        parse_query("Q(x, y) :- R(x, y)").unwrap(),
+        base.instance().clone(),
+    )
+    .unwrap();
+    let request = [EngineRequest {
+        kind: ObjectiveKind::MaxSum,
+        k: 4,
+    }];
+    front.serve_query("main", &q, &request).unwrap();
+    for step in 0..1_000 {
+        // 3 989 is prime: 1 000 distinct positions past the base rows.
+        let row = [200 + step * 37 % 3_989, step % 5].map(divr_relquery::Value::int);
+        assert!(front.insert_base_tuple("main", "R", row.to_vec()).unwrap());
+    }
+    front.serve_query("main", &q, &request).unwrap();
+    let sequence = front.universe_of("main", &q).unwrap();
+    assert_eq!(sequence.len(), 64 + 1_000);
+    let cold = UniverseSpec::from_instance(sequence, base.instance().clone())
+        .try_prepare_variant(1)
+        .unwrap();
+    let stats = registry.stats();
+    assert_eq!((stats.entries, stats.misses), (1, 1), "one entry, repaired");
+    assert_eq!(stats.bytes, cold.approx_bytes());
 }

@@ -14,8 +14,8 @@ use divr_core::{Deadline, Ratio};
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple};
 use divr_server::{
-    CheckedAnswer, CoresetSpec, DeltaOp, Durability, FingerprintEncoder, Fingerprintable,
-    QueryError, QueryFrontDoor, QuerySpec, Registry, RegistryConfig, TenantBatch, UniverseSpec,
+    CheckedAnswer, CoresetSpec, Durability, FingerprintEncoder, Fingerprintable, QueryError,
+    QueryFrontDoor, QuerySpec, Registry, RegistryConfig, TenantBatch, UniverseSpec,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -226,19 +226,28 @@ fn resident_and_migrated_entries_survive_an_expired_deadline() {
     assert!(registry.stats().hits > hits);
     assert!(registry.is_cached(&base));
 
-    // The same after a delta migrated the entry: the abandoned solves
-    // leave the migrated state intact, and it then serves warm —
-    // bit-identically to a fresh engine over the mutated universe.
-    let mutated = registry
-        .apply_delta(&base, &DeltaOp::Insert(Tuple::ints([100, 3])))
-        .unwrap();
-    for answer in serve(&registry, &mutated, expired()) {
+    // The same after a base edit migrated a warm query's entry: the
+    // abandoned solves leave the migrated state intact, and it then
+    // serves warm — bit-identically to a fresh engine over the edited
+    // universe.
+    let f = front();
+    let q = query_spec();
+    f.serve_query("main", &q, &requests()).unwrap();
+    let row = [100, 3].map(divr_relquery::Value::int);
+    assert!(f.insert_base_tuple("main", "R", row.to_vec()).unwrap());
+    let misses = f.registry().stats().misses;
+    for answer in f.serve_query_deadline("main", &q, &requests(), expired()).unwrap() {
         assert_eq!(answer, Err(ServeError::DeadlineExceeded));
     }
-    assert_eq!(registry.version_of(&mutated), Some(1));
-    let misses = registry.stats().misses;
-    assert_eq!(serve(&registry, &mutated, Deadline::none()), fresh(&mutated));
-    assert_eq!(registry.stats().misses, misses, "the migrated entry went cold");
+    let mutated = UniverseSpec::new(
+        f.universe_of("main", &q).unwrap(),
+        rel(),
+        dis(),
+        Ratio::new(1, 2),
+    );
+    assert_eq!(mutated.universe().len(), N as usize + 1);
+    assert_eq!(f.serve_query("main", &q, &requests()).unwrap(), fresh(&mutated));
+    assert_eq!(f.registry().stats().misses, misses, "the migrated entry went cold");
 }
 
 /// An infeasible `k` on a resident universe under an expired deadline

@@ -3,8 +3,8 @@
 //! A deterministic tape drives the real durability subsystem — database
 //! registration, a warm query, base-table edits through both the insert
 //! and removal fan-out, a mid-tape checkpoint (so a snapshot AND
-//! trailing WAL records both exist), and a universe-keyed entry with a
-//! delta — then the resulting files are mangled:
+//! trailing WAL records both exist), and a universe-keyed entry ahead
+//! of the last edit — then the resulting files are mangled:
 //!
 //! * **truncation at every byte offset** of the snapshot and of every
 //!   WAL segment (the torn-write spectrum: a crash can stop a write
@@ -20,7 +20,7 @@
 //! served answer is bit-identical to a fresh prepare over the recovered
 //! content. Corruption may cost warmth; it may never invent state.
 
-use divr_core::engine::{DeltaOp, EngineRequest};
+use divr_core::engine::EngineRequest;
 use divr_core::prelude::*;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple, Value};
@@ -110,7 +110,9 @@ fn prefix_dbs() -> Vec<Database> {
     d2.remove_tuple("R", &Tuple::ints([1, 1])).unwrap();
     let mut d3 = d2.clone();
     d3.insert("S", vec![Value::int(0), Value::int(99)]).unwrap();
-    vec![d0, d1, d2, d3]
+    let mut d4 = d3.clone();
+    d4.insert("R", vec![Value::int(101), Value::int(0)]).unwrap();
+    vec![d0, d1, d2, d3, d4]
 }
 
 /// Runs the tape against a fresh data directory and closes cleanly
@@ -139,13 +141,12 @@ fn build_tape(dir: &Path) {
         .insert_base_tuple("main", "S", vec![Value::int(0), Value::int(99)])
         .unwrap();
 
-    // A universe-keyed entry and a delta migration ride the same WAL.
-    let us = uspec();
-    registry.try_prepare(&us).unwrap();
-    let us2 = registry
-        .apply_delta(&us, &DeltaOp::Insert(Tuple::ints([99, 3])))
+    // A universe-keyed entry rides the same WAL: an unsynced hint,
+    // made durable by the acknowledged base edit after it.
+    registry.try_prepare(&uspec()).unwrap();
+    front
+        .insert_base_tuple("main", "R", vec![Value::int(101), Value::int(0)])
         .unwrap();
-    drop(us2);
 }
 
 /// Opens `dir`, recovers eagerly, and asserts the consistent-prefix
@@ -310,9 +311,7 @@ fn a_checkpointed_close_replays_nothing_and_restarts_warm() {
     );
     assert_eq!(report.failed_entries, 0);
     assert!(report.recovered_queries >= 1 && report.recovered_universes >= 1);
-    let us = uspec()
-        .apply(&DeltaOp::Insert(Tuple::ints([99, 3])))
-        .unwrap();
+    let us = uspec();
     let after = front.serve_query("main", &q, &reqs()).unwrap();
     let cold = Registry::default();
     for request in reqs() {

@@ -117,8 +117,7 @@ fn k_larger_than_result_means_no_valid_sets_not_an_error() {
 #[test]
 fn k_above_n_after_removals_is_a_typed_error_not_a_panic() {
     use divr::core::engine::{Engine, EngineRequest, PreparedUniverse, ServeError};
-    use divr::server::{Registry, UniverseSpec};
-    use divr::DeltaOp;
+    use divr::{QueryFrontDoor, QuerySpec, Registry};
     use std::sync::Arc;
 
     // Engine path: a feasible k becomes infeasible once removals shrink
@@ -151,17 +150,21 @@ fn k_above_n_after_removals_is_a_typed_error_not_a_panic() {
         Err(ServeError::InfeasibleK { k: 4, n: 3 })
     );
 
-    // Registry path: the same shrink through the delta API yields the
-    // same typed error, never a panic.
-    let registry = Registry::default();
-    let mut spec = UniverseSpec::new(universe, Arc::new(rel), Arc::new(dis), Ratio::new(1, 2));
-    registry.try_prepare(&spec).unwrap();
-    spec = registry.apply_delta(&spec, &DeltaOp::Remove(0)).unwrap();
-    spec = registry.apply_delta(&spec, &DeltaOp::Remove(0)).unwrap();
+    // Served path: the same shrink by base-table removals under a warm
+    // query yields the same typed error, never a panic.
+    let front = QueryFrontDoor::new(Arc::new(Registry::default()));
+    front.register_database("main", db());
+    let query = parser::parse_query("Q(x, p) :- items(x, p)").unwrap();
+    let spec = QuerySpec::new(query, Arc::new(rel), Arc::new(dis), Ratio::new(1, 2)).unwrap();
+    assert!(front.serve_query("main", &spec, &[req]).unwrap()[0].is_ok());
+    for row in &universe[..2] {
+        assert!(front.remove_base_tuple("main", "items", row.iter().cloned().collect()).unwrap());
+    }
     assert_eq!(
-        registry.try_serve(&spec, req),
-        Err(ServeError::InfeasibleK { k: 4, n: 3 })
+        front.serve_query("main", &spec, &[req]).unwrap(),
+        [Err(ServeError::InfeasibleK { k: 4, n: 3 })]
     );
+    assert_eq!(front.registry().stats().misses, 1, "shrunk warm, not rebuilt");
 }
 
 #[test]
