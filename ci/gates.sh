@@ -45,7 +45,7 @@ while read -r crate max; do
   gate "pub items in crates/$crate/src" \
     "$(grep -rhE '^\s*pub (fn|struct|enum|trait|type|const|static|mod) ' "crates/$crate/src" | wc -l)" -le "$max"
 done <<'EOF'
-core 362
+core 361
 server 92
 service 74
 relquery 145
@@ -91,6 +91,17 @@ gate "insert_versioned( is called nowhere under crates/ tests/ examples/" \
   "$(grep -rF --include='*.rs' '.insert_versioned(' crates tests examples | wc -l)" -eq 0
 gate "one coreset build under crates/server/src" \
   "$(nontest $SERVER | calls 'PreparedCoreset::try_build_shared_deadline(')" -eq 1
+# One way to build a coreset: selection. `PreparedCoreset::insert_tuple`
+# repairs a built one under a base edit, so its one caller is
+# `PreparedVariant::patch` and no build can be an insertion stream again.
+# Textual: the other `insert_tuple(`s are `Database`'s (`db.`) and
+# `PreparedUniverse`'s — defined in engine/, called on the sub-universe
+# inside coreset/prepared.rs and by patch's full-matrix arm.
+gate "insert_tuple( in coreset/prepared.rs is the sub-universe's" \
+  "$(nontest crates/core/src/coreset/prepared.rs | grep -vE 'fn insert_tuple|sub(_mut\(\))?\.insert_tuple\(' | calls 'insert_tuple(')" -eq 0
+gate "…and elsewhere only patch's two arms call a prepared state's insert_tuple" \
+  "$(nontest $(rs crates/core/src crates/server/src crates/service/src | grep -vE '/engine/|coreset/prepared\.rs$') | grep -vF 'db.insert_tuple(' | calls 'insert_tuple(')" -eq 2
+gate "…both in variant.rs" "$(nontest crates/core/src/variant.rs | calls 'insert_tuple(')" -eq 2
 # One byte writer: the key encoder is an alias of divr_core::ByteWriter.
 gate "no struct FingerprintEncoder" "$(grep -rl 'struct FingerprintEncoder' crates | wc -l)" -eq 0
 # One process-wide free list (the matrix buffers). The item, not the

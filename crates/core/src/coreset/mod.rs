@@ -102,7 +102,7 @@ use crate::ratio::Ratio;
 use divr_relquery::Tuple;
 
 /// Size of `Q(D)` above which `divr-server`'s query front door
-/// escalates from the full-matrix engine to a streamed coreset: at
+/// escalates from the full-matrix engine to a selected coreset: at
 /// this `n` the flat `f64` matrix costs `n²·8 B = 128 MiB` and its
 /// build cost starts to dominate every request.
 pub const CORESET_AUTO_THRESHOLD: usize = 4096;
@@ -179,12 +179,15 @@ pub struct Coreset {
     pub(super) assignment: Vec<usize>,
     /// For each universe item, the float distance to its assigned
     /// representative — retained (not just its max) because the
-    /// streaming maintenance path ([`PreparedCoreset::insert_tuple`])
-    /// needs per-item coverage to decide absorb-vs-displace in `O(n)`.
+    /// insert path ([`PreparedCoreset::insert_tuple`]) needs per-item
+    /// coverage to decide absorb-vs-displace in `O(n)`. An upper bound
+    /// after a displacement.
     pub(super) nearest: Vec<f64>,
-    /// `max_i δ_dis(i, rep(i))` in float — the k-center covering radius
-    /// of the selection, a direct quality diagnostic (0 when `m = n`).
+    /// `max_i nearest[i]` — the k-center covering radius, a direct
+    /// quality diagnostic (0 when `m = n`).
     pub(super) covering_radius: f64,
+    /// The covering radius the selection left, which inserts never move.
+    pub(super) selection_radius: f64,
 }
 
 /// One coverage sweep over items `base..base + nearest.len()`: folds the
@@ -384,6 +387,7 @@ impl Coreset {
                 assignment: (0..n).collect(),
                 nearest: vec![0.0; n],
                 covering_radius: 0.0,
+                selection_radius: 0.0,
             });
         }
 
@@ -491,6 +495,7 @@ impl Coreset {
             assignment,
             nearest,
             covering_radius,
+            selection_radius: covering_radius,
         })
     }
 
@@ -511,14 +516,21 @@ impl Coreset {
     }
 
     /// Float distance from item `i` to its nearest representative
-    /// (`0.0` for the representatives themselves).
+    /// (`0.0` for the representatives themselves; an upper bound after
+    /// an insert displaced a representative).
     pub fn rep_distance(&self, i: usize) -> f64 {
         self.nearest[i]
     }
 
-    /// The float k-center covering radius of the selection.
+    /// The float k-center covering radius (an upper bound after an
+    /// insert displaced a representative).
     pub fn covering_radius(&self) -> f64 {
         self.covering_radius
+    }
+
+    /// The covering radius the selection left.
+    pub(crate) fn selection_radius(&self) -> f64 {
+        self.selection_radius
     }
 }
 

@@ -126,44 +126,6 @@ impl PreparedCoreset {
         )?))
     }
 
-    /// Prepares the coreset path from a **tuple stream** without ever
-    /// materializing `Q(D)` as a separate vector: the first `budget`
-    /// tuples seed an identity coreset via
-    /// [`PreparedCoreset::try_build_shared_deadline`] (`m == n`, so
-    /// selection over the seed is trivially exact), and every further
-    /// tuple flows through the [`PreparedCoreset::insert_tuple`]
-    /// incremental path. The only `O(n)` storage is the prepared
-    /// state's own universe — the copy serving needs anyway for exact
-    /// re-scoring.
-    ///
-    /// Deterministic in the stream order: two calls over the same
-    /// sequence produce identical prepared state, which is what lets a
-    /// query front door that streams evaluator output be differential-
-    /// tested against by-hand materialization of the same sequence.
-    ///
-    /// `deadline` is checked per streamed insert (each insert is at
-    /// most `O(n)` work); abandonment returns
-    /// [`ServeError::DeadlineExceeded`] and drops the partial state.
-    pub fn try_build_streaming_deadline(
-        tuples: impl IntoIterator<Item = Tuple>,
-        rel: &dyn Relevance,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        config: &CoresetConfig,
-        deadline: Deadline,
-    ) -> Result<PreparedCoreset, ServeError> {
-        let mut it = tuples.into_iter();
-        let seed: Vec<Tuple> = it.by_ref().take(config.budget.max(1)).collect();
-        let mut prepared =
-            Self::try_build_shared_deadline(seed, rel, dis, lambda, config, deadline)?;
-        for t in it {
-            deadline.check()?;
-            let r = rel.rel(&t);
-            prepared.insert_tuple(t, r);
-        }
-        Ok(prepared)
-    }
-
     /// Full-universe size `n`.
     pub fn n(&self) -> usize {
         self.universe.len()
@@ -204,42 +166,37 @@ impl PreparedCoreset {
     /// k-center structure — a new point either fits the current coverage
     /// or earns a representative slot:
     ///
-    /// * **budget open** (`m < budget`): the new item becomes a
-    ///   representative outright — the `m × m` sub-universe grows by one
-    ///   row via [`PreparedUniverse::insert_tuple`] (`O(m)` oracle
-    ///   calls), and one `O(n)` coverage pass re-homes any item now
-    ///   closer to it.
+    /// * **budget open** (`m < budget`, so the coreset is the identity):
+    ///   the new item becomes a representative outright — the `m × m`
+    ///   sub-universe grows by one row via
+    ///   [`PreparedUniverse::insert_tuple`] (`O(m)` oracle calls).
     /// * **inside coverage** (`min_p δ(x, rep_p) ≤ covering_radius`):
     ///   the item is absorbed — assigned to its nearest representative,
     ///   `O(m)` oracle calls, sub-universe untouched.
     /// * **outside coverage**: the item *displaces* the representative
     ///   nearest to it (swap-remove on the sub-universe, then an `O(n)`
     ///   re-homing pass) — the classical "far point becomes a center"
-    ///   rule, keeping the representative set spread out.
+    ///   rule. The orphans move to the new item, so their coverage
+    ///   distances become upper bounds.
     ///
     /// Unlike the full-matrix engine's deltas this is **not**
     /// bit-identical to a fresh [`Coreset::select`] over the grown
     /// universe (selection order is history-dependent, and the
     /// ascending-indices invariant is relaxed once a displacement
     /// occurs); the contract is the measured quality-factor bound that
-    /// `tests/coreset_matches_engine.rs` pins for insertion streams.
+    /// `tests/coreset_matches_engine.rs` pins, and the 2× cover that
+    /// [`PreparedVariant::patch`](crate::PreparedVariant::patch) holds.
     pub fn insert_tuple(&mut self, tuple: Tuple, rel: Ratio) {
         let x = self.universe.len();
         let m = self.coreset.m();
         self.mono_sums.repair_insert(&*self.dis, &tuple);
         if m < self.config.budget.max(1) || m == 0 {
             // Budget open: x becomes representative m.
+            debug_assert_eq!(m, x, "an open budget means an identity coreset");
             self.sub_mut().insert_tuple(tuple.clone(), rel);
             self.coreset.indices.push(x);
             self.coreset.assignment.push(m);
             self.coreset.nearest.push(0.0);
-            for i in 0..x {
-                let d = self.dis.dist_f64(&self.universe[i], &tuple);
-                if d < self.coreset.nearest[i] {
-                    self.coreset.nearest[i] = d;
-                    self.coreset.assignment[i] = m;
-                }
-            }
         } else {
             // Distances from the new item to every representative.
             let (p_near, d_min) = self
@@ -409,52 +366,6 @@ mod tests {
 
     fn dis() -> Arc<dyn Distance + Send + Sync> {
         Arc::new(DIS)
-    }
-
-    fn stream(u: Vec<Tuple>, cfg: &CoresetConfig) -> PreparedCoreset {
-        PreparedCoreset::try_build_streaming_deadline(
-            u,
-            &REL,
-            dis(),
-            Ratio::new(1, 2),
-            cfg,
-            Deadline::none(),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn build_streaming_matches_build_shared_within_budget() {
-        let u = line_universe(30);
-        let cfg = CoresetConfig::with_budget(64);
-        let a = PreparedCoreset::build_shared(u.clone(), &REL, dis(), Ratio::new(1, 2), &cfg);
-        let b = stream(u, &cfg);
-        assert_eq!(a.universe(), b.universe());
-        assert_eq!(a.coreset().indices(), b.coreset().indices());
-        assert_eq!(a.m(), b.m());
-    }
-
-    #[test]
-    fn build_streaming_is_deterministic_beyond_budget() {
-        let u = line_universe(200);
-        let cfg = CoresetConfig::with_budget(16);
-        let a = stream(u.clone(), &cfg);
-        let b = stream(u.clone(), &cfg);
-        assert_eq!(a.universe(), u.as_slice());
-        assert_eq!(a.universe(), b.universe());
-        assert_eq!(a.coreset().indices(), b.coreset().indices());
-        assert_eq!(a.m(), 16);
-        // Same prepared state as materializing the vector by hand and
-        // feeding it through the identical seed+insert procedure: the
-        // front-door differential suites rely on this equivalence.
-        let mut it = u.into_iter();
-        let seed: Vec<Tuple> = it.by_ref().take(16).collect();
-        let mut byhand = PreparedCoreset::build_shared(seed, &REL, dis(), Ratio::new(1, 2), &cfg);
-        for t in it {
-            let r = REL.rel(&t);
-            byhand.insert_tuple(t, r);
-        }
-        assert_eq!(a.coreset().indices(), byhand.coreset().indices());
     }
 
     #[test]

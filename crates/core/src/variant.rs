@@ -98,8 +98,11 @@ impl PreparedVariant {
     ///   bad, and it is checked as it lands (`O(n)`, not a rescan);
     /// * a coreset that is still shared (it has no `O(1)` fork) or is
     ///   asked to remove — it cannot un-derive a departed tuple's
-    ///   contributions, and extending its insertion stream *is* its
-    ///   repair;
+    ///   contributions, and absorbing an insert *is* its repair;
+    /// * a coreset an insert leaves with a covering radius above twice
+    ///   its selection's: the next serve selects afresh (an identity
+    ///   coreset goes cold on its first displacement). Deterministic,
+    ///   so recovery's replay refuses at the same insert;
     /// * a removal index outside the universe.
     ///
     /// A shared full-matrix state is forked first: solves in flight
@@ -131,6 +134,10 @@ impl PreparedVariant {
                     let DeltaOp::Insert(t) = op else { return None };
                     p.insert_tuple(t.clone(), rel.rel(t));
                     p.check_finite_item(p.n() - 1).ok()?;
+                    let cover = p.coreset();
+                    if cover.covering_radius() > 2.0 * cover.selection_radius() {
+                        return None;
+                    }
                 }
                 Some(PreparedVariant::Coreset(Arc::new(p)))
             }

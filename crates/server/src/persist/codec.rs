@@ -89,19 +89,24 @@ fn decode_database(r: &mut ByteReader<'_>) -> Result<Database, CodecError> {
     Ok(db)
 }
 
-fn write_warm_kind(w: &mut ByteWriter, kind: WarmKind) {
+/// `0` a full matrix; a coreset `1` under an explicit mode, else `2` —
+/// two restore recipes once, one now, the bytes kept.
+fn write_warm_kind(w: &mut ByteWriter, kind: WarmKind, spec: &QuerySpec) {
     w.write_u8(match kind {
         WarmKind::Full => 0,
-        WarmKind::CoresetExplicit => 1,
-        WarmKind::CoresetStreamed => 2,
+        WarmKind::Coreset if spec.instance().coreset().is_some() => 1,
+        WarmKind::Coreset => 2,
     });
 }
 
-fn read_warm_kind(r: &mut ByteReader<'_>) -> Result<WarmKind, CodecError> {
+/// Inverse of [`write_warm_kind`]; `1` without an explicit mode is refused.
+fn read_warm_kind(r: &mut ByteReader<'_>, spec: &QuerySpec) -> Result<WarmKind, CodecError> {
     match r.read_u8()? {
         0 => Ok(WarmKind::Full),
-        1 => Ok(WarmKind::CoresetExplicit),
-        2 => Ok(WarmKind::CoresetStreamed),
+        1 if spec.instance().coreset().is_none() => {
+            Err(CodecError::Invalid("explicit kind without mode"))
+        }
+        1 | 2 => Ok(WarmKind::Coreset),
         _ => Err(CodecError::Invalid("warm kind tag")),
     }
 }
@@ -179,7 +184,7 @@ pub(super) fn encode_record(rec: &Record) -> Result<Vec<u8>, Unpersistable> {
             w.write_str(db);
             encode_query_spec(&mut w, &entry.spec);
             w.write_tuples(&entry.universe);
-            write_warm_kind(&mut w, entry.kind);
+            write_warm_kind(&mut w, entry.kind, &entry.spec);
             w.write_usize(entry.base_len);
             w.write_u64(0); // reserved: once a version, read back by nothing
         }
@@ -214,12 +219,9 @@ pub(super) fn decode_record(payload: &[u8]) -> Result<Record, CodecError> {
             let db = r.read_str()?.to_string();
             let spec = decode_query_spec(&mut r)?;
             let universe = r.read_tuples()?;
-            let kind = read_warm_kind(&mut r)?;
+            let kind = read_warm_kind(&mut r, &spec)?;
             let base_len = r.read_usize()?;
             r.read_u64()?; // reserved; snapshots written before it was hold a count here
-            if kind == WarmKind::CoresetExplicit && spec.instance().coreset().is_none() {
-                return Err(CodecError::Invalid("explicit kind without mode"));
-            }
             Record::WarmQuery {
                 db,
                 entry: WarmQueryRecord {
@@ -398,7 +400,7 @@ mod tests {
                 entry: WarmQueryRecord {
                     spec,
                     universe: tuples(3),
-                    kind: WarmKind::CoresetStreamed,
+                    kind: WarmKind::Coreset,
                     base_len: 3,
                 },
             })
@@ -412,6 +414,74 @@ mod tests {
                     "prefix of length {cut} decoded"
                 );
             }
+        }
+    }
+
+    /// A coreset's warm kind byte keeps the bytes older data directories
+    /// hold: `1` under an explicit mode, `2` when auto-escalated (these
+    /// literals come from the writer that still had a recipe for each).
+    /// Both read back as the one `Coreset` kind; `1` without a mode is
+    /// still refused, and so is a byte past `2`.
+    #[test]
+    fn both_coreset_kind_bytes_read_as_one_kind() {
+        let query = || parse_query("Q(x, y) :- R(x, y)").unwrap();
+        let auto = QuerySpec::new(query(), rel(), dis(), Ratio::new(1, 2)).unwrap();
+        let explicit = auto.clone().with_coreset(CoresetSpec {
+            budget: 8,
+            refine_rounds: 2,
+        });
+        let explicit_payload = concat!(
+            "0604000000000000006d61696e12000000000000005128782c207929203a2d20",
+            "5228782c2079293800000000000000080000000000000072656c3a6174747201",
+            "0000000000000000000000000000000000000000000000010000000000000000",
+            "000000000000003b000000000000000b000000000000006469733a6e756d6572",
+            "6963000000000000000001000000000000000000000000000000010000000000",
+            "0000000000000000000001000000000000000000000000000000020000000000",
+            "0000000000000000000001080000000000000002000000000000004000000000",
+            "0000000300000000000000020000000000000000000000000000000000000000",
+            "0000000000020000000000000000010000000000000000010000000000000002",
+            "0000000000000000020000000000000000020000000000000001030000000000",
+            "00000000000000000000",
+        );
+        let auto_payload = concat!(
+            "0604000000000000006d61696e12000000000000005128782c207929203a2d20",
+            "5228782c2079293800000000000000080000000000000072656c3a6174747201",
+            "0000000000000000000000000000000000000000000000010000000000000000",
+            "000000000000003b000000000000000b000000000000006469733a6e756d6572",
+            "6963000000000000000001000000000000000000000000000000010000000000",
+            "0000000000000000000001000000000000000000000000000000020000000000",
+            "0000000000000000000000400000000000000003000000000000000200000000",
+            "0000000000000000000000000000000000000000000200000000000000000100",
+            "0000000000000001000000000000000200000000000000000200000000000000",
+            "0002000000000000000203000000000000000000000000000000",
+        );
+        for (spec, payload) in [(explicit, explicit_payload), (auto, auto_payload)] {
+            let rec = Record::WarmQuery {
+                db: "main".into(),
+                entry: WarmQueryRecord {
+                    spec: spec.clone(),
+                    universe: tuples(3),
+                    kind: WarmKind::Coreset,
+                    base_len: 3,
+                },
+            };
+            assert_eq!(hex(&encode_record(&rec).unwrap()), payload);
+            match decode_record(&unhex(payload)).unwrap() {
+                Record::WarmQuery { entry, .. } => {
+                    assert_eq!(entry.kind, WarmKind::Coreset);
+                    assert_eq!(query_ident(&entry.spec), query_ident(&spec));
+                    assert_eq!((entry.universe, entry.base_len), (tuples(3), 3));
+                }
+                other => panic!("wrong record: {other:?}"),
+            }
+        }
+        // The kind byte precedes the base length and the reserved word.
+        let mut forged = unhex(auto_payload);
+        let at = forged.len() - 17;
+        assert_eq!(forged[at], 2);
+        for (byte, err) in [(1, "explicit kind without mode"), (3, "warm kind tag")] {
+            forged[at] = byte;
+            assert_eq!(decode_record(&forged).err(), Some(CodecError::Invalid(err)));
         }
     }
 

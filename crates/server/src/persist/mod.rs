@@ -22,10 +22,11 @@
 //! recovery: a delta-repaired entry's order is *original evaluation
 //! order + appended repairs*, which a fresh evaluation would not
 //! reproduce, and answer tie-breaking follows index order. Restoring
-//! from the sequence (plus the variant kind and coreset base length)
-//! rebuilds prepared state bit-identical to what the crashed process
-//! was serving — the delta-conformance invariant that a prepare from a
-//! sequence equals the delta-migrated state that produced it.
+//! from the sequence (a build over its first `base_len` tuples, the
+//! rest patched in) rebuilds prepared state bit-identical to what the
+//! crashed process was serving — the delta-conformance invariant that
+//! a prepare plus the same deltas equals the delta-migrated state that
+//! produced it.
 //!
 //! ## What is (and is not) guaranteed
 //!
@@ -112,18 +113,13 @@ impl std::str::FromStr for RecoverMode {
     }
 }
 
-/// Which prepared shape a warm query entry had — the restore recipe.
-/// `Full` rebuilds the matrix over the persisted sequence;
-/// `CoresetExplicit` re-selects over the first `base_len` tuples and
-/// streams the rest in (matching a live entry that was built by
-/// selection and then delta-repaired); `CoresetStreamed` streams the
-/// whole sequence (the streaming contract makes prefix-build + inserts
-/// equal whole-sequence streaming).
+/// Which prepared shape a warm query entry has — a full matrix takes a
+/// removal, a coreset goes cold on one. Both restore one way
+/// (`QueryFrontDoor::restore_warm_query`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WarmKind {
     Full,
-    CoresetExplicit,
-    CoresetStreamed,
+    Coreset,
 }
 
 /// One warm query entry as the book tracks it: the spec plus the exact
@@ -527,13 +523,7 @@ impl Durability {
             }
             for (db, q) in queries {
                 let restored = catch_unwind(AssertUnwindSafe(|| {
-                    front.restore_warm_query(
-                        &db,
-                        &q.spec,
-                        q.universe.clone(),
-                        q.kind == WarmKind::CoresetStreamed,
-                        q.base_len,
-                    )
+                    front.restore_warm_query(&db, &q.spec, q.universe.clone(), q.base_len)
                 }));
                 match restored {
                     Ok(Some(())) => report.recovered_queries += 1,
@@ -624,23 +614,18 @@ impl Durability {
     }
 
     /// A query became warm at the front door (miss path only; hits
-    /// must not pay the O(n) sequence copy).
+    /// must not pay the O(n) sequence copy). A rebuild of a query the
+    /// book knows — after an eviction or a go-cold, a fresh evaluation
+    /// order — replaces its row: the book follows what is served.
     pub(crate) fn log_warm_query(&self, db: &str, spec: &QuerySpec, prepared: &PreparedVariant) {
         let universe = prepared.universe().to_vec();
         let kind = match prepared {
             PreparedVariant::Full(_) => WarmKind::Full,
-            PreparedVariant::Coreset(_) if spec.instance().coreset().is_some() => {
-                WarmKind::CoresetExplicit
-            }
-            PreparedVariant::Coreset(_) => WarmKind::CoresetStreamed,
+            PreparedVariant::Coreset(_) => WarmKind::Coreset,
         };
-        let ident = codec::query_ident(spec);
         let base_len = universe.len();
         let mut inner = self.lock();
-        let Some(bdb) = inner.book.dbs.get(db) else {
-            return;
-        };
-        if bdb.warm.contains_key(&ident) {
+        if !inner.book.dbs.contains_key(db) {
             return;
         }
         self.apply_and_log(

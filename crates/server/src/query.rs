@@ -21,11 +21,9 @@
 //! query *reads*, inserts into unrelated tables leave warm entries
 //! warm.
 //!
-//! Evaluation streams: the CQ evaluator's pull iterator feeds
-//! preparation directly. Universes at or under the auto-escalation
-//! threshold build the exact full matrix; larger ones flow into a
-//! streamed coreset (`Instance::build`) without `Q(D)` ever being
-//! materialized as a separate vector.
+//! Universes at or under the auto-escalation threshold build the exact
+//! full matrix; larger ones select a coreset over the whole result
+//! (`Instance::build`), as an explicit coreset mode does.
 //!
 //! Base-table inserts route through the delta machinery:
 //! [`QueryFrontDoor::insert_base_tuple`] computes each affected warm
@@ -141,7 +139,7 @@ impl QuerySpec {
     /// [`UniverseSpec::with_coreset`](crate::UniverseSpec::with_coreset)).
     /// Without this, universes at or below [`CORESET_AUTO_THRESHOLD`]
     /// build the exact full matrix and larger ones auto-escalate to a
-    /// streamed coreset sized by [`QuerySpec::with_max_k`].
+    /// coreset sized by [`QuerySpec::with_max_k`].
     pub fn with_coreset(mut self, mode: CoresetSpec) -> Self {
         self.instance = self.instance.with_coreset(mode);
         self
@@ -189,16 +187,16 @@ impl QuerySpec {
 
     /// [`Instance::build`] over a tuple sequence, with the
     /// auto-escalation coreset configuration when the sequence is past
-    /// the escalation threshold (`streamed`) — the miss path's and
-    /// recovery's one way in.
+    /// [`CORESET_AUTO_THRESHOLD`] — the miss path's and recovery's one
+    /// way in.
     fn build(
         &self,
-        tuples: impl Iterator<Item = Tuple>,
-        streamed: bool,
+        tuples: Vec<Tuple>,
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, ServeError> {
-        let auto = streamed.then(|| CoresetConfig::recommended(self.max_k).with_threads(threads));
+        let auto = (tuples.len() > CORESET_AUTO_THRESHOLD)
+            .then(|| CoresetConfig::recommended(self.max_k).with_threads(threads));
         self.instance.build(tuples, auto, threads, deadline)
     }
 }
@@ -357,44 +355,25 @@ impl QueryFrontDoor {
     }
 
     /// Evaluates and prepares `spec` against `db` — the miss path.
-    /// Streaming end to end in auto mode: at most
-    /// `CORESET_AUTO_THRESHOLD + 1` tuples are buffered before the
-    /// build commits to full-matrix or streamed-coreset preparation.
+    /// Evaluation polls the deadline every 64 tuples in every mode: a
+    /// huge result must not blow the budget before preparation starts.
     fn build_prepared(
         db: &Database,
         spec: &QuerySpec,
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, QueryError> {
-        let mut stream = stream_query(db, &spec.query)?.fuse();
-        let mut head: Vec<Tuple> = Vec::new();
-        if spec.instance.coreset().is_some() {
-            // Explicit coreset mode materializes, for bit-identity
-            // with the UniverseSpec path (Coreset::select over the
-            // whole universe, not the insertion stream).
-            head.extend(&mut stream);
-        } else {
-            // Pull until we know which side of the threshold this
-            // universe lands on. Evaluation itself polls the deadline
-            // every 64 tuples — a query whose result set is huge must
-            // not blow the budget before preparation even starts.
-            while head.len() <= CORESET_AUTO_THRESHOLD {
-                if head.len().is_multiple_of(64) {
-                    deadline.check()?;
-                }
-                match stream.next() {
-                    Some(t) => head.push(t),
-                    None => break,
-                }
+        let mut tuples: Vec<Tuple> = Vec::new();
+        for t in stream_query(db, &spec.query)? {
+            if tuples.len().is_multiple_of(64) {
+                deadline.check()?;
             }
+            tuples.push(t);
         }
-        if head.is_empty() {
+        if tuples.is_empty() {
             return Err(QueryError::EmptyResult);
         }
-        // Above threshold the rest of the evaluation flows straight
-        // into coreset maintenance — Q(D) is never a second vector.
-        let streamed = head.len() > CORESET_AUTO_THRESHOLD;
-        Ok(spec.build(head.into_iter().chain(stream), streamed, threads, deadline)?)
+        Ok(spec.build(tuples, threads, deadline)?)
     }
 
     /// The prepared state `spec` addresses against `db` — the one
@@ -504,17 +483,18 @@ impl QueryFrontDoor {
     /// `relation`, the new result tuples are computed semi-naively,
     /// deduplicated against the prepared universe (set semantics), and
     /// appended through the in-place delta path — full-matrix entries
-    /// extend their matrix `O(Δ · n)`, streamed-coreset entries extend
-    /// their insertion stream — then the entry is re-inserted under the
-    /// bumped relation version. Warm queries *not* reading `relation`
-    /// keep their keys and stay warm.
+    /// extend their matrix `O(Δ · n)`, coreset entries absorb each row
+    /// or let it displace a representative — then the entry is
+    /// re-inserted under the bumped relation version. Warm queries
+    /// *not* reading `relation` keep their keys and stay warm.
     ///
     /// Returns `Ok(false)` (and changes nothing, set semantics) if the
     /// tuple was already present.
     ///
     /// Entries that cannot be repaired incrementally — FO queries with
-    /// no semi-naive plan, or prepared state shared so widely it cannot
-    /// be mutated — are dropped and simply go cold; the next serve
+    /// no semi-naive plan, prepared state shared so widely it cannot be
+    /// mutated, or a coreset whose cover would pass twice its
+    /// selection's — are dropped and simply go cold; the next serve
     /// re-prepares at the new version. Nothing is ever served stale.
     pub fn insert_base_tuple(
         &self,
@@ -624,10 +604,10 @@ impl QueryFrontDoor {
     /// Rebuilds one recovered warm query entry — database already
     /// re-registered, `universe` the exact sequence the crashed process
     /// was serving — into prepared state bit-identical to it, through
-    /// the builder and the delta step that produced the original.
-    /// `streamed` picks the auto-escalated streaming build for specs
-    /// without an explicit coreset; explicit-coreset specs re-select
-    /// over the first `base_len` tuples and replay the rest as inserts.
+    /// the builder and the delta step that produced the original: a
+    /// build over the first `base_len` tuples, the rest patched in as
+    /// inserts — whatever the shape (a patched full matrix is the one a
+    /// whole-sequence build makes).
     /// Already-warm content is left untouched. `None` if the entry
     /// could not be rebuilt (it stays cold).
     pub(crate) fn restore_warm_query(
@@ -635,7 +615,6 @@ impl QueryFrontDoor {
         db: &str,
         spec: &QuerySpec,
         mut universe: Vec<Tuple>,
-        streamed: bool,
         base_len: usize,
     ) -> Option<()> {
         if universe.is_empty() {
@@ -646,15 +625,12 @@ impl QueryFrontDoor {
         let dbst = state.get_mut(db)?;
         let key = Self::key_of(db, dbst, spec);
         if !self.cache().contains(&key) {
-            let tail: Vec<DeltaOp> = match spec.instance.coreset() {
-                Some(_) => universe
-                    .split_off(base_len.min(universe.len()))
-                    .into_iter()
-                    .map(DeltaOp::Insert)
-                    .collect(),
-                None => Vec::new(),
-            };
-            let built = spec.build(universe.into_iter(), streamed, threads, Deadline::none());
+            let tail: Vec<DeltaOp> = universe
+                .split_off(base_len.min(universe.len()))
+                .into_iter()
+                .map(DeltaOp::Insert)
+                .collect();
+            let built = spec.build(universe, threads, Deadline::none());
             let prepared = built.ok()?.patch(&tail, &**spec.instance.relevance())?;
             self.cache().insert(&key, prepared);
         }

@@ -199,51 +199,33 @@ impl Instance {
     }
 
     /// The one validated build behind every cold prepare and every
-    /// recovery: a coreset selected over the whole sequence for an
-    /// explicit mode; else the coreset `streamed` configures, fed the
-    /// sequence as an insertion stream (a query's auto-escalation);
+    /// recovery: a coreset selected over the whole sequence under the
+    /// explicit mode, else under `auto` (a query's auto-escalation);
     /// else the exact full matrix — then `check_finite`. Refusals and
     /// the deadline are as [`UniverseSpec::try_prepare_variant_deadline`]
     /// documents them.
     pub(crate) fn build(
         &self,
-        tuples: impl Iterator<Item = Tuple>,
-        streamed: Option<CoresetConfig>,
+        tuples: Vec<Tuple>,
+        auto: Option<CoresetConfig>,
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, ServeError> {
         let (rel, dis, lambda) = (&*self.rel, self.dis.clone(), self.lambda);
-        let prepared = match (self.coreset, streamed) {
-            (Some(mode), _) => {
-                let config = CoresetConfig {
-                    budget: mode.budget,
-                    refine_rounds: mode.refine_rounds,
-                    threads,
-                };
+        let explicit = self.coreset.map(|mode| CoresetConfig {
+            budget: mode.budget,
+            refine_rounds: mode.refine_rounds,
+            threads,
+        });
+        let prepared = match explicit.or(auto) {
+            Some(config) => {
                 PreparedVariant::Coreset(Arc::new(PreparedCoreset::try_build_shared_deadline(
-                    tuples.collect(),
-                    rel,
-                    dis,
-                    lambda,
-                    &config,
-                    deadline,
-                )?))
-            }
-            (None, Some(config)) => {
-                PreparedVariant::Coreset(Arc::new(PreparedCoreset::try_build_streaming_deadline(
                     tuples, rel, dis, lambda, &config, deadline,
                 )?))
             }
-            (None, None) => {
-                PreparedVariant::Full(Arc::new(PreparedUniverse::try_build_shared_deadline(
-                    tuples.collect(),
-                    rel,
-                    dis,
-                    lambda,
-                    threads,
-                    deadline,
-                )?))
-            }
+            None => PreparedVariant::Full(Arc::new(PreparedUniverse::try_build_shared_deadline(
+                tuples, rel, dis, lambda, threads, deadline,
+            )?)),
         };
         prepared.check_finite()?;
         Ok(prepared)
@@ -381,7 +363,7 @@ impl UniverseSpec {
         deadline: Deadline,
     ) -> Result<PreparedVariant, ServeError> {
         self.instance
-            .build(self.universe.iter().cloned(), None, threads, deadline)
+            .build(self.universe.clone(), None, threads, deadline)
     }
 }
 

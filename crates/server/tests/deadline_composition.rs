@@ -395,3 +395,44 @@ fn mono_rescore_over_a_keyless_oracle_stops_within_one_sweep() {
         assert_eq!(registry.stats().misses, misses);
     }
 }
+
+/// An explicit-coreset query over a join whose evaluation alone takes
+/// ten times its deadline. Evaluation polls the deadline every 64 rows
+/// in every serving mode, so the miss is refused within twice the
+/// deadline, not after the whole join, and leaves nothing behind.
+#[test]
+fn an_explicit_coreset_query_stops_evaluating_at_its_deadline() {
+    use divr_relquery::{stream_query, Value};
+    let deadline = Duration::from_millis(50);
+    let join = parse_query("Q(x, z) :- R(x, y), S(y, z)").unwrap();
+    // One shared `y`: |R|·|S| result rows. Double both sides until the
+    // evaluation takes ten deadlines.
+    let mut side = 64;
+    let db = loop {
+        let mut db = Database::new();
+        db.create_relation("R", &["x", "y"]).unwrap();
+        db.create_relation("S", &["y", "z"]).unwrap();
+        for i in 0..side {
+            db.insert("R", vec![Value::int(i), Value::int(0)]).unwrap();
+            db.insert("S", vec![Value::int(0), Value::int(i)]).unwrap();
+        }
+        let started = Instant::now();
+        assert_eq!(stream_query(&db, &join).unwrap().count() as i64, side * side);
+        if started.elapsed() >= 10 * deadline {
+            break db;
+        }
+        side *= 2;
+    };
+    let f = QueryFrontDoor::new(Arc::new(Registry::default()));
+    f.register_database("join", db);
+    let q = QuerySpec::new(join, rel(), dis(), Ratio::new(1, 2))
+        .unwrap()
+        .with_coreset(CoresetSpec::with_budget(BUDGET));
+    let started = Instant::now();
+    let answer = f.serve_query_deadline("join", &q, &requests(), Deadline::at(started + deadline));
+    let took = started.elapsed();
+    assert_eq!(answer, Err(QueryError::Serve(ServeError::DeadlineExceeded)));
+    assert!(took < 2 * deadline, "refused after {took:?}");
+    assert!(!f.is_warm("join", &q).unwrap());
+    assert_eq!(f.registry().stats().entries, 0);
+}

@@ -20,12 +20,13 @@
 //! served answer is bit-identical to a fresh prepare over the recovered
 //! content. Corruption may cost warmth; it may never invent state.
 
+use divr_core::coreset::CORESET_AUTO_THRESHOLD;
 use divr_core::engine::EngineRequest;
 use divr_core::prelude::*;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple, Value};
 use divr_server::{
-    Durability, QueryFrontDoor, QuerySpec, RecoverMode, Registry, UniverseSpec,
+    Durability, QueryFrontDoor, QuerySpec, RecoverMode, Registry, RegistryConfig, UniverseSpec,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -431,4 +432,125 @@ fn lazy_recovery_registers_databases_but_stays_cold() {
     assert_eq!(universe, want);
     assert!(answers.iter().all(Result::is_ok));
     let _ = fs::remove_dir_all(&golden);
+}
+
+fn all_objectives(k: usize) -> Vec<EngineRequest> {
+    ObjectiveKind::ALL
+        .into_iter()
+        .map(|kind| EngineRequest { kind, k })
+        .collect()
+}
+
+fn identity_query() -> QuerySpec {
+    QuerySpec::new(
+        parse_query("Q(x, y) :- R(x, y)").unwrap(),
+        rel(),
+        dis(),
+        Ratio::new(1, 2),
+    )
+    .unwrap()
+}
+
+fn database_of(rows: &[Tuple]) -> Database {
+    let mut db = Database::new();
+    db.create_relation("R", &["x", "y"]).unwrap();
+    for row in rows {
+        db.insert_tuple("R", row.clone()).unwrap();
+    }
+    db
+}
+
+/// Opens `dir` into a fresh stack and recovers it eagerly.
+fn reopen_eager(dir: &Path) -> (Arc<Registry>, QueryFrontDoor) {
+    let d = Durability::open(dir).unwrap();
+    let registry = Arc::new(Registry::default());
+    let front = QueryFrontDoor::new(Arc::clone(&registry));
+    let report = d.recover(&registry, &front, RecoverMode::Eager);
+    assert_eq!(report.failed_entries, 0);
+    registry.attach_durability(d);
+    (registry, front)
+}
+
+/// The book follows a rebuilt query. Warm `Q(x, y) :- R(x, y)` over six
+/// rows and remove row 1: the warm sequence swap-removes to
+/// `r0 r5 r2 r3 r4`. Evict the entry and serve again: a fresh
+/// evaluation, in relation order `r0 r2 r3 r4 r5`. After a crash, eager
+/// recovery must restore the order the live process served last, or
+/// the indices it answers with name other rows.
+#[test]
+fn a_rebuilt_query_replaces_its_book_row() {
+    let dir = tmpdir("rebuilt");
+    let q = identity_query();
+    let r: Vec<Tuple> = (0..6).map(|i| Tuple::ints([10 * i, i % 3])).collect();
+    let (live_universe, live_answers) = {
+        let d = Durability::open(&dir).unwrap();
+        // One byte, one shard: whatever is inserted next evicts the
+        // query's entry.
+        let registry = Arc::new(Registry::new(RegistryConfig {
+            byte_budget: 1,
+            shards: 1,
+            ..RegistryConfig::default()
+        }));
+        let front = QueryFrontDoor::new(Arc::clone(&registry));
+        registry.attach_durability(Arc::clone(&d));
+        front.register_database("main", database_of(&r));
+        front.serve_query("main", &q, &all_objectives(2)).unwrap();
+        assert!(front.remove_base_tuple("main", "R", r[1].iter().cloned().collect()).unwrap());
+        let repaired = [&r[0], &r[5], &r[2], &r[3], &r[4]].map(Tuple::clone);
+        assert_eq!(front.universe_of("main", &q).unwrap(), repaired);
+        registry.try_prepare(&uspec()).unwrap();
+        assert!(!front.is_warm("main", &q).unwrap(), "evicted");
+        let answers = front.serve_query("main", &q, &all_objectives(2)).unwrap();
+        let rebuilt = front.universe_of("main", &q).unwrap();
+        assert_eq!(rebuilt, [&r[0], &r[2], &r[3], &r[4], &r[5]].map(Tuple::clone));
+        (rebuilt, answers)
+        // Dropped without a checkpoint: the WAL holds the book.
+    };
+    let (registry, front) = reopen_eager(&dir);
+    let misses = registry.stats().misses;
+    assert_eq!(front.universe_of("main", &q).unwrap(), live_universe);
+    assert_eq!(
+        front.serve_query("main", &q, &all_objectives(2)).unwrap(),
+        live_answers
+    );
+    assert_eq!(registry.stats().misses, misses, "recovered warm");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An auto-escalated entry — past `CORESET_AUTO_THRESHOLD`, a coreset
+/// selected over the evaluation — with base inserts patched into it,
+/// then a crash: eager recovery selects over the sequence the entry was
+/// built from, patches the same tail and serves bit-identically to the
+/// live process, warm.
+#[test]
+fn an_auto_escalated_entry_with_an_inserted_tail_recovers_bit_identically() {
+    let dir = tmpdir("auto-escalated");
+    let q = identity_query();
+    let n = CORESET_AUTO_THRESHOLD as i64 + 500;
+    let rows: Vec<Tuple> = (0..n).map(|i| Tuple::ints([3 * i, i % 5])).collect();
+    let (live_universe, live_answers) = {
+        let d = Durability::open(&dir).unwrap();
+        let registry = Arc::new(Registry::default());
+        let front = QueryFrontDoor::new(Arc::clone(&registry));
+        registry.attach_durability(Arc::clone(&d));
+        front.register_database("main", database_of(&rows));
+        front.serve_query("main", &q, &all_objectives(4)).unwrap();
+        // Keys between the base rows': each lands inside the cover.
+        for i in 0..20 {
+            let row = [3 * (i * 97 % n) + 1, 7].map(Value::int);
+            assert!(front.insert_base_tuple("main", "R", row.to_vec()).unwrap());
+        }
+        assert_eq!(registry.stats().misses, 1, "the tail was patched in");
+        let universe = front.universe_of("main", &q).unwrap();
+        assert_eq!(universe.len(), n as usize + 20);
+        (universe, front.serve_query("main", &q, &all_objectives(4)).unwrap())
+    };
+    let (registry, front) = reopen_eager(&dir);
+    assert_eq!(front.universe_of("main", &q).unwrap(), live_universe);
+    assert_eq!(
+        front.serve_query("main", &q, &all_objectives(4)).unwrap(),
+        live_answers
+    );
+    assert_eq!(registry.stats().misses, 0, "recovered warm");
+    let _ = fs::remove_dir_all(&dir);
 }

@@ -721,7 +721,7 @@ fn query_error_frame(e: &QueryError) -> Value {
 /// an underestimate), so a tenant cannot make the daemon evaluate a
 /// huge join it has no quota to serve. The watermark degradation of the
 /// `serve` path does not apply here; instead any result past
-/// [`CORESET_AUTO_THRESHOLD`] auto-escalates to a streamed coreset
+/// [`CORESET_AUTO_THRESHOLD`] auto-escalates to a selected coreset
 /// (sized by `max_k`) inside the front door itself, which bounds
 /// prepared bytes without a load signal.
 fn handle_query(shared: &Shared, mut doc: Value) -> Handled {

@@ -766,7 +766,7 @@ fn infeasible_k_on_the_query_path_reuses_the_typed_422() {
     service.shutdown();
 }
 
-/// `"max_k"` sizes the streamed coreset (`16 · max_k`): any positive
+/// `"max_k"` sizes the auto-escalated coreset (`16 · max_k`): any positive
 /// `i64` is accepted, so the product must saturate. Wrapped, `2^60`
 /// sized the budget at 64 in release and panicked the worker (a 500)
 /// under overflow checks. On a database this small the budget only

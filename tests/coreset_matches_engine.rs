@@ -326,3 +326,114 @@ fn measured_factor_report() {
         );
     }
 }
+
+/// A patched coreset keeps its cover within twice its selection's, or
+/// goes cold. Over four insert families, every state
+/// `PreparedVariant::patch` keeps has a stored covering radius at most
+/// twice the selection's and an exact radius at most the stored one;
+/// after each refusal the test selects afresh over every row so far, as
+/// the next serve would. Far appends, which once stretched a cover of
+/// 12 to 49 950, trip instead.
+#[test]
+fn patched_cover_stays_within_twice_its_selection() {
+    use divr::PreparedVariant;
+    let rel = AttributeRelevance {
+        attr: 1,
+        default: Ratio::ZERO,
+    };
+    let numeric: Arc<dyn Distance + Send + Sync> = Arc::new(NumericDistance {
+        attr: 0,
+        fallback: Ratio::ZERO,
+    });
+    let hamming: Arc<dyn Distance + Send + Sync> = Arc::new(HammingDistance { weight: Ratio::ONE });
+    let (n, inserts) = (400i64, 200i64);
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut draw = |below: i64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as i64 % below
+    };
+    fn keyed(keys: impl Iterator<Item = i64>) -> Vec<Tuple> {
+        keys.map(|k| Tuple::ints([k, k % 5])).collect()
+    }
+    let interior: Vec<i64> = (0..inserts).map(|_| draw(3 * n)).collect();
+    let hamming_row = |i: i64, wide: i64| {
+        Tuple::ints([i % 3 + wide, i / 3 % 4, i * 7 % 5 + wide, i / 11 % 3, i % 2])
+    };
+    let families = [
+        (
+            "sorted appends",
+            numeric.clone(),
+            keyed((0..n).map(|i| 3 * i)),
+            keyed((n..n + inserts).map(|i| 3 * i)),
+        ),
+        (
+            "far appends",
+            numeric.clone(),
+            keyed((0..n).map(|i| 3 * i)),
+            keyed((1..=inserts).map(|j| 3 * n + 250 * j)),
+        ),
+        (
+            "random interior",
+            numeric.clone(),
+            keyed((0..n).map(|i| 3 * i)),
+            keyed(interior.into_iter()),
+        ),
+        (
+            "widened Hamming",
+            hamming,
+            (0..n).map(|i| hamming_row(i, 0)).collect(),
+            (0..inserts).map(|j| hamming_row(j, 5 + j % 4)).collect(),
+        ),
+    ];
+    let config = CoresetConfig::with_budget(32).with_threads(2);
+    for (family, dis, base, tail) in families {
+        let select = |rows: Vec<Tuple>| {
+            let built =
+                PreparedCoreset::build_shared(rows, &rel, dis.clone(), Ratio::new(1, 2), &config);
+            let radius = built.coreset().covering_radius();
+            (PreparedVariant::Coreset(Arc::new(built)), radius)
+        };
+        let mut rows = base.clone();
+        let (mut prepared, mut selection) = select(base);
+        let mut trips = 0;
+        for t in tail {
+            rows.push(t.clone());
+            match prepared.patch(&[DeltaOp::Insert(t)], &rel) {
+                Some(patched) => {
+                    let c = patched.as_coreset().unwrap();
+                    let stored = c.coreset().covering_radius();
+                    assert!(
+                        stored <= 2.0 * selection,
+                        "{family}: {stored} vs selection {selection}"
+                    );
+                    let exact = c
+                        .universe()
+                        .iter()
+                        .map(|t| {
+                            c.coreset()
+                                .indices()
+                                .iter()
+                                .map(|&r| dis.dist_f64(t, &c.universe()[r]))
+                                .fold(f64::INFINITY, f64::min)
+                        })
+                        .fold(0.0, f64::max);
+                    assert!(
+                        exact <= stored,
+                        "{family}: exact {exact} above stored {stored}"
+                    );
+                    prepared = patched;
+                }
+                None => {
+                    trips += 1;
+                    (prepared, selection) = select(rows.clone());
+                }
+            }
+        }
+        println!("{family}: {trips} of {inserts} inserts went cold");
+        if family == "far appends" {
+            assert!(trips > 0, "far appends never tripped");
+        }
+    }
+}

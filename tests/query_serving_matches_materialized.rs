@@ -17,6 +17,7 @@ use divr::relquery::eval::eval_query;
 use divr::relquery::parser::parse_query;
 use divr::relquery::{Database, Tuple, Value};
 use divr::server::{QueryError, QueryFrontDoor, QuerySpec, Registry, RegistryConfig, UniverseSpec};
+use divr::{Coreset, CoresetSpec, CORESET_AUTO_THRESHOLD};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -317,5 +318,112 @@ proptest! {
         // Repair, not re-prepare: no new misses for this query's serves
         // (universe_of and serve_query both landed on the repaired key).
         prop_assert_eq!(front.registry().stats().misses, misses_before);
+    }
+}
+
+/// Past [`CORESET_AUTO_THRESHOLD`] the front door serves the coreset a
+/// batch selection makes over the sequence it serves, whatever order
+/// the evaluator emits: the representatives of [`Coreset::select`] over
+/// `universe_of`, its exact covering radius, and answers bit-identical
+/// to that sequence served in explicit coreset mode at the query's auto
+/// budget. (An insertion-stream build covered sorted keys with radius
+/// 5 787 where the selection's is 12.)
+#[test]
+fn auto_escalated_coreset_is_the_selection_over_its_sequence() {
+    let n = 5_000i64;
+    let rel = || {
+        Arc::new(AttributeRelevance {
+            attr: 1,
+            default: Ratio::ZERO,
+        })
+    };
+    let dis = || {
+        Arc::new(NumericDistance {
+            attr: 0,
+            fallback: Ratio::ZERO,
+        })
+    };
+    let mut shuffled: Vec<i64> = (0..n).collect();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    for i in (1..shuffled.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        shuffled.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let orders = [
+        ("sorted", (0..n).collect::<Vec<_>>()),
+        ("reversed", (0..n).rev().collect()),
+        ("random", shuffled),
+    ];
+    let requests = all_requests(10);
+    for (order, keys) in orders {
+        let rows: Vec<Tuple> = keys.iter().map(|&i| Tuple::ints([3 * i, i % 5])).collect();
+        let mut db = Database::new();
+        db.create_relation("R", &["key", "score"]).unwrap();
+        for row in &rows {
+            db.insert_tuple("R", row.clone()).unwrap();
+        }
+        let front = QueryFrontDoor::new(Arc::new(Registry::default()));
+        front.register_database("main", db);
+        let spec = QuerySpec::new(
+            parse_query("Q(x, y) :- R(x, y)").unwrap(),
+            rel(),
+            dis(),
+            Ratio::new(1, 2),
+        )
+        .unwrap();
+        let got = front.serve_query("main", &spec, &requests).unwrap();
+        let universe = front.universe_of("main", &spec).unwrap();
+        assert_eq!(
+            universe, rows,
+            "{order}: the evaluator emits relation order"
+        );
+        assert!(universe.len() > CORESET_AUTO_THRESHOLD);
+
+        // Asked for all `m` of them, the coreset answers with exactly its
+        // representatives: the served selection, seen from outside.
+        let m = spec.auto_budget();
+        let everyone = EngineRequest {
+            kind: ObjectiveKind::Mono,
+            k: m,
+        };
+        let (_, mut served) = front
+            .serve_query("main", &spec, &[everyone])
+            .unwrap()
+            .remove(0)
+            .unwrap();
+        served.sort_unstable();
+        let rels: Vec<Ratio> = universe.iter().map(|t| rel().rel(t)).collect();
+        let selected = Coreset::select(&universe, &rels, &*dis(), m, 2);
+        assert_eq!(served, selected.indices(), "{order}");
+        // Exact radius: each key to its nearest representative key.
+        let mut reps: Vec<i64> = served.iter().map(|&i| 3 * keys[i]).collect();
+        reps.sort_unstable();
+        let radius = keys
+            .iter()
+            .map(|&i| {
+                let at = reps.partition_point(|&r| r < 3 * i);
+                let above = reps.get(at).map_or(i64::MAX, |&r| r - 3 * i);
+                let below = at.checked_sub(1).map_or(i64::MAX, |b| 3 * i - reps[b]);
+                above.min(below)
+            })
+            .max()
+            .unwrap();
+        assert_eq!(radius as f64, selected.covering_radius(), "{order}");
+
+        let explicit =
+            UniverseSpec::new(universe, rel(), dis(), Ratio::new(1, 2)).with_coreset(CoresetSpec {
+                budget: m,
+                refine_rounds: 0,
+            });
+        let registry = Registry::default();
+        for (answer, &request) in got.iter().zip(&requests) {
+            assert_eq!(
+                answer,
+                &registry.try_serve(&explicit, request),
+                "{order} {request:?}"
+            );
+        }
     }
 }
