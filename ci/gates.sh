@@ -47,7 +47,7 @@ while read -r crate max; do
 done <<'EOF'
 core 361
 server 92
-service 74
+service 55
 relquery 145
 EOF
 
@@ -85,6 +85,15 @@ for hook in $(nontest crates/server/src/persist/mod.rs | grep -oE 'pub\(crate\) 
   gate "Durability::$hook is called from crates/server/src outside persist/" \
     "$(nontest $(rs crates/server/src | grep -v /persist/) | calls ".$hook(")" -ge 1
 done
+# One transition function: a base edit is planned once, by the front
+# door's fan-out, which a live edit and a replayed one both run. The
+# log mirrors no database, so nothing in persist/ validates or plans
+# an edit (recovery_fuzz.rs's dropped-coreset and op-tape cells pin
+# replay ≡ live; this pins that there is one body to agree with).
+gate "one plan_base_edit( call under crates/server/src" "$(nontest $SERVER | calls 'plan_base_edit(')" -eq 1
+gate "…and it is in query.rs" "$(nontest crates/server/src/query.rs | calls 'plan_base_edit(')" -eq 1
+gate "no base_edit_applies( or plan_base_edit( under persist/" \
+  "$(nontest $(rs crates/server/src/persist) | grep -cE '(base_edit_applies|plan_base_edit)\(')" -eq 0
 # `PreparedCache::insert_versioned` is a forwarder kept for the two
 # call sites in e2e/src/layers.rs; everything else says `insert`.
 gate "insert_versioned( is called nowhere under crates/ tests/ examples/" \

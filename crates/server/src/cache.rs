@@ -289,6 +289,13 @@ impl PreparedCache {
             .contains_key(key)
     }
 
+    /// The prepared state under `key`, if resident — a peek: no LRU
+    /// bump and no hit counted. How a checkpoint reads the warm set.
+    pub(crate) fn peek(&self, key: &UniverseKey) -> Option<PreparedVariant> {
+        let guard = self.lock_shard(self.shard_of(key));
+        guard.entries.get(key).map(|e| e.prepared.clone())
+    }
+
     /// A consistent-enough snapshot of the counters (shards are read
     /// one at a time; totals may straddle concurrent inserts).
     pub fn stats(&self) -> CacheStats {

@@ -111,18 +111,6 @@ fn read_warm_kind(r: &mut ByteReader<'_>, spec: &QuerySpec) -> Result<WarmKind, 
     }
 }
 
-/// The identity of one warm query entry, independent of relation
-/// versions: canonical tableau ⊕ instance (oracle fingerprints, λ,
-/// serving mode) ⊕ sizing. The book's dedup key (relation versions
-/// restart at zero on recovery, so they must not participate).
-pub(super) fn query_ident(spec: &QuerySpec) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.write_bytes(spec.canon().bytes());
-    spec.instance().encode(&mut w);
-    w.write_usize(spec.max_k());
-    w.into_bytes()
-}
-
 /// Whether a query spec round-trips: its oracles decode and its text
 /// re-parses to the same canonical tableau (`Identity` queries, whose
 /// display form is not parser syntax, do not).
@@ -323,7 +311,9 @@ mod tests {
         match decode_record(&payload).unwrap() {
             Record::WarmQuery { db, entry } => {
                 assert_eq!(db, "main");
-                assert_eq!(query_ident(&entry.spec), query_ident(&spec));
+                assert_eq!(entry.spec.canon().bytes(), spec.canon().bytes());
+                assert_eq!(instance_bytes(&entry.spec), instance_bytes(&spec));
+                assert_eq!(entry.spec.max_k(), spec.max_k());
                 assert_eq!(entry.universe, tuples(5));
                 assert_eq!(entry.kind, WarmKind::Full);
             }
@@ -469,7 +459,9 @@ mod tests {
             match decode_record(&unhex(payload)).unwrap() {
                 Record::WarmQuery { entry, .. } => {
                     assert_eq!(entry.kind, WarmKind::Coreset);
-                    assert_eq!(query_ident(&entry.spec), query_ident(&spec));
+                    assert_eq!(entry.spec.canon().bytes(), spec.canon().bytes());
+                    assert_eq!(instance_bytes(&entry.spec), instance_bytes(&spec));
+                    assert_eq!(entry.spec.max_k(), spec.max_k());
                     assert_eq!((entry.universe, entry.base_len), (tuples(3), 3));
                 }
                 other => panic!("wrong record: {other:?}"),
@@ -665,6 +657,12 @@ mod tests {
         assert_eq!(encode_record(&rec), Err(Unpersistable));
     }
 
+    fn instance_bytes(spec: &QuerySpec) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        spec.instance().encode(&mut w);
+        w.into_bytes()
+    }
+
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
@@ -826,7 +824,9 @@ mod tests {
         match &rec {
             Record::WarmQuery { db, entry } => {
                 assert_eq!(db, "main");
-                assert_eq!(query_ident(&entry.spec), query_ident(&q));
+                assert_eq!(entry.spec.canon().bytes(), q.canon().bytes());
+                assert_eq!(instance_bytes(&entry.spec), instance_bytes(&q));
+                assert_eq!(entry.spec.max_k(), q.max_k());
                 assert_eq!(entry.universe, [Tuple::ints([1, 2]), Tuple::ints([3, 4])]);
                 assert_eq!((entry.kind, entry.base_len), (WarmKind::Full, 2));
             }

@@ -1,22 +1,30 @@
 //! Crash-safe durability: checksummed snapshots + a write-ahead log,
 //! with warm restarts.
 //!
-//! ## Design: the book mirrors the serving state
+//! ## Design: a snapshot is the live state; the log replays through the serving hooks
 //!
-//! [`Durability`] keeps a **book** — a self-contained mirror of
-//! everything warm: universe specs, registered databases, and each
-//! warm query's exact universe *sequence*. Every
-//! durable mutation is a record; a live hook applies the record to
-//! the book and appends it to the write-ahead log **in one critical
-//! section**, and recovery applies the same records through the same
-//! `Book::apply_record` — so the book a replay rebuilds equals the book
-//! the live process kept *by construction*: the book has exactly one
-//! state-transition function, not a live one and a replay one that
-//! could drift. The book mirrors the live structures rather than being
-//! them, so the one decision it must make the way the front door does —
-//! which tuples a base-table edit adds to or removes from each warm
-//! query's universe — is not mirrored by hand: both call
-//! `crate::query::plan_base_edit` and replay the ops it returns.
+//! The durable truth is `D` — every registered database — plus the
+//! order each warm `Q(D)` is served in, and the serving state already
+//! holds both: the front door's databases and warm index, and the
+//! prepared entries in the cache. [`Durability`] keeps no second copy
+//! of either. Each durable transition is a record that a serving hook
+//! appends to the write-ahead log — a registration, a base-table
+//! edit, a query or universe turning warm; the front door's under its
+//! `state` lock, so the log order is the serving order. A checkpoint
+//! writes the live state itself as the snapshot: one `RegisterDb` per
+//! database, one `WarmQuery` per warm entry still resident, one
+//! `WarmUniverse` per resident registry-keyed universe. Recovery
+//! applies the snapshot's records and then the log's, in order,
+//! through the code that served them — `register_database`, the
+//! base-edit fan-out with its one repair plan, `restore_warm_query`,
+//! `restore_entry` — so replay equals live because both run the same
+//! transition function. A replayed edit that no longer applies changes
+//! nothing (`Ok(false)`), which keeps replay idempotent.
+//!
+//! The one index `Durability` holds is for registry-keyed universes:
+//! key → spec, because a cache entry does not carry its spec. It is the
+//! warm hook's dedup set and what a checkpoint writes for them, pruned
+//! to what is resident; it has no transition function.
 //!
 //! Query universes are persisted as sequences, not re-evaluated on
 //! recovery: a delta-repaired entry's order is *original evaluation
@@ -49,16 +57,20 @@
 //!   the segment its sync covers. A killed process loses none of them
 //!   (the page cache outlives it).
 //! * Recovery never panics on arbitrary file corruption (CRC framing +
-//!   total decoders + whole-or-nothing snapshot validation).
+//!   total decoders + whole-or-nothing snapshot validation), and each
+//!   record's application runs inside its own unwind boundary.
+//! * A checkpoint refuses (an `io::Error`) while records `open` decoded
+//!   are still unapplied: a process that opened a non-empty directory
+//!   without recovering it cannot overwrite that directory.
 //! * Relation versions restart at zero after recovery. They exist only
 //!   inside cache keys, so the recovered process is internally
 //!   consistent; version numbers are not meaningful across restarts.
-//! * Warmth may diverge from a never-crashed process under cache
-//!   eviction or contended-`Arc` entry drops (the book cannot observe
-//!   either); checkpoints reconcile by pruning entries the live
-//!   process no longer holds. Content correctness never depends on
-//!   this — keys are content-addressed, so a warmer-than-live entry is
-//!   still the *right* entry.
+//! * Warmth may diverge from a never-crashed process: eviction is not
+//!   journaled, so an eager replay restores entries the live process
+//!   had since dropped; a checkpoint writes only what is resident.
+//!   Content correctness never depends on this — keys are
+//!   content-addressed, so a warmer-than-live entry is still the
+//!   *right* entry.
 //! * Oracles with unknown fingerprint tags and queries whose text does
 //!   not round-trip through the parser have no durable form; their
 //!   entries are skipped and counted (`skipped_unpersistable`), and
@@ -66,24 +78,23 @@
 //!
 //! ## Lock order
 //!
-//! Front-door hooks run under the front door's `state` lock and then
-//! take the durability `inner` lock. Checkpoints therefore **never**
-//! query live structures while holding `inner`: phase A clones the
-//! candidate lists under `inner`, phase B checks liveness against the
-//! registry/front door with `inner` released, phase C re-locks `inner`
-//! to prune exactly what B saw dead, serialize the book, and rotate
-//! the WAL — entries created between A and C are simply retained.
+//! `state → inner → cache shard`. Front-door hooks run under the front
+//! door's `state` lock and then take the durability `inner` lock; a
+//! checkpoint takes `state` (read) and then `inner`, and peeks at cache
+//! shards under both. No path holds a shard lock while taking `inner`
+//! or `state`: the cache runs builds and drops what it unlinks with its
+//! shard released, and calls nothing else under it. Recovery takes
+//! `inner` only briefly and never while calling into the front door.
 
 mod codec;
 mod files;
 
 use crate::fingerprint::UniverseKey;
-use crate::query::{base_edit_applies, plan_base_edit, QueryFrontDoor, QuerySpec};
+use crate::query::{QueryFrontDoor, QuerySpec};
 use crate::registry::Registry;
 use crate::spec::{PreparedVariant, UniverseSpec};
-use divr_core::engine::DeltaOp;
 use divr_relquery::{Database, Tuple};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -96,8 +107,9 @@ pub enum RecoverMode {
     /// Rebuild every recovered universe and warm query before serving
     /// (restart cost up front, first requests all hit).
     Eager,
-    /// Re-register databases only; entries rebuild on demand. Entries
-    /// never re-demanded leave the book at the next checkpoint.
+    /// Re-register databases (and replay their edits) only; entries
+    /// rebuild on demand. Entries never re-demanded are not in the
+    /// next checkpoint.
     Lazy,
 }
 
@@ -122,14 +134,30 @@ pub(crate) enum WarmKind {
     Coreset,
 }
 
-/// One warm query entry as the book tracks it: the spec plus the exact
-/// universe sequence currently being served.
+/// One warm query entry as a record carries it: the spec plus the
+/// exact universe sequence being served.
 #[derive(Clone, Debug)]
 pub(crate) struct WarmQueryRecord {
     pub(crate) spec: QuerySpec,
     pub(crate) universe: Vec<Tuple>,
     pub(crate) kind: WarmKind,
     pub(crate) base_len: usize,
+}
+
+impl WarmQueryRecord {
+    /// The record of a served entry, built over its first `base_len`
+    /// rows (an `O(n)` copy of the sequence, dropped once encoded).
+    fn of(spec: &QuerySpec, prepared: &PreparedVariant, base_len: usize) -> Self {
+        WarmQueryRecord {
+            spec: spec.clone(),
+            universe: prepared.universe().to_vec(),
+            kind: match prepared {
+                PreparedVariant::Full(_) => WarmKind::Full,
+                PreparedVariant::Coreset(_) => WarmKind::Coreset,
+            },
+            base_len,
+        }
+    }
 }
 
 /// One durable mutation — the single vocabulary shared by live
@@ -140,8 +168,8 @@ pub(crate) enum Record {
     WarmUniverse { spec: UniverseSpec },
     /// A database registered (or replaced) at the front door.
     RegisterDb { name: String, db: Database },
-    /// A base-table insert (`insert`) or removal (fans out to warm
-    /// queries on replay exactly as it did live).
+    /// A base-table insert (`insert`) or removal (replays through the
+    /// live fan-out to warm queries).
     BaseEdit {
         insert: bool,
         db: String,
@@ -161,130 +189,13 @@ impl Record {
     }
 }
 
-#[derive(Default)]
-struct BookDb {
-    db: Database,
-    /// Warm queries by version-independent identity
-    /// ([`codec::query_ident`]).
-    warm: HashMap<Vec<u8>, WarmQueryRecord>,
-}
-
-/// The durable mirror of the serving state. All mutation goes through
-/// [`Book::apply_record`] — the one transition function live hooks and
-/// replay share.
-#[derive(Default)]
-struct Book {
-    universes: HashMap<UniverseKey, UniverseSpec>,
-    dbs: BTreeMap<String, BookDb>,
-}
-
-impl Book {
-    fn apply_record(&mut self, rec: &Record) {
-        match rec {
-            Record::WarmUniverse { spec } => {
-                self.universes.insert(spec.key(), spec.clone());
-            }
-            Record::RegisterDb { name, db } => {
-                // Replacement drops the old instance's warm entries,
-                // mirroring the front door.
-                self.dbs.insert(
-                    name.clone(),
-                    BookDb {
-                        db: db.clone(),
-                        warm: HashMap::new(),
-                    },
-                );
-            }
-            Record::BaseEdit {
-                insert,
-                db,
-                relation,
-                tuple,
-            } => self.apply_base_edit(db, relation, tuple, *insert),
-            Record::WarmQuery { db, entry } => {
-                let Some(bdb) = self.dbs.get_mut(db) else {
-                    return;
-                };
-                bdb.warm
-                    .insert(codec::query_ident(&entry.spec), entry.clone());
-            }
-        }
-    }
-
-    /// A base-table edit fans out to the warm queries reading the
-    /// relation along the same [`plan_base_edit`] the front door
-    /// follows, so replay repairs each sequence exactly as live did.
-    fn apply_base_edit(&mut self, db: &str, relation: &str, tuple: &Tuple, insert: bool) {
-        let Some(BookDb { db: base, warm }) = self.dbs.get_mut(db) else {
-            return;
-        };
-        // Idempotent under replay: an edit that no longer applies is a
-        // no-op (the live path validates before logging).
-        if !matches!(base_edit_applies(base, insert, relation, tuple), Ok(true)) {
-            return;
-        }
-        let ids: Vec<Vec<u8>> = warm
-            .iter()
-            .filter(|(_, q)| q.spec.relations().contains(relation))
-            .map(|(id, _)| id.clone())
-            .collect();
-        let plans = plan_base_edit(
-            base,
-            insert,
-            relation,
-            tuple,
-            ids.iter().map(|id| (warm[id].spec.query(), warm[id].universe.as_slice())),
-        );
-        for (id, plan) in ids.into_iter().zip(plans) {
-            let q = warm.get_mut(&id).expect("collected from warm");
-            // Live drops what it cannot repair — no plan, a coreset
-            // asked to remove (it cannot un-derive a departed tuple's
-            // contributions in O(Δ·n)), a universe shrunk to empty —
-            // and so does the book.
-            let repaired = plan.is_some_and(|ops| {
-                (q.kind == WarmKind::Full
-                    || ops.iter().all(|op| matches!(op, DeltaOp::Insert(_))))
-                    && ops.iter().all(|op| op.apply_to(&mut q.universe).is_ok())
-                    && !q.universe.is_empty()
-            });
-            if !repaired {
-                warm.remove(&id);
-            }
-        }
-    }
-
-    /// The book as a flat record stream: applying these records to an
-    /// empty book reproduces it (universes are standalone; each
-    /// database precedes its warm queries).
-    fn serialize(&self, skipped: &AtomicU64) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut push = |rec: &Record| match codec::encode_record(rec) {
-            Ok(payload) => out.push(payload),
-            Err(_) => {
-                skipped.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        for spec in self.universes.values() {
-            push(&Record::WarmUniverse { spec: spec.clone() });
-        }
-        for (name, bdb) in &self.dbs {
-            push(&Record::RegisterDb {
-                name: name.clone(),
-                db: bdb.db.clone(),
-            });
-            for entry in bdb.warm.values() {
-                push(&Record::WarmQuery {
-                    db: name.clone(),
-                    entry: entry.clone(),
-                });
-            }
-        }
-        out
-    }
-}
-
 struct Inner {
-    book: Book,
+    /// Registry-keyed universes the log holds a `WarmUniverse` for
+    /// (module docs): the hook's dedup set, pruned at each checkpoint
+    /// to what is resident.
+    universes: HashMap<UniverseKey, UniverseSpec>,
+    /// Records `open` decoded, held until `recover` applies them.
+    pending: Vec<Record>,
     wal: files::WalWriter,
     /// The sequence number the next WAL rotation will use.
     next_seq: u64,
@@ -293,14 +204,17 @@ struct Inner {
 /// What one recovery rebuilt.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoverReport {
-    /// Databases re-registered at the front door.
+    /// Databases registered at the front door after the replay.
     pub recovered_databases: usize,
-    /// Universe entries rebuilt into the registry cache (eager mode).
+    /// Universe entries resident in the registry cache after the
+    /// replay (eager mode).
     pub recovered_universes: usize,
-    /// Warm query entries rebuilt at the front door (eager mode).
+    /// Warm query entries resident at the front door after the replay
+    /// (eager mode).
     pub recovered_queries: usize,
-    /// Entries whose rebuild failed or panicked (left cold, not lost —
-    /// the book still has them until a checkpoint prunes).
+    /// Records whose application panicked or was refused — an entry
+    /// that could not be rebuilt (left cold), an edit naming no
+    /// registered database.
     pub failed_entries: usize,
 }
 
@@ -330,9 +244,9 @@ pub struct DurabilityStats {
     pub snapshots_written: u64,
     /// Size of the newest snapshot.
     pub last_snapshot_bytes: u64,
-    /// Entries with no durable form, skipped at log/serialize time.
+    /// Entries with no durable form, skipped at log/checkpoint time.
     pub skipped_unpersistable: u64,
-    /// WAL records replayed at the last open.
+    /// WAL records decoded at the last open (applied by `recover`).
     pub wal_records_replayed: u64,
     /// Torn/corrupt WAL tails dropped at the last open.
     pub torn_tail_dropped: u64,
@@ -368,24 +282,23 @@ pub struct Durability {
 }
 
 impl Durability {
-    /// Opens (creating if needed) a data directory: loads the newest
-    /// fully-valid snapshot, replays the WAL up to the first torn or
-    /// corrupt frame (the consistent prefix), and opens a fresh WAL
-    /// segment — recovery never appends after a torn tail.
+    /// Opens (creating if needed) a data directory: decodes the newest
+    /// fully-valid snapshot, then the WAL up to the first torn or
+    /// corrupt frame (the consistent prefix), holds those records for
+    /// [`Durability::recover`], and opens a fresh WAL segment —
+    /// recovery never appends after a torn tail.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Arc<Durability>> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let scan = files::scan_dir(&dir)?;
 
-        let mut book = Book::default();
+        let mut pending = Vec::new();
         let mut discarded = 0u64;
         let mut cut = 0u64;
         for (seq, path) in &scan.snapshots {
             match Self::load_snapshot(path, *seq) {
                 Some(records) => {
-                    for rec in &records {
-                        book.apply_record(rec);
-                    }
+                    pending = records;
                     cut = *seq;
                     break;
                 }
@@ -418,7 +331,7 @@ impl Durability {
             for payload in frames {
                 match codec::decode_record(&payload) {
                     Ok(rec) => {
-                        book.apply_record(&rec);
+                        pending.push(rec);
                         replayed += 1;
                     }
                     Err(_) => {
@@ -438,7 +351,8 @@ impl Durability {
         let d = Durability {
             dir,
             inner: Mutex::new(Inner {
-                book,
+                universes: HashMap::new(),
+                pending,
                 wal,
                 next_seq: seq + 1,
             }),
@@ -474,85 +388,93 @@ impl Durability {
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        // The book is rebuildable bookkeeping; recover a poisoned
+        // The index is rebuildable bookkeeping; recover a poisoned
         // guard rather than refusing to serve.
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Rebuilds live serving state from the recovered book. Call
-    /// **before** [`Registry::attach_durability`] so the restore paths
-    /// do not re-log what the book already holds.
+    /// Applies the records [`Durability::open`] decoded, in order,
+    /// through the serving code that wrote them (module docs): a
+    /// registration registers, an edit runs the live base-edit path,
+    /// and in eager mode a warm record rebuilds its entry. Call
+    /// **before** [`Registry::attach_durability`], so nothing replayed
+    /// is journaled again.
     pub fn recover(
         &self,
         registry: &Registry,
         front: &QueryFrontDoor,
         mode: RecoverMode,
     ) -> RecoverReport {
-        // Clone out of the book first: rebuilding prepares O(n²)
-        // state and must not run under `inner` (lock-order rule — see
-        // module docs).
-        let (dbs, universes, queries) = {
-            let inner = self.lock();
-            let dbs: Vec<(String, Database)> = inner
-                .book
-                .dbs
-                .iter()
-                .map(|(name, b)| (name.clone(), b.db.clone()))
-                .collect();
-            let universes: Vec<UniverseSpec> = inner.book.universes.values().cloned().collect();
-            let queries: Vec<(String, WarmQueryRecord)> = inner
-                .book
-                .dbs
-                .iter()
-                .flat_map(|(name, b)| b.warm.values().map(|q| (name.clone(), q.clone())))
-                .collect();
-            (dbs, universes, queries)
+        let records = std::mem::take(&mut self.lock().pending);
+        let eager = mode == RecoverMode::Eager;
+        let mut failed_entries = 0;
+        for rec in records {
+            let applied = catch_unwind(AssertUnwindSafe(|| match rec {
+                Record::RegisterDb { name, db } => {
+                    front.register_database(name, db);
+                    true
+                }
+                Record::BaseEdit {
+                    insert,
+                    db,
+                    relation,
+                    tuple,
+                } => front.edit_base_tuple(&db, &relation, tuple, insert).is_ok(),
+                Record::WarmQuery { db, entry } => {
+                    !eager
+                        || front
+                            .restore_warm_query(&db, &entry.spec, entry.universe, entry.base_len)
+                            .is_some()
+                }
+                Record::WarmUniverse { spec } => {
+                    let restored = !eager || registry.restore_entry(&spec).is_ok();
+                    self.lock().universes.insert(spec.key(), spec);
+                    restored
+                }
+            }));
+            if !matches!(applied, Ok(true)) {
+                failed_entries += 1;
+            }
+        }
+        let (recovered_databases, recovered_queries) = {
+            let live = front.live_state();
+            (live.databases().count(), live.resident_queries().count())
         };
-        let mut report = RecoverReport::default();
-        for (name, db) in dbs {
-            front.register_database(name, db);
-            report.recovered_databases += 1;
-        }
-        if mode == RecoverMode::Eager {
-            for spec in universes {
-                let restored = catch_unwind(AssertUnwindSafe(|| registry.restore_entry(&spec)));
-                match restored {
-                    Ok(Ok(())) => report.recovered_universes += 1,
-                    _ => report.failed_entries += 1,
-                }
-            }
-            for (db, q) in queries {
-                let restored = catch_unwind(AssertUnwindSafe(|| {
-                    front.restore_warm_query(&db, &q.spec, q.universe.clone(), q.base_len)
-                }));
-                match restored {
-                    Ok(Some(())) => report.recovered_queries += 1,
-                    _ => report.failed_entries += 1,
-                }
-            }
-        }
+        let recovered_universes = {
+            let inner = self.lock();
+            let resident = |key: &&UniverseKey| registry.cache().contains(key);
+            inner.universes.keys().filter(resident).count()
+        };
         self.recovered_databases
-            .store(report.recovered_databases as u64, Ordering::Relaxed);
+            .store(recovered_databases as u64, Ordering::Relaxed);
         self.recovered_entries.store(
-            (report.recovered_universes + report.recovered_queries) as u64,
+            (recovered_universes + recovered_queries) as u64,
             Ordering::Relaxed,
         );
-        report
+        RecoverReport {
+            recovered_databases,
+            recovered_universes,
+            recovered_queries,
+            failed_entries,
+        }
     }
 
-    /// Applies a record to the book and appends it to the WAL in one
-    /// critical section, syncing the segment iff a reply acknowledges
-    /// the record. The caller constructs the record; gating (dedup,
-    /// unresolvable-base checks) happens here under the lock.
-    fn apply_and_log(&self, inner: &mut Inner, rec: &Record) {
-        let payload = match codec::encode_record(rec) {
-            Ok(p) => p,
-            Err(_) => {
-                self.skipped_unpersistable.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+    /// The record's payload, or `None` — counted — if it has no
+    /// durable form.
+    fn encode(&self, rec: &Record) -> Option<Vec<u8>> {
+        let payload = codec::encode_record(rec).ok();
+        if payload.is_none() {
+            self.skipped_unpersistable.fetch_add(1, Ordering::Relaxed);
+        }
+        payload
+    }
+
+    /// Appends a record to the WAL, syncing the segment iff a reply
+    /// acknowledges the record. `false` if it has no durable form.
+    fn append(&self, inner: &mut Inner, rec: &Record) -> bool {
+        let Some(payload) = self.encode(rec) else {
+            return false;
         };
-        inner.book.apply_record(rec);
         let mut logged = inner.wal.append(&payload);
         if logged.is_ok() && rec.is_acknowledged() {
             logged = self.sync_wal(inner);
@@ -567,6 +489,7 @@ impl Durability {
                 self.wal_io_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
+        true
     }
 
     fn sync_wal(&self, inner: &mut Inner) -> io::Result<()> {
@@ -577,142 +500,91 @@ impl Durability {
     /// A universe became warm in the registry cache.
     pub(crate) fn log_warm_universe(&self, spec: &UniverseSpec, key: &UniverseKey) {
         let mut inner = self.lock();
-        if inner.book.universes.contains_key(key) {
+        if inner.universes.contains_key(key) {
             return;
         }
-        self.apply_and_log(&mut inner, &Record::WarmUniverse { spec: spec.clone() });
+        if self.append(&mut inner, &Record::WarmUniverse { spec: spec.clone() }) {
+            inner.universes.insert(key.clone(), spec.clone());
+        }
     }
 
     /// A database is being registered at the front door.
     pub(crate) fn log_register_db(&self, name: &str, db: &Database) {
-        let mut inner = self.lock();
-        self.apply_and_log(
-            &mut inner,
-            &Record::RegisterDb {
-                name: name.to_string(),
-                db: db.clone(),
-            },
-        );
+        let rec = Record::RegisterDb {
+            name: name.to_string(),
+            db: db.clone(),
+        };
+        self.append(&mut self.lock(), &rec);
     }
 
     /// A base-table insert or removal is about to happen (write-ahead:
     /// the caller validated it will succeed, logs, then mutates).
     pub(crate) fn log_base_edit(&self, db: &str, relation: &str, tuple: &Tuple, insert: bool) {
-        let mut inner = self.lock();
-        if !inner.book.dbs.contains_key(db) {
-            return;
-        }
-        self.apply_and_log(
-            &mut inner,
-            &Record::BaseEdit {
-                insert,
-                db: db.to_string(),
-                relation: relation.to_string(),
-                tuple: tuple.clone(),
-            },
-        );
+        let rec = Record::BaseEdit {
+            insert,
+            db: db.to_string(),
+            relation: relation.to_string(),
+            tuple: tuple.clone(),
+        };
+        self.append(&mut self.lock(), &rec);
     }
 
     /// A query became warm at the front door (miss path only; hits
-    /// must not pay the O(n) sequence copy). A rebuild of a query the
-    /// book knows — after an eviction or a go-cold, a fresh evaluation
-    /// order — replaces its row: the book follows what is served.
+    /// must not pay the O(n) sequence copy). A later record for the
+    /// same query — a rebuild after an eviction or a go-cold, a fresh
+    /// evaluation order — replaces the earlier one on replay.
     pub(crate) fn log_warm_query(&self, db: &str, spec: &QuerySpec, prepared: &PreparedVariant) {
-        let universe = prepared.universe().to_vec();
-        let kind = match prepared {
-            PreparedVariant::Full(_) => WarmKind::Full,
-            PreparedVariant::Coreset(_) => WarmKind::Coreset,
+        let rec = Record::WarmQuery {
+            db: db.to_string(),
+            entry: WarmQueryRecord::of(spec, prepared, prepared.n()),
         };
-        let base_len = universe.len();
-        let mut inner = self.lock();
-        if !inner.book.dbs.contains_key(db) {
-            return;
-        }
-        self.apply_and_log(
-            &mut inner,
-            &Record::WarmQuery {
-                db: db.to_string(),
-                entry: WarmQueryRecord {
-                    spec: spec.clone(),
-                    universe,
-                    kind,
-                    base_len,
-                },
-            },
-        );
+        self.append(&mut self.lock(), &rec);
     }
 
-    /// Writes a checkpoint: prunes book entries the live process no
-    /// longer holds, serializes the book into a durable snapshot, and
-    /// rotates the WAL (superseded segments and snapshots are deleted
-    /// once the new snapshot is durable).
+    /// Writes a checkpoint: the live state as a durable snapshot, then
+    /// the WAL rotated past it (superseded segments and snapshots are
+    /// deleted once the new snapshot is durable). Refused while records
+    /// [`Durability::open`] decoded are unapplied (module docs).
     ///
-    /// Three phases to respect the lock order (module docs): candidate
-    /// gathering under `inner`, liveness checks against the live
-    /// structures with `inner` released, prune + serialize + rotate
-    /// back under `inner`. Entries born between the phases are
-    /// retained.
+    /// One critical section under the front door's `state` read lock
+    /// and then `inner` (the lock order every hook uses): one
+    /// `RegisterDb` per database, one `WarmQuery` per warm entry still
+    /// resident, the universe index pruned to the cache and written,
+    /// the old segment synced and the new one opened — so no record
+    /// lands in both the snapshot and the new segment.
     pub fn checkpoint(
         &self,
         registry: &Registry,
         front: &QueryFrontDoor,
     ) -> io::Result<CheckpointReport> {
         let _one_at_a_time = self.ckpt.lock().unwrap_or_else(|p| p.into_inner());
-
-        // Phase A: clone the candidate lists (brief lock).
-        let (universe_keys, query_entries) = {
-            let inner = self.lock();
-            let universe_keys: Vec<UniverseKey> =
-                inner.book.universes.keys().cloned().collect();
-            let query_entries: Vec<(String, Vec<u8>, QuerySpec)> = inner
-                .book
-                .dbs
-                .iter()
-                .flat_map(|(name, b)| {
-                    b.warm
-                        .iter()
-                        .map(|(id, q)| (name.clone(), id.clone(), q.spec.clone()))
-                })
-                .collect();
-            (universe_keys, query_entries)
-        };
-
-        // Phase B: liveness against the live structures — `inner` is
-        // NOT held (is_warm takes the front door's state lock, which
-        // hooks acquire before `inner`).
-        let dead_universes: Vec<UniverseKey> = universe_keys
-            .into_iter()
-            .filter(|k| !registry.cache().contains(k))
-            .collect();
-        let dead_queries: Vec<(String, Vec<u8>)> = query_entries
-            .into_iter()
-            .filter_map(|(db, id, spec)| match front.is_warm(&db, &spec) {
-                Ok(true) => None,
-                _ => Some((db, id)),
-            })
-            .collect();
-
-        // Phase C: prune exactly what B saw dead, serialize, rotate.
-        // Rotation and serialization share one critical section so no
-        // record can land in both the snapshot and the new segment.
         let (cut_seq, records) = {
+            let live = front.live_state();
             let mut inner = self.lock();
-            for key in &dead_universes {
-                inner.book.universes.remove(key);
+            if !inner.pending.is_empty() {
+                return Err(io::Error::other(
+                    "the data directory holds records not yet recovered",
+                ));
             }
-            for (db, id) in &dead_queries {
-                if let Some(bdb) = inner.book.dbs.get_mut(db) {
-                    bdb.warm.remove(id);
-                }
+            let mut records = Vec::new();
+            for (name, db) in live.databases() {
+                let (name, db) = (name.to_string(), db.clone());
+                records.extend(self.encode(&Record::RegisterDb { name, db }));
             }
-            let records = inner.book.serialize(&self.skipped_unpersistable);
+            for (db, spec, prepared, base_len) in live.resident_queries() {
+                let entry = WarmQueryRecord::of(spec, &prepared, base_len);
+                records.extend(self.encode(&Record::WarmQuery { db: db.to_string(), entry }));
+            }
+            inner.universes.retain(|key, _| registry.cache().contains(key));
+            for spec in inner.universes.values() {
+                records.extend(self.encode(&Record::WarmUniverse { spec: spec.clone() }));
+            }
             let cut_seq = inner.next_seq;
             // Hints at the old segment's tail become durable before a
             // mutation can be acknowledged from the new one: until the
             // snapshot lands, recovery replays both.
             self.sync_wal(&mut inner)?;
-            let fresh = files::WalWriter::create(&self.dir, cut_seq)?;
-            inner.wal = fresh;
+            inner.wal = files::WalWriter::create(&self.dir, cut_seq)?;
             inner.next_seq = cut_seq + 1;
             (cut_seq, records)
         };

@@ -224,8 +224,43 @@ struct DbState {
     warm: HashMap<UniverseKey, WarmQuery>,
 }
 
+/// One warm index entry: the spec a base edit re-keys and repairs it
+/// by, and the length of the sequence it was built over. A patch only
+/// appends to a coreset (a removal drops it), so the first `base_len`
+/// rows stay the selection's input; a full matrix is the same bits
+/// under any split. What a checkpoint writes beside the sequence.
 struct WarmQuery {
     spec: QuerySpec,
+    base_len: usize,
+}
+
+/// The front door's databases and warm index under its `state` read
+/// lock — one instant of the live state, which is what a checkpoint
+/// writes. Taken before the durability lock (the `state → inner` order
+/// every hook uses).
+pub(crate) struct LiveState<'a> {
+    state: RwLockReadGuard<'a, HashMap<String, DbState>>,
+    cache: &'a PreparedCache,
+}
+
+impl LiveState<'_> {
+    /// Every registered database by name.
+    pub(crate) fn databases(&self) -> impl Iterator<Item = (&str, &Database)> {
+        self.state.iter().map(|(name, dbst)| (name.as_str(), &dbst.db))
+    }
+
+    /// Every warm entry still resident in the cache: its database, its
+    /// spec, its prepared state (peeked — no LRU bump, no hit counted)
+    /// and the `base_len` it was built over.
+    pub(crate) fn resident_queries(
+        &self,
+    ) -> impl Iterator<Item = (&str, &QuerySpec, PreparedVariant, usize)> {
+        self.state.iter().flat_map(move |(name, dbst)| {
+            dbst.warm.iter().filter_map(move |(key, w)| {
+                Some((name.as_str(), &w.spec, self.cache.peek(key)?, w.base_len))
+            })
+        })
+    }
 }
 
 /// The query-keyed serving surface. See the module docs for the data
@@ -266,6 +301,14 @@ impl QueryFrontDoor {
         self.registry.cache()
     }
 
+    /// The live state, read-locked until the view is dropped.
+    pub(crate) fn live_state(&self) -> LiveState<'_> {
+        LiveState {
+            state: self.read_state(),
+            cache: self.cache(),
+        }
+    }
+
     /// Registers (or replaces) a database under `name`. Replacing drops
     /// the old instance's warm query entries — their content is gone —
     /// and resets relation versions.
@@ -299,7 +342,7 @@ impl QueryFrontDoor {
 
     fn insert_database(&self, state: &mut HashMap<String, DbState>, name: String, db: Database) {
         // Journal under the state lock so concurrent registrations and
-        // base-table edits reach the book in serving order.
+        // base-table edits reach the log in serving order.
         if let Some(d) = self.registry.durability() {
             d.log_register_db(&name, &db);
         }
@@ -408,21 +451,34 @@ impl QueryFrontDoor {
         // Record the warm entry outside the read lock (idempotent; the
         // delta fan-out needs the spec to re-key and repair it).
         let mut state = self.write_state();
-        if let Some(dbst) = state.get_mut(db) {
-            dbst.warm
-                .entry(key.clone()) // O(1): Arc'd bytes
-                .or_insert_with(|| WarmQuery { spec: spec.clone() });
-            // Journal fresh warmth under the state lock (the
-            // state → durability lock order every hook uses), so no
-            // base-table edit can interleave between the build and
-            // the book seeing it. Skipped if a concurrent edit
-            // already re-keyed this query — the entry we built is
-            // no longer the one being served.
-            if built && Self::key_of(db, dbst, spec) == key {
-                if let Some(d) = self.registry.durability() {
-                    d.log_warm_query(db, spec, &prepared);
-                }
+        let Some(dbst) = state.get_mut(db) else {
+            return Ok(prepared);
+        };
+        if Self::key_of(db, dbst, spec) != key {
+            // An edit landed between the build and here: the entry
+            // predates it, so it is unreachable — and repairing it at
+            // the next edit would skip this one. It goes.
+            self.cache().take(&key);
+            return Ok(prepared);
+        }
+        // Nothing patches an unindexed entry, so what was fetched is as
+        // built.
+        let fresh = WarmQuery {
+            spec: spec.clone(),
+            base_len: prepared.n(),
+        };
+        if built {
+            // Journal fresh warmth under the state lock (the state →
+            // durability lock order every hook uses), so no base-table
+            // edit can interleave between the build and the log seeing
+            // it. A build replaces the row an eviction left behind: its
+            // sequence is a fresh evaluation, built whole.
+            if let Some(d) = self.registry.durability() {
+                d.log_warm_query(db, spec, &prepared);
             }
+            dbst.warm.insert(key, fresh);
+        } else {
+            dbst.warm.entry(key).or_insert(fresh);
         }
         Ok(prepared)
     }
@@ -542,10 +598,11 @@ impl QueryFrontDoor {
         self.edit_base_tuple(db, relation, Tuple::new(values), false)
     }
 
-    /// The one base-edit path behind the two public wrappers: validate,
-    /// journal, mutate, then migrate every warm entry reading
-    /// `relation` along its [`plan_base_edit`] repair.
-    fn edit_base_tuple(
+    /// The one base-edit path behind the two public wrappers and
+    /// recovery's replay of a journaled edit: validate, journal,
+    /// mutate, then migrate every warm entry reading `relation` along
+    /// its [`plan_base_edit`] repair.
+    pub(crate) fn edit_base_tuple(
         &self,
         db: &str,
         relation: &str,
@@ -601,15 +658,15 @@ impl QueryFrontDoor {
         Ok(true)
     }
 
-    /// Rebuilds one recovered warm query entry — database already
-    /// re-registered, `universe` the exact sequence the crashed process
-    /// was serving — into prepared state bit-identical to it, through
-    /// the builder and the delta step that produced the original: a
-    /// build over the first `base_len` tuples, the rest patched in as
-    /// inserts — whatever the shape (a patched full matrix is the one a
-    /// whole-sequence build makes).
-    /// Already-warm content is left untouched. `None` if the entry
-    /// could not be rebuilt (it stays cold).
+    /// Rebuilds one journaled warm query entry — `universe` the exact
+    /// sequence the live process served — into prepared state
+    /// bit-identical to it, through the build and the delta step
+    /// that produced the original: a build over the first `base_len`
+    /// tuples, the rest patched in as inserts — whatever the shape (a
+    /// patched full matrix is the one a whole-sequence build makes).
+    /// It replaces whatever the key holds: a later record for the same
+    /// query is a rebuild the live process served after an eviction or
+    /// a go-cold. `None` if the entry could not be rebuilt.
     pub(crate) fn restore_warm_query(
         &self,
         db: &str,
@@ -617,26 +674,24 @@ impl QueryFrontDoor {
         mut universe: Vec<Tuple>,
         base_len: usize,
     ) -> Option<()> {
-        if universe.is_empty() {
+        let base_len = base_len.min(universe.len());
+        if base_len == 0 {
             return None;
         }
         let threads = self.registry.solve_threads();
         let mut state = self.write_state();
         let dbst = state.get_mut(db)?;
+        let tail: Vec<DeltaOp> = universe
+            .split_off(base_len)
+            .into_iter()
+            .map(DeltaOp::Insert)
+            .collect();
+        let built = spec.build(universe, threads, Deadline::none());
+        let prepared = built.ok()?.patch(&tail, &**spec.instance.relevance())?;
         let key = Self::key_of(db, dbst, spec);
-        if !self.cache().contains(&key) {
-            let tail: Vec<DeltaOp> = universe
-                .split_off(base_len.min(universe.len()))
-                .into_iter()
-                .map(DeltaOp::Insert)
-                .collect();
-            let built = spec.build(universe, threads, Deadline::none());
-            let prepared = built.ok()?.patch(&tail, &**spec.instance.relevance())?;
-            self.cache().insert(&key, prepared);
-        }
-        dbst.warm
-            .entry(key)
-            .or_insert_with(|| WarmQuery { spec: spec.clone() });
+        self.cache().insert(&key, prepared);
+        let spec = spec.clone();
+        dbst.warm.insert(key, WarmQuery { spec, base_len });
         Some(())
     }
 }
@@ -644,9 +699,8 @@ impl QueryFrontDoor {
 /// Whether editing `tuple` into (`insert`) or out of `relation` changes
 /// `db`: an unknown relation or a wrong arity is an error, and under set
 /// semantics inserting a present tuple or removing an absent one changes
-/// nothing. What the live write path validates before it journals, and
-/// what replay re-checks to stay idempotent.
-pub(crate) fn base_edit_applies(
+/// nothing — so a replayed edit that no longer applies is `Ok(false)`.
+fn base_edit_applies(
     db: &Database,
     insert: bool,
     relation: &str,
@@ -668,8 +722,9 @@ pub(crate) fn base_edit_applies(
 /// `relation`: for each `(query, universe sequence)`, the delta ops
 /// that make the sequence serve the edited database, or `None` when
 /// there is no incremental plan (an FO query, a failed delta
-/// evaluation) and the entry goes cold. The live fan-out and the
-/// durable book's replay both repair along this one plan.
+/// evaluation) and the entry goes cold. Its one caller is
+/// [`QueryFrontDoor::edit_base_tuple`], which a live edit and a
+/// replayed one both run.
 ///
 /// The semi-naive plan ([`delta_results`]) joins through the edited
 /// tuple, so it runs where the tuple is present — after an insert,
@@ -679,7 +734,7 @@ pub(crate) fn base_edit_applies(
 /// re-checks each candidate against the post-removal database
 /// ([`query_contains`]) and swap-removes only those with no surviving
 /// derivation.
-pub(crate) fn plan_base_edit<'a>(
+fn plan_base_edit<'a>(
     db: &mut Database,
     insert: bool,
     relation: &str,

@@ -212,7 +212,7 @@ impl Registry {
 
     /// Resolves `spec` (whose content key is `key`) through
     /// [`Registry::fetch`], journaling a fresh build when durability
-    /// is attached (a no-op if the book already has it).
+    /// is attached (a no-op if the log already holds it).
     fn resolve(
         &self,
         spec: &UniverseSpec,
@@ -228,8 +228,9 @@ impl Registry {
         Ok(prepared)
     }
 
-    /// Rebuilds one recovered universe entry into the cache.
-    /// Already-resident content is left untouched.
+    /// Rebuilds one journaled universe entry into the cache (recovery's
+    /// replay of a `WarmUniverse` record). Already-resident content is
+    /// the same content, and is left untouched.
     pub(crate) fn restore_entry(&self, spec: &UniverseSpec) -> Result<(), ServeError> {
         let key = spec.key();
         if self.cache.contains(&key) {

@@ -26,8 +26,10 @@ use divr_core::prelude::*;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple, Value};
 use divr_server::{
-    Durability, QueryFrontDoor, QuerySpec, RecoverMode, Registry, RegistryConfig, UniverseSpec,
+    CheckedAnswer, CoresetSpec, Durability, QueryError, QueryFrontDoor, QuerySpec, RecoverMode,
+    Registry, RegistryConfig, UniverseSpec,
 };
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::{fs, io::Write as _};
@@ -471,14 +473,14 @@ fn reopen_eager(dir: &Path) -> (Arc<Registry>, QueryFrontDoor) {
     (registry, front)
 }
 
-/// The book follows a rebuilt query. Warm `Q(x, y) :- R(x, y)` over six
-/// rows and remove row 1: the warm sequence swap-removes to
+/// Recovery follows a rebuilt query. Warm `Q(x, y) :- R(x, y)` over
+/// six rows and remove row 1: the warm sequence swap-removes to
 /// `r0 r5 r2 r3 r4`. Evict the entry and serve again: a fresh
 /// evaluation, in relation order `r0 r2 r3 r4 r5`. After a crash, eager
 /// recovery must restore the order the live process served last, or
 /// the indices it answers with name other rows.
 #[test]
-fn a_rebuilt_query_replaces_its_book_row() {
+fn a_rebuilt_query_recovers_in_the_order_last_served() {
     let dir = tmpdir("rebuilt");
     let q = identity_query();
     let r: Vec<Tuple> = (0..6).map(|i| Tuple::ints([10 * i, i % 3])).collect();
@@ -553,4 +555,334 @@ fn an_auto_escalated_entry_with_an_inserted_tail_recovers_bit_identically() {
     );
     assert_eq!(registry.stats().misses, 0, "recovered warm");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A coreset the live process dropped stays dropped. The first far
+/// append to an auto-escalated entry leaves its cover above twice its
+/// selection's radius, so the live process drops the entry; replay runs
+/// the same patch, which refuses at the same insert. Nothing fails, the
+/// query is cold, and the next serve is one miss that selects over the
+/// current `Q(D)` — answering as a process that never crashed.
+#[test]
+fn a_coreset_the_live_process_dropped_stays_dropped() {
+    let dir = tmpdir("dropped-coreset");
+    let q = identity_query();
+    let n = CORESET_AUTO_THRESHOLD as i64 + 500;
+    let mut rows: Vec<Tuple> = (0..n).map(|i| Tuple::ints([3 * i, i % 5])).collect();
+    let far = Tuple::ints([3 * n + 1000, 7]);
+    {
+        let d = Durability::open(&dir).unwrap();
+        let registry = Arc::new(Registry::default());
+        let front = QueryFrontDoor::new(Arc::clone(&registry));
+        registry.attach_durability(Arc::clone(&d));
+        front.register_database("main", database_of(&rows));
+        front.serve_query("main", &q, &all_objectives(4)).unwrap();
+        assert!(front.insert_base_tuple("main", "R", far.iter().cloned().collect()).unwrap());
+        assert!(!front.is_warm("main", &q).unwrap(), "the live process dropped it");
+        // Dropped without a checkpoint: the WAL holds the tape.
+    }
+    let (registry, front) = reopen_eager(&dir);
+    assert!(!front.is_warm("main", &q).unwrap(), "replay dropped it too");
+    let answers = front.serve_query("main", &q, &all_objectives(4)).unwrap();
+    assert_eq!(registry.stats().misses, 1, "one selection over the current Q(D)");
+    rows.push(far);
+    let never_crashed = QueryFrontDoor::new(Arc::new(Registry::default()));
+    never_crashed.register_database("main", database_of(&rows));
+    assert_eq!(
+        answers,
+        never_crashed.serve_query("main", &q, &all_objectives(4)).unwrap()
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A rebuild is built whole. Warm an explicit coreset over ten rows,
+/// patch one near row in, evict the entry and serve again: the rebuild
+/// selects over all eleven rows. A checkpoint taken then must say so —
+/// recovery that selected over the first ten and patched the eleventh
+/// would cover the far end with the old representative and answer
+/// otherwise.
+#[test]
+fn a_rebuilt_coreset_checkpoints_as_built_whole() {
+    let dir = tmpdir("rebuilt-coreset");
+    let q = identity_query().with_coreset(CoresetSpec::with_budget(4));
+    let rows: Vec<Tuple> = (0..10).map(|i| Tuple::ints([10 * i, i % 3])).collect();
+    let (live_universe, live_answers) = {
+        let d = Durability::open(&dir).unwrap();
+        let registry = Arc::new(Registry::new(RegistryConfig {
+            byte_budget: 1,
+            shards: 1,
+            ..RegistryConfig::default()
+        }));
+        let front = QueryFrontDoor::new(Arc::clone(&registry));
+        registry.attach_durability(Arc::clone(&d));
+        front.register_database("main", database_of(&rows));
+        front.serve_query("main", &q, &all_objectives(2)).unwrap();
+        assert!(front.insert_base_tuple("main", "R", [95, 1].map(Value::int).to_vec()).unwrap());
+        assert!(front.is_warm("main", &q).unwrap(), "patched, not dropped");
+        registry.try_prepare(&uspec()).unwrap();
+        assert!(!front.is_warm("main", &q).unwrap(), "evicted");
+        let answers = front.serve_query("main", &q, &all_objectives(2)).unwrap();
+        d.checkpoint(&registry, &front).unwrap();
+        (front.universe_of("main", &q).unwrap(), answers)
+    };
+    let (registry, front) = reopen_eager(&dir);
+    assert_eq!(front.universe_of("main", &q).unwrap(), live_universe);
+    assert_eq!(
+        front.serve_query("main", &q, &all_objectives(2)).unwrap(),
+        live_answers
+    );
+    assert_eq!(registry.stats().misses, 0, "recovered warm");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A process that opened a non-empty data directory without recovering
+/// it cannot checkpoint over it: the checkpoint is an error and leaves
+/// every file byte-identical. Once recovered, the same process may.
+#[test]
+fn a_checkpoint_before_recover_is_refused_and_writes_nothing() {
+    let dir = tmpdir("refused");
+    build_tape(&dir);
+    let files = || -> Vec<(PathBuf, Vec<u8>)> {
+        let mut all: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), fs::read(&p).unwrap()))
+            .collect();
+        all.sort();
+        all
+    };
+    let d = Durability::open(&dir).unwrap();
+    let registry = Arc::new(Registry::default());
+    let front = QueryFrontDoor::new(Arc::clone(&registry));
+    let opened = files();
+    assert!(d.checkpoint(&registry, &front).is_err());
+    assert_eq!(files(), opened, "a refused checkpoint wrote to the directory");
+    assert_eq!(d.recover(&registry, &front, RecoverMode::Eager).failed_entries, 0);
+    assert_eq!(d.checkpoint(&registry, &front).unwrap().records, 3);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A seeded xorshift stream: a failing tape names its seed, and
+/// re-running reproduces it exactly.
+fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
+type Rows = BTreeSet<[i64; 2]>;
+
+/// A tape database: `R(x, y)` and `S(y, z)` holding `rows`.
+fn tape_db(rows: &[Rows; 2]) -> Database {
+    let mut db = Database::new();
+    for (relation, rows) in ["R", "S"].into_iter().zip(rows) {
+        db.create_relation(relation, &["a", "b"]).unwrap();
+        for row in rows {
+            db.insert_tuple(relation, Tuple::ints(*row)).unwrap();
+        }
+    }
+    db
+}
+
+/// The queries a tape serves, each in full and in explicit coreset
+/// mode. Over the auto-escalated database only the first reads `R`
+/// alone, and its full mode is the auto-escalated coreset.
+fn tape_queries() -> Vec<QuerySpec> {
+    let explicit = CoresetSpec {
+        budget: 6,
+        refine_rounds: 1,
+    };
+    ["Q(x, y) :- R(x, y)", "Q(x, z) :- R(x, y), S(y, z)"]
+        .into_iter()
+        .flat_map(|text| {
+            let q = QuerySpec::new(parse_query(text).unwrap(), rel(), dis(), Ratio::new(1, 2))
+                .unwrap();
+            [q.clone(), q.with_coreset(explicit)]
+        })
+        .collect()
+}
+
+/// The database past `CORESET_AUTO_THRESHOLD` an auto-escalating tape
+/// registers first.
+const BIG: &str = "big";
+
+/// A warm query the live process served at the end of a tape.
+struct Served {
+    db: &'static str,
+    spec: QuerySpec,
+    universe: Vec<Tuple>,
+    answers: Vec<CheckedAnswer>,
+}
+
+/// Runs one seeded op tape against a fresh data directory — register,
+/// serve (full, explicit coreset and, with `auto`, auto-escalated),
+/// base insert and remove, evict (a universe-keyed entry prepared
+/// under a 1-byte budget, in half the tapes), checkpoint — then drops
+/// the stack, with or without a final checkpoint. Returns every query
+/// the live process held warm and the databases as the tape left them.
+fn run_op_tape(dir: &Path, seed: u64, auto: bool) -> (Vec<Served>, BTreeMap<&'static str, [Rows; 2]>) {
+    let mut next = xorshift(seed);
+    let d = Durability::open(dir).unwrap();
+    let budget = match next() % 2 {
+        0 => 1,
+        _ => RegistryConfig::default().byte_budget,
+    };
+    let registry = Arc::new(Registry::new(RegistryConfig {
+        byte_budget: budget,
+        shards: 2,
+        ..RegistryConfig::default()
+    }));
+    let front = QueryFrontDoor::new(Arc::clone(&registry));
+    registry.attach_durability(Arc::clone(&d));
+    let queries = tape_queries();
+    let mut model: BTreeMap<&'static str, [Rows; 2]> = BTreeMap::new();
+    if auto {
+        let n = CORESET_AUTO_THRESHOLD as i64 + 100;
+        let big: Rows = (0..n).map(|i| [3 * i, i % 5]).collect();
+        front.register_database(BIG, tape_db(&[big.clone(), Rows::new()]));
+        model.insert(BIG, [big, Rows::new()]);
+    }
+    let small = ["db0", "db1"];
+    for _ in 0..if auto { 12 } else { 40 } {
+        let op = next() % 10;
+        if op == 0 || model.is_empty() {
+            let name = small[(next() % 2) as usize];
+            let mut rows = [Rows::new(), Rows::new()];
+            for _ in 0..8 + next() % 24 {
+                let side = (next() % 2) as usize;
+                rows[side].insert([(next() % 30) as i64, (next() % 5) as i64]);
+            }
+            front.register_database(name, tape_db(&rows));
+            model.insert(name, rows);
+            continue;
+        }
+        let names: Vec<&'static str> = model.keys().copied().collect();
+        let db = names[(next() % names.len() as u64) as usize];
+        // The auto-escalated database is read by `R` alone.
+        let (readable, sides) = if db == BIG { (2, 1) } else { (queries.len(), 2) };
+        match op {
+            1..=3 => {
+                let spec = &queries[(next() % readable as u64) as usize];
+                let _ = front.serve_query(db, spec, &all_objectives(2));
+            }
+            4..=6 => {
+                let side = (next() % sides) as usize;
+                let rows = &mut model.get_mut(db).unwrap()[side];
+                let insert = op != 6;
+                let row = match rows.iter().nth((next() % (rows.len() as u64 + 1)) as usize) {
+                    Some(row) if !insert => *row,
+                    _ if db == BIG => [(next() % 20_000) as i64, (next() % 5) as i64],
+                    _ => [(next() % 30) as i64, (next() % 5) as i64],
+                };
+                let changed = if insert { rows.insert(row) } else { rows.remove(&row) };
+                let relation = ["R", "S"][side];
+                let values = row.map(Value::int).to_vec();
+                let live = if insert {
+                    front.insert_base_tuple(db, relation, values)
+                } else {
+                    front.remove_base_tuple(db, relation, values)
+                };
+                assert_eq!(live, Ok(changed), "seed {seed:#x}: the model diverged");
+            }
+            7 | 8 => {
+                let rows = (0..3 + next() % 6).map(|_| Tuple::ints([(next() % 50) as i64, 1]));
+                let spec = UniverseSpec::new(rows.collect(), rel(), dis(), Ratio::new(1, 2));
+                registry.try_prepare(&spec).unwrap();
+            }
+            _ => drop(d.checkpoint(&registry, &front).unwrap()),
+        }
+    }
+    let mut served = Vec::new();
+    for &db in model.keys() {
+        let readable = if db == BIG { 2 } else { queries.len() };
+        for spec in &queries[..readable] {
+            if front.is_warm(db, spec).unwrap() {
+                served.push(Served {
+                    db,
+                    spec: spec.clone(),
+                    universe: front.universe_of(db, spec).unwrap(),
+                    answers: front.serve_query(db, spec, &all_objectives(2)).unwrap(),
+                });
+            }
+        }
+    }
+    if next().is_multiple_of(2) {
+        d.checkpoint(&registry, &front).unwrap();
+    }
+    (served, model)
+}
+
+/// Snapshot ≡ live under seeded op tapes (`PROPTEST_CASES` tapes,
+/// default 32): after an eager reopen every query the live process held
+/// warm serves the same sequence and the same answers for every
+/// objective without one cold prepare; after a lazy reopen every
+/// database holds what the live one did and nothing is prepared.
+fn op_tapes_recover_what_the_live_process_served(auto: bool, default_cases: usize) {
+    let cases: usize = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default_cases);
+    let cases = if auto { cases.div_ceil(16) } else { cases };
+    let mut seeds = xorshift(0x5EED_7A9E_0000_0028 ^ u64::from(auto));
+    for _ in 0..cases {
+        let seed = seeds();
+        let dir = tmpdir(&format!("tape-{seed:x}"));
+        let (served, model) = run_op_tape(&dir, seed, auto);
+
+        let (registry, front) = reopen_eager(&dir);
+        let misses = registry.stats().misses;
+        for s in &served {
+            let universe = front.universe_of(s.db, &s.spec).unwrap();
+            assert!(universe == s.universe, "seed {seed:#x}: {} order", s.db);
+            let answers = front.serve_query(s.db, &s.spec, &all_objectives(2)).unwrap();
+            assert_eq!(answers, s.answers, "seed {seed:#x}: {} answers", s.db);
+        }
+        assert_eq!(registry.stats().misses, misses, "seed {seed:#x}: a cold prepare");
+        drop((registry, front));
+
+        let d = Durability::open(&dir).unwrap();
+        let registry = Arc::new(Registry::default());
+        let front = QueryFrontDoor::new(Arc::clone(&registry));
+        let report = d.recover(&registry, &front, RecoverMode::Lazy);
+        assert_eq!(report.failed_entries, 0, "seed {seed:#x}");
+        assert_eq!(report.recovered_databases, model.len(), "seed {seed:#x}");
+        assert_eq!(registry.stats().entries, 0, "seed {seed:#x}: lazy prepared");
+        for (&db, rows) in &model {
+            for (relation, rows) in ["R", "S"].into_iter().zip(rows) {
+                let probe = QuerySpec::new(
+                    parse_query(&format!("Q(a, b) :- {relation}(a, b)")).unwrap(),
+                    rel(),
+                    dis(),
+                    Ratio::new(1, 2),
+                )
+                .unwrap()
+                .with_coreset(CoresetSpec::with_budget(4));
+                let held: Rows = match front.universe_of(db, &probe) {
+                    Ok(universe) => universe
+                        .iter()
+                        .map(|t| [0, 1].map(|i| t.get(i).and_then(Value::as_int).unwrap()))
+                        .collect(),
+                    Err(QueryError::EmptyResult) => Rows::new(),
+                    Err(e) => panic!("seed {seed:#x}: {db}.{relation}: {e}"),
+                };
+                assert_eq!(&held, rows, "seed {seed:#x}: {db}.{relation}");
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn seeded_op_tapes_recover_what_the_live_process_served() {
+    op_tapes_recover_what_the_live_process_served(false, 32);
+}
+
+/// The same tapes over an auto-escalated database (one tape in 16 of
+/// `PROPTEST_CASES`; CI runs it in `--release`).
+#[test]
+fn seeded_auto_escalated_op_tapes_recover_what_the_live_process_served() {
+    op_tapes_recover_what_the_live_process_served(true, 32);
 }

@@ -103,7 +103,7 @@ pub enum Rejection {
 
 impl Rejection {
     /// The machine-matchable `kind` string for the wire.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Rejection::QpsExceeded { .. } => "qps_exceeded",
             Rejection::CacheQuota { .. } => "cache_quota",
@@ -260,7 +260,7 @@ impl Admission {
     }
 
     /// `(admitted, rejected_qps, rejected_cache)` decision counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
+    pub(crate) fn counters(&self) -> (u64, u64, u64) {
         (
             self.admitted.load(Ordering::Relaxed),
             self.rejected_qps.load(Ordering::Relaxed),
@@ -272,7 +272,7 @@ impl Admission {
     /// charged universes (over all tenants) the controller remembers.
     /// Neither is ever released, so both only grow — the two numbers
     /// that explain admission's share of the process's memory.
-    pub fn gauges(&self) -> (usize, u64) {
+    pub(crate) fn gauges(&self) -> (usize, u64) {
         (
             self.lock_tenants().len(),
             self.ledger_rows.load(Ordering::Relaxed),

@@ -12,7 +12,7 @@
 //! * **Giving up on retryable pushback.** [`Client::request_with_retry`]
 //!   backs off (capped exponential, deterministic xorshift jitter) and
 //!   retries frames the server marked retryable (`429`/`503`/`504` —
-//!   see [`is_retryable_code`]),
+//!   see `proto::is_retryable_code`),
 //!   honoring the server's `retry_after_ms` hint when one is present,
 //!   and reconnects through transport errors.
 

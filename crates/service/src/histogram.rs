@@ -21,7 +21,7 @@ use std::time::Duration;
 const BUCKETS: usize = 48;
 
 /// One log-bucketed latency distribution (microsecond domain).
-pub struct Histogram {
+pub(crate) struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_us: AtomicU64,
@@ -38,18 +38,13 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
     fn bucket_of(us: u64) -> usize {
         // floor(log2(us)) + 1, clamped; us = 0 lands in bucket 0.
         ((64 - us.leading_zeros()) as usize).min(BUCKETS - 1)
     }
 
     /// Records one sample.
-    pub fn record(&self, elapsed: Duration) {
+    pub(crate) fn record(&self, elapsed: Duration) {
         let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
         self.buckets[Self::bucket_of(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
@@ -57,12 +52,12 @@ impl Histogram {
     }
 
     /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Mean latency in microseconds (0 when empty).
-    pub fn mean_us(&self) -> u64 {
+    pub(crate) fn mean_us(&self) -> u64 {
         self.sum_us
             .load(Ordering::Relaxed)
             .checked_div(self.count())
@@ -71,7 +66,7 @@ impl Histogram {
 
     /// The `q`-quantile in microseconds as the matched bucket's upper
     /// bound (0 when empty). `q` is clamped to `[0, 1]`.
-    pub fn quantile_us(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_us(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -98,13 +93,13 @@ fn upper_bound_us(bucket: usize) -> u64 {
 
 /// Per-objective latency histograms (the `/stats` export).
 #[derive(Default)]
-pub struct LatencyStats {
+pub(crate) struct LatencyStats {
     per_objective: [Histogram; 3],
 }
 
 impl LatencyStats {
     /// Empty stats.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyStats::default()
     }
 
@@ -117,12 +112,12 @@ impl LatencyStats {
     }
 
     /// The histogram for one objective.
-    pub fn of(&self, kind: ObjectiveKind) -> &Histogram {
+    pub(crate) fn of(&self, kind: ObjectiveKind) -> &Histogram {
         &self.per_objective[Self::index(kind)]
     }
 
     /// Records one served request's latency under its objective.
-    pub fn record(&self, kind: ObjectiveKind, elapsed: Duration) {
+    pub(crate) fn record(&self, kind: ObjectiveKind, elapsed: Duration) {
         self.of(kind).record(elapsed);
     }
 }
@@ -133,7 +128,7 @@ mod tests {
 
     #[test]
     fn quantiles_walk_buckets_conservatively() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for _ in 0..99 {
             h.record(Duration::from_micros(10)); // bucket [8, 16)
         }
@@ -149,7 +144,7 @@ mod tests {
 
     #[test]
     fn zero_and_huge_samples_stay_in_range() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         h.record(Duration::ZERO);
         h.record(Duration::from_secs(10_000));
         assert_eq!(h.count(), 2);

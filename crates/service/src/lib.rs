@@ -58,7 +58,7 @@
 //!   owns the deterministic fault-injecting proxy: latency,
 //!   truncation, resets, corruption) proves every fault ends in a
 //!   typed error or a correct answer.
-//! * **Observability** ([`histogram`]): lock-free log-bucketed latency
+//! * **Observability** (`histogram.rs`): lock-free log-bucketed latency
 //!   histograms per objective, exported by `{"op": "stats"}`.
 //! * **Durability** (`divr_server::persist`, wired by [`server`]): a
 //!   daemon started with a data directory journals every registration,
@@ -79,7 +79,7 @@
 
 pub mod admission;
 pub mod client;
-pub mod histogram;
+mod histogram;
 pub mod json;
 pub mod proto;
 pub mod server;
@@ -87,8 +87,6 @@ pub mod wire;
 
 pub use admission::{Admission, AdmissionConfig, Rejection};
 pub use client::{query_doc, serve_doc, Client, ClientError, RetryPolicy};
-pub use histogram::{Histogram, LatencyStats};
-pub use proto::is_retryable_code;
 pub use server::{Service, ServiceConfig};
 // Re-exported so daemon embedders can configure durability without
 // depending on divr_server directly.

@@ -155,7 +155,7 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> io::Result<Option<Vec<
 /// exceeds the configured maximum (so the server can answer
 /// `frame_too_large` instead of dropping the connection silently).
 #[derive(Clone, Copy, Debug)]
-pub struct FrameTooLarge {
+pub(crate) struct FrameTooLarge {
     /// Declared payload length.
     pub len: usize,
     /// Configured maximum.
@@ -175,7 +175,7 @@ impl std::fmt::Display for FrameTooLarge {
 impl std::error::Error for FrameTooLarge {}
 
 /// The `(kind, code)` a typed serving failure maps to on the wire.
-pub fn serve_error_status(e: &ServeError) -> (&'static str, u16) {
+pub(crate) fn serve_error_status(e: &ServeError) -> (&'static str, u16) {
     match e {
         ServeError::InfeasibleK { .. } => ("infeasible_k", 422),
         ServeError::ExceedsCoresetBudget { .. } => ("exceeds_coreset_budget", 422),
@@ -190,7 +190,7 @@ pub fn serve_error_status(e: &ServeError) -> (&'static str, u16) {
 /// admission pushback, `503` draining, `504` deadline) — the client's
 /// [`RetryPolicy`](crate::RetryPolicy) backs off and retries these and
 /// nothing else.
-pub fn is_retryable_code(code: u16) -> bool {
+pub(crate) fn is_retryable_code(code: u16) -> bool {
     matches!(code, 429 | 503 | 504)
 }
 

@@ -189,9 +189,9 @@ impl Service {
         let addr = listener.local_addr()?;
         let registry = Arc::new(Registry::new(config.registry));
         let front = QueryFrontDoor::new(Arc::clone(&registry));
-        // Durability bring-up order matters: recover into the live
-        // structures FIRST, attach SECOND — so the restore paths do not
-        // re-journal what the book already holds.
+        // Durability bring-up order matters: replay the log into the
+        // live structures FIRST, attach SECOND — so the replay, which
+        // runs the serving hooks, journals nothing again.
         let durability = match &config.data_dir {
             Some(dir) => {
                 let d = Durability::open(dir)?;

@@ -296,7 +296,7 @@ fn universe_from_rows<Row: Borrow<Value>>(
 /// Decodes the `relevance` / `distance` / `lambda` / `coreset`? members
 /// of `v` — a `universe` object, or a whole `query` frame (`owner` names
 /// which, for the messages) — into the [`Instance`] both carry.
-pub fn instance_from_json(v: &Value, owner: &str) -> Result<Instance, String> {
+pub(crate) fn instance_from_json(v: &Value, owner: &str) -> Result<Instance, String> {
     let member = |name: &str| v.get(name).ok_or_else(|| format!("{owner} needs {name}"));
     let rel = relevance_from_json(member("relevance")?)?;
     let dis = distance_from_json(member("distance")?)?;
@@ -350,7 +350,7 @@ pub fn requests_from_json(v: &Value) -> Result<Vec<EngineRequest>, String> {
 }
 
 /// The wire spelling of each objective.
-pub fn objective_to_str(kind: ObjectiveKind) -> &'static str {
+pub(crate) fn objective_to_str(kind: ObjectiveKind) -> &'static str {
     match kind {
         ObjectiveKind::MaxSum => "max_sum",
         ObjectiveKind::MaxMin => "max_min",
