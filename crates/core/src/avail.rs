@@ -32,19 +32,14 @@
 /// `items` holds the survivors in arbitrary order; `pos[i]` is `i`'s
 /// position in `items`, or `usize::MAX` once removed.
 #[derive(Clone, Debug, Default)]
-pub struct IndexSet {
+pub(crate) struct IndexSet {
     items: Vec<usize>,
     pos: Vec<usize>,
 }
 
 impl IndexSet {
-    /// An empty set (no storage until the first [`IndexSet::reset`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Refills the set with `0..n`, reusing existing storage.
-    pub fn reset(&mut self, n: usize) {
+    pub(crate) fn reset(&mut self, n: usize) {
         self.items.clear();
         self.items.extend(0..n);
         self.pos.clear();
@@ -53,14 +48,14 @@ impl IndexSet {
 
     /// Whether `i` is still in the set.
     #[inline]
-    pub fn contains(&self, i: usize) -> bool {
+    pub(crate) fn contains(&self, i: usize) -> bool {
         self.pos[i] != usize::MAX
     }
 
     /// Removes `i` in `O(1)` by swapping the last survivor into its
     /// slot. No-op if `i` was already removed.
     #[inline]
-    pub fn remove(&mut self, i: usize) {
+    pub(crate) fn remove(&mut self, i: usize) {
         let p = self.pos[i];
         if p == usize::MAX {
             return;
@@ -72,21 +67,9 @@ impl IndexSet {
         self.pos[i] = usize::MAX;
     }
 
-    /// Number of remaining items.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// The survivors as a dense slice, in **arbitrary** order.
     #[inline]
-    pub fn as_slice(&self) -> &[usize] {
+    pub(crate) fn as_slice(&self) -> &[usize] {
         &self.items
     }
 }
@@ -96,19 +79,19 @@ impl IndexSet {
 /// zeroing storage, so a scratch-held instance serves any number of
 /// requests without reallocating or touching `O(n)` memory up front.
 #[derive(Clone, Debug, Default)]
-pub struct GenMarks {
+pub(crate) struct GenMarks {
     stamp: Vec<u64>,
     gen: u64,
 }
 
 impl GenMarks {
     /// An empty bitmap (no storage until the first [`GenMarks::reset`]).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Clears all marks (O(1)) and guarantees capacity for ids `< n`.
-    pub fn reset(&mut self, n: usize) {
+    pub(crate) fn reset(&mut self, n: usize) {
         self.gen += 1;
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
@@ -117,13 +100,13 @@ impl GenMarks {
 
     /// Marks `i`.
     #[inline]
-    pub fn mark(&mut self, i: usize) {
+    pub(crate) fn mark(&mut self, i: usize) {
         self.stamp[i] = self.gen;
     }
 
     /// Whether `i` is marked in the current generation.
     #[inline]
-    pub fn is_marked(&self, i: usize) -> bool {
+    pub(crate) fn is_marked(&self, i: usize) -> bool {
         self.stamp[i] == self.gen
     }
 }
@@ -132,7 +115,7 @@ impl GenMarks {
 /// one `O(log n)` probe and one memmove instead of a full predicate
 /// scan. Order (and therefore any order-dependent tie-break built on
 /// the vector) is preserved. No-op if `x` is absent.
-pub fn remove_sorted(v: &mut Vec<usize>, x: usize) {
+pub(crate) fn remove_sorted(v: &mut Vec<usize>, x: usize) {
     if let Ok(p) = v.binary_search(&x) {
         v.remove(p);
     }
@@ -144,13 +127,13 @@ mod tests {
 
     #[test]
     fn index_set_swap_removal_and_membership() {
-        let mut s = IndexSet::new();
+        let mut s = IndexSet::default();
         s.reset(5);
-        assert_eq!(s.len(), 5);
+        assert_eq!(s.as_slice().len(), 5);
         assert!(s.contains(3));
         s.remove(1);
         s.remove(3);
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.as_slice().len(), 3);
         assert!(!s.contains(1));
         assert!(!s.contains(3));
         let mut left: Vec<usize> = s.as_slice().to_vec();
@@ -158,21 +141,21 @@ mod tests {
         assert_eq!(left, vec![0, 2, 4]);
         // Double-removal is a no-op.
         s.remove(3);
-        assert_eq!(s.len(), 3);
+        assert_eq!(s.as_slice().len(), 3);
         // Reset reuses storage and restores everything.
         s.reset(4);
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.as_slice().len(), 4);
         assert!(s.contains(1));
     }
 
     #[test]
     fn index_set_remove_all_then_reset() {
-        let mut s = IndexSet::new();
+        let mut s = IndexSet::default();
         s.reset(3);
         for i in 0..3 {
             s.remove(i);
         }
-        assert!(s.is_empty());
+        assert!(s.as_slice().is_empty());
         s.reset(2);
         assert_eq!(s.as_slice().len(), 2);
     }

@@ -179,7 +179,7 @@ impl Constraint {
     /// Whether this is a *denial-style* constraint (`h = 0`): violations
     /// are preserved by supersets, which constraint-aware solvers exploit
     /// for pruning.
-    pub fn is_denial(&self) -> bool {
+    pub(crate) fn is_denial(&self) -> bool {
         self.exists == 0
     }
 
@@ -188,7 +188,7 @@ impl Constraint {
     /// `h` existential variables over `U` satisfies the conclusion.
     ///
     /// Runs in `O(|U|^{l+h})` — PTIME for the constant-bounded `C_m`.
-    pub fn satisfied_by(&self, set: &[Tuple]) -> bool {
+    pub(crate) fn satisfied_by(&self, set: &[Tuple]) -> bool {
         let mut assignment: Vec<&Tuple> = Vec::with_capacity(self.width());
         self.check_universals(set, &mut assignment)
     }

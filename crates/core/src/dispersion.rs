@@ -79,17 +79,20 @@ impl fmt::Display for DispersionVariant {
 ///
 /// ```
 /// use divr_core::dispersion::{Dispersion, DispersionVariant};
-/// use divr_core::Ratio;
+/// use divr_core::prelude::*;
+/// use divr_relquery::Tuple;
 ///
-/// let mut d = Dispersion::new(3);
-/// d.set_edge(0, 1, Ratio::int(5))
-///     .set_edge(1, 2, Ratio::int(1))
-///     .set_edge(0, 2, Ratio::int(3));
+/// // Three points on a line at 0, 5 and 8, scored by distance alone
+/// // (λ = 1), so `w(i, j) = |x_i − x_j|`.
+/// let universe = vec![Tuple::ints([0]), Tuple::ints([5]), Tuple::ints([8])];
+/// let dis = NumericDistance { attr: 0, fallback: Ratio::ZERO };
+/// let p = DiversityProblem::new(universe, &ConstantRelevance(Ratio::ZERO), &dis, Ratio::ONE, 2);
+/// let d = Dispersion::from_max_min(&p);
 /// // Best 2-subset under Max-Sum: the heaviest edge.
 /// let (value, set) = d.brute_force(DispersionVariant::MaxSum, 2).unwrap();
-/// assert_eq!((value, set), (Ratio::int(5), vec![0, 1]));
+/// assert_eq!((value, set), (Ratio::int(8), vec![0, 2]));
 /// // Under Max-Min with 3 nodes, the weakest pair decides.
-/// assert_eq!(d.value(DispersionVariant::MaxMin, &[0, 1, 2]), Ratio::int(1));
+/// assert_eq!(d.value(DispersionVariant::MaxMin, &[0, 1, 2]), Ratio::int(3));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Dispersion {
@@ -101,7 +104,7 @@ pub struct Dispersion {
 
 impl Dispersion {
     /// Creates an instance with all weights zero.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Dispersion {
             n,
             edge: vec![Ratio::ZERO; n * (n.saturating_sub(1)) / 2],
@@ -120,7 +123,7 @@ impl Dispersion {
     }
 
     /// Sets a pair weight (order-insensitive). Panics on the diagonal.
-    pub fn set_edge(&mut self, i: usize, j: usize, w: Ratio) -> &mut Self {
+    pub(crate) fn set_edge(&mut self, i: usize, j: usize, w: Ratio) -> &mut Self {
         assert!(i != j, "dispersion weights live on pairs");
         let (i, j) = (i.min(j), i.max(j));
         let idx = self.index(i, j);

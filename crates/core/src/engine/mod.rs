@@ -46,9 +46,10 @@
 //! `O(n²)` once per universe plus `O(k·n)` amortized per request — and
 //! warm registry hits skip the quadratic part entirely. Availability is
 //! tracked with the `O(1)` swap-remove/generation-mark primitives of
-//! [`crate::avail`] instead of `Vec::retain`, and every internal buffer
-//! lives in a reusable [`SolveScratch`], so steady-state serving
-//! allocates nothing per request ([`Engine::serve_into`]). The
+//! the private `avail` module instead of `Vec::retain`, and every
+//! internal buffer lives in a reusable [`SolveScratch`], so
+//! steady-state serving allocates nothing per request
+//! ([`Engine::serve_into`]). The
 //! differential suite (`tests/lazy_matches_reference.rs`) pins the heap
 //! to [`crate::approx::greedy_max_sum`] — same sets, same exact values.
 //!
@@ -57,7 +58,7 @@
 //! Float arithmetic alone would silently break the paper-reproduction
 //! guarantees (ties decide reductions). The engine therefore treats
 //! `f64` scores as a *filter*, not a verdict: each argmax collects every
-//! candidate within [`F64_TIE_EPS`] of the float maximum and, whenever
+//! candidate within `F64_TIE_EPS` of the float maximum and, whenever
 //! more than one survives, re-scores exactly in `Ratio` arithmetic via
 //! the original [`Distance`] oracle, breaking ties the same way the
 //! sequential code does (lowest index / lexicographic pair). As long as
@@ -72,7 +73,7 @@
 //! | Module | Holds |
 //! |---|---|
 //! | `matrix` | [`DistanceMatrix`], its fill with the fused hot-row scans (max-sum seed, GMM row bests, finiteness record), its tiled mirror, the free list dropped matrices park their allocation in ([`spare_buffers`]), the chunked map/reduce |
-//! | `ties` | float argmax with the [`F64_TIE_EPS`] window, exact tie resolution |
+//! | `ties` | float argmax with the `F64_TIE_EPS` window, exact tie resolution |
 //! | `prepared` | [`PreparedUniverse`] (build, memoized preambles and their lazy builders, delta repair), [`DistOracle`] |
 //! | `solve` | [`Engine`] and [`SolveScratch`]; the lazy-heap work counters ([`solver_counters`]) |
 //!
@@ -89,7 +90,6 @@ mod ties;
 pub use matrix::{spare_buffers, DistanceMatrix};
 pub use prepared::{DistOracle, PreparedUniverse, SharedPrepared};
 pub use solve::{solver_counters, Engine, SolveScratch};
-pub use ties::F64_TIE_EPS;
 
 pub(crate) use prepared::score_relevance;
 pub(crate) use ties::{
@@ -266,27 +266,6 @@ pub enum DeltaOp {
     Insert(Tuple),
     /// Swap-remove the tuple at this index.
     Remove(usize),
-}
-
-impl DeltaOp {
-    /// Replays this op on a plain tuple sequence (`push` /
-    /// `swap_remove`) — the flat universe every delta-patched prepared
-    /// state must stay byte-identical to.
-    pub fn apply_to(&self, universe: &mut Vec<Tuple>) -> Result<(), DeltaError> {
-        match self {
-            DeltaOp::Insert(tuple) => universe.push(tuple.clone()),
-            DeltaOp::Remove(index) => {
-                if *index >= universe.len() {
-                    return Err(DeltaError::IndexOutOfRange {
-                        index: *index,
-                        n: universe.len(),
-                    });
-                }
-                universe.swap_remove(*index);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// One small keyed universe for the unit tests of this module tree and

@@ -9,7 +9,7 @@ use std::ops::Range;
 /// Relative/absolute half-width of the float tie window: candidates
 /// whose `f64` score is within `max(F64_TIE_EPS, |best|·F64_TIE_EPS)`
 /// of the best are re-compared with exact arithmetic.
-pub const F64_TIE_EPS: f64 = 1e-9;
+pub(crate) const F64_TIE_EPS: f64 = 1e-9;
 
 /// A candidate index whose float score survived the tie window, with its
 /// score. Shared with [`crate::coreset`]'s farthest-point scans.

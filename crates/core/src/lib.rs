@@ -57,7 +57,7 @@
 //! ```
 
 pub mod approx;
-pub mod avail;
+mod avail;
 pub mod axioms;
 pub mod codec;
 pub mod combin;

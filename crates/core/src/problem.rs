@@ -191,7 +191,7 @@ impl<'a> DiversityProblem<'a> {
     }
 
     /// Whether a candidate set of size `k` exists at all.
-    pub fn has_candidates(&self) -> bool {
+    pub(crate) fn has_candidates(&self) -> bool {
         self.n() >= self.k
     }
 

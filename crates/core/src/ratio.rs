@@ -202,7 +202,7 @@ impl Ratio {
     /// `i128` range (where `+` would panic). Used where adversarial
     /// denominators are expected — e.g. measuring float deviations
     /// against large-denominator oracle values.
-    pub fn checked_add(self, rhs: Ratio) -> Option<Ratio> {
+    pub(crate) fn checked_add(self, rhs: Ratio) -> Option<Ratio> {
         // Equal denominators (integers above all): the lcm is the
         // denominator itself, so only the numerators add — no Euclid
         // loop for integers, one reduce otherwise. Same value, same
@@ -228,7 +228,7 @@ impl Ratio {
         Some(Ratio::new_i128(left.checked_add(right)?, l))
     }
 
-    /// Non-panicking subtraction (see [`Ratio::checked_add`]).
+    /// Non-panicking subtraction: `None` where `-` would panic.
     pub fn checked_sub(self, rhs: Ratio) -> Option<Ratio> {
         self.checked_add(-rhs)
     }

@@ -2,7 +2,7 @@
 //!
 //! * [`rdc`] counts valid sets exactly by pruned subset search — the
 //!   generic `#·NP` / `#·PSPACE`-flavoured upper bound.
-//! * [`count_sum_subsets_at_least`] is the pseudo-polynomial sparse DP
+//! * `count_sum_subsets_at_least` is the pseudo-polynomial sparse DP
 //!   for **sum-decomposable** objectives (`F_mono` always; `F_MS` at
 //!   `λ = 0`) — the algorithmic substance of Theorem 7.5's #SSPk
 //!   connection. Complexity is `O(n · k · |distinct reachable sums|)`;
@@ -38,7 +38,7 @@ pub fn rdc_naive(p: &DiversityProblem<'_>, kind: ObjectiveKind, bound: Ratio) ->
 
 /// Counts `k`-subsets of `scores` whose sum is `≥ bound`, by sparse DP
 /// over `(cardinality, reachable sum)`.
-pub fn count_sum_subsets_at_least(scores: &[Ratio], k: usize, bound: Ratio) -> u128 {
+pub(crate) fn count_sum_subsets_at_least(scores: &[Ratio], k: usize, bound: Ratio) -> u128 {
     if k > scores.len() {
         return 0;
     }

@@ -129,7 +129,7 @@ pub fn top_r_sets_by_sum(scores: &[Ratio], k: usize, r: usize) -> Vec<(Ratio, Ve
 }
 
 /// The top-`r` candidate sets under `F_mono`, best first.
-pub fn top_r_mono_sets(p: &DiversityProblem<'_>, r: usize) -> Vec<(Ratio, Vec<usize>)> {
+pub(crate) fn top_r_mono_sets(p: &DiversityProblem<'_>, r: usize) -> Vec<(Ratio, Vec<usize>)> {
     top_r_sets_by_sum(&p.mono_item_scores(), p.k(), r)
 }
 

@@ -219,7 +219,8 @@ impl PreparedCache {
     }
 
     // `e2e/src/layers.rs:477,756` spell the insert this way and `e2e/`
-    // changes only in a `benchmark` PR (ROADMAP item 1 drops this);
+    // changes only in a `benchmark` PR (the ROADMAP's instrument-repair
+    // item drops this);
     // nothing under crates/, tests/ or examples/ may call it
     // (`ci/gates.sh`).
     #[doc(hidden)]
