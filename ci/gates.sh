@@ -45,7 +45,7 @@ while read -r crate max; do
   gate "pub items in crates/$crate/src" \
     "$(grep -rhE '^\s*pub (fn|struct|enum|trait|type|const|static|mod) ' "crates/$crate/src" | wc -l)" -le "$max"
 done <<'EOF'
-core 336
+core 314
 server 92
 service 55
 relquery 120
@@ -145,7 +145,7 @@ gate "…and that call is in gaps.rs" "$(nontest crates/core/src/coreset/gaps.rs
 # --- Docs that cannot drift -------------------------------------------
 # The architecture map only shrinks, like the `pub` counts: lower the
 # number when the file does; never raise it.
-gate "docs/ARCHITECTURE.md is at most 496 lines" "$(wc -l < docs/ARCHITECTURE.md)" -le 496
+gate "docs/ARCHITECTURE.md is at most 495 lines" "$(wc -l < docs/ARCHITECTURE.md)" -le 495
 # Every CHANGES.md entry keeps the condensed shape; run logs live in git.
 perl -CSD -lne '
   print "gate failed: CHANGES.md:$. is longer than 120 characters" and $bad++ if length > 120;

@@ -127,7 +127,7 @@ impl PreparedCoreset {
     }
 
     /// Full-universe size `n`.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.universe.len()
     }
 
@@ -149,16 +149,6 @@ impl PreparedCoreset {
     /// The `m × m` prepared universe over the representatives.
     pub fn sub(&self) -> &Arc<PreparedUniverse<'static>> {
         &self.sub
-    }
-
-    /// Exact relevance of full-universe item `i`.
-    pub fn rel_of(&self, i: usize) -> Ratio {
-        self.rel_exact[i]
-    }
-
-    /// Exact distance between full-universe items `i` and `j`.
-    pub fn dist_of(&self, i: usize, j: usize) -> Ratio {
-        self.dis.dist(&self.universe[i], &self.universe[j])
     }
 
     /// Appends `tuple` (with its already-evaluated exact relevance) and
@@ -329,7 +319,7 @@ impl PreparedCoreset {
     /// [`PreparedCoreset::insert_tuple`] cached for full-universe item
     /// `i`: its relevance score and, if it holds a representative slot,
     /// its row of the `m × m` matrix. `O(m)`.
-    pub fn check_finite_item(&self, i: usize) -> Result<(), ServeError> {
+    pub(crate) fn check_finite_item(&self, i: usize) -> Result<(), ServeError> {
         if !self.rel_f[i].is_finite() {
             return Err(ServeError::NonFiniteScore {
                 source: ScoreSource::Relevance,

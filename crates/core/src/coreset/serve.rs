@@ -64,21 +64,13 @@ impl CoresetEngine {
     }
 
     /// Full-universe size `n`.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.prepared.n()
     }
 
     /// Coreset size `m` — also the largest servable `k`.
     pub fn m(&self) -> usize {
         self.prepared.m()
-    }
-
-    /// Materializes a candidate set's tuples (full-universe indices).
-    pub fn tuples_of(&self, subset: &[usize]) -> Vec<Tuple> {
-        subset
-            .iter()
-            .map(|&i| self.prepared.universe[i].clone())
-            .collect()
     }
 
     /// Exact objective value of a full-universe index set under

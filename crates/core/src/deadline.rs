@@ -38,7 +38,7 @@ pub struct Deadline {
 }
 
 impl Deadline {
-    /// The unbounded deadline: [`Deadline::exceeded`] is always false.
+    /// The unbounded deadline: [`Deadline::check`] always passes.
     pub const fn none() -> Self {
         Deadline { at: None }
     }
@@ -50,7 +50,7 @@ impl Deadline {
 
     /// A deadline `limit` from now. A duration too large to represent
     /// saturates to the unbounded deadline.
-    pub fn after(limit: Duration) -> Self {
+    pub(crate) fn after(limit: Duration) -> Self {
         Deadline {
             at: Instant::now().checked_add(limit),
         }
@@ -64,27 +64,21 @@ impl Deadline {
     /// Whether the deadline has passed. The checkpoint predicate: one
     /// `Instant::now()` and a comparison, `false` forever for
     /// [`Deadline::none`].
-    pub fn exceeded(&self) -> bool {
+    pub(crate) fn exceeded(&self) -> bool {
         match self.at {
             None => false,
             Some(at) => Instant::now() >= at,
         }
     }
 
-    /// [`Deadline::exceeded`] as a typed result:
-    /// `Err(ServeError::DeadlineExceeded)` once the deadline passes.
+    /// Whether the deadline has passed, as a typed result:
+    /// `Err(ServeError::DeadlineExceeded)` once it has.
     pub fn check(&self) -> Result<(), ServeError> {
         if self.exceeded() {
             Err(ServeError::DeadlineExceeded)
         } else {
             Ok(())
         }
-    }
-
-    /// Time left before the deadline (`None` when unbounded; zero once
-    /// exceeded).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.at.map(|at| at.saturating_duration_since(Instant::now()))
     }
 }
 
@@ -103,7 +97,6 @@ mod tests {
         let d = Deadline::none();
         assert!(!d.exceeded());
         assert!(d.check().is_ok());
-        assert_eq!(d.remaining(), None);
     }
 
     #[test]
@@ -111,7 +104,6 @@ mod tests {
         let d = Deadline::in_ms(0);
         assert!(d.exceeded());
         assert_eq!(d.check(), Err(ServeError::DeadlineExceeded));
-        assert_eq!(d.remaining(), Some(Duration::ZERO));
     }
 
     #[test]
@@ -119,7 +111,6 @@ mod tests {
         let d = Deadline::in_ms(60_000);
         assert!(!d.exceeded());
         assert!(d.check().is_ok());
-        assert!(d.remaining().unwrap() > Duration::from_secs(30));
     }
 
     #[test]

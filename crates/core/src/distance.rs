@@ -138,11 +138,6 @@ impl TableDistance {
         self
     }
 
-    /// Whether the table has no explicit entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The default off-diagonal distance for unlisted pairs.
     pub fn default_value(&self) -> Ratio {
         self.default

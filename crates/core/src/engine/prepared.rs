@@ -296,18 +296,13 @@ impl<'a> PreparedUniverse<'a> {
         self.universe.len()
     }
 
-    /// Whether the universe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.universe.is_empty()
-    }
-
     /// The materialized universe `Q(D)`.
     pub fn universe(&self) -> &[Tuple] {
         &self.universe
     }
 
     /// The trade-off parameter λ.
-    pub fn lambda(&self) -> Ratio {
+    pub(crate) fn lambda(&self) -> Ratio {
         self.lambda
     }
 
@@ -329,15 +324,9 @@ impl<'a> PreparedUniverse<'a> {
         self.weights
     }
 
-    /// Exact relevance of item `i` (from the construction-time cache).
-    #[inline]
-    pub fn rel_of(&self, i: usize) -> Ratio {
-        self.rel_exact[i]
-    }
-
     /// The construction-time exact relevance cache, indexed by item.
     #[inline]
-    pub fn relevances(&self) -> &[Ratio] {
+    pub(crate) fn relevances(&self) -> &[Ratio] {
         &self.rel_exact
     }
 

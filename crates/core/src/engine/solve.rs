@@ -217,18 +217,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Number of universe items.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.prepared.n()
-    }
-
-    /// Whether the universe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.prepared.is_empty()
-    }
-
-    /// The materialized universe `Q(D)`.
-    pub fn universe(&self) -> &[Tuple] {
-        self.prepared.universe()
     }
 
     /// The precomputed distance matrix.
@@ -236,23 +226,10 @@ impl<'a> Engine<'a> {
         self.prepared.matrix()
     }
 
-    /// Exact relevance of item `i` (from the construction-time cache).
-    pub fn rel_of(&self, i: usize) -> Ratio {
-        self.prepared.relevances()[i]
-    }
-
     /// Exact distance between items `i` and `j` (through the oracle —
     /// used for tie verification, not in inner loops).
-    pub fn dist_of(&self, i: usize, j: usize) -> Ratio {
+    pub(crate) fn dist_of(&self, i: usize, j: usize) -> Ratio {
         self.prepared.dist_of(i, j)
-    }
-
-    /// Materializes a candidate set's tuples.
-    pub fn tuples_of(&self, subset: &[usize]) -> Vec<Tuple> {
-        subset
-            .iter()
-            .map(|&i| self.prepared.universe()[i].clone())
-            .collect()
     }
 
     /// Exact objective value `F(U)` of a candidate set, matching

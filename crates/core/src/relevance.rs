@@ -63,16 +63,6 @@ impl TableRelevance {
         self
     }
 
-    /// Number of explicit entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table has no explicit entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The default relevance for unlisted tuples.
     pub fn default_value(&self) -> Ratio {
         self.default
@@ -149,7 +139,7 @@ mod tests {
         assert_eq!(r.rel(&Tuple::ints([1])), Ratio::int(5));
         assert_eq!(r.rel(&Tuple::ints([2])), Ratio::new(1, 2));
         assert_eq!(r.rel(&Tuple::ints([3])), Ratio::ZERO);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.entries().count(), 2);
     }
 
     #[test]

@@ -1,44 +1,59 @@
-//! The sharded, byte-budgeted LRU of prepared universes.
+//! The byte-budgeted LRU of prepared universes.
 //!
-//! Each shard is an independently locked map from [`UniverseKey`] to a
-//! [`PreparedVariant`] — full-matrix state for ordinary specs, coreset
-//! state (`m² + O(n)` bytes, never `n²`) for specs in coreset mode; a
-//! key's 128-bit digest picks its shard, so traffic on disjoint
-//! universes contends on disjoint locks. Universe preparation — the
-//! `O(n²)` (or `O(n·m)`) part — always happens **outside** any
-//! lock: a miss releases the shard, builds, re-locks, and inserts. Two
-//! threads racing to prepare the same universe may both build; the
-//! first insert wins and the loser adopts it, so every caller for one
-//! key observes the same `Arc` once the entry exists (benign, bounded
-//! duplicate work instead of serializing all misses behind one lock).
+//! The cache maps a [`UniverseKey`] to a [`PreparedVariant`] —
+//! full-matrix state for ordinary specs, coreset state (`m² + O(n)`
+//! bytes, never `n²`) for specs in coreset mode. The map is split into
+//! shards that are lock stripes and nothing more: a key's 128-bit digest
+//! picks its shard, so traffic on disjoint universes contends on
+//! disjoint locks and a hit locks one shard. Universe preparation — the
+//! `O(n²)` (or `O(n·m)`) part — always happens **outside** any lock: a
+//! miss releases the shard, builds, re-locks, and inserts. Two threads
+//! racing to prepare the same universe may both build; the first insert
+//! wins and the loser adopts it, so every caller for one key observes
+//! the same `Arc` once the entry exists (benign, bounded duplicate work
+//! instead of serializing all misses behind one lock).
 //!
-//! Eviction is LRU by a global monotone clock stamp, metered in bytes
-//! ([`PreparedUniverse::approx_bytes`](divr_core::engine::PreparedUniverse::approx_bytes)).
-//! That figure **reserves** the `O(n)` memoized solver preambles up
-//! front: the max-sum lazy-heap seed is materialized during the matrix
-//! build itself, and the mono scores are populated lazily by the first
-//! `F_mono` request — an entry's metered size is computed once at
+//! **One budget.** Entries are metered in bytes
+//! ([`PreparedUniverse::approx_bytes`](divr_core::engine::PreparedUniverse::approx_bytes))
+//! against one budget for the whole cache, held as one resident-bytes
+//! counter: an insert charges it under the lock that links the entry,
+//! before linking, and every unlink refunds it under the lock that
+//! unlinks. The figure **reserves** the `O(n)` memoized solver preambles
+//! up front: the max-sum lazy-heap seed is materialized during the
+//! matrix build itself, and the mono scores are populated lazily by the
+//! first `F_mono` request — an entry's metered size is computed once at
 //! insert, so charging all preambles eagerly keeps the budget honest
-//! after the entry warms up — serving
-//! against a cached universe never grows its true footprint past what
-//! the shard already accounted for (pinned by
-//! `preamble_bytes_are_reserved_at_insert` below). Mechanically:
-//! after an insert pushes a shard over its budget slice, least-recently
-//! used entries are dropped until it fits. The newest entry is never
-//! evicted by its own insert — a universe larger than the budget is
-//! still served (and evicted by the next insert), it just can't stay
-//! warm. Evicted state is only ever dropped, never mutated: any engine
-//! still solving against an evicted `Arc` keeps it alive and correct,
-//! and a re-request rebuilds from the spec — so eviction can never
-//! serve stale or torn matrices. The drop itself — releasing a 9–35 MB
-//! matrix — happens **after** the shard lock is released, like the
-//! build: victims are unlinked under the lock and handed out of it.
+//! after the entry warms up — serving against a cached universe never
+//! grows its true footprint past what the cache already accounted for
+//! (pinned by `preamble_bytes_are_reserved_at_insert` below).
+//!
+//! **The victim scan.** An insert releases its shard, then, while the
+//! cache is over budget, finds the globally least-recent entry (by a
+//! monotone clock stamp) by scanning the shards one lock at a time. It
+//! locks that entry's shard and unlinks the entry only if its stamp is
+//! unchanged and the cache is still over budget. No path holds two
+//! shard locks. The newest entry is never evicted by its own insert — a
+//! universe larger than the budget is still served (and evicted by the
+//! next insert), it just can't stay warm. Evicted state is only ever
+//! dropped, never mutated: any engine still solving against an evicted
+//! `Arc` keeps it alive and correct, and a re-request rebuilds from the
+//! spec — so eviction can never serve stale or torn matrices. The drop
+//! itself — releasing a 9–35 MB matrix — happens with no lock held,
+//! like the build.
+//!
+//! **Transient overshoot.** While inserts race, resident bytes exceed
+//! the budget by at most one in-flight entry per concurrent inserter
+//! (charged, its victim scan not yet finished), and evictors that pass
+//! the re-check together over-evict by at most one entry each. Once
+//! inserts quiesce the cache is within budget, unless one entry alone
+//! exceeds it (pinned by
+//! `concurrent_inserts_meter_exactly_and_settle_within_budget` below).
 
 use crate::fingerprint::UniverseKey;
 use crate::spec::PreparedVariant;
 use divr_core::engine::DeltaOp;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::hash_map::{self, HashMap};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -48,11 +63,8 @@ struct Entry {
     stamp: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<UniverseKey, Entry>,
-    bytes: usize,
-}
+/// One lock stripe of the cache.
+type Shard = HashMap<UniverseKey, Entry>;
 
 /// Counters describing cache behaviour since construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,15 +81,22 @@ pub struct CacheStats {
     pub prepare_us: u64,
     /// Prepared universes currently resident.
     pub entries: usize,
-    /// Approximate resident bytes.
+    /// Metered bytes of the resident entries, the figure held against
+    /// the byte budget: exact once concurrent inserts and evictions have
+    /// returned.
     pub bytes: usize,
 }
 
-/// The sharded LRU itself. See the module docs for the locking and
-/// eviction discipline.
+/// The LRU itself. See the module docs for the locking and eviction
+/// discipline.
 pub struct PreparedCache {
     shards: Vec<Mutex<Shard>>,
-    budget_per_shard: usize,
+    budget: usize,
+    /// Metered bytes of every linked entry, charged and refunded under
+    /// the lock of the shard that links or unlinks it. `SeqCst`: each
+    /// evictor re-checks it under a different shard's lock, and the
+    /// over-eviction bound needs every unlink in one order.
+    resident: AtomicUsize,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -86,14 +105,13 @@ pub struct PreparedCache {
 }
 
 impl PreparedCache {
-    /// A cache holding at most ~`byte_budget` bytes of prepared state
-    /// across `shards` independently locked shards (each gets an equal
-    /// slice of the budget).
+    /// A cache holding at most ~`byte_budget` bytes of prepared state,
+    /// one budget for the whole cache, behind `shards` lock stripes.
     pub fn new(byte_budget: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
         PreparedCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            budget_per_shard: byte_budget / shards,
+            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
+            budget: byte_budget,
+            resident: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -111,25 +129,29 @@ impl PreparedCache {
     ///
     /// A panic while a shard was locked (a panicking user oracle, an
     /// allocation failure mid-insert) may have left its bookkeeping
-    /// torn — an entry inserted but its bytes not charged, or the
-    /// reverse. Poisoning every later request on the shard would turn
-    /// one tenant's panic into a permanent denial of service for every
+    /// torn — bytes charged for an entry that was never linked.
+    /// Poisoning every later request on the shard would turn one
+    /// tenant's panic into a permanent denial of service for every
     /// universe hashing there. Cached state is only ever a rebuildable
     /// copy, so the recovery is to evict the whole shard (counted as
-    /// evictions), clear the poison flag, and keep serving: in-flight
-    /// `Arc` clones finish on the old immutable state, and the next
-    /// request per key simply re-prepares. The torn entries are dropped
-    /// with the lock released, then the (now clean) shard is locked
-    /// again.
+    /// evictions, their metered bytes refunded), clear the poison flag,
+    /// and keep serving: in-flight `Arc` clones finish on the old
+    /// immutable state, and the next request per key simply re-prepares.
+    /// Every linked entry was charged before it was linked, so the
+    /// refund never wraps; a tear can only leave bytes over-counted. The
+    /// torn entries are dropped with the lock released, then the (now
+    /// clean) shard is locked again.
     fn lock_shard<'a>(&self, shard: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
         loop {
             match shard.lock() {
                 Ok(guard) => return guard,
                 Err(poisoned) => {
                     let mut guard = poisoned.into_inner();
-                    let torn = std::mem::take(&mut guard.entries);
-                    guard.bytes = 0;
-                    self.evictions.fetch_add(torn.len() as u64, Ordering::Relaxed);
+                    let torn = std::mem::take(&mut *guard);
+                    let bytes = torn.values().map(|e| e.bytes).sum();
+                    self.resident.fetch_sub(bytes, Ordering::SeqCst);
+                    self.evictions
+                        .fetch_add(torn.len() as u64, Ordering::Relaxed);
                     shard.clear_poison();
                     drop(guard);
                     drop(torn);
@@ -163,7 +185,7 @@ impl PreparedCache {
         let shard = self.shard_of(key);
         {
             let mut guard = self.lock_shard(shard);
-            if let Some(entry) = guard.entries.get_mut(key) {
+            if let Some(entry) = guard.get_mut(key) {
                 entry.stamp = self.tick();
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(entry.prepared.clone());
@@ -187,7 +209,7 @@ impl PreparedCache {
         prepared: PreparedVariant,
     ) -> PreparedVariant {
         let mut guard = self.lock_shard(shard);
-        if let Some(entry) = guard.entries.get_mut(key) {
+        if let Some(entry) = guard.get_mut(key) {
             // Lost a build race; adopt the winner so all callers share.
             entry.stamp = self.tick();
             return entry.prepared.clone();
@@ -204,8 +226,8 @@ impl PreparedCache {
     /// on the old immutable state.
     pub fn take(&self, key: &UniverseKey) -> Option<PreparedVariant> {
         let mut guard = self.lock_shard(self.shard_of(key));
-        let entry = guard.entries.remove(key)?;
-        guard.bytes -= entry.bytes;
+        let entry = guard.remove(key)?;
+        self.resident.fetch_sub(entry.bytes, Ordering::SeqCst);
         Some(entry.prepared)
     }
 
@@ -234,9 +256,9 @@ impl PreparedCache {
         self.insert(key, prepared)
     }
 
-    /// The one insert: charges `prepared` to the locked shard under
-    /// `key`, unlinks what it replaces and what no longer fits, and
-    /// drops all of that with the lock released.
+    /// The one insert: charges `prepared` and links it under `key` in
+    /// the locked shard, releases the shard, drops what it replaced, and
+    /// evicts past budget.
     fn insert_and_evict(
         &self,
         mut guard: MutexGuard<'_, Shard>,
@@ -250,51 +272,66 @@ impl PreparedCache {
             bytes,
             stamp,
         };
-        let replaced = guard.entries.insert(key.clone(), entry);
+        self.resident.fetch_add(bytes, Ordering::SeqCst);
+        let replaced = guard.insert(key.clone(), entry);
         if let Some(old) = &replaced {
-            guard.bytes -= old.bytes;
+            self.resident.fetch_sub(old.bytes, Ordering::SeqCst);
         }
-        guard.bytes += bytes;
-        let victims = self.evict_over_budget(&mut guard, stamp);
         drop(guard);
-        drop((replaced, victims));
+        drop(replaced);
+        self.evict_over_budget(stamp);
     }
 
-    /// Unlinks LRU entries (never the one stamped `keep_stamp`) until
-    /// the shard fits its budget slice, and returns them: the caller
-    /// drops them once it has released the shard.
-    #[must_use = "drop the victims after releasing the shard lock"]
-    fn evict_over_budget(&self, shard: &mut Shard, keep_stamp: u64) -> Vec<Entry> {
-        let mut victims = Vec::new();
-        while shard.bytes > self.budget_per_shard && shard.entries.len() > 1 {
-            let victim = shard
-                .entries
-                .iter()
-                .filter(|(_, e)| e.stamp != keep_stamp)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone());
-            let Some(victim) = victim else { break };
-            if let Some(e) = shard.entries.remove(&victim) {
-                shard.bytes -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                victims.push(e);
+    /// While the cache is over budget, unlinks the globally
+    /// least-recent entry other than the one stamped `keep`, and drops
+    /// it with no lock held. The scan locks one shard at a time; the
+    /// victim is unlinked only if nothing touched it since and the cache
+    /// is still over budget under its shard's lock.
+    fn evict_over_budget(&self, keep: u64) {
+        while self.resident.load(Ordering::SeqCst) > self.budget {
+            let mut oldest: Option<(&Mutex<Shard>, UniverseKey, u64)> = None;
+            for shard in &self.shards {
+                let guard = self.lock_shard(shard);
+                let lru = guard
+                    .iter()
+                    .filter(|(_, e)| e.stamp != keep)
+                    .min_by_key(|(_, e)| e.stamp);
+                if let Some((key, e)) = lru {
+                    if oldest.as_ref().is_none_or(|(_, _, s)| e.stamp < *s) {
+                        oldest = Some((shard, key.clone(), e.stamp));
+                    }
+                }
             }
+            let Some((shard, key, stamp)) = oldest else {
+                return;
+            };
+            let victim = {
+                let mut guard = self.lock_shard(shard);
+                if self.resident.load(Ordering::SeqCst) <= self.budget {
+                    return;
+                }
+                match guard.entry(key) {
+                    hash_map::Entry::Occupied(slot) if slot.get().stamp == stamp => slot.remove(),
+                    // Touched or taken since the scan: look again.
+                    _ => continue,
+                }
+            };
+            self.resident.fetch_sub(victim.bytes, Ordering::SeqCst);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            drop(victim);
         }
-        victims
     }
 
     /// Whether `key` is currently resident (no LRU bump).
     pub fn contains(&self, key: &UniverseKey) -> bool {
-        self.lock_shard(self.shard_of(key))
-            .entries
-            .contains_key(key)
+        self.lock_shard(self.shard_of(key)).contains_key(key)
     }
 
     /// The prepared state under `key`, if resident — a peek: no LRU
     /// bump and no hit counted. How a checkpoint reads the warm set.
     pub(crate) fn peek(&self, key: &UniverseKey) -> Option<PreparedVariant> {
         let guard = self.lock_shard(self.shard_of(key));
-        guard.entries.get(key).map(|e| e.prepared.clone())
+        guard.get(key).map(|e| e.prepared.clone())
     }
 
     /// Every resident key, each an `O(1)` clone taken with one shard
@@ -303,28 +340,23 @@ impl PreparedCache {
     pub(crate) fn keys(&self) -> Vec<UniverseKey> {
         let mut keys = Vec::new();
         for shard in &self.shards {
-            keys.extend(self.lock_shard(shard).entries.keys().cloned());
+            keys.extend(self.lock_shard(shard).keys().cloned());
         }
         keys
     }
 
-    /// A consistent-enough snapshot of the counters (shards are read
-    /// one at a time; totals may straddle concurrent inserts).
+    /// A snapshot of the counters. `entries` reads the shards one at a
+    /// time, so it may straddle concurrent inserts; `bytes` is the one
+    /// resident counter.
     pub fn stats(&self) -> CacheStats {
-        let mut entries = 0;
-        let mut bytes = 0;
-        for shard in &self.shards {
-            let guard = self.lock_shard(shard);
-            entries += guard.entries.len();
-            bytes += guard.bytes;
-        }
+        let entries = self.shards.iter().map(|s| self.lock_shard(s).len()).sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             prepare_us: self.prepare_us.load(Ordering::Relaxed),
             entries,
-            bytes,
+            bytes: self.resident.load(Ordering::SeqCst),
         }
     }
 }
@@ -333,9 +365,9 @@ impl PreparedCache {
 mod tests {
     use super::*;
     use crate::spec::UniverseSpec;
+    use divr_core::distance::NumericDistance;
     use divr_core::engine::ServeError;
     use divr_core::relevance::ConstantRelevance;
-    use divr_core::distance::NumericDistance;
     use divr_core::Ratio;
     use divr_relquery::Tuple;
     use std::sync::Arc;
@@ -355,6 +387,102 @@ mod tests {
     /// The registry's lookup: checked prepare from the spec on a miss.
     fn fetch(cache: &PreparedCache, s: &UniverseSpec) -> Result<PreparedVariant, ServeError> {
         cache.get_or_try_prepare_with(&s.key(), || s.try_prepare_variant(1))
+    }
+
+    /// `count` distinct specs of `n` tuples whose keys land in shard
+    /// `shard` of an 8-shard cache.
+    fn in_shard(shard: u128, n: i64, count: usize) -> Vec<UniverseSpec> {
+        (2..)
+            .map(|d| spec(n, Ratio::new(1, d)))
+            .filter(|s| s.key().digest() % 8 == shard)
+            .take(count)
+            .collect()
+    }
+
+    /// The metered bytes of what is resident, summed entry by entry.
+    fn resident_bytes(cache: &PreparedCache) -> usize {
+        let shard_bytes = |s: &Mutex<Shard>| -> usize {
+            s.lock()
+                .unwrap()
+                .values()
+                .map(|e| e.prepared.approx_bytes())
+                .sum()
+        };
+        cache.shards.iter().map(shard_bytes).sum()
+    }
+
+    #[test]
+    fn keys_in_one_shard_coreside_under_budget() {
+        // (a) 15 small entries in one of 8 shards; (b) two entries each
+        // larger than budget / 8. Both totals fit the budget, so nothing
+        // is evicted however the keys skew.
+        for (count, n) in [(15, 8), (2, 48)] {
+            let specs = in_shard(0, n, count);
+            let one = specs[0].prepare(1).approx_bytes();
+            let budget = (count + 1) * one;
+            assert!(count != 2 || one > budget / 8);
+            let cache = PreparedCache::new(budget, 8);
+            for s in specs.iter().chain(&specs) {
+                fetch(&cache, s).unwrap();
+            }
+            let st = cache.stats();
+            let count = count as u64;
+            assert_eq!((st.misses, st.hits, st.evictions), (count, count, 0));
+        }
+    }
+
+    #[test]
+    fn the_victim_is_the_global_lru_not_the_inserting_shards_oldest() {
+        let zero = in_shard(0, 16, 3);
+        let (b, c, d) = (&zero[0], &zero[1], &zero[2]);
+        let a = &in_shard(1, 16, 1)[0];
+        let one = a.prepare(1).approx_bytes();
+        let cache = PreparedCache::new(3 * one + one / 2, 8);
+        for s in [b, a, c, b] {
+            fetch(&cache, s).unwrap();
+        }
+        // Recency is a < c < b, and shard 0's oldest is c. Inserting d
+        // into shard 0 evicts a, from shard 1.
+        fetch(&cache, d).unwrap();
+        assert!(!cache.contains(&a.key()));
+        assert!([b, c, d].iter().all(|s| cache.contains(&s.key())));
+        assert_eq!(cache.stats().evictions, 1);
+    }
+
+    #[test]
+    fn concurrent_inserts_meter_exactly_and_settle_within_budget() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 8;
+        let one = spec(16, Ratio::ONE).prepare(1).approx_bytes();
+        // About half of each round's 32 fresh keys, spread over 8 shards.
+        let budget = 15 * one + one / 2;
+        let cache = PreparedCache::new(budget, 8);
+        let barrier = std::sync::Barrier::new(THREADS);
+        for round in 0..6i64 {
+            let first = 2 + round * (THREADS * PER_THREAD) as i64;
+            let specs: Vec<_> = (first..first + (THREADS * PER_THREAD) as i64)
+                .map(|d| spec(16, Ratio::new(1, d)))
+                .collect();
+            let (cache, barrier) = (&cache, &barrier);
+            std::thread::scope(|scope| {
+                for chunk in specs.chunks(PER_THREAD) {
+                    scope.spawn(move || {
+                        barrier.wait();
+                        for s in chunk {
+                            fetch(cache, s).unwrap();
+                        }
+                    });
+                }
+            });
+            let bytes = cache.stats().bytes;
+            assert_eq!(bytes, resident_bytes(cache), "round {round}");
+            assert!(bytes <= budget, "round {round}: {bytes} > {budget}");
+            // Racing evictors over-evict by at most one entry each.
+            assert!(
+                bytes + THREADS * one > budget,
+                "round {round}: only {bytes} resident"
+            );
+        }
     }
 
     #[test]
@@ -388,7 +516,7 @@ mod tests {
     #[test]
     fn tiny_budget_evicts_lru_first() {
         let one = spec(16, Ratio::new(1, 2)).prepare(1).approx_bytes();
-        // Budget fits one entry per shard, not two.
+        // Budget fits one entry, not two.
         let cache = PreparedCache::new(one + one / 2, 1);
         let (s1, s2, s3) = (
             spec(16, Ratio::new(1, 2)),
@@ -447,13 +575,14 @@ mod tests {
 
     #[test]
     fn poisoned_shard_recovers_and_keeps_serving() {
-        let cache = Arc::new(PreparedCache::new(usize::MAX, 1));
-        let s = spec(8, Ratio::new(1, 2));
+        let cache = Arc::new(PreparedCache::new(usize::MAX, 8));
+        let s = &in_shard(0, 8, 1)[0];
+        let other = &in_shard(1, 8, 1)[0];
         let k = s.key();
-        fetch(&cache, &s).unwrap();
-        // Poison the only shard: a thread panics while holding its lock
-        // (the shape of a panicking oracle unwinding through a locked
-        // region).
+        fetch(&cache, s).unwrap();
+        fetch(&cache, other).unwrap();
+        // Poison shard 0: a thread panics while holding its lock (the
+        // shape of a panicking oracle unwinding through a locked region).
         let poisoner = Arc::clone(&cache);
         let _ = std::thread::spawn(move || {
             let _guard = poisoner.shards[0].lock().unwrap();
@@ -464,14 +593,21 @@ mod tests {
         // Every access used to panic here forever ("cache shard
         // poisoned") — a permanent denial of service from one bad
         // request. Recovery evicts the possibly-torn shard and serves.
-        let again = fetch(&cache, &s).unwrap();
+        let again = fetch(&cache, s).unwrap();
         assert_eq!(again.n(), 8);
         assert!(!cache.shards[0].is_poisoned());
         assert!(cache.stats().evictions >= 1);
         // The re-prepared entry is resident and hittable again.
         assert!(cache.contains(&k));
-        let hit = fetch(&cache, &s).unwrap();
-        assert!(Arc::ptr_eq(again.as_full().unwrap(), hit.as_full().unwrap()));
+        let hit = fetch(&cache, s).unwrap();
+        assert!(Arc::ptr_eq(
+            again.as_full().unwrap(),
+            hit.as_full().unwrap()
+        ));
+        // Recovery refunded the torn shard's bytes alone: the metered
+        // total is exactly what is resident, the other shard's included.
+        assert!(cache.contains(&other.key()));
+        assert_eq!(cache.stats().bytes, resident_bytes(&cache));
     }
 
     #[test]

@@ -78,9 +78,12 @@
 //! `state → inner → cache shard`. Front-door hooks run under the front
 //! door's `state` lock and then take the durability `inner` lock; a
 //! checkpoint takes `state` (read) and then `inner`, and reads cache
-//! shards, one at a time, under both. No path holds a shard lock while
-//! taking `inner` or `state`: the cache runs builds and drops what it
-//! unlinks with its shard released, and calls nothing else under it.
+//! shards, one at a time, under both. An insert that evicts releases
+//! its own shard first, then locks other shards one at a time to find
+//! and unlink its victims, so no path holds two shard locks. No path
+//! holds a shard lock while taking `inner` or `state`: the cache runs
+//! builds and drops what it unlinks with its shard released, and calls
+//! nothing else under it.
 //! Recovery takes `inner` once, to take the records `open` decoded,
 //! and never while calling into the front door.
 

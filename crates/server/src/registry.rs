@@ -18,7 +18,8 @@ use std::sync::{Arc, OnceLock};
 pub struct RegistryConfig {
     /// Total byte budget across all cached prepared universes.
     pub byte_budget: usize,
-    /// Number of independently locked cache shards.
+    /// Number of cache lock stripes: keys on different stripes never
+    /// contend for a lock. Every stripe draws on the one byte budget.
     pub shards: usize,
     /// Worker threads for mixed-batch scheduling (prepare + solve).
     pub workers: usize,
