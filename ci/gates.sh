@@ -66,6 +66,13 @@ for name in mono_score_exact mmr local_search_swap gmm_seed_f64 ms_seed mono_sco
   gate "one definition of fn $name under crates/core/src" "$(nontest $CORE | grep -cE "fn $name[(<]")" -eq 1
 done
 gate "one length-prefix parser in crates/service/src" "$(nontest $SERVICE | calls 'u32::from_be_bytes')" -eq 1
+# One JSON tokenizer (`json::Reader`): one value dispatch and one string
+# unescaper in the crate; the frame path reads through it with no tree
+# of the rows (`wire::Frame`), so server.rs never calls `json::parse`.
+gate "one JSON tokenizer in crates/service/src" \
+  "$(nontest $SERVICE | grep -cE "Some\(b'-' \| b'0'\.\.=b'9'\)|b'u' =>")" -eq 2
+gate "…and the frame path builds no tree: no json::parse( in server.rs" \
+  "$(nontest crates/service/src/server.rs | calls 'json::parse(')" -eq 0
 for f in $CORE; do gate "$f is at most 1300 lines" "$(wc -l < "$f")" -le 1300; done
 
 # --- One mechanism each: textual, because no type or test can say it --

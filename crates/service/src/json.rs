@@ -12,7 +12,12 @@
 //!   else falls back to [`Value::Float`]. The protocol itself never
 //!   puts exact quantities in floats — `Ratio`s travel as `[num, den]`
 //!   integer pairs — so float lossiness can never corrupt an answer.
+//!
+//! Reading is one pull tokenizer, `Reader`: [`parse`] builds a tree
+//! with it, and the daemon's frame path reads a frame with it without
+//! building a tree of the rows.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// One JSON value.
@@ -39,19 +44,6 @@ impl Value {
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Takes member `key` out of an object, by value: the frame path
-    /// decodes its one large member (`universe` / `database`) from an
-    /// owned subtree so each row is freed as soon as it is decoded.
-    pub(crate) fn take(&mut self, key: &str) -> Option<Value> {
-        match self {
-            Value::Object(members) => {
-                let at = members.iter().position(|(k, _)| k == key)?;
-                Some(members.remove(at).1)
-            }
             _ => None,
         }
     }
@@ -173,17 +165,9 @@ pub const MAX_DEPTH: usize = 64;
 /// Parses one JSON document (trailing whitespace allowed, trailing
 /// garbage is an error, nesting past [`MAX_DEPTH`] is an error).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    p.skip_ws();
-    let value = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after JSON document"));
-    }
+    let mut reader = Reader::new(input);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
@@ -204,14 +188,50 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The one JSON tokenizer: a pull reader over one document. [`parse`]
+/// builds a [`Value`] tree with it; the frame path (`wire::Frame`) walks
+/// a frame with it and builds rows straight into tuples. Both see the
+/// same grammar, the same depth bound and the same error at the same
+/// byte, because there is one reader.
+///
+/// A container is walked as `open`, then `key` (objects) or `item`
+/// (arrays) until it reports the close; each `Some` key or `true` item
+/// leaves the cursor on a value the caller must consume — [`value`],
+/// [`skip`] or a nested `open`.
+///
+/// [`value`]: Reader::value
+/// [`skip`]: Reader::skip
+pub(crate) struct Reader<'a> {
+    input: &'a str,
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
+    /// A container was just opened: its first key or item comes next.
+    fresh: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
+    /// A reader on the first value of `input` (leading whitespace skipped).
+    pub(crate) fn new(input: &'a str) -> Reader<'a> {
+        let mut reader = Reader {
+            input,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        };
+        reader.skip_ws();
+        reader
+    }
+
+    /// Checks that only whitespace follows the document.
+    pub(crate) fn finish(mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.input.len() {
+            return Err(self.err("trailing characters after JSON document"));
+        }
+        Ok(())
+    }
+
     fn err(&self, message: &'static str) -> ParseError {
         ParseError {
             at: self.pos,
@@ -219,8 +239,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The byte under the cursor: `{`, `[` and `"` say what the next
+    /// value is.
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -238,8 +260,113 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_literal(&mut self, literal: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+    /// Opens the array or object under the cursor, a level deeper.
+    pub(crate) fn open(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than the limit of 64 levels"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// The next key of the open object, the cursor left on its value;
+    /// `None` once the object is closed.
+    pub(crate) fn key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if !self.more(b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':', "expected ':' after object key")?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// Whether the open array has another item, the cursor left on it;
+    /// `false` once the array is closed.
+    pub(crate) fn item(&mut self) -> Result<bool, ParseError> {
+        self.more(b']', "expected ',' or ']' in array")
+    }
+
+    /// Steps past the separator before the next member of the open
+    /// container, or past its `close` byte.
+    fn more(&mut self, close: u8, message: &'static str) -> Result<bool, ParseError> {
+        self.skip_ws();
+        let first = std::mem::take(&mut self.fresh);
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(false);
+            }
+            Some(b',') if !first => self.pos += 1,
+            _ if !first => return Err(self.err(message)),
+            _ => {}
+        }
+        self.skip_ws();
+        Ok(true)
+    }
+
+    /// Reads the value under the cursor into a tree.
+    pub(crate) fn value(&mut self) -> Result<Value, ParseError> {
+        match self.peek() {
+            Some(b'{') => {
+                self.open()?;
+                let mut members = Vec::new();
+                while let Some(key) = self.key()? {
+                    members.push((key.into_owned(), self.value()?));
+                }
+                Ok(Value::Object(members))
+            }
+            Some(b'[') => {
+                self.open()?;
+                let mut items = Vec::new();
+                while self.item()? {
+                    items.push(self.value()?);
+                }
+                Ok(Value::Array(items))
+            }
+            Some(b'"') => Ok(Value::Str(self.string()?.into_owned())),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    /// Reads past the value under the cursor, checking it as [`value`]
+    /// would and building nothing.
+    ///
+    /// [`value`]: Reader::value
+    pub(crate) fn skip(&mut self) -> Result<(), ParseError> {
+        match self.peek() {
+            Some(b'{') => {
+                self.open()?;
+                while self.key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            Some(b'[') => {
+                self.open()?;
+                while self.item()? {
+                    self.skip()?;
+                }
+            }
+            Some(b'"') => {
+                self.string()?;
+            }
+            _ => {
+                self.value()?;
+            }
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, literal: &str, value: Value) -> Result<Value, ParseError> {
+        if self.input.as_bytes()[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             Ok(value)
         } else {
@@ -247,93 +374,31 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<Value, ParseError> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.eat_literal("true", Value::Bool(true)),
-            Some(b'f') => self.eat_literal("false", Value::Bool(false)),
-            Some(b'n') => self.eat_literal("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    /// Parses one array or object, a level deeper than its parent.
-    fn nested(
-        &mut self,
-        container: fn(&mut Self) -> Result<Value, ParseError>,
-    ) -> Result<Value, ParseError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err("nesting deeper than the limit of 64 levels"));
-        }
-        self.depth += 1;
-        let parsed = container(self);
-        self.depth -= 1;
-        parsed
-    }
-
-    fn parse_object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{', "expected '{'")?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':', "expected ':' after object key")?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(members));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[', "expected '['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, ParseError> {
+    /// Reads the string under the cursor: borrowed from the input when
+    /// it holds no escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let start = self.pos;
+        let input = self.input;
+        let plain = input.as_bytes()[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\');
+        let Some(end) = plain.map(|n| start + n) else {
+            self.pos = input.len();
+            return Err(self.err("unterminated string"));
+        };
+        self.pos = end;
+        if input.as_bytes()[end] == b'"' {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&input[start..end]));
+        }
+        let mut out = input[start..end].to_string();
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -349,14 +414,14 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let first = self.parse_hex4()?;
+                            let first = self.hex4()?;
                             let scalar = if (0xD800..0xDC00).contains(&first) {
                                 // High surrogate: require the paired
                                 // low surrogate escape.
                                 if self.peek() == Some(b'\\') {
                                     self.pos += 1;
                                     self.expect(b'u', "expected low surrogate escape")?;
-                                    let second = self.parse_hex4()?;
+                                    let second = self.hex4()?;
                                     if !(0xDC00..=0xDFFF).contains(&second) {
                                         return Err(self.err("invalid unicode escape"));
                                     }
@@ -376,11 +441,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("peeked a byte");
+                    let c = input[self.pos..].chars().next().expect("peeked a byte");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -388,33 +449,44 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, ParseError> {
+    /// Exactly four hex digits (RFC 8259 §7: no sign, no fewer).
+    fn hex4(&mut self) -> Result<u32, ParseError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        let Some(hex) = self.input.as_bytes().get(self.pos..end) else {
             return Err(self.err("truncated unicode escape"));
+        };
+        let mut value = 0;
+        for &b in hex {
+            let digit = (b as char).to_digit(16).ok_or_else(|| self.err("invalid unicode escape"))?;
+            value = value * 16 + digit;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let value = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid unicode escape"))?;
         self.pos = end;
         Ok(value)
     }
 
-    fn parse_number(&mut self) -> Result<Value, ParseError> {
+    /// Reads the longest run of number characters, then holds it to the
+    /// RFC 8259 §6 grammar `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`:
+    /// no leading zero, no empty integer, fraction or exponent.
+    fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let int_start = self.pos;
+        // Exact while at most 18 digits: 10^18 - 1 < i64::MAX.
+        let mut magnitude = 0u64;
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
             self.pos += 1;
         }
+        let int_digits = self.pos - int_start;
+        let mut grammatical = int_digits == 1
+            || (int_digits > 1 && self.input.as_bytes()[int_start] != b'0');
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            grammatical &= self.digits() > 0;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -422,12 +494,16 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            grammatical &= self.digits() > 0;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        if !grammatical {
+            return Err(self.err("invalid number"));
+        }
+        if !is_float && int_digits <= 18 {
+            let magnitude = magnitude as i64;
+            return Ok(Value::Int(if int_start > start { -magnitude } else { magnitude }));
+        }
+        let text = &self.input[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Int(i));
@@ -436,6 +512,15 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Value::Float)
             .map_err(|_| self.err("invalid number"))
+    }
+
+    /// Steps past a run of decimal digits, returning its length.
+    fn digits(&mut self) -> usize {
+        let from = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - from
     }
 }
 
@@ -524,6 +609,75 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "\"abc", "{\"a\" 1}", "01x", "[1] tail", "tru"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    /// RFC 8259 §6 and §7 exactly: `u32::from_str_radix` took a sign in
+    /// a `\u` escape, and `str::parse` took a leading zero, an empty
+    /// fraction and an empty integer part.
+    #[test]
+    fn escapes_and_numbers_follow_rfc_8259_exactly() {
+        for (bad, message, at) in [
+            (r#""\u+041""#, "invalid unicode escape", 3),
+            (r#""\u-041""#, "invalid unicode escape", 3),
+            (r#""\ud800\u+c00""#, "invalid unicode escape", 9),
+            ("01", "invalid number", 2),
+            ("-01", "invalid number", 3),
+            ("00", "invalid number", 2),
+            ("1.", "invalid number", 2),
+            ("1.e3", "invalid number", 4),
+            ("-.5", "invalid number", 3),
+            ("[1.]", "invalid number", 3),
+            ("-", "invalid number", 1),
+            ("1e", "invalid number", 2),
+            ("1e+", "invalid number", 3),
+        ] {
+            assert_eq!(parse(bad), Err(ParseError { at, message }), "{bad}");
+        }
+        for (good, value) in [
+            ("0", Value::Int(0)),
+            ("-0", Value::Int(0)),
+            ("10", Value::Int(10)),
+            ("0.5", Value::Float(0.5)),
+            ("-0.5e1", Value::Float(-5.0)),
+            ("1E+2", Value::Float(100.0)),
+            ("0e0", Value::Float(0.0)),
+            ("9223372036854775808", Value::Float(9_223_372_036_854_775_808.0)),
+            (r#""\u0041\u00e9\uFFFF""#, Value::Str("A\u{e9}\u{ffff}".to_string())),
+        ] {
+            assert_eq!(parse(good), Ok(value), "{good}");
+        }
+    }
+
+    /// A string without an escape is borrowed from the input; one with
+    /// an escape is decoded, its unescaped prefix kept.
+    #[test]
+    fn plain_strings_borrow_and_escaped_ones_decode() {
+        let mut reader = Reader::new(r#""abc""#);
+        assert!(matches!(reader.string(), Ok(Cow::Borrowed("abc"))));
+        let mut reader = Reader::new(r#""ab\ncé""#);
+        assert!(matches!(reader.string(), Ok(Cow::Owned(s)) if s == "ab\ncé"));
+        for (bad, at) in [(r#""abc"#, 4), (r#""ab\"#, 4), (r#""ab\q""#, 5)] {
+            assert_eq!(parse(bad).unwrap_err().at, at, "{bad}");
+        }
+    }
+
+    /// `skip` walks what `value` walks: the same refusal at the same
+    /// byte, nothing built.
+    #[test]
+    fn skip_refuses_what_value_refuses() {
+        for doc in [
+            "[1, [2, {\"a\": [3]}], \"x\"]",
+            "[1, [2, {\"a\": [3}], \"x\"]",
+            "{\"a\": tru}",
+            "[1,]",
+            "{\"a\" 1}",
+            "[\"\\u12\"]",
+            "[".repeat(70).as_str(),
+        ] {
+            let mut skipped = Reader::new(doc);
+            let skipped = skipped.skip().and_then(|()| skipped.finish());
+            assert_eq!(skipped, parse(doc).map(drop), "{doc}");
         }
     }
 }

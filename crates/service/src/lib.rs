@@ -51,7 +51,7 @@
 //!   frames finish within a grace period while new work gets a
 //!   retryable `503 draining`. Idle connections are reaped; slow
 //!   readers are bounded by a write timeout.
-//! * **Self-healing client** ([`client`]): typed failures
+//! * **Self-healing client** ([`Client`]): typed failures
 //!   ([`ClientError`]) and a [`RetryPolicy`] of capped jittered
 //!   backoff that honors `retry_after_ms` and never hangs on a dead
 //!   daemon. The fault-matrix suite (`tests/chaos_matrix.rs`, which
@@ -78,7 +78,7 @@
 //! `divrd` binary wraps the same entry point for the command line.
 
 pub mod admission;
-pub mod client;
+mod client;
 mod histogram;
 pub mod json;
 pub mod proto;

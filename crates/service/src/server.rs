@@ -40,13 +40,13 @@
 
 use crate::admission::{estimate_prepared_bytes, Admission, AdmissionConfig, Rejection};
 use crate::histogram::LatencyStats;
-use crate::json::{self, object, Value};
+use crate::json::{object, Value};
 use crate::proto::{
     is_retryable_code, serve_error_status, write_frame, FrameDecoder, FrameTooLarge, Step,
 };
 use crate::wire::{
-    database_from_owned_json, instance_from_json, objective_to_str, ratio_to_json,
-    requests_from_json, tuple_from_json, universe_from_owned_json,
+    instance_from_json, objective_to_str, ratio_to_json, requests_from_json, tuple_from_json,
+    Frame,
 };
 use divr_core::coreset::CORESET_AUTO_THRESHOLD;
 use divr_core::engine::{solver_counters, spare_buffers, EngineRequest, ServeError};
@@ -57,6 +57,7 @@ use divr_server::{
     Durability, QueryError, QueryFrontDoor, QuerySpec, RecoverMode, Registry, RegistryConfig,
     TenantBatch,
 };
+use std::convert::identity;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -513,16 +514,16 @@ fn frame_deadline(shared: &Shared, doc: &Value) -> Result<Deadline, Value> {
 
 fn handle_frame(shared: &Shared, payload: Vec<u8>) -> Value {
     shared.frames.fetch_add(1, Ordering::Relaxed);
-    let parsed = std::str::from_utf8(&payload).map(json::parse);
-    // The tree owns everything it needs: the payload is freed before
-    // the decode, admission and the solve run.
+    let read = std::str::from_utf8(&payload).map(str::parse::<Frame>);
+    // The frame owns what it decoded: the payload is freed before
+    // admission and the solve run.
     drop(payload);
-    let doc = match parsed {
+    let frame = match read {
         Err(_) => return error_frame(400, "bad_request", "frame payload is not UTF-8"),
         Ok(Err(e)) => return error_frame(400, "bad_request", &format!("invalid JSON: {e}")),
-        Ok(Ok(doc)) => doc,
+        Ok(Ok(frame)) => frame,
     };
-    match doc.get("op").and_then(Value::as_str) {
+    match frame.members.get("op").and_then(Value::as_str) {
         Some("ping") => object([("ok", Value::Bool(true)), ("op", Value::Str("pong".into()))]),
         Some("stats") => stats_frame(shared),
         // Work frames are refused while draining; ping/stats above
@@ -532,19 +533,19 @@ fn handle_frame(shared: &Shared, payload: Vec<u8>) -> Value {
         Some("serve" | "query" | "mutate") if shared.draining.load(Ordering::SeqCst) => {
             draining_frame(shared)
         }
-        Some("serve") => handle_serve(shared, doc).unwrap_or_else(|refusal| refusal),
-        Some("query") => handle_query(shared, doc).unwrap_or_else(|refusal| refusal),
-        Some("mutate") => handle_mutate(shared, &doc).unwrap_or_else(|refusal| refusal),
+        Some("serve") => handle_serve(shared, frame).unwrap_or_else(|refusal| refusal),
+        Some("query") => handle_query(shared, frame).unwrap_or_else(|refusal| refusal),
+        Some("mutate") => handle_mutate(shared, &frame.members).unwrap_or_else(|refusal| refusal),
         Some("checkpoint") => handle_checkpoint(shared),
         Some(other) => error_frame(400, "bad_request", &format!("unknown op {other:?}")),
         None => error_frame(400, "bad_request", "frame needs a string \"op\""),
     }
 }
 
-/// A required member of a work frame, decoded — borrowed
-/// (`doc.get(name)`) or taken out of the frame (`doc.take(name)`):
-/// absent is a `400 bad_request` saying `missing`, malformed one
-/// carrying the decoder's message.
+/// A required member of a work frame, decoded — read from the frame's
+/// members (`doc.get(name)`) or already decoded with the frame
+/// (`identity`): absent is a `400 bad_request` saying `missing`,
+/// malformed one carrying the decoder's message.
 fn field<V, T>(
     member: Option<V>,
     missing: &str,
@@ -557,16 +558,14 @@ fn field<V, T>(
 /// A work-frame handler's early exit: the refusal frame to send back.
 type Handled = Result<Value, Value>;
 
-fn handle_serve(shared: &Shared, mut doc: Value) -> Handled {
-    // Out of the frame before anything borrows it: the rows are then
-    // owned by the decode, which frees each as its tuple is built.
-    let universe = doc.take("universe");
+fn handle_serve(shared: &Shared, frame: Frame) -> Handled {
+    let Frame { members: doc, universe, .. } = frame;
     let doc = &doc;
     let Some(tenant) = doc.get("tenant").and_then(Value::as_str) else {
         return Err(error_frame(400, "bad_request", "serve needs a string \"tenant\""));
     };
     let requests = field(doc.get("requests"), "serve needs requests", requests_from_json)?;
-    let mut spec = field(universe, "serve needs a universe", universe_from_owned_json)?;
+    let mut spec = field(universe, "serve needs a universe", identity)?;
     let deadline = frame_deadline(shared, doc)?;
 
     // Rate gate: microseconds spent here guard O(n²) work behind it.
@@ -724,9 +723,8 @@ fn query_error_frame(e: &QueryError) -> Value {
 /// [`CORESET_AUTO_THRESHOLD`] auto-escalates to a selected coreset
 /// (sized by `max_k`) inside the front door itself, which bounds
 /// prepared bytes without a load signal.
-fn handle_query(shared: &Shared, mut doc: Value) -> Handled {
-    // As in `handle_serve`: the rows leave the frame first.
-    let database = doc.take("database");
+fn handle_query(shared: &Shared, frame: Frame) -> Handled {
+    let Frame { members: doc, database, .. } = frame;
     let doc = &doc;
     let Some(tenant) = doc.get("tenant").and_then(Value::as_str) else {
         return Err(error_frame(400, "bad_request", "query needs a string \"tenant\""));
@@ -739,7 +737,7 @@ fn handle_query(shared: &Shared, mut doc: Value) -> Handled {
     // later as 422s.
     let query = parse_query(text)
         .map_err(|e| error_frame(400, "bad_request", &format!("malformed query: {e}")))?;
-    let (db_name, db) = field(database, "query needs a database", database_from_owned_json)?;
+    let (db_name, db) = field(database, "query needs a database", identity)?;
     let instance =
         instance_from_json(doc, "query").map_err(|e| error_frame(400, "bad_request", &e))?;
     let requests = field(doc.get("requests"), "query needs requests", requests_from_json)?;

@@ -14,7 +14,7 @@
 //! non-finite score — through the same protocol real tenants use, and
 //! observe the typed `500`/`422` isolation instead of a dead process.
 
-use crate::json::Value;
+use crate::json::{ParseError, Reader, Value};
 use divr_core::distance::{ConstantDistance, Distance, HammingDistance, NumericDistance};
 use divr_core::engine::EngineRequest;
 use divr_core::problem::ObjectiveKind;
@@ -25,7 +25,6 @@ use divr_server::{
     CoresetSpec, FingerprintEncoder, Fingerprintable, Instance, ServableDistance,
     ServableRelevance, UniverseKey, UniverseSpec,
 };
-use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// A distance oracle that panics on the first off-diagonal pair — the
@@ -114,13 +113,37 @@ pub fn tuple_from_json(v: &Value) -> Result<Tuple, String> {
     let items = v.as_array().ok_or("tuple must be an array")?;
     let mut values = Vec::with_capacity(items.len());
     for item in items {
-        match item {
-            Value::Int(i) => values.push(divr_relquery::Value::Int(*i)),
-            Value::Str(s) => values.push(divr_relquery::Value::Str(s.as_str().into())),
-            _ => return Err("tuple values must be integers or strings".to_string()),
-        }
+        values.push(cell_from_json(item)?);
     }
     Ok(Tuple::new(values))
+}
+
+/// The one cell rule of a tuple: an integer or a string.
+fn cell_from_json(v: &Value) -> Result<divr_relquery::Value, String> {
+    match v {
+        Value::Int(i) => Ok(divr_relquery::Value::Int(*i)),
+        Value::Str(s) => Ok(divr_relquery::Value::Str(s.as_str().into())),
+        _ => Err("tuple values must be integers or strings".to_string()),
+    }
+}
+
+/// The rows of a `tuples` or `rows` array, decoded in order up to the
+/// first that is not a tuple, and that row's refusal.
+struct Rows {
+    tuples: Vec<Tuple>,
+    bad: Option<String>,
+}
+
+/// [`Rows`] of a parsed array.
+fn rows_from_json(rows: &[Value]) -> Rows {
+    let mut tuples = Vec::with_capacity(rows.len());
+    for row in rows {
+        match tuple_from_json(row) {
+            Ok(tuple) => tuples.push(tuple),
+            Err(bad) => return Rows { tuples, bad: Some(bad) },
+        }
+    }
+    Rows { tuples, bad: None }
 }
 
 /// Decodes one `database` object —
@@ -137,44 +160,27 @@ pub fn database_from_json(v: &Value) -> Result<(String, Database), String> {
         .get("relations")
         .and_then(Value::as_array)
         .ok_or("database needs a relations array")?;
-    database_from_relations(relations.iter(), |relation| {
-        relation.get("rows").and_then(Value::as_array).map(|rows| rows.iter())
-    })
+    database_from_relations(relations.iter().map(|relation| {
+        (relation, relation.get("rows").and_then(Value::as_array).map(rows_from_json))
+    }))
 }
 
-/// [`database_from_json`] over an owned `database` object: every row is
-/// dropped as soon as it is inserted, so a frame never holds a relation
-/// twice, as JSON and as tuples.
-pub(crate) fn database_from_owned_json(mut v: Value) -> Result<(String, Database), String> {
-    let Some(Value::Array(relations)) = v.take("relations") else {
-        return Err("database needs a relations array".to_string());
-    };
-    database_from_relations(relations.into_iter(), |mut relation| {
-        match relation.take("rows") {
-            Some(Value::Array(rows)) => Some(rows.into_iter()),
-            _ => None,
-        }
-    })
-}
-
-/// The one decode and fingerprint loop behind both walks of a
-/// `relations` array: `rows_of` hands over a relation's `rows`, by
-/// reference or by value, once its `name` and `attrs` have been read.
-fn database_from_relations<Rel: Borrow<Value>, Row: Borrow<Value>, Rows: Iterator<Item = Row>>(
-    relations: impl ExactSizeIterator<Item = Rel>,
-    rows_of: impl Fn(Rel) -> Option<Rows>,
+/// The one fingerprint-and-insert loop behind both decodes of a
+/// `relations` array: each relation's `name` and `attrs` are read from
+/// its `header`, then its decoded rows (`None`: no rows array) are
+/// inserted, so a header refusal beats a bad row wherever the rows sat.
+fn database_from_relations<'v>(
+    relations: impl ExactSizeIterator<Item = (&'v Value, Option<Rows>)>,
 ) -> Result<(String, Database), String> {
     let mut db = Database::new();
     let mut enc = FingerprintEncoder::new();
     enc.write_str("wire-db");
     enc.write_usize(relations.len());
-    for relation in relations {
-        let header = relation.borrow();
+    for (header, rows) in relations {
         let name = header
             .get("name")
             .and_then(Value::as_str)
-            .ok_or("relation needs a string name")?
-            .to_string();
+            .ok_or("relation needs a string name")?;
         let attrs_json = header
             .get("attrs")
             .and_then(Value::as_array)
@@ -183,21 +189,24 @@ fn database_from_relations<Rel: Borrow<Value>, Row: Borrow<Value>, Rows: Iterato
             .iter()
             .map(|a| a.as_str().ok_or("relation attrs must be strings"))
             .collect::<Result<_, _>>()?;
-        db.create_relation(&name, &attrs).map_err(|e| e.to_string())?;
+        db.create_relation(name, &attrs).map_err(|e| e.to_string())?;
         enc.write_str("rel");
-        enc.write_str(&name);
+        enc.write_str(name);
         enc.write_usize(attrs.len());
         for attr in &attrs {
             enc.write_str(attr);
         }
-        for row in rows_of(relation).ok_or("relation needs a rows array")? {
-            let tuple = tuple_from_json(row.borrow())?;
+        let Rows { tuples, bad } = rows.ok_or("relation needs a rows array")?;
+        for tuple in tuples {
             // Set semantics: duplicates are dropped by insert and
             // skipped in the fingerprint, so a database listing the
             // same row twice names the same content.
-            if db.insert_tuple(&name, tuple.clone()).map_err(|e| e.to_string())? {
+            if db.insert_tuple(name, tuple.clone()).map_err(|e| e.to_string())? {
                 enc.write_tuple(&tuple);
             }
+        }
+        if let Some(bad) = bad {
+            return Err(bad);
         }
     }
     Ok((format!("db-{:032x}", UniverseKey::from_bytes(enc.bytes()).digest()), db))
@@ -262,35 +271,204 @@ pub fn distance_from_json(v: &Value) -> Result<Arc<dyn ServableDistance>, String
 
 /// Decodes one `universe` object into a registry [`UniverseSpec`].
 pub fn universe_from_json(v: &Value) -> Result<UniverseSpec, String> {
-    let rows = v
-        .get("tuples")
-        .and_then(Value::as_array)
-        .ok_or("universe needs a tuples array")?;
-    universe_from_rows(rows.iter(), v)
+    universe_from_rows(v.get("tuples").and_then(Value::as_array).map(rows_from_json), v)
 }
 
-/// [`universe_from_json`] over an owned `universe` object: each row's
-/// JSON is freed the moment its [`Tuple`] exists, and the allocator
-/// hands the freed chunks to the tuples that follow — the frame's peak
-/// is the parsed tree, not the tree plus the decoded universe.
-pub(crate) fn universe_from_owned_json(mut v: Value) -> Result<UniverseSpec, String> {
-    let Some(Value::Array(rows)) = v.take("tuples") else {
-        return Err("universe needs a tuples array".to_string());
-    };
-    universe_from_rows(rows.into_iter(), &v)
-}
-
-/// Decodes the rows of a `tuples` array, walked by reference or by
-/// value, then the instance members of the `universe` object `v`.
-fn universe_from_rows<Row: Borrow<Value>>(
-    rows: impl ExactSizeIterator<Item = Row>,
-    v: &Value,
-) -> Result<UniverseSpec, String> {
-    let mut tuples = Vec::with_capacity(rows.len());
-    for row in rows {
-        tuples.push(tuple_from_json(row.borrow())?);
+/// The one assembly step behind both decodes of a `universe` object:
+/// its decoded `tuples` rows (`None`: no tuples array), then the
+/// instance members of `v`.
+fn universe_from_rows(rows: Option<Rows>, v: &Value) -> Result<UniverseSpec, String> {
+    let Rows { tuples, bad } = rows.ok_or("universe needs a tuples array")?;
+    if let Some(bad) = bad {
+        return Err(bad);
     }
     Ok(UniverseSpec::from_instance(tuples, instance_from_json(v, "universe")?))
+}
+
+/// A frame read in one pass over its payload, with no tree of its rows:
+/// the first `universe` object's `tuples` and the first `database`
+/// object's `relations[].rows` are built straight into [`Tuple`]s, and
+/// every other member is a small [`Value`]. Each decode is what
+/// [`universe_from_json`] / [`database_from_json`] make of the parsed
+/// member — the same tuples and key, the same refusal — and a syntax
+/// error anywhere in the payload beats both, since no decode refusal is
+/// reported until the whole payload has been read.
+///
+/// Parse one with `text.parse::<Frame>()`.
+#[derive(Debug)]
+pub struct Frame {
+    /// The top-level members, in order, without the first `universe`
+    /// and the first `database` when those are objects (a duplicated
+    /// member is skipped; [`Value::get`] finds the first). `Null` when
+    /// the frame is not an object.
+    pub members: Value,
+    /// The first `universe` member, decoded.
+    pub universe: Option<Result<UniverseSpec, String>>,
+    /// The first `database` member, decoded with its content name.
+    pub database: Option<Result<(String, Database), String>>,
+}
+
+impl std::str::FromStr for Frame {
+    type Err = ParseError;
+
+    fn from_str(text: &str) -> Result<Frame, ParseError> {
+        let mut reader = Reader::new(text);
+        let mut frame = Frame {
+            members: Value::Null,
+            universe: None,
+            database: None,
+        };
+        if reader.peek() == Some(b'{') {
+            reader.open()?;
+            let mut members = Vec::new();
+            while let Some(key) = reader.key()? {
+                let object = reader.peek() == Some(b'{');
+                match &*key {
+                    "universe" if frame.universe.is_some() => reader.skip()?,
+                    "database" if frame.database.is_some() => reader.skip()?,
+                    "universe" if object => frame.universe = Some(read_universe(&mut reader)?),
+                    "database" if object => frame.database = Some(read_database(&mut reader)?),
+                    name => {
+                        let value = reader.value()?;
+                        match name {
+                            "universe" => frame.universe = Some(universe_from_json(&value)),
+                            "database" => frame.database = Some(database_from_json(&value)),
+                            _ => {}
+                        }
+                        members.push((key.into_owned(), value));
+                    }
+                }
+            }
+            frame.members = Value::Object(members);
+        } else {
+            reader.skip()?;
+        }
+        reader.finish()?;
+        Ok(frame)
+    }
+}
+
+/// Reads the `universe` object under the cursor: `tuples` rows into
+/// tuples, every other member into a small object for
+/// [`instance_from_json`].
+fn read_universe(reader: &mut Reader) -> Result<Result<UniverseSpec, String>, ParseError> {
+    let (members, rows) = read_object_with_rows(reader, "tuples")?;
+    Ok(universe_from_rows(rows, &members))
+}
+
+/// Reads the `database` object under the cursor: its first `relations`
+/// member (`None` inside when not an array), each relation's `rows` into
+/// tuples and its other members into a small header object, all held
+/// until the array ends — the fingerprint counts the relations first.
+fn read_database(
+    reader: &mut Reader,
+) -> Result<Result<(String, Database), String>, ParseError> {
+    reader.open()?;
+    let mut relations = None;
+    while let Some(key) = reader.key()? {
+        if key != "relations" || relations.is_some() {
+            reader.skip()?;
+        } else if reader.peek() != Some(b'[') {
+            reader.skip()?;
+            relations = Some(None);
+        } else {
+            let mut parts = Vec::new();
+            reader.open()?;
+            while reader.item()? {
+                parts.push(read_relation(reader)?);
+            }
+            relations = Some(Some(parts));
+        }
+    }
+    let Some(Some(mut parts)) = relations else {
+        return Ok(Err("database needs a relations array".to_string()));
+    };
+    Ok(database_from_relations(parts.iter_mut().map(|(header, rows)| (&*header, rows.take()))))
+}
+
+/// Reads one element of a `relations` array: an object's `rows` into
+/// tuples and its other members into the header; anything else is its
+/// own header, which names no relation.
+fn read_relation(reader: &mut Reader) -> Result<(Value, Option<Rows>), ParseError> {
+    if reader.peek() != Some(b'{') {
+        return Ok((reader.value()?, None));
+    }
+    read_object_with_rows(reader, "rows")
+}
+
+/// Reads the object under the cursor: its first `rows_key` member as a
+/// rows array (later ones skipped), every other member into a small
+/// object.
+fn read_object_with_rows(
+    reader: &mut Reader,
+    rows_key: &str,
+) -> Result<(Value, Option<Rows>), ParseError> {
+    reader.open()?;
+    let (mut members, mut rows, mut seen_rows) = (Vec::new(), None, false);
+    while let Some(key) = reader.key()? {
+        if key != rows_key {
+            members.push((key.into_owned(), reader.value()?));
+        } else if std::mem::replace(&mut seen_rows, true) {
+            reader.skip()?;
+        } else {
+            rows = read_rows(reader)?;
+        }
+    }
+    Ok((Value::Object(members), rows))
+}
+
+/// Reads the value under the cursor as a rows array: `None` (skipped)
+/// when it is not an array.
+fn read_rows(reader: &mut Reader) -> Result<Option<Rows>, ParseError> {
+    if reader.peek() != Some(b'[') {
+        reader.skip()?;
+        return Ok(None);
+    }
+    let mut rows = Rows {
+        tuples: Vec::new(),
+        bad: None,
+    };
+    let mut cells = Vec::new();
+    reader.open()?;
+    while reader.item()? {
+        if rows.bad.is_some() {
+            reader.skip()?;
+            continue;
+        }
+        match read_tuple(reader, &mut cells)? {
+            Ok(tuple) => rows.tuples.push(tuple),
+            Err(bad) => rows.bad = Some(bad),
+        }
+    }
+    Ok(Some(rows))
+}
+
+/// Reads one row as [`tuple_from_json`] decodes it, cell by cell through
+/// `cells` (reused across rows, so a row allocates only its tuple).
+fn read_tuple(
+    reader: &mut Reader,
+    cells: &mut Vec<divr_relquery::Value>,
+) -> Result<Result<Tuple, String>, ParseError> {
+    if reader.peek() != Some(b'[') {
+        return Ok(tuple_from_json(&reader.value()?));
+    }
+    cells.clear();
+    let mut bad = None;
+    reader.open()?;
+    while reader.item()? {
+        if bad.is_some() {
+            reader.skip()?;
+            continue;
+        }
+        match cell_from_json(&reader.value()?) {
+            Ok(cell) => cells.push(cell),
+            Err(e) => bad = Some(e),
+        }
+    }
+    Ok(match bad {
+        None => Ok(cells.drain(..).collect()),
+        Some(bad) => Err(bad),
+    })
 }
 
 /// Decodes the `relevance` / `distance` / `lambda` / `coreset`? members
@@ -504,112 +682,6 @@ mod tests {
         ] {
             let err = instance_from_json(&json::parse(doc).unwrap(), owner).unwrap_err();
             assert!(err.contains(needle), "{err:?} should mention {needle:?}");
-        }
-    }
-
-    /// What a decoded universe is compared by: its tuples, in order,
-    /// and the canonical key bytes.
-    fn universe_facts(spec: UniverseSpec) -> (Vec<Tuple>, Vec<u8>) {
-        (spec.universe().to_vec(), spec.key().bytes().to_vec())
-    }
-
-    /// What a decoded database is compared by: its content name and,
-    /// per relation, the schema and the tuples in insertion order.
-    fn database_facts((name, db): (String, Database)) -> (String, Vec<(String, Vec<Tuple>)>) {
-        let relations = db.relations().map(|r| (format!("{:?}", r.schema()), r.tuples().to_vec()));
-        (name, relations.collect())
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
-
-        /// The consuming walk of a rows array is the borrowed walk:
-        /// same tuples, key bytes and content name, and — whichever row
-        /// is malformed, whatever follows it — the same error string.
-        /// Cells come from a domain of six values so duplicate rows are
-        /// the rule; `bad_at` past the end leaves every row well-formed.
-        #[test]
-        fn consuming_decode_is_the_borrowed_decode(
-            cells in proptest::collection::vec((0usize..6, 0usize..6), 0..=10),
-            bad_at in 0usize..30,
-            bad_kind in 0usize..5,
-            lambda_num in 0i64..=3,
-            second_relation in 0usize..3,
-        ) {
-            let cell = |c: usize| match c {
-                0..=3 => Value::Int(c as i64 - 1),
-                4 => Value::Str("x".into()),
-                _ => Value::Str("".into()),
-            };
-            let mut rows: Vec<Value> =
-                cells.iter().map(|&(a, b)| Value::Array(vec![cell(a), cell(b)])).collect();
-            if let Some(row) = rows.get_mut(bad_at) {
-                *row = match bad_kind {
-                    0 => Value::Int(3),
-                    1 => Value::Array(vec![Value::Int(1), Value::Null]),
-                    2 => Value::Array(vec![Value::Float(1.5), Value::Int(1)]),
-                    3 => Value::Array(vec![Value::Array(vec![]), Value::Int(1)]),
-                    // Well-formed as a tuple, the wrong arity for a relation.
-                    _ => Value::Array(vec![Value::Int(1)]),
-                };
-            }
-
-            let universe = json::object([
-                ("tuples", Value::Array(rows.clone())),
-                ("relevance", json::parse(r#"{"kind": "attribute", "attr": 1}"#).unwrap()),
-                ("distance", json::parse(r#"{"kind": "numeric", "attr": 0}"#).unwrap()),
-                // 3/2 is out of range: an instance error, read after the rows.
-                ("lambda", Value::Array(vec![Value::Int(lambda_num), Value::Int(2)])),
-            ]);
-            proptest::prop_assert_eq!(
-                universe_from_owned_json(universe.clone()).map(universe_facts),
-                universe_from_json(&universe).map(universe_facts)
-            );
-
-            let relation = |name: &str, rows: Option<Vec<Value>>| {
-                let attrs = ["a", "b"].map(|a| Value::Str(a.into())).to_vec();
-                let mut members = vec![("name", Value::Str(name.into())), ("attrs", Value::Array(attrs))];
-                members.extend(rows.map(|rows| ("rows", Value::Array(rows))));
-                json::object(members)
-            };
-            let mut relations = vec![relation("R", Some(rows.clone()))];
-            match second_relation {
-                0 => {}
-                1 => relations.push(relation("S", Some(rows.iter().rev().cloned().collect()))),
-                // A relation without rows, after one that decoded.
-                _ => relations.push(relation("S", None)),
-            }
-            let database = json::object([("relations", Value::Array(relations))]);
-            proptest::prop_assert_eq!(
-                database_from_owned_json(database.clone()).map(database_facts),
-                database_from_json(&database).map(database_facts)
-            );
-        }
-    }
-
-    /// The shapes the property cannot reach: a member that is missing
-    /// or not an array is refused alike, with the borrowed message.
-    #[test]
-    fn consuming_decode_refuses_missing_arrays_like_the_borrowed_one() {
-        for doc in [r#"{}"#, r#"{"tuples": 3}"#, r#"{"tuples": {"0": [1]}}"#, r#"[]"#] {
-            let v = json::parse(doc).unwrap();
-            let borrowed = universe_from_json(&v).map(universe_facts).unwrap_err();
-            assert_eq!(universe_from_owned_json(v).map(universe_facts), Err(borrowed), "{doc}");
-        }
-        for doc in [
-            r#"{}"#,
-            r#"{"relations": 3}"#,
-            r#"[]"#,
-            r#"{"relations": [{"name": "R", "attrs": ["a"], "rows": 3}]}"#,
-            r#"{"relations": [{"name": "R", "attrs": ["a"]}]}"#,
-            r#"{"relations": [{"name": "R", "attrs": [1], "rows": []}]}"#,
-            r#"{"relations": [{"name": "R", "attrs": ["a"], "rows": []},
-                              {"name": "R", "attrs": ["a"], "rows": []}]}"#,
-            r#"{"relations": [3]}"#,
-        ] {
-            let v = json::parse(doc).unwrap();
-            let borrowed = database_from_json(&v).map(database_facts).unwrap_err();
-            assert_eq!(database_from_owned_json(v).map(database_facts), Err(borrowed), "{doc}");
         }
     }
 

@@ -1027,3 +1027,133 @@ fn a_panicking_mutate_costs_its_frame_not_its_worker() {
     assert_answers_eq(answers, &want);
     service.shutdown();
 }
+
+/// Sends `payload` as one raw frame on a fresh connection: frames a
+/// `Value` cannot spell (a syntax error, a duplicated member).
+fn raw_request(addr: std::net::SocketAddr, payload: &str) -> Value {
+    use divr_service::proto::{read_frame, write_frame};
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    write_frame(&mut stream, payload.as_bytes()).unwrap();
+    let reply = read_frame(&mut stream, 1 << 20).unwrap().expect("a reply frame");
+    json::parse(std::str::from_utf8(&reply).unwrap()).unwrap()
+}
+
+fn assert_refused(response: &Value, code: i64, detail: &str) {
+    assert_eq!(response.get("code").and_then(Value::as_i64), Some(code), "{}", response.to_json());
+    assert_eq!(response.get("detail").and_then(Value::as_str), Some(detail));
+}
+
+const INSTANCE: &str = r#""relevance": {"kind": "attribute", "attr": 1},
+    "distance": {"kind": "numeric", "attr": 0}, "lambda": [1, 2]"#;
+
+/// Rows decode while the frame is read, before any handler runs; their
+/// refusal still waits its turn: `serve` checks `tenant` (and
+/// `requests`) before the universe.
+#[test]
+fn a_bad_row_does_not_beat_a_missing_tenant() {
+    let service = Service::start(test_config()).unwrap();
+    let frame = format!(
+        r#"{{"op": "serve", "universe": {{"tuples": [[0, 1], [1.5, 2]], {INSTANCE}}},
+            "requests": [{{"objective": "max_sum", "k": 1}}]}}"#
+    );
+    assert_refused(&raw_request(service.local_addr(), &frame), 400, "serve needs a string \"tenant\"");
+    let frame = frame.replacen(r#""op": "serve","#, r#""op": "serve", "tenant": "a","#, 1);
+    assert_refused(
+        &raw_request(service.local_addr(), &frame),
+        400,
+        "tuple values must be integers or strings",
+    );
+    service.shutdown();
+}
+
+/// A syntax error anywhere in the payload beats a bad row before it:
+/// no refusal of a decoded member is sent until the whole frame has
+/// been read.
+#[test]
+fn a_later_syntax_error_beats_an_earlier_bad_row() {
+    let service = Service::start(test_config()).unwrap();
+    let frame = format!(
+        r#"{{"op": "serve", "tenant": "a", "universe": {{"tuples": [[0, 1], null], {INSTANCE}}},
+            "requests": [{{"objective": "max_sum", "k": 1}}] "trailing": 1}}"#
+    );
+    let response = raw_request(service.local_addr(), &frame);
+    assert_eq!(response.get("code").and_then(Value::as_i64), Some(400));
+    let detail = response.get("detail").and_then(Value::as_str).unwrap();
+    assert!(detail.starts_with("invalid JSON: expected ',' or '}' in object at byte "), "{detail}");
+    service.shutdown();
+}
+
+/// A relation's `rows` may come before its `name` and `attrs`: the rows
+/// are held as tuples until the header is read, a header refusal beats
+/// a bad row, and a well-formed relation names the same content
+/// whatever its member order.
+#[test]
+fn rows_before_a_relations_name_and_attrs() {
+    let service = Service::start(test_config()).unwrap();
+    let frame = |relation: &str| {
+        format!(
+            r#"{{"op": "query", "tenant": "a", "query": "Q(x, y) :- R(x, y)",
+                "database": {{"relations": [{relation}]}}, {INSTANCE},
+                "requests": [{{"objective": "max_sum", "k": 2}}]}}"#
+        )
+    };
+    let refused = [
+        (r#"{"rows": [[0, 1], [2]], "attrs": ["x", 1], "name": "R"}"#, "relation attrs must be strings"),
+        (r#"{"rows": [[0, 1], "row"], "attrs": ["x", "y"]}"#, "relation needs a string name"),
+        (r#"{"rows": [[0, 1], [2, 3], [4]], "name": "R", "attrs": ["x", "y"]}"#, "arity mismatch"),
+    ];
+    for (relation, needle) in refused {
+        let response = raw_request(service.local_addr(), &frame(relation));
+        assert_eq!(response.get("code").and_then(Value::as_i64), Some(400), "{relation}");
+        let detail = response.get("detail").and_then(Value::as_str).unwrap();
+        assert!(detail.contains(needle), "{relation}: {detail:?} should mention {needle:?}");
+    }
+    let rows = "[[0, 1], [2, 3], [4, 0]]";
+    let first = raw_request(
+        service.local_addr(),
+        &frame(&format!(r#"{{"rows": {rows}, "attrs": ["x", "y"], "name": "R"}}"#)),
+    );
+    let last = raw_request(
+        service.local_addr(),
+        &frame(&format!(r#"{{"name": "R", "attrs": ["x", "y"], "rows": {rows}}}"#)),
+    );
+    assert_eq!(first.get("ok").and_then(Value::as_bool), Some(true), "{}", first.to_json());
+    assert_eq!(first.to_json(), last.to_json());
+    service.shutdown();
+}
+
+/// A duplicated `universe` resolves to its first occurrence, whichever
+/// of the two is malformed.
+#[test]
+fn a_duplicated_universe_reads_its_first_occurrence() {
+    let service = Service::start(test_config()).unwrap();
+    let good = format!(r#"{{"tuples": [[0, 1], [5, 3], [9, 2]], {INSTANCE}}}"#);
+    let bad = r#"{"tuples": [[0, 1], [[5], 3]]}"#;
+    let frame = |first: &str, second: &str| {
+        format!(
+            r#"{{"op": "serve", "tenant": "a", "universe": {first},
+                "requests": [{{"objective": "max_sum", "k": 2}}], "universe": {second}}}"#
+        )
+    };
+    let served = raw_request(service.local_addr(), &frame(&good, bad));
+    assert_eq!(served.get("ok").and_then(Value::as_bool), Some(true), "{}", served.to_json());
+    let alone = raw_request(
+        service.local_addr(),
+        &format!(
+            r#"{{"op": "serve", "tenant": "a", "universe": {good},
+                "requests": [{{"objective": "max_sum", "k": 2}}]}}"#
+        ),
+    );
+    assert_eq!(served.to_json(), alone.to_json());
+    assert_refused(
+        &raw_request(service.local_addr(), &frame(bad, &good)),
+        400,
+        "tuple values must be integers or strings",
+    );
+    assert_refused(
+        &raw_request(service.local_addr(), &frame("3", &good)),
+        400,
+        "universe needs a tuples array",
+    );
+    service.shutdown();
+}
