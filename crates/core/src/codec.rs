@@ -110,6 +110,19 @@ impl ByteWriter {
         self.write_u64(v as u64);
     }
 
+    /// Overwrites the [`ByteWriter::write_usize`] word written at byte
+    /// `at`: a count or arity prefix fills in once its sequence ends.
+    /// Panics if no word was written there.
+    pub fn patch_usize(&mut self, at: usize, v: usize) {
+        self.buf[at..at + 8].copy_from_slice(&(v as u64).to_le_bytes());
+    }
+
+    /// Bytes already in this encoding, appended as they are (no length
+    /// prefix): a section cut from another encoding.
+    pub fn write_raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// A signed 64-bit integer, little-endian.
     fn write_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());

@@ -59,11 +59,11 @@
 pub mod approx;
 mod avail;
 pub mod axioms;
-pub mod codec;
+mod codec;
 pub mod combin;
 pub mod constraints;
 pub mod coreset;
-pub mod deadline;
+mod deadline;
 pub mod dispersion;
 pub mod distance;
 pub mod engine;

@@ -208,13 +208,14 @@ impl PreparedCache {
         key: &UniverseKey,
         prepared: PreparedVariant,
     ) -> PreparedVariant {
+        let resident = key.exact(); // copied, if at all, outside the lock
         let mut guard = self.lock_shard(shard);
         if let Some(entry) = guard.get_mut(key) {
             // Lost a build race; adopt the winner so all callers share.
             entry.stamp = self.tick();
             return entry.prepared.clone();
         }
-        self.insert_and_evict(guard, key, prepared.clone());
+        self.insert_and_evict(guard, resident, prepared.clone());
         prepared
     }
 
@@ -236,7 +237,8 @@ impl PreparedCache {
     /// past budget — the fresh entry itself is never its own victim.
     /// How a repaired or recovered entry becomes resident.
     pub fn insert(&self, key: &UniverseKey, prepared: PreparedVariant) {
-        let guard = self.lock_shard(self.shard_of(key));
+        let key = key.exact();
+        let guard = self.lock_shard(self.shard_of(&key));
         self.insert_and_evict(guard, key, prepared);
     }
 
@@ -256,13 +258,13 @@ impl PreparedCache {
         self.insert(key, prepared)
     }
 
-    /// The one insert: charges `prepared` and links it under `key` in
-    /// the locked shard, releases the shard, drops what it replaced, and
-    /// evicts past budget.
+    /// The one insert: charges `prepared` and links it under `key` (an
+    /// [`UniverseKey::exact`] one) in the locked shard, releases the
+    /// shard, drops what it replaced, and evicts past budget.
     fn insert_and_evict(
         &self,
         mut guard: MutexGuard<'_, Shard>,
-        key: &UniverseKey,
+        key: UniverseKey,
         prepared: PreparedVariant,
     ) {
         let bytes = prepared.approx_bytes();
@@ -273,7 +275,7 @@ impl PreparedCache {
             stamp,
         };
         self.resident.fetch_add(bytes, Ordering::SeqCst);
-        let replaced = guard.insert(key.clone(), entry);
+        let replaced = guard.insert(key, entry);
         if let Some(old) = &replaced {
             self.resident.fetch_sub(old.bytes, Ordering::SeqCst);
         }
@@ -409,6 +411,25 @@ mod tests {
                 .sum()
         };
         cache.shards.iter().map(shard_bytes).sum()
+    }
+
+    /// A resident key fills its allocation exactly, through both
+    /// inserts: a spec's key shares the writer's growth headroom, which
+    /// must not stay for the entry's life.
+    #[test]
+    fn resident_keys_carry_no_growth_headroom() {
+        let cache = PreparedCache::new(1 << 30, 8);
+        let (built, inserted) = (spec(100, Ratio::ONE), spec(100, Ratio::new(1, 2)));
+        for s in [&built, &inserted] {
+            assert!(s.key().shared().capacity() > s.key().bytes().len());
+        }
+        fetch(&cache, &built).unwrap();
+        cache.insert(&inserted.key(), inserted.try_prepare_variant(1).unwrap());
+        let keys = cache.keys();
+        assert_eq!(keys.len(), 2);
+        for key in keys {
+            assert_eq!(key.shared().capacity(), key.bytes().len());
+        }
     }
 
     #[test]

@@ -64,25 +64,29 @@ pub type FingerprintEncoder = divr_core::ByteWriter;
 #[derive(Clone, Debug)]
 pub struct UniverseKey {
     digest: u128,
-    bytes: Arc<[u8]>,
+    bytes: Arc<Vec<u8>>,
 }
 
 impl UniverseKey {
     /// The key for a canonical content encoding (one FNV-1a pass for
-    /// the digest, one copy into the shared bytes) — how every encoder
+    /// the digest, one copy into the shared bytes) — how an encoder
     /// finishes, and the durability layer's path from persisted key
     /// bytes back to a live cache key. For any key,
     /// `UniverseKey::from_bytes(key.bytes()) == key`.
     pub fn from_bytes(bytes: &[u8]) -> UniverseKey {
+        Self::from_shared(Arc::new(bytes.to_vec()))
+    }
+
+    /// The key over bytes its holder shares, with no copy: a
+    /// [`UniverseSpec`](crate::UniverseSpec)'s key is the spec's own
+    /// bytes.
+    pub(crate) fn from_shared(bytes: Arc<Vec<u8>>) -> UniverseKey {
         let mut digest = FNV128_OFFSET;
-        for &b in bytes {
+        for &b in bytes.iter() {
             digest ^= u128::from(b);
             digest = digest.wrapping_mul(FNV128_PRIME);
         }
-        UniverseKey {
-            digest,
-            bytes: Arc::from(bytes),
-        }
+        UniverseKey { digest, bytes }
     }
 
     /// The 128-bit content digest (shard selector, hash value).
@@ -93,6 +97,25 @@ impl UniverseKey {
     /// The canonical content encoding.
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
+    }
+
+    /// The shared allocation behind [`UniverseKey::bytes`].
+    pub(crate) fn shared(&self) -> &Arc<Vec<u8>> {
+        &self.bytes
+    }
+
+    /// This key with its bytes in an allocation of exactly their
+    /// length — what a cache entry keeps. A spec's key is written row by
+    /// row and shares the writer's growth headroom, up to its own size
+    /// again; resident, that headroom would stay for the entry's life.
+    pub(crate) fn exact(&self) -> UniverseKey {
+        if self.bytes.capacity() == self.bytes.len() {
+            return self.clone();
+        }
+        UniverseKey {
+            digest: self.digest,
+            bytes: Arc::new(self.bytes.to_vec()),
+        }
     }
 }
 

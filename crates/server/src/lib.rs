@@ -12,12 +12,12 @@
 //! This crate amortizes it across the query stream:
 //!
 //! * [`UniverseSpec`] describes one universe `(Q(D), δ_rel, δ_dis, λ)`
-//!   and fingerprints it by **content** ([`fingerprint`]) — an
+//!   and fingerprints it by **content** ([`UniverseKey`]) — an
 //!   injective canonical encoding, so distinct universes are
 //!   *guaranteed* distinct cache keys;
 //! * [`Registry`] keeps prepared universes
 //!   ([`divr_core::engine::PreparedUniverse`]) in a sharded,
-//!   byte-budgeted LRU ([`cache`]): a hit skips relevance evaluation
+//!   byte-budgeted LRU ([`PreparedCache`]): a hit skips relevance evaluation
 //!   and matrix construction entirely and goes straight to the
 //!   parallel solve rounds;
 //! * [`Registry::serve_mixed_checked`] runs interleaved batches from
@@ -83,12 +83,12 @@
 //! assert_eq!(registry.stats().misses, 1);
 //! ```
 
-pub mod cache;
-pub mod fingerprint;
-pub mod persist;
-pub mod query;
-pub mod registry;
-pub mod spec;
+mod cache;
+mod fingerprint;
+mod persist;
+mod query;
+mod registry;
+mod spec;
 
 pub use cache::{CacheStats, PreparedCache};
 pub use fingerprint::{FingerprintEncoder, Fingerprintable, UniverseKey};
@@ -98,7 +98,8 @@ pub use persist::{
 pub use query::{QueryError, QueryFrontDoor, QuerySpec};
 pub use registry::{CheckedAnswer, Registry, RegistryConfig, RegistryStats, TenantBatch};
 pub use spec::{
-    CoresetSpec, Instance, PreparedVariant, ServableDistance, ServableRelevance, UniverseSpec,
+    CoresetSpec, Instance, PreparedVariant, ServableDistance, ServableRelevance, UniverseRows,
+    UniverseSpec,
 };
 
 // The typed diagnoses are divr_core's; ScoreSource rides along for

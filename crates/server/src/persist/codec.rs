@@ -34,7 +34,7 @@ use super::{Record, WarmKind, WarmQueryRecord};
 /// whose text does not round-trip through the parser). Skipped and
 /// counted, never written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct Unpersistable;
+pub(crate) struct Unpersistable;
 
 fn encode_query_spec(w: &mut ByteWriter, spec: &QuerySpec) {
     w.write_str(&spec.query().to_string());
@@ -132,7 +132,7 @@ const TAG_WARM_QUERY: u8 = 6;
 
 /// Encodes one record into a WAL/snapshot payload, validating at encode
 /// time that recovery will be able to decode it (see module docs).
-pub(super) fn encode_record(rec: &Record) -> Result<Vec<u8>, Unpersistable> {
+pub(crate) fn encode_record(rec: &Record) -> Result<Vec<u8>, Unpersistable> {
     let mut w = ByteWriter::new();
     match rec {
         Record::WarmUniverse { spec } => {
@@ -140,7 +140,9 @@ pub(super) fn encode_record(rec: &Record) -> Result<Vec<u8>, Unpersistable> {
                 return Err(Unpersistable);
             }
             w.write_u8(TAG_WARM_UNIVERSE);
-            w.write_tuples(spec.universe());
+            // The key's rows section is `write_tuples`' bytes: copied,
+            // never decoded.
+            w.write_raw(spec.rows());
             spec.instance().encode(&mut w);
             // Two reserved words, once a version and an op count: the
             // layout older data directories hold, always zero in them.

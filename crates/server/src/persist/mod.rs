@@ -87,7 +87,7 @@
 //! Recovery takes `inner` once, to take the records `open` decoded,
 //! and never while calling into the front door.
 
-mod codec;
+pub(crate) mod codec;
 mod files;
 
 use crate::query::{QueryFrontDoor, QuerySpec};

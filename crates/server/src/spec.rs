@@ -21,7 +21,7 @@ use divr_core::distance::Distance;
 use divr_core::engine::{PreparedUniverse, ServeError};
 use divr_core::relevance::Relevance;
 use divr_core::{ByteReader, ByteWriter, CodecError, Deadline, Ratio, SharedPrepared};
-use divr_relquery::Tuple;
+use divr_relquery::{Tuple, Value};
 use std::sync::{Arc, OnceLock};
 
 /// The prepared state the registry caches for one spec — full-matrix or
@@ -241,6 +241,77 @@ impl std::fmt::Debug for Instance {
     }
 }
 
+/// The word a universe key starts with.
+const UNIVERSE: &str = "universe";
+
+/// Where a universe key's rows start: after its [`UNIVERSE`] word (a
+/// length and the word's bytes), at the row count.
+const ROWS_AT: usize = 8 + UNIVERSE.len();
+
+/// A universe's rows written straight into its key encoding, a cell at
+/// a time, with no [`Tuple`] built — how the frame reader hands over a
+/// universe ([`UniverseSpec::from_rows`]). The layout is
+/// [`ByteWriter::write_tuples`]'s: the row count, then per row its arity
+/// and sort-tagged values, through the same value and arity primitives;
+/// each count is patched in once its sequence ends. Whatever the calls,
+/// the bytes are well formed: a row opens at its first cell and
+/// [`UniverseRows::end_row`] closes it.
+pub struct UniverseRows {
+    enc: FingerprintEncoder,
+    n: usize,
+    /// The open row: where its arity word sits, and its cells so far.
+    row: Option<(usize, usize)>,
+}
+
+impl Default for UniverseRows {
+    fn default() -> Self {
+        let mut enc = FingerprintEncoder::new();
+        enc.write_str(UNIVERSE);
+        enc.write_usize(0); // the row count, patched in by `finish`
+        UniverseRows {
+            enc,
+            n: 0,
+            row: None,
+        }
+    }
+}
+
+impl UniverseRows {
+    /// Appends a cell to the open row, opening one if none is.
+    pub fn push_cell(&mut self, cell: &Value) {
+        let enc = &mut self.enc;
+        let (_, arity) = self.row.get_or_insert_with(|| (open_row(enc), 0));
+        *arity += 1;
+        enc.write_value(cell);
+    }
+
+    /// Closes the open row: an empty one when no cell opened it.
+    pub fn end_row(&mut self) {
+        let (at, arity) = match self.row.take() {
+            Some(row) => row,
+            None => (open_row(&mut self.enc), 0),
+        };
+        self.enc.patch_usize(at, arity);
+        self.n += 1;
+    }
+
+    /// The rows section, every count filled in, and the row count.
+    fn finish(mut self) -> (Vec<u8>, usize) {
+        if self.row.is_some() {
+            self.end_row();
+        }
+        self.enc.patch_usize(ROWS_AT, self.n);
+        (self.enc.into_bytes(), self.n)
+    }
+}
+
+/// Opens a row: writes its arity word, to be patched when it ends.
+fn open_row(enc: &mut FingerprintEncoder) -> usize {
+    let at = enc.bytes().len();
+    enc.write_usize(0);
+    at
+}
+
 /// One QRD universe as presented to the registry: the materialized
 /// result set `Q(D)` and the [`Instance`] over it — relevance and
 /// distance functions, λ, and the serving mode (full matrix, or coreset
@@ -250,15 +321,30 @@ impl std::fmt::Debug for Instance {
 /// same function configurations, same λ, same serving mode — address
 /// the same cache entry regardless of which `Arc`s they hold; see
 /// [`UniverseSpec::key`].
+///
+/// The spec holds its universe as the key's canonical bytes, not as
+/// tuples: a warm serve needs only the key, so the tuples are decoded
+/// from those bytes when something asks for them — a build on a cache
+/// miss, or [`UniverseSpec::universe`].
 #[derive(Clone)]
 pub struct UniverseSpec {
-    universe: Vec<Tuple>,
+    /// The key's bytes: `"universe"`, the rows in
+    /// [`ByteWriter::write_tuples`]'s layout, then the instance's key
+    /// tail ([`Instance::write_key_tail`]). [`UniverseSpec::key`] shares
+    /// them.
+    bytes: Arc<Vec<u8>>,
+    /// Where the rows end and the key tail starts.
+    tail_at: usize,
+    /// The number of rows.
+    n: usize,
     instance: Instance,
-    /// [`UniverseSpec::key`], computed on first use: fingerprinting is
-    /// `O(content)` and one frame asks for it more than once (admission
-    /// ledger, then the registry). [`UniverseSpec::with_coreset`], the
-    /// one method that changes what it describes, starts a fresh one.
+    /// [`UniverseSpec::key`], computed on first use: the digest is
+    /// `O(content)` and one frame asks for the key more than once
+    /// (admission ledger, then the registry).
     key: OnceLock<UniverseKey>,
+    /// The rows as tuples: decoded on first use of
+    /// [`UniverseSpec::universe`]; a spec built from tuples keeps them.
+    universe: OnceLock<Vec<Tuple>>,
 }
 
 impl UniverseSpec {
@@ -275,10 +361,40 @@ impl UniverseSpec {
 
     /// Bundles a universe with an already validated [`Instance`].
     pub fn from_instance(universe: Vec<Tuple>, instance: Instance) -> Self {
+        let mut enc = FingerprintEncoder::new();
+        enc.write_str(UNIVERSE);
+        enc.write_tuples(&universe);
+        let n = universe.len();
+        Self::assemble(enc.into_bytes(), n, instance, OnceLock::from(universe))
+    }
+
+    /// Bundles rows already in their key encoding with an [`Instance`]:
+    /// no tuple is built until a build or [`UniverseSpec::universe`]
+    /// needs them.
+    pub fn from_rows(rows: UniverseRows, instance: Instance) -> Self {
+        let (bytes, n) = rows.finish();
+        Self::assemble(bytes, n, instance, OnceLock::new())
+    }
+
+    /// Appends `instance`'s key tail to `bytes` (the [`UNIVERSE`] word
+    /// and the rows, nothing after them).
+    fn assemble(
+        mut bytes: Vec<u8>,
+        n: usize,
+        instance: Instance,
+        universe: OnceLock<Vec<Tuple>>,
+    ) -> Self {
+        let tail_at = bytes.len();
+        let mut tail = FingerprintEncoder::new();
+        instance.write_key_tail(&mut tail, None);
+        bytes.extend_from_slice(tail.bytes());
         UniverseSpec {
-            universe,
+            bytes: Arc::new(bytes),
+            tail_at,
+            n,
             instance,
             key: OnceLock::new(),
+            universe,
         }
     }
 
@@ -288,8 +404,21 @@ impl UniverseSpec {
     /// for universes whose full matrix exceeds memory. The mode is part
     /// of the content key, so full and coreset preparations of the same
     /// universe are distinct cache entries with honest byte accounting.
+    /// Only the key tail is rewritten — in place unless a key or a
+    /// clone still shares the bytes — and no tuple is decoded.
     pub fn with_coreset(self, mode: CoresetSpec) -> Self {
-        Self::from_instance(self.universe, self.instance.with_coreset(mode))
+        let UniverseSpec {
+            bytes,
+            tail_at,
+            n,
+            instance,
+            key,
+            universe,
+        } = self;
+        drop(key); // the memoized key shares the bytes
+        let mut rows = Arc::try_unwrap(bytes).unwrap_or_else(|shared| shared[..tail_at].to_vec());
+        rows.truncate(tail_at);
+        Self::assemble(rows, n, instance.with_coreset(mode), universe)
     }
 
     /// The coreset serving mode, if set.
@@ -297,9 +426,15 @@ impl UniverseSpec {
         self.instance.coreset
     }
 
-    /// The materialized universe `Q(D)`.
+    /// The number of tuples in the universe, read without decoding them.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The materialized universe `Q(D)`, decoded from the key bytes on
+    /// first use.
     pub fn universe(&self) -> &[Tuple] {
-        &self.universe
+        self.universe.get_or_init(|| self.decode())
     }
 
     /// The functions, λ and serving mode over the universe.
@@ -307,55 +442,81 @@ impl UniverseSpec {
         &self.instance
     }
 
+    /// The rows section of the key: the row count, then the rows —
+    /// [`ByteWriter::write_tuples`]'s bytes for [`UniverseSpec::universe`].
+    pub(crate) fn rows(&self) -> &[u8] {
+        &self.bytes[ROWS_AT..self.tail_at]
+    }
+
+    /// The rows as tuples, read from the key bytes.
+    fn decode(&self) -> Vec<Tuple> {
+        ByteReader::new(self.rows())
+            .read_tuples()
+            .expect("a spec's rows are an encoding it wrote or checked")
+    }
+
+    /// The tuples a build consumes: decoded for it, unless
+    /// [`UniverseSpec::universe`] already holds them.
+    fn tuples(&self) -> Vec<Tuple> {
+        self.universe
+            .get()
+            .cloned()
+            .unwrap_or_else(|| self.decode())
+    }
+
     /// The injective content fingerprint of this universe (see
-    /// [`crate::fingerprint`] for why distinct content is guaranteed —
-    /// not merely likely — to yield distinct keys).
+    /// [`UniverseKey`] for why distinct content is guaranteed —
+    /// not merely likely — to yield distinct keys). Its bytes are the
+    /// spec's own, shared, not copied.
     pub fn key(&self) -> UniverseKey {
         self.key
-            .get_or_init(|| {
-                let mut enc = FingerprintEncoder::new();
-                enc.write_str("universe");
-                enc.write_tuples(&self.universe);
-                self.instance.write_key_tail(&mut enc, None);
-                UniverseKey::from_bytes(enc.bytes())
-            })
+            .get_or_init(|| UniverseKey::from_shared(self.bytes.clone()))
             .clone()
     }
 
     /// The spec a registry key was written for — the inverse of
     /// [`UniverseSpec::key`] (with [`Instance::write_key_tail`]'s
-    /// `mode:full` or `mode:coreset` tail). `Ok(None)` for a key that is
-    /// not a universe's (a query's); an error for a universe key with no
-    /// spec behind it here (an oracle tag no reader knows, trailing
-    /// bytes). The key's words are skipped and its oracles read in place,
-    /// unchecked: a decoded spec is accepted only if it re-keys to exactly
-    /// these bytes, and that round trip is the decoder's honesty check.
-    /// How a checkpoint reads the resident universes back out of the
-    /// cache.
+    /// `mode:full` or `mode:coreset` tail), sharing the key's bytes.
+    /// `Ok(None)` for a key that is not a universe's (a query's); an
+    /// error for a universe key with no spec behind it here (an oracle
+    /// tag no reader knows, trailing bytes). The rows are read to check
+    /// them and the oracles read in place, unchecked: a decoded spec is
+    /// accepted only if its own key tail is exactly the key's, and that
+    /// round trip is the decoder's honesty check. How a checkpoint reads
+    /// the resident universes back out of the cache.
     pub(crate) fn from_key(key: &UniverseKey) -> Result<Option<Self>, CodecError> {
         let mut r = ByteReader::new(key.bytes());
-        if r.read_str() != Ok("universe") {
+        if r.read_str() != Ok(UNIVERSE) {
             return Ok(None);
         }
-        let universe = r.read_tuples()?;
+        let n = r.read_tuples()?.len();
+        let tail_at = key.bytes().len() - r.remaining();
         r.read_str()?; // rel
         let rel = read_relevance(&mut r)?;
         r.read_str()?; // dis
         let dis = read_distance(&mut r)?;
         r.read_str()?; // lambda
-        let instance = Instance::try_new(rel, dis, r.read_ratio()?)
+        let mut instance = Instance::try_new(rel, dis, r.read_ratio()?)
             .ok_or(CodecError::Invalid("lambda range"))?;
-        let mut spec = Self::from_instance(universe, instance);
         if r.read_str()? != "mode:full" {
-            spec = spec.with_coreset(CoresetSpec {
+            instance = instance.with_coreset(CoresetSpec {
                 budget: r.read_usize()?,
                 refine_rounds: r.read_usize()?,
             });
         }
-        if !r.is_empty() || spec.key() != *key {
+        let mut tail = FingerprintEncoder::new();
+        instance.write_key_tail(&mut tail, None);
+        if !r.is_empty() || tail.bytes() != &key.bytes()[tail_at..] {
             return Err(CodecError::Invalid("key round-trip"));
         }
-        Ok(Some(spec))
+        Ok(Some(UniverseSpec {
+            bytes: key.shared().clone(),
+            tail_at,
+            n,
+            instance,
+            key: OnceLock::from(key.clone()),
+            universe: OnceLock::new(),
+        }))
     }
 
     /// Pays the **full-matrix** preparation cost — relevance cache plus
@@ -367,7 +528,7 @@ impl UniverseSpec {
     /// honors the mode and refuses non-finite scores.
     pub fn prepare(&self, threads: usize) -> SharedPrepared {
         Arc::new(PreparedUniverse::build_shared(
-            self.universe.clone(),
+            self.tuples(),
             &*self.instance.rel,
             self.instance.dis.clone(),
             self.instance.lambda,
@@ -386,7 +547,8 @@ impl UniverseSpec {
     /// when [`UniverseSpec::with_coreset`] was set — and validates it:
     /// a universe whose oracles emitted a non-finite float is refused
     /// ([`ServeError::NonFiniteScore`]) before it can reach the argmax
-    /// rounds, where `NaN` comparisons would silently mis-select.
+    /// rounds, where `NaN` comparisons would silently mis-select. The
+    /// tuples are decoded for the build and moved into it.
     ///
     /// The `O(n²)` (or `O(n·m)`) build polls `deadline` at row /
     /// iteration boundaries and is abandoned with
@@ -398,15 +560,14 @@ impl UniverseSpec {
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, ServeError> {
-        self.instance
-            .build(self.universe.clone(), None, threads, deadline)
+        self.instance.build(self.tuples(), None, threads, deadline)
     }
 }
 
 impl std::fmt::Debug for UniverseSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UniverseSpec")
-            .field("n", &self.universe.len())
+            .field("n", &self.n)
             .field("instance", &self.instance)
             .finish()
     }
@@ -431,6 +592,90 @@ mod tests {
             }),
             Ratio::new(1, 2),
         )
+    }
+
+    /// A spec whose rows were written into key bytes a cell at a time
+    /// is the spec built from the same tuples — key, universe, `n`, the
+    /// key after a switch to coreset mode (re-tailed in place, or copied
+    /// while a key shares the bytes), and the `WarmUniverse` record,
+    /// which must be the layout written from tuples — over extreme
+    /// integers, strings JSON escapes or spells in non-ASCII, arities
+    /// 0 to 4 and the empty universe.
+    #[test]
+    fn rows_written_as_key_bytes_are_the_tuples() {
+        use crate::persist::{codec::encode_record, Record};
+        use divr_relquery::Value;
+
+        let strings = ["\"\\/\u{8}\u{c}\n\r\t", "héllo — 世界 🦀", ""];
+        let cell = |i: usize| match i % 3 {
+            0 => Value::Int(i64::MIN + i as i64),
+            1 => Value::str(strings[i / 3 % 3]),
+            _ => Value::Int(i64::MAX - i as i64),
+        };
+        let universes: Vec<Vec<Tuple>> = vec![
+            vec![],
+            vec![Tuple::new(vec![])],
+            vec![Tuple::ints([i64::MIN]), Tuple::ints([i64::MAX, 0, -1])],
+            vec![
+                Tuple::new(vec![Value::str("\"quoted\" \\ \u{1}\u{1f}"), Value::Int(0)]),
+                Tuple::new(vec![Value::str("naïve façade — 東京 🦀"), Value::str("")]),
+            ],
+            (0..=4)
+                .map(|arity| Tuple::new((0..arity).map(|j| cell(arity + j)).collect()))
+                .collect(),
+        ];
+        let mode = CoresetSpec {
+            budget: 3,
+            refine_rounds: 1,
+        };
+        for universe in universes {
+            let instance = spec(1).instance().clone();
+            let by_tuples = UniverseSpec::from_instance(universe.clone(), instance.clone());
+            let mut rows = UniverseRows::default();
+            for tuple in &universe {
+                for value in tuple.iter() {
+                    rows.push_cell(value);
+                }
+                rows.end_row();
+            }
+            let by_bytes = UniverseSpec::from_rows(rows, instance.clone());
+
+            assert_eq!(
+                by_bytes.key().bytes(),
+                by_tuples.key().bytes(),
+                "{universe:?}"
+            );
+            assert_eq!(by_bytes.key(), by_tuples.key());
+            assert_eq!((by_bytes.n(), by_tuples.n()), (universe.len(), universe.len()));
+            assert_eq!(by_bytes.universe(), &universe[..]);
+            let coreset_key = by_tuples.clone().with_coreset(mode).key();
+            assert_eq!(by_bytes.clone().with_coreset(mode).key(), coreset_key);
+
+            let mut expected = FingerprintEncoder::new();
+            expected.write_u8(1);
+            expected.write_tuples(&universe);
+            instance.encode(&mut expected);
+            expected.write_u64(0);
+            expected.write_usize(0);
+            for spec in [&by_bytes, &by_tuples] {
+                let record = encode_record(&Record::WarmUniverse { spec: spec.clone() });
+                assert_eq!(record.ok().as_deref(), Some(expected.bytes()));
+            }
+
+            // Unshared, the bytes are re-tailed in place: no tuple decoded.
+            let fresh = {
+                let mut rows = UniverseRows::default();
+                for tuple in &universe {
+                    tuple.iter().for_each(|value| rows.push_cell(value));
+                    rows.end_row();
+                }
+                UniverseSpec::from_rows(rows, instance)
+            };
+            let degraded = fresh.with_coreset(mode);
+            assert_eq!(degraded.key(), coreset_key);
+            assert!(degraded.universe.get().is_none());
+            assert_eq!(degraded.universe(), &universe[..]);
+        }
     }
 
     /// A key already handed out must not follow the spec into a

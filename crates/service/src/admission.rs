@@ -21,7 +21,7 @@
 //! Both checks are a few map operations under one mutex — micro-
 //! seconds — and the lock recovers from poisoning the same way the
 //! registry's cache shards do (quota state is always consistent at
-//! rest; see `divr_server::cache`).
+//! rest; see `divr_server::PreparedCache`).
 //!
 //! ## Ledger rows and what the digest is trusted for
 //!
@@ -40,7 +40,7 @@
 //! one of them — something a second tenant name, equally unauthenticated,
 //! already buys for free. A collision can never change an answer: the
 //! prepared-state cache still decides equality on the full bytes
-//! (`divr_server::fingerprint`), so the colliding universe is prepared
+//! (`divr_server::UniverseKey`), so the colliding universe is prepared
 //! and served as itself.
 //!
 //! What remains unbounded is the tenant map itself: a tenant name is
@@ -282,8 +282,11 @@ impl Admission {
 
 /// The closed-form prepared-state size estimate admission charges
 /// before preparation runs: the `8`-byte float matrix (`n × n` full,
-/// `m × m` coreset) plus `O(n)` per-item bookkeeping. Mirrors the
-/// dominant terms of the cache's exact post-build metering.
+/// `m × m` coreset) plus `48` bytes of per-item bookkeeping. It does
+/// not mirror the cache's post-build metering: tuple payloads and matrix
+/// headroom are left out, so it charges less than the cache meters — a
+/// `20 000`-row coreset entry at `m = 256` is estimated at 1 484 288 B
+/// and metered at 3 192 832 B. The quota is stated in these estimates.
 pub fn estimate_prepared_bytes(n: usize, coreset_budget: Option<usize>) -> u64 {
     let n = n as u64;
     let side = coreset_budget.map_or(n, |m| (m as u64).min(n));

@@ -60,7 +60,7 @@
 //!   typed error or a correct answer.
 //! * **Observability** (`histogram.rs`): lock-free log-bucketed latency
 //!   histograms per objective, exported by `{"op": "stats"}`.
-//! * **Durability** (`divr_server::persist`, wired by [`server`]): a
+//! * **Durability** (`divr_server::Durability`, wired by [`server`]): a
 //!   daemon started with a data directory journals every registration,
 //!   base-table mutation, and warm prepare to a checksummed write-ahead
 //!   log (a mutation is synced, with everything before it, *before* its

@@ -110,7 +110,7 @@ pub struct ServiceConfig {
     /// Sizing for the underlying registry.
     pub registry: RegistryConfig,
     /// Data directory for crash-safe durability (checksummed snapshots
-    /// plus a write-ahead log; see [`divr_server::persist`]). `None`
+    /// plus a write-ahead log; see [`divr_server::Durability`]). `None`
     /// (the default) serves purely in memory, exactly as before.
     pub data_dir: Option<PathBuf>,
     /// How a restart rebuilds warm state from the data directory:
@@ -579,7 +579,7 @@ fn handle_serve(shared: &Shared, frame: Frame) -> Handled {
     let mut degraded = false;
     if depth.in_flight > shared.config.degrade_watermark
         && spec.coreset().is_none()
-        && spec.universe().len() >= shared.config.degrade_min_n
+        && spec.n() >= shared.config.degrade_min_n
     {
         let max_k = requests.iter().map(|r| r.k).max().unwrap_or(0);
         let budget = shared.config.degrade_budget.max(max_k);
@@ -590,10 +590,7 @@ fn handle_serve(shared: &Shared, frame: Frame) -> Handled {
 
     // Cache-byte gate, after degradation so a degraded universe is
     // charged its (far smaller) coreset footprint.
-    let estimate = estimate_prepared_bytes(
-        spec.universe().len(),
-        spec.coreset().map(|mode| mode.budget),
-    );
+    let estimate = estimate_prepared_bytes(spec.n(), spec.coreset().map(|mode| mode.budget));
     shared
         .admission
         .charge_universe(tenant, &spec.key(), estimate)

@@ -23,7 +23,7 @@ use divr_core::Ratio;
 use divr_relquery::{Database, Tuple};
 use divr_server::{
     CoresetSpec, FingerprintEncoder, Fingerprintable, Instance, ServableDistance,
-    ServableRelevance, UniverseKey, UniverseSpec,
+    ServableRelevance, UniverseKey, UniverseRows, UniverseSpec,
 };
 use std::sync::Arc;
 
@@ -106,11 +106,14 @@ pub fn ratio_to_json(r: Ratio) -> Value {
     Value::Array(vec![component(r.numerator()), component(r.denominator())])
 }
 
+/// The refusal of a row that is not an array.
+const NOT_AN_ARRAY: &str = "tuple must be an array";
+
 /// Decodes one tuple — a JSON array of integers and strings (the same
 /// shape universes and database rows use; `{"op": "mutate"}` frames
 /// carry one for the edited base tuple).
 pub fn tuple_from_json(v: &Value) -> Result<Tuple, String> {
-    let items = v.as_array().ok_or("tuple must be an array")?;
+    let items = v.as_array().ok_or(NOT_AN_ARRAY)?;
     let mut values = Vec::with_capacity(items.len());
     for item in items {
         values.push(cell_from_json(item)?);
@@ -127,23 +130,61 @@ fn cell_from_json(v: &Value) -> Result<divr_relquery::Value, String> {
     }
 }
 
-/// The rows of a `tuples` or `rows` array, decoded in order up to the
-/// first that is not a tuple, and that row's refusal.
-struct Rows {
+/// Where the frame reader puts the cells of a rows array, in order:
+/// into tuples (a database relation's rows), or straight into a
+/// universe's key bytes ([`UniverseRows`]), no tuple built.
+trait RowSink: Default {
+    fn cell(&mut self, cell: divr_relquery::Value);
+    fn end_row(&mut self);
+}
+
+/// Decoded tuples, and the cells of the row being read.
+#[derive(Default)]
+struct Tuples {
     tuples: Vec<Tuple>,
+    cells: Vec<divr_relquery::Value>,
+}
+
+impl RowSink for Tuples {
+    fn cell(&mut self, cell: divr_relquery::Value) {
+        self.cells.push(cell);
+    }
+
+    fn end_row(&mut self) {
+        self.tuples.push(self.cells.drain(..).collect());
+    }
+}
+
+impl RowSink for UniverseRows {
+    fn cell(&mut self, cell: divr_relquery::Value) {
+        self.push_cell(&cell);
+    }
+
+    fn end_row(&mut self) {
+        UniverseRows::end_row(self);
+    }
+}
+
+/// The rows of a `tuples` or `rows` array, read in order into `sink` up
+/// to the first that is not a tuple, and that row's refusal.
+struct Rows<S> {
+    sink: S,
     bad: Option<String>,
 }
 
 /// [`Rows`] of a parsed array.
-fn rows_from_json(rows: &[Value]) -> Rows {
-    let mut tuples = Vec::with_capacity(rows.len());
+fn rows_from_json(rows: &[Value]) -> Rows<Tuples> {
+    let mut sink = Tuples {
+        tuples: Vec::with_capacity(rows.len()),
+        cells: Vec::new(),
+    };
     for row in rows {
         match tuple_from_json(row) {
-            Ok(tuple) => tuples.push(tuple),
-            Err(bad) => return Rows { tuples, bad: Some(bad) },
+            Ok(tuple) => sink.tuples.push(tuple),
+            Err(bad) => return Rows { sink, bad: Some(bad) },
         }
     }
-    Rows { tuples, bad: None }
+    Rows { sink, bad: None }
 }
 
 /// Decodes one `database` object —
@@ -170,7 +211,7 @@ pub fn database_from_json(v: &Value) -> Result<(String, Database), String> {
 /// its `header`, then its decoded rows (`None`: no rows array) are
 /// inserted, so a header refusal beats a bad row wherever the rows sat.
 fn database_from_relations<'v>(
-    relations: impl ExactSizeIterator<Item = (&'v Value, Option<Rows>)>,
+    relations: impl ExactSizeIterator<Item = (&'v Value, Option<Rows<Tuples>>)>,
 ) -> Result<(String, Database), String> {
     let mut db = Database::new();
     let mut enc = FingerprintEncoder::new();
@@ -196,7 +237,7 @@ fn database_from_relations<'v>(
         for attr in &attrs {
             enc.write_str(attr);
         }
-        let Rows { tuples, bad } = rows.ok_or("relation needs a rows array")?;
+        let Rows { sink: Tuples { tuples, .. }, bad } = rows.ok_or("relation needs a rows array")?;
         for tuple in tuples {
             // Set semantics: duplicates are dropped by insert and
             // skipped in the fingerprint, so a database listing the
@@ -269,25 +310,35 @@ pub fn distance_from_json(v: &Value) -> Result<Arc<dyn ServableDistance>, String
     }
 }
 
-/// Decodes one `universe` object into a registry [`UniverseSpec`].
+/// Decodes one `universe` object into a registry [`UniverseSpec`],
+/// through tuples: the reference the frame reader's key-first read is
+/// held to.
 pub fn universe_from_json(v: &Value) -> Result<UniverseSpec, String> {
-    universe_from_rows(v.get("tuples").and_then(Value::as_array).map(rows_from_json), v)
+    let rows = v.get("tuples").and_then(Value::as_array).map(rows_from_json);
+    universe_from_rows(rows, v, |rows: Tuples, instance| {
+        UniverseSpec::from_instance(rows.tuples, instance)
+    })
 }
 
 /// The one assembly step behind both decodes of a `universe` object:
-/// its decoded `tuples` rows (`None`: no tuples array), then the
-/// instance members of `v`.
-fn universe_from_rows(rows: Option<Rows>, v: &Value) -> Result<UniverseSpec, String> {
-    let Rows { tuples, bad } = rows.ok_or("universe needs a tuples array")?;
+/// its `tuples` rows (`None`: no tuples array), then the instance
+/// members of `v`, bundled by `spec`.
+fn universe_from_rows<S>(
+    rows: Option<Rows<S>>,
+    v: &Value,
+    spec: impl FnOnce(S, Instance) -> UniverseSpec,
+) -> Result<UniverseSpec, String> {
+    let Rows { sink, bad } = rows.ok_or("universe needs a tuples array")?;
     if let Some(bad) = bad {
         return Err(bad);
     }
-    Ok(UniverseSpec::from_instance(tuples, instance_from_json(v, "universe")?))
+    Ok(spec(sink, instance_from_json(v, "universe")?))
 }
 
 /// A frame read in one pass over its payload, with no tree of its rows:
-/// the first `universe` object's `tuples` and the first `database`
-/// object's `relations[].rows` are built straight into [`Tuple`]s, and
+/// the first `universe` object's `tuples` are written straight into the
+/// universe's key bytes ([`UniverseRows`]: no tuple is built), the first
+/// `database` object's `relations[].rows` straight into [`Tuple`]s, and
 /// every other member is a small [`Value`]. Each decode is what
 /// [`universe_from_json`] / [`database_from_json`] make of the parsed
 /// member — the same tuples and key, the same refusal — and a syntax
@@ -349,11 +400,11 @@ impl std::str::FromStr for Frame {
 }
 
 /// Reads the `universe` object under the cursor: `tuples` rows into
-/// tuples, every other member into a small object for
+/// key bytes, every other member into a small object for
 /// [`instance_from_json`].
 fn read_universe(reader: &mut Reader) -> Result<Result<UniverseSpec, String>, ParseError> {
     let (members, rows) = read_object_with_rows(reader, "tuples")?;
-    Ok(universe_from_rows(rows, &members))
+    Ok(universe_from_rows(rows, &members, UniverseSpec::from_rows))
 }
 
 /// Reads the `database` object under the cursor: its first `relations`
@@ -389,7 +440,7 @@ fn read_database(
 /// Reads one element of a `relations` array: an object's `rows` into
 /// tuples and its other members into the header; anything else is its
 /// own header, which names no relation.
-fn read_relation(reader: &mut Reader) -> Result<(Value, Option<Rows>), ParseError> {
+fn read_relation(reader: &mut Reader) -> Result<(Value, Option<Rows<Tuples>>), ParseError> {
     if reader.peek() != Some(b'{') {
         return Ok((reader.value()?, None));
     }
@@ -399,10 +450,10 @@ fn read_relation(reader: &mut Reader) -> Result<(Value, Option<Rows>), ParseErro
 /// Reads the object under the cursor: its first `rows_key` member as a
 /// rows array (later ones skipped), every other member into a small
 /// object.
-fn read_object_with_rows(
+fn read_object_with_rows<S: RowSink>(
     reader: &mut Reader,
     rows_key: &str,
-) -> Result<(Value, Option<Rows>), ParseError> {
+) -> Result<(Value, Option<Rows<S>>), ParseError> {
     reader.open()?;
     let (mut members, mut rows, mut seen_rows) = (Vec::new(), None, false);
     while let Some(key) = reader.key()? {
@@ -419,40 +470,37 @@ fn read_object_with_rows(
 
 /// Reads the value under the cursor as a rows array: `None` (skipped)
 /// when it is not an array.
-fn read_rows(reader: &mut Reader) -> Result<Option<Rows>, ParseError> {
+fn read_rows<S: RowSink>(reader: &mut Reader) -> Result<Option<Rows<S>>, ParseError> {
     if reader.peek() != Some(b'[') {
         reader.skip()?;
         return Ok(None);
     }
     let mut rows = Rows {
-        tuples: Vec::new(),
+        sink: S::default(),
         bad: None,
     };
-    let mut cells = Vec::new();
     reader.open()?;
     while reader.item()? {
         if rows.bad.is_some() {
             reader.skip()?;
             continue;
         }
-        match read_tuple(reader, &mut cells)? {
-            Ok(tuple) => rows.tuples.push(tuple),
-            Err(bad) => rows.bad = Some(bad),
-        }
+        rows.bad = read_tuple(reader, &mut rows.sink)?.err();
     }
     Ok(Some(rows))
 }
 
-/// Reads one row as [`tuple_from_json`] decodes it, cell by cell through
-/// `cells` (reused across rows, so a row allocates only its tuple).
+/// Reads one row into `sink` as [`tuple_from_json`] decodes it, cell by
+/// cell: the refusal of a row that is not an array or of its first bad
+/// cell, which leaves the row unended.
 fn read_tuple(
     reader: &mut Reader,
-    cells: &mut Vec<divr_relquery::Value>,
-) -> Result<Result<Tuple, String>, ParseError> {
+    sink: &mut impl RowSink,
+) -> Result<Result<(), String>, ParseError> {
     if reader.peek() != Some(b'[') {
-        return Ok(tuple_from_json(&reader.value()?));
+        reader.skip()?;
+        return Ok(Err(NOT_AN_ARRAY.to_string()));
     }
-    cells.clear();
     let mut bad = None;
     reader.open()?;
     while reader.item()? {
@@ -461,12 +509,15 @@ fn read_tuple(
             continue;
         }
         match cell_from_json(&reader.value()?) {
-            Ok(cell) => cells.push(cell),
+            Ok(cell) => sink.cell(cell),
             Err(e) => bad = Some(e),
         }
     }
     Ok(match bad {
-        None => Ok(cells.drain(..).collect()),
+        None => {
+            sink.end_row();
+            Ok(())
+        }
         Some(bad) => Err(bad),
     })
 }

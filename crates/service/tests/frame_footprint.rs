@@ -1,18 +1,21 @@
-//! What one frame holds at its peak: an inline universe is read straight
-//! from the payload into tuples, so no tree of it exists on the frame
-//! path — payload, then tuples.
+//! What one warm frame holds at its peak: an inline universe is read
+//! straight from the payload into its key bytes, so neither a JSON tree
+//! of it nor its tuples exist on a warm frame's path — payload, then key
+//! bytes.
 //!
 //! One in-process [`Service`], one worker, one 20 000-row coreset
 //! `serve` frame sent twice over a real socket. The second (warm) frame
-//! prepares nothing, so the live bytes it adds on top of the resident
-//! state are the frame's own: they must peak above the decoded universe
-//! it has to build and below the JSON tree of the frame alone, which the
-//! frame path used to build first (3.93 MB at its peak then, against a
-//! 3.61 MB tree).
+//! prepares nothing, so the live bytes and the allocations it adds on
+//! top of the resident state are the frame's own. Its peak must stay
+//! below the universe's tuples alone, which the frame path built before
+//! it read rows into key bytes (2.53 MB at its peak then, against
+//! 1.28 MB of tuples); and it must allocate a handful of times, not once
+//! a row.
 //!
-//! Live bytes are a property of the process, so this file holds exactly
-//! one test and is its own test binary; the counts are `Layout` sizes,
-//! the same in debug and release builds.
+//! Live bytes are a property of the process, so this file is its own
+//! test binary and its cells share one measurement, taken once; the
+//! counts are `Layout` sizes and calls, the same in debug and release
+//! builds.
 
 use divr_service::json::{self, Value};
 use divr_service::proto::{read_frame, write_frame};
@@ -20,11 +23,16 @@ use divr_service::{wire, Service, ServiceConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Calls that asked the allocator for a block (`alloc`, `alloc_zeroed`,
+/// `realloc`).
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(bytes: usize) {
+    CALLS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -78,51 +86,83 @@ fn frame_text() -> String {
     )
 }
 
-#[test]
-fn a_warm_frame_peaks_below_the_tree_alone() {
-    let text = frame_text();
+/// One warm frame, measured once for every cell of this file.
+struct WarmFrame {
+    /// Live bytes the warm frame added at its peak.
+    peak: usize,
+    /// Allocator calls the warm frame made.
+    calls: usize,
+    /// The frame's universe as tuples, decoded from its JSON tree.
+    universe: usize,
+}
 
-    // The two sizes the bounds are stated in, measured on this thread
-    // before any other thread exists.
-    let before = live();
-    let tree = json::parse(&text).unwrap();
-    let tree_bytes = live() - before;
-    let before = live();
-    let spec = wire::universe_from_json(tree.get("universe").unwrap()).unwrap();
-    let universe_bytes = live() - before;
-    assert_eq!(spec.universe().len(), N as usize);
-    drop((spec, tree));
+fn warm_frame() -> &'static WarmFrame {
+    static MEASURED: OnceLock<WarmFrame> = OnceLock::new();
+    MEASURED.get_or_init(|| {
+        let text = frame_text();
 
-    let service = Service::start(ServiceConfig {
-        workers: 1,
-        ..ServiceConfig::default()
+        // The size the peak is bounded by, measured while no other
+        // thread allocates (a second cell waits on this lock).
+        let tree = json::parse(&text).unwrap();
+        let rows = tree.get("universe").and_then(|u| u.get("tuples")).unwrap();
+        let before = live();
+        let tuples: Vec<_> =
+            rows.as_array().unwrap().iter().map(|row| wire::tuple_from_json(row).unwrap()).collect();
+        let universe = live() - before;
+        assert_eq!(tuples.len(), N as usize);
+        drop((tuples, tree));
+
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let mut stream = TcpStream::connect(service.local_addr()).unwrap();
+        let send = |stream: &mut TcpStream| {
+            write_frame(stream, text.as_bytes()).unwrap();
+            let reply = read_frame(stream, 1 << 20).unwrap().expect("a reply frame");
+            let reply = json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+            let ok = reply.get("ok").and_then(Value::as_bool);
+            assert_eq!(ok, Some(true), "{}", reply.to_json());
+        };
+
+        // Cold: selects the coreset and leaves it resident.
+        send(&mut stream);
+        // Warm: everything allocated from here on is the frame's own.
+        let resident = live();
+        PEAK.store(resident, Ordering::Relaxed);
+        let calls = CALLS.load(Ordering::Relaxed);
+        send(&mut stream);
+        let measured = WarmFrame {
+            peak: PEAK.load(Ordering::Relaxed) - resident,
+            calls: CALLS.load(Ordering::Relaxed) - calls,
+            universe,
+        };
+        service.shutdown();
+        println!(
+            "warm frame: peak {} B, {} allocator calls; the universe's tuples {} B",
+            measured.peak, measured.calls, measured.universe
+        );
+        measured
     })
-    .unwrap();
-    let mut stream = TcpStream::connect(service.local_addr()).unwrap();
-    let send = |stream: &mut TcpStream| {
-        write_frame(stream, text.as_bytes()).unwrap();
-        let reply = read_frame(stream, 1 << 20).unwrap().expect("a reply frame");
-        let reply = json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
-        assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true), "{}", reply.to_json());
-    };
+}
 
-    // Cold: selects the coreset and leaves it resident.
-    send(&mut stream);
-    // Warm: everything allocated from here on is the frame's own.
-    let resident = live();
-    PEAK.store(resident, Ordering::Relaxed);
-    send(&mut stream);
-    let frame_peak = PEAK.load(Ordering::Relaxed) - resident;
-    println!("warm frame peak {frame_peak} B; tree {tree_bytes} B, universe {universe_bytes} B");
+#[test]
+fn a_warm_frame_peaks_below_the_universe_alone() {
+    let frame = warm_frame();
+    assert!(
+        frame.peak < frame.universe,
+        "a warm frame peaked at {} B, above the {} B of tuples it no longer builds",
+        frame.peak,
+        frame.universe
+    );
+}
 
+#[test]
+fn a_warm_frame_allocates_far_fewer_times_than_it_has_rows() {
+    let calls = warm_frame().calls;
     assert!(
-        frame_peak > universe_bytes,
-        "a warm frame decodes its universe ({universe_bytes} B) yet peaked at {frame_peak} B"
+        calls < N as usize / 100,
+        "a warm frame over {N} rows made {calls} allocator calls: rows allocate again"
     );
-    assert!(
-        frame_peak < tree_bytes,
-        "a warm frame peaked at {frame_peak} B, above the JSON tree of the frame \
-         ({tree_bytes} B) it no longer builds"
-    );
-    service.shutdown();
 }

@@ -577,6 +577,85 @@ fn queue_pressure_degrades_to_coreset_mode() {
     service.shutdown();
 }
 
+/// `stats.cache`'s `(hits, misses, entries)`.
+fn cache_counts(client: &mut Client) -> (i64, i64, i64) {
+    let stats = client.stats().unwrap();
+    let cache = stats.get("stats").and_then(|s| s.get("cache")).unwrap();
+    let count = |name| cache.get(name).and_then(Value::as_i64).unwrap();
+    (count("hits"), count("misses"), count("entries"))
+}
+
+/// Degradation switches a frame's universe to coreset mode by
+/// re-tailing its key bytes, with no tuple decoded: the entry it leaves
+/// is the one an explicit `"coreset"` frame at the same budget over the
+/// same rows asks for, so the second frame is a hit with the same
+/// answers.
+#[test]
+fn a_degraded_frame_keys_like_an_explicit_coreset_frame() {
+    let service = Service::start(ServiceConfig {
+        degrade_watermark: 0, // every in-flight frame exceeds it
+        degrade_min_n: 64,
+        degrade_budget: 16,
+        ..test_config()
+    })
+    .unwrap();
+    let mut client = Client::connect(service.local_addr()).unwrap();
+    let degraded = client
+        .request(&serve_doc("alice", universe_json(200, "numeric"), &all_objectives(5)))
+        .unwrap();
+    assert_eq!(degraded.get("degraded").and_then(Value::as_bool), Some(true));
+    assert_eq!(cache_counts(&mut client), (0, 1, 1));
+
+    let mut explicit = universe_json(200, "numeric");
+    if let Value::Object(members) = &mut explicit {
+        members.push(("coreset".into(), json::parse(r#"{"budget": 16}"#).unwrap()));
+    }
+    let response = client
+        .request(&serve_doc("alice", explicit, &all_objectives(5)))
+        .unwrap();
+    assert_eq!(response.get("degraded").and_then(Value::as_bool), Some(false));
+    assert_eq!(response.get("answers"), degraded.get("answers"));
+    assert_eq!(cache_counts(&mut client), (1, 1, 1));
+    service.shutdown();
+}
+
+/// A refused row refuses its frame before any key exists: the rows read
+/// into key bytes before it are dropped, not looked up, so the cache
+/// counts no hit, miss or entry for it — not even while a universe
+/// whose rows are exactly that prefix is resident.
+#[test]
+fn a_refused_row_leaves_the_cache_untouched() {
+    let service = Service::start(test_config()).unwrap();
+    let mut client = Client::connect(service.local_addr()).unwrap();
+    let frame = |rows: &str| {
+        format!(
+            r#"{{"op": "serve", "tenant": "a", "universe": {{"tuples": [{rows}], {INSTANCE}}},
+                "requests": [{{"objective": "max_sum", "k": 2}}]}}"#
+        )
+    };
+    let prefix = "[0, 1], [5, 3], [9, 2]";
+    let served = raw_request(service.local_addr(), &frame(prefix));
+    assert_eq!(served.get("ok").and_then(Value::as_bool), Some(true), "{}", served.to_json());
+    let resident = cache_counts(&mut client);
+    assert_eq!(resident, (0, 1, 1));
+
+    for (rows, detail) in [
+        (format!("{prefix}, [1.5, 0]"), "tuple values must be integers or strings"),
+        (format!("{prefix}, [4, null]"), "tuple values must be integers or strings"),
+        (format!("{prefix}, \"row\""), "tuple must be an array"),
+        (format!("{prefix}, 7, [1, 2]"), "tuple must be an array"),
+        ("[0, 1], [5, 3], [[9], 2]".to_string(), "tuple values must be integers or strings"),
+        (format!("[], {prefix}, {{}}"), "tuple must be an array"),
+    ] {
+        assert_refused(&raw_request(service.local_addr(), &frame(&rows)), 400, detail);
+        assert_eq!(cache_counts(&mut client), resident, "{rows}");
+    }
+    let again = raw_request(service.local_addr(), &frame(prefix));
+    assert_eq!(again.to_json(), served.to_json());
+    assert_eq!(cache_counts(&mut client), (1, 1, 1));
+    service.shutdown();
+}
+
 /// The JSON form of the relational test database: six employees over
 /// three departments, plus an always-empty relation for the
 /// empty-result path.
