@@ -45,7 +45,7 @@ while read -r crate max; do
   gate "pub items in crates/$crate/src" \
     "$(grep -rhE '^\s*pub (fn|struct|enum|trait|type|const|static|mod) ' "crates/$crate/src" | wc -l)" -le "$max"
 done <<'EOF'
-core 314
+core 313
 server 91
 service 55
 relquery 120
@@ -79,6 +79,18 @@ for f in $CORE; do gate "$f is at most 1300 lines" "$(wc -l < "$f")" -le 1300; d
 # One scheduler (`claim_each`) and two fault boundaries (`Registry::fetch`,
 # `solve_checked`) in the serving path.
 gate "one thread::scope under crates/server/src" "$(nontest $SERVER | calls 'thread::scope(')" -eq 1
+# One fan-out in divr_core (`engine/matrix.rs::run_dealt`) and one spawn
+# decision (`fans_out`): every worker count is `threads` or 1 as
+# `fans_out` says, from a named unit cost — never a size literal of its
+# own, nor the free list's 1 MB floor
+# (engine::matrix::tests::spawn_decisions_match_the_old_predicates pins
+# the counts).
+gate "one thread::scope under crates/core/src" "$(nontest $CORE | calls 'thread::scope(')" -eq 1
+gate "…and it is in engine/matrix.rs" "$(nontest crates/core/src/engine/matrix.rs | calls 'thread::scope(')" -eq 1
+gate "worker counts come from fans_out" \
+  "$(nontest $(rs crates/core/src/engine crates/core/src/coreset) | grep -E '\b(workers|threads)\b' | grep -cE '4_?096|SPARE_MIN_LEN')" -eq 0
+# One way to hold δ_dis: a prepared universe owns an `Arc` of it.
+gate "no DistOracle" "$(git grep -c 'DistOracle' -- crates src tests examples | wc -l)" -eq 0
 gate "fault boundaries in registry.rs + query.rs" \
   "$(nontest crates/server/src/registry.rs crates/server/src/query.rs | calls 'catch_unwind(')" -le 2
 # The delta step lives in divr_core's PreparedVariant::patch, the build
@@ -149,6 +161,48 @@ done
 gate "key_gap_f64 called once under coreset/" "$(nontest $(rs crates/core/src/coreset) | calls 'key_gap_f64(')" -eq 1
 gate "…and that call is in gaps.rs" "$(nontest crates/core/src/coreset/gaps.rs | calls 'key_gap_f64(')" -eq 1
 
+# --- CI runs what it names --------------------------------------------
+# GitHub reads the workflow with a YAML loader, so a step name with a
+# stray `: ` in it drops every job without a word. Load it the same way
+# and check the job set against this list; a missing python3 or yaml
+# module fails the gate, never skips it. Each `cargo test` invocation
+# goes to the resolver below as `job<TAB>step<TAB>arg<TAB>arg…`.
+ci_jobs="build-test server delta-conformance relquery-conformance repro-and-micro-benches
+e2e-adapter service chaos-conformance crash-recovery lint docs"
+ci_steps=$(mktemp)
+trap 'rm -f "$ci_steps"' EXIT
+python3 - $ci_jobs > "$ci_steps" <<'PY'
+import shlex, sys
+try:
+    import yaml
+except ImportError:
+    sys.exit("gate failed: ci.yml loads with a YAML loader (python3 has no yaml module)")
+try:
+    with open(".github/workflows/ci.yml") as f:
+        jobs = yaml.safe_load(f)["jobs"]
+except Exception as e:
+    sys.exit("gate failed: ci.yml loads with a YAML loader (%s)" % str(e).replace("\n", " "))
+print("loaded")
+want = sorted(sys.argv[1:])
+for job, spec in jobs.items():
+    for step in spec.get("steps", []):
+        for line in str(step.get("run", "")).splitlines():
+            args = shlex.split(line)
+            while args and "=" in args[0] and not args[0].startswith("-"):
+                args.pop(0)  # an environment assignment
+            if args[:2] == ["cargo", "test"]:
+                print("\t".join([job, step.get("name", "")] + args[2:]))
+if sorted(jobs) != want:
+    print("gate failed: ci.yml's jobs are the list in ci/gates.sh (got %s, want %s)"
+          % (" ".join(sorted(jobs)), " ".join(want)), file=sys.stderr)
+    sys.exit(1)
+PY
+case $? in
+  0) ;;
+  127) echo "gate failed: ci.yml loads with a YAML loader (no python3)" >&2; fail=1; : > "$ci_steps" ;;
+  *) fail=1 ;;
+esac
+
 # --- Docs that cannot drift -------------------------------------------
 # The architecture map only shrinks, like the `pub` counts: lower the
 # number when the file does; never raise it.
@@ -180,26 +234,76 @@ fi
 #   * a test a `**Pinned by**` paragraph cites is a test file, or a fn or
 #     mod in a tests/ directory or below a `#[cfg(test)]`.
 # PAPER_MAP's **Gone** rows name deleted items on purpose and are skipped.
-perl -CSD - docs/*.md README.md .claude/skills/verify/SKILL.md >&2 <<'PERL' || fail=1
+#
+# The same tables resolve the workflow's `cargo test` invocations:
+#   * each `-p`, `--test` and each positional filter or `--skip` value
+#     names a package, a test file of it, or a test fn or mod in the
+#     package and target the step selects (a filter matches a test's
+#     path from a `::` boundary, as a prefix: libtest's own rule, minus
+#     matches inside a name);
+#   * each file under a tests/ directory runs: a test target is named
+#     by a step's `--test` or run by an unfiltered step over all of its
+#     package's targets, and a file below it is a `mod` of one.
+CI_STEPS=$ci_steps perl -CSD - docs/*.md README.md .claude/skills/verify/SKILL.md >&2 <<'PERL' || fail=1
 use strict;
 use warnings;
 my @tracked = split /\n/, qx(git ls-files);
 # %members: type or trait -> the names defined directly in its body or in
 # an impl block for it; %traits: type -> traits it implements.
 my (%len, %types, %aliases, %members, %traits, %defs, %tests, %fns_in);
+# Packages by directory ('' is the root); %paths: package -> target
+# (`lib`, `test:NAME`, or `sub:DIR` for a file below tests/) -> the
+# `::` paths of the test fns and mods defined there; %has: package ->
+# its targets; %incl: package -> DIR -> the test targets that `mod DIR;` it;
+# %decl: file -> the `mod NAME;` it declares.
+my (%pkg_at, %paths, %incl, %has, %decl);
+for my $toml (grep { m{(^|/)Cargo\.toml$} && !m{^e2e/} } @tracked) {
+  open my $fh, '<', $toml or next;
+  my $in_package;
+  while (<$fh>) {
+    $in_package = /^\[package\]/ if /^\[/;
+    next unless $in_package && /^name\s*=\s*"([^"]+)"/;
+    my $name = $1;
+    (my $dir = $toml) =~ s{/?Cargo\.toml$}{};
+    $pkg_at{$dir} = $name;
+    last;
+  }
+}
+# The package, target and module path a source file compiles into.
+sub target_of {
+  my $f = shift;
+  my ($dir) = sort { length $b <=> length $a } grep { $_ eq '' || index($f, "$_/") == 0 } keys %pkg_at;
+  return unless defined $dir;
+  my $rel = $dir eq '' ? $f : substr $f, length($dir) + 1;
+  return ($pkg_at{$dir}, "test:$1", '') if $rel =~ m{^tests/(\w+)\.rs$};
+  return ($pkg_at{$dir}, "sub:$1", join '::', $1, grep { $_ ne 'mod' } split m{/}, $2) if $rel =~ m{^tests/(\w+)/(.*)\.rs$};
+  return if $rel =~ m{^src/(main\.rs|bin/)} || $rel !~ m{^src/(.*)\.rs$};
+  return ($pkg_at{$dir}, 'lib', join '::', grep { $_ ne 'mod' && $_ ne 'lib' } split m{/}, $1);
+}
 for my $f (grep { /\.rs$/ } @tracked) {
   open my $fh, '<', $f or next;
   my $test = $f =~ m{(^|/)tests/};
-  my ($depth, $parens, $pending, @owners) = (0, 0);
+  my ($pkg, $target, $modpath) = $f =~ m{^e2e/} ? () : target_of($f);
+  $has{$pkg}{$target} = 1 if defined $target;
+  my ($depth, $parens, $pending, $pending_mod, @owners, @mods) = (0, 0);
   while (my $l = <$fh>) {
     $len{$f}++;
     next if $f =~ m{^e2e/};
     $test = 1 if $l =~ /#\[cfg\(test\)\]/;
     (my $code = $l) =~ s/r#*"[^"]*"#*|"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])'//g;
     $code =~ s{//.*}{};
-    while ($code =~ /\b(?:const\s+fn|fn|const|static|type|mod)\s+(\w+)/g) {
-      $defs{$1} = $fns_in{$f}{$1} = 1;
-      $tests{$1} = 1 if $test;
+    while ($code =~ /\b(const\s+fn|fn|const|static|type|mod)\s+(\w+)/g) {
+      my ($kind, $name) = ($1, $2);
+      $defs{$name} = $fns_in{$f}{$name} = 1;
+      $tests{$name} = 1 if $test;
+      push @{ $paths{$pkg}{$target} }, join '::', grep { length } $modpath, (map { $_->[0] } @mods), $name
+        if $test && defined $target && ($kind eq 'fn' || $kind eq 'mod');
+    }
+    $pending_mod = $1 if $code =~ /\bmod\s+(\w+)\s*\{/;
+    if ($code =~ /^\s*(?:pub(?:\([^)]*\))?\s+)?mod\s+(\w+)\s*;/) {
+      my $name = $1;
+      $decl{$f}{$name} = 1;
+      $incl{$pkg}{$name}{$target} = 1 if defined $target && $target =~ /^test:/;
     }
     if ($code =~ /^\s*(?:pub(?:\([^)]*\))?\s+)?(struct|enum|trait|type|union)\s+([A-Z]\w*)/) {
       my $kind;
@@ -222,8 +326,17 @@ for my $f (grep { /\.rs$/ } @tracked) {
       $members{$owner}{$1} = 1 if $code =~ /^\s*([A-Z]\w*)\s*(?:[({,=]|$)/;               # a variant
     }
     for my $c ($code =~ /[{}();]/g) {
-      if ($c eq '{') { $depth++; push @owners, [$pending, $depth] if defined $pending; undef $pending }
-      elsif ($c eq '}') { pop @owners if @owners && $owners[-1][1] == $depth; $depth-- }
+      if ($c eq '{') {
+        $depth++;
+        push @owners, [$pending, $depth] if defined $pending;
+        push @mods, [$pending_mod, $depth] if defined $pending_mod;
+        undef $pending;
+        undef $pending_mod;
+      } elsif ($c eq '}') {
+        pop @owners if @owners && $owners[-1][1] == $depth;
+        pop @mods if @mods && $mods[-1][1] == $depth;
+        $depth--;
+      }
       elsif ($c eq '(') { $parens++ }
       elsif ($c eq ')') { $parens-- if $parens }
       else { undef $pending }
@@ -276,6 +389,83 @@ for my $doc (@ARGV) {
       my ($last) = $s =~ /([^:]+)$/;
       for (items($last)) { $fail->("no test fn, test mod or test file $_") unless $tests{$_} }
     }
+  }
+}
+# A file below tests/ is compiled into the targets that `mod` it.
+for my $pkg (keys %paths) {
+  for my $sub (map { /^sub:(\w+)$/ ? $1 : () } keys %{ $paths{$pkg} }) {
+    push @{ $paths{$pkg}{$_} }, @{ $paths{$pkg}{"sub:$sub"} } for keys %{ $incl{$pkg}{$sub} || {} };
+  }
+}
+# Whether a file under a tests/ directory is compiled: a test target is;
+# any other file is when its parent module's file is and declares it.
+sub compiled {
+  my $f = shift;
+  return 1 if $f =~ m{(^|/)tests/\w+\.rs$};
+  (my $path = $f) =~ s{(/mod)?\.rs$}{};
+  my ($dir, $name) = $path =~ m{^(.*)/(\w+)$} or return 0;
+  my @parents = $dir =~ m{(^|/)tests$} ? grep { m{^\Q$dir\E/\w+\.rs$} } @tracked : ("$dir/mod.rs", "$dir.rs");
+  return grep { $decl{$_}{$name} && compiled($_) } @parents;
+}
+# The workflow's `cargo test` steps (`loaded` first, once ci.yml loaded).
+open my $sf, '<', $ENV{CI_STEPS} // '' or die "CI_STEPS: $!";
+if ((<$sf> // '') eq "loaded\n") {
+  my $root = $pkg_at{''};
+  my (%covered, @wide);
+  while (my $line = <$sf>) {
+    chomp $line;
+    my ($job, $step, @args) = split /\t/, $line;
+    my $where = "ci.yml $job step '$step'";
+    my ($libtest, $all, $exact, @pkgs, @targets, @filters) = (0, 0, 0);
+    while (@args) {
+      my $arg = shift @args;
+      if ($arg eq '--') { $libtest = 1 }
+      elsif ($libtest) {
+        if ($arg eq '--skip') { push @filters, shift @args }
+        elsif ($arg eq '--exact') { $exact = 1 }
+        elsif ($arg =~ /^--(test-threads|format|color|logfile)$/) { shift @args }
+        elsif ($arg !~ /^-/) { push @filters, $arg }
+      }
+      elsif ($arg eq '-p' || $arg eq '--package') { push @pkgs, shift @args }
+      elsif ($arg eq '--workspace' || $arg eq '--all') { $all = 1 }
+      elsif ($arg eq '--lib') { push @targets, 'lib' }
+      elsif ($arg eq '--doc') { push @targets, 'doc' }
+      elsif ($arg eq '--test') { push @targets, 'test:' . shift @args }
+      elsif ($arg =~ /^(--(bin|bench|example|features|manifest-path|target|target-dir|jobs|profile|color|message-format|exclude)|-[jF])$/) { shift @args }
+      elsif ($arg !~ /^-/) { push @filters, $arg }
+    }
+    @pkgs = $all ? sort values %pkg_at : @pkgs ? @pkgs : ($root);
+    my $fail = sub { print "gate failed: $where: $_[0]\n"; $bad++ };
+    my %known = map { $_ => 1 } values %pkg_at;
+    $known{$_} or $fail->("-p $_ names no package") for @pkgs;
+    for my $t (grep { /^test:/ } @targets) {
+      $fail->("--test " . substr($t, 5) . " names no test file of @pkgs") unless grep { $has{$_}{$t} } @pkgs;
+    }
+    my @selected = map { my $p = $_; map { [$p, $_] } @targets ? @targets : grep { !/^sub:/ } keys %{ $has{$p} || {} } } @pkgs;
+    my @candidates = map { @{ $paths{$_->[0]}{$_->[1]} || [] } } @selected;
+    for my $f (@filters) {
+      next if grep { $exact ? $_ eq $f : /(?:^|::)\Q$f\E/ } @candidates;
+      $fail->("filter `$f` names no test fn or mod in @pkgs (" . (join(' ', @targets) || 'all targets') . ")");
+    }
+    push @wide, "$job '$step'" . (@targets || @filters ? ' runs a subset' : '') if $all;
+    for (@selected) {
+      my ($p, $t) = @$_;
+      $covered{$p}{$t} = 1 if $t =~ /^test:/ && (@targets || !@filters);
+    }
+  }
+  my $wide = @wide ? join('; ', @wide) : 'none';
+  for my $f (grep { m{(^|/)tests/} && /\.rs$/ && !m{^e2e/} } @tracked) {
+    my ($pkg, $target) = target_of($f);
+    next unless defined $target;
+    if ($target =~ /^sub:/) {
+      next if compiled($f);
+      print "gate failed: every test file runs: $f is compiled by no test target (its parent module declares no `mod` of it)\n";
+    } else {
+      next if $covered{$pkg}{$target};
+      print "gate failed: every test file runs: $f is named by no `cargo test` step and no unfiltered "
+        . "step runs all of ${pkg}'s targets (workspace-wide steps: $wide)\n";
+    }
+    $bad++;
   }
 }
 exit($bad ? 1 : 0);

@@ -97,12 +97,12 @@ fn cold_greedy(sizes: &[usize], ks: &[usize]) {
     println!("\n== group fms_cold ==");
     for &n in sizes {
         let (universe, rel) = workload(n);
-        let dis = w::l1_distance();
+        let dis: Arc<dyn Distance + Send + Sync> = Arc::new(w::l1_distance());
         for &k in ks {
             let samples = if quick() { 1 } else { 5 };
             let mut total = Duration::ZERO;
             for _ in 0..samples {
-                let e = Engine::with_threads(universe.clone(), &rel, &dis, Ratio::new(1, 2), 1);
+                let e = Engine::with_threads(universe.clone(), &rel, dis.clone(), Ratio::new(1, 2), 1);
                 let t0 = Instant::now();
                 let set = e.greedy_max_sum(k).expect("feasible");
                 total += t0.elapsed();
@@ -122,8 +122,7 @@ fn cold_greedy(sizes: &[usize], ks: &[usize]) {
 fn warm_greedy(c: &mut Criterion, sizes: &[usize], ks: &[usize]) {
     for &n in sizes {
         let (universe, rel) = workload(n);
-        let dis = w::l1_distance();
-        let e = Engine::with_threads(universe, &rel, &dis, Ratio::new(1, 2), 1);
+        let e = Engine::with_threads(universe, &rel, Arc::new(w::l1_distance()), Ratio::new(1, 2), 1);
         let mut g = c.benchmark_group("fms_warm");
         g.sample_size(10);
         g.warm_up_time(Duration::from_millis(20));
@@ -151,11 +150,11 @@ fn mono_serving(sizes: &[usize], ks: &[usize]) {
         attr: 0,
         fallback: Ratio::ZERO,
     };
-    let keyless = w::l1_distance();
-    let oracles: [(&str, &(dyn Distance + Sync)); 2] = [("keyed", &keyed), ("keyless", &keyless)];
+    let oracles: [(&str, Arc<dyn Distance + Send + Sync>); 2] =
+        [("keyed", Arc::new(keyed)), ("keyless", Arc::new(w::l1_distance()))];
     for &n in sizes {
         let (universe, rel) = workload(n);
-        for (label, dis) in oracles {
+        for (label, dis) in &oracles {
             for &k in ks {
                 let req = EngineRequest {
                     kind: ObjectiveKind::Mono,
@@ -169,7 +168,7 @@ fn mono_serving(sizes: &[usize], ks: &[usize]) {
                 let mut warm_rounds = 0u32;
                 let mut warm_allocs = 0u64;
                 for _ in 0..samples {
-                    let e = Engine::with_threads(universe.clone(), &rel, dis, Ratio::new(1, 2), 1);
+                    let e = Engine::with_threads(universe.clone(), &rel, dis.clone(), Ratio::new(1, 2), 1);
                     let t0 = Instant::now();
                     e.serve_into(req, &mut scratch, &mut out).expect("feasible");
                     first += t0.elapsed();
@@ -263,8 +262,7 @@ fn prepare_cost(sizes: &[usize], gmm_n: usize, k: usize) {
 /// times per request.
 fn allocation_counts(n: usize, k: usize) {
     let (universe, rel) = workload(n);
-    let dis = w::l1_distance();
-    let e = Engine::with_threads(universe, &rel, &dis, Ratio::new(1, 2), 1);
+    let e = Engine::with_threads(universe, &rel, Arc::new(w::l1_distance()), Ratio::new(1, 2), 1);
     let batch: Vec<EngineRequest> = ObjectiveKind::ALL
         .into_iter()
         .map(|kind| EngineRequest { kind, k })

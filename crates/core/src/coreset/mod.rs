@@ -95,8 +95,8 @@ use crate::avail::GenMarks;
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::{
-    default_threads, resolve_ties_exact, tie_threshold, ScoreSource, ServeError, TieCandidate,
-    TieChunk,
+    default_threads, fans_out, resolve_ties_exact, run_dealt, tie_threshold, ScoreSource,
+    ServeError, TieCandidate, TieChunk, DIST_F64_UNITS,
 };
 use crate::ratio::Ratio;
 use divr_relquery::Tuple;
@@ -235,9 +235,9 @@ fn cover_chunk(
 }
 
 /// [`cover_chunk`] over the whole universe, sharded across `threads`
-/// workers (disjoint `&mut` chunks of the two coverage arrays) when the
-/// universe is large enough for that to pay; the shards' candidates are
-/// merged in index order, so the result does not depend on `threads`.
+/// workers (disjoint `&mut` chunks of the two coverage arrays) when
+/// [`sweep_workers`] says that pays; the shards' candidates are merged in
+/// index order, so the result does not depend on `threads`.
 fn cover(
     threads: usize,
     nearest: &mut [f64],
@@ -247,30 +247,36 @@ fn cover(
     dist_to_rep: impl Fn(usize) -> f64 + Sync,
 ) -> Vec<TieCandidate> {
     let n = nearest.len();
-    if threads <= 1 || n < 4096 {
+    let workers = sweep_workers(n, threads);
+    if workers == 1 {
         return cover_chunk(0, nearest, assignment, pos, selected, dist_to_rep).ties;
     }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let dist_to_rep = &dist_to_rep;
-        // Spawn every shard before joining any.
-        let shards: Vec<_> = nearest
-            .chunks_mut(chunk)
-            .zip(assignment.chunks_mut(chunk))
-            .enumerate()
-            .map(|(ci, (near_c, asg_c))| {
-                scope.spawn(move || {
-                    cover_chunk(ci * chunk, near_c, asg_c, pos, selected, dist_to_rep)
-                })
-            })
-            .collect();
-        shards
-            .into_iter()
-            .map(|shard| shard.join().expect("coverage worker panicked"))
-            .reduce(TieChunk::merge)
-            .map(|merged| merged.ties)
-            .unwrap_or_default()
-    })
+    let chunk = n.div_ceil(workers);
+    let shards = nearest
+        .chunks_mut(chunk)
+        .zip(assignment.chunks_mut(chunk))
+        .enumerate()
+        .map(|(ci, shard)| vec![(ci * chunk, shard)])
+        .collect();
+    let sweep = |(base, (near, asg)): (usize, (&mut [f64], &mut [usize]))| {
+        cover_chunk(base, near, asg, pos, selected, &dist_to_rep)
+    };
+    run_dealt(shards, Deadline::none(), &sweep)
+        .expect("unbounded deadline cannot be exceeded")
+        .into_iter()
+        .reduce(TieChunk::merge)
+        .map(|merged| merged.ties)
+        .unwrap_or_default()
+}
+
+/// Sweep workers over `n` items: one float distance per item
+/// ([`DIST_F64_UNITS`]), so the sweep fans out from `n ≥ 4 096`.
+pub(crate) fn sweep_workers(n: usize, threads: usize) -> usize {
+    if fans_out(n, threads, DIST_F64_UNITS) {
+        threads
+    } else {
+        1
+    }
 }
 
 /// The coverage arrays of a selection in progress and the one way this

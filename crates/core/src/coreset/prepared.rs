@@ -5,7 +5,7 @@ use super::{Coreset, CoresetConfig};
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::{
-    score_relevance, tuple_approx_bytes, DistOracle, PreparedUniverse, ScoreSource, ServeError,
+    score_relevance, tuple_approx_bytes, PreparedUniverse, ScoreSource, ServeError,
 };
 use crate::mono_exact::{ExactView, MonoSums};
 use crate::ratio::Ratio;
@@ -27,7 +27,7 @@ pub struct PreparedCoreset {
     pub(super) lambda: Ratio,
     pub(super) config: CoresetConfig,
     pub(super) coreset: Coreset,
-    pub(super) sub: Arc<PreparedUniverse<'static>>,
+    pub(super) sub: Arc<PreparedUniverse>,
     // Exact full-universe distance sums for the `F_mono` re-score, when
     // the oracle is a key column: built by the first mono request,
     // repaired per insert, dropped by a removal.
@@ -114,12 +114,12 @@ impl PreparedCoreset {
         lambda: Ratio,
         threads: usize,
         deadline: Deadline,
-    ) -> Result<Arc<PreparedUniverse<'static>>, ServeError> {
+    ) -> Result<Arc<PreparedUniverse>, ServeError> {
         let indices = coreset.indices();
         Ok(Arc::new(PreparedUniverse::try_from_scores(
             indices.iter().map(|&i| universe[i].clone()).collect(),
             indices.iter().map(|&i| rel_exact[i]).collect(),
-            DistOracle::Shared(dis.clone()),
+            dis.clone(),
             lambda,
             threads,
             deadline,
@@ -147,7 +147,7 @@ impl PreparedCoreset {
     }
 
     /// The `m × m` prepared universe over the representatives.
-    pub fn sub(&self) -> &Arc<PreparedUniverse<'static>> {
+    pub fn sub(&self) -> &Arc<PreparedUniverse> {
         &self.sub
     }
 
@@ -246,7 +246,7 @@ impl PreparedCoreset {
     /// is shared (an engine or cache still holds the pre-delta state),
     /// the prepared sub-universe is forked — preambles included — so
     /// existing readers keep serving the old version untouched.
-    fn sub_mut(&mut self) -> &mut PreparedUniverse<'static> {
+    fn sub_mut(&mut self) -> &mut PreparedUniverse {
         if Arc::get_mut(&mut self.sub).is_none() {
             self.sub = Arc::new(self.sub.fork());
         }

@@ -304,13 +304,7 @@ mod tests {
     fn engine_equals_full_engine_when_budget_covers_universe() {
         let u = line_universe(18);
         let lambda = Ratio::new(1, 2);
-        let full = Engine::with_threads(
-            u.clone(),
-            &REL,
-            &DIS,
-            lambda,
-            2,
-        );
+        let full = Engine::with_threads(u.clone(), &REL, dis(), lambda, 2);
         let cs = CoresetEngine::new(
             u,
             &REL,

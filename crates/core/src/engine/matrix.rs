@@ -1,7 +1,9 @@
 //! The flat `f64` [`DistanceMatrix`] — one thread-sharded fill with the
 //! hot-row scans fused into it (max-sum seed, GMM row bests, first
 //! non-finite distance), one cache-blocked mirror on the same workers —
-//! and the chunked map/reduce the argmax scans share.
+//! and `divr_core`'s one fan-out: [`run_dealt`], the only place a thread
+//! is spawned, [`fans_out`], the only place that decides whether one is,
+//! and the chunked map/reduce the argmax scans share on top of them.
 //!
 //! A cold build touches each cell once while it is hot: everything the
 //! prepared universe later wants from the whole triangle is read off a
@@ -62,20 +64,29 @@ const PAR_MIN_WORK: usize = 1 << 17;
 // inline: past this size a query result escalates to a coreset.
 const _: () = assert!(crate::coreset::CORESET_AUTO_THRESHOLD < PAR_MIN_WORK);
 
+/// The cost of one `dist_f64` call through the trait object, in
+/// [`PAR_MIN_WORK`]'s units: the unit cost of the matrix fill (per cell
+/// of a row) and of the coreset sweep (per item). 32 keeps the sizes the
+/// two spelled out before the decision was one function — the fill fans
+/// out from `n² ≥ 4 096`, the sweep from `n ≥ 4 096`.
+pub(crate) const DIST_F64_UNITS: usize = 32;
+
 /// Whether a scan of `n` items at `work_per_item` units each is worth
-/// fanning out over `threads` — the one place that decides. Callers
-/// with an allocation-free inline form ask before calling
-/// [`par_map_reduce`]; everyone else just calls it.
-pub(super) fn fans_out(n: usize, threads: usize, work_per_item: usize) -> bool {
+/// fanning out over `threads` — the one spawn decision: every worker
+/// count in the engine and the coreset sweep is `threads` when this says
+/// so and 1 otherwise. Callers with an allocation-free inline form ask
+/// before calling [`par_map_reduce`]; everyone else just calls it.
+pub(crate) fn fans_out(n: usize, threads: usize, work_per_item: usize) -> bool {
     threads > 1 && n.saturating_mul(work_per_item.max(1)) >= PAR_MIN_WORK
 }
 
 /// Splits `0..n` into at most `threads` contiguous chunks, runs `map` on
 /// each (on worker threads when [`fans_out`] says it pays off), and folds
-/// the non-`None` results with `reduce`. `work_per_item` is the caller's
-/// estimate of one item's evaluation cost (in arbitrary units where 1 ≈
-/// a few float ops) — spawning is gated on total *work*, not item count,
-/// so a scan of 1000 items that each cost `O(n)` still parallelizes.
+/// the non-`None` results with `reduce`, in chunk order. `work_per_item`
+/// is the caller's estimate of one item's evaluation cost (in arbitrary
+/// units where 1 ≈ a few float ops) — spawning is gated on total *work*,
+/// not item count, so a scan of 1000 items that each cost `O(n)` still
+/// parallelizes.
 pub(super) fn par_map_reduce<T, M, R>(
     n: usize,
     threads: usize,
@@ -95,24 +106,12 @@ where
         return map(0..n);
     }
     let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let map = &map;
-        // Spawn every worker before joining any (a lazy iterator chain
-        // would interleave spawn with join and serialize the scan).
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let lo = t * chunk;
-            if lo >= n {
-                break;
-            }
-            let hi = (lo + chunk).min(n);
-            handles.push(scope.spawn(move || map(lo..hi)));
-        }
-        handles
-            .into_iter()
-            .filter_map(|h| h.join().expect("engine worker panicked"))
-            .reduce(reduce)
-    })
+    let buckets = (0..n).step_by(chunk).map(|lo| vec![lo]).collect();
+    run_dealt(buckets, Deadline::none(), &|lo| map(lo..(lo + chunk).min(n)))
+        .expect("unbounded deadline cannot be exceeded")
+        .into_iter()
+        .flatten()
+        .reduce(reduce)
 }
 
 /// The parked matrix allocations, oldest first (see the module docs).
@@ -194,43 +193,58 @@ pub(crate) struct RowScans {
     pub(super) non_finite: Option<(usize, usize)>,
 }
 
-/// Runs `work` on every task of every bucket — inline and in order when
-/// there is one bucket, one scoped worker per bucket otherwise. Every
-/// worker polls `deadline` (and a shared cancel flag, so one tripped
-/// worker stops the rest without each reading the clock) before each
-/// task: an abandoned run overshoots by at most one task per worker.
-fn run_dealt<T: Send>(
+/// The one fan-out under `crates/core/src`: runs `work` on every task of
+/// every bucket — inline and in order when there is one bucket, one
+/// scoped worker per bucket otherwise, the caller waiting — and returns
+/// the results bucket by bucket, each bucket's in its own order (task
+/// order, for a caller that deals contiguously). Every worker polls
+/// `deadline` (and a shared cancel flag, so one tripped worker stops the
+/// rest without each reading the clock) before each task: an abandoned
+/// run overshoots by at most one task per worker, and its results are
+/// dropped. A worker's panic resumes on the caller. `work` is a trait
+/// object, so the fan-out is compiled once per task and result type, not
+/// once per calling closure.
+pub(crate) fn run_dealt<T: Send, R: Send>(
     mut buckets: Vec<Vec<T>>,
     deadline: Deadline,
-    work: impl Fn(T) + Sync,
-) -> Result<(), ServeError> {
+    work: &(dyn Fn(T) -> R + Sync),
+) -> Result<Vec<R>, ServeError> {
     let cancelled = AtomicBool::new(false);
     let run = |bucket: Vec<T>| {
+        let mut done = Vec::with_capacity(bucket.len());
         for task in bucket {
             if cancelled.load(Ordering::Relaxed) {
-                return;
+                break;
             }
             if deadline.exceeded() {
                 cancelled.store(true, Ordering::Relaxed);
-                return;
+                break;
             }
-            work(task);
+            done.push(work(task));
         }
+        done
     };
-    if buckets.len() == 1 {
-        run(buckets.pop().expect("one bucket"));
+    let done = if buckets.len() == 1 {
+        run(buckets.pop().expect("one bucket"))
     } else {
         std::thread::scope(|scope| {
             let run = &run;
+            // Spawn every worker before joining any (a lazy iterator chain
+            // would interleave spawn with join and serialize the run).
+            let mut workers = Vec::with_capacity(buckets.len());
             for bucket in buckets {
-                scope.spawn(move || run(bucket));
+                workers.push(scope.spawn(move || run(bucket)));
             }
-        });
-    }
+            workers
+                .into_iter()
+                .flat_map(|worker| worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
     if cancelled.load(Ordering::Relaxed) {
         return Err(ServeError::DeadlineExceeded);
     }
-    Ok(())
+    Ok(done)
 }
 
 /// One unit of the mirror: the index of a block's first row and the
@@ -279,7 +293,7 @@ fn mirror_upper(
     // `block` holds the lower halves of rows `first..first + rows`; row
     // j's is its columns `0..j`. Source row i starts at its diagonal,
     // so cell `(i, j)` sits at offset `j − i` of `upper[i]`.
-    run_dealt(buckets, deadline, |(first, block)| {
+    run_dealt(buckets, deadline, &|(first, block): MirrorBlock<'_, '_>| {
         let rows = block.len();
         // Whole tiles left of the block's diagonal tile (`first` is a
         // multiple of the tile edge): every cell is below the diagonal.
@@ -301,6 +315,7 @@ fn mirror_upper(
             }
         }
     })
+    .map(drop)
 }
 
 /// A precomputed, row-major `n × n` pairwise distance matrix in `f64`.
@@ -343,12 +358,36 @@ fn matrix_pad(n: usize) -> usize {
     (n / 16).max(4)
 }
 
+/// Fill workers for an `n`-item matrix. A row is costed at its full
+/// width, `n` distance calls (the fill evaluates one half of it, the
+/// mirror copies the other), so the fill fans out from `n² ≥ 4 096`.
+fn fill_workers(n: usize, threads: usize) -> usize {
+    if fans_out(n, threads, n * DIST_F64_UNITS) {
+        threads
+    } else {
+        1
+    }
+}
+
+/// Mirror workers for an `n`-item matrix at `stride`. A copied cell
+/// costs about one unit and the copy is costed over the whole
+/// allocation, `stride` rows of `stride` cells, so the mirror fans out
+/// from `stride² ≥ 2^17` cells (1 MB); a worker needs a block to copy.
+fn mirror_workers(n: usize, stride: usize, threads: usize) -> usize {
+    if fans_out(stride, threads, stride) {
+        threads.min(n.div_ceil(MIRROR_TILE))
+    } else {
+        1
+    }
+}
+
 impl DistanceMatrix {
     /// Builds the matrix for `universe` under `dis`, computing each
-    /// unordered pair once and mirroring. Row construction and (from
-    /// 1 MB of matrix up) the mirror are spread over `threads` workers
-    /// (pass 1 to force a sequential build). The same fill and mirror
-    /// as a prepared universe's fused build, without its row scans.
+    /// unordered pair once and mirroring. Row construction (from 64
+    /// items up) and the mirror (from 1 MB of matrix up) are spread over
+    /// `threads` workers (pass 1 to force a sequential build). The same
+    /// fill and mirror as a prepared universe's fused build, without its
+    /// row scans.
     pub fn build(universe: &[Tuple], dis: &(dyn Distance + Sync), threads: usize) -> Self {
         Self::try_build_with_seed(universe, dis, threads, None, Deadline::none())
             .expect("unbounded deadline cannot be exceeded")
@@ -433,21 +472,14 @@ impl DistanceMatrix {
         // contiguous row batches would be badly imbalanced (the first
         // worker would own almost half the work). Deal rows round-robin
         // instead: each worker's share is then within one row of even.
-        // A small matrix is filled inline — one bucket.
-        let workers = if n * n < 4096 { 1 } else { threads.max(1) };
+        let workers = fill_workers(n, threads);
         let mut buckets: Vec<Vec<RowTask<'_>>> = (0..workers).map(|_| Vec::new()).collect();
         let mut slots = scans.iter_mut().flatten();
         for (i, row) in data.chunks_mut(stride).take(n).enumerate() {
             buckets[i % workers].push((i, row, slots.next()));
         }
-        run_dealt(buckets, deadline, fill_row)?;
-        // Below the free list's floor (1 MB) the copy is tens of µs and
-        // a spawn costs more: mirror inline. Above it, a worker needs a
-        // block to copy.
-        let workers = match data.len() < SPARE_MIN_LEN {
-            true => 1,
-            false => workers.min(n.div_ceil(MIRROR_TILE)),
-        };
+        run_dealt(buckets, deadline, &fill_row)?;
+        let workers = mirror_workers(n, stride, threads);
         mirror_upper(&mut data, n, stride, workers, deadline)?;
         let scans = scans.map(|scans| RowScans {
             ms: scans.iter().map(|s| s.ms).collect(),
@@ -756,6 +788,28 @@ mod tests {
                     recycled.swap_remove_item(r);
                 }
                 assert_eq!(bits(&recycled), bits(&fresh));
+            }
+        }
+    }
+
+    /// Every worker count now comes from `fans_out`; before, the fill,
+    /// the mirror and the coreset sweep each wrote their own predicate.
+    /// Those predicates, verbatim, against the counts the code uses.
+    #[test]
+    fn spawn_decisions_match_the_old_predicates() {
+        for threads in 1..=8 {
+            for n in 0..=10_000usize {
+                let stride = n + matrix_pad(n);
+                let fill = if n * n < 4096 { 1 } else { threads.max(1) };
+                let mirror = match stride * stride < SPARE_MIN_LEN {
+                    true => 1,
+                    false => fill.min(n.div_ceil(MIRROR_TILE)),
+                };
+                let sweep = if threads <= 1 || n < 4096 { 1 } else { threads };
+                let at = format!("n {n}, threads {threads}");
+                assert_eq!(fill_workers(n, threads), fill, "fill, {at}");
+                assert_eq!(mirror_workers(n, stride, threads), mirror, "mirror, {at}");
+                assert_eq!(crate::coreset::sweep_workers(n, threads), sweep, "sweep, {at}");
             }
         }
     }

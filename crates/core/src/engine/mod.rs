@@ -72,9 +72,9 @@
 //!
 //! | Module | Holds |
 //! |---|---|
-//! | `matrix` | [`DistanceMatrix`], its fill with the fused hot-row scans (max-sum seed, GMM row bests, finiteness record), its tiled mirror, the free list dropped matrices park their allocation in ([`spare_buffers`]), the chunked map/reduce |
+//! | `matrix` | [`DistanceMatrix`], its fill with the fused hot-row scans (max-sum seed, GMM row bests, finiteness record), its tiled mirror, the free list dropped matrices park their allocation in ([`spare_buffers`]), the one fan-out (`run_dealt`) and its one spawn decision (`fans_out`), the chunked map/reduce |
 //! | `ties` | float argmax with the `F64_TIE_EPS` window, exact tie resolution |
-//! | `prepared` | [`PreparedUniverse`] (build, memoized preambles and their lazy builders, delta repair), [`DistOracle`] |
+//! | `prepared` | [`PreparedUniverse`] (build over an `Arc`-held oracle, memoized preambles and their lazy builders, delta repair) |
 //! | `solve` | [`Engine`] and [`SolveScratch`]; the lazy-heap work counters ([`solver_counters`]) |
 //!
 //! The request, error and delta types live here.
@@ -88,9 +88,10 @@ mod solve;
 mod ties;
 
 pub use matrix::{spare_buffers, DistanceMatrix};
-pub use prepared::{DistOracle, PreparedUniverse, SharedPrepared};
+pub use prepared::{PreparedUniverse, SharedPrepared};
 pub use solve::{solver_counters, Engine, SolveScratch};
 
+pub(crate) use matrix::{fans_out, run_dealt, DIST_F64_UNITS};
 pub(crate) use prepared::score_relevance;
 pub(crate) use ties::{
     argmax_with_ties, resolve_ties_exact, tie_threshold, TieCandidate, TieChunk,

@@ -16,56 +16,6 @@ use divr_relquery::Tuple;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// The exact distance oracle a prepared universe keeps for tie
-/// verification: either borrowed from the caller (the classic
-/// [`Engine::new`](super::Engine::new) path) or owned and shareable across threads and
-/// cache entries (the serving-registry path).
-pub enum DistOracle<'a> {
-    /// Borrowed for the lifetime of the engine.
-    Borrowed(&'a (dyn Distance + Sync)),
-    /// Owned, reference-counted, usable from any thread.
-    Shared(Arc<dyn Distance + Send + Sync>),
-}
-
-impl<'a> DistOracle<'a> {
-    /// A second handle to the same oracle: copies the borrow, or bumps
-    /// the `Arc` — never clones the oracle itself. Used by
-    /// [`PreparedUniverse::fork`].
-    fn clone_ref(&self) -> DistOracle<'a> {
-        match self {
-            DistOracle::Borrowed(d) => DistOracle::Borrowed(*d),
-            DistOracle::Shared(d) => DistOracle::Shared(Arc::clone(d)),
-        }
-    }
-
-    /// The oracle itself, whichever way it is held.
-    #[inline]
-    fn inner(&self) -> &(dyn Distance + Sync) {
-        match self {
-            DistOracle::Borrowed(d) => *d,
-            DistOracle::Shared(d) => &**d,
-        }
-    }
-}
-
-impl Distance for DistOracle<'_> {
-    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
-        self.inner().dist(a, b)
-    }
-
-    fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
-        self.inner().dist_f64(a, b)
-    }
-
-    fn key_column(&self, items: &[Tuple]) -> Option<Vec<i64>> {
-        self.inner().key_column(items)
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.inner().approx_bytes()
-    }
-}
-
 /// The owned, shareable state behind an [`Engine`](super::Engine): the materialized
 /// universe, the construction-time relevance caches (exact and float),
 /// the `O(n²)` [`DistanceMatrix`], λ, and the exact distance oracle for
@@ -73,12 +23,12 @@ impl Distance for DistOracle<'_> {
 ///
 /// Building one pays the full preparation cost exactly once; any number
 /// of engines (and, through `Arc`, any number of threads) can then solve
-/// against it concurrently. `PreparedUniverse<'static>` — produced by
-/// [`PreparedUniverse::build_shared`] — is `Send + Sync` and is the unit
-/// the serving registry caches and evicts.
-pub struct PreparedUniverse<'a> {
+/// against it concurrently. It borrows nothing — the oracle is held
+/// through an `Arc` — so it is `Send + Sync` and is the unit the serving
+/// registry caches and evicts.
+pub struct PreparedUniverse {
     universe: Vec<Tuple>,
-    dis: DistOracle<'a>,
+    dis: Arc<dyn Distance + Send + Sync>,
     rel_exact: Vec<Ratio>,
     lambda: Ratio,
     // `(1 − λ, λ)` as floats ([`lambda_floats`]): the weights of every
@@ -148,9 +98,9 @@ fn mono_score_from_dsum(one_minus: f64, lam: f64, rel: f64, dsum: f64, n: usize)
     rel_part + lam * dsum / (n as f64 - 1.0)
 }
 
-/// A prepared universe with no borrowed state, shareable across threads
-/// — the cacheable unit of the serving layer.
-pub type SharedPrepared = Arc<PreparedUniverse<'static>>;
+/// A prepared universe shared across threads — the cacheable unit of
+/// the serving layer.
+pub type SharedPrepared = Arc<PreparedUniverse>;
 
 /// Evaluates `δ_rel` once per universe item — the one relevance pass
 /// behind every prepared-state constructor (full matrix and coreset).
@@ -171,7 +121,7 @@ pub(crate) fn score_relevance(
     Ok(rel_exact)
 }
 
-impl<'a> PreparedUniverse<'a> {
+impl PreparedUniverse {
     /// The single construction site: every constructor funnels here, so
     /// the field set (including the memoized preambles) is initialized
     /// in exactly one place. `rel_exact[i]` must equal
@@ -187,7 +137,7 @@ impl<'a> PreparedUniverse<'a> {
     pub(crate) fn try_from_scores(
         universe: Vec<Tuple>,
         rel_exact: Vec<Ratio>,
-        dis: DistOracle<'a>,
+        dis: Arc<dyn Distance + Send + Sync>,
         lambda: Ratio,
         threads: usize,
         deadline: Deadline,
@@ -211,7 +161,7 @@ impl<'a> PreparedUniverse<'a> {
         let (one_minus, lam) = weights;
         let (matrix, scans) = DistanceMatrix::try_build_with_seed(
             &universe,
-            dis.inner(),
+            &*dis,
             threads.max(1),
             Some((rel_f.as_slice(), one_minus, lam)),
             deadline,
@@ -253,7 +203,7 @@ impl<'a> PreparedUniverse<'a> {
         dis: Arc<dyn Distance + Send + Sync>,
         lambda: Ratio,
         threads: usize,
-    ) -> PreparedUniverse<'static> {
+    ) -> PreparedUniverse {
         Self::try_build_shared_deadline(universe, rel, dis, lambda, threads, Deadline::none())
             .expect("unbounded deadline cannot be exceeded")
     }
@@ -279,16 +229,9 @@ impl<'a> PreparedUniverse<'a> {
         lambda: Ratio,
         threads: usize,
         deadline: Deadline,
-    ) -> Result<PreparedUniverse<'static>, ServeError> {
+    ) -> Result<PreparedUniverse, ServeError> {
         let rel_exact = score_relevance(&universe, rel, deadline)?;
-        PreparedUniverse::try_from_scores(
-            universe,
-            rel_exact,
-            DistOracle::Shared(dis),
-            lambda,
-            threads,
-            deadline,
-        )
+        PreparedUniverse::try_from_scores(universe, rel_exact, dis, lambda, threads, deadline)
     }
 
     /// Number of universe items.
@@ -332,7 +275,7 @@ impl<'a> PreparedUniverse<'a> {
 
     /// The exact distance oracle (kept for tie verification).
     pub fn distance(&self) -> &(dyn Distance + '_) {
-        &self.dis
+        &*self.dis
     }
 
     /// Exact distance between items `i` and `j` (through the oracle).
@@ -478,7 +421,7 @@ impl<'a> PreparedUniverse<'a> {
         if rel_new.is_finite() && col.iter().all(|d| d.is_finite()) {
             self.repair_ms_seed_insert(&col, rel_new);
             self.repair_mono_insert(&col, rel_new);
-            self.mono_sums.repair_insert(&self.dis, &tuple);
+            self.mono_sums.repair_insert(&*self.dis, &tuple);
             self.repair_gmm_rows_insert(&col, rel_new);
             self.repair_gmm_seed_insert(&col, &tuple, rel, rel_new);
         } else {
@@ -616,7 +559,7 @@ impl<'a> PreparedUniverse<'a> {
         let universe = &self.universe;
         let rel_exact = &self.rel_exact;
         let rel_f = &self.rel;
-        let dis = &self.dis;
+        let dis = &*self.dis;
         let lambda = self.lambda;
         let Some(seed) = self.gmm_seed.get_mut() else {
             return;
@@ -682,7 +625,7 @@ impl<'a> PreparedUniverse<'a> {
             let n = self.n();
             let dsums = self.mono_dsums.get_or_init(|| {
                 self.mono_sums
-                    .get_or_build(&self.dis, &self.universe)
+                    .get_or_build(&*self.dis, &self.universe)
                     .and_then(|sums| sums.to_f64_exact())
                     .unwrap_or_else(|| (0..n).map(|i| self.matrix.row(i).iter().sum()).collect())
             });
@@ -787,12 +730,12 @@ impl<'a> PreparedUniverse<'a> {
     /// one when `Arc::try_unwrap` loses a race: fork, apply the delta
     /// to the copy, publish. The fork serves bit-identically to the
     /// original.
-    pub fn fork(&self) -> PreparedUniverse<'a> {
+    pub fn fork(&self) -> PreparedUniverse {
         PreparedUniverse {
             universe: self.universe.clone(),
             rel_exact: self.rel_exact.clone(),
             rel: self.rel.clone(),
-            dis: self.dis.clone_ref(),
+            dis: Arc::clone(&self.dis),
             lambda: self.lambda,
             weights: self.weights,
             matrix: self.matrix.clone(),
@@ -830,7 +773,7 @@ impl<'a> PreparedUniverse<'a> {
             lambda: self.lambda,
             rel_exact: &self.rel_exact,
             universe: &self.universe,
-            dis: &self.dis,
+            dis: &*self.dis,
             sums: &self.mono_sums,
         }
     }
@@ -859,7 +802,7 @@ impl<'a> PreparedUniverse<'a> {
     }
 }
 
-impl std::fmt::Debug for PreparedUniverse<'_> {
+impl std::fmt::Debug for PreparedUniverse {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedUniverse")
             .field("n", &self.n())
@@ -920,7 +863,7 @@ mod tests {
 
     /// Drives all three objectives through a prepared universe so that
     /// every memoized preamble is populated.
-    fn warm_all_preambles(p: &Arc<PreparedUniverse<'static>>) {
+    fn warm_all_preambles(p: &Arc<PreparedUniverse>) {
         let e = Engine::from_prepared(Arc::clone(p), 1);
         let k = 2.min(p.n());
         for kind in ObjectiveKind::ALL {
@@ -989,7 +932,7 @@ mod tests {
         ));
         // …and the lazily rebuilt state answers exactly like scratch.
         let delta = Engine::from_prepared(Arc::new(prepared), 1);
-        let fresh = Engine::with_threads(u, &REL, &DIS, lam, 1);
+        let fresh = Engine::with_threads(u, &REL, Arc::new(DIS), lam, 1);
         for kind in ObjectiveKind::ALL {
             for k in [1usize, 3, 6] {
                 let req = EngineRequest { kind, k };

@@ -2,7 +2,7 @@
 //! `F_mono` top-k — and the reusable [`SolveScratch`] they run in.
 
 use super::matrix::{ms_weight_f64, DistanceMatrix};
-use super::prepared::{score_relevance, DistOracle, PreparedUniverse};
+use super::prepared::PreparedUniverse;
 use super::ties::{
     argmax_with_ties_into, resolve_pairs_exact, resolve_ties_exact, tie_threshold, TieCandidate,
     F64_TIE_EPS,
@@ -122,13 +122,14 @@ impl SolveScratch {
 /// use divr_core::engine::{Engine, EngineRequest};
 /// use divr_core::prelude::*;
 /// use divr_relquery::Tuple;
+/// use std::sync::Arc;
 ///
 /// let universe: Vec<Tuple> = (0..100).map(|i| Tuple::ints([i, i % 7])).collect();
 /// let rel = AttributeRelevance { attr: 1, default: Ratio::ZERO };
 /// let dis = NumericDistance { attr: 0, fallback: Ratio::ZERO };
 ///
 /// // Prepare once (O(n²))…
-/// let engine = Engine::new(universe, &rel, &dis, Ratio::new(1, 2));
+/// let engine = Engine::new(universe, &rel, Arc::new(dis), Ratio::new(1, 2));
 /// // …serve many (objective, k) requests against the same matrix.
 /// for kind in ObjectiveKind::ALL {
 ///     for k in [5, 10] {
@@ -138,15 +139,15 @@ impl SolveScratch {
 ///     }
 /// }
 /// ```
-pub struct Engine<'a> {
-    prepared: Arc<PreparedUniverse<'a>>,
+pub struct Engine {
+    prepared: Arc<PreparedUniverse>,
     lam: f64,
     one_minus: f64,
     threads: usize,
     deadline: Deadline,
 }
 
-impl<'a> Engine<'a> {
+impl Engine {
     /// Prepares an engine over a materialized universe, using all
     /// available cores for the matrix build.
     ///
@@ -155,7 +156,7 @@ impl<'a> Engine<'a> {
     pub fn new(
         universe: Vec<Tuple>,
         rel: &dyn Relevance,
-        dis: &'a (dyn Distance + Sync),
+        dis: Arc<dyn Distance + Send + Sync>,
         lambda: Ratio,
     ) -> Self {
         Self::with_threads(universe, rel, dis, lambda, default_threads())
@@ -165,23 +166,11 @@ impl<'a> Engine<'a> {
     pub fn with_threads(
         universe: Vec<Tuple>,
         rel: &dyn Relevance,
-        dis: &'a (dyn Distance + Sync),
+        dis: Arc<dyn Distance + Send + Sync>,
         lambda: Ratio,
         threads: usize,
     ) -> Self {
-        let threads = threads.max(1);
-        let prepared = score_relevance(&universe, rel, Deadline::none())
-            .and_then(|rel_exact| {
-                PreparedUniverse::try_from_scores(
-                    universe,
-                    rel_exact,
-                    DistOracle::Borrowed(dis),
-                    lambda,
-                    threads,
-                    Deadline::none(),
-                )
-            })
-            .expect("unbounded deadline cannot be exceeded");
+        let prepared = PreparedUniverse::build_shared(universe, rel, dis, lambda, threads);
         Self::from_prepared(Arc::new(prepared), threads)
     }
 
@@ -189,7 +178,7 @@ impl<'a> Engine<'a> {
     /// engine. This costs nothing beyond an `Arc` clone: no relevance
     /// evaluation, no matrix build — the skip-straight-to-solving path
     /// the serving registry takes on a cache hit.
-    pub fn from_prepared(prepared: Arc<PreparedUniverse<'a>>, threads: usize) -> Self {
+    pub fn from_prepared(prepared: Arc<PreparedUniverse>, threads: usize) -> Self {
         let (one_minus, lam) = prepared.weights();
         Engine {
             prepared,
@@ -212,7 +201,7 @@ impl<'a> Engine<'a> {
     }
 
     /// The shared prepared state this engine solves against.
-    pub fn prepared(&self) -> &Arc<PreparedUniverse<'a>> {
+    pub fn prepared(&self) -> &Arc<PreparedUniverse> {
         &self.prepared
     }
 
@@ -731,7 +720,7 @@ impl<'a> Engine<'a> {
     }
 }
 
-impl std::fmt::Debug for Engine<'_> {
+impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("n", &self.n())
@@ -751,8 +740,8 @@ mod tests {
     use crate::relevance::TableRelevance;
     use crate::solvers::mono;
 
-    fn engine(n: i64, lambda: Ratio) -> Engine<'static> {
-        Engine::with_threads(line_universe(n), &REL, &DIS, lambda, 2)
+    fn engine(n: i64, lambda: Ratio) -> Engine {
+        Engine::with_threads(line_universe(n), &REL, Arc::new(DIS), lambda, 2)
     }
 
     #[test]
@@ -844,7 +833,7 @@ mod tests {
         let dis = TableDistance::with_default(Ratio::ONE);
         let u: Vec<Tuple> = (0..8).map(|i| Tuple::ints([i])).collect();
         let p = DiversityProblem::new(u.clone(), &rel, &dis, Ratio::new(1, 2), 3);
-        let e = Engine::with_threads(u, &rel, &dis, Ratio::new(1, 2), 2);
+        let e = Engine::with_threads(u, &rel, Arc::new(dis.clone()), Ratio::new(1, 2), 2);
         assert_eq!(approx::greedy_max_sum(&p).unwrap(), e.greedy_max_sum(3).unwrap());
         assert_eq!(approx::gmm_max_min(&p).unwrap(), e.gmm_max_min(3).unwrap());
     }
@@ -852,8 +841,8 @@ mod tests {
     #[test]
     fn single_thread_and_multi_thread_agree() {
         let u = line_universe(16);
-        let e1 = Engine::with_threads(u.clone(), &REL, &DIS, Ratio::new(2, 3), 1);
-        let e4 = Engine::with_threads(u, &REL, &DIS, Ratio::new(2, 3), 4);
+        let e1 = Engine::with_threads(u.clone(), &REL, Arc::new(DIS), Ratio::new(2, 3), 1);
+        let e4 = Engine::with_threads(u, &REL, Arc::new(DIS), Ratio::new(2, 3), 4);
         for k in [2, 5] {
             assert_eq!(e1.greedy_max_sum(k), e4.greedy_max_sum(k));
             assert_eq!(e1.gmm_max_min(k), e4.gmm_max_min(k));

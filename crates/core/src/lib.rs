@@ -89,7 +89,7 @@ pub use distance::{
     ClosureDistance, ConstantDistance, Distance, HammingDistance, NumericDistance, TableDistance,
 };
 pub use engine::{
-    DeltaError, DeltaOp, DistOracle, DistanceMatrix, Engine, EngineRequest, PreparedUniverse,
+    DeltaError, DeltaOp, DistanceMatrix, Engine, EngineRequest, PreparedUniverse,
     ServeError, SharedPrepared, SolveScratch,
 };
 pub use pipeline::{

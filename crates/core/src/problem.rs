@@ -149,7 +149,7 @@ impl<'a> DiversityProblem<'a> {
     /// the exact sequential path without paying preparation twice.
     ///
     /// Panics if `k = 0` (λ was validated when `prepared` was built).
-    pub fn from_prepared(prepared: &'a crate::engine::PreparedUniverse<'_>, k: usize) -> Self {
+    pub fn from_prepared(prepared: &'a crate::engine::PreparedUniverse, k: usize) -> Self {
         assert!(k >= 1, "k must be positive");
         DiversityProblem {
             universe: prepared.universe().to_vec(),

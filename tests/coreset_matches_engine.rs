@@ -108,7 +108,7 @@ fn instance_of(raw: &RawUniverse) -> Instance {
     }
 }
 
-fn full_engine(inst: &Instance) -> Engine<'static> {
+fn full_engine(inst: &Instance) -> Engine {
     Engine::from_prepared(
         Arc::new(divr::core::engine::PreparedUniverse::build_shared(
             inst.universe.clone(),

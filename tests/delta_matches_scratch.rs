@@ -145,7 +145,7 @@ fn scores_of(raw: &RawChurn) -> Scores {
     }
 }
 
-fn build(scores: &Scores, ids: &[usize]) -> PreparedUniverse<'static> {
+fn build(scores: &Scores, ids: &[usize]) -> PreparedUniverse {
     PreparedUniverse::build_shared(
         ids.iter().map(|&i| scores.tuples[i].clone()).collect(),
         &scores.rel,
@@ -160,10 +160,10 @@ fn build(scores: &Scores, ids: &[usize]) -> PreparedUniverse<'static> {
 /// back for further mutation.
 #[allow(clippy::type_complexity)]
 fn warm_and_serve(
-    prepared: PreparedUniverse<'static>,
+    prepared: PreparedUniverse,
     ks: &[usize],
 ) -> (
-    PreparedUniverse<'static>,
+    PreparedUniverse,
     Vec<(ObjectiveKind, usize, Result<(Ratio, Vec<usize>), ServeError>)>,
 ) {
     let arc = Arc::new(prepared);
@@ -178,21 +178,21 @@ fn warm_and_serve(
     (Arc::try_unwrap(arc).expect("sole owner"), answers)
 }
 
-fn matrix_bits(p: &PreparedUniverse<'_>) -> Vec<u64> {
+fn matrix_bits(p: &PreparedUniverse) -> Vec<u64> {
     let n = p.n();
     (0..n)
         .flat_map(|i| p.matrix().row(i).iter().map(|x| x.to_bits()).collect::<Vec<_>>())
         .collect()
 }
 
-fn mono_bits(p: &PreparedUniverse<'_>) -> Option<Vec<u64>> {
+fn mono_bits(p: &PreparedUniverse) -> Option<Vec<u64>> {
     p.mono_preamble()
         .map(|s| s.iter().map(|x| x.to_bits()).collect())
 }
 
 /// The exact mono distance sums, checked against the oracle pair by
 /// pair whenever the memo holds a column.
-fn mono_sums(p: &PreparedUniverse<'_>) -> Result<Option<Option<Vec<i128>>>, TestCaseError> {
+fn mono_sums(p: &PreparedUniverse) -> Result<Option<Option<Vec<i128>>>, TestCaseError> {
     let memo = p.mono_sums_preamble().map(|m| m.map(<[i128]>::to_vec));
     if let Some(Some(sums)) = &memo {
         for (i, &sum) in sums.iter().enumerate() {
@@ -203,12 +203,12 @@ fn mono_sums(p: &PreparedUniverse<'_>) -> Result<Option<Option<Vec<i128>>>, Test
     Ok(memo)
 }
 
-fn gmm_rows_bits(p: &PreparedUniverse<'_>) -> Option<Vec<u64>> {
+fn gmm_rows_bits(p: &PreparedUniverse) -> Option<Vec<u64>> {
     p.gmm_rows_preamble()
         .map(|s| s.iter().map(|x| x.to_bits()).collect())
 }
 
-fn ms_bits(p: &PreparedUniverse<'_>) -> Option<Vec<(u64, usize)>> {
+fn ms_bits(p: &PreparedUniverse) -> Option<Vec<(u64, usize)>> {
     p.ms_preamble()
         .map(|v| v.into_iter().map(|(s, i)| (s.to_bits(), i)).collect())
 }

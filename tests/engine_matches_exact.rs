@@ -84,7 +84,7 @@ proptest! {
     fn greedy_max_sum_agrees(raw in instance_strategy()) {
         let (universe, rel, dis, lambda) = build(&raw);
         let p = DiversityProblem::new(universe.clone(), &rel, &dis, lambda, raw.k);
-        let e = Engine::with_threads(universe, &rel, &dis, lambda, 2);
+        let e = Engine::with_threads(universe, &rel, Arc::new(dis.clone()), lambda, 2);
         let seq = approx::greedy_max_sum(&p).unwrap();
         let fast = e.greedy_max_sum(raw.k).unwrap();
         prop_assert_eq!(p.f_ms(&seq), e.objective_exact(ObjectiveKind::MaxSum, &fast));
@@ -96,7 +96,7 @@ proptest! {
     fn gmm_max_min_agrees(raw in instance_strategy()) {
         let (universe, rel, dis, lambda) = build(&raw);
         let p = DiversityProblem::new(universe.clone(), &rel, &dis, lambda, raw.k);
-        let e = Engine::with_threads(universe, &rel, &dis, lambda, 2);
+        let e = Engine::with_threads(universe, &rel, Arc::new(dis.clone()), lambda, 2);
         let seq = approx::gmm_max_min(&p).unwrap();
         let fast = e.gmm_max_min(raw.k).unwrap();
         prop_assert_eq!(p.f_mm(&seq), e.objective_exact(ObjectiveKind::MaxMin, &fast));
@@ -108,7 +108,7 @@ proptest! {
     fn mono_top_k_agrees(raw in instance_strategy()) {
         let (universe, rel, dis, lambda) = build(&raw);
         let p = DiversityProblem::new(universe.clone(), &rel, &dis, lambda, raw.k);
-        let e = Engine::with_threads(universe, &rel, &dis, lambda, 2);
+        let e = Engine::with_threads(universe, &rel, Arc::new(dis.clone()), lambda, 2);
         let (opt, seq) = mono::max_mono(&p).unwrap();
         let fast = e.mono_top_k(raw.k).unwrap();
         prop_assert_eq!(opt, e.objective_exact(ObjectiveKind::Mono, &fast));
@@ -120,7 +120,7 @@ proptest! {
     #[test]
     fn serve_batch_is_consistent(raw in instance_strategy()) {
         let (universe, rel, dis, lambda) = build(&raw);
-        let e = Engine::with_threads(universe, &rel, &dis, lambda, 2);
+        let e = Engine::with_threads(universe, &rel, Arc::new(dis.clone()), lambda, 2);
         let reqs: Vec<EngineRequest> = ObjectiveKind::ALL
             .into_iter()
             .map(|kind| EngineRequest { kind, k: raw.k })
@@ -141,7 +141,7 @@ proptest! {
     #[test]
     fn serve_into_agrees_with_every_reference(raw in instance_strategy()) {
         let (universe, rel, dis, lambda) = build(&raw);
-        let e = Engine::with_threads(universe.clone(), &rel, &dis, lambda, 2);
+        let e = Engine::with_threads(universe.clone(), &rel, Arc::new(dis.clone()), lambda, 2);
         let (mut scratch, mut set) = (SolveScratch::new(), Vec::new());
         for k in [raw.k, raw.k % raw.n + 1, raw.n] {
             let p = DiversityProblem::new(universe.clone(), &rel, &dis, lambda, k);
@@ -189,7 +189,7 @@ fn assert_one_rescore(
 ) {
     let n = universe.len();
     let p = DiversityProblem::new(universe.clone(), rel, &*dis, lambda, 1);
-    let full = Engine::with_threads(universe.clone(), rel, &*dis, lambda, 2);
+    let full = Engine::with_threads(universe.clone(), rel, dis.clone(), lambda, 2);
     let coresets = [n, n / 2].map(|budget| {
         let config = CoresetConfig::with_budget(budget).with_threads(2);
         CoresetEngine::new(universe.clone(), rel, dis.clone(), lambda, &config)
@@ -216,7 +216,7 @@ fn thread_count_never_changes_an_answer_at_n_3000() {
         (0..n).map(|i| Tuple::ints([(i * 7919) % 1_000_003, i % 11])).collect();
     let rel = AttributeRelevance { attr: 1, default: Ratio::ZERO };
     let dis = NumericDistance { attr: 0, fallback: Ratio::ZERO };
-    let one = Engine::with_threads(universe, &rel, &dis, Ratio::new(1, 2), 1);
+    let one = Engine::with_threads(universe, &rel, Arc::new(dis), Ratio::new(1, 2), 1);
     let two = Engine::from_prepared(Arc::clone(one.prepared()), 2);
     for kind in ObjectiveKind::ALL {
         for k in [2, 50, 51] {

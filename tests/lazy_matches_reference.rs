@@ -86,7 +86,7 @@ fn build(raw: &RawInstance) -> (Vec<Tuple>, TableRelevance, TableDistance, Ratio
 /// reference runs over the engine's own universe and oracles; `k = 0`
 /// is the empty set (`DiversityProblem` itself requires `k ≥ 1`) and
 /// `k > n` has no answer on either side.
-fn assert_lazy_eq_reference(e: &Engine<'_>, k: usize, ctx: &str) {
+fn assert_lazy_eq_reference(e: &Engine, k: usize, ctx: &str) {
     let lazy = e.greedy_max_sum(k);
     if k == 0 {
         assert_eq!(lazy, Some(Vec::new()), "{ctx}: k=0 is the empty set");
@@ -116,7 +116,7 @@ proptest! {
     #[test]
     fn lazy_matches_reference_on_random_instances(raw in instance_strategy()) {
         let (universe, rel, dis, lambda) = build(&raw);
-        let e = Engine::with_threads(universe, &rel, &dis, lambda, 2);
+        let e = Engine::with_threads(universe, &rel, Arc::new(dis.clone()), lambda, 2);
         for k in [raw.k, (raw.k % raw.n) + 1, raw.n] {
             assert_lazy_eq_reference(&e, k, "random");
         }
@@ -129,7 +129,7 @@ proptest! {
     fn lazy_matches_ratio_reference(raw in instance_strategy()) {
         let (universe, rel, dis, lambda) = build(&raw);
         let p = DiversityProblem::new(universe.clone(), &rel, &dis, lambda, raw.k);
-        let e = Engine::with_threads(universe, &rel, &dis, lambda, 2);
+        let e = Engine::with_threads(universe, &rel, Arc::new(dis.clone()), lambda, 2);
         let seq = divr::core::approx::greedy_max_sum(&p).unwrap();
         let lazy = e.greedy_max_sum(raw.k).unwrap();
         prop_assert_eq!(seq, lazy);
@@ -148,7 +148,7 @@ fn all_tied_universes_resolve_identically() {
         let rel = TableRelevance::with_default(Ratio::ONE);
         let dis = TableDistance::with_default(Ratio::ONE);
         for lambda in [Ratio::ZERO, Ratio::new(1, 2), Ratio::ONE] {
-            let e = Engine::with_threads(universe.clone(), &rel, &dis, lambda, 2);
+            let e = Engine::with_threads(universe.clone(), &rel, Arc::new(dis.clone()), lambda, 2);
             for k in 0..=n {
                 assert_lazy_eq_reference(&e, k, "all-tied");
                 // The fully-tied greedy must pick the k lowest indices.
@@ -174,7 +174,7 @@ fn single_heavy_pair_breaks_the_tie() {
         let mut dis = TableDistance::with_default(Ratio::int(5));
         dis.set(universe[a].clone(), universe[b].clone(), Ratio::int(6));
         for lambda in [Ratio::new(1, 4), Ratio::ONE] {
-            let e = Engine::with_threads(universe.clone(), &rel, &dis, lambda, 2);
+            let e = Engine::with_threads(universe.clone(), &rel, Arc::new(dis.clone()), lambda, 2);
             for k in [2, 3, 4, 5, n] {
                 assert_lazy_eq_reference(&e, k, "single-heavy-pair");
                 let set = e.greedy_max_sum(k).unwrap();
@@ -249,7 +249,7 @@ fn one_scratch_across_mixed_universes_is_stateless()  {
     let mut out = Vec::new();
     for n in [30i64, 7, 55, 2, 18] {
         let universe: Vec<Tuple> = (0..n).map(|i| Tuple::ints([i * 3 % (2 * n), i % 5])).collect();
-        let e = Engine::with_threads(universe, &rel, &dis, Ratio::new(1, 2), 1);
+        let e = Engine::with_threads(universe, &rel, Arc::new(dis.clone()), Ratio::new(1, 2), 1);
         for kind in ObjectiveKind::ALL {
             for k in [1usize, 2, (n as usize).min(5), n as usize] {
                 let via_scratch = e

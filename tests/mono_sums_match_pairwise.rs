@@ -43,7 +43,7 @@ fn full_engine(
     universe: &[Tuple],
     dis: Arc<dyn Distance + Send + Sync>,
     lambda: Ratio,
-) -> Engine<'static> {
+) -> Engine {
     let prepared = PreparedUniverse::build_shared(universe.to_vec(), &REL, dis, lambda, 1);
     Engine::from_prepared(Arc::new(prepared), 1)
 }
@@ -60,7 +60,7 @@ fn as_ratios(sums: &[i128]) -> Vec<Ratio> {
     sums.iter().map(|&s| Ratio::new_i128(s, 1)).collect()
 }
 
-fn mono_bits(engine: &Engine<'_>) -> Option<Vec<u64>> {
+fn mono_bits(engine: &Engine) -> Option<Vec<u64>> {
     engine
         .prepared()
         .mono_preamble()
@@ -175,7 +175,7 @@ proptest! {
         remove_at in 0usize..=63,
     ) {
         let lambda = Ratio::new(1, 2);
-        let warm = |p: PreparedUniverse<'static>| {
+        let warm = |p: PreparedUniverse| {
             let engine = Engine::from_prepared(Arc::new(p), 1);
             let answer = engine.try_serve(EngineRequest { kind: MONO, k: 2 });
             let prepared = engine.prepared().clone();

@@ -97,7 +97,7 @@ fn spec_of(raw: &RawUniverse) -> UniverseSpec {
 }
 
 /// A fresh, registry-free engine over the same content — the oracle.
-fn oracle_engine(spec: &UniverseSpec) -> Engine<'static> {
+fn oracle_engine(spec: &UniverseSpec) -> Engine {
     Engine::from_prepared(spec.prepare(2), 2)
 }
 
