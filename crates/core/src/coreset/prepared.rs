@@ -105,7 +105,8 @@ impl PreparedCoreset {
     /// The `m × m` prepared universe over `coreset`'s representatives,
     /// reusing the relevance scores already evaluated for the full
     /// universe (identical values, and no second pass over a possibly
-    /// expensive oracle).
+    /// expensive oracle). Its matrix is exact-size: a displacing insert
+    /// swap-removes before it appends, so only an open budget grows it.
     fn try_build_sub(
         universe: &[Tuple],
         rel_exact: &[Ratio],
@@ -122,6 +123,7 @@ impl PreparedCoreset {
             dis.clone(),
             lambda,
             threads,
+            false,
             deadline,
         )?))
     }

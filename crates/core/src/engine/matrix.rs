@@ -25,18 +25,27 @@
 //!   1 MB (below that the allocator's own bins already win);
 //! * the oldest buffer is dropped first, so sizes nobody asks for any
 //!   more age out after `default_threads()` further drops;
-//! * a build takes only a buffer of **exactly** `stride²` elements and
-//!   zeroes all of it before the first row is filled.
+//! * a build takes only a buffer of **exactly** its allocation's
+//!   length, and zeroes of it only what the build does not write.
 //!
-//! **Headroom invariant.** Every cell a build does not write — the
-//! diagonal, and the headroom rows and columns past `n` that
-//! [`DistanceMatrix::push_item`] later grows into — leaves the build
-//! `0.0`, whether the buffer came from `vec![0.0; …]` or from the free
-//! list: the whole allocation of a recycled build is bit-identical to a
-//! fresh one
+//! **Allocation size.** A build allocates exactly `n²` cells unless its
+//! universe can grow: a *growable* build (the query front door's full
+//! matrices, the only ones a base edit patches) keeps `n/16` (at
+//! least 4) rows and columns of headroom past `n`, so that
+//! [`DistanceMatrix::push_item`] writes in place. An exact-size matrix
+//! that does get an insert re-strides once, to a padded stride.
+//!
+//! **Every cell written or zeroed.** A build writes or zeroes every
+//! cell of its allocation: the fill zeroes row `i`'s diagonal and its
+//! headroom columns and writes its strict upper triangle, the mirror
+//! writes the strict lower one, and a recycled buffer has its headroom
+//! rows zeroed before the fill — no `O(n²)` memset of cells the build
+//! overwrites anyway. So the whole allocation of a recycled build is
+//! bit-identical to a fresh one
 //! (`recycled_build_is_bit_identical_to_fresh` parks a NaN-filled buffer
-//! and compares every cell), so no distance of the universe that owned
-//! the buffer before can surface in a served matrix.
+//! and compares every cell, at an exact and a padded length), and no
+//! distance of the universe that owned the buffer before can surface in
+//! a served matrix.
 //!
 //! There is nothing to configure; [`spare_buffers`] reports the list's
 //! current content for `{"op":"stats"}`.
@@ -326,14 +335,16 @@ fn mirror_upper(
 /// query. The matrix stores the *approximate* values; exactness is
 /// restored by the engine's tie fallback (see the module docs).
 ///
-/// Rows are laid out at a fixed `stride ≥ n`, with a few rows of
+/// Rows are laid out at a fixed `stride ≥ n`. A build allocates
+/// `stride = n` unless it is growable, which keeps a few rows of
 /// headroom past `n`: appending one item (`DistanceMatrix::push_item`)
 /// then writes one column and one row in place — `O(n)`, no
 /// reallocation — until the headroom is exhausted, at which point the
-/// matrix re-strides once (amortized `O(n)` per insert). The headroom
-/// is real allocated memory and is counted by
-/// [`DistanceMatrix::approx_bytes`]; a build leaves every cell of it
-/// `0.0` (the module docs' headroom invariant).
+/// matrix re-strides once (amortized `O(n)` per insert); an exact-size
+/// matrix re-strides at its first insert. The headroom is real
+/// allocated memory and is counted by [`DistanceMatrix::approx_bytes`];
+/// a build leaves every cell of it `0.0` (module docs, "Every cell
+/// written or zeroed").
 ///
 /// Dropping a matrix parks its allocation for the next build of the
 /// same size instead of freeing it (module docs, "Recycled
@@ -356,6 +367,15 @@ impl Drop for DistanceMatrix {
 /// small enough that the byte overhead stays near 13%.
 fn matrix_pad(n: usize) -> usize {
     (n / 16).max(4)
+}
+
+/// The row stride a build over `n` items allocates: `n` exactly, or
+/// with [`matrix_pad`] rows of headroom when the universe can grow.
+fn build_stride(n: usize, growable: bool) -> usize {
+    match growable {
+        true => n + matrix_pad(n),
+        false => n,
+    }
 }
 
 /// Fill workers for an `n`-item matrix. A row is costed at its full
@@ -389,7 +409,7 @@ impl DistanceMatrix {
     /// fill and mirror as a prepared universe's fused build, without its
     /// row scans.
     pub fn build(universe: &[Tuple], dis: &(dyn Distance + Sync), threads: usize) -> Self {
-        Self::try_build_with_seed(universe, dis, threads, None, Deadline::none())
+        Self::try_build_with_seed(universe, dis, threads, None, false, Deadline::none())
             .expect("unbounded deadline cannot be exceeded")
             .0
     }
@@ -419,30 +439,37 @@ impl DistanceMatrix {
     /// `Err(ServeError::DeadlineExceeded)` on abandonment — the
     /// partially filled matrix is dropped, never observed.
     ///
-    /// The buffer is a parked allocation of exactly `stride²` elements
-    /// when the free list has one (zeroed here, all of it), a fresh
-    /// `vec![0.0; …]` otherwise; the fill, mirror and row scans below
-    /// cannot tell the difference.
+    /// The allocation is `n²` cells, or `(n + n/16)²` when `growable`
+    /// (module docs, "Allocation size"). It is a parked allocation of
+    /// exactly that length when the free list has one, a fresh
+    /// `vec![0.0; …]` otherwise; a recycled buffer has only its headroom
+    /// rows zeroed here, since the fill and mirror write or zero every
+    /// other cell. The fill, mirror and row scans below cannot tell the
+    /// difference.
     pub(crate) fn try_build_with_seed(
         universe: &[Tuple],
         dis: &(dyn Distance + Sync),
         threads: usize,
         seed_weights: Option<(&[f64], f64, f64)>, // (rel_f, one_minus, lam)
+        growable: bool,
         deadline: Deadline,
     ) -> Result<(Self, Option<RowScans>), ServeError> {
         let n = universe.len();
-        let stride = n + matrix_pad(n);
+        let stride = build_stride(n, growable);
         let mut data = match take_spare(stride * stride) {
             Some(mut recycled) => {
-                recycled.fill(0.0);
+                recycled[n * stride..].fill(0.0);
                 recycled
             }
             None => vec![0.0f64; stride * stride],
         };
-        // Fills row i's strict upper triangle, then (fused mode) scans
-        // the still-hot tail. Rows arrive stride-wide; everything past
-        // column `n` is headroom and stays zero.
+        // Zeroes row i's diagonal and headroom columns, fills its strict
+        // upper triangle, then (fused mode) scans the still-hot tail.
+        // Rows arrive stride-wide; the mirror writes the strict lower
+        // triangle.
         let fill_row = |(i, row, slot): RowTask<'_>| {
+            row[i] = 0.0;
+            row[n..].fill(0.0);
             for (j, cell) in row[..n].iter_mut().enumerate().skip(i + 1) {
                 *cell = dis.dist_f64(&universe[i], &universe[j]);
             }
@@ -510,8 +537,9 @@ impl DistanceMatrix {
         &self.data[i * self.stride..i * self.stride + self.n]
     }
 
-    /// Allocated footprint in bytes, headroom included — the honest
-    /// quantity for cache byte budgets.
+    /// Allocated footprint in bytes — `n²·8` for an exact-size build,
+    /// growth headroom included otherwise — the honest quantity for
+    /// cache byte budgets.
     pub fn approx_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f64>()
     }
@@ -520,7 +548,8 @@ impl DistanceMatrix {
     /// (`col[i] = δ_dis(i, new)`) into every existing row and the new
     /// row `n` (diagonal zero included), in place. Re-strides first —
     /// one `O(n²)` copy, amortized over the `≈ n/16` inserts the
-    /// headroom admits — only when the headroom is exhausted.
+    /// headroom admits — only when the headroom is exhausted, as it is
+    /// at the first insert into an exact-size build.
     pub(crate) fn push_item(&mut self, col: &[f64]) {
         debug_assert_eq!(col.len(), self.n);
         let n = self.n;
@@ -719,8 +748,8 @@ mod tests {
     }
 
     /// Allocation length of a matrix built over `n` items.
-    fn built_len(n: usize) -> usize {
-        (n + matrix_pad(n)).pow(2)
+    fn built_len(n: usize, growable: bool) -> usize {
+        build_stride(n, growable).pow(2)
     }
 
     /// Empties the free list of `len`-element buffers, so the next
@@ -742,54 +771,85 @@ mod tests {
     #[test]
     fn recycled_build_is_bit_identical_to_fresh() {
         let _turn = free_list_turn();
-        let n = 353;
+        let n = 367;
         let u = line_universe(n as i64);
-        let len = built_len(n);
-        assert!(len >= SPARE_MIN_LEN, "large enough to be parked");
         let rel: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
-        for threads in [1, 2] {
-            for fused in [false, true] {
-                let weights = fused.then_some((rel.as_slice(), 0.5, 0.5));
-                let build = || {
-                    DistanceMatrix::try_build_with_seed(&u, &DIS, threads, weights, Deadline::none())
-                        .unwrap()
-                };
-                forget_spares(len);
-                let (mut fresh, fresh_seed) = build();
-                // What a dropped matrix leaves behind, at its worst: an
-                // allocation of the right size with no cell zero.
-                let sentinel = vec![f64::NAN; len];
-                let parked_at = sentinel.as_ptr();
-                drop(DistanceMatrix { n: 0, stride: 0, data: sentinel });
-                let (mut recycled, recycled_seed) = build();
-                assert_eq!(recycled.data.as_ptr(), parked_at, "the build took the parked buffer");
-                assert_eq!(bits(&recycled), bits(&fresh), "threads {threads}, fused {fused}");
-                let seed_bits = |scans: Option<RowScans>| {
-                    scans.map(|s| {
-                        let ms: Vec<_> = s.ms.iter().map(|p| (p.score.to_bits(), p.partner)).collect();
-                        let gmm: Vec<_> = s.gmm.iter().map(|v| v.to_bits()).collect();
-                        (ms, gmm, s.non_finite)
-                    })
-                };
-                assert_eq!(seed_bits(recycled_seed), seed_bits(fresh_seed));
-                // Inserts grow into the headroom, then past it (one
-                // re-stride); removals relabel in place. Both read
-                // cells the build itself never wrote.
-                let stride = fresh.stride;
-                for step in 0..=stride - n {
-                    let col: Vec<f64> = (0..fresh.n()).map(|i| (i + step) as f64).collect();
-                    fresh.push_item(&col);
-                    recycled.push_item(&col);
+        for growable in [false, true] {
+            let len = built_len(n, growable);
+            assert!(len >= SPARE_MIN_LEN, "large enough to be parked");
+            for threads in [1, 2] {
+                for fused in [false, true] {
+                    let weights = fused.then_some((rel.as_slice(), 0.5, 0.5));
+                    let build = || {
+                        let none = Deadline::none();
+                        DistanceMatrix::try_build_with_seed(&u, &DIS, threads, weights, growable, none)
+                            .unwrap()
+                    };
+                    let at = format!("growable {growable}, threads {threads}, fused {fused}");
+                    forget_spares(len);
+                    let (mut fresh, fresh_seed) = build();
+                    // What a dropped matrix leaves behind, at its worst:
+                    // an allocation of the right size with no cell zero.
+                    let sentinel = vec![f64::NAN; len];
+                    let parked_at = sentinel.as_ptr();
+                    drop(DistanceMatrix { n: 0, stride: 0, data: sentinel });
+                    let (mut recycled, recycled_seed) = build();
+                    assert_eq!(recycled.data.as_ptr(), parked_at, "the build took the parked buffer");
+                    assert_eq!(bits(&recycled), bits(&fresh), "{at}");
+                    let seed_bits = |scans: Option<RowScans>| {
+                        scans.map(|s| {
+                            let ms: Vec<_> = s.ms.iter().map(|p| (p.score.to_bits(), p.partner)).collect();
+                            let gmm: Vec<_> = s.gmm.iter().map(|v| v.to_bits()).collect();
+                            (ms, gmm, s.non_finite)
+                        })
+                    };
+                    assert_eq!(seed_bits(recycled_seed), seed_bits(fresh_seed), "{at}");
+                    // Inserts grow into the headroom, if any, then past
+                    // it (one re-stride); removals relabel in place. Both
+                    // read cells the build itself never wrote.
+                    let stride = fresh.stride;
+                    for step in 0..=stride - n {
+                        let col: Vec<f64> = (0..fresh.n()).map(|i| (i + step) as f64).collect();
+                        fresh.push_item(&col);
+                        recycled.push_item(&col);
+                    }
+                    assert!(fresh.stride > stride, "the inserts crossed a re-stride, {at}");
+                    assert_eq!(bits(&recycled), bits(&fresh), "{at}");
+                    for r in [fresh.n() - 1, 7, 0] {
+                        fresh.swap_remove_item(r);
+                        recycled.swap_remove_item(r);
+                    }
+                    assert_eq!(bits(&recycled), bits(&fresh), "{at}");
                 }
-                assert!(fresh.stride > stride, "the inserts crossed a re-stride");
-                assert_eq!(bits(&recycled), bits(&fresh));
-                for r in [fresh.n() - 1, 7, 0] {
-                    fresh.swap_remove_item(r);
-                    recycled.swap_remove_item(r);
-                }
-                assert_eq!(bits(&recycled), bits(&fresh));
             }
         }
+    }
+
+    /// A build that cannot grow allocates `n²` cells, fresh or in a
+    /// parked buffer; its first insert re-strides to `(n+1) + pad(n+1)`
+    /// and the next `pad(n+1)` inserts write in place.
+    #[test]
+    fn an_exact_build_is_n_squared_and_grows_by_one_restride() {
+        let _turn = free_list_turn();
+        let n = 369;
+        let u = line_universe(n as i64);
+        let len = built_len(n, false);
+        assert!(len >= SPARE_MIN_LEN, "large enough to be parked");
+        forget_spares(len);
+        let fresh = DistanceMatrix::build(&u, &DIS, 2);
+        assert_eq!(fresh.approx_bytes(), n * n * 8);
+        let parked_at = fresh.data.as_ptr();
+        drop(fresh);
+        let mut m = DistanceMatrix::build(&u, &DIS, 2);
+        assert_eq!(m.data.as_ptr(), parked_at, "the build took the parked buffer");
+        assert_eq!(m.approx_bytes(), n * n * 8);
+        let grown = n + 1 + matrix_pad(n + 1);
+        for step in 0..=matrix_pad(n + 1) {
+            let col: Vec<f64> = (0..m.n()).map(|i| (i + step) as f64).collect();
+            m.push_item(&col);
+            assert_eq!((m.n(), m.stride), (n + 1 + step, grown), "insert {step}");
+        }
+        assert_eq!(m.approx_bytes(), grown * grown * 8);
     }
 
     /// Every worker count now comes from `fans_out`; before, the fill,
@@ -799,17 +859,21 @@ mod tests {
     fn spawn_decisions_match_the_old_predicates() {
         for threads in 1..=8 {
             for n in 0..=10_000usize {
-                let stride = n + matrix_pad(n);
                 let fill = if n * n < 4096 { 1 } else { threads.max(1) };
-                let mirror = match stride * stride < SPARE_MIN_LEN {
-                    true => 1,
-                    false => fill.min(n.div_ceil(MIRROR_TILE)),
-                };
                 let sweep = if threads <= 1 || n < 4096 { 1 } else { threads };
                 let at = format!("n {n}, threads {threads}");
                 assert_eq!(fill_workers(n, threads), fill, "fill, {at}");
-                assert_eq!(mirror_workers(n, stride, threads), mirror, "mirror, {at}");
                 assert_eq!(crate::coreset::sweep_workers(n, threads), sweep, "sweep, {at}");
+                // The mirror is costed at the stride the build allocates.
+                for growable in [false, true] {
+                    let stride = build_stride(n, growable);
+                    let mirror = match stride * stride < SPARE_MIN_LEN {
+                        true => 1,
+                        false => fill.min(n.div_ceil(MIRROR_TILE)),
+                    };
+                    let at = format!("{at}, stride {stride}");
+                    assert_eq!(mirror_workers(n, stride, threads), mirror, "mirror, {at}");
+                }
             }
         }
     }
@@ -867,9 +931,9 @@ mod tests {
         }
 
         let _turn = free_list_turn();
-        let n = 347;
+        let n = 365;
         let u = line_universe(n as i64);
-        let len = built_len(n);
+        let len = built_len(n, false);
         assert!(len >= SPARE_MIN_LEN);
         let lambda = Ratio::new(1, 2);
         let healthy = || Arc::new(PreparedUniverse::build_shared(u.clone(), &REL, Arc::new(DIS), lambda, 2));

@@ -98,14 +98,24 @@ pub(crate) use ties::{
 };
 
 use crate::problem::ObjectiveKind;
-use divr_relquery::Tuple;
+use divr_relquery::{Tuple, Value};
 
-/// Per-tuple heap estimate (header plus one word per attribute value,
-/// doubled for allocator slack) — the single formula every
-/// byte-metering path uses, so full-matrix and coreset cache entries
-/// stay comparable.
+/// What a tuple allocates: its handle, the shared block behind it (the
+/// `Arc`'s two counters and one [`Value`] per attribute), and each
+/// string value's own block (two counters and its bytes) — the single
+/// formula every byte-metering path uses, so full-matrix and coreset
+/// cache entries stay comparable. Allocator headers and rounding are
+/// left out.
 pub(crate) fn tuple_approx_bytes(t: &Tuple) -> usize {
-    std::mem::size_of::<Tuple>() + t.arity() * std::mem::size_of::<usize>() * 2
+    const COUNTERS: usize = 2 * std::mem::size_of::<usize>();
+    let strings: usize = t
+        .iter()
+        .map(|v| match v {
+            Value::Str(s) => COUNTERS + s.len(),
+            Value::Int(_) => 0,
+        })
+        .sum();
+    std::mem::size_of::<Tuple>() + COUNTERS + t.arity() * std::mem::size_of::<Value>() + strings
 }
 
 /// Number of worker threads the engine will use by default: the
@@ -289,5 +299,28 @@ pub(crate) mod fixtures {
 
     pub(crate) fn line_universe(n: i64) -> Vec<Tuple> {
         (0..n).map(|i| Tuple::ints([i * 3 % (2 * n), i % 5])).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::tuple_approx_bytes;
+    use divr_relquery::{Tuple, Value};
+
+    /// The meter counts the handle, the `Arc` block (two counters and
+    /// the values) and each string's own block: a 2-int row allocates
+    /// 16 + 16 + 2·16 = 64 B on a 64-bit target.
+    #[test]
+    fn tuple_meter_counts_what_a_tuple_allocates() {
+        let word = std::mem::size_of::<usize>();
+        let (handle, value) = (std::mem::size_of::<Tuple>(), std::mem::size_of::<Value>());
+        let ints = Tuple::ints([3, 4]);
+        assert_eq!(tuple_approx_bytes(&ints), handle + 2 * word + 2 * value);
+        let mixed = Tuple::new(vec![Value::int(1), Value::str("abc")]);
+        assert_eq!(tuple_approx_bytes(&mixed), handle + 2 * word + 2 * value + 2 * word + 3);
+        if cfg!(target_pointer_width = "64") {
+            assert_eq!(tuple_approx_bytes(&ints), 64);
+            assert_eq!(tuple_approx_bytes(&mixed), 83);
+        }
     }
 }

@@ -127,6 +127,8 @@ impl PreparedUniverse {
     /// in exactly one place. `rel_exact[i]` must equal
     /// `δ_rel(universe[i])` — the coreset layer passes the scores it
     /// already evaluated so a sub-universe reuses exactly those values.
+    /// The matrix keeps growth headroom only when `growable`
+    /// ([`PreparedUniverse::try_build_shared_deadline`]).
     /// The `O(n²)` matrix build checks `deadline` at row boundaries and
     /// the whole prepare is abandoned (nothing observable) with
     /// [`ServeError::DeadlineExceeded`] once it trips.
@@ -140,6 +142,7 @@ impl PreparedUniverse {
         dis: Arc<dyn Distance + Send + Sync>,
         lambda: Ratio,
         threads: usize,
+        growable: bool,
         deadline: Deadline,
     ) -> Result<Self, ServeError> {
         assert!(
@@ -164,6 +167,7 @@ impl PreparedUniverse {
             &*dis,
             threads.max(1),
             Some((rel_f.as_slice(), one_minus, lam)),
+            growable,
             deadline,
         )?;
         let scans = scans.expect("asked for with the weights");
@@ -195,8 +199,9 @@ impl PreparedUniverse {
     }
 
     /// [`PreparedUniverse::try_build_shared_deadline`] with
-    /// [`Deadline::none`]: the infallible form for callers that prepare
-    /// outside any request (tests, benches, the conformance oracles).
+    /// [`Deadline::none`] and an exact-size matrix: the infallible form
+    /// for callers that prepare outside any request (tests, benches, the
+    /// conformance oracles).
     pub fn build_shared(
         universe: Vec<Tuple>,
         rel: &dyn Relevance,
@@ -204,7 +209,7 @@ impl PreparedUniverse {
         lambda: Ratio,
         threads: usize,
     ) -> PreparedUniverse {
-        Self::try_build_shared_deadline(universe, rel, dis, lambda, threads, Deadline::none())
+        Self::try_build_shared_deadline(universe, rel, dis, lambda, threads, false, Deadline::none())
             .expect("unbounded deadline cannot be exceeded")
     }
 
@@ -213,6 +218,12 @@ impl PreparedUniverse {
     /// workers (1 = sequential). The result borrows nothing, so it can
     /// be cached, sent across threads, and outlive the caller (the
     /// serving-registry construction path).
+    ///
+    /// The matrix holds exactly `n²` cells unless `growable`, which
+    /// keeps `≈ n/16` rows and columns of headroom so that
+    /// [`PreparedUniverse::insert_tuple`] writes in place: the choice of
+    /// a universe that base edits patch. An exact-size matrix re-strides
+    /// once at its first insert, so either choice serves the same bits.
     ///
     /// The relevance pass polls `deadline` every 64 items and the
     /// `O(n²)` matrix build every row, so an expensive prepare is
@@ -228,10 +239,11 @@ impl PreparedUniverse {
         dis: Arc<dyn Distance + Send + Sync>,
         lambda: Ratio,
         threads: usize,
+        growable: bool,
         deadline: Deadline,
     ) -> Result<PreparedUniverse, ServeError> {
         let rel_exact = score_relevance(&universe, rel, deadline)?;
-        PreparedUniverse::try_from_scores(universe, rel_exact, dis, lambda, threads, deadline)
+        PreparedUniverse::try_from_scores(universe, rel_exact, dis, lambda, threads, growable, deadline)
     }
 
     /// Number of universe items.
@@ -285,8 +297,9 @@ impl PreparedUniverse {
 
     /// Approximate heap footprint in bytes — the quantity the serving
     /// registry's byte budget meters: the matrix **as allocated**
-    /// (stride headroom included), the relevance caches, tuple payloads
-    /// (estimated at one word per attribute value), the `O(n)` memoized
+    /// (growth headroom included, where the build kept any), the
+    /// relevance caches, the tuples as allocated (`tuple_approx_bytes`:
+    /// handle, shared block and string blocks), the `O(n)` memoized
     /// solver preambles (the max-sum heap seed and the GMM row bests,
     /// materialized during the matrix build, plus the mono scores, row
     /// sums and exact key-column sums, populated by the first `F_mono`
@@ -839,8 +852,8 @@ mod tests {
     fn push_item_matches_fresh_build_through_restride() {
         let mut u = line_universe(3);
         let mut m = DistanceMatrix::build(&u, &DIS, 1);
-        // Push enough items to exhaust the headroom (pad(3) = 4) and
-        // force at least one restride.
+        // An exact build of 3 re-strides at the first push (to
+        // 4 + pad(4) = 8), fills that headroom, then re-strides again.
         for i in 0..9i64 {
             let t = Tuple::ints([40 + 7 * i, i % 5]);
             let col: Vec<f64> = u.iter().map(|x| DIS.dist_f64(x, &t)).collect();

@@ -188,7 +188,8 @@ impl QuerySpec {
     /// [`Instance::build`] over a tuple sequence, with the
     /// auto-escalation coreset configuration when the sequence is past
     /// [`CORESET_AUTO_THRESHOLD`] — the miss path's and recovery's one
-    /// way in.
+    /// way in, and the one build that keeps growth headroom in a full
+    /// matrix: base edits patch what it builds.
     fn build(
         &self,
         tuples: Vec<Tuple>,
@@ -197,7 +198,7 @@ impl QuerySpec {
     ) -> Result<PreparedVariant, ServeError> {
         let auto = (tuples.len() > CORESET_AUTO_THRESHOLD)
             .then(|| CoresetConfig::recommended(self.max_k).with_threads(threads));
-        self.instance.build(tuples, auto, threads, deadline)
+        self.instance.build(tuples, auto, true, threads, deadline)
     }
 }
 
@@ -839,6 +840,32 @@ mod tests {
             .into_iter()
             .map(|kind| EngineRequest { kind, k: 5 })
             .collect()
+    }
+
+    /// A front-door entry is the one full matrix base edits grow: it
+    /// keeps `pad(n)` = 4 columns of headroom at n = 40, so its first
+    /// base insert writes in place; a serve frame of the same rows
+    /// allocates exactly `n²`.
+    #[test]
+    fn a_front_door_entry_keeps_its_headroom() {
+        let f = front();
+        f.register_database("main", db());
+        let q = spec("Q(x, y) :- R(x, y)");
+        let matrix_of = |f: &QueryFrontDoor| {
+            let key = f.key_for("main", &q).unwrap();
+            let entry = f.cache().peek(&key).expect("warm");
+            let matrix = entry.as_full().expect("full-matrix").matrix();
+            (matrix.n(), matrix.approx_bytes())
+        };
+        f.serve_query("main", &q, &reqs()).unwrap();
+        assert_eq!(matrix_of(&f), (40, 44 * 44 * 8));
+        let row = vec![Value::int(1_000), Value::int(3)];
+        assert!(f.insert_base_tuple("main", "R", row).unwrap());
+        assert_eq!(matrix_of(&f), (41, 44 * 44 * 8), "grown in place");
+        let rows = f.universe_of("main", &q).unwrap();
+        let frame = UniverseSpec::new(rows, rel(), dis(), Ratio::new(1, 2));
+        let prepared = frame.try_prepare_variant(1).unwrap();
+        assert_eq!(prepared.as_full().unwrap().matrix().approx_bytes(), 41 * 41 * 8);
     }
 
     #[test]

@@ -201,13 +201,17 @@ impl Instance {
     /// The one validated build behind every cold prepare and every
     /// recovery: a coreset selected over the whole sequence under the
     /// explicit mode, else under `auto` (a query's auto-escalation);
-    /// else the exact full matrix — then `check_finite`. Refusals and
-    /// the deadline are as [`UniverseSpec::try_prepare_variant_deadline`]
-    /// documents them.
+    /// else the exact full matrix — then `check_finite`. The full
+    /// matrix keeps growth headroom only when `growable`: the query
+    /// front door's entries, which base edits patch in place; a serve
+    /// frame's universe is content-addressed and never patched, so it
+    /// allocates exactly `n²` cells. Refusals and the deadline are as
+    /// [`UniverseSpec::try_prepare_variant_deadline`] documents them.
     pub(crate) fn build(
         &self,
         tuples: Vec<Tuple>,
         auto: Option<CoresetConfig>,
+        growable: bool,
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, ServeError> {
@@ -224,7 +228,7 @@ impl Instance {
                 )?))
             }
             None => PreparedVariant::Full(Arc::new(PreparedUniverse::try_build_shared_deadline(
-                tuples, rel, dis, lambda, threads, deadline,
+                tuples, rel, dis, lambda, threads, growable, deadline,
             )?)),
         };
         prepared.check_finite()?;
@@ -560,7 +564,7 @@ impl UniverseSpec {
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, ServeError> {
-        self.instance.build(self.tuples(), None, threads, deadline)
+        self.instance.build(self.tuples(), None, false, threads, deadline)
     }
 }
 
@@ -592,6 +596,26 @@ mod tests {
             }),
             Ratio::new(1, 2),
         )
+    }
+
+    /// A serve frame's universe is never patched, so its full matrix is
+    /// exactly `n²` cells, whether the build got a fresh allocation or
+    /// the one a dropped matrix of its size parked (≥ 1 MB, so
+    /// `n ≥ 363`; no other test of this binary builds one that large).
+    #[test]
+    fn a_serve_frame_build_is_n_squared_fresh_or_recycled() {
+        let n = 371;
+        let spec = spec(n as i64);
+        let matrix_at = |prepared: &PreparedVariant| {
+            let matrix = prepared.as_full().expect("a plain spec is full-matrix").matrix();
+            assert_eq!(matrix.approx_bytes(), n * n * 8);
+            matrix.row(0).as_ptr()
+        };
+        let first = spec.try_prepare_variant(2).unwrap();
+        let parked_at = matrix_at(&first);
+        drop(first);
+        let recycled = spec.try_prepare_variant(2).unwrap();
+        assert_eq!(matrix_at(&recycled), parked_at, "the build took the parked buffer");
     }
 
     /// A spec whose rows were written into key bytes a cell at a time

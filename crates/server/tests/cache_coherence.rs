@@ -11,7 +11,8 @@
 //!    and identical served answers; and when the matrices are large
 //!    enough (≥ 1 MB) that the rebuild runs inside the allocation an
 //!    evicted universe left behind, nothing of that universe shows —
-//!    not in the matrix, not in the headroom later inserts grow into.
+//!    not in the matrix, not in the headroom a front-door build keeps
+//!    for later inserts to grow into.
 //! 3. **Tableau-equivalent queries share one entry** — syntactically
 //!    distinct conjunctive queries related by variable renaming, atom
 //!    reordering and atom duplication produce the *same* front-door
@@ -486,7 +487,11 @@ fn matrix_bits(prepared: &divr_server::PreparedVariant) -> Vec<u64> {
 /// from the third build on, each one runs inside the buffer that the
 /// *other content* of its own size left two steps earlier. The matrix
 /// must still be what the distance oracle says, cell for cell, and a
-/// universe's later lifetimes must serve what its first one did.
+/// universe's later lifetimes must serve what its first one did. A
+/// serve frame's matrix is exactly `n²` cells, and the free list parks
+/// only 1 MB and up, so both sizes are at least 363: 412 and 388, where
+/// 412 = 388 + 388/16 is the stride a front-door build over 388 rows
+/// keeps (below).
 ///
 /// (The only test in this binary whose matrices are large enough to
 /// park, so the free-list gauge below is its own.)
@@ -503,9 +508,9 @@ fn eviction_recycles_allocations_stale_free_across_two_sizes() {
         .map(|kind| EngineRequest { kind, k: 6 })
         .collect();
     let specs = [
-        keyed_spec(352, 0),
+        keyed_spec(412, 0),
         keyed_spec(388, 0),
-        keyed_spec(352, 1),
+        keyed_spec(412, 1),
         keyed_spec(388, 1),
     ];
     let mut first_life: Vec<Option<Vec<CheckedAnswer>>> = vec![None; specs.len()];
@@ -546,11 +551,13 @@ fn eviction_recycles_allocations_stale_free_across_two_sizes() {
     assert_eq!(registry.stats().evictions, 11);
 
     // Serve the resident universe's rows as a query over a database:
-    // at this budget the query's build evicts that universe and runs in
-    // the buffer it parks. Grow the one warm entry past its headroom
-    // (24 rows at n = 388) by base inserts: each repair writes into
-    // cells the build never touched, then re-strides, and none of them
-    // is a miss. The new rows lie far outside the old ones, so every
+    // at this budget the query's build evicts that universe, and it runs
+    // in the buffer the last 412-row universe parked — a front-door
+    // build keeps growth headroom, so its 388 rows sit at stride 412 and
+    // its headroom cells start out as that universe's distances. Grow
+    // the one warm entry past its headroom (24 rows at n = 388) by base
+    // inserts: each repair writes into cells the build only zeroed, then
+    // re-strides, and none of them is a miss. The new rows lie far outside the old ones, so every
     // objective reads them; a cold prepare of the same sequence in
     // another registry must answer the same.
     let front = QueryFrontDoor::new(Arc::clone(&registry));
@@ -651,9 +658,11 @@ fn a_late_first_sight_registration_leaves_a_mutated_database_alone() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Property 5, to the byte, on an explicit-coreset query (a full
-/// matrix's allocated stride depends on when it last grew, so its bytes
-/// are not a function of the sequence alone): after 1 000 base inserts,
+/// Property 5, to the byte, on an explicit-coreset query (a front-door
+/// full matrix keeps growth headroom that a cold serve-frame prepare of
+/// its sequence does not, and its stride depends on when it last grew,
+/// so its bytes are not a function of the sequence alone; a coreset's
+/// `m × m` matrix is exact-size either way): after 1 000 base inserts,
 /// some absorbed under a representative and some displacing one, all
 /// repaired in the one warm entry, the cache holds what a cold prepare
 /// of the same sequence weighs. The inserts land inside the base rows'

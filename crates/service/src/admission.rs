@@ -286,7 +286,7 @@ impl Admission {
 /// not mirror the cache's post-build metering: tuple payloads and matrix
 /// headroom are left out, so it charges less than the cache meters — a
 /// `20 000`-row coreset entry at `m = 256` is estimated at 1 484 288 B
-/// and metered at 3 192 832 B. The quota is stated in these estimates.
+/// and metered at 3 449 344 B. The quota is stated in these estimates.
 pub fn estimate_prepared_bytes(n: usize, coreset_budget: Option<usize>) -> u64 {
     let n = n as u64;
     let side = coreset_budget.map_or(n, |m| (m as u64).min(n));
