@@ -126,8 +126,18 @@ gate "insert_versioned( is called nowhere under crates/ tests/ examples/" \
 # One evaluation path: `eval_query` is `stream_query` drained, so no
 # per-query-kind eager evaluator sits beside the stream.
 gate "no fn eval_cq under crates/relquery/src" "$(grep -rE 'fn eval_cq\b' crates/relquery/src | wc -l)" -eq 0
-gate "one coreset build under crates/server/src" \
+gate "one coreset build from tuples under crates/server/src" \
   "$(nontest $SERVER | calls 'PreparedCoreset::try_build_shared_deadline(')" -eq 1
+gate "…and one from encoded rows" \
+  "$(nontest $SERVER | calls 'PreparedCoreset::try_build_rows_deadline(')" -eq 1
+gate "…both in spec.rs (Instance::build)" \
+  "$(nontest crates/server/src/spec.rs | calls 'PreparedCoreset::try_build_')" -eq 2
+# A coreset entry holds each row once, as encoded bytes (shared with a
+# serve frame's cache key) beside float columns: no field of
+# `PreparedCoreset` is a tuple or exact-score per row again
+# (frame_footprint's `a_coreset_entry_holds_its_rows_once` measures it).
+gate "PreparedCoreset has no Vec<Tuple> or Vec<Ratio> field" \
+  "$(sed -n '/^pub struct PreparedCoreset {/,/^}/p' crates/core/src/coreset/prepared.rs | grep -cE 'Vec<(Tuple|Ratio)>')" -eq 0
 # One way to build a coreset: selection. `PreparedCoreset::insert_tuple`
 # repairs a built one under a base edit, so its one caller is
 # `PreparedVariant::patch` and no build can be an insertion stream again.
@@ -155,11 +165,14 @@ for tag in rel:const rel:attr rel:table dis:const dis:numeric dis:hamming dis:ta
     "$(for f in $(rs crates); do nontest "$f" | grep -qF "\"$tag\"" && echo "$f"; done | wc -l)" -eq 1
 done
 # A key column is covered by the gap selector alone: under coreset/ the
-# key distance is evaluated in one place, the gap re-scan of gaps.rs
-# (tests/coreset_kernel_matches_pairwise.rs pins its answers, not that
-# no all-n sweep runs beside it).
-gate "key_gap_f64 called once under coreset/" "$(nontest $(rs crates/core/src/coreset) | calls 'key_gap_f64(')" -eq 1
-gate "…and that call is in gaps.rs" "$(nontest crates/core/src/coreset/gaps.rs | calls 'key_gap_f64(')" -eq 1
+# key distance is evaluated in two places, the gap re-scan of gaps.rs
+# and `Points::dist_f64` in mod.rs, which an insert's re-homing and the
+# refine scan read and the selection's sweep reads only when there is no
+# column, so no gaps (tests/coreset_kernel_matches_pairwise.rs pins the
+# answers, not that no all-n sweep runs beside the gaps).
+gate "key_gap_f64 called twice under coreset/" "$(nontest $(rs crates/core/src/coreset) | calls 'key_gap_f64(')" -eq 2
+gate "…once in gaps.rs" "$(nontest crates/core/src/coreset/gaps.rs | calls 'key_gap_f64(')" -eq 1
+gate "…and once in mod.rs" "$(nontest crates/core/src/coreset/mod.rs | calls 'key_gap_f64(')" -eq 1
 
 # --- CI runs what it names --------------------------------------------
 # GitHub reads the workflow with a YAML loader, so a step name with a

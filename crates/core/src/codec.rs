@@ -302,17 +302,65 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a count-prefixed tuple sequence.
     pub fn read_tuples(&mut self) -> Result<Vec<Tuple>, CodecError> {
-        let n = self.read_usize()?;
-        // Every tuple takes ≥ 8 bytes (its arity): a count beyond the
-        // remaining bytes is unsatisfiable — reject before reserving.
-        if n > self.remaining() {
-            return Err(CodecError::Truncated);
-        }
+        let n = self.read_count()?;
         let mut tuples = Vec::with_capacity(n);
         for _ in 0..n {
             tuples.push(self.read_tuple()?);
         }
         Ok(tuples)
+    }
+
+    /// [`ByteReader::read_tuples`] without building a tuple: checks the
+    /// sequence and returns its length. It refuses exactly what
+    /// `read_tuples` refuses, with the same error, and leaves the reader
+    /// where `read_tuples` would.
+    pub fn skip_tuples(&mut self) -> Result<usize, CodecError> {
+        self.skip_tuples_marking(|_, _| {})
+    }
+
+    /// [`ByteReader::skip_tuples`], telling `row_at(i, at)` that row `i`
+    /// starts `at` bytes into the input, before it is checked.
+    pub(crate) fn skip_tuples_marking(
+        &mut self,
+        mut row_at: impl FnMut(usize, usize),
+    ) -> Result<usize, CodecError> {
+        let n = self.read_count()?;
+        for i in 0..n {
+            row_at(i, self.pos);
+            self.skip_tuple()?;
+        }
+        Ok(n)
+    }
+
+    /// A tuple sequence's count. Every tuple takes ≥ 8 bytes (its
+    /// arity): a count beyond the remaining bytes is unsatisfiable, so
+    /// it is refused before anything is reserved for it.
+    fn read_count(&mut self) -> Result<usize, CodecError> {
+        let n = self.read_usize()?;
+        if n > self.remaining() {
+            return Err(CodecError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// [`ByteReader::read_tuple`]'s checks, with nothing built.
+    pub(crate) fn skip_tuple(&mut self) -> Result<(), CodecError> {
+        let arity = self.read_usize()?;
+        if arity > self.remaining() {
+            return Err(CodecError::Truncated);
+        }
+        for _ in 0..arity {
+            match self.read_u8()? {
+                0 => {
+                    self.take(8)?;
+                }
+                1 => {
+                    self.read_str()?;
+                }
+                _ => return Err(CodecError::Invalid("value sort tag")),
+            }
+        }
+        Ok(())
     }
 }
 
@@ -383,6 +431,43 @@ mod tests {
             ByteReader::new(w.bytes()).read_tuples(),
             Err(CodecError::Truncated)
         );
+    }
+
+    /// On every prefix of a valid encoding (and on that encoding with a
+    /// bad tag, a bad string and trailing bytes), the counting reader
+    /// refuses what the tuple reader refuses, with the same error, and
+    /// otherwise counts its tuples and stops where it stops.
+    #[test]
+    fn skip_tuples_refuses_what_read_tuples_refuses() {
+        let mut w = ByteWriter::new();
+        w.write_tuples(&[
+            Tuple::ints([1, -2]),
+            Tuple::new(vec![]),
+            Tuple::new(vec![Value::str("héllo"), Value::Int(i64::MIN), Value::str("")]),
+            Tuple::ints([7]),
+        ]);
+        let valid = w.into_bytes();
+        let mut inputs: Vec<Vec<u8>> = (0..=valid.len()).map(|cut| valid[..cut].to_vec()).collect();
+        let with = |at: usize, byte: u8| {
+            let mut bad = valid.clone();
+            bad[at] = byte;
+            bad
+        };
+        let first_tag = 8 + 8;
+        let string_byte = valid.windows(2).position(|w| w == b"\xC3\xA9").unwrap();
+        inputs.push(with(first_tag, 9));
+        inputs.push(with(string_byte, 0xFF));
+        inputs.push(with(8, 200));
+        inputs.push([valid.as_slice(), &[0, 1, 2]].concat());
+        for input in &inputs {
+            let (mut skip, mut read) = (ByteReader::new(input), ByteReader::new(input));
+            let counted = skip.skip_tuples();
+            let decoded = read.read_tuples().map(|tuples| tuples.len());
+            assert_eq!(counted, decoded, "{input:?}");
+            if counted.is_ok() {
+                assert_eq!(skip.remaining(), read.remaining(), "{input:?}");
+            }
+        }
     }
 
     #[test]

@@ -40,8 +40,8 @@ struct Gap {
 }
 
 /// The sorted column and its gaps.
-pub(super) struct KeyGaps {
-    keys: Vec<i64>,
+pub(super) struct KeyGaps<'k> {
+    keys: &'k [i64],
     /// `(key, index)` of every item, sorted.
     order: Vec<(i64, usize)>,
     /// Ascending and disjoint; together, every position whose item has
@@ -49,9 +49,9 @@ pub(super) struct KeyGaps {
     gaps: Vec<Gap>,
 }
 
-impl KeyGaps {
+impl<'k> KeyGaps<'k> {
     /// One sort; nothing is covered yet.
-    pub(super) fn new(keys: Vec<i64>) -> KeyGaps {
+    pub(super) fn new(keys: &'k [i64]) -> KeyGaps<'k> {
         let n = keys.len();
         let mut order: Vec<(i64, usize)> = keys.iter().copied().zip(0..).collect();
         order.sort_unstable();

@@ -84,9 +84,11 @@
 
 mod gaps;
 mod prepared;
+mod rows;
 mod serve;
 
-pub use prepared::{PreparedCoreset, SharedCoreset};
+pub use prepared::PreparedCoreset;
+pub(crate) use rows::{RelColumn, Rows};
 pub use serve::CoresetEngine;
 
 use gaps::KeyGaps;
@@ -98,8 +100,12 @@ use crate::engine::{
     default_threads, fans_out, resolve_ties_exact, run_dealt, tie_threshold, ScoreSource,
     ServeError, TieCandidate, TieChunk, DIST_F64_UNITS,
 };
+use crate::distance::key_gap_f64;
 use crate::ratio::Ratio;
 use divr_relquery::Tuple;
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 
 /// Size of `Q(D)` above which `divr-server`'s query front door
 /// escalates from the full-matrix engine to a selected coreset: at
@@ -147,12 +153,6 @@ impl CoresetConfig {
     /// size the coreset *below* the `k` it was asked to serve.
     pub fn recommended(k: usize) -> Self {
         Self::with_budget(k.saturating_mul(16).max(64))
-    }
-
-    /// Builder-style refinement-round override.
-    pub fn refine(mut self, rounds: usize) -> Self {
-        self.refine_rounds = rounds;
-        self
     }
 
     /// Builder-style thread override (1 = fully sequential).
@@ -279,25 +279,110 @@ pub(crate) fn sweep_workers(n: usize, threads: usize) -> usize {
     }
 }
 
+/// A whole universe as the selection, an insert's re-homing and the
+/// refine scan measure it: the oracle's key column, whose float
+/// distances are the gaps between keys (the [`Distance::key_column`]
+/// contract), and the tuples, when they are at hand or the oracle has no
+/// column. Exact distances come from the oracle whenever the tuples are
+/// at hand, from the keys (the same integers, by that contract) when
+/// only the keys are.
+pub(crate) struct Points<'a> {
+    keys: Option<Vec<i64>>,
+    tuples: Option<Cow<'a, [Tuple]>>,
+    dis: &'a (dyn Distance + Sync),
+}
+
+impl<'a> Points<'a> {
+    /// `universe` under `dis`, with its key column when the oracle has one.
+    pub(crate) fn of(universe: &'a [Tuple], dis: &'a (dyn Distance + Sync)) -> Points<'a> {
+        Points {
+            keys: dis.key_column(universe),
+            tuples: Some(Cow::Borrowed(universe)),
+            dis,
+        }
+    }
+
+    /// Encoded rows under `dis`: the key column read from them, or, for
+    /// an oracle without one, every row decoded.
+    pub(crate) fn of_rows(rows: &Rows, dis: &'a (dyn Distance + Sync)) -> Points<'a> {
+        Self::of_keys(rows.key_column(dis), rows, dis)
+    }
+
+    /// [`Points::of_rows`] with the key column already read from `rows`
+    /// (`None`: the oracle has none, so every row is decoded).
+    pub(crate) fn of_keys(
+        keys: Option<Vec<i64>>,
+        rows: &Rows,
+        dis: &'a (dyn Distance + Sync),
+    ) -> Points<'a> {
+        let tuples = keys.is_none().then(|| Cow::Owned(rows.decode()));
+        Points { keys, tuples, dis }
+    }
+
+    fn len(&self) -> usize {
+        match (&self.keys, &self.tuples) {
+            (Some(keys), _) => keys.len(),
+            (None, tuples) => tuples.as_ref().map_or(0, |u| u.len()),
+        }
+    }
+
+    /// Item `i`'s tuple, when the tuples are at hand.
+    pub(crate) fn tuple(&self, i: usize) -> Option<&Tuple> {
+        self.tuples.as_ref().map(|u| &u[i])
+    }
+
+    /// `dist_f64` of items `i` and `j`, in that order.
+    pub(crate) fn dist_f64(&self, i: usize, j: usize) -> f64 {
+        match (&self.keys, &self.tuples) {
+            (Some(keys), _) => key_gap_f64(keys[i], keys[j]),
+            (None, Some(u)) => self.dis.dist_f64(&u[i], &u[j]),
+            (None, None) => unreachable!("points hold keys or tuples"),
+        }
+    }
+
+    /// The exact distance of items `i` and `j`, in that order.
+    fn dist(&self, i: usize, j: usize) -> Ratio {
+        match (&self.tuples, &self.keys) {
+            (Some(u), _) => self.dis.dist(&u[i], &u[j]),
+            (None, Some(keys)) => {
+                Ratio::new_i128((i128::from(keys[i]) - i128::from(keys[j])).abs(), 1)
+            }
+            (None, None) => unreachable!("points hold keys or tuples"),
+        }
+    }
+}
+
 /// The coverage arrays of a selection in progress and the one way this
 /// oracle folds a representative into them: over a key column the gap
 /// selector ([`KeyGaps`]), otherwise one per-pair [`cover`] sweep of all
 /// `n` items, which leaves the farthest candidates behind as it goes.
 struct Coverage<'a> {
-    universe: &'a [Tuple],
-    dis: &'a (dyn Distance + Sync),
+    points: &'a Points<'a>,
     threads: usize,
     /// `nearest[i]`: float distance from item `i` to the folded set.
     nearest: Vec<f64>,
     /// `assignment[i]`: selection-order position of the representative
     /// achieving it (the earliest, on equal distances).
     assignment: Vec<usize>,
-    gaps: Option<KeyGaps>,
+    gaps: Option<KeyGaps<'a>>,
     /// Per-pair path: what the latest sweep reported.
     swept: Vec<TieCandidate>,
 }
 
-impl Coverage<'_> {
+impl<'a> Coverage<'a> {
+    /// Nothing folded yet: every item infinitely far.
+    fn new(points: &'a Points<'a>, threads: usize) -> Coverage<'a> {
+        let n = points.len();
+        Coverage {
+            points,
+            threads,
+            nearest: vec![f64::INFINITY; n],
+            assignment: vec![0; n],
+            gaps: points.keys.as_deref().map(KeyGaps::new),
+            swept: Vec::new(),
+        }
+    }
+
     /// Folds representative `rep` (selection-order position `pos`,
     /// already marked in `selected`) into the coverage arrays.
     fn fold(&mut self, pos: usize, rep: usize, selected: &GenMarks) {
@@ -305,8 +390,8 @@ impl Coverage<'_> {
         match &mut self.gaps {
             Some(gaps) => gaps.fold(pos, rep, nearest, assignment),
             None => {
-                let (universe, dis) = (self.universe, self.dis);
-                let to_rep = |i: usize| dis.dist_f64(&universe[i], &universe[rep]);
+                let points = self.points;
+                let to_rep = |i: usize| points.dist_f64(i, rep);
                 self.swept = cover(self.threads, nearest, assignment, pos, selected, to_rep);
             }
         }
@@ -382,8 +467,22 @@ impl Coreset {
         threads: usize,
         deadline: Deadline,
     ) -> Result<Coreset, ServeError> {
-        let n = universe.len();
-        assert_eq!(rel_exact.len(), n, "one relevance score per item");
+        assert_eq!(rel_exact.len(), universe.len(), "one relevance score per item");
+        let points = Points::of(universe, dis);
+        let rel_cmp = |a: usize, b: usize| rel_exact[a].cmp(&rel_exact[b]);
+        Self::select_points(&points, rel_cmp, budget, threads, deadline)
+    }
+
+    /// [`Coreset::try_select_deadline`] over `points`, with
+    /// `rel_cmp(a, b)` the exact order of items `a` and `b`'s relevance.
+    pub(crate) fn select_points(
+        points: &Points<'_>,
+        rel_cmp: impl Fn(usize, usize) -> Ordering,
+        budget: usize,
+        threads: usize,
+        deadline: Deadline,
+    ) -> Result<Coreset, ServeError> {
+        let n = points.len();
         let threads = threads.max(1);
         let m = budget.max(1).min(n);
         if m == n {
@@ -401,7 +500,7 @@ impl Coreset {
         // a total order, so partitioning around the quota-th item and
         // sorting only the prefix yields the prefix of the full sort.
         let rel_quota = m.div_ceil(2);
-        let by_rel_desc = |a: &usize, b: &usize| rel_exact[*b].cmp(&rel_exact[*a]).then(a.cmp(b));
+        let by_rel_desc = |a: &usize, b: &usize| rel_cmp(*b, *a).then(a.cmp(b));
         let mut by_rel: Vec<usize> = (0..n).collect();
         by_rel.select_nth_unstable_by(rel_quota - 1, by_rel_desc);
         by_rel.truncate(rel_quota);
@@ -414,15 +513,7 @@ impl Coreset {
             selected.mark(i);
         }
 
-        let mut coverage = Coverage {
-            universe,
-            dis,
-            threads,
-            nearest: vec![f64::INFINITY; n],
-            assignment: vec![0usize; n],
-            gaps: dis.key_column(universe).map(KeyGaps::new),
-            swept: Vec::new(),
-        };
+        let mut coverage = Coverage::new(points, threads);
         for (pos, &r) in reps.iter().enumerate() {
             // Deadline checkpoint: one fold is at most O(n).
             deadline.check()?;
@@ -437,9 +528,10 @@ impl Coreset {
         // far) and a later tie extends it over the representatives
         // added since: at most `n·m` exact calls in a whole selection,
         // where recomputing it for every tied candidate of every round
-        // is `n·m²` on a universe of duplicates. Allocated by the first
-        // tie set of two or more.
-        let mut exact_memo: Vec<(usize, Ratio)> = Vec::new();
+        // is `n·m²` on a universe of duplicates. Kept for the candidates
+        // that ever tied, not per item: on most universes a few per
+        // round, where a table of all `n` would be `40n` bytes.
+        let mut exact_memo: HashMap<usize, (usize, Ratio)> = HashMap::new();
         while reps.len() < m {
             // Deadline checkpoint: one Gonzalez iteration is at most O(n).
             deadline.check()?;
@@ -459,12 +551,9 @@ impl Coreset {
                 });
             }
             let exact_nearest = |i: usize| -> Ratio {
-                if exact_memo.is_empty() {
-                    exact_memo.resize(n, (0, Ratio::ZERO));
-                }
-                let (seen, min) = &mut exact_memo[i];
+                let (seen, min) = exact_memo.entry(i).or_insert((0, Ratio::ZERO));
                 for &r in &reps[*seen..] {
-                    let d = dis.dist(&universe[i], &universe[r]);
+                    let d = points.dist(i, r);
                     if *seen == 0 || d < *min {
                         *min = d;
                     }
@@ -621,7 +710,6 @@ mod tests {
     /// spanning all of `i64` (distinct gaps that round to one float).
     #[test]
     fn gap_selector_reports_what_a_flat_sweep_reports() {
-        use crate::distance::key_gap_f64;
         for seed in 0..48u64 {
             let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             let mut draw = |below: u64| {
@@ -641,15 +729,8 @@ mod tests {
                 .collect();
             let universe: Vec<Tuple> = keys.iter().map(|&key| Tuple::ints([key])).collect();
             let dis = NumericDistance { attr: 0, fallback: Ratio::ZERO };
-            let mut coverage = Coverage {
-                universe: &universe,
-                dis: &dis,
-                threads: 1,
-                nearest: vec![f64::INFINITY; n],
-                assignment: vec![0; n],
-                gaps: dis.key_column(&universe).map(KeyGaps::new),
-                swept: Vec::new(),
-            };
+            let points = Points::of(&universe, &dis);
+            let mut coverage = Coverage::new(&points, 1);
             assert!(coverage.gaps.is_some());
             let (mut flat_nearest, mut flat_assignment) = (vec![f64::INFINITY; n], vec![0; n]);
             let mut flat = Vec::new();

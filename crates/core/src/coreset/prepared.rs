@@ -1,29 +1,38 @@
 //! [`PreparedCoreset`]: the owned, shareable prepared state of the
 //! coreset path, and its incremental maintenance under deltas.
 
-use super::{Coreset, CoresetConfig};
+use super::{Coreset, CoresetConfig, Points, RelColumn, Rows};
 use crate::deadline::Deadline;
 use crate::distance::Distance;
-use crate::engine::{
-    score_relevance, tuple_approx_bytes, PreparedUniverse, ScoreSource, ServeError,
-};
-use crate::mono_exact::{ExactView, MonoSums};
+use crate::engine::{PreparedUniverse, ScoreSource, ServeError};
+use crate::mono_exact::{ExactRel, ExactRows, ExactView, MonoSums};
 use crate::ratio::Ratio;
 use crate::relevance::Relevance;
 use divr_relquery::Tuple;
 use std::sync::Arc;
 
 /// The owned, shareable prepared state of the coreset serving path:
-/// full-universe tuples and `O(n)` relevance caches, the selected
-/// [`Coreset`], and an `m × m` [`PreparedUniverse`] over the
-/// representatives. This is the unit a byte-budgeted cache stores for
-/// large universes — [`PreparedCoreset::approx_bytes`] charges `m²`
-/// floats plus `O(n)` bookkeeping, never `n²`.
+/// the selected [`Coreset`] with an `m × m` [`PreparedUniverse`] over
+/// its representatives, plus `O(n)` words of the full universe. This is
+/// the unit a byte-budgeted cache stores for large universes.
+///
+/// The full universe is held once, as its rows' canonical encoding
+/// ([`ByteWriter::write_tuples`](crate::ByteWriter::write_tuples)'s
+/// layout) — for a universe built from its cache key
+/// ([`PreparedCoreset::try_build_rows_deadline`]), inside the key's own
+/// allocation — beside the float columns the solvers read: relevance
+/// (its exact value is the float's own, bar a list of the scores a
+/// float cannot hold, empty for integer scores) and each item's
+/// coverage. A [`Tuple`] is decoded only where one is needed: the `m`
+/// representatives, the `k` members an exact re-score measures, and,
+/// for an oracle without a [`Distance::key_column`], the whole universe
+/// for as long as a selection, a displacing insert or a refine round
+/// runs. [`PreparedCoreset::approx_bytes`] charges `m²` floats plus
+/// `O(n)` words and the rows, never `n²`.
 pub struct PreparedCoreset {
-    pub(super) universe: Vec<Tuple>,
+    pub(super) rows: Rows,
     pub(super) dis: Arc<dyn Distance + Send + Sync>,
-    pub(super) rel_exact: Vec<Ratio>,
-    pub(super) rel_f: Vec<f64>,
+    pub(super) rel: RelColumn,
     pub(super) lambda: Ratio,
     pub(super) config: CoresetConfig,
     pub(super) coreset: Coreset,
@@ -33,9 +42,6 @@ pub struct PreparedCoreset {
     // repaired per insert, dropped by a removal.
     pub(super) mono_sums: MonoSums,
 }
-
-/// A prepared coreset shareable across threads and cache entries.
-pub type SharedCoreset = Arc<PreparedCoreset>;
 
 impl PreparedCoreset {
     /// [`PreparedCoreset::try_build_shared_deadline`] with
@@ -55,7 +61,8 @@ impl PreparedCoreset {
     /// Prepares the coreset path over a materialized universe:
     /// evaluates relevance once (`O(n)`), selects the coreset
     /// (`O(n·m)` distances), and builds the `m × m` matrix over the
-    /// representatives. Never allocates `n × n`.
+    /// representatives. Never allocates `n × n`. The tuples are encoded
+    /// once, and dropped when the build returns.
     ///
     /// The relevance pass, the selection (checked per Gonzalez
     /// iteration), and the `m × m` sub-universe matrix build (checked
@@ -73,27 +80,89 @@ impl PreparedCoreset {
         config: &CoresetConfig,
         deadline: Deadline,
     ) -> Result<PreparedCoreset, ServeError> {
-        assert!(
-            lambda >= Ratio::ZERO && lambda <= Ratio::ONE,
-            "λ must lie in [0, 1]"
-        );
+        check_lambda(lambda);
+        let rows = Rows::encode(&universe);
+        let rel = RelColumn::score_tuples(&universe, rel, deadline)?;
+        let points = Points::of(&universe, &*dis);
+        Self::try_build(rows, rel, &points, dis.clone(), lambda, config, deadline)
+    }
+
+    /// [`PreparedCoreset::try_build_shared_deadline`] over rows already
+    /// encoded: the [`ByteWriter::write_tuples`](crate::ByteWriter::write_tuples)
+    /// bytes whose row count sits at byte `rows_at` of `bytes` (whatever
+    /// follows the last row is ignored). The entry holds `bytes` itself,
+    /// shared, not copied — a cache key's allocation, say. Rows are
+    /// decoded a chunk at a time to score them and, when the oracle has
+    /// one, read its key column; only an oracle without a column has
+    /// the whole universe decoded, for the selection.
+    ///
+    /// Panics if `λ ∉ [0, 1]` or if no rows are encoded at `rows_at`.
+    pub fn try_build_rows_deadline(
+        bytes: Arc<Vec<u8>>,
+        rows_at: usize,
+        rel: &dyn Relevance,
+        dis: Arc<dyn Distance + Send + Sync>,
+        lambda: Ratio,
+        config: &CoresetConfig,
+        deadline: Deadline,
+    ) -> Result<PreparedCoreset, ServeError> {
+        check_lambda(lambda);
+        let rows = Rows::shared(bytes, rows_at).expect("rows encoded at `rows_at`");
+        // One pass: each chunk scored, and its keys read while the
+        // oracle keeps handing them out.
+        let mut scores = RelColumn::with_capacity(rows.len());
+        let mut keys = Some(Vec::with_capacity(rows.len()));
+        rows.try_for_each_chunk(|first, chunk| {
+            scores.score_chunk(first, chunk, rel, deadline)?;
+            if let Some(column) = &mut keys {
+                match dis.key_column(chunk) {
+                    Some(chunk_keys) => column.extend(chunk_keys),
+                    None => keys = None,
+                }
+            }
+            Ok(())
+        })?;
+        let points = Points::of_keys(keys, &rows, &*dis);
+        Self::try_build(rows, scores, &points, dis.clone(), lambda, config, deadline)
+    }
+
+    /// The build both constructors share, from the scored rows and the
+    /// universe as the oracle measures it.
+    fn try_build(
+        rows: Rows,
+        rel: RelColumn,
+        points: &Points<'_>,
+        dis: Arc<dyn Distance + Send + Sync>,
+        lambda: Ratio,
+        config: &CoresetConfig,
+        deadline: Deadline,
+    ) -> Result<PreparedCoreset, ServeError> {
         let threads = config.threads.max(1);
-        let rel_exact = score_relevance(&universe, rel, deadline)?;
-        let rel_f: Vec<f64> = rel_exact.iter().map(Ratio::to_f64).collect();
-        let coreset = Coreset::try_select_deadline(
-            &universe,
-            &rel_exact,
-            &*dis,
-            config.budget,
+        let rel_cmp = |a: usize, b: usize| rel.cmp(a, b);
+        let coreset = Coreset::select_points(points, rel_cmp, config.budget, threads, deadline)?;
+        // The sub-universe reuses the scores already evaluated for the
+        // full universe (identical values, and no second pass over a
+        // possibly expensive oracle). Its matrix is exact-size: a
+        // displacing insert swap-removes before it appends, so only an
+        // open budget grows it.
+        let indices = coreset.indices();
+        let reps = indices
+            .iter()
+            .map(|&i| points.tuple(i).cloned().unwrap_or_else(|| rows.get(i)))
+            .collect();
+        let sub = Arc::new(PreparedUniverse::try_from_scores(
+            reps,
+            indices.iter().map(|&i| rel.exact(i)).collect(),
+            dis.clone(),
+            lambda,
             threads,
+            false,
             deadline,
-        )?;
-        let sub = Self::try_build_sub(&universe, &rel_exact, &coreset, &dis, lambda, threads, deadline)?;
+        )?);
         Ok(PreparedCoreset {
-            universe,
+            rows,
             dis,
-            rel_exact,
-            rel_f,
+            rel,
             lambda,
             config: *config,
             coreset,
@@ -102,35 +171,9 @@ impl PreparedCoreset {
         })
     }
 
-    /// The `m × m` prepared universe over `coreset`'s representatives,
-    /// reusing the relevance scores already evaluated for the full
-    /// universe (identical values, and no second pass over a possibly
-    /// expensive oracle). Its matrix is exact-size: a displacing insert
-    /// swap-removes before it appends, so only an open budget grows it.
-    fn try_build_sub(
-        universe: &[Tuple],
-        rel_exact: &[Ratio],
-        coreset: &Coreset,
-        dis: &Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<Arc<PreparedUniverse>, ServeError> {
-        let indices = coreset.indices();
-        Ok(Arc::new(PreparedUniverse::try_from_scores(
-            indices.iter().map(|&i| universe[i].clone()).collect(),
-            indices.iter().map(|&i| rel_exact[i]).collect(),
-            dis.clone(),
-            lambda,
-            threads,
-            false,
-            deadline,
-        )?))
-    }
-
     /// Full-universe size `n`.
     pub(crate) fn n(&self) -> usize {
-        self.universe.len()
+        self.rows.len()
     }
 
     /// Coreset size `m`.
@@ -138,9 +181,9 @@ impl PreparedCoreset {
         self.coreset.m()
     }
 
-    /// The materialized full universe `Q(D)`.
-    pub fn universe(&self) -> &[Tuple] {
-        &self.universe
+    /// The materialized full universe `Q(D)`, decoded from the rows.
+    pub(crate) fn universe(&self) -> Vec<Tuple> {
+        self.rows.decode()
     }
 
     /// The selected coreset.
@@ -169,7 +212,8 @@ impl PreparedCoreset {
     ///   nearest to it (swap-remove on the sub-universe, then an `O(n)`
     ///   re-homing pass) — the classical "far point becomes a center"
     ///   rule. The orphans move to the new item, so their coverage
-    ///   distances become upper bounds.
+    ///   distances become upper bounds. The pass reads the key column
+    ///   from the rows, or decodes them all for an oracle without one.
     ///
     /// Unlike the full-matrix engine's deltas this is **not**
     /// bit-identical to a fresh [`Coreset::select`] over the grown
@@ -179,9 +223,10 @@ impl PreparedCoreset {
     /// `tests/coreset_matches_engine.rs` pins, and the 2× cover that
     /// [`PreparedVariant::patch`](crate::PreparedVariant::patch) holds.
     pub fn insert_tuple(&mut self, tuple: Tuple, rel: Ratio) {
-        let x = self.universe.len();
+        let x = self.n();
         let m = self.coreset.m();
         self.mono_sums.repair_insert(&*self.dis, &tuple);
+        self.rows.push(&tuple);
         if m < self.config.budget.max(1) || m == 0 {
             // Budget open: x becomes representative m.
             debug_assert_eq!(m, x, "an open budget means an identity coreset");
@@ -190,12 +235,13 @@ impl PreparedCoreset {
             self.coreset.assignment.push(m);
             self.coreset.nearest.push(0.0);
         } else {
-            // Distances from the new item to every representative.
+            // Distances from the new item to every representative, the
+            // sub-universe's item at the same position.
             let (p_near, d_min) = self
-                .coreset
-                .indices
+                .sub
+                .universe()
                 .iter()
-                .map(|&r| self.dis.dist_f64(&self.universe[r], &tuple))
+                .map(|rep| self.dis.dist_f64(rep, &tuple))
                 .enumerate()
                 .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("m ≥ 1 representatives");
@@ -213,11 +259,12 @@ impl PreparedCoreset {
                 self.coreset.indices.swap_remove(p_near);
                 self.coreset.indices.push(x);
                 let last = m - 1;
+                let points = Points::of_rows(&self.rows, &*self.dis);
                 for i in 0..x {
                     // Mirror the position swap, re-home the orphans of
                     // the displaced rep to x, and let anyone closer to
                     // x move over.
-                    let d = self.dis.dist_f64(&self.universe[i], &tuple);
+                    let d = points.dist_f64(i, x);
                     let asg = self.coreset.assignment[i];
                     if asg == last && p_near != last {
                         self.coreset.assignment[i] = p_near;
@@ -239,9 +286,7 @@ impl PreparedCoreset {
             .nearest
             .iter()
             .fold(0.0f64, |a, &b| a.max(b));
-        self.universe.push(tuple);
-        self.rel_exact.push(rel);
-        self.rel_f.push(rel.to_f64());
+        self.rel.push(rel);
     }
 
     /// Mutable access to the sub-universe, copy-on-write: if the `Arc`
@@ -256,26 +301,36 @@ impl PreparedCoreset {
     }
 
     /// Approximate heap footprint in bytes — what a byte-budgeted cache
-    /// charges for this entry: the `m²` sub-matrix and its coreset
-    /// tuples (via the sub-universe's own accounting, which also counts
-    /// the retained oracle once), plus the full universe's tuples,
-    /// `O(n)` relevance caches, the coverage assignment with its
-    /// per-item distances, and the exact mono distance sums (populated
-    /// by the first `F_mono` request, charged up front).
+    /// charges for this entry: [`PreparedCoreset::entry_bytes`] of its
+    /// `n`, `m` and its rows' encoded size, plus the exact scores its
+    /// relevance floats do not hold (none for integer scores) and the
+    /// retained oracle's own bytes. Rows shared with a cache key are the
+    /// key's bytes, so the key is metered here, once.
     pub fn approx_bytes(&self) -> usize {
-        let n = self.universe.len();
-        let tuples: usize = self
-            .universe
-            .iter()
-            .map(tuple_approx_bytes)
-            .sum();
-        self.sub.approx_bytes()
-            + tuples
-            + n * (std::mem::size_of::<Ratio>()
-                + 2 * std::mem::size_of::<f64>()
-                + std::mem::size_of::<usize>()
-                + MonoSums::BYTES_PER_ITEM)
-            + self.coreset.indices.len() * std::mem::size_of::<usize>()
+        Self::entry_bytes(self.n(), self.m(), self.rows.encoded_len())
+            + self.rel.inexact_len() * RelColumn::BYTES_PER_INEXACT
+            + self.dis.approx_bytes()
+    }
+
+    /// The one size model of a coreset entry over `n` rows held in
+    /// `row_bytes` of encoding, with `m` representatives, the oracle
+    /// left out — what the cache meters and admission charges. Per row:
+    /// the relevance float, the coverage distance and assignment, and
+    /// the exact mono sums (populated by the first `F_mono` request,
+    /// charged up front), plus the row index. Per representative: its
+    /// index, its row of the `m × m` matrix and the sub-universe's
+    /// per-item caches, and its decoded tuple, modelled as a tuple's
+    /// fixed cost plus twice the mean encoded row (a cell takes 9 bytes
+    /// encoded, 16 as a value).
+    pub fn entry_bytes(n: usize, m: usize, row_bytes: usize) -> usize {
+        let m = m.min(n);
+        let word = std::mem::size_of::<usize>();
+        let tuple = std::mem::size_of::<Tuple>() + 2 * word + 2 * row_bytes / n.max(1);
+        row_bytes
+            + n * (2 * std::mem::size_of::<f64>() + word + MonoSums::BYTES_PER_ITEM)
+            + Rows::mark_bytes(n)
+            + m * (word + tuple)
+            + PreparedUniverse::bytes_without_tuples(m)
     }
 
     /// Validates every cached float the coreset serving path consumes:
@@ -287,7 +342,7 @@ impl PreparedCoreset {
     /// Relevance indices in the diagnosis are full-universe indices;
     /// distance indices refer to the representative sub-universe.
     pub fn check_finite(&self) -> Result<(), ServeError> {
-        if let Some(i) = self.rel_f.iter().position(|r| !r.is_finite()) {
+        if let Some(i) = self.rel.f.iter().position(|r| !r.is_finite()) {
             return Err(ServeError::NonFiniteScore {
                 source: ScoreSource::Relevance,
                 i,
@@ -310,8 +365,8 @@ impl PreparedCoreset {
     pub(crate) fn exact(&self) -> ExactView<'_> {
         ExactView {
             lambda: self.lambda,
-            rel_exact: &self.rel_exact,
-            universe: &self.universe,
+            rel: ExactRel::Column(&self.rel),
+            universe: ExactRows::Encoded(&self.rows),
             dis: &*self.dis,
             sums: &self.mono_sums,
         }
@@ -322,7 +377,7 @@ impl PreparedCoreset {
     /// `i`: its relevance score and, if it holds a representative slot,
     /// its row of the `m × m` matrix. `O(m)`.
     pub(crate) fn check_finite_item(&self, i: usize) -> Result<(), ServeError> {
-        if !self.rel_f[i].is_finite() {
+        if !self.rel.f[i].is_finite() {
             return Err(ServeError::NonFiniteScore {
                 source: ScoreSource::Relevance,
                 i,
@@ -334,6 +389,14 @@ impl PreparedCoreset {
             None => Ok(()),
         }
     }
+}
+
+/// Panics if `λ ∉ [0, 1]`.
+fn check_lambda(lambda: Ratio) {
+    assert!(
+        lambda >= Ratio::ZERO && lambda <= Ratio::ONE,
+        "λ must lie in [0, 1]"
+    );
 }
 
 impl std::fmt::Debug for PreparedCoreset {
@@ -419,5 +482,119 @@ mod tests {
         assert!(cs.approx_bytes() < (n as usize * n as usize * 8) / 10);
         assert_eq!(cs.m(), 64);
         assert_eq!(cs.n(), n as usize);
+    }
+
+    /// Built from tuples or from their encoded rows (inside bytes that
+    /// hold more than the rows, as a cache key does), an entry is the
+    /// same entry: the same selection and coverage to the bit, the same
+    /// exact relevance (integer and non-dyadic scores mixed), the same
+    /// answers and exact values for every objective, refined or not, and
+    /// the same state after every step of an insert tape that absorbs and
+    /// displaces — under a key-column oracle, Hamming, a table, and a
+    /// closure without a column.
+    #[test]
+    fn an_entry_from_rows_is_the_entry_from_tuples() {
+        use crate::distance::{ClosureDistance, HammingDistance, NumericDistance, TableDistance};
+        use crate::relevance::ClosureRelevance;
+        use divr_relquery::Value;
+
+        let row = |i: i64| {
+            Tuple::new(vec![
+                Value::Int(i * 37 % 157),
+                Value::Int(i % 4),
+                Value::str(["a", "b", "ç"][(i % 3) as usize]),
+            ])
+        };
+        let universe: Vec<Tuple> = (0..150).map(row).collect();
+        let tape: Vec<Tuple> = (0..30).map(|i| row(if i % 3 == 0 { 1000 + 97 * i } else { 5 + i })).collect();
+        let rel = ClosureRelevance(|t: &Tuple| {
+            let x = t.get(0).and_then(Value::as_int).unwrap_or(0);
+            if x % 5 == 0 {
+                Ratio::new(x % 7, 3)
+            } else {
+                Ratio::int(x % 9)
+            }
+        });
+        let mut table = TableDistance::with_default(Ratio::new(1, 2));
+        for i in 0..60 {
+            table.set(universe[i].clone(), universe[i + 7].clone(), Ratio::int(i as i64 % 5));
+        }
+        let oracles: Vec<(&str, Arc<dyn Distance + Send + Sync>)> = vec![
+            ("numeric", Arc::new(NumericDistance { attr: 0, fallback: Ratio::ONE })),
+            ("hamming", Arc::new(HammingDistance::default())),
+            ("table", Arc::new(table)),
+            (
+                "closure",
+                Arc::new(ClosureDistance(|a: &Tuple, b: &Tuple| {
+                    let x = |t: &Tuple| t.get(0).and_then(Value::as_int).unwrap_or(0);
+                    Ratio::new((x(a) - x(b)).abs() % 13, 2)
+                })),
+            ),
+        ];
+        let mut w = crate::ByteWriter::new();
+        w.write_str("head");
+        let rows_at = w.bytes().len();
+        w.write_tuples(&universe);
+        w.write_str("tail");
+        let bytes = Arc::new(w.into_bytes());
+
+        let same = |name: &str, a: &Arc<PreparedCoreset>, b: &Arc<PreparedCoreset>| {
+            let (ca, cb) = (a.coreset(), b.coreset());
+            assert_eq!(ca.indices(), cb.indices(), "{name}");
+            assert_eq!(ca.assignment, cb.assignment, "{name}");
+            let bits = |c: &Coreset| c.nearest.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ca), bits(cb), "{name}");
+            assert_eq!(ca.covering_radius().to_bits(), cb.covering_radius().to_bits(), "{name}");
+            assert_eq!(a.universe(), b.universe(), "{name}");
+            for i in 0..a.n() {
+                assert_eq!(a.rel.exact(i), b.rel.exact(i), "{name} item {i}");
+                assert_eq!(a.rel.exact(i), rel.rel(&a.rows.get(i)), "{name} item {i}");
+            }
+            assert_eq!(a.approx_bytes(), b.approx_bytes(), "{name}");
+            let (ea, eb) = (CoresetEngine::from_prepared(a.clone(), 2), CoresetEngine::from_prepared(b.clone(), 1));
+            for kind in ObjectiveKind::ALL {
+                for k in [1, 6] {
+                    let request = EngineRequest { kind, k };
+                    assert_eq!(ea.try_serve(request), eb.try_serve(request), "{name} {kind} k={k}");
+                }
+            }
+        };
+        for (name, dis) in oracles {
+            for refine_rounds in [0, 2] {
+                let config = CoresetConfig {
+                    refine_rounds,
+                    ..CoresetConfig::with_budget(16).with_threads(2)
+                };
+                let lambda = Ratio::new(2, 3);
+                let mut by_tuples = Arc::new(PreparedCoreset::build_shared(
+                    universe.clone(),
+                    &rel,
+                    dis.clone(),
+                    lambda,
+                    &config,
+                ));
+                let mut by_rows = Arc::new(PreparedCoreset::try_build_rows_deadline(
+                    bytes.clone(),
+                    rows_at,
+                    &rel,
+                    dis.clone(),
+                    lambda,
+                    &config,
+                    Deadline::none(),
+                )
+                .unwrap());
+                assert!(by_tuples.rel.inexact_len() > 0, "some scores are not dyadic");
+                same(name, &by_tuples, &by_rows);
+                for (step, t) in tape.iter().enumerate() {
+                    for entry in [&mut by_tuples, &mut by_rows] {
+                        Arc::get_mut(entry).unwrap().insert_tuple(t.clone(), rel.rel(t));
+                    }
+                    if step % 10 == 9 {
+                        same(&format!("{name} after insert {step}"), &by_tuples, &by_rows);
+                    }
+                }
+                same(name, &by_tuples, &by_rows);
+            }
+        }
     }
 }

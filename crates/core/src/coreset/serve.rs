@@ -1,7 +1,7 @@
 //! [`CoresetEngine`]: solve on the `m × m` sub-universe, map back,
 //! optionally refine over the full universe, re-score exactly.
 
-use super::{CoresetConfig, PreparedCoreset};
+use super::{CoresetConfig, Points, PreparedCoreset};
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::{argmax_with_ties, Engine, EngineRequest, ServeError, SolveScratch};
@@ -157,21 +157,23 @@ impl CoresetEngine {
     /// best strictly improving swap. Returns whether the set changed.
     fn refine_round(&self, kind: ObjectiveKind, chosen: &mut [usize]) -> bool {
         let p = &*self.prepared;
-        let n = p.universe.len();
+        let n = p.n();
         let k = chosen.len();
         if k == 0 || k >= n {
             return false;
         }
+        let points = Points::of_rows(&p.rows, &*p.dis);
+        let rel_f = &p.rel.f;
         let lam = p.lambda.to_f64();
         let one_minus = (Ratio::ONE - p.lambda).to_f64();
         // Float caches over the current set.
-        let crel: Vec<f64> = chosen.iter().map(|&i| p.rel_f[i]).collect();
+        let crel: Vec<f64> = chosen.iter().map(|&i| rel_f[i]).collect();
         let cdist: Vec<Vec<f64>> = chosen
             .iter()
             .map(|&i| {
                 chosen
                     .iter()
-                    .map(|&j| p.dis.dist_f64(&p.universe[i], &p.universe[j]))
+                    .map(|&j| points.dist_f64(i, j))
                     .collect()
             })
             .collect();
@@ -203,20 +205,20 @@ impl CoresetEngine {
             }
             let dt: Vec<f64> = chosen_ref
                 .iter()
-                .map(|&s| p.dis.dist_f64(&p.universe[t], &p.universe[s]))
+                .map(|&s| points.dist_f64(t, s))
                 .collect();
             let dt_sum: f64 = dt.iter().sum();
             let mut best: Option<f64> = None;
             for pos in 0..k {
                 let v = match kind {
                     ObjectiveKind::MaxSum => {
-                        let rel_sum2 = rel_sum - crel[pos] + p.rel_f[t];
+                        let rel_sum2 = rel_sum - crel[pos] + rel_f[t];
                         let pair_sum2 =
                             pair_sum - (row_sums[pos] - cdist[pos][pos]) + (dt_sum - dt[pos]);
                         one_minus * (k as f64 - 1.0) * rel_sum2 + lam * 2.0 * pair_sum2
                     }
                     ObjectiveKind::MaxMin => {
-                        let mut min_rel = p.rel_f[t];
+                        let mut min_rel = rel_f[t];
                         let mut min_dis = f64::INFINITY;
                         for a in 0..k {
                             if a == pos {
@@ -355,7 +357,10 @@ mod tests {
             &REL,
             dis(),
             lambda,
-            &CoresetConfig::with_budget(12).with_threads(2).refine(3),
+            &CoresetConfig {
+                refine_rounds: 3,
+                ..CoresetConfig::with_budget(12).with_threads(2)
+            },
         );
         for kind in [ObjectiveKind::MaxSum, ObjectiveKind::MaxMin] {
             let req = EngineRequest { kind, k: 5 };

@@ -593,16 +593,28 @@ impl DistanceMatrix {
     }
 
     /// Reallocates at a larger stride (preserving all `n × n` content)
-    /// with fresh headroom past `need` rows.
+    /// with fresh headroom past `need` rows. The new allocation comes
+    /// through the free list like a build's — a recycled buffer has
+    /// every cell the copy does not write zeroed — and the old one is
+    /// parked there.
     fn restride(&mut self, need: usize) {
-        let stride = need + matrix_pad(need);
-        let mut data = vec![0.0f64; stride * stride];
-        for i in 0..self.n {
+        let (n, stride) = (self.n, need + matrix_pad(need));
+        let mut data = match take_spare(stride * stride) {
+            Some(mut recycled) => {
+                for row in recycled[..n * stride].chunks_exact_mut(stride) {
+                    row[n..].fill(0.0);
+                }
+                recycled[n * stride..].fill(0.0);
+                recycled
+            }
+            None => vec![0.0f64; stride * stride],
+        };
+        for i in 0..n {
             let src = i * self.stride;
             let dst = i * stride;
-            data[dst..dst + self.n].copy_from_slice(&self.data[src..src + self.n]);
+            data[dst..dst + n].copy_from_slice(&self.data[src..src + n]);
         }
-        self.data = data;
+        park(std::mem::replace(&mut self.data, data));
         self.stride = stride;
     }
 
@@ -805,13 +817,30 @@ mod tests {
                     };
                     assert_eq!(seed_bits(recycled_seed), seed_bits(fresh_seed), "{at}");
                     // Inserts grow into the headroom, if any, then past
-                    // it (one re-stride); removals relabel in place. Both
-                    // read cells the build itself never wrote.
+                    // it (one re-stride, which the recycled side does in
+                    // a parked NaN-filled buffer of the re-stride length,
+                    // and which parks the buffer it leaves); removals
+                    // relabel in place. All read cells the build itself
+                    // never wrote.
                     let stride = fresh.stride;
+                    let restride_len = (stride + 1 + matrix_pad(stride + 1)).pow(2);
+                    assert!(restride_len >= SPARE_MIN_LEN, "large enough to be parked");
                     for step in 0..=stride - n {
                         let col: Vec<f64> = (0..fresh.n()).map(|i| (i + step) as f64).collect();
+                        forget_spares(restride_len);
                         fresh.push_item(&col);
+                        let crossing = (recycled.n() == recycled.stride).then(|| {
+                            let sentinel = vec![f64::NAN; restride_len];
+                            let parked_at = sentinel.as_ptr();
+                            drop(DistanceMatrix { n: 0, stride: 0, data: sentinel });
+                            (parked_at, recycled.data.as_ptr())
+                        });
                         recycled.push_item(&col);
+                        if let Some((parked_at, left)) = crossing {
+                            assert_eq!(recycled.data.as_ptr(), parked_at, "re-stride took the parked buffer, {at}");
+                            let reparked = take_spare(len).map(|b| b.as_ptr());
+                            assert_eq!(reparked, Some(left), "re-stride parked the buffer it left, {at}");
+                        }
                     }
                     assert!(fresh.stride > stride, "the inserts crossed a re-stride, {at}");
                     assert_eq!(bits(&recycled), bits(&fresh), "{at}");

@@ -92,7 +92,6 @@ pub use prepared::{PreparedUniverse, SharedPrepared};
 pub use solve::{solver_counters, Engine, SolveScratch};
 
 pub(crate) use matrix::{fans_out, run_dealt, DIST_F64_UNITS};
-pub(crate) use prepared::score_relevance;
 pub(crate) use ties::{
     argmax_with_ties, resolve_ties_exact, tie_threshold, TieCandidate, TieChunk,
 };

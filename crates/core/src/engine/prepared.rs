@@ -9,7 +9,7 @@ use super::ties::{argmax_with_ties, resolve_pairs_exact, tie_threshold};
 use super::{tuple_approx_bytes, DeltaError, ScoreSource, ServeError};
 use crate::deadline::Deadline;
 use crate::distance::Distance;
-use crate::mono_exact::{ExactView, MonoSums};
+use crate::mono_exact::{ExactRel, ExactRows, ExactView, MonoSums};
 use crate::ratio::Ratio;
 use crate::relevance::Relevance;
 use divr_relquery::Tuple;
@@ -106,7 +106,7 @@ pub type SharedPrepared = Arc<PreparedUniverse>;
 /// behind every prepared-state constructor (full matrix and coreset).
 /// `O(n)` total; polls `deadline` every 64 items so even an expensive
 /// relevance oracle cannot overshoot by more than 64 evaluations.
-pub(crate) fn score_relevance(
+fn score_relevance(
     universe: &[Tuple],
     rel: &dyn Relevance,
     deadline: Deadline,
@@ -311,13 +311,20 @@ impl PreparedUniverse {
     pub fn approx_bytes(&self) -> usize {
         let n = self.universe.len();
         let tuples: usize = self.universe.iter().map(tuple_approx_bytes).sum();
-        self.matrix.approx_bytes()
-            + n * (std::mem::size_of::<Ratio>() + std::mem::size_of::<f64>())
-            + n * (3 * std::mem::size_of::<f64>()
-                + MonoSums::BYTES_PER_ITEM
-                + std::mem::size_of::<PairSeed>())
-            + tuples
-            + self.dis.approx_bytes()
+        self.matrix.approx_bytes() + n * Self::BYTES_PER_ITEM + tuples + self.dis.approx_bytes()
+    }
+
+    /// Bytes per item beside the matrix and the tuples: the relevance
+    /// caches and the memoized preambles.
+    const BYTES_PER_ITEM: usize = std::mem::size_of::<Ratio>()
+        + 4 * std::mem::size_of::<f64>()
+        + MonoSums::BYTES_PER_ITEM
+        + std::mem::size_of::<PairSeed>();
+
+    /// [`PreparedUniverse::approx_bytes`] of an exact-size `n`-item
+    /// build, less its tuples and oracle.
+    pub(crate) fn bytes_without_tuples(n: usize) -> usize {
+        n * n * std::mem::size_of::<f64>() + n * Self::BYTES_PER_ITEM
     }
 
     /// Validates every cached float this universe will feed into the
@@ -638,7 +645,7 @@ impl PreparedUniverse {
             let n = self.n();
             let dsums = self.mono_dsums.get_or_init(|| {
                 self.mono_sums
-                    .get_or_build(&*self.dis, &self.universe)
+                    .get_or_build(|| self.dis.key_column(&self.universe))
                     .and_then(|sums| sums.to_f64_exact())
                     .unwrap_or_else(|| (0..n).map(|i| self.matrix.row(i).iter().sum()).collect())
             });
@@ -784,8 +791,8 @@ impl PreparedUniverse {
     pub(crate) fn exact(&self) -> ExactView<'_> {
         ExactView {
             lambda: self.lambda,
-            rel_exact: &self.rel_exact,
-            universe: &self.universe,
+            rel: ExactRel::Ratios(&self.rel_exact),
+            universe: ExactRows::Tuples(&self.universe),
             dis: &*self.dis,
             sums: &self.mono_sums,
         }

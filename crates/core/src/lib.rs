@@ -80,7 +80,7 @@ mod variant;
 pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
 pub use constraints::{CmOp, CmPred, Constraint};
 pub use coreset::{
-    Coreset, CoresetConfig, CoresetEngine, PreparedCoreset, SharedCoreset,
+    Coreset, CoresetConfig, CoresetEngine, PreparedCoreset,
     CORESET_AUTO_THRESHOLD,
 };
 pub use deadline::Deadline;
@@ -106,7 +106,7 @@ pub use variant::PreparedVariant;
 /// Common imports for downstream users.
 pub mod prelude {
     pub use crate::constraints::{CmPred, Constraint};
-    pub use crate::coreset::{CoresetConfig, CoresetEngine, PreparedCoreset, SharedCoreset};
+    pub use crate::coreset::{CoresetConfig, CoresetEngine, PreparedCoreset};
     pub use crate::deadline::Deadline;
     pub use crate::distance::{
         ConstantDistance, Distance, HammingDistance, NumericDistance, TableDistance,

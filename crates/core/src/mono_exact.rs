@@ -12,6 +12,7 @@
 //! `O(n)` per insert. Without a column the per-pair sweep remains, as
 //! the fallback inside the one [`ExactView::mono_score_exact`] body.
 
+use crate::coreset::{RelColumn, Rows};
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::ServeError;
@@ -110,12 +111,10 @@ impl MonoSums {
     pub(crate) const BYTES_PER_ITEM: usize =
         std::mem::size_of::<i64>() + std::mem::size_of::<i128>();
 
-    /// The sums of `universe` under `dis`, built on first use; `None`
-    /// when the oracle offers no usable column.
-    pub(crate) fn get_or_build(&self, dis: &dyn Distance, universe: &[Tuple]) -> Option<&KeySums> {
-        self.0
-            .get_or_init(|| dis.key_column(universe).and_then(KeySums::build))
-            .as_ref()
+    /// The sums over the key column `column` reads, built on first use;
+    /// `None` when the oracle offers no usable column.
+    pub(crate) fn get_or_build(&self, column: impl FnOnce() -> Option<Vec<i64>>) -> Option<&KeySums> {
+        self.0.get_or_init(|| column().and_then(KeySums::build)).as_ref()
     }
 
     /// Insert repair (when populated): `tuple` is about to be appended
@@ -149,6 +148,41 @@ impl MonoSums {
     }
 }
 
+/// The exact relevance scores an [`ExactView`] reads: a full-matrix
+/// universe's `Ratio`s, or a coreset entry's float column.
+#[derive(Clone, Copy)]
+pub(crate) enum ExactRel<'s> {
+    Ratios(&'s [Ratio]),
+    Column(&'s RelColumn),
+}
+
+impl ExactRel<'_> {
+    fn at(self, i: usize) -> Ratio {
+        match self {
+            ExactRel::Ratios(r) => r[i],
+            ExactRel::Column(c) => c.exact(i),
+        }
+    }
+}
+
+/// The rows an [`ExactView`] reads: a full-matrix universe's tuples, or
+/// a coreset entry's encoded rows, of which an exact score decodes
+/// only the members it measures.
+#[derive(Clone, Copy)]
+pub(crate) enum ExactRows<'s> {
+    Tuples(&'s [Tuple]),
+    Encoded(&'s Rows),
+}
+
+impl ExactRows<'_> {
+    fn len(self) -> usize {
+        match self {
+            ExactRows::Tuples(u) => u.len(),
+            ExactRows::Encoded(rows) => rows.len(),
+        }
+    }
+}
+
 /// The one exact-objective view: everything an exact score reads,
 /// borrowed from a prepared state
 /// ([`PreparedUniverse::exact`](crate::engine::PreparedUniverse) or
@@ -157,8 +191,8 @@ impl MonoSums {
 /// body however the set was chosen.
 pub(crate) struct ExactView<'s> {
     pub(crate) lambda: Ratio,
-    pub(crate) rel_exact: &'s [Ratio],
-    pub(crate) universe: &'s [Tuple],
+    pub(crate) rel: ExactRel<'s>,
+    pub(crate) universe: ExactRows<'s>,
     pub(crate) dis: &'s (dyn Distance + 's),
     pub(crate) sums: &'s MonoSums,
 }
@@ -166,23 +200,40 @@ pub(crate) struct ExactView<'s> {
 impl ExactView<'_> {
     /// Exact per-item mono score `v(t_i)` (Theorem 5.4's sort key) over
     /// the whole universe. `O(1)` from the memoized key-column sums;
-    /// without a column the `O(n)` per-pair sweep, preceded by one
-    /// `deadline` poll — the only way this fails.
+    /// without a column the `O(n)` per-pair sweep (over encoded rows, a
+    /// chunk of decoded rows at a time), preceded by one `deadline`
+    /// poll — the only way this fails.
     pub(crate) fn mono_score_exact(&self, i: usize, deadline: Deadline) -> Result<Ratio, ServeError> {
-        let rel_part = (Ratio::ONE - self.lambda) * self.rel_exact[i];
+        let rel_part = (Ratio::ONE - self.lambda) * self.rel.at(i);
         let n = self.universe.len();
         if n <= 1 || self.lambda.is_zero() {
             return Ok(rel_part);
         }
-        let dsum = match self.sums.get_or_build(self.dis, self.universe) {
+        let memo = self.sums.get_or_build(|| match self.universe {
+            ExactRows::Tuples(u) => self.dis.key_column(u),
+            ExactRows::Encoded(rows) => rows.key_column(self.dis),
+        });
+        let dsum = match memo {
             Some(memo) => Ratio::new_i128(memo.sums[i], 1),
             None => {
                 deadline.check()?;
-                let t = &self.universe[i];
                 let mut dsum = Ratio::ZERO;
-                for (j, other) in self.universe.iter().enumerate() {
-                    if j != i {
-                        dsum += self.dis.dist(t, other);
+                let mut sweep = |first: usize, rows: &[Tuple], t: &Tuple| {
+                    for (off, other) in rows.iter().enumerate() {
+                        if first + off != i {
+                            dsum += self.dis.dist(t, other);
+                        }
+                    }
+                };
+                match self.universe {
+                    ExactRows::Tuples(u) => sweep(0, u, &u[i]),
+                    ExactRows::Encoded(rows) => {
+                        let t = rows.get(i);
+                        let swept: Result<(), ()> = rows.try_for_each_chunk(|first, chunk| {
+                            sweep(first, chunk, &t);
+                            Ok(())
+                        });
+                        swept.expect("the sweep cannot fail");
                     }
                 }
                 dsum
@@ -195,26 +246,40 @@ impl ExactView<'_> {
     /// semantics, term for term
     /// [`DiversityProblem::objective`](crate::problem::DiversityProblem::objective):
     /// `F_MS`/`F_MM` read the members' relevances and pairwise oracle
-    /// distances, `F_mono` adds the members' scores in `subset` order —
-    /// the only kind that can trip `deadline`.
+    /// distances (over encoded rows, the `k` members decoded once),
+    /// `F_mono` adds the members' scores in `subset` order — the only
+    /// kind that can trip `deadline`.
     pub(crate) fn value(
         &self,
         kind: ObjectiveKind,
         subset: &[usize],
         deadline: Deadline,
     ) -> Result<Ratio, ServeError> {
-        let rel = |a: usize| self.rel_exact[subset[a]];
-        let dist = |a: usize, b: usize| {
-            self.dis
-                .dist(&self.universe[subset[a]], &self.universe[subset[b]])
-        };
-        match kind {
-            ObjectiveKind::MaxSum => Ok(f_ms_from(subset.len(), self.lambda, rel, dist)),
-            ObjectiveKind::MaxMin => Ok(f_mm_from(subset.len(), self.lambda, rel, dist)),
-            ObjectiveKind::Mono => subset
+        match (kind, self.universe) {
+            (ObjectiveKind::Mono, _) => subset
                 .iter()
                 .map(|&i| self.mono_score_exact(i, deadline))
                 .sum(),
+            (_, ExactRows::Tuples(u)) => Ok(self.pair_value(kind, subset, |a| &u[subset[a]])),
+            (_, ExactRows::Encoded(rows)) => {
+                let members: Vec<Tuple> = subset.iter().map(|&i| rows.get(i)).collect();
+                Ok(self.pair_value(kind, subset, |a| &members[a]))
+            }
+        }
+    }
+
+    /// `F_MS` or `F_MM` of `subset`, whose `a`-th member is `member(a)`.
+    fn pair_value<'t>(
+        &self,
+        kind: ObjectiveKind,
+        subset: &[usize],
+        member: impl Fn(usize) -> &'t Tuple,
+    ) -> Ratio {
+        let rel = |a: usize| self.rel.at(subset[a]);
+        let dist = |a: usize, b: usize| self.dis.dist(member(a), member(b));
+        match kind {
+            ObjectiveKind::MaxSum => f_ms_from(subset.len(), self.lambda, rel, dist),
+            _ => f_mm_from(subset.len(), self.lambda, rel, dist),
         }
     }
 }

@@ -1,11 +1,12 @@
 //! The prepared serving state of one universe: full matrix or coreset.
 
-use crate::coreset::{CoresetEngine, SharedCoreset};
+use crate::coreset::{CoresetEngine, PreparedCoreset};
 use crate::deadline::Deadline;
 use crate::engine::{DeltaOp, Engine, EngineRequest, ServeError, SharedPrepared, SolveScratch};
 use crate::ratio::Ratio;
 use crate::relevance::Relevance;
 use divr_relquery::Tuple;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -25,20 +26,25 @@ pub enum PreparedVariant {
     /// Full-matrix prepared state (exact-tie-fallback engine).
     Full(SharedPrepared),
     /// Coreset prepared state (`m × m` matrix, `O(n)` bookkeeping).
-    Coreset(SharedCoreset),
+    Coreset(Arc<PreparedCoreset>),
 }
 
 impl PreparedVariant {
     /// Universe size `n`.
     pub fn n(&self) -> usize {
-        self.universe().len()
+        match self {
+            PreparedVariant::Full(p) => p.n(),
+            PreparedVariant::Coreset(p) => p.n(),
+        }
     }
 
-    /// The materialized universe `Q(D)` answers index into.
-    pub fn universe(&self) -> &[Tuple] {
+    /// The materialized universe `Q(D)` answers index into: borrowed
+    /// from a full-matrix state, decoded from a coreset's rows (which
+    /// hold no tuples) into an owned copy.
+    pub fn universe(&self) -> Cow<'_, [Tuple]> {
         match self {
-            PreparedVariant::Full(p) => p.universe(),
-            PreparedVariant::Coreset(p) => p.universe(),
+            PreparedVariant::Full(p) => Cow::Borrowed(p.universe()),
+            PreparedVariant::Coreset(p) => Cow::Owned(p.universe()),
         }
     }
 
@@ -56,7 +62,7 @@ impl PreparedVariant {
     }
 
     /// The coreset prepared state, if that is what was built.
-    pub fn as_coreset(&self) -> Option<&SharedCoreset> {
+    pub fn as_coreset(&self) -> Option<&Arc<PreparedCoreset>> {
         match self {
             PreparedVariant::Full(_) => None,
             PreparedVariant::Coreset(p) => Some(p),

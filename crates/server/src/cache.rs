@@ -182,6 +182,18 @@ impl PreparedCache {
         key: &UniverseKey,
         build: impl FnOnce() -> Result<PreparedVariant, E>,
     ) -> Result<PreparedVariant, E> {
+        self.get_or_try_prepare_resident(key, || Ok((key.exact(), build()?)))
+    }
+
+    /// [`PreparedCache::get_or_try_prepare_with`] whose `build` also
+    /// returns the key the entry is to be resident under: `key` as an
+    /// [`UniverseKey::exact`] one, whose bytes a coreset entry may hold
+    /// as its rows, so that one allocation serves both.
+    pub(crate) fn get_or_try_prepare_resident<E>(
+        &self,
+        key: &UniverseKey,
+        build: impl FnOnce() -> Result<(UniverseKey, PreparedVariant), E>,
+    ) -> Result<PreparedVariant, E> {
         let shard = self.shard_of(key);
         {
             let mut guard = self.lock_shard(shard);
@@ -197,20 +209,22 @@ impl PreparedCache {
         let built = build();
         self.prepare_us
             .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-        Ok(self.adopt_or_insert(shard, key, built?))
+        let (resident, prepared) = built?;
+        debug_assert!(resident == *key && resident.is_exact());
+        Ok(self.adopt_or_insert(shard, resident, prepared))
     }
 
     /// The common tail of a miss: re-lock, adopt a race winner if one
-    /// appeared while we built, otherwise insert and evict past budget.
+    /// appeared while we built, otherwise insert under `resident` (an
+    /// exact key) and evict past budget.
     fn adopt_or_insert(
         &self,
         shard: &Mutex<Shard>,
-        key: &UniverseKey,
+        resident: UniverseKey,
         prepared: PreparedVariant,
     ) -> PreparedVariant {
-        let resident = key.exact(); // copied, if at all, outside the lock
         let mut guard = self.lock_shard(shard);
-        if let Some(entry) = guard.get_mut(key) {
+        if let Some(entry) = guard.get_mut(&resident) {
             // Lost a build race; adopt the winner so all callers share.
             entry.stamp = self.tick();
             return entry.prepared.clone();

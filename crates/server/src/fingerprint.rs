@@ -104,12 +104,17 @@ impl UniverseKey {
         &self.bytes
     }
 
+    /// Whether this key's bytes fill their allocation exactly.
+    pub(crate) fn is_exact(&self) -> bool {
+        self.bytes.capacity() == self.bytes.len()
+    }
+
     /// This key with its bytes in an allocation of exactly their
     /// length — what a cache entry keeps. A spec's key is written row by
     /// row and shares the writer's growth headroom, up to its own size
     /// again; resident, that headroom would stay for the entry's life.
     pub(crate) fn exact(&self) -> UniverseKey {
-        if self.bytes.capacity() == self.bytes.len() {
+        if self.is_exact() {
             return self.clone();
         }
         UniverseKey {

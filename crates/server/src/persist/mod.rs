@@ -149,7 +149,7 @@ impl WarmQueryRecord {
     fn of(spec: &QuerySpec, prepared: &PreparedVariant, base_len: usize) -> Self {
         WarmQueryRecord {
             spec: spec.clone(),
-            universe: prepared.universe().to_vec(),
+            universe: prepared.universe().into_owned(),
             kind: match prepared {
                 PreparedVariant::Full(_) => WarmKind::Full,
                 PreparedVariant::Coreset(_) => WarmKind::Coreset,

@@ -35,7 +35,9 @@
 use crate::cache::PreparedCache;
 use crate::fingerprint::{FingerprintEncoder, UniverseKey};
 use crate::registry::{claim_each, solve_checked, CheckedAnswer, Registry};
-use crate::spec::{CoresetSpec, Instance, PreparedVariant, ServableDistance, ServableRelevance};
+use crate::spec::{
+    BuildRows, CoresetSpec, Instance, PreparedVariant, ServableDistance, ServableRelevance,
+};
 use divr_core::coreset::{CoresetConfig, CORESET_AUTO_THRESHOLD};
 use divr_core::engine::{DeltaOp, EngineRequest, ServeError};
 use divr_core::{Deadline, Ratio};
@@ -158,7 +160,7 @@ impl QuerySpec {
     }
 
     /// The canonical tableau key of the query.
-    pub fn canon(&self) -> &CanonicalQuery {
+    pub(crate) fn canon(&self) -> &CanonicalQuery {
         &self.canon
     }
 
@@ -198,7 +200,8 @@ impl QuerySpec {
     ) -> Result<PreparedVariant, ServeError> {
         let auto = (tuples.len() > CORESET_AUTO_THRESHOLD)
             .then(|| CoresetConfig::recommended(self.max_k).with_threads(threads));
-        self.instance.build(tuples, auto, true, threads, deadline)
+        self.instance
+            .build(BuildRows::Tuples(tuples), auto, true, threads, deadline)
     }
 }
 
@@ -441,7 +444,7 @@ impl QueryFrontDoor {
                 .ok_or_else(|| QueryError::UnknownDatabase(db.to_string()))?;
             let key = Self::key_of(db, dbst, spec);
             let (prepared, built) = self.registry.fetch(&key, || {
-                Self::build_prepared(&dbst.db, spec, threads, deadline)
+                Self::build_prepared(&dbst.db, spec, threads, deadline).map(|p| (key.exact(), p))
             })?;
             if !built && dbst.warm.contains_key(&key) {
                 // A warm hit changes nothing: no map-wide write lock.
@@ -532,7 +535,7 @@ impl QueryFrontDoor {
     /// oracle must feed the materialized path to expect bit-identical
     /// answers.
     pub fn universe_of(&self, db: &str, spec: &QuerySpec) -> Result<Vec<Tuple>, QueryError> {
-        Ok(self.resolve(db, spec, Deadline::none())?.universe().to_vec())
+        Ok(self.resolve(db, spec, Deadline::none())?.universe().into_owned())
     }
 
     /// Inserts one tuple into a base relation and **delta-repairs every
@@ -632,13 +635,15 @@ impl QueryFrontDoor {
             .extract_if(|_, w| w.spec.relations.contains(relation))
             .filter_map(|(old_key, w)| Some((w, self.cache().take(&old_key)?)))
             .collect();
+        let universes: Vec<_> = taken.iter().map(|(_, p)| p.universe()).collect();
         let plans = plan_base_edit(
             &mut dbst.db,
             insert,
             relation,
             &tuple,
-            taken.iter().map(|(w, p)| (&w.spec.query, p.universe())),
+            taken.iter().zip(&universes).map(|((w, _), u)| (&w.spec.query, &**u)),
         );
+        drop(universes);
         *dbst.rel_versions.entry(relation.to_string()).or_insert(0) += 1;
 
         for ((w, prepared), plan) in taken.into_iter().zip(plans) {

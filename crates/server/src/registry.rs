@@ -199,11 +199,11 @@ impl Registry {
     pub(crate) fn fetch<E: From<ServeError>>(
         &self,
         key: &UniverseKey,
-        build: impl FnOnce() -> Result<PreparedVariant, E>,
+        build: impl FnOnce() -> Result<(UniverseKey, PreparedVariant), E>,
     ) -> Result<(PreparedVariant, bool), E> {
         let mut built = false;
         let fetched = catch_unwind(AssertUnwindSafe(|| {
-            self.cache.get_or_try_prepare_with(key, || {
+            self.cache.get_or_try_prepare_resident(key, || {
                 built = true;
                 build()
             })
@@ -221,8 +221,7 @@ impl Registry {
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, ServeError> {
-        let (prepared, built) =
-            self.fetch(key, || spec.try_prepare_variant_deadline(threads, deadline))?;
+        let (prepared, built) = self.fetch(key, || spec.try_prepare_resident(threads, deadline))?;
         if let (true, Some(d)) = (built, self.persist.get()) {
             d.log_warm_universe(spec);
         }
@@ -233,12 +232,11 @@ impl Registry {
     /// replay of a `WarmUniverse` record). Already-resident content is
     /// the same content, and is left untouched.
     pub(crate) fn restore_entry(&self, spec: &UniverseSpec) -> Result<(), ServeError> {
-        let key = spec.key();
-        if self.cache.contains(&key) {
+        if self.cache.contains(&spec.key()) {
             return Ok(());
         }
-        let prepared = spec.try_prepare_variant(self.solve_threads)?;
-        self.cache.insert(&key, prepared);
+        let (resident, prepared) = spec.try_prepare_resident(self.solve_threads, Deadline::none())?;
+        self.cache.insert(&resident, prepared);
         Ok(())
     }
 

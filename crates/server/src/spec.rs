@@ -205,11 +205,13 @@ impl Instance {
     /// matrix keeps growth headroom only when `growable`: the query
     /// front door's entries, which base edits patch in place; a serve
     /// frame's universe is content-addressed and never patched, so it
-    /// allocates exactly `n²` cells. Refusals and the deadline are as
+    /// allocates exactly `n²` cells. A coreset over encoded `rows` holds
+    /// their bytes; one over tuples encodes them once. Refusals and the
+    /// deadline are as
     /// [`UniverseSpec::try_prepare_variant_deadline`] documents them.
     pub(crate) fn build(
         &self,
-        tuples: Vec<Tuple>,
+        rows: BuildRows,
         auto: Option<CoresetConfig>,
         growable: bool,
         threads: usize,
@@ -221,14 +223,25 @@ impl Instance {
             refine_rounds: mode.refine_rounds,
             threads,
         });
-        let prepared = match explicit.or(auto) {
-            Some(config) => {
+        let prepared = match (explicit.or(auto), rows) {
+            (Some(config), BuildRows::Tuples(tuples)) => {
                 PreparedVariant::Coreset(Arc::new(PreparedCoreset::try_build_shared_deadline(
                     tuples, rel, dis, lambda, &config, deadline,
                 )?))
             }
-            None => PreparedVariant::Full(Arc::new(PreparedUniverse::try_build_shared_deadline(
-                tuples, rel, dis, lambda, threads, growable, deadline,
+            (Some(config), BuildRows::Encoded { bytes, at }) => {
+                PreparedVariant::Coreset(Arc::new(PreparedCoreset::try_build_rows_deadline(
+                    bytes, at, rel, dis, lambda, &config, deadline,
+                )?))
+            }
+            (None, rows) => PreparedVariant::Full(Arc::new(PreparedUniverse::try_build_shared_deadline(
+                rows.into_tuples(),
+                rel,
+                dis,
+                lambda,
+                threads,
+                growable,
+                deadline,
             )?)),
         };
         prepared.check_finite()?;
@@ -242,6 +255,27 @@ impl std::fmt::Debug for Instance {
             .field("λ", &self.lambda)
             .field("coreset", &self.coreset)
             .finish()
+    }
+}
+
+/// The universe an [`Instance::build`] consumes: tuples, or rows already
+/// encoded in [`ByteWriter::write_tuples`]'s layout, whose count sits at
+/// byte `at` of `bytes` — a universe key's, which a coreset entry then
+/// holds as its rows.
+pub(crate) enum BuildRows {
+    Tuples(Vec<Tuple>),
+    Encoded { bytes: Arc<Vec<u8>>, at: usize },
+}
+
+impl BuildRows {
+    /// The rows as tuples, decoded if they are encoded.
+    fn into_tuples(self) -> Vec<Tuple> {
+        match self {
+            BuildRows::Tuples(tuples) => tuples,
+            BuildRows::Encoded { bytes, at } => ByteReader::new(&bytes[at..])
+                .read_tuples()
+                .expect("a spec's rows are an encoding it wrote or checked"),
+        }
     }
 }
 
@@ -435,6 +469,13 @@ impl UniverseSpec {
         self.n
     }
 
+    /// The encoded size of the rows (their count included): what a
+    /// coreset entry over them holds as its rows
+    /// ([`PreparedCoreset::entry_bytes`]).
+    pub fn row_bytes(&self) -> usize {
+        self.rows().len()
+    }
+
     /// The materialized universe `Q(D)`, decoded from the key bytes on
     /// first use.
     pub fn universe(&self) -> &[Tuple] {
@@ -454,9 +495,15 @@ impl UniverseSpec {
 
     /// The rows as tuples, read from the key bytes.
     fn decode(&self) -> Vec<Tuple> {
-        ByteReader::new(self.rows())
-            .read_tuples()
-            .expect("a spec's rows are an encoding it wrote or checked")
+        self.encoded(&self.bytes).into_tuples()
+    }
+
+    /// The rows in `bytes`, which hold this spec's key.
+    fn encoded(&self, bytes: &Arc<Vec<u8>>) -> BuildRows {
+        BuildRows::Encoded {
+            bytes: bytes.clone(),
+            at: ROWS_AT,
+        }
     }
 
     /// The tuples a build consumes: decoded for it, unless
@@ -493,7 +540,7 @@ impl UniverseSpec {
         if r.read_str() != Ok(UNIVERSE) {
             return Ok(None);
         }
-        let n = r.read_tuples()?.len();
+        let n = r.skip_tuples()?;
         let tail_at = key.bytes().len() - r.remaining();
         r.read_str()?; // rel
         let rel = read_relevance(&mut r)?;
@@ -564,7 +611,37 @@ impl UniverseSpec {
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, ServeError> {
-        self.instance.build(self.tuples(), None, false, threads, deadline)
+        self.build_in(&self.bytes, threads, deadline)
+    }
+
+    /// [`UniverseSpec::try_prepare_variant_deadline`] for a cache miss:
+    /// the prepared state and the exact key it is to be resident under
+    /// ([`UniverseKey::exact`]). A coreset entry holds that key's bytes
+    /// as its rows, so the cache keeps one copy of them, not two.
+    pub(crate) fn try_prepare_resident(
+        &self,
+        threads: usize,
+        deadline: Deadline,
+    ) -> Result<(UniverseKey, PreparedVariant), ServeError> {
+        let resident = self.key().exact();
+        let prepared = self.build_in(resident.shared(), threads, deadline)?;
+        Ok((resident, prepared))
+    }
+
+    /// The build over this spec's key bytes held in `bytes`: a coreset
+    /// entry keeps them as its rows; a full matrix decodes them into its
+    /// tuples (or takes the ones [`UniverseSpec::universe`] holds).
+    fn build_in(
+        &self,
+        bytes: &Arc<Vec<u8>>,
+        threads: usize,
+        deadline: Deadline,
+    ) -> Result<PreparedVariant, ServeError> {
+        let rows = match self.instance.coreset {
+            Some(_) => self.encoded(bytes),
+            None => BuildRows::Tuples(self.tuples()),
+        };
+        self.instance.build(rows, None, false, threads, deadline)
     }
 }
 

@@ -10,10 +10,11 @@
 //!   full; a drained bucket yields a retryable `429 qps_exceeded`.
 //! * **Cache bytes** — a ledger of the prepared-state bytes each
 //!   tenant's *distinct* universes would pin, charged once per
-//!   universe key from the closed-form size estimate (`n²` floats
-//!   full-matrix, `m²` coreset) **before** preparation runs. A tenant
-//!   over quota gets `429 cache_quota` and, crucially, never triggers
-//!   the `O(n²)` build — the quota protects the cache *and* the CPU.
+//!   universe key from a closed-form size estimate (`n²` floats
+//!   full-matrix; a coreset, the cache's own size model) **before**
+//!   preparation runs. A tenant over quota gets `429 cache_quota` and,
+//!   crucially, never triggers the `O(n²)` build — the quota protects
+//!   the cache *and* the CPU.
 //!   The ledger is an admission-side upper bound, deliberately not
 //!   refunded on LRU eviction: a tenant cycling through endless
 //!   distinct universes is exactly the abuse the quota exists to stop.
@@ -48,7 +49,8 @@
 //! until the process exits. `{"op":"stats"}` reports both sizes
 //! (`admission.tenants`, `admission.ledger_rows`).
 
-use divr_server::UniverseKey;
+use divr_core::coreset::PreparedCoreset;
+use divr_server::{UniverseKey, UniverseSpec};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -281,16 +283,34 @@ impl Admission {
 }
 
 /// The closed-form prepared-state size estimate admission charges
-/// before preparation runs: the `8`-byte float matrix (`n × n` full,
-/// `m × m` coreset) plus `48` bytes of per-item bookkeeping. It does
-/// not mirror the cache's post-build metering: tuple payloads and matrix
-/// headroom are left out, so it charges less than the cache meters — a
-/// `20 000`-row coreset entry at `m = 256` is estimated at 1 484 288 B
-/// and metered at 3 449 344 B. The quota is stated in these estimates.
+/// before preparation runs, for `n` rows not yet seen: a full matrix is
+/// its `8`-byte `n × n` floats plus `48` bytes of per-item bookkeeping
+/// (tuple payloads and matrix headroom left out, so it charges less
+/// than the cache meters); a coreset is the cache's own size model,
+/// [`PreparedCoreset::entry_bytes`], with each row charged the 8-byte
+/// arity word every encoded row starts with — a lower bound until the
+/// rows are known (`estimate_universe_bytes` charges a frame's
+/// universe its real rows). The quota is stated in these estimates.
 pub fn estimate_prepared_bytes(n: usize, coreset_budget: Option<usize>) -> u64 {
-    let n = n as u64;
-    let side = coreset_budget.map_or(n, |m| (m as u64).min(n));
-    side * side * 8 + n * 48
+    estimate_bytes(n, coreset_budget, n * 8)
+}
+
+/// [`estimate_prepared_bytes`] for a universe whose rows are in hand:
+/// a coreset spec is charged exactly what its entry will meter, the
+/// retained oracle's own bytes aside.
+pub(crate) fn estimate_universe_bytes(spec: &UniverseSpec) -> u64 {
+    let budget = spec.coreset().map(|mode| mode.budget);
+    estimate_bytes(spec.n(), budget, spec.row_bytes())
+}
+
+fn estimate_bytes(n: usize, coreset_budget: Option<usize>, row_bytes: usize) -> u64 {
+    match coreset_budget {
+        Some(m) => PreparedCoreset::entry_bytes(n, m, row_bytes) as u64,
+        None => {
+            let n = n as u64;
+            n * n * 8 + n * 48
+        }
+    }
 }
 
 #[cfg(test)]
@@ -397,7 +417,39 @@ mod tests {
         // Budget above n clamps to n.
         assert_eq!(
             estimate_prepared_bytes(10, Some(99)),
-            estimate_prepared_bytes(10, None)
+            estimate_prepared_bytes(10, Some(10))
         );
+    }
+
+    /// A coreset frame's universe is charged what its entry meters, the
+    /// oracle's own bytes aside: 20 000 two-integer rows at `m = 256`,
+    /// built the way a cache miss builds it, from the key's bytes.
+    #[test]
+    fn a_coreset_universe_is_charged_what_its_entry_meters() {
+        use divr_core::distance::{Distance, NumericDistance};
+        use divr_core::relevance::AttributeRelevance;
+        use divr_core::Ratio;
+        use divr_relquery::Tuple;
+        use divr_server::CoresetSpec;
+        use std::sync::Arc;
+
+        let dis = NumericDistance {
+            attr: 0,
+            fallback: Ratio::ZERO,
+        };
+        let spec = UniverseSpec::new(
+            (0..20_000).map(|i| Tuple::ints([i * 7919 % 1_000_003, i % 11])).collect(),
+            Arc::new(AttributeRelevance {
+                attr: 1,
+                default: Ratio::ZERO,
+            }),
+            Arc::new(dis.clone()),
+            Ratio::new(1, 2),
+        )
+        .with_coreset(CoresetSpec::with_budget(256));
+        let built = spec.try_prepare_variant(1).unwrap();
+        assert!(built.is_coreset());
+        let metered = built.approx_bytes() - dis.approx_bytes();
+        assert_eq!(estimate_universe_bytes(&spec), metered as u64);
     }
 }

@@ -38,7 +38,9 @@
 //! a panicking oracle — answers a non-retryable `500 worker_panicked`
 //! and the worker stays in the pool.
 
-use crate::admission::{estimate_prepared_bytes, Admission, AdmissionConfig, Rejection};
+use crate::admission::{
+    estimate_prepared_bytes, estimate_universe_bytes, Admission, AdmissionConfig, Rejection,
+};
 use crate::histogram::LatencyStats;
 use crate::json::{object, Value};
 use crate::proto::{
@@ -590,7 +592,7 @@ fn handle_serve(shared: &Shared, frame: Frame) -> Handled {
 
     // Cache-byte gate, after degradation so a degraded universe is
     // charged its (far smaller) coreset footprint.
-    let estimate = estimate_prepared_bytes(spec.n(), spec.coreset().map(|mode| mode.budget));
+    let estimate = estimate_universe_bytes(&spec);
     shared
         .admission
         .charge_universe(tenant, &spec.key(), estimate)

@@ -12,6 +12,11 @@
 //! 1.28 MB of tuples); and it must allocate a handful of times, not once
 //! a row.
 //!
+//! The cold frame that precedes it leaves one coreset entry resident,
+//! and that entry holds the universe's rows once: as the cache key's own
+//! bytes, beside `O(n)` float columns and the `m × m` matrix — no tuple
+//! and no exact score per row (3.9 MB resident when it held both).
+//!
 //! Live bytes are a property of the process, so this file is its own
 //! test binary and its cells share one measurement, taken once; the
 //! counts are `Layout` sizes and calls, the same in debug and release
@@ -74,6 +79,8 @@ fn live() -> usize {
 }
 
 const N: i64 = 20_000;
+/// The frame's coreset budget `m`.
+const M: usize = 256;
 
 /// A `serve` frame over `N` tuples `[position, score]` in coreset mode.
 fn frame_text() -> String {
@@ -81,8 +88,9 @@ fn frame_text() -> String {
         .map(|i| format!("[{},{}]", (i * 7919) % 1_000_003, i % 11))
         .collect();
     format!(
-        r#"{{"op":"serve","tenant":"t","universe":{{"tuples":[{}],"relevance":{{"kind":"attribute","attr":1}},"distance":{{"kind":"numeric","attr":0}},"lambda":[1,2],"coreset":{{"budget":256}}}},"requests":[{{"objective":"max_sum","k":10}},{{"objective":"max_min","k":10}}]}}"#,
-        tuples.join(",")
+        r#"{{"op":"serve","tenant":"t","universe":{{"tuples":[{}],"relevance":{{"kind":"attribute","attr":1}},"distance":{{"kind":"numeric","attr":0}},"lambda":[1,2],"coreset":{{"budget":{M}}}}},"requests":[{{"objective":"max_sum","k":10}},{{"objective":"max_min","k":10}}]}}"#,
+        tuples.join(","),
+        M = M
     )
 }
 
@@ -94,6 +102,10 @@ struct WarmFrame {
     calls: usize,
     /// The frame's universe as tuples, decoded from its JSON tree.
     universe: usize,
+    /// Live bytes the cold frame left behind: the resident entry.
+    cold_resident: usize,
+    /// The universe's rows in their canonical encoding.
+    rows: usize,
 }
 
 fn warm_frame() -> &'static WarmFrame {
@@ -110,7 +122,10 @@ fn warm_frame() -> &'static WarmFrame {
             rows.as_array().unwrap().iter().map(|row| wire::tuple_from_json(row).unwrap()).collect();
         let universe = live() - before;
         assert_eq!(tuples.len(), N as usize);
-        drop((tuples, tree));
+        let mut encoded = divr_core::ByteWriter::new();
+        encoded.write_tuples(&tuples);
+        let rows = encoded.bytes().len();
+        drop((tuples, tree, encoded));
 
         let service = Service::start(ServiceConfig {
             workers: 1,
@@ -127,6 +142,7 @@ fn warm_frame() -> &'static WarmFrame {
         };
 
         // Cold: selects the coreset and leaves it resident.
+        let idle = live();
         send(&mut stream);
         // Warm: everything allocated from here on is the frame's own.
         let resident = live();
@@ -137,11 +153,14 @@ fn warm_frame() -> &'static WarmFrame {
             peak: PEAK.load(Ordering::Relaxed) - resident,
             calls: CALLS.load(Ordering::Relaxed) - calls,
             universe,
+            cold_resident: resident - idle,
+            rows,
         };
         service.shutdown();
         println!(
-            "warm frame: peak {} B, {} allocator calls; the universe's tuples {} B",
-            measured.peak, measured.calls, measured.universe
+            "warm frame: peak {} B, {} allocator calls; the universe's tuples {} B; \
+             the cold frame left {} B resident over {} B of rows",
+            measured.peak, measured.calls, measured.universe, measured.cold_resident, measured.rows
         );
         measured
     })
@@ -164,5 +183,18 @@ fn a_warm_frame_allocates_far_fewer_times_than_it_has_rows() {
     assert!(
         calls < N as usize / 100,
         "a warm frame over {N} rows made {calls} allocator calls: rows allocate again"
+    );
+}
+
+#[test]
+fn a_coreset_entry_holds_its_rows_once() {
+    let frame = warm_frame();
+    let bound = frame.rows + N as usize * 40 + M * M * 8 + (64 << 10);
+    assert!(
+        frame.cold_resident <= bound,
+        "the cold frame left {} B resident, above {bound} B: the rows once ({} B), \
+         40 B a row and the {M} × {M} matrix",
+        frame.cold_resident,
+        frame.rows
     );
 }

@@ -36,7 +36,7 @@ pub use divr_service as service;
 
 // The large-universe (coreset) API, lifted from `divr::core::coreset`.
 pub use divr_core::coreset::{
-    Coreset, CoresetConfig, CoresetEngine, PreparedCoreset, SharedCoreset,
+    Coreset, CoresetConfig, CoresetEngine, PreparedCoreset,
     CORESET_AUTO_THRESHOLD,
 };
 // The serving-registry API, lifted from `divr::server`.

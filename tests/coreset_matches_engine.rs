@@ -408,14 +408,14 @@ fn patched_cover_stays_within_twice_its_selection() {
                         stored <= 2.0 * selection,
                         "{family}: {stored} vs selection {selection}"
                     );
-                    let exact = c
-                        .universe()
+                    let universe = patched.universe();
+                    let exact = universe
                         .iter()
                         .map(|t| {
                             c.coreset()
                                 .indices()
                                 .iter()
-                                .map(|&r| dis.dist_f64(t, &c.universe()[r]))
+                                .map(|&r| dis.dist_f64(t, &universe[r]))
                                 .fold(f64::INFINITY, f64::min)
                         })
                         .fold(0.0, f64::max);
