@@ -71,8 +71,8 @@ fn quick() -> bool {
 /// relevances — deterministic per `n`.
 fn workload(n: usize) -> (Vec<divr_relquery::Tuple>, TableRelevance) {
     let mut r = StdRng::seed_from_u64(0xE9617E ^ ((n as u64) << 8));
-    let universe = divr_core::gen::point_universe(&mut r, n, 2, (10 * n) as i64);
-    let rel = divr_core::gen::random_relevance(&mut r, &universe, 100);
+    let universe = divr_paper::gen::point_universe(&mut r, n, 2, (10 * n) as i64);
+    let rel = divr_paper::gen::random_relevance(&mut r, &universe, 100);
     (universe, rel)
 }
 

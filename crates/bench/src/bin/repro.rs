@@ -16,7 +16,7 @@ use divr_bench::workloads as w;
 use divr_bench::{human_time, render_series, time_once, Point};
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
-use divr_core::solvers::{constrained, counting, exact, mono, relevance_only};
+use divr_paper::solvers::{constrained, counting, exact, mono, relevance_only};
 use divr_logic::{counting as lcount, sat, ssp};
 use divr_reductions as red;
 use divr_relquery::{Query, Tuple};
@@ -688,7 +688,7 @@ fn t3_constraints() {
 
     // Cor 9.7: constant k stays tractable even with constraints.
     {
-        use divr_core::constraints::{CmPred, Constraint};
+        use divr_paper::constraints::{CmPred, Constraint};
         let conflict = Constraint::builder()
             .forall(2)
             .exists(0)
@@ -815,7 +815,7 @@ fn figs() {
 fn approx() {
     banner("APPROXIMATION ABLATION — greedy / MMR / GMM / local search vs exact");
 
-    use divr_core::approx as ap;
+    use divr_paper::approx as ap;
     let trials = 20;
     let mut ratios: Vec<(String, f64, f64)> = Vec::new(); // (name, mean, min)
     let mut acc: std::collections::BTreeMap<&str, Vec<f64>> = Default::default();

@@ -169,8 +169,8 @@ pub fn with_point_problem<T>(
 ) -> T {
     let mut r = rng((4000 + salt) ^ ((n as u64) << 16));
     let coord_range = (10 * n) as i64;
-    let universe = divr_core::gen::point_universe(&mut r, n, 2, coord_range);
-    let rel = divr_core::gen::random_relevance(&mut r, &universe, 100);
+    let universe = divr_paper::gen::point_universe(&mut r, n, 2, coord_range);
+    let rel = divr_paper::gen::random_relevance(&mut r, &universe, 100);
     let dis = l1_distance();
     let p = DiversityProblem::new(universe, &rel, &dis, lambda, k);
     f(&p)
@@ -191,8 +191,8 @@ pub fn with_bounded_score_problem<T>(
     f: impl FnOnce(&DiversityProblem<'_>) -> T,
 ) -> T {
     let mut r = rng((9000 + salt) ^ ((n as u64) << 16));
-    let universe = divr_core::gen::point_universe(&mut r, n, 2, (4 * n) as i64);
-    let rel = divr_core::gen::random_relevance(&mut r, &universe, 8);
+    let universe = divr_paper::gen::point_universe(&mut r, n, 2, (4 * n) as i64);
+    let rel = divr_paper::gen::random_relevance(&mut r, &universe, 8);
     let dis = ConstantDistance(Ratio::ONE);
     let p = DiversityProblem::new(universe, &rel, &dis, lambda, k);
     f(&p)

@@ -17,14 +17,6 @@
 //!   `O(1)` (a generation bump; storage grows monotonically and is
 //!   reused across requests), so steady-state serving re-zeroes nothing
 //!   and allocates nothing.
-//!
-//! For the sequential `Ratio`-path reference algorithms in
-//! [`crate::approx`] and [`crate::dispersion`] — whose scan order over
-//! the ascending `available` vector is part of their observable
-//! tie-break semantics — [`remove_sorted`] replaces the old
-//! `retain(|&x| x != i && x != j)` full-predicate pass with a binary
-//! search plus a single shift, preserving ascending order (and thereby
-//! bit-identical answers) while skipping the predicate scan.
 
 /// A set over `0..n` with `O(1)` swap-removal and membership, plus a
 /// dense slice of the remaining items for linear scans.
@@ -111,16 +103,6 @@ impl GenMarks {
     }
 }
 
-/// Removes `x` from an **ascending** vector by binary search + shift:
-/// one `O(log n)` probe and one memmove instead of a full predicate
-/// scan. Order (and therefore any order-dependent tie-break built on
-/// the vector) is preserved. No-op if `x` is absent.
-pub(crate) fn remove_sorted(v: &mut Vec<usize>, x: usize) {
-    if let Ok(p) = v.binary_search(&x) {
-        v.remove(p);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,17 +155,5 @@ mod tests {
         m.reset(8);
         m.mark(7);
         assert!(m.is_marked(7));
-    }
-
-    #[test]
-    fn remove_sorted_preserves_order() {
-        let mut v = vec![1, 4, 6, 9];
-        remove_sorted(&mut v, 6);
-        assert_eq!(v, vec![1, 4, 9]);
-        remove_sorted(&mut v, 5); // absent: no-op
-        assert_eq!(v, vec![1, 4, 9]);
-        remove_sorted(&mut v, 1);
-        remove_sorted(&mut v, 9);
-        assert_eq!(v, vec![4]);
     }
 }

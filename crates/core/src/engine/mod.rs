@@ -1,12 +1,12 @@
 //! The batch diversification engine: precomputed distances, float-path
 //! argmax loops, exact-`Ratio` verification.
 //!
-//! The rest of this crate is written for *faithfulness to the paper*:
-//! every score is an exact rational ([`Ratio`]), every distance is
-//! recomputed through the [`Distance`] trait object, and the
-//! approximation routines in [`crate::approx`] scan candidates
-//! sequentially. That is the right trade-off for reproducing the
-//! hardness boundaries of Tables 1–3 — and the wrong one for serving
+//! The paper's model is written for *faithfulness*: every score is an
+//! exact rational ([`Ratio`]), every distance is recomputed through the
+//! [`Distance`] trait object, and the approximation routines of
+//! `divr_paper::approx` scan candidates sequentially. That is the right
+//! trade-off for reproducing the hardness boundaries of Tables 1–3 — and
+//! the wrong one for serving
 //! diversification queries at scale, where Zhang et al.
 //! ("Diversification on Big Data in Query Processing") identify distance
 //! (re)computation as the dominant cost and Capannini et al.
@@ -21,8 +21,8 @@
 //!   prepared instance — [`Engine::greedy_max_sum`] (`F_MS`),
 //!   [`Engine::gmm_max_min`] (`F_MM`), [`Engine::mono_top_k`] (`F_mono`,
 //!   the Theorem 5.4 PTIME selection) — with the per-round argmax over
-//!   candidates chunked across threads; [`crate::approx`] and
-//!   [`crate::solvers::mono`] stay the sequential `Ratio`-path
+//!   candidates chunked across threads; `divr_paper::approx` and
+//!   `divr_paper::solvers::mono` stay the sequential `Ratio`-path
 //!   references they are tested against,
 //! * one fallible entry point ([`Engine::serve_into`], with
 //!   [`Engine::try_serve`] as its allocating wrapper) that answers
@@ -51,7 +51,7 @@
 //! steady-state serving allocates nothing per request
 //! ([`Engine::serve_into`]). The
 //! differential suite (`tests/lazy_matches_reference.rs`) pins the heap
-//! to [`crate::approx::greedy_max_sum`] — same sets, same exact values.
+//! to `divr_paper::approx::greedy_max_sum` — same sets, same exact values.
 //!
 //! ## Exactness contract
 //!

@@ -8,11 +8,10 @@ use super::ties::{
     F64_TIE_EPS,
 };
 use super::{default_threads, EngineRequest, ServeError};
-use crate::approx::ms_pair_weight_parts;
 use crate::avail::{GenMarks, IndexSet};
 use crate::deadline::Deadline;
 use crate::distance::Distance;
-use crate::problem::ObjectiveKind;
+use crate::problem::{ms_pair_weight_parts, ObjectiveKind};
 use crate::ratio::Ratio;
 use crate::relevance::Relevance;
 use divr_relquery::Tuple;
@@ -232,7 +231,7 @@ impl Engine {
     }
 
     /// Argmax of relevance with lowest-index tie-break (the `k = 1` rule
-    /// of [`crate::approx`]), into a scratch tie buffer.
+    /// of `divr_paper::approx`), into a scratch tie buffer.
     fn most_relevant_with(&self, ties: &mut Vec<TieCandidate>) -> Option<usize> {
         if !argmax_with_ties_into(self.n(), self.threads, 1, &|i| Some(self.prepared.rel_f64()[i]), ties)
         {
@@ -242,7 +241,7 @@ impl Engine {
     }
 
     /// Greedy pair-picking for `F_MS`, float path with exact tie
-    /// fallback — same semantics as [`crate::approx::greedy_max_sum`].
+    /// fallback — same semantics as `divr_paper::approx::greedy_max_sum`.
     /// `None` when `k > n`.
     ///
     /// This is the lazy-heap path: each round pops anchors off a
@@ -467,7 +466,7 @@ impl Engine {
     }
 
     /// Greedy GMM for `F_MM` — same semantics as
-    /// [`crate::approx::gmm_max_min`], with the per-round candidate scan
+    /// `divr_paper::approx::gmm_max_min`, with the per-round candidate scan
     /// parallelized and the nearest-selected distance maintained
     /// incrementally (`O(n)` per round instead of `O(n·|chosen|)`).
     pub fn gmm_max_min(&self, k: usize) -> Option<Vec<usize>> {
@@ -577,7 +576,7 @@ impl Engine {
     /// `F_mono` top-`k` by per-item score (the Theorem 5.4 PTIME rule):
     /// float scores cut at the `k`-th largest, exact re-ranking inside
     /// the float tie window around the cut.
-    /// Matches [`mono::max_mono`](crate::solvers::mono::max_mono) up to
+    /// Matches `divr_paper::solvers::mono::max_mono` up to
     /// equal-score ties. `None` when `k > n`.
     pub fn mono_top_k(&self, k: usize) -> Option<Vec<usize>> {
         let mut scratch = SolveScratch::new();
@@ -734,63 +733,9 @@ impl std::fmt::Debug for Engine {
 mod tests {
     use super::*;
     use crate::engine::fixtures::{line_universe, DIS, REL};
-    use crate::approx;
-    use crate::distance::TableDistance;
-    use crate::problem::DiversityProblem;
-    use crate::relevance::TableRelevance;
-    use crate::solvers::mono;
 
     fn engine(n: i64, lambda: Ratio) -> Engine {
         Engine::with_threads(line_universe(n), &REL, Arc::new(DIS), lambda, 2)
-    }
-
-    #[test]
-    fn engine_matches_approx_greedy_value() {
-        for k in [1, 2, 3, 4, 5] {
-            for lam in [Ratio::ZERO, Ratio::new(1, 2), Ratio::ONE] {
-                let u = line_universe(14);
-                let p = DiversityProblem::new(u, &REL, &DIS, lam, k);
-                let e = engine(14, lam);
-                let seq = approx::greedy_max_sum(&p).unwrap();
-                let fast = e.greedy_max_sum(k).unwrap();
-                assert_eq!(
-                    p.f_ms(&seq),
-                    e.objective_exact(ObjectiveKind::MaxSum, &fast),
-                    "k={k} λ={lam}: {seq:?} vs {fast:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn engine_matches_approx_gmm_value() {
-        for k in [1, 2, 3, 4] {
-            for lam in [Ratio::ZERO, Ratio::new(1, 3), Ratio::ONE] {
-                let u = line_universe(12);
-                let p = DiversityProblem::new(u, &REL, &DIS, lam, k);
-                let e = engine(12, lam);
-                let seq = approx::gmm_max_min(&p).unwrap();
-                let fast = e.gmm_max_min(k).unwrap();
-                assert_eq!(
-                    p.f_mm(&seq),
-                    e.objective_exact(ObjectiveKind::MaxMin, &fast),
-                    "k={k} λ={lam}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn engine_mono_matches_exact_solver() {
-        for k in [1, 2, 4] {
-            let lam = Ratio::new(1, 2);
-            let u = line_universe(10);
-            let p = DiversityProblem::new(u, &REL, &DIS, lam, k);
-            let e = engine(10, lam);
-            let (opt, _) = mono::max_mono(&p).unwrap();
-            let set = e.mono_top_k(k).unwrap();
-            assert_eq!(opt, e.objective_exact(ObjectiveKind::Mono, &set), "k={k}");
-        }
     }
 
     #[test]
@@ -823,19 +768,6 @@ mod tests {
             e.with_deadline(expired).try_serve(req),
             Err(ServeError::InfeasibleK { k: 4, n: 3 })
         );
-    }
-
-    #[test]
-    fn exact_tie_fallback_breaks_float_ties_like_the_sequential_path() {
-        // All-equal relevance and distance: everything ties, so the
-        // engine must reproduce the sequential lowest-index picks.
-        let rel = TableRelevance::with_default(Ratio::ONE);
-        let dis = TableDistance::with_default(Ratio::ONE);
-        let u: Vec<Tuple> = (0..8).map(|i| Tuple::ints([i])).collect();
-        let p = DiversityProblem::new(u.clone(), &rel, &dis, Ratio::new(1, 2), 3);
-        let e = Engine::with_threads(u, &rel, Arc::new(dis.clone()), Ratio::new(1, 2), 2);
-        assert_eq!(approx::greedy_max_sum(&p).unwrap(), e.greedy_max_sum(3).unwrap());
-        assert_eq!(approx::gmm_max_min(&p).unwrap(), e.gmm_max_min(3).unwrap());
     }
 
     #[test]

@@ -167,7 +167,7 @@ pub(crate) fn resolve_ties_exact(
 /// [`resolve_ties_exact`] for a non-empty set of near-tied pairs: the
 /// pair whose exact score is maximal, the **lexicographically smallest**
 /// among exact ties — the order the sequential double loops of
-/// [`crate::approx`] meet them in. Sorts `pairs`.
+/// `divr_paper::approx` meet them in. Sorts `pairs`.
 pub(super) fn resolve_pairs_exact(
     pairs: &mut [(usize, usize)],
     exact: impl Fn(usize, usize) -> Ratio,

@@ -32,10 +32,10 @@ use std::fmt;
 
 /// `F_MS` over member oracles: `m` members, `rel(a)`/`dist(a, b)` read
 /// member positions `0..m`. The single definition shared by
-/// [`DiversityProblem::f_ms`], the engine's exact scorer, and the
-/// streaming diversifier's cached evaluation — so the formula cannot
+/// [`DiversityProblem::f_ms`], the engine's exact scorer, and
+/// `divr_paper`'s streaming diversifier — so the formula cannot
 /// drift between the paths the property tests compare.
-pub(crate) fn f_ms_from(
+pub fn f_ms_from(
     m: usize,
     lambda: Ratio,
     rel: impl Fn(usize) -> Ratio,
@@ -57,7 +57,7 @@ pub(crate) fn f_ms_from(
 }
 
 /// `F_MM` over member oracles (see [`f_ms_from`]).
-pub(crate) fn f_mm_from(
+pub fn f_mm_from(
     m: usize,
     lambda: Ratio,
     rel: impl Fn(usize) -> Ratio,
@@ -75,6 +75,15 @@ pub(crate) fn f_mm_from(
         }
     }
     (Ratio::ONE - lambda) * min_rel + lambda * min_dis.unwrap_or(Ratio::ZERO)
+}
+
+/// `F_MS`'s pair weight, the Gollapudi–Sharma Max-Sum Dispersion
+/// reduction on raw components: `w = (1−λ)(rel_i + rel_j) + 2λ·dist_ij`,
+/// chosen so that `F_MS(U) = Σ_{{u,v} ⊆ U} w(u, v)` for `|U| = k`. The
+/// one definition the engine's exact tie fallback and the paper crate's
+/// sequential greedy and dispersion bridge all read.
+pub fn ms_pair_weight_parts(lambda: Ratio, rel_i: Ratio, rel_j: Ratio, dist_ij: Ratio) -> Ratio {
+    (Ratio::ONE - lambda) * (rel_i + rel_j) + lambda * dist_ij.scale(2)
 }
 
 /// Which of the paper's three objective functions is in force.
@@ -188,11 +197,6 @@ impl<'a> DiversityProblem<'a> {
     /// Distance between universe items `i` and `j`.
     pub fn dist_of(&self, i: usize, j: usize) -> Ratio {
         self.dis.dist(&self.universe[i], &self.universe[j])
-    }
-
-    /// Whether a candidate set of size `k` exists at all.
-    pub(crate) fn has_candidates(&self) -> bool {
-        self.n() >= self.k
     }
 
     /// Resolves a set of tuples to sorted universe indices; `None` if some

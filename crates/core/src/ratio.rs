@@ -98,24 +98,6 @@ impl Ratio {
         *self * Ratio::int(n)
     }
 
-    /// The minimum of two ratios.
-    pub fn min(self, other: Ratio) -> Ratio {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The maximum of two ratios.
-    pub fn max(self, other: Ratio) -> Ratio {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
     /// Approximate `f64` value. Used for display/benchmark summaries and
     /// by the batch engine's float filter ([`crate::engine`]) — the
     /// engine restores exactness through its `Ratio` tie fallback, so
@@ -125,7 +107,7 @@ impl Ratio {
     }
 
     /// The absolute value.
-    pub fn abs(&self) -> Ratio {
+    pub(crate) fn abs(&self) -> Ratio {
         Ratio {
             num: self.num.abs(),
             den: self.den,

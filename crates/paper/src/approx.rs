@@ -20,35 +20,34 @@
 //! (Theorem 5.4, [`crate::solvers::mono::max_mono`]).
 //!
 //! These sequential `Ratio`-path functions are the **reference
-//! semantics** for the production paths: [`crate::engine`] reproduces
+//! semantics** for the production paths: [`divr_core::engine`] reproduces
 //! [`greedy_max_sum`] and [`gmm_max_min`] against a precomputed matrix
-//! (identical up to equal-score ties), and [`crate::coreset`] runs
+//! (identical up to equal-score ties), and [`divr_core::coreset`] runs
 //! those on an `m ≪ n` representative subset for universes whose
 //! matrix cannot be allocated; [`mmr`] and [`local_search_swap`] exist
 //! only here. The
 //! guarantee each algorithm carries — and the test that pins it — is
 //! tabulated in `docs/PAPER_MAP.md` ("Approximation guarantees").
 
-use crate::problem::{DiversityProblem, ObjectiveKind};
-use crate::ratio::Ratio;
+use divr_core::problem::{ms_pair_weight_parts, DiversityProblem, ObjectiveKind};
+use divr_core::ratio::Ratio;
 
-/// The pair weight of the Gollapudi–Sharma Max-Sum Dispersion reduction
-/// on raw components: `w = (1−λ)(rel_i + rel_j) + 2λ·dist_ij`, chosen so
-/// that `F_MS(U) = Σ_{{u,v} ⊆ U} w(u, v)` for `|U| = k`. Shared between
-/// the sequential path here, [`crate::dispersion`]'s bridge, and the
-/// exact tie fallback of [`crate::engine`].
-pub(crate) fn ms_pair_weight_parts(
-    lambda: Ratio,
-    rel_i: Ratio,
-    rel_j: Ratio,
-    dist_ij: Ratio,
-) -> Ratio {
-    (Ratio::ONE - lambda) * (rel_i + rel_j) + lambda * dist_ij.scale(2)
-}
-
-/// [`ms_pair_weight_parts`] read off a problem instance.
+/// The Gollapudi–Sharma pair weight ([`ms_pair_weight_parts`]) read off
+/// a problem instance; [`crate::dispersion`]'s bridge reads it too.
 pub(crate) fn ms_pair_weight(p: &DiversityProblem<'_>, i: usize, j: usize) -> Ratio {
     ms_pair_weight_parts(p.lambda(), p.rel_of(i), p.rel_of(j), p.dist_of(i, j))
+}
+
+/// Removes `x` from an **ascending** vector by binary search + shift:
+/// one `O(log n)` probe and one memmove instead of a full
+/// `retain(|&x| x != i && x != j)` predicate scan. Order is preserved,
+/// and with it the tie-break of the sequential references here and in
+/// [`crate::dispersion`], whose scan order over the ascending
+/// `available` vector is part of their answers. No-op if `x` is absent.
+pub(crate) fn remove_sorted(v: &mut Vec<usize>, x: usize) {
+    if let Ok(p) = v.binary_search(&x) {
+        v.remove(p);
+    }
 }
 
 /// Greedy 2-approximation for max-sum diversification: repeatedly pick
@@ -57,14 +56,14 @@ pub(crate) fn ms_pair_weight(p: &DiversityProblem<'_>, i: usize, j: usize) -> Ra
 ///
 /// Returns `None` when no candidate set exists (`|Q(D)| < k`).
 ///
-/// For large universes, [`Engine::greedy_max_sum`](crate::engine::Engine::greedy_max_sum)
+/// For large universes, [`Engine::greedy_max_sum`](divr_core::engine::Engine::greedy_max_sum)
 /// computes the same result (up to equal-score ties) against a
 /// precomputed distance matrix.
 ///
 /// # Example
 ///
 /// ```
-/// use divr_core::approx;
+/// use divr_paper::approx;
 /// use divr_core::prelude::*;
 /// use divr_relquery::Tuple;
 ///
@@ -105,8 +104,8 @@ pub fn greedy_max_sum(p: &DiversityProblem<'_>) -> Option<Vec<usize>> {
         // `available` stays ascending (the scan order *is* the
         // tie-break), so removal must preserve order: binary search +
         // shift instead of the old full-predicate `retain` pass.
-        crate::avail::remove_sorted(&mut available, i);
-        crate::avail::remove_sorted(&mut available, j);
+        remove_sorted(&mut available, i);
+        remove_sorted(&mut available, j);
     }
     if chosen.len() < k {
         // k odd: add the item with the best marginal contribution.
@@ -137,7 +136,7 @@ pub fn greedy_max_sum(p: &DiversityProblem<'_>) -> Option<Vec<usize>> {
 /// # Example
 ///
 /// ```
-/// use divr_core::approx;
+/// use divr_paper::approx;
 /// use divr_core::prelude::*;
 /// use divr_relquery::Tuple;
 ///
@@ -204,7 +203,7 @@ pub fn gmm_max_min(p: &DiversityProblem<'_>) -> Option<Vec<usize>> {
 /// # Example
 ///
 /// ```
-/// use divr_core::approx;
+/// use divr_paper::approx;
 /// use divr_core::prelude::*;
 /// use divr_relquery::Tuple;
 ///
@@ -273,7 +272,7 @@ pub fn local_search_swap(
         }
         match best_swap {
             Some((v, out, inn)) => {
-                crate::avail::remove_sorted(&mut current, out);
+                remove_sorted(&mut current, out);
                 current.push(inn);
                 current.sort_unstable();
                 value = v;
@@ -287,9 +286,9 @@ pub fn local_search_swap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::{NumericDistance, TableDistance};
-    use crate::relevance::{AttributeRelevance, TableRelevance};
     use crate::solvers::exact;
+    use divr_core::distance::{NumericDistance, TableDistance};
+    use divr_core::relevance::{AttributeRelevance, TableRelevance};
     use divr_relquery::Tuple;
 
     fn line_universe(n: i64) -> Vec<Tuple> {
@@ -395,5 +394,17 @@ mod tests {
         assert!(greedy_max_sum(&p).is_none());
         assert!(gmm_max_min(&p).is_none());
         assert!(mmr(&p).is_none());
+    }
+
+    #[test]
+    fn remove_sorted_preserves_order() {
+        let mut v = vec![1, 4, 6, 9];
+        remove_sorted(&mut v, 6);
+        assert_eq!(v, vec![1, 4, 9]);
+        remove_sorted(&mut v, 5); // absent: no-op
+        assert_eq!(v, vec![1, 4, 9]);
+        remove_sorted(&mut v, 1);
+        remove_sorted(&mut v, 9);
+        assert_eq!(v, vec![4]);
     }
 }

@@ -28,11 +28,11 @@
 //! counterexamples where an axiom fails — both of which the tests pin
 //! down.
 
-use crate::distance::TableDistance;
-use crate::problem::{DiversityProblem, ObjectiveKind};
-use crate::ratio::Ratio;
-use crate::relevance::TableRelevance;
 use crate::solvers::exact;
+use divr_core::distance::TableDistance;
+use divr_core::problem::{DiversityProblem, ObjectiveKind};
+use divr_core::ratio::Ratio;
+use divr_core::relevance::TableRelevance;
 use divr_relquery::Tuple;
 
 /// A plain, perturbable instance: explicit relevance and distance
@@ -63,7 +63,7 @@ impl TableInstance {
     }
 
     /// Number of universe tuples.
-    pub fn n(&self) -> usize {
+    fn n(&self) -> usize {
         self.universe.len()
     }
 
@@ -73,7 +73,7 @@ impl TableInstance {
     }
 
     /// The distance between items `i` and `j`.
-    pub fn dist(&self, i: usize, j: usize) -> Ratio {
+    fn dist(&self, i: usize, j: usize) -> Ratio {
         if i == j {
             Ratio::ZERO
         } else {
@@ -82,7 +82,7 @@ impl TableInstance {
     }
 
     /// Returns a copy with every relevance and distance scaled by `α`.
-    pub fn scaled(&self, alpha: Ratio) -> Self {
+    fn scaled(&self, alpha: Ratio) -> Self {
         assert!(alpha > Ratio::ZERO, "scale factor must be positive");
         let mut out = self.clone();
         for r in &mut out.rels {
@@ -129,7 +129,7 @@ impl TableInstance {
     }
 
     /// The objective value of a candidate set under `kind`.
-    pub fn value(&self, kind: ObjectiveKind, k: usize, subset: &[usize]) -> Ratio {
+    fn value(&self, kind: ObjectiveKind, k: usize, subset: &[usize]) -> Ratio {
         let (rel, dis) = self.tables();
         let p = DiversityProblem::new(self.universe.clone(), &rel, &dis, self.lambda, k);
         p.objective(kind, subset)

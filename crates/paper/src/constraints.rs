@@ -172,7 +172,7 @@ impl Constraint {
 
     /// Total tuple variables `l + h` — this constraint belongs to `C_m`
     /// for every `m ≥ max(l, h)`.
-    pub fn width(&self) -> usize {
+    fn width(&self) -> usize {
         self.forall + self.exists
     }
 

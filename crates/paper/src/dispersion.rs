@@ -25,8 +25,8 @@
 //!   max-sum dispersion.
 
 use crate::combin::for_each_k_subset;
-use crate::problem::DiversityProblem;
-use crate::ratio::Ratio;
+use divr_core::problem::DiversityProblem;
+use divr_core::ratio::Ratio;
 use std::fmt;
 
 /// The equitable-dispersion objective family of Prokopyev et al.
@@ -45,14 +45,6 @@ pub enum DispersionVariant {
 }
 
 impl DispersionVariant {
-    /// All variants, for table-driven tests.
-    pub const ALL: [DispersionVariant; 4] = [
-        DispersionVariant::MaxSum,
-        DispersionVariant::MaxMin,
-        DispersionVariant::MaxMinSum,
-        DispersionVariant::MinDiffSum,
-    ];
-
     /// Whether the variant is a maximization (else minimization).
     fn is_max(self) -> bool {
         !matches!(self, DispersionVariant::MinDiffSum)
@@ -78,7 +70,7 @@ impl fmt::Display for DispersionVariant {
 /// # Example
 ///
 /// ```
-/// use divr_core::dispersion::{Dispersion, DispersionVariant};
+/// use divr_paper::dispersion::{Dispersion, DispersionVariant};
 /// use divr_core::prelude::*;
 /// use divr_relquery::Tuple;
 ///
@@ -109,11 +101,6 @@ impl Dispersion {
             n,
             edge: vec![Ratio::ZERO; n * (n.saturating_sub(1)) / 2],
         }
-    }
-
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     fn index(&self, i: usize, j: usize) -> usize {
@@ -244,9 +231,9 @@ impl Dispersion {
             chosen.push(j);
             // Order-preserving O(log n + shift) removal: the ascending
             // scan order is the tie-break, so swap-remove is off-limits
-            // here — see `crate::avail::remove_sorted`.
-            crate::avail::remove_sorted(&mut available, i);
-            crate::avail::remove_sorted(&mut available, j);
+            // here — see `crate::approx::remove_sorted`.
+            crate::approx::remove_sorted(&mut available, i);
+            crate::approx::remove_sorted(&mut available, j);
         }
         if chosen.len() < m {
             let best = available.iter().copied().max_by_key(|&t| {
@@ -298,10 +285,10 @@ impl Dispersion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::NumericDistance;
-    use crate::problem::ObjectiveKind;
-    use crate::relevance::AttributeRelevance;
     use crate::solvers::exact;
+    use divr_core::distance::NumericDistance;
+    use divr_core::problem::ObjectiveKind;
+    use divr_core::relevance::AttributeRelevance;
     use divr_relquery::Tuple;
 
     const REL: AttributeRelevance = AttributeRelevance {
@@ -456,7 +443,12 @@ mod tests {
     fn singleton_values() {
         let mut d = Dispersion::new(2);
         d.set_edge(0, 1, Ratio::int(9));
-        for variant in DispersionVariant::ALL {
+        for variant in [
+            DispersionVariant::MaxSum,
+            DispersionVariant::MaxMin,
+            DispersionVariant::MaxMinSum,
+            DispersionVariant::MinDiffSum,
+        ] {
             assert_eq!(d.value(variant, &[0]), Ratio::ZERO, "{variant}");
         }
     }

@@ -1,9 +1,9 @@
 //! Workload generators (seeded and deterministic) for tests, examples and
 //! the benchmark harness.
 
-use crate::distance::TableDistance;
-use crate::ratio::Ratio;
-use crate::relevance::TableRelevance;
+use divr_core::distance::TableDistance;
+use divr_core::ratio::Ratio;
+use divr_core::relevance::TableRelevance;
 use divr_relquery::{Database, Tuple, Value};
 use rand::Rng;
 
@@ -13,7 +13,7 @@ pub fn int_universe(n: usize) -> Vec<Tuple> {
 }
 
 /// A universe of `n` points with `dims` integer coordinates drawn from
-/// `[0, coord_range)` — pairs with [`crate::distance::NumericDistance`] or
+/// `[0, coord_range)` — pairs with [`divr_core::distance::NumericDistance`] or
 /// Hamming distance for metric-flavoured workloads.
 pub fn point_universe<R: Rng>(rng: &mut R, n: usize, dims: usize, coord_range: i64) -> Vec<Tuple> {
     let mut out = Vec::with_capacity(n);
@@ -114,8 +114,8 @@ pub fn gift_store_database<R: Rng>(rng: &mut R, n_items: usize) -> Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::Distance;
-    use crate::relevance::Relevance;
+    use divr_core::distance::Distance;
+    use divr_core::relevance::Relevance;
     use rand::SeedableRng;
 
     #[test]

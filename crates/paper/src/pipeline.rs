@@ -13,11 +13,11 @@
 //! of a `(D, Q)` instance goes through `divr-server`'s `QueryFrontDoor`.
 
 use crate::constraints::Constraint;
-use crate::distance::Distance;
-use crate::problem::{DiversityProblem, ObjectiveKind};
-use crate::ratio::Ratio;
-use crate::relevance::Relevance;
 use crate::solvers::{constrained, counting, exact, mono};
+use divr_core::distance::Distance;
+use divr_core::problem::{DiversityProblem, ObjectiveKind};
+use divr_core::ratio::Ratio;
+use divr_core::relevance::Relevance;
 use divr_relquery::{Database, Query, Tuple};
 use std::fmt;
 
@@ -211,10 +211,10 @@ impl QueryDiversification {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::HammingDistance;
-    use crate::relevance::AttributeRelevance;
-    use divr_relquery::parser::parse_query;
+    use divr_core::distance::HammingDistance;
+    use divr_core::relevance::AttributeRelevance;
     use divr_relquery::Value;
+    use divr_relquery::parser::parse_query;
 
     fn setup() -> QueryDiversification {
         let mut db = Database::new();

@@ -17,8 +17,8 @@
 //! For constant `k` the same search is polynomial (Corollary 9.7).
 
 use crate::constraints::{satisfies_all, Constraint};
-use crate::problem::{DiversityProblem, ObjectiveKind};
-use crate::ratio::Ratio;
+use divr_core::problem::{DiversityProblem, ObjectiveKind};
+use divr_core::ratio::Ratio;
 
 /// Visits every candidate set (k-subset with `U ⊨ Σ`), with denial-based
 /// pruning. `f` returns `false` to stop; returns `true` iff completed.
@@ -93,7 +93,7 @@ pub fn qrd(
 }
 
 /// Maximizes the objective over constrained candidate sets.
-pub fn maximize(
+pub(crate) fn maximize(
     p: &DiversityProblem<'_>,
     kind: ObjectiveKind,
     constraints: &[Constraint],
@@ -182,8 +182,8 @@ mod tests {
     use super::*;
     use crate::combin::for_each_k_subset;
     use crate::constraints::CmPred;
-    use crate::distance::HammingDistance;
-    use crate::relevance::AttributeRelevance;
+    use divr_core::distance::HammingDistance;
+    use divr_core::relevance::AttributeRelevance;
     use divr_relquery::{Tuple, Value};
 
     /// Items: (id, category, score). Categories 0/1; constraint: picking

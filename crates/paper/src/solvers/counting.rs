@@ -13,9 +13,9 @@
 //!   by `divr_reductions::sspk_rdc`.)
 
 use crate::combin::for_each_k_subset;
-use crate::problem::{DiversityProblem, ObjectiveKind};
-use crate::ratio::Ratio;
 use crate::solvers::exact::Engine;
+use divr_core::problem::{DiversityProblem, ObjectiveKind};
+use divr_core::ratio::Ratio;
 use std::collections::HashMap;
 
 /// **RDC**: counts candidate sets with `F(U) ≥ B` (exact, pruned search).
@@ -71,8 +71,8 @@ pub fn rdc_mono_dp(p: &DiversityProblem<'_>, bound: Ratio) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::TableDistance;
-    use crate::relevance::TableRelevance;
+    use divr_core::distance::TableDistance;
+    use divr_core::relevance::TableRelevance;
     use divr_relquery::Tuple;
 
     fn instance(n: i64, lambda: Ratio, k: usize) -> (Vec<Tuple>, TableRelevance, TableDistance, usize, Ratio) {

@@ -18,8 +18,8 @@
 //! the point of these implementations is that they are *exact* oracles
 //! for cross-validating reductions and tractable-case algorithms.
 
-use crate::problem::{DiversityProblem, ObjectiveKind};
-use crate::ratio::Ratio;
+use divr_core::problem::{DiversityProblem, ObjectiveKind};
+use divr_core::ratio::Ratio;
 
 /// Don't scan all pairs for the distance bound beyond this universe size;
 /// pruning for distance-dependent objectives is skipped instead.
@@ -337,8 +337,8 @@ pub fn drp(p: &DiversityProblem<'_>, kind: ObjectiveKind, subset: &[usize], r: u
 mod tests {
     use super::*;
     use crate::combin::for_each_k_subset;
-    use crate::distance::{Distance, TableDistance};
-    use crate::relevance::{Relevance, TableRelevance};
+    use divr_core::distance::{Distance, TableDistance};
+    use divr_core::relevance::{Relevance, TableRelevance};
     use divr_relquery::Tuple;
 
     /// A small deterministic pseudo-random instance.

@@ -16,9 +16,9 @@
 //! first-class code anchor and bench target.
 
 use crate::constraints::Constraint;
-use crate::problem::{DiversityProblem, ObjectiveKind};
-use crate::ratio::Ratio;
 use crate::solvers::{constrained, exact};
+use divr_core::problem::{DiversityProblem, ObjectiveKind};
+use divr_core::ratio::Ratio;
 
 /// Largest `k` accepted as "constant" by these wrappers.
 const MAX_CONSTANT_K: usize = 6;
@@ -87,8 +87,8 @@ pub fn rdc_constrained(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::HammingDistance;
-    use crate::relevance::ConstantRelevance;
+    use divr_core::distance::HammingDistance;
+    use divr_core::relevance::ConstantRelevance;
     use divr_relquery::Tuple;
 
     #[test]

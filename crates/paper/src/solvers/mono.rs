@@ -18,8 +18,8 @@
 //! the DRP algorithm is pseudo-polynomial, exactly as the paper remarks
 //! after Theorem 6.4.
 
-use crate::problem::DiversityProblem;
-use crate::ratio::Ratio;
+use divr_core::problem::DiversityProblem;
+use divr_core::ratio::Ratio;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -35,7 +35,7 @@ pub fn qrd_mono(p: &DiversityProblem<'_>, bound: Ratio) -> bool {
 /// The top-1 candidate set under `F_mono`: the `k` items with the largest
 /// scores `v(t)` (steps 1–4 of the Theorem 5.4 algorithm).
 pub fn max_mono(p: &DiversityProblem<'_>) -> Option<(Ratio, Vec<usize>)> {
-    if !p.has_candidates() {
+    if p.n() < p.k() {
         return None;
     }
     let scores = p.mono_item_scores();
@@ -156,10 +156,10 @@ pub fn drp_mono(p: &DiversityProblem<'_>, subset: &[usize], r: usize) -> bool {
 mod tests {
     use super::*;
     use crate::combin::for_each_k_subset;
-    use crate::distance::TableDistance;
-    use crate::problem::ObjectiveKind;
-    use crate::relevance::TableRelevance;
     use crate::solvers::exact;
+    use divr_core::distance::TableDistance;
+    use divr_core::problem::ObjectiveKind;
+    use divr_core::relevance::TableRelevance;
     use divr_relquery::Tuple;
 
     fn instance(

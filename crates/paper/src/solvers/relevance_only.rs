@@ -16,10 +16,10 @@
 //! regime.
 
 use crate::combin::binomial;
-use crate::problem::DiversityProblem;
-use crate::ratio::Ratio;
 use crate::solvers::counting::count_sum_subsets_at_least;
 use crate::solvers::mono::top_r_sets_by_sum;
+use divr_core::problem::DiversityProblem;
+use divr_core::ratio::Ratio;
 
 fn assert_lambda_zero(p: &DiversityProblem<'_>) {
     assert!(
@@ -46,7 +46,7 @@ fn sorted_rels_desc(p: &DiversityProblem<'_>) -> Vec<Ratio> {
 /// top-`k` by relevance.
 pub fn qrd_ms(p: &DiversityProblem<'_>, bound: Ratio) -> bool {
     assert_lambda_zero(p);
-    if !p.has_candidates() {
+    if p.n() < p.k() {
         return false;
     }
     let rels = sorted_rels_desc(p);
@@ -58,7 +58,7 @@ pub fn qrd_ms(p: &DiversityProblem<'_>, bound: Ratio) -> bool {
 /// relevance is the `k`-th largest relevance value.
 pub fn qrd_mm(p: &DiversityProblem<'_>, bound: Ratio) -> bool {
     assert_lambda_zero(p);
-    if !p.has_candidates() {
+    if p.n() < p.k() {
         return false;
     }
     let rels = sorted_rels_desc(p);
@@ -115,10 +115,10 @@ pub fn rdc_mm(p: &DiversityProblem<'_>, bound: Ratio) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::ConstantDistance;
-    use crate::problem::ObjectiveKind;
-    use crate::relevance::TableRelevance;
     use crate::solvers::{counting, exact};
+    use divr_core::distance::ConstantDistance;
+    use divr_core::problem::ObjectiveKind;
+    use divr_core::relevance::TableRelevance;
     use divr_relquery::Tuple;
 
     fn problem(rels: &[i64], k: usize) -> (Vec<Tuple>, TableRelevance) {

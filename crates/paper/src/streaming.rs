@@ -16,10 +16,10 @@
 //! same structural fact that makes `F_mono` costly in combined
 //! complexity (Theorem 5.2) makes it unstreamable.
 
-use crate::distance::Distance;
-use crate::problem::ObjectiveKind;
-use crate::ratio::Ratio;
-use crate::relevance::Relevance;
+use divr_core::distance::Distance;
+use divr_core::problem::ObjectiveKind;
+use divr_core::ratio::Ratio;
+use divr_core::relevance::Relevance;
 use divr_relquery::Tuple;
 
 /// One-pass greedy diversifier over a stream of result tuples.
@@ -108,8 +108,8 @@ impl<'a> StreamingDiversifier<'a> {
             _ => self.sel_dist[i][j],
         };
         match self.kind {
-            ObjectiveKind::MaxSum => crate::problem::f_ms_from(m, self.lambda, rel_at, dist_at),
-            ObjectiveKind::MaxMin => crate::problem::f_mm_from(m, self.lambda, rel_at, dist_at),
+            ObjectiveKind::MaxSum => divr_core::problem::f_ms_from(m, self.lambda, rel_at, dist_at),
+            ObjectiveKind::MaxMin => divr_core::problem::f_mm_from(m, self.lambda, rel_at, dist_at),
             ObjectiveKind::Mono => unreachable!("rejected at construction"),
         }
     }
@@ -136,7 +136,7 @@ impl<'a> StreamingDiversifier<'a> {
     ///
     /// ```
     /// use divr_core::prelude::*;
-    /// use divr_core::StreamingDiversifier;
+    /// use divr_paper::StreamingDiversifier;
     /// use divr_relquery::Tuple;
     ///
     /// // Points on a line, λ = 1: only pairwise distance matters.
@@ -231,10 +231,10 @@ impl<'a> StreamingDiversifier<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::NumericDistance;
-    use crate::problem::DiversityProblem;
-    use crate::relevance::AttributeRelevance;
     use crate::solvers::exact;
+    use divr_core::distance::NumericDistance;
+    use divr_core::problem::DiversityProblem;
+    use divr_core::relevance::AttributeRelevance;
 
     const REL: AttributeRelevance = AttributeRelevance {
         attr: 1,

@@ -31,7 +31,7 @@
 //! instance is PTIME-solvable with `Σ = ∅` by Theorem 5.4 / Cor 8.1).
 
 use crate::instance::Instance;
-use divr_core::constraints::{CmPred, Constraint};
+use divr_paper::constraints::{CmPred, Constraint};
 use divr_core::distance::ConstantDistance;
 use divr_core::ratio::Ratio;
 use divr_core::relevance::ConstantRelevance;
@@ -144,7 +144,7 @@ pub fn sat_to_constrained_qrd(cnf: &Cnf) -> ConstrainedSat {
 /// set must satisfy `Σ` and reach `B`).
 pub fn constrained_qrd(red: &ConstrainedSat) -> bool {
     let p = red.instance.problem();
-    divr_core::solvers::constrained::qrd(
+    divr_paper::solvers::constrained::qrd(
         &p,
         divr_core::problem::ObjectiveKind::Mono,
         red.instance.bound,
@@ -198,7 +198,7 @@ mod tests {
         let unsat_cnf = Cnf::from_clauses(1, &[&[(0, true)], &[(0, false)]]);
         let red = sat_to_constrained_qrd(&unsat_cnf);
         let p = red.instance.problem();
-        assert!(divr_core::solvers::mono::qrd_mono(&p, red.instance.bound));
+        assert!(divr_paper::solvers::mono::qrd_mono(&p, red.instance.bound));
         assert!(!constrained_qrd(&red));
     }
 

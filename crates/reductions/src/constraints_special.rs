@@ -40,12 +40,12 @@
 //! is what makes the RDC count parsimonious.
 
 use crate::instance::Instance;
-use divr_core::constraints::{CmPred, Constraint};
+use divr_paper::constraints::{CmPred, Constraint};
 use divr_core::distance::{ClosureDistance, ConstantDistance};
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
 use divr_core::relevance::{ClosureRelevance, ConstantRelevance};
-use divr_core::solvers::constrained;
+use divr_paper::solvers::constrained;
 use divr_logic::Cnf;
 use divr_relquery::{Database, Query, Tuple, Value};
 
@@ -354,8 +354,8 @@ pub fn drp(red: &ConstrainedSpecial, kind: ObjectiveKind, r: u128) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use divr_core::constraints::satisfies_all;
-    use divr_core::solvers::mono;
+    use divr_paper::constraints::satisfies_all;
+    use divr_paper::solvers::mono;
     use divr_logic::sat::count_models;
     use divr_logic::sat;
     use rand::SeedableRng;

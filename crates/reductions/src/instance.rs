@@ -4,7 +4,7 @@ use divr_core::distance::Distance;
 use divr_core::problem::{DiversityProblem, ObjectiveKind};
 use divr_core::ratio::Ratio;
 use divr_core::relevance::Relevance;
-use divr_core::solvers::{counting, exact};
+use divr_paper::solvers::{counting, exact};
 use divr_relquery::{Database, Query, Tuple};
 
 /// A diversification instance `(D, Q, δ_rel, δ_dis, λ, k, B)` produced by

@@ -136,7 +136,7 @@ pub fn to_drp_lambda0(cnf: &Cnf) -> Lambda0Drp {
 mod tests {
     use super::*;
     use divr_core::problem::ObjectiveKind;
-    use divr_core::solvers::relevance_only;
+    use divr_paper::solvers::relevance_only;
     use divr_logic::sat;
     use rand::SeedableRng;
 

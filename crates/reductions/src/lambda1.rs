@@ -50,7 +50,7 @@ use divr_core::distance::{ClosureDistance, TableDistance};
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
 use divr_core::relevance::ConstantRelevance;
-use divr_core::solvers::counting;
+use divr_paper::solvers::counting;
 use divr_logic::{Cnf, Qbf, Quant};
 use divr_relquery::query::{cnst, var, CmpOp, FoQuery, Formula, Query, Var};
 use divr_relquery::{Database, Tuple, Value};

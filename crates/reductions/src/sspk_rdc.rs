@@ -13,7 +13,7 @@ use divr_core::distance::ConstantDistance;
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
 use divr_core::relevance::ClosureRelevance;
-use divr_core::solvers::counting;
+use divr_paper::solvers::counting;
 use divr_logic::ssp;
 use divr_relquery::{Database, Query, Tuple, Value};
 

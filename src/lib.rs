@@ -1,8 +1,10 @@
 //! Facade crate re-exporting the full diversification workspace.
 //!
 //! Each member crate is re-exported under a short module name
-//! (`divr::core`, `divr::server`, …), and the serving-layer entry
-//! points most programs start from — the registry and the coreset API
+//! (`divr::paper`, `divr::server`, …); `divr::core` is the served
+//! engine (`divr-core`) and the paper's analysis (`divr-paper`) under
+//! one path, with one merged `prelude`. The serving-layer entry points
+//! most programs start from — the registry and the coreset API
 //! for universes too large for any `n × n` matrix — are additionally
 //! lifted to this crate root, so examples and doc links resolve from
 //! one place:
@@ -27,8 +29,21 @@
 //! assert_eq!(set.len(), 5);
 //! assert!(value > Ratio::ZERO);
 //! ```
-pub use divr_core as core;
+/// The served engine (`divr-core`) and the paper's analysis
+/// (`divr-paper`) under one path: `divr::core::engine` and
+/// `divr::core::solvers` both resolve, and `prelude` is both preludes.
+pub mod core {
+    pub use divr_core::*;
+    pub use divr_paper::*;
+
+    /// Both crates' common imports.
+    pub mod prelude {
+        pub use divr_core::prelude::*;
+        pub use divr_paper::prelude::*;
+    }
+}
 pub use divr_logic as logic;
+pub use divr_paper as paper;
 pub use divr_reductions as reductions;
 pub use divr_relquery as relquery;
 pub use divr_server as server;

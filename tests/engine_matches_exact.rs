@@ -91,16 +91,18 @@ proptest! {
         prop_assert_eq!(&seq, &fast, "sets diverged beyond a value tie");
     }
 
-    /// Engine GMM == sequential GMM.
+    /// Engine GMM == sequential GMM, also at a λ no float holds exactly.
     #[test]
     fn gmm_max_min_agrees(raw in instance_strategy()) {
         let (universe, rel, dis, lambda) = build(&raw);
-        let p = DiversityProblem::new(universe.clone(), &rel, &dis, lambda, raw.k);
-        let e = Engine::with_threads(universe, &rel, Arc::new(dis.clone()), lambda, 2);
-        let seq = approx::gmm_max_min(&p).unwrap();
-        let fast = e.gmm_max_min(raw.k).unwrap();
-        prop_assert_eq!(p.f_mm(&seq), e.objective_exact(ObjectiveKind::MaxMin, &fast));
-        prop_assert_eq!(&seq, &fast);
+        for lambda in [lambda, Ratio::new(1, 3)] {
+            let p = DiversityProblem::new(universe.clone(), &rel, &dis, lambda, raw.k);
+            let e = Engine::with_threads(universe.clone(), &rel, Arc::new(dis.clone()), lambda, 2);
+            let seq = approx::gmm_max_min(&p).unwrap();
+            let fast = e.gmm_max_min(raw.k).unwrap();
+            prop_assert_eq!(p.f_mm(&seq), e.objective_exact(ObjectiveKind::MaxMin, &fast));
+            prop_assert_eq!(&seq, &fast);
+        }
     }
 
     /// Engine mono top-k == the Theorem 5.4 exact PTIME solver.

@@ -12,7 +12,8 @@
 //!   odd and even `k`, including `k = n` (the heap drains completely);
 //! * adversarial **all-tied** universes (constant relevance and
 //!   distance), where every heap entry carries the same float score
-//!   and only the exact lexicographic tie rule decides;
+//!   and only the exact lexicographic tie rule decides — for GMM
+//!   (`approx::gmm_max_min`) as well;
 //! * near-tied universes with a single off-pattern pair, so the tie
 //!   window holds almost — but not quite — everything;
 //! * a concurrency test pinning that the memoized heap preamble is
@@ -147,10 +148,16 @@ fn all_tied_universes_resolve_identically() {
         let universe: Vec<Tuple> = (0..n as i64).map(|i| Tuple::ints([i])).collect();
         let rel = TableRelevance::with_default(Ratio::ONE);
         let dis = TableDistance::with_default(Ratio::ONE);
-        for lambda in [Ratio::ZERO, Ratio::new(1, 2), Ratio::ONE] {
+        for lambda in [Ratio::ZERO, Ratio::new(1, 3), Ratio::new(1, 2), Ratio::ONE] {
             let e = Engine::with_threads(universe.clone(), &rel, Arc::new(dis.clone()), lambda, 2);
             for k in 0..=n {
                 assert_lazy_eq_reference(&e, k, "all-tied");
+                // GMM meets the same ties in its seed pair and every round.
+                if k >= 1 {
+                    let p = DiversityProblem::from_prepared(e.prepared(), k);
+                    let want = divr::core::approx::gmm_max_min(&p);
+                    assert_eq!(e.gmm_max_min(k), want, "all-tied GMM n={n} λ={lambda} k={k}");
+                }
                 // The fully-tied greedy must pick the k lowest indices.
                 if k >= 2 {
                     let set = e.greedy_max_sum(k).unwrap();
