@@ -39,7 +39,7 @@ SERVICE=$(rs crates/service/src)
 # One fallible entry point per layer (48 before the lattice was
 # collapsed): a new suffix is a new parameter on the existing path.
 gate "serving API surface" \
-  "$(grep -rhoE 'pub fn (try_)?(serve|prepare|get_or)[a-z_]*' crates/core/src crates/server/src | grep -vcx 'pub fn prepared')" -le 16
+  "$(grep -rhoE 'pub fn (try_)?(serve|prepare|get_or)[a-z_]*' crates/core/src crates/server/src | grep -vcx 'pub fn prepared')" -le 15
 # The `pub` ratchet: `pub` items per crate may only fall. Lower the
 # number when you delete one; never raise it.
 while read -r crate max; do
@@ -48,7 +48,7 @@ while read -r crate max; do
 done <<'EOF'
 core 196
 paper 110
-server 91
+server 90
 service 55
 relquery 120
 EOF

@@ -7,7 +7,7 @@ use crate::distance::Distance;
 use crate::engine::{PreparedUniverse, ScoreSource, ServeError};
 use crate::mono_exact::{ExactRel, ExactRows, ExactView, MonoSums};
 use crate::ratio::Ratio;
-use crate::relevance::Relevance;
+use crate::relevance::{score_each, Relevance};
 use divr_relquery::Tuple;
 use std::sync::Arc;
 
@@ -39,7 +39,7 @@ pub struct PreparedCoreset {
     pub(super) sub: Arc<PreparedUniverse>,
     // Exact full-universe distance sums for the `F_mono` re-score, when
     // the oracle is a key column: built by the first mono request,
-    // repaired per insert, dropped by a removal.
+    // dropped by every delta.
     pub(super) mono_sums: MonoSums,
 }
 
@@ -113,7 +113,7 @@ impl PreparedCoreset {
         let mut scores = RelColumn::with_capacity(rows.len());
         let mut keys = Some(Vec::with_capacity(rows.len()));
         rows.try_for_each_chunk(|first, chunk| {
-            scores.score_chunk(first, chunk, rel, deadline)?;
+            score_each(first, chunk, rel, deadline, |r| scores.push(r))?;
             if let Some(column) = &mut keys {
                 match dis.key_column(chunk) {
                     Some(chunk_keys) => column.extend(chunk_keys),
@@ -225,7 +225,7 @@ impl PreparedCoreset {
     pub fn insert_tuple(&mut self, tuple: Tuple, rel: Ratio) {
         let x = self.n();
         let m = self.coreset.m();
-        self.mono_sums.repair_insert(&*self.dis, &tuple);
+        self.mono_sums.invalidate();
         self.rows.push(&tuple);
         if m < self.config.budget.max(1) || m == 0 {
             // Budget open: x becomes representative m.

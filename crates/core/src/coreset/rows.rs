@@ -8,7 +8,7 @@ use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::ServeError;
 use crate::ratio::Ratio;
-use crate::relevance::Relevance;
+use crate::relevance::{score_each, Relevance};
 use divr_relquery::Tuple;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -181,7 +181,7 @@ impl RelColumn {
         deadline: Deadline,
     ) -> Result<RelColumn, ServeError> {
         let mut column = RelColumn::with_capacity(universe.len());
-        column.score_chunk(0, universe, rel, deadline)?;
+        score_each(0, universe, rel, deadline, |r| column.push(r))?;
         Ok(column)
     }
 
@@ -191,24 +191,6 @@ impl RelColumn {
             f: Vec::with_capacity(n),
             inexact: Vec::new(),
         }
-    }
-
-    /// Scores the items `first..first + chunk.len()`, polling
-    /// `deadline` every 64 items.
-    pub(crate) fn score_chunk(
-        &mut self,
-        first: usize,
-        chunk: &[Tuple],
-        rel: &dyn Relevance,
-        deadline: Deadline,
-    ) -> Result<(), ServeError> {
-        for (off, t) in chunk.iter().enumerate() {
-            if (first + off).is_multiple_of(64) {
-                deadline.check()?;
-            }
-            self.push(rel.rel(t));
-        }
-        Ok(())
     }
 
     /// Appends one exact score.

@@ -659,7 +659,7 @@ impl DistanceMatrix {
 /// `w(i,j) = (1−λ)(r_i + r_j) + 2λ·d(i,j)`.
 ///
 /// Every float evaluation of the max-sum weight — the memoized seed
-/// build, its insert repair, the lazy heap's row rescans and the
+/// build, its lazy rebuild, the lazy heap's row rescans and the
 /// near-tie pair collection — funnels through this one expression, so
 /// all of them produce **bit-identical** floats for the same pair. That
 /// identity is what makes the lazy heap's upper-bound invariant exact:
@@ -674,9 +674,8 @@ pub(super) fn ms_weight_f64(one_minus: f64, lam: f64, ri: f64, rj: f64, dij: f64
 /// `(1−λ)·min(r_i, r_j) + λ·d(i,j)` — the `F_MM` value of `{i, j}`.
 ///
 /// The one spelling of that expression: the fused build's row scan, its
-/// lazy rebuild, the insert repairs and the seed's tie-window re-scan
-/// all call it, so a row best, a repaired row best and a re-scanned
-/// pair compare bit for bit.
+/// lazy rebuild and the seed's tie-window re-scan all call it, so a row
+/// best, a rebuilt row best and a re-scanned pair compare bit for bit.
 #[inline(always)]
 pub(super) fn gmm_seed_f64(one_minus: f64, lam: f64, ri: f64, rj: f64, dij: f64) -> f64 {
     one_minus * ri.min(rj) + lam * dij
@@ -687,7 +686,7 @@ pub(super) fn gmm_seed_f64(one_minus: f64, lam: f64, ri: f64, rj: f64, dij: f64)
 /// matrix `row` — the first partner's value, then a left-to-right
 /// strict-`>` scan. `-∞` when the anchor has no partner (the last
 /// item). The one scan behind the fused build and the lazy rebuild
-/// after a removal; the insert repair is one more iteration of it.
+/// after a delta.
 #[inline]
 pub(super) fn gmm_row_best(anchor: usize, rel: &[f64], row: &[f64], one_minus: f64, lam: f64) -> f64 {
     let ri = rel[anchor];
@@ -725,9 +724,8 @@ impl PairSeed {
 
     /// `anchor`'s seed from its full matrix `row`: a left-to-right
     /// strict-`>` scan of the partners `j > anchor` (float ties keep the
-    /// earlier one). The one scan behind the fused build, the lazy
-    /// rebuild after a removal, and — one step at a time — the insert
-    /// repair.
+    /// earlier one). The one scan behind the fused build and the lazy
+    /// rebuild after a delta.
     #[inline]
     pub(super) fn scan(anchor: usize, rel: &[f64], row: &[f64], one_minus: f64, lam: f64) -> PairSeed {
         let ri = rel[anchor];

@@ -74,7 +74,7 @@
 //! |---|---|
 //! | `matrix` | [`DistanceMatrix`], its fill with the fused hot-row scans (max-sum seed, GMM row bests, finiteness record), its tiled mirror, the free list dropped matrices park their allocation in ([`spare_buffers`]), the one fan-out (`run_dealt`) and its one spawn decision (`fans_out`), the chunked map/reduce |
 //! | `ties` | float argmax with the `F64_TIE_EPS` window, exact tie resolution |
-//! | `prepared` | [`PreparedUniverse`] (build over an `Arc`-held oracle, memoized preambles and their lazy builders, delta repair) |
+//! | `prepared` | [`PreparedUniverse`] (build over an `Arc`-held oracle, memoized preambles and their lazy builders, the delta patch that drops them) |
 //! | `solve` | [`Engine`] and [`SolveScratch`]; the lazy-heap work counters ([`solver_counters`]) |
 //!
 //! The request, error and delta types live here.

@@ -1,9 +1,9 @@
 //! [`PreparedUniverse`]: the owned, shareable state behind an
 //! [`Engine`](super::Engine) — construction, the memoized solver
-//! preambles, and their `O(n)` repair under deltas.
+//! preambles, and the one rule that drops them under a delta.
 
 use super::matrix::{
-    gmm_row_best, gmm_seed_f64, ms_weight_f64, par_map_reduce, DistanceMatrix, PairSeed,
+    gmm_row_best, gmm_seed_f64, par_map_reduce, DistanceMatrix, PairSeed,
 };
 use super::ties::{argmax_with_ties, resolve_pairs_exact, tie_threshold};
 use super::{tuple_approx_bytes, DeltaError, ScoreSource, ServeError};
@@ -11,7 +11,7 @@ use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::mono_exact::{ExactRel, ExactRows, ExactView, MonoSums};
 use crate::ratio::Ratio;
-use crate::relevance::Relevance;
+use crate::relevance::{score_each, Relevance};
 use divr_relquery::Tuple;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -45,19 +45,14 @@ pub struct PreparedUniverse {
     // that needs one pays for it, every later request against this
     // prepared universe (across engines and threads) reuses it. All
     // are pure functions of the universe content, so memoization cannot
-    // change any answer. Under deltas, inserts repair each populated
-    // preamble in O(n); removals invalidate them (swap-remove relabels
-    // indices, breaking the lex/partner structure an O(n) repair would
-    // need) and the next request rebuilds lazily from the patched
-    // matrix.
+    // change any answer. Every delta, insert or removal, drops them
+    // all (`invalidate_preambles`) and the next request rebuilds each
+    // lazily from the patched matrix.
     mono_scores: OnceLock<Vec<f64>>,
-    // Per-item matrix row sums, memoized alongside the mono scores so
-    // an insert can repair them in O(n) (`dsum += col[i]`) instead of
-    // re-streaming the whole matrix.
-    mono_dsums: OnceLock<Vec<f64>>,
-    // The same sums exactly, when the oracle is a key column: what the
-    // exact mono re-score reads instead of n oracle calls per winner,
-    // and what seeds `mono_dsums` when every sum is below 2^53.
+    // The per-item distance sums exactly, when the oracle is a key
+    // column: what the exact mono re-score reads instead of n oracle
+    // calls per winner, and what `mono_scores` converts when every sum
+    // is below 2^53.
     mono_sums: MonoSums,
     // Per-anchor best GMM seed value over the partners j > i
     // ([`gmm_row_best`]): what the seed pair below is resolved from, so
@@ -80,46 +75,15 @@ pub struct PreparedUniverse {
 /// `(1 − λ, λ)` in `f64` — the one derivation of the two float weights:
 /// [`PreparedUniverse`] stores the result at construction and
 /// [`Engine::from_prepared`](super::Engine::from_prepared) copies it, so
-/// the fused build scans, the delta repairs and every solver round
+/// the fused build scans, the lazy rebuilds and every solver round
 /// weigh with the same two floats.
 fn lambda_floats(lambda: Ratio) -> (f64, f64) {
     ((Ratio::ONE - lambda).to_f64(), lambda.to_f64())
 }
 
-/// The float mono score from its memoized parts: the **single**
-/// expression both the fresh preamble pass and the insert repair
-/// evaluate, so repaired scores are bit-identical to from-scratch ones.
-#[inline(always)]
-fn mono_score_from_dsum(one_minus: f64, lam: f64, rel: f64, dsum: f64, n: usize) -> f64 {
-    let rel_part = one_minus * rel;
-    if n <= 1 || lam == 0.0 {
-        return rel_part;
-    }
-    rel_part + lam * dsum / (n as f64 - 1.0)
-}
-
 /// A prepared universe shared across threads — the cacheable unit of
 /// the serving layer.
 pub type SharedPrepared = Arc<PreparedUniverse>;
-
-/// Evaluates `δ_rel` once per universe item — the one relevance pass
-/// behind every prepared-state constructor (full matrix and coreset).
-/// `O(n)` total; polls `deadline` every 64 items so even an expensive
-/// relevance oracle cannot overshoot by more than 64 evaluations.
-fn score_relevance(
-    universe: &[Tuple],
-    rel: &dyn Relevance,
-    deadline: Deadline,
-) -> Result<Vec<Ratio>, ServeError> {
-    let mut rel_exact = Vec::with_capacity(universe.len());
-    for (i, t) in universe.iter().enumerate() {
-        if i.is_multiple_of(64) {
-            deadline.check()?;
-        }
-        rel_exact.push(rel.rel(t));
-    }
-    Ok(rel_exact)
-}
 
 impl PreparedUniverse {
     /// The single construction site: every constructor funnels here, so
@@ -189,7 +153,6 @@ impl PreparedUniverse {
             matrix,
             built_finite: Some(built_finite),
             mono_scores: OnceLock::new(),
-            mono_dsums: OnceLock::new(),
             mono_sums: MonoSums::default(),
             gmm_rows: OnceLock::from(scans.gmm),
             gmm_seed: OnceLock::new(),
@@ -242,7 +205,8 @@ impl PreparedUniverse {
         growable: bool,
         deadline: Deadline,
     ) -> Result<PreparedUniverse, ServeError> {
-        let rel_exact = score_relevance(&universe, rel, deadline)?;
+        let mut rel_exact = Vec::with_capacity(universe.len());
+        score_each(0, &universe, rel, deadline, |r| rel_exact.push(r))?;
         PreparedUniverse::try_from_scores(universe, rel_exact, dis, lambda, threads, growable, deadline)
     }
 
@@ -301,8 +265,8 @@ impl PreparedUniverse {
     /// relevance caches, the tuples as allocated (`tuple_approx_bytes`:
     /// handle, shared block and string blocks), the `O(n)` memoized
     /// solver preambles (the max-sum heap seed and the GMM row bests,
-    /// materialized during the matrix build, plus the mono scores, row
-    /// sums and exact key-column sums, populated by the first `F_mono`
+    /// materialized during the matrix build, plus the mono scores and
+    /// the exact key-column sums, populated by the first `F_mono`
     /// request — all charged up front because they stay resident for
     /// the cache entry's lifetime), **and** the
     /// retained distance oracle ([`Distance::approx_bytes`]) — a
@@ -317,7 +281,7 @@ impl PreparedUniverse {
     /// Bytes per item beside the matrix and the tuples: the relevance
     /// caches and the memoized preambles.
     const BYTES_PER_ITEM: usize = std::mem::size_of::<Ratio>()
-        + 4 * std::mem::size_of::<f64>()
+        + 3 * std::mem::size_of::<f64>()
         + MonoSums::BYTES_PER_ITEM
         + std::mem::size_of::<PairSeed>();
 
@@ -395,40 +359,23 @@ impl PreparedUniverse {
     /// How many times the max-sum heap preamble has been computed for
     /// this prepared universe: `1` from construction on (the seed scan
     /// is fused into the matrix build, riding its cache-hot rows), and
-    /// at most once more after each [`PreparedUniverse::remove_tuple`]
-    /// (removal invalidates the seed; the next `F_MS` request rebuilds
-    /// it). Between rebuilds the `OnceLock` guarantees at-most-once
-    /// even when many threads race `F_MS` requests against shared
-    /// state. Inserts *repair* the seed in place and do not count.
+    /// once more for each delta an `F_MS` request follows (a delta
+    /// drops the seed; the next `F_MS` request rebuilds it). Between
+    /// rebuilds the `OnceLock` guarantees at-most-once even when many
+    /// threads race `F_MS` requests against shared state.
     pub fn ms_preamble_builds(&self) -> usize {
         self.preamble_builds.load(Ordering::Relaxed)
     }
 
     /// Appends `tuple` (with its already-evaluated exact relevance) at
-    /// index `n`, in `O(n)`: one oracle distance evaluation per
-    /// existing item for the new matrix column, one in-place matrix
-    /// row/column write, and an `O(n)` repair of every *populated*
-    /// memoized preamble. The repaired state is **bit-identical** to a
-    /// from-scratch prepare of the grown universe
-    /// (`tests/delta_matches_scratch.rs` pins this under churn):
-    ///
-    /// * max-sum seed — appending index `n` at the end of each
-    ///   anchor's left-to-right strict-`>` scan is exactly one more
-    ///   loop iteration of the fused build scan;
-    /// * mono row sums — each old row's sum gains exactly its new
-    ///   column entry, appended at the end of the same left-to-right
-    ///   fold; scores are recomputed from the repaired sums through the
-    ///   shared `mono_score_from_dsum` expression; the exact
-    ///   key-column sums gain `|k_i − k_new|` each, in integers;
-    /// * GMM row bests — the new pair `(i, n)` is one more strict-`>`
-    ///   iteration of each anchor's `gmm_row_best` scan;
-    /// * GMM seed — the new pairs `(i, n)` are scanned with the same
-    ///   float filter + exact-`Ratio` resolution as the from-scratch
-    ///   seed, and the partition winner is compared exactly against the
-    ///   memoized winner (lexicographically smaller pair on exact
-    ///   ties — old pairs always precede new ones at equal anchors).
+    /// index `n`: one oracle distance evaluation per existing item for
+    /// the new matrix column, written in place (`O(n)`), and every
+    /// memoized preamble dropped, as [`PreparedUniverse::remove_tuple`]
+    /// drops them. The next request that needs one rebuilds it from the
+    /// patched matrix, with no further oracle distance evaluations, into
+    /// the bits a from-scratch prepare of the grown universe holds
+    /// (`tests/delta_matches_scratch.rs` pins this under churn).
     pub fn insert_tuple(&mut self, tuple: Tuple, rel: Ratio) {
-        let rel_new = rel.to_f64();
         // The only oracle work of the whole operation: the new column
         // col[i] = δ_dis(universe[i], tuple).
         let col: Vec<f64> = self
@@ -437,33 +384,17 @@ impl PreparedUniverse {
             .map(|t| self.dis.dist_f64(t, &tuple))
             .collect();
         self.matrix.push_item(&col);
-        self.built_finite = None;
-        if rel_new.is_finite() && col.iter().all(|d| d.is_finite()) {
-            self.repair_ms_seed_insert(&col, rel_new);
-            self.repair_mono_insert(&col, rel_new);
-            self.mono_sums.repair_insert(&*self.dis, &tuple);
-            self.repair_gmm_rows_insert(&col, rel_new);
-            self.repair_gmm_seed_insert(&col, &tuple, rel, rel_new);
-        } else {
-            // Non-finite scores do not order, so no repair can match a
-            // from-scratch build. Serving layers refuse this state
-            // ([`PreparedUniverse::check_finite_item`]); dropping the
-            // preambles keeps it consistent until they do.
-            self.invalidate_preambles();
-        }
         self.universe.push(tuple);
         self.rel_exact.push(rel);
-        self.rel.push(rel_new);
+        self.rel.push(rel.to_f64());
+        self.invalidate_preambles();
     }
 
     /// Swap-removes the tuple at `index` in `O(n)` (the last item moves
     /// into its slot, matching `Vec::swap_remove`): the matrix is
-    /// patched in place and every memoized preamble is invalidated —
-    /// the relabelling breaks the `j > anchor` / lexicographic
-    /// structure the preambles encode, so an `O(n)` repair could not
-    /// stay bit-identical; the next request rebuilds lazily from the
-    /// patched matrix, with no further oracle distance evaluations.
-    /// Returns the removed tuple.
+    /// patched in place and every memoized preamble is dropped, as
+    /// [`PreparedUniverse::insert_tuple`] drops them. Returns the
+    /// removed tuple.
     pub fn remove_tuple(&mut self, index: usize) -> Result<Tuple, DeltaError> {
         let n = self.universe.len();
         if index >= n {
@@ -473,187 +404,51 @@ impl PreparedUniverse {
         let removed = self.universe.swap_remove(index);
         self.rel_exact.swap_remove(index);
         self.rel.swap_remove(index);
-        self.built_finite = None;
         self.invalidate_preambles();
         Ok(removed)
     }
 
-    /// Drops every memoized solver preamble; the next request that
-    /// needs one rebuilds it lazily from the current matrix.
+    /// The one delta rule for what the build derived from the matrix:
+    /// every memoized solver preamble and the recorded finiteness
+    /// verdict are dropped. The next request that needs a preamble
+    /// rebuilds it lazily from the current matrix; `check_finite` scans.
     fn invalidate_preambles(&mut self) {
+        self.built_finite = None;
         self.mono_scores = OnceLock::new();
-        self.mono_dsums = OnceLock::new();
         self.mono_sums.invalidate();
         self.gmm_rows = OnceLock::new();
         self.gmm_seed = OnceLock::new();
         self.ms_seed = OnceLock::new();
     }
 
-    /// Insert repair of the max-sum seed (when populated): index `n`
-    /// becomes one more candidate partner for every anchor — a strict
-    /// `>` update, identical to the fused build scan reaching `j = n`
-    /// as its final iteration (float ties keep the earlier partner).
-    /// The new anchor `n` has no partner `j > n` yet.
-    fn repair_ms_seed_insert(&mut self, col: &[f64], rel_new: f64) {
-        let n = self.universe.len();
-        let (one_minus, lam) = self.weights;
-        let rel = &self.rel;
-        let Some(seed) = self.ms_seed.get_mut() else {
-            return;
-        };
-        for ((slot, &ri), &din) in seed.iter_mut().zip(rel).zip(col) {
-            let w = ms_weight_f64(one_minus, lam, ri, rel_new, din);
-            if w > slot.score {
-                slot.score = w;
-                slot.partner = n;
-            }
-        }
-        seed.push(PairSeed::NONE);
-    }
-
-    /// Insert repair of the mono preamble (when populated): each old
-    /// row sum gains its new column entry (`dsum += col[i]` — exactly
-    /// the extra term the from-scratch left-to-right fold would add
-    /// last), the new row's sum is folded fresh from the patched
-    /// matrix, and all `n + 1` scores are recomputed from the repaired
-    /// sums — every score changes, because the mean divides by `n − 1`.
-    fn repair_mono_insert(&mut self, col: &[f64], rel_new: f64) {
-        let n_old = self.universe.len();
-        let Some(dsums) = self.mono_dsums.get_mut() else {
-            return;
-        };
-        for (s, &d) in dsums.iter_mut().zip(col) {
-            *s += d;
-        }
-        dsums.push(self.matrix.row(n_old).iter().sum());
-        let n_new = n_old + 1;
-        let (one_minus, lam) = self.weights;
-        let rel = &self.rel;
-        let dsums = self.mono_dsums.get().expect("repaired above");
-        if let Some(scores) = self.mono_scores.get_mut() {
-            scores.clear();
-            scores.extend(
-                rel.iter()
-                    .chain(std::iter::once(&rel_new))
-                    .zip(dsums)
-                    .map(|(&r, &d)| mono_score_from_dsum(one_minus, lam, r, d, n_new)),
-            );
-        }
-    }
-
-    /// Insert repair of the GMM row bests (when populated): the pair
-    /// `(i, n)` is one more candidate for every anchor — a strict `>`
-    /// update, identical to `gmm_row_best` reaching `j = n` as its
-    /// final iteration (the old last anchor's `-∞` takes its first
-    /// partner's value, finite by the caller's check). The new anchor
-    /// `n` has no partner `j > n` yet.
-    fn repair_gmm_rows_insert(&mut self, col: &[f64], rel_new: f64) {
-        let (one_minus, lam) = self.weights;
-        let rel = &self.rel;
-        let Some(rows) = self.gmm_rows.get_mut() else {
-            return;
-        };
-        for ((best, &ri), &din) in rows.iter_mut().zip(rel).zip(col) {
-            let v = gmm_seed_f64(one_minus, lam, ri, rel_new, din);
-            if v > *best {
-                *best = v;
-            }
-        }
-        rows.push(f64::NEG_INFINITY);
-    }
-
-    /// Insert repair of the GMM seed pair (when populated): only the
-    /// pairs `(i, n)` are new, so their partition champion — float
-    /// filter, exact-`Ratio` resolution, lowest anchor on exact ties,
-    /// same as the from-scratch scan — is compared **exactly** against
-    /// the memoized champion of the old pairs. On an exact tie the
-    /// lexicographically smaller pair wins; an old pair `(a, b)` with
-    /// `b < n` precedes `(a, n)`, so the old champion survives equal
-    /// anchors, matching the from-scratch lex rule.
-    fn repair_gmm_seed_insert(&mut self, col: &[f64], tuple: &Tuple, rel_exact_new: Ratio, rel_new: f64) {
-        let n = self.universe.len();
-        let (one_minus, lam) = self.weights;
-        let one_minus_exact = Ratio::ONE - self.lambda;
-        // Split borrows up front: the closure below reads universe /
-        // rel_exact / dis while `seed` mutably borrows only `gmm_seed`.
-        let universe = &self.universe;
-        let rel_exact = &self.rel_exact;
-        let rel_f = &self.rel;
-        let dis = &*self.dis;
-        let lambda = self.lambda;
-        let Some(seed) = self.gmm_seed.get_mut() else {
-            return;
-        };
-        if n == 0 {
-            return; // still a single-item universe: seed stays `None`.
-        }
-        // Float scan of the new-pair partition, with the standard tie
-        // window; same per-pair expression as `best_seed_pair`.
-        let mut best = f64::NEG_INFINITY;
-        for (&ri, &d) in rel_f.iter().zip(col) {
-            let v = gmm_seed_f64(one_minus, lam, ri, rel_new, d);
-            if v > best {
-                best = v;
-            }
-        }
-        let thr = tie_threshold(best);
-        let exact_of = |i: usize| {
-            one_minus_exact * rel_exact[i].min(rel_exact_new)
-                + lambda * dis.dist(&universe[i], tuple)
-        };
-        let mut winner: Option<(usize, Ratio)> = None;
-        for (i, (&ri, &d)) in rel_f.iter().zip(col).enumerate() {
-            if gmm_seed_f64(one_minus, lam, ri, rel_new, d) >= thr {
-                let v = exact_of(i);
-                if winner.as_ref().is_none_or(|(_, w)| v > *w) {
-                    winner = Some((i, v));
-                }
-            }
-        }
-        let (i_new, v_new) = winner.expect("n ≥ 1 new pairs scanned");
-        match seed {
-            Some((a, b)) => {
-                let v_old = one_minus_exact * rel_exact[*a].min(rel_exact[*b])
-                    + lambda * dis.dist(&universe[*a], &universe[*b]);
-                if v_new > v_old || (v_new == v_old && i_new < *a) {
-                    *seed = Some((i_new, n));
-                }
-            }
-            None => {
-                // Old universe had < 2 items; the new pairs are ALL the
-                // pairs of the grown universe.
-                *seed = Some((i_new, n));
-            }
-        }
-    }
-
     /// Float mono scores of all items — k-independent, so computed once
     /// per prepared universe and memoized (warm-cache mono requests
-    /// skip straight to the top-k cut). The per-row distance sums are
-    /// memoized separately (`mono_dsums`) because they are what
-    /// [`PreparedUniverse::insert_tuple`] repairs in `O(n)`; both the
-    /// fresh path here and the repair path derive the score through the
-    /// same `mono_score_from_dsum` expression, keeping them
-    /// bit-identical.
+    /// skip straight to the top-k cut).
     ///
-    /// The sums are one linear fold per matrix row, `O(n²)` — unless
-    /// the oracle is a key column whose exact sums all stay below 2^53:
-    /// then the `O(n log n)` integer sums convert to the very same
-    /// floats ([`KeySums::to_f64_exact`](crate::mono_exact::KeySums)).
+    /// The per-item distance sums are one linear fold per matrix row,
+    /// `O(n²)` — unless the oracle is a key column whose exact sums all
+    /// stay below 2^53: then the `O(n log n)` integer sums convert to
+    /// the very same floats ([`KeySums::to_f64_exact`](crate::mono_exact::KeySums)).
     pub(super) fn mono_scores_f64(&self) -> &[f64] {
         self.mono_scores.get_or_init(|| {
             let n = self.n();
-            let dsums = self.mono_dsums.get_or_init(|| {
-                self.mono_sums
-                    .get_or_build(|| self.dis.key_column(&self.universe))
-                    .and_then(|sums| sums.to_f64_exact())
-                    .unwrap_or_else(|| (0..n).map(|i| self.matrix.row(i).iter().sum()).collect())
-            });
+            let dsums = self
+                .mono_sums
+                .get_or_build(|| self.dis.key_column(&self.universe))
+                .and_then(|sums| sums.to_f64_exact())
+                .unwrap_or_else(|| (0..n).map(|i| self.matrix.row(i).iter().sum()).collect());
             let (one_minus, lam) = self.weights;
             self.rel
                 .iter()
                 .zip(dsums)
-                .map(|(&r, &d)| mono_score_from_dsum(one_minus, lam, r, d, n))
+                .map(|(&r, d)| {
+                    let rel_part = one_minus * r;
+                    if n <= 1 || lam == 0.0 {
+                        rel_part
+                    } else {
+                        rel_part + lam * d / (n as f64 - 1.0)
+                    }
+                })
                 .collect()
         })
     }
@@ -661,7 +456,7 @@ impl PreparedUniverse {
     /// The memoized max-sum preamble: every anchor's best full-universe
     /// partner. Normally populated at construction (fused into the
     /// matrix build, where every row is scanned cache-hot); the
-    /// `get_or_init` fallback (the first `F_MS` request after a removal
+    /// `get_or_init` fallback (the first `F_MS` request after a delta
     /// dropped it) rebuilds it from the finished matrix with the same
     /// [`PairSeed::scan`]. Every `F_MS` request heapifies the seed in
     /// `O(n)`.
@@ -679,7 +474,7 @@ impl PreparedUniverse {
     /// populated at construction by the fused build, and rebuilt here —
     /// from the finished matrix, with the same [`gmm_row_best`], rows
     /// sharded over `threads` — by the first `F_MM` request after a
-    /// removal dropped them.
+    /// delta dropped them.
     fn gmm_rows(&self, threads: usize) -> &[f64] {
         self.gmm_rows.get_or_init(|| {
             let n = self.n();
@@ -761,7 +556,6 @@ impl PreparedUniverse {
             matrix: self.matrix.clone(),
             built_finite: self.built_finite,
             mono_scores: self.mono_scores.clone(),
-            mono_dsums: self.mono_dsums.clone(),
             mono_sums: self.mono_sums.clone(),
             gmm_rows: self.gmm_rows.clone(),
             gmm_seed: self.gmm_seed.clone(),
@@ -772,7 +566,7 @@ impl PreparedUniverse {
 
     /// The memoized mono scores, if populated — `None` means the next
     /// `F_mono` request will compute them fresh. Exposed so the
-    /// differential churn harness can pin repaired preambles
+    /// differential churn harness can pin rebuilt preambles
     /// bit-identical to from-scratch ones.
     pub fn mono_preamble(&self) -> Option<&[f64]> {
         self.mono_scores.get().map(Vec::as_slice)
@@ -807,7 +601,7 @@ impl PreparedUniverse {
     /// The memoized GMM row bests, if populated: anchor `i`'s largest
     /// float seed value `(1−λ)·min(r_i, r_j) + λ·d(i,j)` over `j > i`
     /// (`-∞` for the last item, which has no such partner). Built with
-    /// the matrix, repaired by inserts, dropped by removals.
+    /// the matrix, dropped by every delta.
     pub fn gmm_rows_preamble(&self) -> Option<&[f64]> {
         self.gmm_rows.get().map(Vec::as_slice)
     }
@@ -892,19 +686,31 @@ mod tests {
     }
 
     #[test]
-    fn insert_tuple_repairs_warm_preambles_bit_identically() {
+    fn insert_tuple_drops_warm_preambles_then_rebuilds_them_bit_identically() {
         for lam in [Ratio::ZERO, Ratio::new(1, 2), Ratio::ONE] {
             let mut u = line_universe(10);
-            let mut prepared =
-                PreparedUniverse::build_shared(u.clone(), &REL, Arc::new(DIS), lam, 1);
+            let mut prepared = Arc::new(PreparedUniverse::build_shared(
+                u.clone(),
+                &REL,
+                Arc::new(DIS),
+                lam,
+                1,
+            ));
+            // Every insert goes through a warm state.
+            warm_all_preambles(&prepared);
             for step in 0..4i64 {
-                // Warm every preamble, then insert through the warm state.
-                let arc = Arc::new(prepared);
-                warm_all_preambles(&arc);
-                prepared = Arc::try_unwrap(arc).expect("sole owner");
+                let mut grown = Arc::try_unwrap(prepared).expect("sole owner");
                 let t = Tuple::ints([50 + 11 * step, step % 5]);
-                prepared.insert_tuple(t.clone(), REL.rel(&t));
+                grown.insert_tuple(t.clone(), REL.rel(&t));
                 u.push(t);
+                // An insert drops the memoized preambles, as a removal does…
+                assert!(grown.ms_preamble().is_none());
+                assert!(grown.gmm_rows_preamble().is_none());
+                assert!(grown.gmm_preamble().is_none());
+                assert!(grown.mono_preamble().is_none());
+                // …and the next requests rebuild them from the matrix.
+                prepared = Arc::new(grown);
+                warm_all_preambles(&prepared);
 
                 // From-scratch prepare of the grown universe, preambles
                 // warmed the same way.

@@ -8,9 +8,9 @@
 //! the oracle is a one-dimensional integer metric
 //! ([`Distance::key_column`]) all `n` sums follow from one sort and one
 //! prefix-sum pass — `O(n log n)` integer work, memoized in a
-//! [`MonoSums`] cell beside the other solver preambles, repaired in
-//! `O(n)` per insert. Without a column the per-pair sweep remains, as
-//! the fallback inside the one [`ExactView::mono_score_exact`] body.
+//! [`MonoSums`] cell beside the other solver preambles and dropped by
+//! every delta, like them. Without a column the per-pair sweep remains,
+//! as the fallback inside the one [`ExactView::mono_score_exact`] body.
 
 use crate::coreset::{RelColumn, Rows};
 use crate::deadline::Deadline;
@@ -33,11 +33,10 @@ fn key_gap(x: i64, y: i64) -> Option<i128> {
     (gap <= i128::from(i64::MAX)).then_some(gap)
 }
 
-/// The key column of a universe and, per item, its exact distance sum
-/// `sums[i] = Σ_j |k_i − k_j|`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Per item of a universe with a key column `k`, its exact distance
+/// sum `sums[i] = Σ_j |k_i − k_j|`.
+#[derive(Clone, Debug)]
 pub(crate) struct KeySums {
-    keys: Vec<i64>,
     sums: Vec<i128>,
 }
 
@@ -47,7 +46,7 @@ impl KeySums {
     /// `Σ above − x·(n−1−p)`. `None` when `max − min` overflows `i64`
     /// (some pair's distance would not be the integer the oracle
     /// promises).
-    pub(crate) fn build(keys: Vec<i64>) -> Option<KeySums> {
+    pub(crate) fn build(keys: &[i64]) -> Option<KeySums> {
         let n = keys.len();
         let mut sorted: Vec<(i64, usize)> = keys.iter().copied().zip(0..).collect();
         sorted.sort_unstable();
@@ -63,34 +62,16 @@ impl KeySums {
             sums[i] = (x * under - below) + (total - below - x - x * over);
             below += x;
         }
-        Some(KeySums { keys, sums })
-    }
-
-    /// Appends one key in `O(n)` integer adds: every old sum gains its
-    /// gap to the new key, the new item's sum is their total. `false`
-    /// when a gap no longer fits `i64` — the caller drops the memo,
-    /// exactly what [`KeySums::build`] over the grown column returns.
-    fn push(&mut self, key: i64) -> bool {
-        let mut own = 0i128;
-        for (&k, sum) in self.keys.iter().zip(&mut self.sums) {
-            let Some(gap) = key_gap(k, key) else {
-                return false;
-            };
-            *sum += gap;
-            own += gap;
-        }
-        self.keys.push(key);
-        self.sums.push(own);
-        true
+        Some(KeySums { sums })
     }
 
     /// The sums as floats — only when every one is below 2^53. The
     /// float matrix row of item `i` then holds the integers
     /// `|k_i − k_j|` unrounded and every partial sum of them is an
-    /// integer below 2^53, so the left-to-right row fold (and the
-    /// insert repair `dsum += col[i]`) is exact and equals `sum as f64`
-    /// bit for bit. At 2^53 and beyond the fold rounds along the way
-    /// and only the fold itself reproduces its bits.
+    /// integer below 2^53, so the left-to-right row fold is exact and
+    /// equals `sum as f64` bit for bit. At 2^53 and beyond the fold
+    /// rounds along the way and only the fold itself reproduces its
+    /// bits.
     pub(crate) fn to_f64_exact(&self) -> Option<Vec<f64>> {
         self.sums
             .iter()
@@ -106,37 +87,17 @@ impl KeySums {
 pub(crate) struct MonoSums(OnceLock<Option<KeySums>>);
 
 impl MonoSums {
-    /// Resident bytes per universe item once populated (key + sum);
+    /// Resident bytes per universe item once populated (its sum);
     /// prepared states charge it up front in their `approx_bytes`.
-    pub(crate) const BYTES_PER_ITEM: usize =
-        std::mem::size_of::<i64>() + std::mem::size_of::<i128>();
+    pub(crate) const BYTES_PER_ITEM: usize = std::mem::size_of::<i128>();
 
     /// The sums over the key column `column` reads, built on first use;
     /// `None` when the oracle offers no usable column.
     pub(crate) fn get_or_build(&self, column: impl FnOnce() -> Option<Vec<i64>>) -> Option<&KeySums> {
-        self.0.get_or_init(|| column().and_then(KeySums::build)).as_ref()
+        self.0.get_or_init(|| column().and_then(|keys| KeySums::build(&keys))).as_ref()
     }
 
-    /// Insert repair (when populated): `tuple` is about to be appended
-    /// to the universe. A tuple without a key, or one whose gaps
-    /// overflow, leaves the memo at "no column" — what a from-scratch
-    /// build over the grown universe finds.
-    pub(crate) fn repair_insert(&mut self, dis: &dyn Distance, tuple: &Tuple) {
-        let Some(slot) = self.0.get_mut() else {
-            return;
-        };
-        let Some(sums) = slot else {
-            return;
-        };
-        let key = dis
-            .key_column(std::slice::from_ref(tuple))
-            .and_then(|column| column.first().copied());
-        if !key.is_some_and(|k| sums.push(k)) {
-            *slot = None;
-        }
-    }
-
-    /// Drops the memo; the next `F_mono` request rebuilds it.
+    /// Drops the memo (a delta); the next `F_mono` request rebuilds it.
     pub(crate) fn invalidate(&mut self) {
         self.0 = OnceLock::new();
     }
@@ -303,34 +264,24 @@ mod tests {
             let n = rng.gen_range(0usize..40);
             let span = [3i64, 1000, i64::MAX / 2][case % 3];
             let keys: Vec<i64> = (0..n).map(|_| rng.gen_range(-span..=span)).collect();
-            let memo = KeySums::build(keys.clone()).unwrap();
+            let memo = KeySums::build(&keys).unwrap();
             assert_eq!(memo.sums, brute(&keys), "{keys:?}");
         }
     }
 
     #[test]
-    fn push_matches_a_fresh_build() {
-        let mut grown = KeySums::build(vec![5, -3, 5]).unwrap();
-        for key in [0, 5, -40, i64::MAX / 2] {
-            assert!(grown.push(key));
-            assert_eq!(Some(&grown), KeySums::build(grown.keys.clone()).as_ref());
-        }
-    }
-
-    #[test]
     fn a_range_beyond_i64_has_no_memo() {
-        assert!(KeySums::build(vec![i64::MIN, 0, 1]).is_none());
-        assert!(KeySums::build(vec![-1, i64::MAX]).is_none());
-        assert!(KeySums::build(vec![0, i64::MAX]).is_some());
-        let mut memo = KeySums::build(vec![0, i64::MAX]).unwrap();
-        assert!(!memo.push(-1));
+        assert!(KeySums::build(&[i64::MIN, 0, 1]).is_none());
+        assert!(KeySums::build(&[-1, i64::MAX]).is_none());
+        assert!(KeySums::build(&[0, i64::MAX]).is_some());
+        assert!(KeySums::build(&[0, i64::MAX, -1]).is_none());
     }
 
     #[test]
     fn float_sums_only_below_two_to_the_53() {
-        let small = KeySums::build(vec![0, (1 << 53) - 1]).unwrap();
+        let small = KeySums::build(&[0, (1 << 53) - 1]).unwrap();
         assert_eq!(small.to_f64_exact(), Some(vec![((1u64 << 53) - 1) as f64; 2]));
-        let big = KeySums::build(vec![0, 1 << 53]).unwrap();
+        let big = KeySums::build(&[0, 1 << 53]).unwrap();
         assert_eq!(big.to_f64_exact(), None);
     }
 }

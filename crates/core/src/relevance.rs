@@ -13,6 +13,8 @@
 //!   column, as in the paper's Example 3.1),
 //! * [`ClosureRelevance`] — arbitrary PTIME logic.
 
+use crate::deadline::Deadline;
+use crate::engine::ServeError;
 use crate::ratio::Ratio;
 use divr_relquery::Tuple;
 use std::collections::HashMap;
@@ -119,6 +121,28 @@ impl Relevance for Box<dyn Relevance + Send + Sync + '_> {
     fn rel(&self, t: &Tuple) -> Ratio {
         (**self).rel(t)
     }
+}
+
+/// The one relevance pass behind every prepared state (a full matrix's
+/// `Vec<Ratio>`, a coreset's column): `δ_rel` of `items` — the
+/// universe's items `first..first + items.len()` — handed to `push` in
+/// order. Polls `deadline` at every 64th universe index, so a universe
+/// scored a chunk at a time polls where one pass over it would, and
+/// even an expensive oracle overshoots by at most 64 evaluations.
+pub(crate) fn score_each(
+    first: usize,
+    items: &[Tuple],
+    rel: &dyn Relevance,
+    deadline: Deadline,
+    mut push: impl FnMut(Ratio),
+) -> Result<(), ServeError> {
+    for (off, t) in items.iter().enumerate() {
+        if (first + off).is_multiple_of(64) {
+            deadline.check()?;
+        }
+        push(rel.rel(t));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -32,8 +32,9 @@
 //! * a universe changes because its database does
 //!   ([`QueryFrontDoor::insert_base_tuple`] /
 //!   [`QueryFrontDoor::remove_base_tuple`], the wire's `mutate`): every
-//!   warm query reading the edited relation is repaired in `O(Δ · n)` —
-//!   matrix row/column patch plus preamble repair, never a cold `O(n²)`
+//!   warm query reading the edited relation is repaired in `O(Δ · n)`
+//!   oracle calls — a matrix row/column patch, its preambles re-scanned
+//!   from the matrix on the next request, never a cold `O(n²)` oracle
 //!   re-prepare — and re-keyed under the bumped relation version
 //!   (`tests/query_serving_matches_materialized.rs` pins the repaired
 //!   entry bit-identical to a cold prepare of the same sequence).

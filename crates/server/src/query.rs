@@ -29,8 +29,10 @@
 //! [`QueryFrontDoor::insert_base_tuple`] computes each affected warm
 //! query's new result tuples **semi-naively**
 //! ([`divr_relquery::delta_results`]) and migrates the prepared entry
-//! in place — `O(Δ · n)` instead of a cold re-evaluate + `O(n²)`
-//! re-prepare — re-keying it under the bumped relation version.
+//! in place — `O(Δ · n)` oracle calls, plus an `O(n²)` float re-scan
+//! of the patched matrix on the next request, instead of a cold
+//! re-evaluate + `O(n²)` oracle re-prepare — re-keying it under the
+//! bumped relation version.
 
 use crate::cache::PreparedCache;
 use crate::fingerprint::{FingerprintEncoder, UniverseKey};

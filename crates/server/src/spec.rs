@@ -208,7 +208,7 @@ impl Instance {
     /// allocates exactly `n²` cells. A coreset over encoded `rows` holds
     /// their bytes; one over tuples encodes them once. Refusals and the
     /// deadline are as
-    /// [`UniverseSpec::try_prepare_variant_deadline`] documents them.
+    /// [`UniverseSpec::try_prepare_variant`] documents them.
     pub(crate) fn build(
         &self,
         rows: BuildRows,
@@ -575,8 +575,8 @@ impl UniverseSpec {
     /// regardless of the spec's serving mode and without validation.
     /// This is the exact/oracle path (the conformance suites build
     /// their reference engines from it); the registry itself prepares
-    /// through [`UniverseSpec::try_prepare_variant_deadline`], which
-    /// honors the mode and refuses non-finite scores.
+    /// through the same build as [`UniverseSpec::try_prepare_variant`],
+    /// which honors the mode and refuses non-finite scores.
     pub fn prepare(&self, threads: usize) -> SharedPrepared {
         Arc::new(PreparedUniverse::build_shared(
             self.tuples(),
@@ -587,12 +587,6 @@ impl UniverseSpec {
         ))
     }
 
-    /// [`UniverseSpec::try_prepare_variant_deadline`] with
-    /// [`Deadline::none`].
-    pub fn try_prepare_variant(&self, threads: usize) -> Result<PreparedVariant, ServeError> {
-        self.try_prepare_variant_deadline(threads, Deadline::none())
-    }
-
     /// Prepares this spec the way the registry caches it — full-matrix
     /// state for plain specs, coreset state (no `n × n` allocation)
     /// when [`UniverseSpec::with_coreset`] was set — and validates it:
@@ -601,20 +595,17 @@ impl UniverseSpec {
     /// rounds, where `NaN` comparisons would silently mis-select. The
     /// tuples are decoded for the build and moved into it.
     ///
-    /// The `O(n²)` (or `O(n·m)`) build polls `deadline` at row /
-    /// iteration boundaries and is abandoned with
-    /// [`ServeError::DeadlineExceeded`] once it trips. Either refusal
-    /// drops the built state; it must never be cached (the registry's
-    /// cache only inserts `Ok` results, which preserves that).
-    pub fn try_prepare_variant_deadline(
-        &self,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<PreparedVariant, ServeError> {
-        self.build_in(&self.bytes, threads, deadline)
+    /// A refusal drops the built state; it must never be cached (the
+    /// registry's cache only inserts `Ok` results, which preserves
+    /// that). The registry's own misses run the same build under the
+    /// frame's deadline (`UniverseSpec::try_prepare_resident`), polled
+    /// at row / iteration boundaries and refused with
+    /// [`ServeError::DeadlineExceeded`] once it trips.
+    pub fn try_prepare_variant(&self, threads: usize) -> Result<PreparedVariant, ServeError> {
+        self.build_in(&self.bytes, threads, Deadline::none())
     }
 
-    /// [`UniverseSpec::try_prepare_variant_deadline`] for a cache miss:
+    /// [`UniverseSpec::try_prepare_variant`] under `deadline`, for a cache miss:
     /// the prepared state and the exact key it is to be resident under
     /// ([`UniverseKey::exact`]). A coreset entry holds that key's bytes
     /// as its rows, so the cache keeps one copy of them, not two.

@@ -5,20 +5,21 @@
 //! prepare of the same universe at every step —
 //!
 //! * the flat distance matrix, entry by entry, compared as `f64` bits;
+//! * the one delta rule: every op, insert or removal, leaves all five
+//!   memoized preambles (max-sum seed, GMM row bests and seed pair,
+//!   mono scores, exact mono sums) unpopulated until a request needs
+//!   one; the max-sum seed is rebuilt exactly once per delta that an
+//!   `F_MS` request follows (`ms_preamble_builds`);
+//! * the oracle work: an insert makes exactly `n` `dist_f64` calls (the
+//!   new matrix column), a removal none, and every request after a
+//!   delta makes exactly the oracle calls the same request makes on the
+//!   scratch prepare — the lazy rebuilds read the matrix, not the oracle;
 //! * every served answer (exact `Ratio` value *and* index set) across
 //!   all three objectives and a range of `k`;
 //! * the memoized solver preambles after warming both sides: the mono
-//!   score/d-sum vector (bits), the exact mono distance sums (repaired
-//!   in integer adds per insert, carried by a fork), the GMM row bests
-//!   (bits: an insert's repair ≡ the scratch build's fused scan ≡ a
-//!   fork's copy, before any request; a removal leaves them
-//!   unpopulated until `max_min` rebuilds them), the GMM exact seed
-//!   pair, and the per-anchor max-sum best-partner seed (bits + partner
-//!   index);
-//! * the repair-vs-rebuild discipline: inserts *repair* the max-sum
-//!   seed in place (`ms_preamble_builds` stays at its construction
-//!   count), removals invalidate and lazily rebuild (exactly one extra
-//!   build per removal).
+//!   scores (bits), the exact mono distance sums (carried by a fork),
+//!   the GMM row bests (bits), the GMM exact seed pair, and the
+//!   per-anchor max-sum best-partner seed (bits + partner index).
 //!
 //! Three universe families keep the exact-`Ratio` tie fallback honest
 //! through deltas: *regular* (random integer scores), *all-tied* (every
@@ -29,7 +30,7 @@
 //! the pair table for a [`NumericDistance`] over few distinct keys, the
 //! one family whose oracle offers a key column — there the exact mono
 //! sums are a populated memo, not just "no column". Integer workloads make
-//! `f64` arithmetic exact, so any divergence is a real repair bug, not
+//! `f64` arithmetic exact, so any divergence is a real rebuild bug, not
 //! float noise.
 
 use divr::core::distance::{Distance, TableDistance};
@@ -40,6 +41,7 @@ use divr::core::Ratio;
 use divr::relquery::Tuple;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Tuples held in reserve for insertion during churn.
@@ -102,10 +104,54 @@ fn churn_strategy(family: u8) -> impl Strategy<Value = RawChurn> {
         })
 }
 
+/// An oracle that counts its calls — `dist`, `dist_f64`, `key_column`
+/// — and forwards each, the key column included, so the keyed family
+/// keeps its memo.
+struct Counting {
+    inner: Arc<dyn Distance + Send + Sync>,
+    calls: [AtomicUsize; 3],
+}
+
+impl Counting {
+    fn calls(&self) -> [usize; 3] {
+        self.calls.each_ref().map(|c| c.load(Ordering::Relaxed))
+    }
+
+    /// What `run` cost in oracle calls.
+    fn during<R>(&self, run: impl FnOnce() -> R) -> (R, [usize; 3]) {
+        let before = self.calls();
+        let out = run();
+        let after = self.calls();
+        (out, std::array::from_fn(|c| after[c] - before[c]))
+    }
+
+    fn count(&self, which: usize) {
+        self.calls[which].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Distance for Counting {
+    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+        self.count(0);
+        self.inner.dist(a, b)
+    }
+    fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
+        self.count(1);
+        self.inner.dist_f64(a, b)
+    }
+    fn key_column(&self, items: &[Tuple]) -> Option<Vec<i64>> {
+        self.count(2);
+        self.inner.key_column(items)
+    }
+    fn approx_bytes(&self) -> usize {
+        self.inner.approx_bytes()
+    }
+}
+
 struct Scores {
     tuples: Vec<Tuple>,
     rel: TableRelevance,
-    dis: Arc<dyn Distance + Send + Sync>,
+    dis: Arc<Counting>,
     lambda: Ratio,
 }
 
@@ -140,7 +186,10 @@ fn scores_of(raw: &RawChurn) -> Scores {
     Scores {
         tuples,
         rel,
-        dis,
+        dis: Arc::new(Counting {
+            inner: dis,
+            calls: Default::default(),
+        }),
         lambda: Ratio::new(raw.lambda_num, 2),
     }
 }
@@ -155,23 +204,29 @@ fn build(scores: &Scores, ids: &[usize]) -> PreparedUniverse {
     )
 }
 
-/// Serves every objective at every `k` in `ks` (warming all three
+/// One served request: its answer and the oracle calls it made.
+type Served = (
+    ObjectiveKind,
+    usize,
+    Result<(Ratio, Vec<usize>), ServeError>,
+    [usize; 3],
+);
+
+/// Serves every objective at every `k` in `ks` (warming all the
 /// memoized preambles as a side effect) and hands the prepared state
 /// back for further mutation.
-#[allow(clippy::type_complexity)]
 fn warm_and_serve(
     prepared: PreparedUniverse,
+    dis: &Counting,
     ks: &[usize],
-) -> (
-    PreparedUniverse,
-    Vec<(ObjectiveKind, usize, Result<(Ratio, Vec<usize>), ServeError>)>,
-) {
+) -> (PreparedUniverse, Vec<Served>) {
     let arc = Arc::new(prepared);
     let engine = Engine::from_prepared(arc.clone(), 1);
     let mut answers = Vec::new();
     for kind in ObjectiveKind::ALL {
         for &k in ks {
-            answers.push((kind, k, engine.try_serve(EngineRequest { kind, k })));
+            let (answer, calls) = dis.during(|| engine.try_serve(EngineRequest { kind, k }));
+            answers.push((kind, k, answer, calls));
         }
     }
     drop(engine);
@@ -215,79 +270,88 @@ fn ms_bits(p: &PreparedUniverse) -> Option<Vec<(u64, usize)>> {
 
 fn churn_case(raw: &RawChurn) -> Result<(), TestCaseError> {
     let scores = scores_of(raw);
+    let dis = &*scores.dis;
     let total = raw.n0 + POOL;
 
     // `cur` mirrors the delta-maintained universe: ids in prepared
     // order (inserts append; removals swap-remove).
     let mut cur: Vec<usize> = (0..raw.n0).collect();
     let mut pool_next = raw.n0;
-    let mut removals = 0usize;
+    let mut deltas = 0usize;
 
     let mut prepared = build(&scores, &cur);
-    // Warm before the first delta so inserts exercise the preamble
-    // *repair* paths, not lazy first builds.
+    // Warm before the first delta, so every op goes through populated
+    // preambles.
     let ks: Vec<usize> = (1..=cur.len().min(4)).collect();
-    let (p, _) = warm_and_serve(prepared, &ks);
+    let (p, _) = warm_and_serve(prepared, dis, &ks);
     prepared = p;
 
     for &(op, x) in &raw.ops {
+        let n = cur.len();
         if op == 0 {
             if pool_next >= total {
                 continue;
             }
             let id = pool_next;
             pool_next += 1;
-            prepared.insert_tuple(scores.tuples[id].clone(), Ratio::int(raw.rels[id]));
+            let ((), calls) = dis.during(|| {
+                prepared.insert_tuple(scores.tuples[id].clone(), Ratio::int(raw.rels[id]))
+            });
+            prop_assert_eq!(calls, [0, n, 0], "an insert's oracle work: its column");
             cur.push(id);
         } else {
-            if cur.len() <= 2 {
+            if n <= 2 {
                 continue;
             }
-            let i = x % cur.len();
-            let removed = prepared
-                .remove_tuple(i)
-                .expect("index is in range by construction");
+            let i = x % n;
+            let (removed, calls) = dis.during(|| prepared.remove_tuple(i));
+            prop_assert_eq!(calls, [0, 0, 0], "a removal calls no oracle");
             let id = cur.swap_remove(i);
+            let removed = removed.expect("index is in range by construction");
             prop_assert_eq!(&removed, &scores.tuples[id], "wrong tuple came back");
-            removals += 1;
         }
+        deltas += 1;
+
+        // One delta rule: whatever the op, nothing memoized survives it.
+        prop_assert_eq!(ms_bits(&prepared), None, "max-sum seed after a delta");
+        prop_assert_eq!(gmm_rows_bits(&prepared), None, "gmm row bests, same");
+        prop_assert_eq!(prepared.gmm_preamble(), None, "gmm seed pair, same");
+        prop_assert_eq!(mono_bits(&prepared), None, "mono scores, same");
+        prop_assert_eq!(prepared.mono_sums_preamble(), None, "exact mono sums, same");
 
         // From-scratch reference over the same content and order.
         let scratch = build(&scores, &cur);
         prop_assert_eq!(prepared.n(), scratch.n());
-        // Before any request: an insert repaired the warm row bests
-        // into what the scratch build's fused scan wrote; a removal
-        // dropped them.
-        if op == 0 {
-            prop_assert_eq!(gmm_rows_bits(&prepared), gmm_rows_bits(&scratch), "repaired gmm row bests");
-        } else {
-            prop_assert_eq!(gmm_rows_bits(&prepared), None, "a removal leaves the gmm row bests unpopulated");
-        }
         prop_assert_eq!(
             matrix_bits(&prepared),
             matrix_bits(&scratch),
             "matrix bits diverged after {} ops",
-            removals
+            deltas
         );
 
         // Serve both sides across all objectives and k, then compare
-        // answers and the warmed preambles bit-for-bit.
+        // answers, oracle calls and the warmed preambles bit-for-bit.
+        // The delta side rebuilds each preamble on its objective's first
+        // request, from the matrix: no oracle call beyond the scratch
+        // side's.
         let ks: Vec<usize> = (1..=cur.len().min(4)).collect();
-        let (p, delta_answers) = warm_and_serve(prepared, &ks);
+        let (p, delta_answers) = warm_and_serve(prepared, dis, &ks);
         prepared = p;
-        let (scratch, scratch_answers) = warm_and_serve(scratch, &ks);
-        for ((kind, k, da), (_, _, sa)) in delta_answers.iter().zip(&scratch_answers) {
+        let (scratch, scratch_answers) = warm_and_serve(scratch, dis, &ks);
+        for ((kind, k, da, dc), (_, _, sa, sc)) in delta_answers.iter().zip(&scratch_answers) {
             prop_assert_eq!(da, sa, "{} k={}: answers diverged", kind, k);
+            let calls = "oracle calls (dist, dist_f64, key_column)";
+            prop_assert_eq!(dc, sc, "{} k={}: {}", kind, k, calls);
         }
         prop_assert_eq!(mono_bits(&prepared), mono_bits(&scratch), "mono preamble");
         let memo = mono_sums(&prepared)?;
         prop_assert_eq!(&memo, &mono_sums(&scratch)?, "exact mono sums");
-        prop_assert_eq!(&memo, &mono_sums(&prepared.fork())?, "a fork drops the exact mono sums");
+        prop_assert_eq!(&memo, &mono_sums(&prepared.fork())?, "a fork carries the exact mono sums");
         prop_assert_eq!(matches!(memo, Some(Some(_))), raw.keyed, "column offered iff keyed");
         let rows = gmm_rows_bits(&prepared);
-        prop_assert!(rows.is_some(), "max_min (re)built the gmm row bests");
+        prop_assert!(rows.is_some(), "max_min rebuilt the gmm row bests");
         prop_assert_eq!(&rows, &gmm_rows_bits(&scratch), "gmm row bests");
-        prop_assert_eq!(&rows, &gmm_rows_bits(&prepared.fork()), "a fork drops the gmm row bests");
+        prop_assert_eq!(&rows, &gmm_rows_bits(&prepared.fork()), "a fork carries the gmm row bests");
         prop_assert_eq!(
             prepared.gmm_preamble(),
             scratch.gmm_preamble(),
@@ -295,10 +359,11 @@ fn churn_case(raw: &RawChurn) -> Result<(), TestCaseError> {
         );
         prop_assert_eq!(ms_bits(&prepared), ms_bits(&scratch), "max-sum seed");
 
-        // Inserts repair in place; only removals force a rebuild.
+        // The build's one seed, then one rebuild per delta an `F_MS`
+        // request followed (every delta here).
         prop_assert_eq!(
             prepared.ms_preamble_builds(),
-            1 + removals,
+            1 + deltas,
             "max-sum preamble rebuilt on the wrong schedule"
         );
     }
@@ -328,7 +393,7 @@ proptest! {
     }
 
     /// Keyed family: a key-column oracle, so the exact mono sums are
-    /// memoized, repaired by inserts and dropped by removals.
+    /// memoized, and dropped by every delta.
     #[test]
     fn churn_matches_scratch_keyed(raw in churn_strategy(3)) {
         churn_case(&raw)?;

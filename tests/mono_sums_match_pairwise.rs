@@ -165,9 +165,9 @@ proptest! {
         prop_assert_eq!(value, pairwise_sums(&universe, &numeric(100_000))[at] / Ratio::int(universe.len() as i64 - 1));
     }
 
-    /// (c) Inserts repair the memo in integer adds, removals drop it,
-    /// a keyless insert retires it — each time what a fresh prepare of
-    /// the same universe memoizes.
+    /// (c) Every delta drops the memo, insert and removal alike; the
+    /// next mono request rebuilds what a fresh prepare of the same
+    /// universe memoizes — a keyless insert leaves "no column".
     #[test]
     fn the_memo_follows_deltas(
         rows in rows_strategy(3..=20),
@@ -188,17 +188,17 @@ proptest! {
         let mut universe = universe_of(&rows);
         let (mut prepared, _) = scratch_of(&universe);
         for t in universe_of(&extra) {
+            prop_assert!(matches!(prepared.mono_sums_preamble(), Some(Some(_))));
             prepared.insert_tuple(t.clone(), REL.rel(&t));
             universe.push(t);
-            // Repaired, not rebuilt: populated before any request.
-            prop_assert!(matches!(prepared.mono_sums_preamble(), Some(Some(_))));
+            prop_assert_eq!(prepared.mono_sums_preamble(), None, "an insert invalidates");
+            let (p, answer) = warm(prepared);
+            prepared = p;
             let (scratch, expected) = scratch_of(&universe);
+            prop_assert_eq!(answer, expected);
             prop_assert_eq!(prepared.mono_sums_preamble(), scratch.mono_sums_preamble());
             let fork = prepared.fork();
             prop_assert_eq!(fork.mono_sums_preamble(), scratch.mono_sums_preamble());
-            let (p, answer) = warm(prepared);
-            prepared = p;
-            prop_assert_eq!(answer, expected);
         }
         let i = remove_at % universe.len();
         prepared.remove_tuple(i).unwrap();
@@ -212,8 +212,10 @@ proptest! {
         let keyless = Tuple::new(vec![Value::str("no key"), Value::int(3)]);
         prepared.insert_tuple(keyless.clone(), REL.rel(&keyless));
         universe.push(keyless);
+        prop_assert_eq!(prepared.mono_sums_preamble(), None);
+        let (prepared, answer) = warm(prepared);
         prop_assert_eq!(prepared.mono_sums_preamble(), Some(None));
-        prop_assert_eq!(warm(prepared).1, scratch_of(&universe).1);
+        prop_assert_eq!(answer, scratch_of(&universe).1);
     }
 }
 
